@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import DenseOperator, MatrixProductOperator, window_coeffs
+from .operators import DenseOperator, MatrixProductOperator, _windows
 from .pauli import coeffs_from_dense, dense_from_coeffs, partial_trace
 
 # ---- Block data container ----
@@ -82,20 +82,22 @@ class PauliBlockData:
 
 
 def exact_block_data(state, width: int) -> PauliBlockData:
-    """Exact window expectations of a dense or matrix-product state."""
+    """Exact window expectations of a dense or matrix-product state.
+
+    For a matrix-product state the identity environments are built once,
+    so extraction is linear in the chain length and costs O(4^width D^2)
+    per window.
+    """
     if not isinstance(state, (DenseOperator, MatrixProductOperator)):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     n, d = state.n_sites, state.d
     if not 1 <= width <= n:
         raise ValueError("need 1 <= width <= n_sites")
     if isinstance(state, DenseOperator):
-        blocks = []
-        for k in range(1, n - width + 2):
-            rho_w = partial_trace(state.matrix, range(k, k + width), d)
-            blocks.append(coeffs_from_dense(rho_w, d))
+        blocks = [coeffs_from_dense(rho, d)
+                  for rho in _window_densities(state, width)]
     else:
-        blocks = [window_coeffs(state, k, width)
-                  for k in range(1, n - width + 2)]
+        blocks = list(_windows(state, width, 1, n - width + 1))
     return PauliBlockData(n, width, np.array(blocks), d)
 
 
@@ -172,10 +174,15 @@ def all_settings(width: int):
     return ["".join(p) for p in itertools.product("xyz", repeat=width)]
 
 
-def _window_density(state, k: int, width: int) -> np.ndarray:
+def _window_densities(state, width: int):
+    """Yield the dense reduced density matrix of every window in order."""
+    n, d = state.n_sites, state.d
     if isinstance(state, DenseOperator):
-        return partial_trace(state.matrix, range(k, k + width), state.d)
-    return dense_from_coeffs(window_coeffs(state, k, width), state.d)
+        for k in range(1, n - width + 2):
+            yield partial_trace(state.matrix, range(k, k + width), d)
+    else:
+        for coeffs in _windows(state, width, 1, n - width + 1):
+            yield dense_from_coeffs(coeffs, d)
 
 
 def setting_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
@@ -193,10 +200,8 @@ def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBloc
     if shots <= 0:
         raise ValueError("shots must be positive")
     rng = np.random.default_rng(seed)
-    n = state.n_sites
     out = []
-    for k in range(1, n - width + 2):
-        rho = _window_density(state, k, width)
+    for k, rho in enumerate(_window_densities(state, width), start=1):
         counts = {}
         for setting in all_settings(width):
             p = setting_probabilities(rho, setting)

@@ -29,15 +29,18 @@ def _gram_terms(a, b):
     return float(ca @ ca), float(ca @ cb), float(cb @ cb)
 
 
+def _distance(aa: float, ab: float, bb: float) -> float:
+    if aa <= 0.0:
+        raise ValueError("reference has zero norm")
+    return (bb - 2.0 * ab + aa) / aa
+
+
 def hs_distance(ref, est) -> float:
     """Squared Hilbert-Schmidt distance over the squared norm of ref.
 
     D = tr[(est - ref)^2] / tr[ref^2]; representation-independent.
     """
-    aa, ab, bb = _gram_terms(ref, est)
-    if aa <= 0.0:
-        raise ValueError("reference has zero norm")
-    return (bb - 2.0 * ab + aa) / aa
+    return _distance(*_gram_terms(ref, est))
 
 
 def purity(state) -> float:
@@ -122,12 +125,14 @@ class ComparisonReport:
 
 def compare_states(ref, est, w_fidelity: bool = False,
                    seed: int = 0) -> ComparisonReport:
-    """Bundle of distance, purities, spectral floor, optional fidelity."""
-    report = ComparisonReport(
-        hs_distance=hs_distance(ref, est),
-        purity_ref=purity(ref),
-        purity_est=purity(est),
-    )
+    """Bundle of distance, purities, spectral floor, optional fidelity.
+
+    The purities are the Gram terms tr[ref^2] and tr[est^2] that the
+    distance already needs, so each is computed once.
+    """
+    aa, ab, bb = _gram_terms(ref, est)
+    report = ComparisonReport(hs_distance=_distance(aa, ab, bb),
+                              purity_ref=aa, purity_est=bb)
     dense_est = None
     if isinstance(est, DenseOperator):
         dense_est = est

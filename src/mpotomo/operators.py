@@ -144,21 +144,47 @@ def identity_environments(mpo: MatrixProductOperator):
     return left, right
 
 
+def _windows(mpo: MatrixProductOperator, width: int, first: int, last: int):
+    """Yield window_coeffs(mpo, k, width) for k = first .. last in turn.
+
+    The identity environments are built once per call and each site tensor
+    is reshaped once to a (D_l, d^2 D_r) matrix, so a window costs one
+    product per site and a sweep over all windows is linear in the chain
+    length. The products are the np.dot calls that np.tensordot makes, on
+    the same operands, so every vector is bitwise the tensordot contraction.
+    """
+    left, right = identity_environments(mpo)
+    mats = {}
+    for i in range(first, last + width):
+        t = mpo.tensors[i - 1]
+        mats[i] = t.transpose(1, 0, 2).reshape(t.shape[1], -1)
+    for k in range(first, last + 1):
+        G = left[k]
+        for i in range(k, k + width):
+            G = np.dot(G.reshape(-1, mats[i].shape[0]), mats[i])
+        env = right[k + width - 1]
+        G = np.dot(G.reshape(-1, env.shape[0]), env.reshape(-1, 1))
+        yield G.reshape(-1)
+
+
 def window_coeffs(mpo: MatrixProductOperator, k: int, width: int) -> np.ndarray:
     """Basis coefficients of the reduction onto sites k..k+width-1.
 
     Entry pack(a_vec) equals tr[rho_window P-string(a_vec)] where rho_window
-    is the partial trace of the represented operator onto the window.
+    is the partial trace of the represented operator onto the window. One
+    call builds the identity environments, O(N); the window itself costs
+    O(4^width D^2). For many windows use exact_block_data, which builds the
+    environments once.
     """
-    n, d = mpo.n_sites, mpo.d
+    n = mpo.n_sites
     if not (1 <= k and k + width - 1 <= n):
         raise ValueError("window out of range")
-    left, right = identity_environments(mpo)
-    G = left[k]
-    for i in range(k, k + width):
-        G = np.tensordot(G, mpo.tensors[i - 1], axes=(G.ndim - 1, 1))
-    out = np.tensordot(G, right[k + width - 1], axes=(G.ndim - 1, 0))
-    return np.ascontiguousarray(out.reshape(-1))
+    return next(_windows(mpo, width, k, k))
+
+
+def _transfer(env: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """One site of an overlap sweep: sum_a ta[a]^T env tb[a]."""
+    return np.tensordot(ta.transpose(0, 2, 1) @ env, tb, axes=([0, 2], [0, 1]))
 
 
 def mpo_overlap(a: MatrixProductOperator, b: MatrixProductOperator) -> float:
@@ -167,7 +193,7 @@ def mpo_overlap(a: MatrixProductOperator, b: MatrixProductOperator) -> float:
         raise ValueError("operands must share site count and local dimension")
     T = np.ones((1, 1))
     for ta, tb in zip(a.tensors, b.tensors):
-        T = np.einsum("aij,ik,akl->jl", ta, T, tb, optimize=True)
+        T = _transfer(T, ta, tb)
     return float(T[0, 0])
 
 

@@ -328,11 +328,10 @@ def reconstruct_mpo(data: PauliBlockData,
     tensors = _exact_split(pairs[l + 1].B.reshape(-1), l, dim_r, d2)
     site_rows = []
     for k in range(l + 1, n - r + 1):
-        c3 = pairs[k].C.reshape(d2**l, d2, dim_r)
-        t = np.empty((d2, dim_r, dim_r))
-        for a in range(d2):
-            t[a] = solvers[k].solve(c3[:, a, :])
-        tensors.append(t)
+        # Column a * dim_r + j of C is right string j extended by alpha = a,
+        # so one solve gives all d^2 matrices of the site.
+        t = solvers[k].solve(pairs[k].C).reshape(dim_r, d2, dim_r)
+        tensors.append(t.transpose(1, 0, 2))
         site_rows.append({
             "k": k,
             "singular_values": [float(x) for x in solvers[k].spectrum],

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DENSE_SITE_CAP, DenseOperator, MatrixProductOperator
+from .operators import (DENSE_SITE_CAP, DenseOperator, MatrixProductOperator,
+                        _transfer)
 from .pauli import SIGMA, hermitian_basis, pauli_matrix
 
 # ---- Hamiltonians and thermal states ----
@@ -92,7 +93,7 @@ def random_mps(n_sites: int, bond: int, rng, d: int = 2) -> list[np.ndarray]:
                        + 1.0j * rng.standard_normal(shape))
     T = np.ones((1, 1), dtype=complex)
     for A in tensors:
-        T = np.einsum("sab,aA,sAB->bB", A.conj(), T, A, optimize=True)
+        T = _transfer(T, A.conj(), A)
     norm = np.sqrt(T[0, 0].real)
     scale = norm ** (-1.0 / n_sites)
     return [A * scale for A in tensors]
@@ -116,14 +117,13 @@ def mps_to_mpo(mps: list[np.ndarray], channels=None,
     Q = [hermitian_basis(D).reshape(D * D, D * D).T for D in bonds]
     tensors = []
     for i, A in enumerate(mps):
-        pair = np.einsum("sab,tcd->stacbd", A, A.conj(), optimize=True)
         dl, dr = A.shape[1], A.shape[2]
-        pair = pair.reshape(d, d, dl * dl, dr * dr)
+        # pair[(s, t), (a, c), (b, e)] = A[s, a, b] conj(A[t, c, e])
+        pair = np.multiply.outer(A, A.conj()).transpose(0, 3, 1, 4, 2, 5)
+        pair = pair.reshape(d2, dl * dl * dr * dr)
         S = np.eye(d2, dtype=complex) if channels is None else channels[i]
-        cmat = (W @ S).reshape(d2, d, d)
-        T = np.einsum("ast,stlr->alr", cmat, pair, optimize=True)
-        T = np.einsum("lm,amr,rk->alk", Q[i].conj().T, T, Q[i + 1],
-                      optimize=True)
+        T = ((W @ S) @ pair).reshape(d2, dl * dl, dr * dr)
+        T = Q[i].conj().T @ T @ Q[i + 1]
         if np.max(np.abs(T.imag)) > 1e-10 * max(1.0, np.max(np.abs(T.real))):
             raise ValueError("bond gauge failed to produce real tensors")
         tensors.append(T.real)
@@ -147,8 +147,8 @@ def ancilla_channel(rng, t_hnorm: float, d: int = 2,
     t = 0.0 if opnorm == 0 else t_hnorm / opnorm
     u = (evecs * np.exp(-1.0j * t * evals)) @ evecs.conj().T
     kraus = u.reshape(d, d_anc, d, d_anc)[:, :, :, 0].transpose(1, 0, 2)
-    return np.einsum("mas,mbt->abst", kraus, kraus.conj(),
-                     optimize=True).reshape(d * d, d * d)
+    return np.tensordot(kraus, kraus.conj(), axes=(0, 0)).transpose(
+        0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def random_mpo_via_ancilla(n_sites: int, seed=None, t_hnorm: float = 0.01,

@@ -135,3 +135,24 @@ def fisher_by_finite_difference(counts, width, theta, h=1e-6):
         p = np.clip(p0[s], 1e-12, None)
         F += n_s * (grads[s].T @ (grads[s] / p[:, None]))
     return F
+
+
+def window_coeffs_tensordot(mpo, k, width):
+    """One window contracted site by site with np.tensordot.
+
+    The environments are rebuilt from the alpha = 0 slices on every call.
+    This is the per-window reference contraction; the package's batched
+    window kernel must reproduce it bit for bit.
+    """
+    t = mpo.tensors
+    rt = np.sqrt(float(mpo.d))
+    left = np.ones(1)
+    for i in range(k - 1):
+        left = rt * (left @ t[i][0])
+    right = np.ones(1)
+    for i in range(len(t) - 1, k + width - 2, -1):
+        right = rt * (t[i][0] @ right)
+    G = left
+    for i in range(k - 1, k - 1 + width):
+        G = np.tensordot(G, t[i], axes=(G.ndim - 1, 1))
+    return np.tensordot(G, right, axes=(G.ndim - 1, 0)).reshape(-1)

@@ -12,9 +12,10 @@ from mpotomo.measurement import (CountsBlock, add_gaussian_noise,
                                  outcome_index, outcome_string,
                                  save_block_data, save_counts,
                                  setting_probabilities, simulate_counts)
-from mpotomo.operators import DenseOperator, random_mpo
-from mpotomo.pauli import coeffs_from_dense
-from mpotomo.states import product_state, w_state
+import mpotomo.operators
+from mpotomo.operators import DenseOperator, random_mpo, window_coeffs
+from mpotomo.pauli import coeffs_from_dense, dense_from_coeffs
+from mpotomo.states import product_state, random_mpo_via_ancilla, w_state
 
 
 def _dense_state(seed, n):
@@ -40,6 +41,46 @@ def test_exact_blocks_same_for_dense_and_mpo():
     d1 = exact_block_data(mpo, 3)
     d2 = exact_block_data(mpo.to_dense(), 3)
     assert np.max(np.abs(d1.blocks - d2.blocks)) < 1e-12
+
+
+@pytest.mark.parametrize("width", [3, 5, 7])
+def test_exact_blocks_bitwise_equal_per_window_contractions(width):
+    mpo = random_mpo_via_ancilla(64, seed=13)
+    starts = range(1, 64 - width + 2)
+    blocks = exact_block_data(mpo, width).blocks
+    assert np.array_equal(
+        blocks, np.array([window_coeffs(mpo, k, width) for k in starts]))
+    assert np.array_equal(
+        blocks, np.array([oracles.window_coeffs_tensordot(mpo, k, width)
+                          for k in starts]))
+
+
+def test_identity_environments_built_once_per_call(monkeypatch):
+    calls = []
+    build = mpotomo.operators.identity_environments
+
+    def counted(mpo):
+        calls.append(mpo)
+        return build(mpo)
+
+    monkeypatch.setattr(mpotomo.operators, "identity_environments", counted)
+    mpo = random_mpo(8, bond=2, seed=14)
+    exact_block_data(mpo, 3)
+    assert len(calls) == 1
+    simulate_counts(mpo.rescaled_trace(1.0), 2, 10, seed=0)
+    assert len(calls) == 2
+
+
+def test_simulate_counts_match_window_coeffs_densities():
+    mpo = random_mpo_via_ancilla(7, seed=15)
+    width, shots = 3, 50
+    got = simulate_counts(mpo, width, shots, seed=16)
+    rng = np.random.default_rng(16)
+    for k, block in enumerate(got, start=1):
+        rho = dense_from_coeffs(window_coeffs(mpo, k, width))
+        for setting in all_settings(width):
+            want = rng.multinomial(shots, setting_probabilities(rho, setting))
+            assert np.array_equal(block.counts[setting], want)
 
 
 def test_identity_entry_encodes_trace():

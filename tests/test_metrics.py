@@ -3,7 +3,8 @@ import pytest
 
 from mpotomo.metrics import (compare_states, fidelity_w_optimized,
                              hs_distance, purity)
-from mpotomo.operators import DenseOperator, mpo_from_dense, random_mpo
+from mpotomo.operators import (DenseOperator, MatrixProductOperator,
+                               mpo_from_dense, random_mpo)
 from mpotomo.states import ghz_state, w_state
 
 
@@ -97,6 +98,29 @@ def test_compare_states_report_fields():
     d = rep.to_dict()
     assert set(d) >= {"hs_distance", "purity_ref", "purity_est",
                       "min_eig_est", "w_fidelity"}
+
+
+@pytest.mark.parametrize("pair", ["mpo-mpo", "dense-mpo", "dense-dense"])
+def test_compare_states_matches_standalone_metrics(pair):
+    a = random_mpo(5, bond=2, seed=11)
+    b = random_mpo(5, bond=3, seed=12)
+    if pair != "mpo-mpo":
+        a = a.to_dense()
+    if pair == "dense-dense":
+        b = b.to_dense()
+    rep = compare_states(a, b)
+    for got, want in ((rep.hs_distance, hs_distance(a, b)),
+                      (rep.purity_ref, purity(a)),
+                      (rep.purity_est, purity(b))):
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_compare_states_rejects_zero_norm_reference():
+    b = random_mpo(3, bond=2, seed=13)
+    zero = MatrixProductOperator([0.0 * t for t in b.tensors])
+    for ref in (zero, zero.to_dense()):
+        with pytest.raises(ValueError, match="zero norm"):
+            compare_states(ref, b)
 
 
 def test_compare_states_without_w_block():

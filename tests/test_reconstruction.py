@@ -13,7 +13,8 @@ from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
                                     check_invertibility_mpo_spans,
                                     default_split, evaluate_recursion,
                                     noise_tikhonov_sigma2, numerical_rank,
-                                    reconstruct_mpo, robust_solve)
+                                    reconstruct_mpo, robust_solve,
+                                    _prepared_sites)
 from mpotomo.metrics import hs_distance
 from mpotomo.states import (ghz_state, random_mpo_via_ancilla, thermal_dense,
                             HamiltonianSpec, w_state)
@@ -174,6 +175,24 @@ def test_reconstruction_fails_on_non_invertible_state():
     _, ghz = ghz_state(6)
     rec = reconstruct_mpo(exact_block_data(ghz, 3))
     assert hs_distance(ghz, rec) > 0.1
+
+
+@pytest.mark.parametrize("reg", [
+    RegularizerSpec("truncated_pinv"),
+    RegularizerSpec("tikhonov", sigma2=noise_tikhonov_sigma2(1e-3, 2, 2)),
+    RegularizerSpec("fisher", penalty=1e-6 * np.eye(16)),
+], ids=lambda reg: reg.mode)
+def test_bulk_tensors_equal_per_alpha_solves(reg):
+    st = random_mpo_via_ancilla(10, seed=17)
+    data = add_gaussian_noise(exact_block_data(st, 5), 1e-3, seed=18)
+    cfg = ReconstructionConfig(l=2, r=2, regularizer=reg)
+    est = reconstruct_mpo(data, cfg)
+    _, _, pairs, solvers = _prepared_sites(data, cfg)
+    for k in range(3, 9):
+        c3 = pairs[k].C.reshape(16, 4, 16)
+        per_alpha = np.array([solvers[k].solve(c3[:, a, :])
+                              for a in range(4)])
+        assert np.array_equal(est.tensors[k - 1], per_alpha)
 
 
 def test_single_block_passthrough():
