@@ -17,9 +17,7 @@ import numpy as np
 
 from mpotomo import (
     compare_states,
-    dense_from_mpo,
     exact_block_data,
-    mpo_expectation,
     random_mpo_via_ancilla,
     reconstruct_mpo,
 )
@@ -51,14 +49,14 @@ def main():
     worst = 0.0
     for _ in range(20):
         alphas = tuple(rng.integers(0, 4, size=n))
-        a = mpo_expectation(rho, alphas)
-        b = mpo_expectation(est, alphas)
+        a = rho.coefficient(alphas)
+        b = est.coefficient(alphas)
         worst = max(worst, abs(a - b))
     print(f"worst of 20 random Pauli expectations: |ref - est| = {worst:.3e}")
 
     # And the dense matrices themselves, since N is small enough.
-    full_ref = dense_from_mpo(rho).matrix
-    full_est = dense_from_mpo(est).matrix
+    full_ref = rho.to_dense().matrix
+    full_est = est.to_dense().matrix
     print(f"dense max entry deviation: {np.abs(full_ref - full_est).max():.3e}")
 
     ok = cmp.hs_distance < 1e-12

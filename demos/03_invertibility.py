@@ -23,7 +23,6 @@ from mpotomo import (
     DenseOperator,
     check_invertibility_dense,
     check_invertibility_mpo_spans,
-    dense_from_mpo,
     ghz_state,
     product_state,
     random_mpo_via_ancilla,
@@ -46,12 +45,12 @@ def main():
     print(f"dense rank check, N={n}")
 
     _, ghz = ghz_state(n)
-    ghz_dense = dense_from_mpo(ghz)
+    ghz_dense = ghz.to_dense()
     dense_case("GHZ", ghz_dense, 1, 1)
     dense_case("GHZ", ghz_dense, 2, 2)
 
     _, prod = product_state(n)
-    dense_case("product |0...0>", dense_from_mpo(prod), 1, 1)
+    dense_case("product |0...0>", prod.to_dense(), 1, 1)
 
     maxmix = DenseOperator(np.eye(2 ** n) / 2 ** n)
     dense_case("maximally mixed", maxmix, 1, 1)

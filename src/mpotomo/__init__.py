@@ -1,60 +1,36 @@
-"""Matrix-product reconstruction of mixed states from local window data."""
+"""Matrix-product reconstruction of mixed states from local window data.
 
-from .measurement import (CountsBlock, MleResult, NoiseMeta, PauliBlockData,
-                          add_gaussian_noise, all_settings,
-                          block_data_from_counts, blocks_from_global_counts,
-                          exact_block_data, fisher_information,
-                          load_block_data, load_counts, local_mle,
-                          marginal_consistency, save_block_data, save_counts,
-                          setting_probabilities, simulate_counts)
-from .metrics import (ComparisonReport, compare_states, fidelity_w_optimized,
-                      hs_distance, purity)
-from .operators import (DENSE_SITE_CAP, DenseOperator, MatrixProductOperator,
-                        dense_from_mpo, identity_environments, load_operator,
-                        mpo_expectation, mpo_from_coeffs, mpo_from_dense,
-                        mpo_overlap, random_mpo, save_operator, window_coeffs)
-from .pauli import (coeffs_from_dense, dense_from_coeffs, hermitian_basis,
-                    n_sites_of, pack_index, partial_trace, pauli_matrix,
-                    pauli_string_dense, unpack_index)
-from .reconstruction import (InvertibilityReport, ReconstructionConfig,
-                             ReconstructionReport, RegularizerSpec,
-                             SpanReport, TransferPair, build_transfer_pair,
+The package namespace carries the names the CLI, the demos and the README
+use; everything else is imported from its submodule.
+"""
+
+from .measurement import (add_gaussian_noise, block_data_from_counts,
+                          exact_block_data, load_block_data, load_counts,
+                          save_block_data, save_counts, simulate_counts)
+from .metrics import compare_states, fidelity_w_optimized, hs_distance
+from .operators import (DenseOperator, load_operator, mpo_from_dense,
+                        save_operator)
+from .reconstruction import (ReconstructionConfig, RegularizerSpec,
                              check_invertibility_dense,
-                             check_invertibility_mpo_spans, default_split,
-                             evaluate_recursion, noise_tikhonov_sigma2,
-                             numerical_rank, reconstruct_mpo, robust_solve)
-from .states import (HAMILTONIAN_FAMILIES, HamiltonianSpec, ancilla_channel,
-                     ghz_state, hamiltonian_dense, mps_to_mpo, named_state,
-                     product_state, random_mps, random_mpo_via_ancilla,
-                     thermal_dense, w_state)
-from .sweep import SweepConfig, run_sweep, run_trial, sweep_config_from_json
+                             check_invertibility_mpo_spans,
+                             noise_tikhonov_sigma2, reconstruct_mpo)
+from .states import (HamiltonianSpec, ghz_state, named_state, product_state,
+                     random_mpo_via_ancilla, thermal_dense, w_state)
+from .sweep import SweepConfig, run_sweep, sweep_config_from_json
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CountsBlock", "MleResult", "NoiseMeta", "PauliBlockData",
-    "add_gaussian_noise", "all_settings", "block_data_from_counts",
-    "blocks_from_global_counts", "exact_block_data", "fisher_information",
-    "load_block_data", "load_counts", "local_mle", "marginal_consistency",
-    "save_block_data", "save_counts", "setting_probabilities",
+    "add_gaussian_noise", "block_data_from_counts", "exact_block_data",
+    "load_block_data", "load_counts", "save_block_data", "save_counts",
     "simulate_counts",
-    "ComparisonReport", "compare_states", "fidelity_w_optimized",
-    "hs_distance", "purity",
-    "DENSE_SITE_CAP", "DenseOperator", "MatrixProductOperator",
-    "dense_from_mpo", "identity_environments", "load_operator",
-    "mpo_expectation", "mpo_from_coeffs", "mpo_from_dense", "mpo_overlap",
-    "random_mpo", "save_operator", "window_coeffs",
-    "coeffs_from_dense", "dense_from_coeffs", "hermitian_basis",
-    "n_sites_of", "pack_index", "partial_trace", "pauli_matrix",
-    "pauli_string_dense", "unpack_index",
-    "InvertibilityReport", "ReconstructionConfig", "ReconstructionReport",
-    "RegularizerSpec", "SpanReport", "TransferPair", "build_transfer_pair",
-    "check_invertibility_dense", "check_invertibility_mpo_spans",
-    "default_split", "evaluate_recursion", "noise_tikhonov_sigma2",
-    "numerical_rank", "reconstruct_mpo", "robust_solve",
-    "HAMILTONIAN_FAMILIES", "HamiltonianSpec", "ancilla_channel", "ghz_state",
-    "hamiltonian_dense", "mps_to_mpo", "named_state", "product_state",
-    "random_mps", "random_mpo_via_ancilla", "thermal_dense", "w_state",
-    "SweepConfig", "run_sweep", "run_trial", "sweep_config_from_json",
+    "compare_states", "fidelity_w_optimized", "hs_distance",
+    "DenseOperator", "load_operator", "mpo_from_dense", "save_operator",
+    "ReconstructionConfig", "RegularizerSpec", "check_invertibility_dense",
+    "check_invertibility_mpo_spans", "noise_tikhonov_sigma2",
+    "reconstruct_mpo",
+    "HamiltonianSpec", "ghz_state", "named_state", "product_state",
+    "random_mpo_via_ancilla", "thermal_dense", "w_state",
+    "SweepConfig", "run_sweep", "sweep_config_from_json",
     "__version__",
 ]

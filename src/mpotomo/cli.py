@@ -12,17 +12,15 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .measurement import (add_gaussian_noise, block_data_from_counts,
                           exact_block_data, load_block_data, load_counts,
                           save_block_data, save_counts, simulate_counts)
 from .metrics import compare_states
-from .operators import (DenseOperator, MatrixProductOperator, load_operator,
-                        mpo_from_dense, save_operator)
+from .operators import (DenseOperator, load_operator, mpo_from_dense,
+                        save_operator)
 from .reconstruction import (ReconstructionConfig, RegularizerSpec,
                              check_invertibility_dense,
-                             check_invertibility_mpo_spans, default_split,
+                             check_invertibility_mpo_spans,
                              noise_tikhonov_sigma2, reconstruct_mpo)
 from .states import (HamiltonianSpec, named_state, random_mpo_via_ancilla,
                      thermal_dense)
@@ -113,9 +111,9 @@ def _pick_regularizer(args, data) -> RegularizerSpec:
             if data.noise is None or data.noise.kind != "scalar":
                 raise ValueError("tikhonov needs --sigma2 or scalar noise "
                                  "metadata on the data")
-            l, r = (args.l, args.r)
-            if l is None or r is None:
-                l, r = default_split(data.width)
+            # sigma2 must match the split reconstruct_mpo resolves.
+            l, r = ReconstructionConfig(args.l, args.r).resolved(
+                data.width, data.n_sites)
             sigma2 = noise_tikhonov_sigma2(data.noise.sigma, l, r, data.d)
         return RegularizerSpec("tikhonov", sigma2=sigma2)
     if mode == "fisher":

@@ -52,6 +52,9 @@ class PauliBlockData:
 
     blocks[b] is the coefficient vector of the reduction onto sites
     b+1 .. b+width (1-based), packed big-endian, length (d^2)^width.
+    Construction (and so load_block_data) rejects non-finite blocks and
+    Fisher metadata that is not one finite ((d^2)^width - 1)-square matrix
+    per window.
     """
 
     n_sites: int
@@ -65,6 +68,20 @@ class PauliBlockData:
         expect = (self.n_blocks, (self.d * self.d) ** self.width)
         if self.blocks.shape != expect:
             raise ValueError(f"blocks must have shape {expect}")
+        if not np.all(np.isfinite(self.blocks)):
+            raise ValueError("blocks must be finite")
+        if self.noise is not None and self.noise.kind == "fisher":
+            fisher = self.noise.fisher
+            if len(fisher) != self.n_blocks:
+                raise ValueError(f"need one Fisher matrix per window: got "
+                                 f"{len(fisher)}, expected {self.n_blocks}")
+            dim = expect[1] - 1
+            for b, F in enumerate(fisher):
+                if np.shape(F) != (dim, dim):
+                    raise ValueError(f"Fisher matrix {b} must have shape "
+                                     f"{(dim, dim)}")
+                if not np.all(np.isfinite(F)):
+                    raise ValueError(f"Fisher matrix {b} must be finite")
 
     @property
     def n_blocks(self) -> int:

@@ -115,15 +115,6 @@ class MatrixProductOperator:
         return MatrixProductOperator(tensors, self.d)
 
 
-def mpo_expectation(mpo: MatrixProductOperator, alphas) -> float:
-    """Coefficient tr[O P-string(alphas)] read off the tensor network."""
-    return mpo.coefficient(alphas)
-
-
-def dense_from_mpo(mpo: MatrixProductOperator) -> DenseOperator:
-    return mpo.to_dense()
-
-
 def identity_environments(mpo: MatrixProductOperator):
     """Boundary vectors of the network with all sites outside a window traced.
 

@@ -12,9 +12,11 @@ IS a matrix-product operator, which this module assembles explicitly:
 * the left boundary is the exact sequential factorization of the closing
   window matrix; the right boundary is a chain of index-splitting deltas.
 
-The linear solves support plain truncated pseudoinverses, Tikhonov
-filtering, and a penalized least-squares mode whose penalty is assembled
-from per-window Fisher information (row sums of the covariance of B).
+Every per-site solve is one SVD and a filter on the singular values:
+truncation (truncated_pinv), s / (s^2 + sigma2) (tikhonov), or, in
+fisher mode, generalized Tikhonov with a penalty P = L L^T assembled from
+per-window Fisher information, brought to standard form on B L^-T
+(Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import scipy.linalg
 from .measurement import PauliBlockData
 from .operators import (DenseOperator, MatrixProductOperator, _exact_split,
                         mpo_from_coeffs)
-from .pauli import coeffs_from_dense, pack_index, partial_trace
+from .pauli import coeffs_from_dense, partial_trace
 
 RANK_RTOL = 1e-9  # numerical rank: singular values above RANK_RTOL * s_max
 
@@ -39,17 +41,19 @@ _SOLVER_MODES = ("truncated_pinv", "tikhonov", "fisher")
 class RegularizerSpec:
     """Choice of robust linear solver for the per-site systems.
 
-    mode "truncated_pinv": drop singular values below tau * s_max.
-    mode "tikhonov": filter factors s / (s^2 + sigma2).
-    mode "fisher": solve (B^T B + P) x = B^T e with a symmetric PSD
-    penalty P, either given here (one matrix, or one per recursion site)
-    or assembled from the data's per-window Fisher metadata.
+    Each mode is a filter on the singular values s of the matrix it factors.
+    mode "truncated_pinv": 1 / s for s above tau * s_max, 0 below.
+    mode "tikhonov": s / (s^2 + sigma2).
+    mode "fisher": minimizes |B x - e|^2 + x^T P x with the penalty P = L L^T
+    assembled from the data's per-window Fisher metadata. This is standard
+    Tikhonov with filter s / (s^2 + 1) on B L^-T, mapped back by L^-T; if
+    P has no Cholesky factor the site is flagged "singular_penalty" and
+    solved with the truncated filter on B.
     """
 
     mode: str = "truncated_pinv"
     tau: float = 1e-10
     sigma2: float = 0.0
-    penalty: dict[int, np.ndarray] | np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in _SOLVER_MODES:
@@ -58,6 +62,11 @@ class RegularizerSpec:
             raise ValueError("tau must lie in [0, 1)")
         if self.sigma2 < 0.0:
             raise ValueError("sigma2 must be nonnegative")
+
+
+def default_split(width: int) -> tuple[int, int]:
+    """Balanced split l = ceil((width-1)/2), r = floor((width-1)/2)."""
+    return width // 2, (width - 1) // 2
 
 
 @dataclass
@@ -72,7 +81,7 @@ class ReconstructionConfig:
     def resolved(self, width: int, n_sites: int) -> tuple[int, int]:
         l, r = self.l, self.r
         if l is None and r is None:
-            l, r = width // 2, (width - 1) // 2
+            l, r = default_split(width)
         elif l is None:
             l = width - 1 - r
         elif r is None:
@@ -86,11 +95,6 @@ class ReconstructionConfig:
         if l + r > n_sites - 2:
             raise ValueError("need l + r <= n_sites - 2 (or n_sites == width)")
         return l, r
-
-
-def default_split(width: int) -> tuple[int, int]:
-    """Balanced split l = ceil((width-1)/2), r = floor((width-1)/2)."""
-    return width // 2, (width - 1) // 2
 
 
 @dataclass
@@ -133,62 +137,60 @@ def noise_tikhonov_sigma2(sigma: float, l: int, r: int, d: int = 2) -> float:
 
 
 class _SiteSolver:
-    """Factorization of one window matrix B plus the chosen regularization."""
+    """SVD of one window matrix and the filter of the chosen regularizer.
+
+    In fisher mode the matrix factored is B L^-T with P = L L^T, so
+    `spectrum` holds the singular values of B L^-T; in the other modes
+    (and after the singular_penalty fallback) those of B.
+    """
 
     def __init__(self, B: np.ndarray, reg: RegularizerSpec, penalty=None):
-        self.mode = reg.mode
         self.flags: list[str] = []
-        U, s, Vt = np.linalg.svd(B, full_matrices=False)
-        self.spectrum = s
-        if reg.mode == "fisher":
+        self._chol = None
+        mode = reg.mode
+        if mode == "fisher":
             if penalty is None:
                 raise ValueError("fisher mode requires a penalty matrix")
-            A = B.T @ B + penalty
-            A = (A + A.T) / 2.0
-            self._bt = B.T
             try:
-                self._cho = scipy.linalg.cho_factor(A)
-                self._pinv = None
+                self._chol = scipy.linalg.cholesky(penalty, lower=True)
+                # B L^-T = (L^-1 B^T)^T
+                B = scipy.linalg.solve_triangular(self._chol, B.T,
+                                                  lower=True).T
             except np.linalg.LinAlgError:
-                self.flags.append("indefinite_normal_matrix_pinv")
-                w, Q = np.linalg.eigh(A)
-                keep = w > 1e-14 * max(w.max(), 1e-300)
-                inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
-                self._cho = None
-                self._pinv = (Q * inv_w) @ Q.T
-            return
+                self.flags.append("singular_penalty")
+                mode = "truncated_pinv"
+        U, s, Vt = np.linalg.svd(B, full_matrices=False)
+        self.spectrum = s
         if s.size == 0 or s[0] <= 0.0:
             self.flags.append("zero_operator")
             filt = np.zeros_like(s)
-        elif reg.mode == "truncated_pinv":
+        elif mode == "truncated_pinv":
             keep = s > reg.tau * s[0]
             filt = np.zeros_like(s)
             filt[keep] = 1.0 / s[keep]
-        else:  # tikhonov
-            denom = s**2 + reg.sigma2
+        else:
+            sigma2 = 1.0 if mode == "fisher" else reg.sigma2
+            denom = s**2 + sigma2
             filt = np.divide(s, denom, out=np.zeros_like(s),
                              where=denom > 0.0)
         self._u, self._filt, self._vt = U, filt, Vt
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.mode == "fisher":
-            b = self._bt @ rhs
-            if self._cho is not None:
-                return scipy.linalg.cho_solve(self._cho, b)
-            return self._pinv @ b
         z = self._u.T @ rhs
         z = z * (self._filt[:, None] if z.ndim == 2 else self._filt)
-        return self._vt.T @ z
+        x = self._vt.T @ z
+        if self._chol is not None:
+            x = scipy.linalg.solve_triangular(self._chol, x, trans="T",
+                                              lower=True)
+        return x
 
 
 def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
                  penalty=None) -> np.ndarray:
-    """Regularized solution of B x = e; see RegularizerSpec for modes."""
-    if reg.mode == "fisher" and penalty is None:
-        penalty = reg.penalty
-        if isinstance(penalty, dict):
-            raise ValueError("per-site penalties need a site key; pass the "
-                             "matrix directly")
+    """Regularized solution of B x = e; see RegularizerSpec for modes.
+
+    fisher mode needs the penalty matrix P here.
+    """
     return _SiteSolver(np.asarray(B, dtype=float), reg, penalty).solve(
         np.asarray(e, dtype=float))
 
@@ -198,7 +200,9 @@ def _fisher_penalties(data: PauliBlockData, l: int, r: int):
 
     The covariance of the window coefficients is taken as the inverse of
     the per-window Fisher information (identity coefficient fixed), and
-    P[j, j'] = sum_i Cov[B_ij, B_ij'] restricted to the columns of B.
+    P[j, j'] = sum_i Cov[B_ij, B_ij'] restricted to the columns of B. With
+    F = L L^T and Y = L^-1 E (E selects the coefficients that B holds),
+    their covariance is Y^T Y, so only those columns of F^-1 are solved.
     """
     d = data.d
     d2 = d * d
@@ -206,18 +210,21 @@ def _fisher_penalties(data: PauliBlockData, l: int, r: int):
     dim = d2**data.width
     flat = ((np.arange(dim_l)[:, None] * dim_r
              + np.arange(dim_r)[None, :]) * d2).reshape(-1)
+    # flat[0] is the identity coefficient, which has no variance.
+    select = np.zeros((dim - 1, flat.size))
+    select[flat[1:] - 1, np.arange(1, flat.size)] = 1.0
     penalties: dict[int, np.ndarray] = {}
     flags: dict[int, list[str]] = {}
     for k in range(l + 1, data.n_sites - r + 1):
         F = data.noise.fisher[k - l - 1]
         flags[k] = []
-        cov_full = np.zeros((dim, dim))
         try:
-            cf = scipy.linalg.cho_factor((F + F.T) / 2.0)
-            cov_full[1:, 1:] = scipy.linalg.cho_solve(cf, np.eye(dim - 1))
-            sub = cov_full[np.ix_(flat, flat)].reshape(dim_l, dim_r,
-                                                       dim_l, dim_r)
-            P = float(d) * np.einsum("ijik->jk", sub)
+            L = scipy.linalg.cholesky((F + F.T) / 2.0, lower=True)
+            Y = scipy.linalg.solve_triangular(L, select, lower=True)
+            # Regroup Y's columns (i, j) so that Z^T Z sums over rows i.
+            Z = Y.reshape(dim - 1, dim_l, dim_r).transpose(1, 0, 2)
+            Z = Z.reshape(-1, dim_r)
+            P = float(d) * (Z.T @ Z)
         except np.linalg.LinAlgError:
             # Singular information: fall back to a scalar penalty built
             # from the pseudoinverse variances of the entries of B.
@@ -238,43 +245,16 @@ def _prepared_sites(data: PauliBlockData, cfg: ReconstructionConfig):
     reg = cfg.regularizer
     penalties, pflags = {}, {}
     if reg.mode == "fisher":
-        if isinstance(reg.penalty, dict):
-            penalties = reg.penalty
-        elif reg.penalty is not None:
-            penalties = {k: reg.penalty
-                         for k in range(l + 1, data.n_sites - r + 1)}
-        elif data.noise is not None and data.noise.kind == "fisher":
-            penalties, pflags = _fisher_penalties(data, l, r)
-        else:
-            raise ValueError("fisher mode needs penalty matrices or "
-                             "fisher noise metadata on the data")
+        if data.noise is None or data.noise.kind != "fisher":
+            raise ValueError("fisher mode needs fisher noise metadata on "
+                             "the data")
+        penalties, pflags = _fisher_penalties(data, l, r)
     pairs, solvers = {}, {}
     for k in range(l + 1, data.n_sites - r + 1):
         pairs[k] = build_transfer_pair(data, k, l, r)
         solvers[k] = _SiteSolver(pairs[k].B, reg, penalties.get(k))
         solvers[k].flags.extend(pflags.get(k, []))
     return l, r, pairs, solvers
-
-
-def evaluate_recursion(data: PauliBlockData, alphas,
-                       cfg: ReconstructionConfig | None = None) -> float:
-    """Estimate of a single basis-string coefficient by backward solves."""
-    cfg = cfg or ReconstructionConfig()
-    alphas = list(alphas)
-    n, d = data.n_sites, data.d
-    if len(alphas) != n:
-        raise ValueError("one basis index per site required")
-    if n == data.width:
-        return float(data.blocks[0][pack_index(alphas, d)])
-    l, r, pairs, solvers = _prepared_sites(data, cfg)
-    d2 = d * d
-    y = np.zeros(d2**r)
-    y[pack_index(alphas[n - r:], d)] = 1.0
-    for k in range(n - r, l, -1):
-        c3 = pairs[k].C.reshape(d2**l, d2, d2**r)
-        y = solvers[k].solve(c3[:, alphas[k - 1], :] @ y)
-    row = pack_index(alphas[:l], d)
-    return float(pairs[l + 1].B[row] @ y)
 
 
 @dataclass
@@ -305,52 +285,52 @@ def reconstruct_mpo(data: PauliBlockData,
                     with_report: bool = False):
     """Assemble the matrix-product estimate of the state from window data.
 
-    The result reproduces evaluate_recursion exactly: bulk site k holds the
-    d^2 solved matrices, the left boundary factorizes the closing window
-    matrix without truncation, and the right boundary re-expands the packed
-    recursion index. Bulk bond dimension is d^2r.
+    Bulk site k holds the d^2 matrices of its regularized solve, the left
+    boundary factorizes the closing window matrix without truncation, and
+    the right boundary re-expands the packed recursion index, so every
+    coefficient of the network equals the backward recursion's value.
+    Bulk bond dimension is d^2r. When the data is a single window, the
+    network is that window's exact factorization (report mode "direct").
+
+    The report lists, per bulk site, the singular values the filter acted
+    on (of B, or of B L^-T in fisher mode) and the flags "zero_operator",
+    "singular_penalty" and "fisher_singular_scalar".
     """
     cfg = cfg or ReconstructionConfig()
     n, d = data.n_sites, data.d
     d2 = d * d
+    site_rows = []
     if n == data.width:
         l, r = cfg.resolved(data.width, n)
+        mode = "direct"
         mpo = mpo_from_coeffs(data.blocks[0], d)
-        if cfg.normalize:
-            mpo = mpo.rescaled_trace(1.0)
-        if with_report:
-            report = ReconstructionReport(n, data.width, l, r,
-                                          "direct", cfg.normalize, [])
-            return mpo, report
-        return mpo
-    l, r, pairs, solvers = _prepared_sites(data, cfg)
-    dim_r = d2**r
-    tensors = _exact_split(pairs[l + 1].B.reshape(-1), l, dim_r, d2)
-    site_rows = []
-    for k in range(l + 1, n - r + 1):
-        # Column a * dim_r + j of C is right string j extended by alpha = a,
-        # so one solve gives all d^2 matrices of the site.
-        t = solvers[k].solve(pairs[k].C).reshape(dim_r, d2, dim_r)
-        tensors.append(t.transpose(1, 0, 2))
-        site_rows.append({
-            "k": k,
-            "singular_values": [float(x) for x in solvers[k].spectrum],
-            "flags": list(solvers[k].flags),
-        })
-    for i in range(1, r + 1):
-        dr = d2 ** (r - i)
-        t = np.zeros((d2, d2 * dr, dr))
-        for a in range(d2):
-            t[a, a * dr:(a + 1) * dr, :] = np.eye(dr)
-        tensors.append(t)
-    mpo = MatrixProductOperator(tensors, d)
+    else:
+        mode = cfg.regularizer.mode
+        l, r, pairs, solvers = _prepared_sites(data, cfg)
+        dim_r = d2**r
+        tensors = _exact_split(pairs[l + 1].B.reshape(-1), l, dim_r, d2)
+        for k in range(l + 1, n - r + 1):
+            # Column a * dim_r + j of C is right string j extended by
+            # alpha = a, so one solve gives all d^2 matrices of the site.
+            t = solvers[k].solve(pairs[k].C).reshape(dim_r, d2, dim_r)
+            tensors.append(t.transpose(1, 0, 2))
+            site_rows.append({
+                "k": k,
+                "singular_values": [float(x) for x in solvers[k].spectrum],
+                "flags": list(solvers[k].flags),
+            })
+        for i in range(1, r + 1):
+            dr = d2 ** (r - i)
+            t = np.zeros((d2, d2 * dr, dr))
+            for a in range(d2):
+                t[a, a * dr:(a + 1) * dr, :] = np.eye(dr)
+            tensors.append(t)
+        mpo = MatrixProductOperator(tensors, d)
     if cfg.normalize:
         mpo = mpo.rescaled_trace(1.0)
     if with_report:
-        report = ReconstructionReport(n, data.width, l, r,
-                                      cfg.regularizer.mode, cfg.normalize,
-                                      site_rows)
-        return mpo, report
+        return mpo, ReconstructionReport(n, data.width, l, r, mode,
+                                         cfg.normalize, site_rows)
     return mpo
 
 

@@ -156,3 +156,42 @@ def window_coeffs_tensordot(mpo, k, width):
     for i in range(k - 1, k - 1 + width):
         G = np.tensordot(G, t[i], axes=(G.ndim - 1, 1))
     return np.tensordot(G, right, axes=(G.ndim - 1, 0)).reshape(-1)
+
+
+def recursion_coefficient(blocks, alphas, l, r, solve=None):
+    """One basis-string coefficient by the backward recursion, qubits only.
+
+    blocks[b] is the coefficient vector of the window on sites
+    b+1 .. b+l+r+1. Site k's system reads window k-l: C lists its left l
+    sites against the right r+1 sites, and B = sqrt(2) * C with the last
+    site fixed to the identity. solve(B, e) defaults to the pseudoinverse
+    with relative cutoff 1e-10.
+    """
+    if solve is None:
+        def solve(B, e):
+            return np.linalg.pinv(B, rcond=1e-10) @ e
+
+    def packed(sub):
+        idx = 0
+        for a in sub:
+            idx = 4 * idx + int(a)
+        return idx
+
+    alphas = list(alphas)
+    n = len(alphas)
+    if n == l + r + 1:
+        return float(blocks[0][packed(alphas)])
+
+    def window(k):
+        v = np.asarray(blocks[k - l - 1], dtype=float)
+        C = v.reshape(4**l, 4, 4**r)
+        B = np.sqrt(2.0) * v.reshape(4**l, 4**r, 4)[:, :, 0]
+        return B, C
+
+    y = np.zeros(4**r)
+    y[packed(alphas[n - r:])] = 1.0
+    for k in range(n - r, l, -1):
+        B, C = window(k)
+        y = solve(B, C[:, alphas[k - 1], :] @ y)
+    B, _ = window(l + 1)
+    return float(B[packed(alphas[:l])] @ y)

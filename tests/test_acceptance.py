@@ -17,14 +17,13 @@ from mpotomo.measurement import (CountsBlock, add_gaussian_noise,
                                  fisher_information, load_counts,
                                  simulate_counts)
 from mpotomo.metrics import fidelity_w_optimized, hs_distance
-from mpotomo.operators import DenseOperator, mpo_expectation
+from mpotomo.operators import DenseOperator
 from mpotomo.pauli import unpack_index
 from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
                                     check_invertibility_dense,
                                     check_invertibility_mpo_spans,
-                                    default_split, evaluate_recursion,
-                                    noise_tikhonov_sigma2, reconstruct_mpo,
-                                    robust_solve)
+                                    default_split, noise_tikhonov_sigma2,
+                                    reconstruct_mpo, robust_solve)
 from mpotomo.states import (HamiltonianSpec, product_state,
                             ghz_state, random_mpo_via_ancilla, thermal_dense,
                             w_state)
@@ -76,12 +75,11 @@ def test_criterion_2_recursion_matches_oracles(verdict):
         dense = st.to_dense().matrix
         for idx in rng.integers(0, 4**6, size=100):
             alphas = unpack_index(int(idx), 6)
-            got = evaluate_recursion(data, alphas)
+            got = oracles.recursion_coefficient(data.blocks, alphas, 2, 2)
             ref = oracles.coeff_by_trace(dense, alphas).real
             worst_rel = max(worst_rel,
                             abs(got - ref) / max(abs(ref), 1e-15))
-            worst_mpo = max(worst_mpo,
-                            abs(got - mpo_expectation(rec, alphas)))
+            worst_mpo = max(worst_mpo, abs(got - rec.coefficient(alphas)))
     ok = worst_rel <= 1e-8 and worst_mpo <= 1e-10
     verdict(2, "recursion against trace and network oracles", ok,
              f"max rel err = {worst_rel:.3e}, max network gap = "

@@ -7,6 +7,8 @@ from mpotomo.cli import main
 from mpotomo.measurement import load_block_data
 from mpotomo.operators import load_operator
 from mpotomo.metrics import hs_distance
+from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
+                                    noise_tikhonov_sigma2, reconstruct_mpo)
 
 
 def _run(capsys, *argv):
@@ -56,6 +58,27 @@ def test_measure_and_reconstruct_roundtrip(tmp_path, capsys):
     ref = load_operator(f"{out}.mpo.json")
     assert hs_distance(ref, load_operator(est)) < 0.05
     assert json.loads(rep.read_text())["width"] == 5
+
+
+def test_matched_sigma2_follows_the_requested_split(tmp_path, capsys):
+    # --l 3 alone on width-5 data resolves to (l, r) = (3, 1); the matched
+    # Tikhonov parameter must be that split's, not the default (2, 2)'s
+    out = tmp_path / "s"
+    _run(capsys, "gen-state", "--family", "random-mpo", "--n", "6",
+         "--seed", "12", "--out", str(out))
+    data = tmp_path / "data.json"
+    _run(capsys, "measure", "--state", f"{out}.mpo.json", "--r", "5",
+         "--sigma", "0.01", "--seed", "13", "--out", str(data))
+    est = tmp_path / "est.json"
+    code, _, _ = _run(capsys, "reconstruct", "--data", str(data), "--l", "3",
+                      "--out", str(est))
+    assert code == 0
+    reg = RegularizerSpec("tikhonov", sigma2=noise_tikhonov_sigma2(0.01, 3, 1))
+    ref = reconstruct_mpo(load_block_data(data),
+                          ReconstructionConfig(l=3, r=1, regularizer=reg))
+    got = load_operator(est)
+    for a, b in zip(got.tensors, ref.tensors):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
 
 def test_exact_measure_uses_plain_solver(tmp_path, capsys):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from mpotomo.measurement import (CountsBlock, add_gaussian_noise,
+from mpotomo.measurement import (CountsBlock, NoiseMeta, PauliBlockData,
+                                 add_gaussian_noise,
                                  all_settings, block_data_from_counts,
                                  blocks_from_global_counts, exact_block_data,
                                  fisher_information, load_block_data,
@@ -307,3 +308,46 @@ def test_block_data_serialization_keeps_fisher(tmp_path):
     assert back.noise.kind == "fisher"
     for a, b in zip(back.noise.fisher, data.noise.fisher):
         assert np.allclose(a, b, atol=1e-12)
+
+
+# ---- validation where window data enters ----
+
+
+def test_load_block_data_rejects_non_finite_blocks(tmp_path):
+    data = exact_block_data(random_mpo_via_ancilla(4, seed=31), 3)
+    path = tmp_path / "d.json"
+    save_block_data(data, path)
+    payload = json.loads(path.read_text())
+    payload["blocks"][1][5] = float("nan")
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="blocks must be finite"):
+        load_block_data(path)
+
+
+def _with_fisher(data, fisher):
+    return PauliBlockData(data.n_sites, data.width, data.blocks, data.d,
+                          NoiseMeta("fisher", fisher=fisher))
+
+
+def test_block_data_rejects_fisher_list_of_wrong_length():
+    data = exact_block_data(random_mpo_via_ancilla(5, seed=32), 3)
+    with pytest.raises(ValueError, match="one Fisher matrix per window"):
+        _with_fisher(data, [np.eye(63)] * (data.n_blocks - 1))
+
+
+def test_block_data_rejects_fisher_matrix_of_wrong_shape():
+    data = exact_block_data(random_mpo_via_ancilla(5, seed=33), 3)
+    fisher = [np.eye(63)] * data.n_blocks
+    fisher[1] = np.eye(64)
+    with pytest.raises(ValueError, match="Fisher matrix 1 must have shape"):
+        _with_fisher(data, fisher)
+
+
+def test_block_data_rejects_non_finite_fisher_matrix():
+    data = exact_block_data(random_mpo_via_ancilla(5, seed=34), 3)
+    bad = np.eye(63)
+    bad[3, 4] = np.inf
+    fisher = [np.eye(63)] * data.n_blocks
+    fisher[2] = bad
+    with pytest.raises(ValueError, match="Fisher matrix 2 must be finite"):
+        _with_fisher(data, fisher)

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from mpotomo.operators import (DenseOperator, MatrixProductOperator,
-                               load_operator, mpo_expectation,
+                               load_operator,
                                mpo_from_coeffs, mpo_from_dense, mpo_overlap,
                                random_mpo, save_operator, window_coeffs)
 from mpotomo.pauli import coeffs_from_dense, pack_index, partial_trace
@@ -33,14 +33,6 @@ def test_mpo_coefficient_matches_dense(rng):
 def test_mpo_trace_matches_dense():
     mpo = random_mpo(5, bond=2, seed=1)
     assert abs(mpo.trace - np.trace(mpo.to_dense().matrix).real) < 1e-12
-
-
-def test_mpo_expectation_equals_coefficient(rng):
-    mpo = random_mpo(4, bond=3, seed=9)
-    for _ in range(10):
-        alphas = list(rng.integers(0, 4, size=4))
-        assert abs(mpo_expectation(mpo, alphas)
-                   - mpo.coefficient(alphas)) < 1e-14
 
 
 def test_mpo_from_dense_roundtrip(herm16):

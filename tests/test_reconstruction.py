@@ -11,9 +11,9 @@ from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
                                     build_transfer_pair,
                                     check_invertibility_dense,
                                     check_invertibility_mpo_spans,
-                                    default_split, evaluate_recursion,
-                                    noise_tikhonov_sigma2, numerical_rank,
-                                    reconstruct_mpo, robust_solve,
+                                    default_split, noise_tikhonov_sigma2,
+                                    numerical_rank, reconstruct_mpo,
+                                    robust_solve, _fisher_penalties,
                                     _prepared_sites)
 from mpotomo.metrics import hs_distance
 from mpotomo.states import (ghz_state, random_mpo_via_ancilla, thermal_dense,
@@ -180,11 +180,16 @@ def test_reconstruction_fails_on_non_invertible_state():
 @pytest.mark.parametrize("reg", [
     RegularizerSpec("truncated_pinv"),
     RegularizerSpec("tikhonov", sigma2=noise_tikhonov_sigma2(1e-3, 2, 2)),
-    RegularizerSpec("fisher", penalty=1e-6 * np.eye(16)),
+    RegularizerSpec("fisher"),
 ], ids=lambda reg: reg.mode)
 def test_bulk_tensors_equal_per_alpha_solves(reg):
     st = random_mpo_via_ancilla(10, seed=17)
     data = add_gaussian_noise(exact_block_data(st, 5), 1e-3, seed=18)
+    if reg.mode == "fisher":
+        # isotropic information, as in the closed-form penalty test
+        fishers = [np.eye(1023) / 1e-6] * data.n_blocks
+        data = PauliBlockData(data.n_sites, data.width, data.blocks, data.d,
+                              NoiseMeta("fisher", fisher=fishers))
     cfg = ReconstructionConfig(l=2, r=2, regularizer=reg)
     est = reconstruct_mpo(data, cfg)
     _, _, pairs, solvers = _prepared_sites(data, cfg)
@@ -201,8 +206,9 @@ def test_single_block_passthrough():
     rec = reconstruct_mpo(data)
     assert hs_distance(st, rec) < 1e-12
     idx = pack_index([1, 0, 2, 3])
-    assert abs(evaluate_recursion(data, [1, 0, 2, 3])
-               - data.blocks[0][idx]) < 1e-14
+    assert abs(rec.coefficient([1, 0, 2, 3]) - data.blocks[0][idx]) < 1e-14
+    assert oracles.recursion_coefficient(data.blocks, [1, 0, 2, 3], 2,
+                                         1) == data.blocks[0][idx]
 
 
 def test_recursion_matches_dense_coefficients():
@@ -211,7 +217,8 @@ def test_recursion_matches_dense_coefficients():
     full = st.full_coeffs()
     rng = np.random.default_rng(9)
     for idx in rng.integers(0, 4**6, size=60):
-        got = evaluate_recursion(data, unpack_index(int(idx), 6))
+        got = oracles.recursion_coefficient(data.blocks,
+                                            unpack_index(int(idx), 6), 2, 2)
         assert abs(got - full[int(idx)]) < 1e-10
 
 
@@ -220,14 +227,19 @@ def test_mpo_factorizes_the_recursion_exactly():
     # string, including on noisy data where both are only estimates
     st = random_mpo_via_ancilla(6, seed=10)
     data = add_gaussian_noise(exact_block_data(st, 5), 1e-2, seed=11)
-    reg = RegularizerSpec("tikhonov", sigma2=noise_tikhonov_sigma2(1e-2, 2, 2))
-    cfg = ReconstructionConfig(regularizer=reg)
-    rec = reconstruct_mpo(data, cfg)
+    s2 = noise_tikhonov_sigma2(1e-2, 2, 2)
+    reg = RegularizerSpec("tikhonov", sigma2=s2)
+    rec = reconstruct_mpo(data, ReconstructionConfig(regularizer=reg))
+
+    def normal_equations(B, e):
+        return np.linalg.solve(B.T @ B + s2 * np.eye(B.shape[1]), B.T @ e)
+
     rng = np.random.default_rng(12)
     for idx in rng.integers(0, 4**6, size=40):
         alphas = unpack_index(int(idx), 6)
-        assert abs(rec.coefficient(alphas)
-                   - evaluate_recursion(data, alphas, cfg)) < 1e-10
+        ref = oracles.recursion_coefficient(data.blocks, alphas, 2, 2,
+                                            solve=normal_equations)
+        assert abs(rec.coefficient(alphas) - ref) < 1e-10
 
 
 def test_unbalanced_splits_also_reconstruct():
@@ -328,7 +340,6 @@ def test_fisher_penalty_closed_form_for_isotropic_information():
     fishers = [np.eye(63) / s for _ in range(base.n_blocks)]
     data = PauliBlockData(base.n_sites, base.width, base.blocks, base.d,
                           NoiseMeta("fisher", fisher=fishers))
-    from mpotomo.reconstruction import _fisher_penalties
     penalties, flags = _fisher_penalties(data, 1, 1)
     expected = 2.0 * s * 4.0 * np.eye(4)
     expected[0, 0] = 2.0 * s * 3.0
@@ -345,11 +356,48 @@ def test_fisher_singular_information_falls_back_to_scalar():
     fishers = [sing for _ in range(base.n_blocks)]
     data = PauliBlockData(base.n_sites, base.width, base.blocks, base.d,
                           NoiseMeta("fisher", fisher=fishers))
-    from mpotomo.reconstruction import _fisher_penalties
     penalties, flags = _fisher_penalties(data, 1, 1)
     for k, P in penalties.items():
         assert "fisher_singular_scalar" in flags[k]
         assert np.allclose(P, P[0, 0] * np.eye(4))
+
+
+def test_zero_fisher_information_flags_singular_penalty():
+    # all-zero information gives a zero scalar penalty, which has no
+    # Cholesky factor: the sites fall back to the truncated filter on B
+    st = random_mpo_via_ancilla(5, seed=27)
+    base = exact_block_data(st, 3)
+    fishers = [np.zeros((63, 63))] * base.n_blocks
+    data = PauliBlockData(base.n_sites, base.width, base.blocks, base.d,
+                          NoiseMeta("fisher", fisher=fishers))
+    rec, report = reconstruct_mpo(data, ReconstructionConfig(
+        regularizer=RegularizerSpec("fisher")), with_report=True)
+    for row in report.sites:
+        assert row["flags"] == ["singular_penalty", "fisher_singular_scalar"]
+    assert all(np.all(np.isfinite(t)) for t in rec.tensors)
+    assert hs_distance(st, rec) < 1e-10
+
+
+def test_fisher_report_spectrum_is_that_of_the_whitened_matrix(rng):
+    st = random_mpo_via_ancilla(5, seed=28)
+    base = exact_block_data(st, 3)
+    fishers = []
+    for _ in range(base.n_blocks):
+        A = rng.normal(size=(63, 63))
+        fishers.append(A @ A.T + np.eye(63))
+    data = PauliBlockData(base.n_sites, base.width, base.blocks, base.d,
+                          NoiseMeta("fisher", fisher=fishers))
+    _, report = reconstruct_mpo(data, ReconstructionConfig(
+        regularizer=RegularizerSpec("fisher")), with_report=True)
+    penalties, _ = _fisher_penalties(data, 1, 1)
+    for row in report.sites:
+        k = row["k"]
+        L = np.linalg.cholesky(penalties[k])
+        B = build_transfer_pair(data, k, 1, 1).B
+        expected = np.linalg.svd(B @ np.linalg.inv(L).T, compute_uv=False)
+        assert np.allclose(row["singular_values"], expected, rtol=1e-10,
+                           atol=0.0)
+        assert row["flags"] == []
 
 
 # ---- invertibility diagnostics ----
