@@ -14,7 +14,7 @@ from .reconstruction import (ReconstructionConfig, RegularizerSpec,
                              check_invertibility_dense,
                              check_invertibility_mpo_spans,
                              noise_tikhonov_sigma2, reconstruct_mpo)
-from .states import (HamiltonianSpec, ghz_state, named_state, product_state,
+from .states import (HamiltonianSpec, ghz_state, make_state, product_state,
                      random_mpo_via_ancilla, thermal_dense, w_state)
 from .sweep import SweepConfig, run_sweep, sweep_config_from_json
 
@@ -29,7 +29,7 @@ __all__ = [
     "ReconstructionConfig", "RegularizerSpec", "check_invertibility_dense",
     "check_invertibility_mpo_spans", "noise_tikhonov_sigma2",
     "reconstruct_mpo",
-    "HamiltonianSpec", "ghz_state", "named_state", "product_state",
+    "HamiltonianSpec", "ghz_state", "make_state", "product_state",
     "random_mpo_via_ancilla", "thermal_dense", "w_state",
     "SweepConfig", "run_sweep", "sweep_config_from_json",
     "__version__",

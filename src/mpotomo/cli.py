@@ -20,10 +20,8 @@ from .operators import (DenseOperator, load_operator, mpo_from_dense,
                         save_operator)
 from .reconstruction import (ReconstructionConfig, RegularizerSpec,
                              check_invertibility_dense,
-                             check_invertibility_mpo_spans,
-                             noise_tikhonov_sigma2, reconstruct_mpo)
-from .states import (HamiltonianSpec, named_state, random_mpo_via_ancilla,
-                     thermal_dense)
+                             check_invertibility_mpo_spans, reconstruct_mpo)
+from .states import make_state
 from .sweep import run_sweep, sweep_config_from_json
 
 _FAMILY_ALIASES = {
@@ -39,6 +37,10 @@ _SOLVER_ALIASES = {
     "fisher": "fisher",
 }
 
+# Solver mode picked from the data's noise kind when --solver is not given.
+_NOISE_SOLVER = {None: "truncated_pinv", "scalar": "tikhonov",
+                 "fisher": "fisher"}
+
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload))
@@ -46,48 +48,36 @@ def _emit(payload: dict) -> None:
 
 def _cmd_gen_state(args) -> int:
     family = _FAMILY_ALIASES[args.family]
-    written = []
-    dense = mpo = None
-    if family in ("critical_ising", "random_next_neighbour"):
-        spec = HamiltonianSpec(family, args.n, seed=args.seed)
-        dense = thermal_dense(spec, args.beta)
+    phases = None
+    if args.phases:
+        phases = [float(x) for x in args.phases.split(",")]
+    dense, mpo = make_state(family, args.n, seed=args.seed, beta=args.beta,
+                            t_hnorm=args.t_hnorm, phases=phases)
+    if mpo is None:
         mpo = mpo_from_dense(dense)
-        if args.n > args.dense_max_sites:
-            dense = None
-    elif family == "random_mpo":
-        mpo = random_mpo_via_ancilla(args.n, seed=args.seed,
-                                     t_hnorm=args.t_hnorm)
-        if args.n <= args.dense_max_sites:
-            dense = mpo.to_dense()
-    else:
-        phases = None
-        if args.phases:
-            phases = [float(x) for x in args.phases.split(",")]
-        dense, mpo = named_state(family, args.n, phases=phases)
-        if args.n > args.dense_max_sites:
-            dense = None
-    if mpo is not None:
-        path = f"{args.out}.mpo.json"
-        save_operator(mpo, path)
-        written.append(path)
+    if args.n > args.dense_max_sites:
+        dense = None
+    elif dense is None:
+        dense = mpo.to_dense()
+    written = [f"{args.out}.mpo.json"]
+    save_operator(mpo, written[0])
     if dense is not None:
-        path = f"{args.out}.dense.json"
-        save_operator(dense, path)
-        written.append(path)
+        written.append(f"{args.out}.dense.json")
+        save_operator(dense, written[1])
     _emit({"written": written, "family": family, "n_sites": args.n})
     return 0
 
 
 def _cmd_measure(args) -> int:
     state = load_operator(args.state)
-    if args.shots:
+    if args.shots is not None:
         blocks = simulate_counts(state, args.r, args.shots, seed=args.seed)
         save_counts(blocks, state.n_sites, args.out)
         _emit({"written": [args.out], "kind": "counts",
                "n_blocks": len(blocks), "shots": args.shots})
         return 0
     data = exact_block_data(state, args.r)
-    if args.sigma > 0.0:
+    if args.sigma != 0.0:  # add_gaussian_noise rejects a bad sigma
         data = add_gaussian_noise(data, args.sigma, seed=args.seed,
                                   perturb_identity=not args.keep_identity_exact)
     save_block_data(data, args.out)
@@ -97,28 +87,11 @@ def _cmd_measure(args) -> int:
 
 
 def _pick_regularizer(args, data) -> RegularizerSpec:
-    mode = _SOLVER_ALIASES[args.solver] if args.solver else None
-    if mode is None:
-        if data.noise is None:
-            mode = "truncated_pinv"
-        elif data.noise.kind == "fisher":
-            mode = "fisher"
-        else:
-            mode = "tikhonov"
-    if mode == "tikhonov":
-        sigma2 = args.sigma2
-        if sigma2 is None:
-            if data.noise is None or data.noise.kind != "scalar":
-                raise ValueError("tikhonov needs --sigma2 or scalar noise "
-                                 "metadata on the data")
-            # sigma2 must match the split reconstruct_mpo resolves.
-            l, r = ReconstructionConfig(args.l, args.r).resolved(
-                data.width, data.n_sites)
-            sigma2 = noise_tikhonov_sigma2(data.noise.sigma, l, r, data.d)
-        return RegularizerSpec("tikhonov", sigma2=sigma2)
-    if mode == "fisher":
-        return RegularizerSpec("fisher")
-    return RegularizerSpec("truncated_pinv", tau=args.tau)
+    if args.solver:
+        mode = _SOLVER_ALIASES[args.solver]
+    else:
+        mode = _NOISE_SOLVER[data.noise.kind if data.noise else None]
+    return RegularizerSpec(mode, tau=args.tau, sigma2=args.sigma2)
 
 
 def _cmd_reconstruct(args) -> int:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import DenseOperator, MatrixProductOperator, _windows
+from .operators import (FORMAT_VERSION, DenseOperator, MatrixProductOperator,
+                        _check_version, _windows)
 from .pauli import coeffs_from_dense, dense_from_coeffs, partial_trace
 
 # ---- Block data container ----
@@ -42,6 +43,10 @@ class NoiseMeta:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "scalar" and self.sigma is None:
             raise ValueError("scalar noise requires sigma")
+        if self.kind == "scalar" and not (np.isfinite(self.sigma)
+                                          and self.sigma >= 0.0):
+            raise ValueError("scalar noise sigma must be finite and "
+                             "nonnegative")
         if self.kind == "fisher" and not self.fisher:
             raise ValueError("fisher noise requires matrices")
 
@@ -124,15 +129,15 @@ def add_gaussian_noise(data: PauliBlockData, sigma: float, seed=None,
 
     Normalized entries receive standard deviation sigma / sqrt(d^width).
     With perturb_identity=False the identity-string entries are left exact,
-    preserving the declared trace.
+    preserving the declared trace. sigma must be finite and nonnegative.
     """
+    noise = NoiseMeta("scalar", sigma=sigma)
     rng = np.random.default_rng(seed)
     scale = sigma / np.sqrt(float(data.d) ** data.width)
     noisy = data.blocks + scale * rng.standard_normal(data.blocks.shape)
     if not perturb_identity:
         noisy[:, 0] = data.blocks[:, 0]
-    return PauliBlockData(data.n_sites, data.width, noisy, data.d,
-                          NoiseMeta("scalar", sigma=sigma))
+    return PauliBlockData(data.n_sites, data.width, noisy, data.d, noise)
 
 
 def marginal_consistency(data: PauliBlockData) -> float:
@@ -410,7 +415,7 @@ def blocks_from_global_counts(global_counts: dict[str, np.ndarray],
 def save_counts(blocks: list[CountsBlock], n_sites: int, path: str) -> None:
     width = blocks[0].width
     payload = {
-        "version": 1, "N": n_sites, "R": width, "d": 2,
+        "version": FORMAT_VERSION, "N": n_sites, "R": width, "d": 2,
         "blocks": [
             {"k": b.k, "settings": [
                 {"s": s, "shots": int(c.sum()),
@@ -425,23 +430,41 @@ def save_counts(blocks: list[CountsBlock], n_sites: int, path: str) -> None:
 
 
 def load_counts(path: str):
-    """Returns (blocks, n_sites); validates per-setting totals."""
+    """Returns (blocks, n_sites).
+
+    Rejects a version other than 1, a window start k outside 1..N-R+1,
+    settings that are not R letters from "xyz", outcomes that are not R
+    characters from "+-", and per-setting counts that do not sum to the
+    declared shots.
+    """
     with open(path) as fh:
         payload = json.load(fh)
+    _check_version(payload)
     n_sites, width = int(payload["N"]), int(payload["R"])
     blocks = []
     for rec in payload["blocks"]:
+        k = int(rec["k"])
+        if not 1 <= k <= n_sites - width + 1:
+            raise ValueError(f"block k = {k} outside 1..{n_sites - width + 1}")
         counts = {}
         for srec in rec["settings"]:
+            setting = srec["s"]
+            if len(setting) != width or set(setting) - set("xyz"):
+                raise ValueError(f"block {k}: setting {setting!r} is not "
+                                 f"{width} letters from 'xyz'")
             hist = np.zeros(1 << width, dtype=np.int64)
             for o, v in srec["counts"].items():
+                if len(o) != width or set(o) - set("+-"):
+                    raise ValueError(f"block {k} setting {setting}: outcome "
+                                     f"{o!r} is not {width} characters "
+                                     "from '+-'")
                 hist[outcome_index(o)] = int(v)
             if "shots" in srec and int(srec["shots"]) != int(hist.sum()):
                 raise ValueError(
-                    f"block {rec['k']} setting {srec['s']}: counts sum to "
+                    f"block {k} setting {setting}: counts sum to "
                     f"{int(hist.sum())}, declared {srec['shots']}")
-            counts[srec["s"]] = hist
-        blocks.append(CountsBlock(int(rec["k"]), width, counts))
+            counts[setting] = hist
+        blocks.append(CountsBlock(k, width, counts))
     return blocks, n_sites
 
 
@@ -454,8 +477,8 @@ def save_block_data(data: PauliBlockData, path: str) -> None:
         else:
             noise["fisher"] = [f.tolist() for f in data.noise.fisher]
     payload = {
-        "version": 1, "N": data.n_sites, "R": data.width, "d": data.d,
-        "blocks": data.blocks.tolist(), "noise": noise,
+        "version": FORMAT_VERSION, "N": data.n_sites, "R": data.width,
+        "d": data.d, "blocks": data.blocks.tolist(), "noise": noise,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -465,6 +488,7 @@ def save_block_data(data: PauliBlockData, path: str) -> None:
 def load_block_data(path: str) -> PauliBlockData:
     with open(path) as fh:
         payload = json.load(fh)
+    _check_version(payload)
     noise = None
     raw = payload.get("noise")
     if raw:

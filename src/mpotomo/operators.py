@@ -254,6 +254,14 @@ def random_mpo(n_sites: int, bond: int, seed=None, d: int = 2) -> MatrixProductO
 FORMAT_VERSION = 1
 
 
+def _check_version(payload: dict) -> None:
+    """Reject a file whose `version` field is not FORMAT_VERSION."""
+    version = payload.get("version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported file version {version!r}; "
+                         f"expected {FORMAT_VERSION}")
+
+
 def _mpo_to_payload(mpo: MatrixProductOperator) -> dict:
     return {
         "version": FORMAT_VERSION,
@@ -293,6 +301,7 @@ def load_operator(path: str):
     """Read an operator JSON file; returns the matching container type."""
     with open(path) as fh:
         payload = json.load(fh)
+    _check_version(payload)
     kind = payload.get("kind")
     if kind == "mpo":
         tensors = [np.asarray(t, dtype=float) for t in payload["tensors"]]

@@ -22,7 +22,7 @@ per-window Fisher information, brought to standard form on B L^-T
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -43,7 +43,11 @@ class RegularizerSpec:
 
     Each mode is a filter on the singular values s of the matrix it factors.
     mode "truncated_pinv": 1 / s for s above tau * s_max, 0 below.
-    mode "tikhonov": s / (s^2 + sigma2).
+    mode "tikhonov": s / (s^2 + sigma2). sigma2 = None (the default)
+    means matched to the data's scalar noise: reconstruct_mpo sets it to
+    noise_tikhonov_sigma2(sigma, l, r, d) for the split it resolves, and
+    raises on data without scalar noise metadata; robust_solve, which has
+    no data, needs an explicit sigma2.
     mode "fisher": minimizes |B x - e|^2 + x^T P x with the penalty P = L L^T
     assembled from the data's per-window Fisher metadata. This is standard
     Tikhonov with filter s / (s^2 + 1) on B L^-T, mapped back by L^-T; if
@@ -53,15 +57,16 @@ class RegularizerSpec:
 
     mode: str = "truncated_pinv"
     tau: float = 1e-10
-    sigma2: float = 0.0
+    sigma2: float | None = None
 
     def __post_init__(self):
         if self.mode not in _SOLVER_MODES:
             raise ValueError(f"unknown solver mode {self.mode!r}")
         if not 0.0 <= self.tau < 1.0:
             raise ValueError("tau must lie in [0, 1)")
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be nonnegative")
+        if self.sigma2 is not None and not (np.isfinite(self.sigma2)
+                                            and self.sigma2 >= 0.0):
+            raise ValueError("sigma2 must be finite and nonnegative")
 
 
 def default_split(width: int) -> tuple[int, int]:
@@ -189,8 +194,12 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
                  penalty=None) -> np.ndarray:
     """Regularized solution of B x = e; see RegularizerSpec for modes.
 
-    fisher mode needs the penalty matrix P here.
+    fisher mode needs the penalty matrix P here, and tikhonov mode an
+    explicit sigma2, since there is no data to match it to.
     """
+    if reg.mode == "tikhonov" and reg.sigma2 is None:
+        raise ValueError("robust_solve needs an explicit sigma2 in "
+                         "tikhonov mode")
     return _SiteSolver(np.asarray(B, dtype=float), reg, penalty).solve(
         np.asarray(e, dtype=float))
 
@@ -243,6 +252,12 @@ def _fisher_penalties(data: PauliBlockData, l: int, r: int):
 def _prepared_sites(data: PauliBlockData, cfg: ReconstructionConfig):
     l, r = cfg.resolved(data.width, data.n_sites)
     reg = cfg.regularizer
+    if reg.mode == "tikhonov" and reg.sigma2 is None:
+        if data.noise is None or data.noise.kind != "scalar":
+            raise ValueError("tikhonov without sigma2 needs scalar noise "
+                             "metadata on the data")
+        reg = replace(reg, sigma2=noise_tikhonov_sigma2(data.noise.sigma,
+                                                        l, r, data.d))
     penalties, pflags = {}, {}
     if reg.mode == "fisher":
         if data.noise is None or data.noise.kind != "fisher":

@@ -20,6 +20,7 @@ from .pauli import SIGMA, hermitian_basis, pauli_matrix
 # ---- Hamiltonians and thermal states ----
 
 HAMILTONIAN_FAMILIES = ("critical_ising", "random_next_neighbour")
+FAMILIES = HAMILTONIAN_FAMILIES + ("random_mpo", "w", "ghz", "product")
 
 
 @dataclass
@@ -160,7 +161,7 @@ def random_mpo_via_ancilla(n_sites: int, seed=None, t_hnorm: float = 0.01,
     return mps_to_mpo(mps, channels, d)
 
 
-# ---- Named states ----
+# ---- Named states and the family dispatch ----
 
 
 def _dense_from_vector(vec: np.ndarray) -> DenseOperator:
@@ -256,12 +257,29 @@ def product_state(n_sites: int, kets=None):
     return dense, mpo
 
 
-def named_state(kind: str, n_sites: int, phases=None, kets=None):
-    """Dispatch for the named pure-state families."""
-    if kind == "w":
+def make_state(family: str, n_sites: int, seed=None, beta: float = 5.0,
+               t_hnorm: float = 0.01, phases=None):
+    """Reference state of one family in FAMILIES; returns (dense, mpo).
+
+    Thermal families ("critical_ising", "random_next_neighbour") give
+    (dense, None): the Gibbs state at inverse temperature `beta`; `seed`
+    draws the random couplings. "random_mpo" gives (None, mpo) from the
+    ancilla construction with coupling strength `t_hnorm`, drawn from
+    `seed`. "w" (with optional branch `phases`), "ghz" and "product" give
+    what their constructors return: the MPO, and the dense form up to
+    DENSE_SITE_CAP sites (None beyond). Deterministic families ignore
+    `seed`, and every family but "w" ignores `phases`.
+    """
+    if family in HAMILTONIAN_FAMILIES:
+        spec = HamiltonianSpec(family, n_sites, seed=seed)
+        return thermal_dense(spec, beta), None
+    if family == "random_mpo":
+        return None, random_mpo_via_ancilla(n_sites, seed=seed,
+                                            t_hnorm=t_hnorm)
+    if family == "w":
         return w_state(n_sites, phases)
-    if kind == "ghz":
+    if family == "ghz":
         return ghz_state(n_sites)
-    if kind == "product":
-        return product_state(n_sites, kets)
-    raise ValueError(f"unknown named state {kind!r}")
+    if family == "product":
+        return product_state(n_sites)
+    raise ValueError(f"unknown family {family!r}")

@@ -20,13 +20,8 @@ import numpy as np
 from .measurement import add_gaussian_noise, exact_block_data
 from .metrics import hs_distance, purity
 from .reconstruction import (ReconstructionConfig, RegularizerSpec,
-                             default_split, noise_tikhonov_sigma2,
-                             reconstruct_mpo)
-from .states import (HamiltonianSpec, ghz_state, product_state,
-                     random_mpo_via_ancilla, thermal_dense, w_state)
-
-FAMILIES = ("critical_ising", "random_next_neighbour", "random_mpo",
-            "w", "ghz", "product")
+                             default_split, reconstruct_mpo)
+from .states import FAMILIES, make_state
 
 TRIAL_COLUMNS = ("family", "N", "R", "l", "r", "sigma", "trial", "seed",
                  "D", "purity_ref", "solver_mode", "status")
@@ -52,6 +47,9 @@ class SweepConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if not all(np.isfinite(s) and s >= 0.0 for s in self.sigma_list):
+            raise ValueError("sigma_list entries must be finite and "
+                             "nonnegative")
         if self.solver not in ("tikhonov", "truncated_pinv"):
             raise ValueError("sweep solver must be tikhonov or truncated_pinv")
 
@@ -64,47 +62,23 @@ def sweep_config_from_json(path: str) -> SweepConfig:
     return SweepConfig(**raw)
 
 
-def _reference_state(cfg: SweepConfig, n: int, seed):
-    """Returns the comparison/reference object for one trial.
-
-    Deterministic families ignore the seed; random families redraw the
-    state every trial from it.
-    """
-    if cfg.family == "critical_ising":
-        return thermal_dense(HamiltonianSpec("critical_ising", n), cfg.beta)
-    if cfg.family == "random_next_neighbour":
-        spec = HamiltonianSpec("random_next_neighbour", n, seed=seed)
-        return thermal_dense(spec, cfg.beta)
-    if cfg.family == "random_mpo":
-        return random_mpo_via_ancilla(n, seed=seed, t_hnorm=cfg.t_hnorm)
-    if cfg.family == "w":
-        return w_state(n)[1]
-    if cfg.family == "ghz":
-        return ghz_state(n)[1]
-    return product_state(n)[1]
-
-
-def _trial_regularizer(cfg: SweepConfig, sigma: float, l: int,
-                       r: int) -> RegularizerSpec:
-    # sigma = 0 always takes the plain truncated pseudoinverse: the zero
-    # Tikhonov filter is undefined on rank-deficient exact window maps.
-    if sigma == 0.0 or cfg.solver == "truncated_pinv":
-        return RegularizerSpec("truncated_pinv", tau=cfg.tau)
-    return RegularizerSpec("tikhonov",
-                           sigma2=noise_tikhonov_sigma2(sigma, l, r))
-
-
 def run_trial(cfg: SweepConfig, n: int, width: int, sigma: float,
               seed_seq: np.random.SeedSequence) -> dict:
     state_seed, noise_seed = seed_seq.spawn(2)
-    l, r = default_split(width)
     t0 = time.perf_counter()
-    ref = _reference_state(cfg, n, state_seed)
+    # Deterministic families ignore the seed; random families redraw the
+    # state every trial from it.
+    dense, mpo = make_state(cfg.family, n, seed=state_seed, beta=cfg.beta,
+                            t_hnorm=cfg.t_hnorm)
+    ref = dense if mpo is None else mpo
     data = exact_block_data(ref, width)
     if sigma > 0.0:
         data = add_gaussian_noise(data, sigma, seed=noise_seed)
-    reg = _trial_regularizer(cfg, sigma, l, r)
-    est = reconstruct_mpo(data, ReconstructionConfig(l=l, r=r, regularizer=reg))
+    # sigma = 0 always takes the plain truncated pseudoinverse: the zero
+    # Tikhonov filter is undefined on rank-deficient exact window maps.
+    reg = RegularizerSpec(cfg.solver if sigma > 0.0 else "truncated_pinv",
+                          tau=cfg.tau)
+    est = reconstruct_mpo(data, ReconstructionConfig(regularizer=reg))
     row = {
         "D": hs_distance(ref, est),
         "purity_ref": purity(ref),

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from mpotomo.cli import main
+from mpotomo.cli import _FAMILY_ALIASES, main
 from mpotomo.measurement import load_block_data
 from mpotomo.operators import load_operator
 from mpotomo.metrics import hs_distance
 from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
                                     noise_tikhonov_sigma2, reconstruct_mpo)
+from mpotomo.states import FAMILIES
 
 
 def _run(capsys, *argv):
@@ -35,6 +36,45 @@ def test_gen_state_skips_dense_beyond_cap(tmp_path, capsys):
                            "10", "--out", str(out))
     assert code == 0
     assert json.loads(stdout)["written"] == [f"{out}.mpo.json"]
+
+
+def test_family_names_are_the_library_families():
+    assert set(_FAMILY_ALIASES.values()) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family", ["ghz", "random-mpo"])
+def test_gen_state_fails_when_dense_is_asked_beyond_the_cap(tmp_path, capsys,
+                                                             family):
+    code, stdout, stderr = _run(capsys, "gen-state", "--family", family,
+                                "--n", "13", "--seed", "1",
+                                "--dense-max-sites", "14",
+                                "--out", str(tmp_path / "big"))
+    assert code == 1 and stdout == ""
+    assert json.loads(stderr)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("measure", "--shots", "0"),
+    ("measure", "--sigma", "-0.01"),
+    ("measure", "--sigma", "nan"),
+    ("reconstruct", "--sigma2", "nan"),
+], ids="_".join)
+def test_bad_numeric_arguments_fail(tmp_path, capsys, argv):
+    out = tmp_path / "s"
+    _run(capsys, "gen-state", "--family", "random-mpo", "--n", "5",
+         "--seed", "2", "--out", str(out))
+    data = tmp_path / "d.json"
+    _run(capsys, "measure", "--state", f"{out}.mpo.json", "--r", "3",
+         "--sigma", "0.01", "--seed", "3", "--out", str(data))
+    bad = tmp_path / "bad.json"
+    if argv[0] == "measure":
+        head = ["measure", "--state", f"{out}.mpo.json", "--r", "3"]
+    else:
+        head = ["reconstruct", "--data", str(data)]
+    code, stdout, stderr = _run(capsys, *head, *argv[1:], "--out", str(bad))
+    assert code == 1 and stdout == ""
+    assert json.loads(stderr)["error"] == "ValueError"
+    assert not bad.exists()
 
 
 def test_measure_and_reconstruct_roundtrip(tmp_path, capsys):

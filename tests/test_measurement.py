@@ -14,7 +14,8 @@ from mpotomo.measurement import (CountsBlock, NoiseMeta, PauliBlockData,
                                  save_block_data, save_counts,
                                  setting_probabilities, simulate_counts)
 import mpotomo.operators
-from mpotomo.operators import DenseOperator, random_mpo, window_coeffs
+from mpotomo.operators import (DenseOperator, load_operator, random_mpo,
+                               save_operator, window_coeffs)
 from mpotomo.pauli import coeffs_from_dense, dense_from_coeffs
 from mpotomo.states import product_state, random_mpo_via_ancilla, w_state
 
@@ -133,6 +134,15 @@ def test_noise_can_keep_identity_exact():
     assert np.array_equal(noisy.blocks[:, 0], data.blocks[:, 0])
     default = add_gaussian_noise(data, 1e-2, seed=0)
     assert not np.array_equal(default.blocks[:, 0], data.blocks[:, 0])
+
+
+@pytest.mark.parametrize("sigma", [-0.01, float("nan"), float("inf")])
+def test_noise_rejects_negative_or_non_finite_sigma(sigma):
+    data = exact_block_data(_dense_state(5, 3), 2)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        add_gaussian_noise(data, sigma, seed=0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        NoiseMeta("scalar", sigma=sigma)
 
 
 def test_marginal_consistency_zero_exact_positive_noisy():
@@ -351,3 +361,65 @@ def test_block_data_rejects_non_finite_fisher_matrix():
     fisher[2] = bad
     with pytest.raises(ValueError, match="Fisher matrix 2 must be finite"):
         _with_fisher(data, fisher)
+
+
+# ---- validation where files enter ----
+
+
+def _save_operator_file(path):
+    save_operator(random_mpo(3, bond=2, seed=35), path)
+
+
+def _save_block_file(path):
+    save_block_data(exact_block_data(random_mpo(4, bond=2, seed=36), 2), path)
+
+
+def _save_counts_file(path):
+    save_counts(simulate_counts(product_state(4)[1], 3, 16, seed=37), 4, path)
+
+
+@pytest.mark.parametrize("version", [None, 0, 2, 99])
+@pytest.mark.parametrize("save, load", [
+    (_save_operator_file, load_operator),
+    (_save_block_file, load_block_data),
+    (_save_counts_file, load_counts),
+], ids=["operator", "block_data", "counts"])
+def test_loaders_reject_other_versions(tmp_path, save, load, version):
+    path = tmp_path / "f.json"
+    save(path)
+    payload = json.loads(path.read_text())
+    if version is None:
+        del payload["version"]
+    else:
+        payload["version"] = version
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="unsupported file version"):
+        load(path)
+
+
+def _rename_setting(payload, new):
+    payload["blocks"][0]["settings"][0]["s"] = new
+
+
+def _rename_outcome(payload, new):
+    counts = payload["blocks"][0]["settings"][0]["counts"]
+    counts[new] = counts.pop(next(iter(counts)))
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (lambda p: _rename_setting(p, "xy"), "setting 'xy' is not 3 letters"),
+    (lambda p: _rename_setting(p, "xqz"), "setting 'xqz' is not 3 letters"),
+    (lambda p: _rename_outcome(p, "+-"), "outcome '\\+-' is not 3"),
+    (lambda p: _rename_outcome(p, "+0-"), "outcome '\\+0-' is not 3"),
+    (lambda p: p["blocks"][0].update(k=0), "k = 0 outside 1..2"),
+    (lambda p: p["blocks"][1].update(k=3), "k = 3 outside 1..2"),
+], ids=["short_setting", "bad_axis", "short_outcome", "bad_outcome",
+        "k_zero", "k_past_end"])
+def test_load_counts_rejects_malformed_entries(tmp_path, mutate, match):
+    path = tmp_path / "c.json"
+    _save_counts_file(path)
+    payload = json.loads(path.read_text())
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=match):
+        load_counts(path)

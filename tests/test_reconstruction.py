@@ -84,8 +84,32 @@ def test_regularizer_spec_validation():
         RegularizerSpec("other")
     with pytest.raises(ValueError):
         RegularizerSpec("truncated_pinv", tau=1.5)
-    with pytest.raises(ValueError):
-        RegularizerSpec("tikhonov", sigma2=-1.0)
+    for sigma2 in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma2"):
+            RegularizerSpec("tikhonov", sigma2=sigma2)
+
+
+@pytest.mark.parametrize("l, r", [(2, 2), (3, 1)])
+def test_default_tikhonov_is_matched_to_the_resolved_split(l, r):
+    st = random_mpo_via_ancilla(8, seed=40)
+    data = add_gaussian_noise(exact_block_data(st, 5), 1e-3, seed=41)
+    matched = reconstruct_mpo(data, ReconstructionConfig(
+        l=l, r=r, regularizer=RegularizerSpec("tikhonov")))
+    explicit = reconstruct_mpo(data, ReconstructionConfig(
+        l=l, r=r, regularizer=RegularizerSpec(
+            "tikhonov", sigma2=noise_tikhonov_sigma2(1e-3, l, r))))
+    for a, b in zip(matched.tensors, explicit.tensors, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_tikhonov_without_sigma2_needs_scalar_noise(rng):
+    exact = exact_block_data(random_mpo_via_ancilla(6, seed=42), 3)
+    with pytest.raises(ValueError, match="scalar noise metadata"):
+        reconstruct_mpo(exact, ReconstructionConfig(
+            regularizer=RegularizerSpec("tikhonov")))
+    with pytest.raises(ValueError, match="explicit sigma2"):
+        robust_solve(rng.normal(size=(6, 4)), rng.normal(size=6),
+                     RegularizerSpec("tikhonov"))
 
 
 def test_noise_matched_tikhonov_parameter():

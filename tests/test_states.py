@@ -3,10 +3,11 @@ import pytest
 
 import oracles
 from mpotomo.pauli import coeffs_from_dense, partial_trace
-from mpotomo.states import (HamiltonianSpec, ancilla_channel, ghz_state,
-                            hamiltonian_dense, mps_to_mpo, named_state,
-                            product_state, random_mps, random_mpo_via_ancilla,
-                            thermal_dense, w_state)
+from mpotomo.operators import DenseOperator
+from mpotomo.states import (FAMILIES, HamiltonianSpec, ancilla_channel,
+                            ghz_state, hamiltonian_dense, make_state,
+                            mps_to_mpo, product_state, random_mps,
+                            random_mpo_via_ancilla, thermal_dense, w_state)
 
 
 def test_hamiltonian_spec_validation():
@@ -160,7 +161,36 @@ def test_product_state_expectations():
 
 
 def test_named_state_dispatch():
-    dense, mpo = named_state("ghz", 3)
+    dense, mpo = make_state("ghz", 3)
     assert mpo.n_sites == 3
     with pytest.raises(ValueError):
-        named_state("unknown", 3)
+        make_state("unknown", 3)
+
+
+def _same_operator(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    if isinstance(a, DenseOperator):
+        return np.array_equal(a.matrix, b.matrix)
+    return (len(a.tensors) == len(b.tensors)
+            and all(map(np.array_equal, a.tensors, b.tensors)))
+
+
+def test_make_state_matches_family_constructors():
+    phases = [0.3, 1.1, 2.0]
+    want = {
+        "critical_ising": (
+            thermal_dense(HamiltonianSpec("critical_ising", 4), 2.0), None),
+        "random_next_neighbour": (thermal_dense(
+            HamiltonianSpec("random_next_neighbour", 4, seed=5), 2.0), None),
+        "random_mpo": (None, random_mpo_via_ancilla(4, seed=5, t_hnorm=0.1)),
+        "w": w_state(4, phases),
+        "ghz": ghz_state(4),
+        "product": product_state(4),
+    }
+    assert set(want) == set(FAMILIES)
+    for family, (dense, mpo) in want.items():
+        got_dense, got_mpo = make_state(family, 4, seed=5, beta=2.0,
+                                        t_hnorm=0.1, phases=phases)
+        assert _same_operator(got_dense, dense), family
+        assert _same_operator(got_mpo, mpo), family

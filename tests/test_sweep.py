@@ -21,6 +21,9 @@ def test_config_validation():
         _cfg(trials=0)
     with pytest.raises(ValueError):
         _cfg(solver="fisher")
+    for sigma in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma_list"):
+            _cfg(sigma_list=[0.0, sigma])
 
 
 def test_config_from_json_with_width_alias(tmp_path):
