@@ -21,7 +21,7 @@ from .operators import (DenseOperator, load_operator, mpo_from_dense,
 from .reconstruction import (ReconstructionConfig, RegularizerSpec,
                              check_invertibility_dense,
                              check_invertibility_mpo_spans, reconstruct_mpo)
-from .states import make_state
+from .states import HAMILTONIAN_FAMILIES, make_state
 from .sweep import run_sweep, sweep_config_from_json
 
 _FAMILY_ALIASES = {
@@ -30,6 +30,11 @@ _FAMILY_ALIASES = {
     "random-mpo": "random_mpo",
     "w": "w", "ghz": "ghz", "product": "product",
 }
+
+# gen-state options that only some families read: giving one to another
+# family is an error, not silently ignored.
+_FAMILY_OPTIONS = {"beta": HAMILTONIAN_FAMILIES, "t_hnorm": ("random_mpo",),
+                   "phases": ("w",)}
 
 _SOLVER_ALIASES = {
     "truncated-pinv": "truncated_pinv",
@@ -48,11 +53,16 @@ def _emit(payload: dict) -> None:
 
 def _cmd_gen_state(args) -> int:
     family = _FAMILY_ALIASES[args.family]
-    phases = None
-    if args.phases:
-        phases = [float(x) for x in args.phases.split(",")]
-    dense, mpo = make_state(family, args.n, seed=args.seed, beta=args.beta,
-                            t_hnorm=args.t_hnorm, phases=phases)
+    options = {name: getattr(args, name) for name in _FAMILY_OPTIONS
+               if getattr(args, name) is not None}
+    for name in options:
+        if family not in _FAMILY_OPTIONS[name]:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to "
+                             f"family {family!r}")
+    if "phases" in options:
+        options["phases"] = ([float(x) for x in args.phases.split(",")]
+                             if args.phases else None)
+    dense, mpo = make_state(family, args.n, seed=args.seed, **options)
     if mpo is None:
         mpo = mpo_from_dense(dense)
     if args.n > args.dense_max_sites:
@@ -105,7 +115,7 @@ def _cmd_reconstruct(args) -> int:
     if args.report:
         report.save(args.report)
         written.append(args.report)
-    _emit({"written": written, "solver_mode": reg.mode,
+    _emit({"written": written, "solver_mode": report.mode,
            "bond_dims": mpo.bond_dims, "trace": mpo.trace})
     return 0
 
@@ -169,9 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-state", help="generate a reference state")
     g.add_argument("--family", required=True, choices=sorted(_FAMILY_ALIASES))
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--beta", type=float, default=5.0)
+    g.add_argument("--beta", type=float, default=None,
+                   help="inverse temperature of the thermal families "
+                        "(default 5)")
     g.add_argument("--seed", type=int, default=None)
-    g.add_argument("--t-hnorm", type=float, default=0.01)
+    g.add_argument("--t-hnorm", type=float, default=None,
+                   help="coupling strength of random-mpo (default 0.01)")
     g.add_argument("--phases", type=str, default=None,
                    help="comma-separated branch phases for the w family")
     g.add_argument("--dense-max-sites", type=int, default=8)

@@ -207,29 +207,51 @@ def _window_densities(state, width: int):
             yield dense_from_coeffs(coeffs, d)
 
 
-def setting_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
-    """Outcome distribution of measuring each site along the given axes."""
+def _setting_unitary(setting: str) -> np.ndarray:
     u = _U_BASIS[setting[0]]
     for ch in setting[1:]:
         u = np.kron(u, _U_BASIS[ch])
-    p = np.einsum("ij,jk,ik->i", u, rho, u.conj(), optimize=True).real
+    return u
+
+
+# The contraction order einsum(optimize=True) picks for diag(u rho u^dagger):
+# u with rho first, then the row-wise product with conj(u). Passing it
+# skips the path search on each call and keeps the same arithmetic.
+_PROB_PATH = ["einsum_path", (0, 1), (0, 1)]
+
+
+def _probabilities(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    p = np.einsum("ij,jk,ik->i", u, rho, u.conj(), optimize=_PROB_PATH).real
     p = np.clip(p, 0.0, None)
     return p / p.sum()
 
 
+def setting_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
+    """Outcome distribution of measuring each site along the given axes."""
+    return _probabilities(rho, _setting_unitary(setting))
+
+
 def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBlock]:
-    """Multinomial counts for all 3^width settings of every window."""
+    """Multinomial counts for all 3^width settings of every window.
+
+    Each setting's Kronecker unitary is built once per call and applied to
+    every window before the next one is built, so at most one unitary is
+    held. Draws are made window by window, settings in all_settings order.
+    """
     if shots <= 0:
         raise ValueError("shots must be positive")
+    settings = all_settings(width)
+    rhos = list(_window_densities(state, width))
+    probs = np.empty((len(rhos), len(settings), 1 << width))
+    for j, setting in enumerate(settings):
+        u = _setting_unitary(setting)
+        for b, rho in enumerate(rhos):
+            probs[b, j] = _probabilities(rho, u)
     rng = np.random.default_rng(seed)
-    out = []
-    for k, rho in enumerate(_window_densities(state, width), start=1):
-        counts = {}
-        for setting in all_settings(width):
-            p = setting_probabilities(rho, setting)
-            counts[setting] = rng.multinomial(shots, p)
-        out.append(CountsBlock(k, width, counts))
-    return out
+    return [CountsBlock(b + 1, width,
+                        {setting: rng.multinomial(shots, probs[b, j])
+                         for j, setting in enumerate(settings)})
+            for b in range(len(rhos))]
 
 
 # ---- Local maximum-likelihood estimation ----
@@ -274,10 +296,13 @@ def _counts_matrix(block: CountsBlock, settings) -> np.ndarray:
     return out
 
 
-def _log_likelihood(n_mat: np.ndarray, p_mat: np.ndarray) -> float:
-    p = np.clip(p_mat, _P_FLOOR, None)
-    mask = n_mat > 0
-    return float(np.sum(n_mat[mask] * np.log(p[mask])))
+def _log_likelihood(nz: np.ndarray, n_nz: np.ndarray,
+                    p_mat: np.ndarray) -> float:
+    # nz: flat indices of the nonzero counts, n_nz: those counts. np.sum
+    # over the same products in the same order as a boolean-mask sum keeps
+    # the value bitwise; a dot product would sum in another order.
+    p = np.maximum(p_mat.ravel()[nz], _P_FLOOR)
+    return float(np.sum(n_nz * np.log(p)))
 
 
 @dataclass
@@ -295,36 +320,54 @@ def local_mle(block: CountsBlock, tol: float = 1e-10,
     Iterates the standard R rho R update with step damping whenever a full
     step would lower the likelihood; halts when the likelihood gain drops
     below tol. Non-convergence is reported on the result, which then still
-    carries the best iterate found.
+    carries the best iterate found. tol must be finite and nonnegative and
+    max_iter at least 1.
+
+    Cost per iteration at width R (dim = 2^R): the gradient takes one real
+    (3^R x 2^R) @ (2^R x 2^R) matmul, a scatter-add over the 6^R design
+    entries and one inverse Pauli transform; each line-search trial (one
+    per iteration in typical fits) takes two dim x dim complex matmuls, one
+    forward Pauli transform and one more design matmul. A Pauli transform
+    is R passes of one 4 x 4 matmul, O(R 4^R). The arithmetic is O(12^R)
+    in the design matmuls and O(8^R) in the dim x dim products, but at
+    R = 5 the fixed cost of the few dozen numpy calls still dominates.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     width = block.width
     dim = 1 << width
     settings, cols, signs = _design_blocks(width)
+    flat_cols = cols.ravel()
+    eye = np.eye(dim)
     n_mat = _counts_matrix(block, settings)
     n_tot = n_mat.sum()
     if n_tot == 0:
         raise ValueError("no counts present in block")
+    nz = np.flatnonzero(n_mat > 0)
+    n_nz = n_mat.ravel()[nz]
     rho = np.eye(dim, dtype=complex) / dim
     theta = coeffs_from_dense(rho)
     p_mat = theta[cols] @ signs.T
-    ll = _log_likelihood(n_mat, p_mat)
+    ll = _log_likelihood(nz, n_nz, p_mat)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        ratio = n_mat / np.clip(p_mat, _P_FLOOR, None)
-        grad = np.bincount(cols.ravel(), weights=(ratio @ signs).ravel(),
+        ratio = n_mat / np.maximum(p_mat, _P_FLOOR)
+        grad = np.bincount(flat_cols, weights=(ratio @ signs).ravel(),
                            minlength=4**width)
         r_op = dense_from_coeffs(grad)
         step = 1.0
         accepted = False
         for _ in range(40):
-            g = (1.0 - step) * np.eye(dim) + (step / n_tot) * r_op
+            g = (1.0 - step) * eye + (step / n_tot) * r_op
             cand = g @ rho @ g.conj().T
             cand = (cand + cand.conj().T) / 2.0
             cand /= np.trace(cand).real
             cand_theta = coeffs_from_dense(cand)
             cand_p = cand_theta[cols] @ signs.T
-            cand_ll = _log_likelihood(n_mat, cand_p)
+            cand_ll = _log_likelihood(nz, n_nz, cand_p)
             if cand_ll >= ll - 1e-13 * max(1.0, abs(ll)):
                 accepted = True
                 break
@@ -432,14 +475,18 @@ def save_counts(blocks: list[CountsBlock], n_sites: int, path: str) -> None:
 def load_counts(path: str):
     """Returns (blocks, n_sites).
 
-    Rejects a version other than 1, a window start k outside 1..N-R+1,
-    settings that are not R letters from "xyz", outcomes that are not R
-    characters from "+-", and per-setting counts that do not sum to the
-    declared shots.
+    Rejects a version other than 1, a d other than 2 (counts are qubit
+    outcomes), a window start k outside 1..N-R+1, settings that are not R
+    letters from "xyz", outcomes that are not R characters from "+-",
+    negative counts, and per-setting counts that do not sum to the declared
+    shots.
     """
     with open(path) as fh:
         payload = json.load(fh)
     _check_version(payload)
+    if payload.get("d") != 2:
+        raise ValueError(f"counts files hold qubit outcomes (d = 2), got "
+                         f"d = {payload.get('d')!r}")
     n_sites, width = int(payload["N"]), int(payload["R"])
     blocks = []
     for rec in payload["blocks"]:
@@ -458,6 +505,9 @@ def load_counts(path: str):
                     raise ValueError(f"block {k} setting {setting}: outcome "
                                      f"{o!r} is not {width} characters "
                                      "from '+-'")
+                if int(v) < 0:
+                    raise ValueError(f"block {k} setting {setting}: outcome "
+                                     f"{o} has a negative count {v}")
                 hist[outcome_index(o)] = int(v)
             if "shots" in srec and int(srec["shots"]) != int(hist.sum()):
                 raise ValueError(

@@ -92,9 +92,13 @@ def coeffs_from_dense(M: np.ndarray, d: int = 2) -> np.ndarray:
     # group row/column axes per site: (r1, c1, r2, c2, ...) -> (d^2,)*m
     T = M.reshape((d,) * (2 * m))
     perm = [ax for i in range(m) for ax in (i, m + i)]
-    T = T.transpose(perm).reshape((d * d,) * m)
-    for k in range(m):
-        T = np.moveaxis(np.tensordot(W, T, axes=(1, k)), 0, k)
+    T = T.transpose(perm).reshape(d * d, -1)
+    # Each pass transforms the leading site and rotates it to the back, so
+    # m passes transform every site and restore the order. A pass is the
+    # matrix product a per-axis tensordot makes, so results are bitwise
+    # those of a tensordot + moveaxis loop.
+    for _ in range(m):
+        T = (W @ T).T.reshape(d * d, -1)
     c = T.reshape(-1)
     if np.max(np.abs(c.imag)) > 1e-10 * max(1.0, np.max(np.abs(c.real))):
         raise ValueError("operator is not Hermitian: complex coefficients")
@@ -106,9 +110,9 @@ def dense_from_coeffs(c: np.ndarray, d: int = 2) -> np.ndarray:
     m = n_sites_of(c.shape[0], d * d)
     W = _W2 if d == 2 else _site_transform(d)
     V = W.conj().T
-    T = np.asarray(c, dtype=complex).reshape((d * d,) * m)
-    for k in range(m):
-        T = np.moveaxis(np.tensordot(V, T, axes=(1, k)), 0, k)
+    T = np.asarray(c, dtype=complex).reshape(d * d, -1)
+    for _ in range(m):  # as in coeffs_from_dense
+        T = (V @ T).T.reshape(d * d, -1)
     T = T.reshape((d, d) * m)
     perm = [2 * i for i in range(m)] + [2 * i + 1 for i in range(m)]
     return T.transpose(perm).reshape(d**m, d**m)

@@ -195,3 +195,90 @@ def recursion_coefficient(blocks, alphas, l, r, solve=None):
         y = solve(B, C[:, alphas[k - 1], :] @ y)
     B, _ = window(l + 1)
     return float(B[packed(alphas[:l])] @ y)
+
+
+# Site transform W[a, r*2 + c] = P(a)[c, r] of the normalized Pauli basis,
+# so that (W @ vec(M))[a] = tr[M P(a)]; its inverse is W^dagger.
+_W = np.array([(P / np.sqrt(2.0)).T.reshape(-1) for P in PAULIS])
+
+
+def coeffs_from_dense_tensordot(M):
+    """Pauli coefficients of a qubit operator, one tensordot per site axis.
+
+    The per-axis reference transform; the package's transform must
+    reproduce it bit for bit.
+    """
+    m = int(round(np.log2(M.shape[0])))
+    T = M.reshape((2,) * (2 * m))
+    perm = [ax for i in range(m) for ax in (i, m + i)]
+    T = T.transpose(perm).reshape((4,) * m)
+    for k in range(m):
+        T = np.moveaxis(np.tensordot(_W, T, axes=(1, k)), 0, k)
+    return np.ascontiguousarray(T.reshape(-1).real)
+
+
+def dense_from_coeffs_tensordot(c):
+    """Inverse of coeffs_from_dense_tensordot, one tensordot per site."""
+    m = int(round(np.log(c.shape[0]) / np.log(4)))
+    T = np.asarray(c, dtype=complex).reshape((4,) * m)
+    for k in range(m):
+        T = np.moveaxis(np.tensordot(_W.conj().T, T, axes=(1, k)), 0, k)
+    T = T.reshape((2, 2) * m)
+    perm = [2 * i for i in range(m)] + [2 * i + 1 for i in range(m)]
+    return T.transpose(perm).reshape(2**m, 2**m)
+
+
+def local_mle_reference(block, tol=1e-10, max_iter=10_000):
+    """R rho R likelihood ascent written as the plain per-iteration loop.
+
+    Returns (rho, converged, n_iter, log_likelihood). Masks, clips and
+    identity matrices are rebuilt on every iteration and the Pauli
+    transforms are the tensordot references above; the package's fit must
+    give the same iterates bit for bit. The measurement design comes from
+    the package, which the Fisher-information oracle checks independently.
+    """
+    from mpotomo.measurement import _counts_matrix, _design_blocks
+
+    floor = 1e-12
+
+    def log_likelihood(n_mat, p_mat):
+        p = np.clip(p_mat, floor, None)
+        mask = n_mat > 0
+        return float(np.sum(n_mat[mask] * np.log(p[mask])))
+
+    width = block.width
+    dim = 1 << width
+    settings, cols, signs = _design_blocks(width)
+    n_mat = _counts_matrix(block, settings)
+    n_tot = n_mat.sum()
+    rho = np.eye(dim, dtype=complex) / dim
+    p_mat = coeffs_from_dense_tensordot(rho)[cols] @ signs.T
+    ll = log_likelihood(n_mat, p_mat)
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        ratio = n_mat / np.clip(p_mat, floor, None)
+        grad = np.bincount(cols.ravel(), weights=(ratio @ signs).ravel(),
+                           minlength=4**width)
+        r_op = dense_from_coeffs_tensordot(grad)
+        step = 1.0
+        accepted = False
+        for _ in range(40):
+            g = (1.0 - step) * np.eye(dim) + (step / n_tot) * r_op
+            cand = g @ rho @ g.conj().T
+            cand = (cand + cand.conj().T) / 2.0
+            cand /= np.trace(cand).real
+            cand_p = coeffs_from_dense_tensordot(cand)[cols] @ signs.T
+            cand_ll = log_likelihood(n_mat, cand_p)
+            if cand_ll >= ll - 1e-13 * max(1.0, abs(ll)):
+                accepted = True
+                break
+            step /= 2.0
+        if not accepted:
+            break
+        gain = cand_ll - ll
+        rho, p_mat, ll = cand, cand_p, cand_ll
+        if gain < tol:
+            converged = True
+            break
+    return rho, converged, it, ll

@@ -53,6 +53,26 @@ def test_gen_state_fails_when_dense_is_asked_beyond_the_cap(tmp_path, capsys,
     assert json.loads(stderr)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("family, option", [
+    ("ghz", ("--phases", "1,2")),
+    ("ghz", ("--beta", "-3")),
+    ("w", ("--beta", "3")),
+    ("random-mpo", ("--phases", "1,2,3")),
+    ("w", ("--t-hnorm", "0.1")),
+    ("critical-ising", ("--t-hnorm", "0.1")),
+], ids=lambda x: x if isinstance(x, str) else x[0])
+def test_gen_state_rejects_options_the_family_does_not_read(tmp_path, capsys,
+                                                            family, option):
+    out = tmp_path / "s"
+    code, stdout, stderr = _run(capsys, "gen-state", "--family", family,
+                                "--n", "4", *option, "--out", str(out))
+    assert code == 1 and stdout == ""
+    record = json.loads(stderr)
+    assert record["error"] == "ValueError"
+    assert option[0] in record["message"]
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ("measure", "--shots", "0"),
     ("measure", "--sigma", "-0.01"),
@@ -157,6 +177,39 @@ def test_counts_pipeline(tmp_path, capsys):
                            "--out", str(est))
     assert code == 0
     assert json.loads(stdout)["solver_mode"] == "fisher"
+
+
+@pytest.mark.parametrize("option", [("--max-iter", "0"), ("--tol", "nan")],
+                         ids=lambda o: o[0])
+def test_ingest_counts_rejects_bad_iteration_settings(tmp_path, capsys,
+                                                      option):
+    out = tmp_path / "w"
+    _run(capsys, "gen-state", "--family", "w", "--n", "4", "--out", str(out))
+    counts = tmp_path / "counts.json"
+    _run(capsys, "measure", "--state", f"{out}.mpo.json", "--r", "3",
+         "--shots", "50", "--seed", "1", "--out", str(counts))
+    data = tmp_path / "data.json"
+    code, stdout, stderr = _run(capsys, "ingest-counts", "--counts",
+                                str(counts), *option, "--out", str(data))
+    assert code == 1 and stdout == ""
+    assert json.loads(stderr)["error"] == "ValueError"
+    assert not data.exists()
+
+
+def test_reconstruct_prints_the_mode_it_used(tmp_path, capsys):
+    # one window (N = R) is its own factorization: no regularized solve
+    out = tmp_path / "w"
+    _run(capsys, "gen-state", "--family", "w", "--n", "4", "--out", str(out))
+    data = tmp_path / "data.json"
+    _run(capsys, "measure", "--state", f"{out}.mpo.json", "--r", "4",
+         "--sigma", "0.01", "--seed", "2", "--out", str(data))
+    rep = tmp_path / "rep.json"
+    code, stdout, _ = _run(capsys, "reconstruct", "--data", str(data),
+                           "--solver", "tikhonov", "--out",
+                           str(tmp_path / "est.json"), "--report", str(rep))
+    assert code == 0
+    assert json.loads(stdout)["solver_mode"] == "direct"
+    assert json.loads(rep.read_text())["mode"] == "direct"
 
 
 def test_compare_command(tmp_path, capsys):

@@ -219,6 +219,37 @@ def test_mle_likelihood_never_decreases():
     assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
 
 
+@pytest.mark.parametrize("state, width, shots, k, max_iter, converged", [
+    (w_state(4)[1], 3, 200, 2, 10_000, True),
+    (random_mpo_via_ancilla(5, seed=15), 3, 200, 1, 50, False),
+    # at width 5 a log-likelihood summed in another order differs in the
+    # last bit, so this case pins the summation order
+    (w_state(5)[1], 5, 100, 1, 30, False),
+], ids=["converges", "capped", "capped_width5"])
+def test_mle_bitwise_equal_reference_loop(state, width, shots, k, max_iter,
+                                          converged):
+    block = simulate_counts(state, width, shots, seed=0)[k - 1]
+    res = local_mle(block, max_iter=max_iter)
+    rho, ref_converged, n_iter, ll = oracles.local_mle_reference(
+        block, max_iter=max_iter)
+    assert res.converged is ref_converged is converged
+    assert res.n_iter == n_iter
+    assert res.log_likelihood == ll
+    assert np.array_equal(res.rho, rho)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_iter": 0}, {"max_iter": -3}, {"tol": -1e-10},
+    {"tol": float("nan")}, {"tol": float("inf")},
+], ids=["max_iter_0", "max_iter_neg", "tol_neg", "tol_nan", "tol_inf"])
+def test_mle_rejects_bad_iteration_settings(kwargs):
+    blocks = simulate_counts(product_state(2)[1], 2, 10, seed=1)
+    with pytest.raises(ValueError, match="max_iter|tol"):
+        local_mle(blocks[0], **kwargs)
+    with pytest.raises(ValueError, match="max_iter|tol"):
+        block_data_from_counts(blocks, 2, **kwargs)
+
+
 def test_fisher_information_on_maximally_mixed_single_site():
     # p = 1/2 +- c/sqrt(2) per setting, so F = 2n per axis, diagonal
     n = 600
@@ -406,6 +437,14 @@ def _rename_outcome(payload, new):
     counts[new] = counts.pop(next(iter(counts)))
 
 
+def _negate_first_count(payload):
+    # a negative count with shots still matching the sum
+    entry = payload["blocks"][0]["settings"][0]
+    first = next(iter(entry["counts"]))
+    entry["counts"][first] *= -1
+    entry["shots"] = sum(entry["counts"].values())
+
+
 @pytest.mark.parametrize("mutate, match", [
     (lambda p: _rename_setting(p, "xy"), "setting 'xy' is not 3 letters"),
     (lambda p: _rename_setting(p, "xqz"), "setting 'xqz' is not 3 letters"),
@@ -413,8 +452,11 @@ def _rename_outcome(payload, new):
     (lambda p: _rename_outcome(p, "+0-"), "outcome '\\+0-' is not 3"),
     (lambda p: p["blocks"][0].update(k=0), "k = 0 outside 1..2"),
     (lambda p: p["blocks"][1].update(k=3), "k = 3 outside 1..2"),
+    (lambda p: p.update(d=3), "qubit outcomes \\(d = 2\\), got d = 3"),
+    (lambda p: p.pop("d"), "got d = None"),
+    (_negate_first_count, "negative count"),
 ], ids=["short_setting", "bad_axis", "short_outcome", "bad_outcome",
-        "k_zero", "k_past_end"])
+        "k_zero", "k_past_end", "d_three", "d_missing", "negative_count"])
 def test_load_counts_rejects_malformed_entries(tmp_path, mutate, match):
     path = tmp_path / "c.json"
     _save_counts_file(path)

@@ -72,6 +72,18 @@ def test_coeffs_roundtrip_and_parseval(herm16):
     assert abs(np.sum(c**2) - np.trace(herm16 @ herm16).real) < 1e-12
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_transforms_bitwise_equal_tensordot_reference(rng, m):
+    dim = 2**m
+    for _ in range(3):
+        A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        M = A + A.conj().T
+        c = coeffs_from_dense(M)
+        assert np.array_equal(c, oracles.coeffs_from_dense_tensordot(M))
+        assert np.array_equal(dense_from_coeffs(c),
+                              oracles.dense_from_coeffs_tensordot(c))
+
+
 def test_coeffs_reject_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
