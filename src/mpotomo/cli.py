@@ -34,7 +34,8 @@ _FAMILY_ALIASES = {
 # gen-state options that only some families read: giving one to another
 # family is an error, not silently ignored.
 _FAMILY_OPTIONS = {"beta": HAMILTONIAN_FAMILIES, "t_hnorm": ("random_mpo",),
-                   "phases": ("w",)}
+                   "phases": ("w",),
+                   "seed": ("random_next_neighbour", "random_mpo")}
 
 _SOLVER_ALIASES = {
     "truncated-pinv": "truncated_pinv",
@@ -62,7 +63,7 @@ def _cmd_gen_state(args) -> int:
     if "phases" in options:
         options["phases"] = ([float(x) for x in args.phases.split(",")]
                              if args.phases else None)
-    dense, mpo = make_state(family, args.n, seed=args.seed, **options)
+    dense, mpo = make_state(family, args.n, **options)
     if mpo is None:
         mpo = mpo_from_dense(dense)
     if args.n > args.dense_max_sites:
@@ -182,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--beta", type=float, default=None,
                    help="inverse temperature of the thermal families "
                         "(default 5)")
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--seed", type=int, default=None,
+                   help="draws random-nn and random-mpo states")
     g.add_argument("--t-hnorm", type=float, default=None,
                    help="coupling strength of random-mpo (default 0.01)")
     g.add_argument("--phases", type=str, default=None,

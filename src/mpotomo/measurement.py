@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (FORMAT_VERSION, DenseOperator, MatrixProductOperator,
-                        _check_version, _windows)
+                        _check_header, _windows)
 from .pauli import coeffs_from_dense, dense_from_coeffs, partial_trace
 
 # ---- Block data container ----
@@ -29,7 +29,7 @@ class NoiseMeta:
     """Covariance descriptor for the entries of noisy block vectors.
 
     kind "scalar": iid Gaussian noise of standard deviation `sigma` was
-    added to the unnormalized basis expectations (so sigma / sqrt(d^width)
+    added to the unnormalized basis expectations (so sigma / sqrt(2^width)
     per normalized entry). kind "fisher": per-block Fisher information
     matrices over the non-identity normalized coefficients.
     """
@@ -56,21 +56,20 @@ class PauliBlockData:
     """Normalized basis expectations for every width-site window.
 
     blocks[b] is the coefficient vector of the reduction onto sites
-    b+1 .. b+width (1-based), packed big-endian, length (d^2)^width.
+    b+1 .. b+width (1-based), packed big-endian, length 4^width.
     Construction (and so load_block_data) rejects non-finite blocks and
-    Fisher metadata that is not one finite ((d^2)^width - 1)-square matrix
+    Fisher metadata that is not one finite (4^width - 1)-square matrix
     per window.
     """
 
     n_sites: int
     width: int
     blocks: np.ndarray
-    d: int = 2
     noise: NoiseMeta | None = None
 
     def __post_init__(self):
         self.blocks = np.asarray(self.blocks, dtype=float)
-        expect = (self.n_blocks, (self.d * self.d) ** self.width)
+        expect = (self.n_blocks, 4**self.width)
         if self.blocks.shape != expect:
             raise ValueError(f"blocks must have shape {expect}")
         if not np.all(np.isfinite(self.blocks)):
@@ -98,10 +97,6 @@ class PauliBlockData:
         """Vector for the window starting at 1-based site k."""
         return self.blocks[k - 1]
 
-    def block_dense(self, k: int) -> np.ndarray:
-        """Dense reduced density matrix of the window starting at site k."""
-        return dense_from_coeffs(self.block(k), self.d)
-
 
 def exact_block_data(state, width: int) -> PauliBlockData:
     """Exact window expectations of a dense or matrix-product state.
@@ -112,32 +107,32 @@ def exact_block_data(state, width: int) -> PauliBlockData:
     """
     if not isinstance(state, (DenseOperator, MatrixProductOperator)):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    n, d = state.n_sites, state.d
+    n = state.n_sites
     if not 1 <= width <= n:
         raise ValueError("need 1 <= width <= n_sites")
     if isinstance(state, DenseOperator):
-        blocks = [coeffs_from_dense(rho, d)
+        blocks = [coeffs_from_dense(rho)
                   for rho in _window_densities(state, width)]
     else:
         blocks = list(_windows(state, width, 1, n - width + 1))
-    return PauliBlockData(n, width, np.array(blocks), d)
+    return PauliBlockData(n, width, np.array(blocks))
 
 
 def add_gaussian_noise(data: PauliBlockData, sigma: float, seed=None,
                        perturb_identity: bool = True) -> PauliBlockData:
     """Add iid N(0, sigma) noise in the unnormalized string convention.
 
-    Normalized entries receive standard deviation sigma / sqrt(d^width).
+    Normalized entries receive standard deviation sigma / sqrt(2^width).
     With perturb_identity=False the identity-string entries are left exact,
     preserving the declared trace. sigma must be finite and nonnegative.
     """
     noise = NoiseMeta("scalar", sigma=sigma)
     rng = np.random.default_rng(seed)
-    scale = sigma / np.sqrt(float(data.d) ** data.width)
+    scale = sigma / np.sqrt(2.0 ** data.width)
     noisy = data.blocks + scale * rng.standard_normal(data.blocks.shape)
     if not perturb_identity:
         noisy[:, 0] = data.blocks[:, 0]
-    return PauliBlockData(data.n_sites, data.width, noisy, data.d, noise)
+    return PauliBlockData(data.n_sites, data.width, noisy, noise)
 
 
 def marginal_consistency(data: PauliBlockData) -> float:
@@ -146,12 +141,11 @@ def marginal_consistency(data: PauliBlockData) -> float:
     Dropping the leftmost site of block k must agree with dropping the
     rightmost site of block k+1; zero for exact data.
     """
-    d2 = data.d * data.d
-    rt = np.sqrt(float(data.d))
+    rt = np.sqrt(2.0)
     worst = 0.0
     for b in range(data.n_blocks - 1):
-        left = data.blocks[b].reshape(d2, -1)[0] * rt
-        right = data.blocks[b + 1].reshape(-1, d2)[:, 0] * rt
+        left = data.blocks[b].reshape(4, -1)[0] * rt
+        right = data.blocks[b + 1].reshape(-1, 4)[:, 0] * rt
         worst = max(worst, float(np.max(np.abs(left - right))))
     return worst
 
@@ -198,13 +192,13 @@ def all_settings(width: int):
 
 def _window_densities(state, width: int):
     """Yield the dense reduced density matrix of every window in order."""
-    n, d = state.n_sites, state.d
+    n = state.n_sites
     if isinstance(state, DenseOperator):
         for k in range(1, n - width + 2):
-            yield partial_trace(state.matrix, range(k, k + width), d)
+            yield partial_trace(state.matrix, range(k, k + width))
     else:
         for coeffs in _windows(state, width, 1, n - width + 1):
-            yield dense_from_coeffs(coeffs, d)
+            yield dense_from_coeffs(coeffs)
 
 
 def _setting_unitary(setting: str) -> np.ndarray:
@@ -421,7 +415,7 @@ def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
                           "cap; using the best iterate")
         vecs.append(coeffs_from_dense(res.rho))
         fishers.append(fisher_information(by_k[k], res.rho))
-    return PauliBlockData(n_sites, width, np.array(vecs), 2,
+    return PauliBlockData(n_sites, width, np.array(vecs),
                           NoiseMeta("fisher", fisher=fishers))
 
 
@@ -475,18 +469,15 @@ def save_counts(blocks: list[CountsBlock], n_sites: int, path: str) -> None:
 def load_counts(path: str):
     """Returns (blocks, n_sites).
 
-    Rejects a version other than 1, a d other than 2 (counts are qubit
-    outcomes), a window start k outside 1..N-R+1, settings that are not R
+    Rejects a bad header (a version other than 1, a d other than 2), a
+    window start k outside 1..N-R+1, settings that are not R
     letters from "xyz", outcomes that are not R characters from "+-",
     negative counts, and per-setting counts that do not sum to the declared
     shots.
     """
     with open(path) as fh:
         payload = json.load(fh)
-    _check_version(payload)
-    if payload.get("d") != 2:
-        raise ValueError(f"counts files hold qubit outcomes (d = 2), got "
-                         f"d = {payload.get('d')!r}")
+    _check_header(payload)
     n_sites, width = int(payload["N"]), int(payload["R"])
     blocks = []
     for rec in payload["blocks"]:
@@ -528,7 +519,7 @@ def save_block_data(data: PauliBlockData, path: str) -> None:
             noise["fisher"] = [f.tolist() for f in data.noise.fisher]
     payload = {
         "version": FORMAT_VERSION, "N": data.n_sites, "R": data.width,
-        "d": data.d, "blocks": data.blocks.tolist(), "noise": noise,
+        "d": 2, "blocks": data.blocks.tolist(), "noise": noise,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -536,17 +527,18 @@ def save_block_data(data: PauliBlockData, path: str) -> None:
 
 
 def load_block_data(path: str) -> PauliBlockData:
+    """Read a window data file; rejects a bad header and whatever
+    PauliBlockData and NoiseMeta reject, including an unknown noise kind."""
     with open(path) as fh:
         payload = json.load(fh)
-    _check_version(payload)
+    _check_header(payload)
     noise = None
     raw = payload.get("noise")
     if raw:
-        if raw["kind"] == "scalar":
-            noise = NoiseMeta("scalar", sigma=float(raw["sigma"]))
-        else:
-            noise = NoiseMeta("fisher", fisher=[np.asarray(f, dtype=float)
-                                                for f in raw["fisher"]])
+        sigma, fisher = raw.get("sigma"), raw.get("fisher")
+        noise = NoiseMeta(raw["kind"],
+                          sigma=None if sigma is None else float(sigma),
+                          fisher=None if fisher is None else
+                          [np.asarray(f, dtype=float) for f in fisher])
     return PauliBlockData(int(payload["N"]), int(payload["R"]),
-                          np.asarray(payload["blocks"], dtype=float),
-                          int(payload["d"]), noise)
+                          np.asarray(payload["blocks"], dtype=float), noise)

@@ -25,7 +25,7 @@ def _gram_terms(a, b):
     ca = a.coeffs() if isinstance(a, DenseOperator) else a.full_coeffs()
     cb = b.coeffs() if isinstance(b, DenseOperator) else b.full_coeffs()
     if ca.shape != cb.shape:
-        raise ValueError("operands must share site count and local dimension")
+        raise ValueError("operands must share site count")
     return float(ca @ ca), float(ca @ cb), float(cb @ cb)
 
 

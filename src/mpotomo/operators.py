@@ -24,10 +24,9 @@ DENSE_SITE_CAP = 12
 
 @dataclass
 class DenseOperator:
-    """Dense Hermitian operator on n_sites qudits."""
+    """Dense Hermitian operator on n_sites qubits."""
 
     matrix: np.ndarray
-    d: int = 2
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -40,14 +39,14 @@ class DenseOperator:
 
     @property
     def n_sites(self) -> int:
-        return n_sites_of(self.matrix.shape[0], self.d)
+        return n_sites_of(self.matrix.shape[0])
 
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
     def coeffs(self) -> np.ndarray:
-        return coeffs_from_dense(self.matrix, self.d)
+        return coeffs_from_dense(self.matrix)
 
 
 @dataclass
@@ -55,14 +54,12 @@ class MatrixProductOperator:
     """Operator in matrix-product form with real basis-coefficient tensors."""
 
     tensors: list[np.ndarray] = field(default_factory=list)
-    d: int = 2
 
     def __post_init__(self):
         self.tensors = [np.ascontiguousarray(t, dtype=float) for t in self.tensors]
-        d2 = self.d * self.d
         for i, t in enumerate(self.tensors):
-            if t.ndim != 3 or t.shape[0] != d2:
-                raise ValueError(f"tensor {i} must have shape ({d2}, Dl, Dr)")
+            if t.ndim != 3 or t.shape[0] != 4:
+                raise ValueError(f"tensor {i} must have shape (4, Dl, Dr)")
             if i and t.shape[1] != self.tensors[i - 1].shape[2]:
                 raise ValueError(f"bond mismatch between sites {i} and {i + 1}")
         if self.tensors:
@@ -88,7 +85,7 @@ class MatrixProductOperator:
         return float(v[0, 0])
 
     def full_coeffs(self) -> np.ndarray:
-        """All (d^2)^N coefficients, packed big-endian. Dense-cap sized."""
+        """All 4^N coefficients, packed big-endian. Dense-cap sized."""
         if self.n_sites > DENSE_SITE_CAP:
             raise ValueError("full coefficient vector capped at 12 sites")
         G = self.tensors[0][:, 0, :]
@@ -100,10 +97,10 @@ class MatrixProductOperator:
     @property
     def trace(self) -> float:
         c0 = self.coefficient([0] * self.n_sites)
-        return float(self.d ** (self.n_sites / 2.0) * c0)
+        return float(2.0 ** (self.n_sites / 2.0) * c0)
 
     def to_dense(self) -> DenseOperator:
-        return DenseOperator(dense_from_coeffs(self.full_coeffs(), self.d), self.d)
+        return DenseOperator(dense_from_coeffs(self.full_coeffs()))
 
     def rescaled_trace(self, target: float = 1.0) -> "MatrixProductOperator":
         """Copy with the trace rescaled to `target` (trace must be nonzero)."""
@@ -112,18 +109,18 @@ class MatrixProductOperator:
             raise ValueError("cannot rescale an operator with zero trace")
         tensors = [t.copy() for t in self.tensors]
         tensors[0] = tensors[0] * (target / tr)
-        return MatrixProductOperator(tensors, self.d)
+        return MatrixProductOperator(tensors)
 
 
 def identity_environments(mpo: MatrixProductOperator):
     """Boundary vectors of the network with all sites outside a window traced.
 
     Returns (left, right): left[k] contracts sites 1..k-1 against the
-    identity string (each site contributing sqrt(d) times its alpha = 0
+    identity string (each site contributing sqrt(2) times its alpha = 0
     slice), right[k] does the same for sites k+1..N; 1-based k.
     """
-    n, d = mpo.n_sites, mpo.d
-    rt = np.sqrt(float(d))
+    n = mpo.n_sites
+    rt = np.sqrt(2.0)
     left = [None] * (n + 2)
     left[1] = np.ones(1)
     for k in range(1, n + 1):
@@ -139,7 +136,7 @@ def _windows(mpo: MatrixProductOperator, width: int, first: int, last: int):
     """Yield window_coeffs(mpo, k, width) for k = first .. last in turn.
 
     The identity environments are built once per call and each site tensor
-    is reshaped once to a (D_l, d^2 D_r) matrix, so a window costs one
+    is reshaped once to a (D_l, 4 D_r) matrix, so a window costs one
     product per site and a sweep over all windows is linear in the chain
     length. The products are the np.dot calls that np.tensordot makes, on
     the same operands, so every vector is bitwise the tensordot contraction.
@@ -180,17 +177,17 @@ def _transfer(env: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
 
 def mpo_overlap(a: MatrixProductOperator, b: MatrixProductOperator) -> float:
     """Hilbert-Schmidt inner product tr[a b] of two Hermitian networks."""
-    if a.n_sites != b.n_sites or a.d != b.d:
-        raise ValueError("operands must share site count and local dimension")
+    if a.n_sites != b.n_sites:
+        raise ValueError("operands must share site count")
     T = np.ones((1, 1))
     for ta, tb in zip(a.tensors, b.tensors):
         T = _transfer(T, ta, tb)
     return float(T[0, 0])
 
 
-def _exact_split(arr: np.ndarray, n_axes: int, tail: int, d2: int,
+def _exact_split(arr: np.ndarray, n_axes: int, tail: int,
                  rtol: float = 1e-12):
-    """Factor arr of shape (d2^n_axes * tail,) into n_axes site tensors.
+    """Factor arr of shape (4^n_axes * tail,) into n_axes site tensors.
 
     Sequential SVD keeping every singular value above rtol * s_max, so the
     product reproduces arr to numerical accuracy; the final tensor carries a
@@ -199,51 +196,49 @@ def _exact_split(arr: np.ndarray, n_axes: int, tail: int, d2: int,
     tensors = []
     carry = arr.reshape(1, -1)
     for i in range(n_axes):
-        rows = carry.shape[0] * d2
+        rows = carry.shape[0] * 4
         rest = carry.size // rows
         mat = carry.reshape(rows, rest)
         if i == n_axes - 1 and tail == rest:
-            t = mat.reshape(carry.shape[0], d2, rest)
+            t = mat.reshape(carry.shape[0], 4, rest)
             tensors.append(np.ascontiguousarray(t.transpose(1, 0, 2)))
             return tensors
         U, s, Vt = np.linalg.svd(mat, full_matrices=False)
         keep = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 1
         keep = max(keep, 1)
-        t = U[:, :keep].reshape(carry.shape[0], d2, keep)
+        t = U[:, :keep].reshape(carry.shape[0], 4, keep)
         tensors.append(np.ascontiguousarray(t.transpose(1, 0, 2)))
         carry = s[:keep, None] * Vt[:keep]
     return tensors
 
 
-def mpo_from_coeffs(c: np.ndarray, d: int = 2,
+def mpo_from_coeffs(c: np.ndarray,
                     rtol: float = 1e-12) -> MatrixProductOperator:
     """Exact matrix-product form of a full coefficient vector."""
     c = np.asarray(c, dtype=float)
-    n = n_sites_of(c.shape[0], d * d)
-    tensors = _exact_split(c, n, 1, d * d, rtol)
-    return MatrixProductOperator(tensors, d)
+    n = n_sites_of(c.shape[0], 4)
+    return MatrixProductOperator(_exact_split(c, n, 1, rtol))
 
 
 def mpo_from_dense(op: DenseOperator, rtol: float = 1e-12) -> MatrixProductOperator:
     """Exact (numerically lossless) matrix-product form of a dense operator."""
-    return mpo_from_coeffs(op.coeffs(), op.d, rtol)
+    return mpo_from_coeffs(op.coeffs(), rtol)
 
 
-def random_mpo(n_sites: int, bond: int, seed=None, d: int = 2) -> MatrixProductOperator:
+def random_mpo(n_sites: int, bond: int, seed=None) -> MatrixProductOperator:
     """Random real-tensor network with the given uniform bulk bond dimension.
 
     Used for generic-position checks; the global operator is Hermitian by
     construction but not positive. Resamples until the trace is nonzero.
     """
     rng = np.random.default_rng(seed)
-    d2 = d * d
     for _ in range(64):
         tensors = []
         for i in range(n_sites):
             dl = 1 if i == 0 else bond
             dr = 1 if i == n_sites - 1 else bond
-            tensors.append(rng.standard_normal((d2, dl, dr)))
-        mpo = MatrixProductOperator(tensors, d)
+            tensors.append(rng.standard_normal((4, dl, dr)))
+        mpo = MatrixProductOperator(tensors)
         if abs(mpo.trace) > 1e-6:
             return mpo
     raise RuntimeError("failed to draw a network with nonzero trace")
@@ -254,12 +249,17 @@ def random_mpo(n_sites: int, bond: int, seed=None, d: int = 2) -> MatrixProductO
 FORMAT_VERSION = 1
 
 
-def _check_version(payload: dict) -> None:
-    """Reject a file whose `version` field is not FORMAT_VERSION."""
+def _check_header(payload: dict) -> None:
+    """Reject a file whose `version` is not FORMAT_VERSION or whose `d`
+    is not 2: every reader of the package's files calls this first."""
     version = payload.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported file version {version!r}; "
                          f"expected {FORMAT_VERSION}")
+    if payload.get("d") != 2:
+        raise ValueError(f"unsupported local dimension d = "
+                         f"{payload.get('d')!r}; every site is a qubit "
+                         "(d = 2)")
 
 
 def _mpo_to_payload(mpo: MatrixProductOperator) -> dict:
@@ -267,7 +267,7 @@ def _mpo_to_payload(mpo: MatrixProductOperator) -> dict:
         "version": FORMAT_VERSION,
         "kind": "mpo",
         "n_sites": mpo.n_sites,
-        "d": mpo.d,
+        "d": 2,
         "bond_dims": mpo.bond_dims,
         "tensors": [t.tolist() for t in mpo.tensors],
     }
@@ -279,7 +279,7 @@ def _dense_to_payload(op: DenseOperator) -> dict:
         "version": FORMAT_VERSION,
         "kind": "dense",
         "n_sites": op.n_sites,
-        "d": op.d,
+        "d": 2,
         "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in m],
     }
 
@@ -298,15 +298,34 @@ def save_operator(op, path: str) -> None:
 
 
 def load_operator(path: str):
-    """Read an operator JSON file; returns the matching container type."""
+    """Read an operator JSON file; returns the matching container type.
+
+    Besides the header check, rejects an MPO without tensors, non-finite
+    entries and an `n_sites` (or, for an MPO, a `bond_dims`) field that
+    disagrees with the data.
+    """
     with open(path) as fh:
         payload = json.load(fh)
-    _check_version(payload)
+    _check_header(payload)
     kind = payload.get("kind")
     if kind == "mpo":
         tensors = [np.asarray(t, dtype=float) for t in payload["tensors"]]
-        return MatrixProductOperator(tensors, int(payload["d"]))
-    if kind == "dense":
+        if not tensors:
+            raise ValueError("an MPO needs at least one tensor")
+        if not all(np.isfinite(t).all() for t in tensors):
+            raise ValueError("operator entries must be finite")
+        op = MatrixProductOperator(tensors)
+        if payload.get("bond_dims") != op.bond_dims:
+            raise ValueError(f"bond_dims {payload.get('bond_dims')!r} "
+                             f"disagree with the tensors, {op.bond_dims}")
+    elif kind == "dense":
         raw = np.asarray(payload["matrix"], dtype=float)
-        return DenseOperator(raw[..., 0] + 1.0j * raw[..., 1], int(payload["d"]))
-    raise ValueError(f"unknown operator kind {kind!r}")
+        if not np.isfinite(raw).all():
+            raise ValueError("operator entries must be finite")
+        op = DenseOperator(raw[..., 0] + 1.0j * raw[..., 1])
+    else:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    if payload.get("n_sites") != op.n_sites:
+        raise ValueError(f"n_sites {payload.get('n_sites')!r} disagrees "
+                         f"with the data, {op.n_sites}")
+    return op

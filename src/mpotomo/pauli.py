@@ -1,12 +1,13 @@
 """Normalized Pauli operator basis and coefficient transforms.
 
-Conventions used throughout the package:
+Every site is a qubit: the package has no other local dimension, and the
+file readers reject any other. Conventions used throughout the package:
 
 * single-site basis: P(0), P(1), P(2), P(3) = (identity, sigma_x, sigma_y,
   sigma_z) / sqrt(2), orthonormal under tr[P(a) P(b)] = delta_ab;
 * multi-site strings are Kronecker products with site 1 leftmost;
 * a string (a_1, ..., a_m) is packed into a flat index
-  sum_i a_i * (d^2)^(m - i), i.e. big-endian with site 1 most significant;
+  sum_i a_i * 4^(m - i), i.e. big-endian with site 1 most significant;
 * Hermitian operators have real coefficient vectors in this basis.
 """
 
@@ -22,100 +23,91 @@ _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA = (_SIGMA_0, _SIGMA_X, _SIGMA_Y, _SIGMA_Z)
 
 
-def pauli_matrix(alpha: int, d: int = 2) -> np.ndarray:
-    """Normalized single-site basis element P(alpha), d x d."""
-    if d != 2:
-        raise ValueError("only d = 2 generators are provided")
-    if not 0 <= alpha < d * d:
-        raise ValueError(f"alpha = {alpha} out of range for d = {d}")
-    return SIGMA[alpha] / np.sqrt(d)
+def pauli_matrix(alpha: int) -> np.ndarray:
+    """Normalized single-site basis element P(alpha), 2 x 2."""
+    if not 0 <= alpha < 4:
+        raise ValueError(f"alpha = {alpha} out of range 0..3")
+    return SIGMA[alpha] / np.sqrt(2.0)
 
 
-def pauli_string_dense(alphas, d: int = 2) -> np.ndarray:
+def pauli_string_dense(alphas) -> np.ndarray:
     """Dense Kronecker product P(a_1) x ... x P(a_m), site 1 leftmost."""
     alphas = list(alphas)
     if len(alphas) > 12:
         raise ValueError("dense strings capped at 12 sites")
-    out = pauli_matrix(alphas[0], d)
+    out = pauli_matrix(alphas[0])
     for a in alphas[1:]:
-        out = np.kron(out, pauli_matrix(a, d))
+        out = np.kron(out, pauli_matrix(a))
     return out
 
 
-def pack_index(alphas, d: int = 2) -> int:
+def pack_index(alphas) -> int:
     """Flat index of a multi-site string, site 1 most significant."""
     idx = 0
     for a in alphas:
-        idx = idx * (d * d) + int(a)
+        idx = idx * 4 + int(a)
     return idx
 
 
-def unpack_index(idx: int, m: int, d: int = 2) -> tuple[int, ...]:
+def unpack_index(idx: int, m: int) -> tuple[int, ...]:
     """Inverse of pack_index for an m-site string."""
     out = []
     for _ in range(m):
-        out.append(idx % (d * d))
-        idx //= d * d
+        out.append(idx % 4)
+        idx //= 4
     if idx:
         raise ValueError("index out of range for m sites")
     return tuple(reversed(out))
 
 
-def _site_transform(d: int = 2) -> np.ndarray:
-    # W[a, r*d + c] = P(a)[c, r], so that (W @ vec(M))[a] = tr[M P(a)].
-    # Rows are orthonormal, hence the inverse transform is W^dagger.
-    d2 = d * d
-    W = np.empty((d2, d2), dtype=complex)
-    for a in range(d2):
-        W[a] = pauli_matrix(a, d).T.reshape(-1)
-    return W
+# SITE_TRANSFORM[a, 2r + c] = P(a)[c, r], so (SITE_TRANSFORM @ vec(M))[a] is
+# tr[M P(a)]. Rows are orthonormal: the inverse is the conjugate transpose.
+SITE_TRANSFORM = np.array([pauli_matrix(a).T.reshape(-1) for a in range(4)])
 
 
-_W2 = _site_transform(2)
+def n_sites_of(dim: int, base: int = 2) -> int:
+    """Number of sites of a base^m dimensional space, validated.
 
-
-def n_sites_of(dim: int, d: int = 2) -> int:
-    """Number of sites of a d^m dimensional space, validated."""
-    m = int(round(np.log(dim) / np.log(d)))
-    if d**m != dim:
-        raise ValueError(f"dimension {dim} is not a power of {d}")
+    base is 2 for the rows of a matrix and 4 for a coefficient vector.
+    """
+    m = int(round(np.log(dim) / np.log(base)))
+    if base**m != dim:
+        raise ValueError(f"dimension {dim} is not a power of {base}")
     return m
 
 
-def coeffs_from_dense(M: np.ndarray, d: int = 2) -> np.ndarray:
+def coeffs_from_dense(M: np.ndarray) -> np.ndarray:
     """Coefficient vector c[pack(a_vec)] = tr[M P(a_1) x ... x P(a_m)].
 
     M must be Hermitian to machine accuracy; the result is returned real.
     """
-    m = n_sites_of(M.shape[0], d)
-    W = _W2 if d == 2 else _site_transform(d)
-    # group row/column axes per site: (r1, c1, r2, c2, ...) -> (d^2,)*m
-    T = M.reshape((d,) * (2 * m))
+    m = n_sites_of(M.shape[0])
+    # group row/column axes per site: (r1, c1, r2, c2, ...) -> (4,)*m
+    T = M.reshape((2,) * (2 * m))
     perm = [ax for i in range(m) for ax in (i, m + i)]
-    T = T.transpose(perm).reshape(d * d, -1)
+    T = T.transpose(perm).reshape(4, -1)
     # Each pass transforms the leading site and rotates it to the back, so
     # m passes transform every site and restore the order. A pass is the
     # matrix product a per-axis tensordot makes, so results are bitwise
     # those of a tensordot + moveaxis loop.
     for _ in range(m):
-        T = (W @ T).T.reshape(d * d, -1)
+        T = (SITE_TRANSFORM @ T).T.reshape(4, -1)
     c = T.reshape(-1)
     if np.max(np.abs(c.imag)) > 1e-10 * max(1.0, np.max(np.abs(c.real))):
         raise ValueError("operator is not Hermitian: complex coefficients")
     return np.ascontiguousarray(c.real)
 
 
-def dense_from_coeffs(c: np.ndarray, d: int = 2) -> np.ndarray:
+def dense_from_coeffs(c: np.ndarray) -> np.ndarray:
     """Dense matrix sum_a c[a] P-string(a); inverse of coeffs_from_dense."""
-    m = n_sites_of(c.shape[0], d * d)
-    W = _W2 if d == 2 else _site_transform(d)
-    V = W.conj().T
-    T = np.asarray(c, dtype=complex).reshape(d * d, -1)
+    m = n_sites_of(c.shape[0], 4)
+    V = SITE_TRANSFORM.conj().T
+    T = np.asarray(c, dtype=complex).reshape(4, -1)
     for _ in range(m):  # as in coeffs_from_dense
-        T = (V @ T).T.reshape(d * d, -1)
-    T = T.reshape((d, d) * m)
+        T = (V @ T).T.reshape(4, -1)
+    T = T.reshape((2, 2) * m)
     perm = [2 * i for i in range(m)] + [2 * i + 1 for i in range(m)]
-    return T.transpose(perm).reshape(d**m, d**m)
+    return T.transpose(perm).reshape(2**m, 2**m)
 
 
 def hermitian_basis(D: int) -> np.ndarray:
@@ -139,20 +131,20 @@ def hermitian_basis(D: int) -> np.ndarray:
     return basis
 
 
-def partial_trace(M: np.ndarray, keep, d: int = 2) -> np.ndarray:
+def partial_trace(M: np.ndarray, keep) -> np.ndarray:
     """Partial trace of a dense m-site operator onto the sites in `keep`.
 
     `keep` holds 1-based site labels; their relative order is preserved.
     """
-    m = n_sites_of(M.shape[0], d)
+    m = n_sites_of(M.shape[0])
     keep = list(keep)
     if any(not 1 <= k <= m for k in keep):
         raise ValueError("keep sites out of range")
-    T = M.reshape((d,) * (2 * m))
+    T = M.reshape((2,) * (2 * m))
     row_idx = list(range(m))
     col_idx = [m + i if (i + 1) in keep else i for i in range(m)]
     out_idx = [i for i in range(m) if (i + 1) in keep]
     out_idx += [m + i for i in range(m) if (i + 1) in keep]
     nk = len(keep)
     out = np.einsum(T, row_idx + col_idx, out_idx)
-    return out.reshape(d**nk, d**nk)
+    return out.reshape(2**nk, 2**nk)

@@ -6,7 +6,7 @@ a small linear system whose matrices are read directly off the window
 expectation vectors. With the per-site solves precomputed, the recursion
 IS a matrix-product operator, which this module assembles explicitly:
 
-* site k in the bulk carries the d^2 matrices pinv(B_k) C_k[alpha],
+* site k in the bulk carries the 4 matrices pinv(B_k) C_k[alpha],
   where B_k and C_k tabulate window expectations with one left group of
   l sites against right groups of r and r + 1 sites;
 * the left boundary is the exact sequential factorization of the closing
@@ -45,7 +45,7 @@ class RegularizerSpec:
     mode "truncated_pinv": 1 / s for s above tau * s_max, 0 below.
     mode "tikhonov": s / (s^2 + sigma2). sigma2 = None (the default)
     means matched to the data's scalar noise: reconstruct_mpo sets it to
-    noise_tikhonov_sigma2(sigma, l, r, d) for the split it resolves, and
+    noise_tikhonov_sigma2(sigma, l, r) for the split it resolves, and
     raises on data without scalar noise metadata; robust_solve, which has
     no data, needs an explicit sigma2.
     mode "fisher": minimizes |B x - e|^2 + x^T P x with the penalty P = L L^T
@@ -106,9 +106,9 @@ class ReconstructionConfig:
 class TransferPair:
     """Window expectation matrices entering the solve at site k.
 
-    B has shape (d^2l, d^2r): left strings on sites k-l..k-1 against right
-    strings on k..k+r-1. C has shape (d^2l, d^2(r+1)) and extends the right
-    group by site k+r. B equals sqrt(d) times the C submatrix with the last
+    B has shape (4^l, 4^r): left strings on sites k-l..k-1 against right
+    strings on k..k+r-1. C has shape (4^l, 4^(r+1)) and extends the right
+    group by site k+r. B equals sqrt(2) times the C submatrix with the last
     site's index fixed to the identity.
     """
 
@@ -119,26 +119,24 @@ class TransferPair:
 
 def build_transfer_pair(data: PauliBlockData, k: int, l: int,
                         r: int) -> TransferPair:
-    n, d = data.n_sites, data.d
     if l + r + 1 != data.width:
         raise ValueError("l + r + 1 must equal the data width")
-    if not l + 1 <= k <= n - r:
+    if not l + 1 <= k <= data.n_sites - r:
         raise ValueError(f"site {k} outside the recursion range")
-    d2 = d * d
     v = data.block(k - l)
-    C = v.reshape(d2**l, d2 ** (r + 1))
-    B = np.sqrt(float(d)) * v.reshape(d2**l, d2**r, d2)[:, :, 0]
+    C = v.reshape(4**l, 4 ** (r + 1))
+    B = np.sqrt(2.0) * v.reshape(4**l, 4**r, 4)[:, :, 0]
     return TransferPair(k, np.ascontiguousarray(B), C)
 
 
-def noise_tikhonov_sigma2(sigma: float, l: int, r: int, d: int = 2) -> float:
+def noise_tikhonov_sigma2(sigma: float, l: int, r: int) -> float:
     """Tikhonov parameter matching iid noise of unnormalized strength sigma.
 
-    The entries of B then have variance sigma^2 / d^(l+r); summing the
-    variance over the d^2l rows gives sigma^2 * d^(l - r), which reduces to
+    The entries of B then have variance sigma^2 / 2^(l+r); summing the
+    variance over the 4^l rows gives sigma^2 * 2^(l - r), which reduces to
     sigma^2 for balanced splits.
     """
-    return sigma**2 * float(d) ** (l - r)
+    return sigma**2 * 2.0 ** (l - r)
 
 
 class _SiteSolver:
@@ -213,12 +211,10 @@ def _fisher_penalties(data: PauliBlockData, l: int, r: int):
     F = L L^T and Y = L^-1 E (E selects the coefficients that B holds),
     their covariance is Y^T Y, so only those columns of F^-1 are solved.
     """
-    d = data.d
-    d2 = d * d
-    dim_l, dim_r = d2**l, d2**r
-    dim = d2**data.width
+    dim_l, dim_r = 4**l, 4**r
+    dim = 4**data.width
     flat = ((np.arange(dim_l)[:, None] * dim_r
-             + np.arange(dim_r)[None, :]) * d2).reshape(-1)
+             + np.arange(dim_r)[None, :]) * 4).reshape(-1)
     # flat[0] is the identity coefficient, which has no variance.
     select = np.zeros((dim - 1, flat.size))
     select[flat[1:] - 1, np.arange(1, flat.size)] = 1.0
@@ -233,7 +229,7 @@ def _fisher_penalties(data: PauliBlockData, l: int, r: int):
             # Regroup Y's columns (i, j) so that Z^T Z sums over rows i.
             Z = Y.reshape(dim - 1, dim_l, dim_r).transpose(1, 0, 2)
             Z = Z.reshape(-1, dim_r)
-            P = float(d) * (Z.T @ Z)
+            P = 2.0 * (Z.T @ Z)
         except np.linalg.LinAlgError:
             # Singular information: fall back to a scalar penalty built
             # from the pseudoinverse variances of the entries of B.
@@ -243,7 +239,7 @@ def _fisher_penalties(data: PauliBlockData, l: int, r: int):
             inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
             var = np.zeros(dim)
             var[1:] = np.einsum("ij,j,ij->i", Q, inv_w, Q)
-            var_b = float(d) * var[flat].reshape(dim_l, dim_r)
+            var_b = 2.0 * var[flat].reshape(dim_l, dim_r)
             P = float(np.mean(var_b.sum(axis=0))) * np.eye(dim_r)
         penalties[k] = (P + P.T) / 2.0
     return penalties, flags
@@ -257,7 +253,7 @@ def _prepared_sites(data: PauliBlockData, cfg: ReconstructionConfig):
             raise ValueError("tikhonov without sigma2 needs scalar noise "
                              "metadata on the data")
         reg = replace(reg, sigma2=noise_tikhonov_sigma2(data.noise.sigma,
-                                                        l, r, data.d))
+                                                        l, r))
     penalties, pflags = {}, {}
     if reg.mode == "fisher":
         if data.noise is None or data.noise.kind != "fisher":
@@ -300,11 +296,11 @@ def reconstruct_mpo(data: PauliBlockData,
                     with_report: bool = False):
     """Assemble the matrix-product estimate of the state from window data.
 
-    Bulk site k holds the d^2 matrices of its regularized solve, the left
+    Bulk site k holds the 4 matrices of its regularized solve, the left
     boundary factorizes the closing window matrix without truncation, and
     the right boundary re-expands the packed recursion index, so every
     coefficient of the network equals the backward recursion's value.
-    Bulk bond dimension is d^2r. When the data is a single window, the
+    Bulk bond dimension is 4^r. When the data is a single window, the
     network is that window's exact factorization (report mode "direct").
 
     The report lists, per bulk site, the singular values the filter acted
@@ -312,22 +308,21 @@ def reconstruct_mpo(data: PauliBlockData,
     "singular_penalty" and "fisher_singular_scalar".
     """
     cfg = cfg or ReconstructionConfig()
-    n, d = data.n_sites, data.d
-    d2 = d * d
+    n = data.n_sites
     site_rows = []
     if n == data.width:
         l, r = cfg.resolved(data.width, n)
         mode = "direct"
-        mpo = mpo_from_coeffs(data.blocks[0], d)
+        mpo = mpo_from_coeffs(data.blocks[0])
     else:
         mode = cfg.regularizer.mode
         l, r, pairs, solvers = _prepared_sites(data, cfg)
-        dim_r = d2**r
-        tensors = _exact_split(pairs[l + 1].B.reshape(-1), l, dim_r, d2)
+        dim_r = 4**r
+        tensors = _exact_split(pairs[l + 1].B.reshape(-1), l, dim_r)
         for k in range(l + 1, n - r + 1):
             # Column a * dim_r + j of C is right string j extended by
-            # alpha = a, so one solve gives all d^2 matrices of the site.
-            t = solvers[k].solve(pairs[k].C).reshape(dim_r, d2, dim_r)
+            # alpha = a, so one solve gives all 4 matrices of the site.
+            t = solvers[k].solve(pairs[k].C).reshape(dim_r, 4, dim_r)
             tensors.append(t.transpose(1, 0, 2))
             site_rows.append({
                 "k": k,
@@ -335,12 +330,12 @@ def reconstruct_mpo(data: PauliBlockData,
                 "flags": list(solvers[k].flags),
             })
         for i in range(1, r + 1):
-            dr = d2 ** (r - i)
-            t = np.zeros((d2, d2 * dr, dr))
-            for a in range(d2):
+            dr = 4 ** (r - i)
+            t = np.zeros((4, 4 * dr, dr))
+            for a in range(4):
                 t[a, a * dr:(a + 1) * dr, :] = np.eye(dr)
             tensors.append(t)
-        mpo = MatrixProductOperator(tensors, d)
+        mpo = MatrixProductOperator(tensors)
     if cfg.normalize:
         mpo = mpo.rescaled_trace(1.0)
     if with_report:
@@ -383,17 +378,16 @@ def check_invertibility_dense(state, l: int, r: int) -> InvertibilityReport:
     """
     if not isinstance(state, DenseOperator):
         raise TypeError("dense invertibility check needs a DenseOperator")
-    n, d = state.n_sites, state.d
+    n = state.n_sites
     if l < 1 or r < 1 or l + r > n - 1:
         raise ValueError("need 1 <= l, r with l + r < n_sites")
-    d2 = d * d
     c = state.coeffs()
     rows = []
     for k in range(l, n - r):
-        cut = c.reshape(d2**k, -1)
+        cut = c.reshape(4**k, -1)
         rank_cut = numerical_rank(cut)
-        rho_w = partial_trace(state.matrix, range(k - l + 1, k + r + 1), d)
-        window = coeffs_from_dense(rho_w, d).reshape(d2**l, d2**r)
+        rho_w = partial_trace(state.matrix, range(k - l + 1, k + r + 1))
+        window = coeffs_from_dense(rho_w).reshape(4**l, 4**r)
         rank_window = numerical_rank(window)
         rows.append({"k": k, "rank_window": rank_window,
                      "rank_cut": rank_cut, "ok": rank_window == rank_cut})

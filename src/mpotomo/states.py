@@ -2,9 +2,9 @@
 
 Thermal states are produced by exact diagonalization and are therefore
 limited to the dense site cap. The random matrix-product family draws a
-Gaussian bond-d pure state, weakly couples every site to its own ancilla
-with a random Hermitian generator, and traces the ancillas out, which
-yields a positive operator with bond dimension exactly d^2.
+Gaussian bond-2 pure state, weakly couples every site to its own qubit
+ancilla with a random Hermitian generator, and traces the ancillas out,
+which yields a positive operator with bond dimension exactly 4.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .operators import (DENSE_SITE_CAP, DenseOperator, MatrixProductOperator,
                         _transfer)
-from .pauli import SIGMA, hermitian_basis, pauli_matrix
+from .pauli import SIGMA, SITE_TRANSFORM, hermitian_basis, pauli_matrix
 
 # ---- Hamiltonians and thermal states ----
 
@@ -77,19 +77,19 @@ def thermal_dense(spec: HamiltonianSpec, beta: float) -> DenseOperator:
     w = np.exp(-beta * (evals - evals.min()))
     w /= w.sum()
     rho = (evecs * w) @ evecs.conj().T
-    return DenseOperator((rho + rho.conj().T) / 2.0, d=2)
+    return DenseOperator((rho + rho.conj().T) / 2.0)
 
 
 # ---- Matrix-product machinery for pure states and local channels ----
 
 
-def random_mps(n_sites: int, bond: int, rng, d: int = 2) -> list[np.ndarray]:
-    """Unit-norm pure state with iid complex Gaussian tensors (d, Dl, Dr)."""
+def random_mps(n_sites: int, bond: int, rng) -> list[np.ndarray]:
+    """Unit-norm pure state with iid complex Gaussian tensors (2, Dl, Dr)."""
     tensors = []
     for i in range(n_sites):
         dl = 1 if i == 0 else bond
         dr = 1 if i == n_sites - 1 else bond
-        shape = (d, dl, dr)
+        shape = (2, dl, dr)
         tensors.append(rng.standard_normal(shape)
                        + 1.0j * rng.standard_normal(shape))
     T = np.ones((1, 1), dtype=complex)
@@ -100,20 +100,14 @@ def random_mps(n_sites: int, bond: int, rng, d: int = 2) -> list[np.ndarray]:
     return [A * scale for A in tensors]
 
 
-def mps_to_mpo(mps: list[np.ndarray], channels=None,
-               d: int = 2) -> MatrixProductOperator:
+def mps_to_mpo(mps: list[np.ndarray], channels=None) -> MatrixProductOperator:
     """Density operator of an MPS after an optional local channel per site.
 
-    channels[i], if given, is the d^2 x d^2 superoperator S with
+    channels[i], if given, is the 4 x 4 superoperator S with
     S[(s', t'), (s, t)] the matrix element Lambda(|s><t|)[s', t']. Bond
     pair indices are rotated into a Hermitian operator basis, which makes
     every tensor real at bond dimension D^2.
     """
-    n = len(mps)
-    d2 = d * d
-    W = np.empty((d2, d2), dtype=complex)
-    for a in range(d2):
-        W[a] = pauli_matrix(a, d).T.reshape(-1)  # W[a,(s',t')] = P(a)[t',s']
     bonds = [A.shape[1] for A in mps] + [mps[-1].shape[2]]
     Q = [hermitian_basis(D).reshape(D * D, D * D).T for D in bonds]
     tensors = []
@@ -121,51 +115,48 @@ def mps_to_mpo(mps: list[np.ndarray], channels=None,
         dl, dr = A.shape[1], A.shape[2]
         # pair[(s, t), (a, c), (b, e)] = A[s, a, b] conj(A[t, c, e])
         pair = np.multiply.outer(A, A.conj()).transpose(0, 3, 1, 4, 2, 5)
-        pair = pair.reshape(d2, dl * dl * dr * dr)
-        S = np.eye(d2, dtype=complex) if channels is None else channels[i]
-        T = ((W @ S) @ pair).reshape(d2, dl * dl, dr * dr)
+        pair = pair.reshape(4, dl * dl * dr * dr)
+        S = np.eye(4, dtype=complex) if channels is None else channels[i]
+        T = ((SITE_TRANSFORM @ S) @ pair).reshape(4, dl * dl, dr * dr)
         T = Q[i].conj().T @ T @ Q[i + 1]
         if np.max(np.abs(T.imag)) > 1e-10 * max(1.0, np.max(np.abs(T.real))):
             raise ValueError("bond gauge failed to produce real tensors")
         tensors.append(T.real)
-    return MatrixProductOperator(tensors, d)
+    return MatrixProductOperator(tensors)
 
 
-def ancilla_channel(rng, t_hnorm: float, d: int = 2,
-                    d_anc: int | None = None) -> np.ndarray:
-    """Superoperator of a weak random site-ancilla coupling.
+def ancilla_channel(rng, t_hnorm: float) -> np.ndarray:
+    """Superoperator of a weak random coupling of a qubit to a qubit ancilla.
 
     Draws H = (G + G^dagger)/2 with complex Gaussian G on the site-ancilla
     pair, evolves for a time t with t * opnorm(H) = t_hnorm, ancilla
     starting in |0>, then traces the ancilla.
     """
-    d_anc = d if d_anc is None else d_anc
-    m = d * d_anc
-    g = rng.standard_normal((m, m)) + 1.0j * rng.standard_normal((m, m))
+    g = rng.standard_normal((4, 4)) + 1.0j * rng.standard_normal((4, 4))
     h = (g + g.conj().T) / 2.0
     evals, evecs = np.linalg.eigh(h)
     opnorm = np.max(np.abs(evals))
     t = 0.0 if opnorm == 0 else t_hnorm / opnorm
     u = (evecs * np.exp(-1.0j * t * evals)) @ evecs.conj().T
-    kraus = u.reshape(d, d_anc, d, d_anc)[:, :, :, 0].transpose(1, 0, 2)
+    kraus = u.reshape(2, 2, 2, 2)[:, :, :, 0].transpose(1, 0, 2)
     return np.tensordot(kraus, kraus.conj(), axes=(0, 0)).transpose(
-        0, 2, 1, 3).reshape(d * d, d * d)
+        0, 2, 1, 3).reshape(4, 4)
 
 
-def random_mpo_via_ancilla(n_sites: int, seed=None, t_hnorm: float = 0.01,
-                           d: int = 2) -> MatrixProductOperator:
-    """Random positive operator with bond dimension d^2 and unit trace."""
+def random_mpo_via_ancilla(n_sites: int, seed=None,
+                           t_hnorm: float = 0.01) -> MatrixProductOperator:
+    """Random positive operator with bond dimension 4 and unit trace."""
     rng = np.random.default_rng(seed)
-    mps = random_mps(n_sites, d, rng, d)
-    channels = [ancilla_channel(rng, t_hnorm, d) for _ in range(n_sites)]
-    return mps_to_mpo(mps, channels, d)
+    mps = random_mps(n_sites, 2, rng)
+    channels = [ancilla_channel(rng, t_hnorm) for _ in range(n_sites)]
+    return mps_to_mpo(mps, channels)
 
 
 # ---- Named states and the family dispatch ----
 
 
 def _dense_from_vector(vec: np.ndarray) -> DenseOperator:
-    return DenseOperator(np.outer(vec, vec.conj()), d=2)
+    return DenseOperator(np.outer(vec, vec.conj()))
 
 
 def w_state(n_sites: int, phases=None):
@@ -246,7 +237,7 @@ def product_state(n_sites: int, kets=None):
         for a in range(4):
             t[a, 0, 0] = (v.conj() @ pauli_matrix(a) @ v).real
         tensors.append(t)
-    mpo = MatrixProductOperator(tensors, d=2)
+    mpo = MatrixProductOperator(tensors)
     dense = None
     if n_sites <= DENSE_SITE_CAP:
         vec = np.array([1.0], dtype=complex)

@@ -56,10 +56,7 @@ class SweepConfig:
 
 def sweep_config_from_json(path: str) -> SweepConfig:
     with open(path) as fh:
-        raw = json.load(fh)
-    if "width_list" not in raw and "r_list" in raw:
-        raw["width_list"] = raw.pop("r_list")
-    return SweepConfig(**raw)
+        return SweepConfig(**json.load(fh))
 
 
 def run_trial(cfg: SweepConfig, n: int, width: int, sigma: float,

@@ -145,7 +145,7 @@ def window_coeffs_tensordot(mpo, k, width):
     window kernel must reproduce it bit for bit.
     """
     t = mpo.tensors
-    rt = np.sqrt(float(mpo.d))
+    rt = np.sqrt(2.0)
     left = np.ones(1)
     for i in range(k - 1):
         left = rt * (left @ t[i][0])

@@ -42,11 +42,14 @@ def test_family_names_are_the_library_families():
     assert set(_FAMILY_ALIASES.values()) == set(FAMILIES)
 
 
-@pytest.mark.parametrize("family", ["ghz", "random-mpo"])
+@pytest.mark.parametrize("family, seed", [
+    ("ghz", ()),
+    ("random-mpo", ("--seed", "1")),
+], ids=["ghz", "random-mpo"])
 def test_gen_state_fails_when_dense_is_asked_beyond_the_cap(tmp_path, capsys,
-                                                             family):
+                                                             family, seed):
     code, stdout, stderr = _run(capsys, "gen-state", "--family", family,
-                                "--n", "13", "--seed", "1",
+                                "--n", "13", *seed,
                                 "--dense-max-sites", "14",
                                 "--out", str(tmp_path / "big"))
     assert code == 1 and stdout == ""
@@ -60,6 +63,8 @@ def test_gen_state_fails_when_dense_is_asked_beyond_the_cap(tmp_path, capsys,
     ("random-mpo", ("--phases", "1,2,3")),
     ("w", ("--t-hnorm", "0.1")),
     ("critical-ising", ("--t-hnorm", "0.1")),
+    ("ghz", ("--seed", "1")),
+    ("critical-ising", ("--seed", "1")),
 ], ids=lambda x: x if isinstance(x, str) else x[0])
 def test_gen_state_rejects_options_the_family_does_not_read(tmp_path, capsys,
                                                             family, option):
@@ -210,6 +215,25 @@ def test_reconstruct_prints_the_mode_it_used(tmp_path, capsys):
     assert code == 0
     assert json.loads(stdout)["solver_mode"] == "direct"
     assert json.loads(rep.read_text())["mode"] == "direct"
+
+
+def test_reconstruct_rejects_windows_of_another_local_dimension(tmp_path,
+                                                                capsys):
+    # shaped as d = 3 windows would be (9^3 coefficients), so that only the
+    # header check can reject the file
+    blocks = np.random.default_rng(0).normal(size=(3, 9**3))
+    blocks[:, 0] = 1.0
+    data = tmp_path / "d3.json"
+    data.write_text(json.dumps({"version": 1, "N": 5, "R": 3, "d": 3,
+                                "blocks": blocks.tolist(), "noise": None}))
+    est = tmp_path / "est.json"
+    code, stdout, stderr = _run(capsys, "reconstruct", "--data", str(data),
+                                "--out", str(est))
+    assert code == 1 and stdout == ""
+    record = json.loads(stderr)
+    assert record["error"] == "ValueError"
+    assert "local dimension d = 3" in record["message"]
+    assert not est.exists()
 
 
 def test_compare_command(tmp_path, capsys):

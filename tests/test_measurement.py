@@ -366,7 +366,7 @@ def test_load_block_data_rejects_non_finite_blocks(tmp_path):
 
 
 def _with_fisher(data, fisher):
-    return PauliBlockData(data.n_sites, data.width, data.blocks, data.d,
+    return PauliBlockData(data.n_sites, data.width, data.blocks,
                           NoiseMeta("fisher", fisher=fisher))
 
 
@@ -409,23 +409,85 @@ def _save_counts_file(path):
     save_counts(simulate_counts(product_state(4)[1], 3, 16, seed=37), 4, path)
 
 
-@pytest.mark.parametrize("version", [None, 0, 2, 99])
-@pytest.mark.parametrize("save, load", [
+_LOADERS = pytest.mark.parametrize("save, load", [
     (_save_operator_file, load_operator),
     (_save_block_file, load_block_data),
     (_save_counts_file, load_counts),
 ], ids=["operator", "block_data", "counts"])
+
+
+def _set_field(path, key, value):
+    """Rewrite one top-level field of a saved file; None deletes it."""
+    payload = json.loads(path.read_text())
+    if value is None:
+        del payload[key]
+    else:
+        payload[key] = value
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("version", [None, 0, 2, 99])
+@_LOADERS
 def test_loaders_reject_other_versions(tmp_path, save, load, version):
     path = tmp_path / "f.json"
     save(path)
-    payload = json.loads(path.read_text())
-    if version is None:
-        del payload["version"]
-    else:
-        payload["version"] = version
-    path.write_text(json.dumps(payload))
+    _set_field(path, "version", version)
     with pytest.raises(ValueError, match="unsupported file version"):
         load(path)
+
+
+@pytest.mark.parametrize("d", [None, 3])
+@_LOADERS
+def test_loaders_reject_other_local_dimensions(tmp_path, save, load, d):
+    path = tmp_path / "f.json"
+    save(path)
+    _set_field(path, "d", d)
+    with pytest.raises(ValueError, match=f"unsupported local dimension "
+                                         f"d = {d}; every site is a qubit"):
+        load(path)
+
+
+def _poison_tensor(payload):
+    payload["tensors"][1][2][0][1] = float("nan")
+
+
+def _poison_matrix(payload):
+    payload["matrix"][3][1][0] = float("inf")
+
+
+@pytest.mark.parametrize("kind, mutate, match", [
+    ("mpo", _poison_tensor, "operator entries must be finite"),
+    ("dense", _poison_matrix, "operator entries must be finite"),
+    ("mpo", lambda p: p.update(n_sites=9), "n_sites 9 disagrees"),
+    ("dense", lambda p: p.update(n_sites=3), "n_sites 3 disagrees"),
+    ("mpo", lambda p: p.update(bond_dims=[1, 2, 2, 2, 1]),
+     "bond_dims \\[1, 2, 2, 2, 1\\] disagree"),
+    ("mpo", lambda p: p.update(n_sites=0, bond_dims=[1], tensors=[]),
+     "at least one tensor"),
+], ids=["mpo_nan", "dense_inf", "mpo_n_sites", "dense_n_sites",
+        "mpo_bond_dims", "mpo_empty"])
+def test_load_operator_rejects_malformed_entries(tmp_path, kind, mutate,
+                                                 match):
+    dense, mpo = w_state(4)
+    path = tmp_path / "op.json"
+    save_operator(mpo if kind == "mpo" else dense, path)
+    payload = json.loads(path.read_text())
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=match):
+        load_operator(path)
+
+
+@pytest.mark.parametrize("noise, match", [
+    ({"kind": "gaussian", "sigma": 1e-3}, "unknown noise kind 'gaussian'"),
+    ({"kind": "scalar"}, "scalar noise requires sigma"),
+], ids=["unknown_kind", "scalar_without_sigma"])
+def test_load_block_data_rejects_bad_noise(tmp_path, noise, match):
+    path = tmp_path / "d.json"
+    _save_block_file(path)
+    _set_field(path, "noise", noise)
+    with pytest.raises(ValueError, match=match):
+        load_block_data(path)
 
 
 def _rename_setting(payload, new):
@@ -452,11 +514,9 @@ def _negate_first_count(payload):
     (lambda p: _rename_outcome(p, "+0-"), "outcome '\\+0-' is not 3"),
     (lambda p: p["blocks"][0].update(k=0), "k = 0 outside 1..2"),
     (lambda p: p["blocks"][1].update(k=3), "k = 3 outside 1..2"),
-    (lambda p: p.update(d=3), "qubit outcomes \\(d = 2\\), got d = 3"),
-    (lambda p: p.pop("d"), "got d = None"),
     (_negate_first_count, "negative count"),
 ], ids=["short_setting", "bad_axis", "short_outcome", "bad_outcome",
-        "k_zero", "k_past_end", "d_three", "d_missing", "negative_count"])
+        "k_zero", "k_past_end", "negative_count"])
 def test_load_counts_rejects_malformed_entries(tmp_path, mutate, match):
     path = tmp_path / "c.json"
     _save_counts_file(path)

@@ -113,7 +113,7 @@ def test_tikhonov_without_sigma2_needs_scalar_noise(rng):
 
 
 def test_noise_matched_tikhonov_parameter():
-    # variance of sqrt(d) * (window entry) summed over d^2l rows
+    # variance of sqrt(2) * (window entry) summed over 4^l rows
     assert noise_tikhonov_sigma2(1e-2, 2, 2) == pytest.approx(1e-4)
     assert noise_tikhonov_sigma2(1e-2, 3, 2) == pytest.approx(2e-4)
     assert noise_tikhonov_sigma2(1e-2, 1, 2) == pytest.approx(5e-5)
@@ -212,7 +212,7 @@ def test_bulk_tensors_equal_per_alpha_solves(reg):
     if reg.mode == "fisher":
         # isotropic information, as in the closed-form penalty test
         fishers = [np.eye(1023) / 1e-6] * data.n_blocks
-        data = PauliBlockData(data.n_sites, data.width, data.blocks, data.d,
+        data = PauliBlockData(data.n_sites, data.width, data.blocks,
                               NoiseMeta("fisher", fisher=fishers))
     cfg = ReconstructionConfig(l=2, r=2, regularizer=reg)
     est = reconstruct_mpo(data, cfg)
@@ -362,7 +362,7 @@ def test_fisher_penalty_closed_form_for_isotropic_information():
     base = exact_block_data(st, 3)
     s = 0.01
     fishers = [np.eye(63) / s for _ in range(base.n_blocks)]
-    data = PauliBlockData(base.n_sites, base.width, base.blocks, base.d,
+    data = PauliBlockData(base.n_sites, base.width, base.blocks,
                           NoiseMeta("fisher", fisher=fishers))
     penalties, flags = _fisher_penalties(data, 1, 1)
     expected = 2.0 * s * 4.0 * np.eye(4)
@@ -378,7 +378,7 @@ def test_fisher_singular_information_falls_back_to_scalar():
     sing = np.zeros((63, 63))
     sing[:10, :10] = np.eye(10)
     fishers = [sing for _ in range(base.n_blocks)]
-    data = PauliBlockData(base.n_sites, base.width, base.blocks, base.d,
+    data = PauliBlockData(base.n_sites, base.width, base.blocks,
                           NoiseMeta("fisher", fisher=fishers))
     penalties, flags = _fisher_penalties(data, 1, 1)
     for k, P in penalties.items():
@@ -392,7 +392,7 @@ def test_zero_fisher_information_flags_singular_penalty():
     st = random_mpo_via_ancilla(5, seed=27)
     base = exact_block_data(st, 3)
     fishers = [np.zeros((63, 63))] * base.n_blocks
-    data = PauliBlockData(base.n_sites, base.width, base.blocks, base.d,
+    data = PauliBlockData(base.n_sites, base.width, base.blocks,
                           NoiseMeta("fisher", fisher=fishers))
     rec, report = reconstruct_mpo(data, ReconstructionConfig(
         regularizer=RegularizerSpec("fisher")), with_report=True)
@@ -409,7 +409,7 @@ def test_fisher_report_spectrum_is_that_of_the_whitened_matrix(rng):
     for _ in range(base.n_blocks):
         A = rng.normal(size=(63, 63))
         fishers.append(A @ A.T + np.eye(63))
-    data = PauliBlockData(base.n_sites, base.width, base.blocks, base.d,
+    data = PauliBlockData(base.n_sites, base.width, base.blocks,
                           NoiseMeta("fisher", fisher=fishers))
     _, report = reconstruct_mpo(data, ReconstructionConfig(
         regularizer=RegularizerSpec("fisher")), with_report=True)

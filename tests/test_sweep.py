@@ -27,14 +27,18 @@ def test_config_validation():
 
 
 def test_config_from_json_with_width_alias(tmp_path):
+    # width_list is the only name for the window widths: r_list is rejected
+    raw = {"family": "ghz", "n_list": [4], "width_list": [3],
+           "sigma_list": [0.0], "trials": 1}
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({
-        "family": "ghz", "n_list": [4], "r_list": [3],
-        "sigma_list": [0.0], "trials": 1,
-    }))
+    path.write_text(json.dumps(raw))
     cfg = sweep_config_from_json(path)
     assert cfg.width_list == [3]
     assert cfg.family == "ghz"
+    raw["r_list"] = raw.pop("width_list")
+    path.write_text(json.dumps(raw))
+    with pytest.raises(TypeError, match="r_list"):
+        sweep_config_from_json(path)
 
 
 def test_rerun_is_byte_identical(tmp_path):
