@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from .files import write_json
 from .measurement import (add_gaussian_noise, block_data_from_counts,
                           exact_block_data, load_block_data, load_counts,
                           save_block_data, save_counts, simulate_counts)
@@ -114,7 +115,7 @@ def _cmd_reconstruct(args) -> int:
     save_operator(mpo, args.out)
     written = [args.out]
     if args.report:
-        report.save(args.report)
+        write_json(args.report, report.to_dict(), indent=1)
         written.append(args.report)
     _emit({"written": written, "solver_mode": report.mode,
            "bond_dims": mpo.bond_dims, "trace": mpo.trace})
@@ -127,7 +128,7 @@ def _cmd_compare(args) -> int:
     report = compare_states(ref, est, w_fidelity=args.w_fidelity,
                             seed=args.seed)
     if args.out:
-        report.save(args.out)
+        write_json(args.out, report.to_dict(), indent=1)
     _emit(report.to_dict())
     return 0
 
@@ -143,9 +144,7 @@ def _cmd_check_invertibility(args) -> int:
         payload = report.to_dict()
         payload["check"] = "tensor_spans"
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        write_json(args.out, payload, indent=1)
     _emit(payload)
     return 0
 

@@ -1,0 +1,50 @@
+"""The one module that opens a JSON file.
+
+Operator, window-data and counts files carry a header, `version` and `d`;
+reports and sweep configs do not. A malformed file is a named ValueError.
+"""
+
+from __future__ import annotations
+
+import json
+
+FORMAT_VERSION = 1
+
+
+def write_json(path, payload, indent: int | None = None) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=indent)
+        fh.write("\n")
+
+
+def require(record: dict, fields, where) -> None:
+    """Reject a record that lacks one of `fields`; `where` names it."""
+    missing = [name for name in fields if name not in record]
+    if missing:
+        raise ValueError(f"{where}: missing field {missing[0]!r}")
+
+
+def read_json(path, required=(), header: bool = True, allowed=None) -> dict:
+    """The JSON object in `path`, checked in this order: the top level is
+    an object; with `header`, the version is FORMAT_VERSION and d is 2;
+    if `allowed` is given, no field is outside `required` and `allowed`;
+    every field of `required` is present."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: top level must be a JSON object, not "
+                         f"{type(payload).__name__}")
+    if header and payload.get("version") != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported file version "
+                         f"{payload.get('version')!r}; expected "
+                         f"{FORMAT_VERSION}")
+    if header and payload.get("d") != 2:
+        raise ValueError(f"{path}: unsupported local dimension d = "
+                         f"{payload.get('d')!r}; every site is a qubit "
+                         "(d = 2)")
+    known = payload if allowed is None else (*required, *allowed)
+    unknown = sorted(set(payload) - set(known))
+    if unknown:
+        raise ValueError(f"{path}: unknown field {unknown[0]!r}")
+    require(payload, required, path)
+    return payload

@@ -11,14 +11,13 @@ counts pushed through a local maximum-likelihood estimator.
 from __future__ import annotations
 
 import itertools
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (FORMAT_VERSION, DenseOperator, MatrixProductOperator,
-                        _check_header, _windows)
+from .files import FORMAT_VERSION, read_json, require, write_json
+from .operators import DenseOperator, MatrixProductOperator, _windows
 from .pauli import coeffs_from_dense, dense_from_coeffs, partial_trace
 
 # ---- Block data container ----
@@ -234,6 +233,8 @@ def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBloc
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
+    if not 1 <= width <= state.n_sites:
+        raise ValueError("need 1 <= width <= n_sites")
     settings = all_settings(width)
     rhos = list(_window_densities(state, width))
     probs = np.empty((len(rhos), len(settings), 1 << width))
@@ -405,7 +406,7 @@ def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
         raise ValueError("no blocks given")
     width = blocks[0].width
     by_k = {b.k: b for b in blocks}
-    if sorted(by_k) != list(range(1, n_sites - width + 2)):
+    if sorted(b.k for b in blocks) != list(range(1, n_sites - width + 2)):
         raise ValueError("blocks must cover every window exactly once")
     vecs, fishers = [], []
     for k in range(1, n_sites - width + 2):
@@ -461,35 +462,38 @@ def save_counts(blocks: list[CountsBlock], n_sites: int, path: str) -> None:
                 for s, c in sorted(b.counts.items())]}
             for b in blocks],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_counts(path: str):
     """Returns (blocks, n_sites).
 
     Rejects a bad header (a version other than 1, a d other than 2), a
-    window start k outside 1..N-R+1, settings that are not R
-    letters from "xyz", outcomes that are not R characters from "+-",
-    negative counts, and per-setting counts that do not sum to the declared
-    shots.
+    missing field, a window start k outside 1..N-R+1 or listed twice,
+    settings that are not R letters from "xyz" or are listed twice in a
+    window, outcomes that are not R characters from "+-", negative counts,
+    and per-setting counts that do not sum to the declared shots.
     """
-    with open(path) as fh:
-        payload = json.load(fh)
-    _check_header(payload)
+    payload = read_json(path, ("N", "R", "blocks"))
     n_sites, width = int(payload["N"]), int(payload["R"])
-    blocks = []
-    for rec in payload["blocks"]:
+    blocks = {}
+    for i, rec in enumerate(payload["blocks"]):
+        require(rec, ("k", "settings"), f"{path}: blocks[{i}]")
         k = int(rec["k"])
         if not 1 <= k <= n_sites - width + 1:
             raise ValueError(f"block k = {k} outside 1..{n_sites - width + 1}")
+        if k in blocks:
+            raise ValueError(f"block k = {k} is listed twice")
         counts = {}
-        for srec in rec["settings"]:
+        for j, srec in enumerate(rec["settings"]):
+            require(srec, ("s", "counts"), f"{path}: block {k} settings[{j}]")
             setting = srec["s"]
             if len(setting) != width or set(setting) - set("xyz"):
                 raise ValueError(f"block {k}: setting {setting!r} is not "
                                  f"{width} letters from 'xyz'")
+            if setting in counts:
+                raise ValueError(f"block {k}: setting {setting!r} is listed "
+                                 "twice")
             hist = np.zeros(1 << width, dtype=np.int64)
             for o, v in srec["counts"].items():
                 if len(o) != width or set(o) - set("+-"):
@@ -505,8 +509,8 @@ def load_counts(path: str):
                     f"block {k} setting {setting}: counts sum to "
                     f"{int(hist.sum())}, declared {srec['shots']}")
             counts[setting] = hist
-        blocks.append(CountsBlock(k, width, counts))
-    return blocks, n_sites
+        blocks[k] = CountsBlock(k, width, counts)
+    return list(blocks.values()), n_sites
 
 
 def save_block_data(data: PauliBlockData, path: str) -> None:
@@ -521,20 +525,17 @@ def save_block_data(data: PauliBlockData, path: str) -> None:
         "version": FORMAT_VERSION, "N": data.n_sites, "R": data.width,
         "d": 2, "blocks": data.blocks.tolist(), "noise": noise,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_block_data(path: str) -> PauliBlockData:
     """Read a window data file; rejects a bad header and whatever
     PauliBlockData and NoiseMeta reject, including an unknown noise kind."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    _check_header(payload)
+    payload = read_json(path, ("N", "R", "blocks"))
     noise = None
     raw = payload.get("noise")
     if raw:
+        require(raw, ("kind",), f"{path}: noise")
         sigma, fisher = raw.get("sigma"), raw.get("fisher")
         noise = NoiseMeta(raw["kind"],
                           sigma=None if sigma is None else float(sigma),

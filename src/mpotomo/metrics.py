@@ -9,13 +9,15 @@ phases is provided, with a closed-form coordinate ascent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import (DENSE_SITE_CAP, DenseOperator, MatrixProductOperator,
                         mpo_overlap)
+
+# Random phase draws fidelity_w_optimized restarts from.
+_N_STARTS = 8
 
 
 def _gram_terms(a, b):
@@ -60,13 +62,12 @@ def _single_excitation_block(state) -> np.ndarray:
     return state.matrix[np.ix_(idx, idx)]
 
 
-def fidelity_w_optimized(state, seed: int = 0, n_starts: int = 8,
-                         full_output: bool = False):
+def fidelity_w_optimized(state, seed: int = 0, full_output: bool = False):
     """Best overlap with a single-excitation state over branch phases.
 
     Maximizes <W(phi)| state |W(phi)> by coordinate ascent on the unit
     phasors, each coordinate update being the closed-form argmax; restarts
-    from flat phases, the leading eigenvector, and n_starts random draws.
+    from flat phases, the leading eigenvector, and _N_STARTS random draws.
     Returns (fidelity, phases) with len(phases) = n_sites - 1, phases
     relative to the branch with the excitation on the last site.
     """
@@ -78,7 +79,7 @@ def fidelity_w_optimized(state, seed: int = 0, n_starts: int = 8,
     lead = evecs[:, -1]
     lead = np.where(np.abs(lead) > 1e-12, lead / np.abs(lead).clip(1e-12), 1.0)
     starts.append(lead.astype(complex))
-    for _ in range(n_starts):
+    for _ in range(_N_STARTS):
         starts.append(np.exp(2.0j * np.pi * rng.random(n)))
 
     def ascend(z):
@@ -116,11 +117,6 @@ class ComparisonReport:
 
     def to_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items()}
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
 
 
 def compare_states(ref, est, w_fidelity: bool = False,

@@ -12,14 +12,16 @@ plain complex matrices with site 1 most significant in the index ordering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .files import FORMAT_VERSION, read_json, require, write_json
 from .pauli import coeffs_from_dense, dense_from_coeffs, n_sites_of
 
 DENSE_SITE_CAP = 12
+# Relative cutoff on singular values in the exact conversions.
+_SVD_RTOL = 1e-12
 
 
 @dataclass
@@ -185,13 +187,12 @@ def mpo_overlap(a: MatrixProductOperator, b: MatrixProductOperator) -> float:
     return float(T[0, 0])
 
 
-def _exact_split(arr: np.ndarray, n_axes: int, tail: int,
-                 rtol: float = 1e-12):
+def _exact_split(arr: np.ndarray, n_axes: int, tail: int):
     """Factor arr of shape (4^n_axes * tail,) into n_axes site tensors.
 
-    Sequential SVD keeping every singular value above rtol * s_max, so the
-    product reproduces arr to numerical accuracy; the final tensor carries a
-    right bond of size `tail`.
+    Sequential SVD keeping every singular value above _SVD_RTOL * s_max,
+    so the product reproduces arr to numerical accuracy; the final tensor
+    carries a right bond of size `tail`.
     """
     tensors = []
     carry = arr.reshape(1, -1)
@@ -204,7 +205,7 @@ def _exact_split(arr: np.ndarray, n_axes: int, tail: int,
             tensors.append(np.ascontiguousarray(t.transpose(1, 0, 2)))
             return tensors
         U, s, Vt = np.linalg.svd(mat, full_matrices=False)
-        keep = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 1
+        keep = int(np.sum(s > _SVD_RTOL * s[0])) if s.size and s[0] > 0 else 1
         keep = max(keep, 1)
         t = U[:, :keep].reshape(carry.shape[0], 4, keep)
         tensors.append(np.ascontiguousarray(t.transpose(1, 0, 2)))
@@ -212,17 +213,16 @@ def _exact_split(arr: np.ndarray, n_axes: int, tail: int,
     return tensors
 
 
-def mpo_from_coeffs(c: np.ndarray,
-                    rtol: float = 1e-12) -> MatrixProductOperator:
+def mpo_from_coeffs(c: np.ndarray) -> MatrixProductOperator:
     """Exact matrix-product form of a full coefficient vector."""
     c = np.asarray(c, dtype=float)
     n = n_sites_of(c.shape[0], 4)
-    return MatrixProductOperator(_exact_split(c, n, 1, rtol))
+    return MatrixProductOperator(_exact_split(c, n, 1))
 
 
-def mpo_from_dense(op: DenseOperator, rtol: float = 1e-12) -> MatrixProductOperator:
+def mpo_from_dense(op: DenseOperator) -> MatrixProductOperator:
     """Exact (numerically lossless) matrix-product form of a dense operator."""
-    return mpo_from_coeffs(op.coeffs(), rtol)
+    return mpo_from_coeffs(op.coeffs())
 
 
 def random_mpo(n_sites: int, bond: int, seed=None) -> MatrixProductOperator:
@@ -246,55 +246,19 @@ def random_mpo(n_sites: int, bond: int, seed=None) -> MatrixProductOperator:
 
 # ---- Serialization ----
 
-FORMAT_VERSION = 1
-
-
-def _check_header(payload: dict) -> None:
-    """Reject a file whose `version` is not FORMAT_VERSION or whose `d`
-    is not 2: every reader of the package's files calls this first."""
-    version = payload.get("version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported file version {version!r}; "
-                         f"expected {FORMAT_VERSION}")
-    if payload.get("d") != 2:
-        raise ValueError(f"unsupported local dimension d = "
-                         f"{payload.get('d')!r}; every site is a qubit "
-                         "(d = 2)")
-
-
-def _mpo_to_payload(mpo: MatrixProductOperator) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "mpo",
-        "n_sites": mpo.n_sites,
-        "d": 2,
-        "bond_dims": mpo.bond_dims,
-        "tensors": [t.tolist() for t in mpo.tensors],
-    }
-
-
-def _dense_to_payload(op: DenseOperator) -> dict:
-    m = op.matrix
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "dense",
-        "n_sites": op.n_sites,
-        "d": 2,
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in m],
-    }
-
 
 def save_operator(op, path: str) -> None:
     """Write a DenseOperator or MatrixProductOperator to a JSON file."""
     if isinstance(op, MatrixProductOperator):
-        payload = _mpo_to_payload(op)
+        kind, data = "mpo", {"bond_dims": op.bond_dims,
+                             "tensors": [t.tolist() for t in op.tensors]}
     elif isinstance(op, DenseOperator):
-        payload = _dense_to_payload(op)
+        kind, data = "dense", {"matrix": [[[float(z.real), float(z.imag)]
+                                           for z in row] for row in op.matrix]}
     else:
         raise TypeError(f"cannot serialize {type(op).__name__}")
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(path, {"version": FORMAT_VERSION, "kind": kind,
+                      "n_sites": op.n_sites, "d": 2, **data})
 
 
 def load_operator(path: str):
@@ -304,28 +268,28 @@ def load_operator(path: str):
     entries and an `n_sites` (or, for an MPO, a `bond_dims`) field that
     disagrees with the data.
     """
-    with open(path) as fh:
-        payload = json.load(fh)
-    _check_header(payload)
-    kind = payload.get("kind")
+    payload = read_json(path, ("kind", "n_sites"))
+    kind = payload["kind"]
     if kind == "mpo":
+        require(payload, ("bond_dims", "tensors"), path)
         tensors = [np.asarray(t, dtype=float) for t in payload["tensors"]]
         if not tensors:
             raise ValueError("an MPO needs at least one tensor")
         if not all(np.isfinite(t).all() for t in tensors):
             raise ValueError("operator entries must be finite")
         op = MatrixProductOperator(tensors)
-        if payload.get("bond_dims") != op.bond_dims:
-            raise ValueError(f"bond_dims {payload.get('bond_dims')!r} "
+        if payload["bond_dims"] != op.bond_dims:
+            raise ValueError(f"bond_dims {payload['bond_dims']!r} "
                              f"disagree with the tensors, {op.bond_dims}")
     elif kind == "dense":
+        require(payload, ("matrix",), path)
         raw = np.asarray(payload["matrix"], dtype=float)
         if not np.isfinite(raw).all():
             raise ValueError("operator entries must be finite")
         op = DenseOperator(raw[..., 0] + 1.0j * raw[..., 1])
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
-    if payload.get("n_sites") != op.n_sites:
-        raise ValueError(f"n_sites {payload.get('n_sites')!r} disagrees "
+    if payload["n_sites"] != op.n_sites:
+        raise ValueError(f"n_sites {payload['n_sites']!r} disagrees "
                          f"with the data, {op.n_sites}")
     return op

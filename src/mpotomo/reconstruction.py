@@ -21,7 +21,6 @@ per-window Fisher information, brought to standard form on B L^-T
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -284,11 +283,6 @@ class ReconstructionReport:
             "r": self.r, "mode": self.mode, "normalized": self.normalized,
             "sites": self.sites,
         }
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
 
 
 def reconstruct_mpo(data: PauliBlockData,

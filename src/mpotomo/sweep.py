@@ -10,13 +10,13 @@ of the reproducible CSVs; request a separate timing file if needed.
 from __future__ import annotations
 
 import csv
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from itertools import product
 
 import numpy as np
 
+from .files import read_json
 from .measurement import add_gaussian_noise, exact_block_data
 from .metrics import hs_distance, purity
 from .reconstruction import (ReconstructionConfig, RegularizerSpec,
@@ -55,8 +55,11 @@ class SweepConfig:
 
 
 def sweep_config_from_json(path: str) -> SweepConfig:
-    with open(path) as fh:
-        return SweepConfig(**json.load(fh))
+    """Rejects a missing or unknown key by name; then as SweepConfig."""
+    keys = {f.name: f.default is MISSING for f in fields(SweepConfig)}
+    return SweepConfig(**read_json(
+        path, [k for k, needed in keys.items() if needed], header=False,
+        allowed=[k for k, needed in keys.items() if not needed]))
 
 
 def run_trial(cfg: SweepConfig, n: int, width: int, sigma: float,

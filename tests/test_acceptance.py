@@ -5,7 +5,6 @@ Each test prints a single [criterion N] PASS/FAIL line on the real stdout
 assertions carry the same conditions.
 """
 
-import os
 import time
 
 import numpy as np
@@ -14,8 +13,7 @@ import pytest
 import oracles
 from mpotomo.measurement import (CountsBlock, add_gaussian_noise,
                                  block_data_from_counts, exact_block_data,
-                                 fisher_information, load_counts,
-                                 simulate_counts)
+                                 fisher_information, simulate_counts)
 from mpotomo.metrics import fidelity_w_optimized, hs_distance
 from mpotomo.operators import DenseOperator
 from mpotomo.pauli import unpack_index
@@ -205,18 +203,6 @@ def _counts_trial(wm, width, seed):
 
 
 def test_criterion_7_counts_pipeline_prefers_wide_windows(verdict):
-    dataset = os.environ.get("MPOTOMO_COUNTS_DATASET")
-    if dataset:
-        # external data in the documented counts format: run end to end
-        # and report the metrics without numeric assertions
-        blocks, n_sites = load_counts(dataset)
-        data = block_data_from_counts(blocks, n_sites)
-        rec = reconstruct_mpo(data, ReconstructionConfig(
-            regularizer=RegularizerSpec("fisher")))
-        f, phases = fidelity_w_optimized(rec, seed=0)
-        verdict(7, "external counts dataset", True,
-                 f"N={n_sites}, R={data.width}, f={f:.3f}")
-        return
     wins = 0
     details = []
     for trial in range(20):

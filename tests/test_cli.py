@@ -308,3 +308,78 @@ def test_solver_override_requires_consistent_inputs(tmp_path, capsys):
                            str(tmp_path / "x.json"))
     assert code == 1
     assert json.loads(stderr)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("width", ["0", "5"])
+def test_measure_counts_rejects_widths_outside_the_chain(tmp_path, capsys,
+                                                         width):
+    out = tmp_path / "w"
+    _run(capsys, "gen-state", "--family", "w", "--n", "4", "--out", str(out))
+    counts = tmp_path / "counts.json"
+    code, stdout, stderr = _run(capsys, "measure", "--state",
+                                f"{out}.mpo.json", "--r", width, "--shots",
+                                "10", "--out", str(counts))
+    assert code == 1 and stdout == ""
+    record = json.loads(stderr)
+    assert record["error"] == "ValueError"
+    assert record["message"] == "need 1 <= width <= n_sites"
+    assert not counts.exists()
+
+
+def _artifacts(tmp_path, capsys):
+    """An MPO file, a window data file and a counts file, as the CLI
+    writes them."""
+    out = tmp_path / "w"
+    _run(capsys, "gen-state", "--family", "w", "--n", "4", "--out", str(out))
+    paths = {"operator": tmp_path / "w.mpo.json",
+             "block_data": tmp_path / "data.json",
+             "counts": tmp_path / "counts.json"}
+    _run(capsys, "measure", "--state", str(paths["operator"]), "--r", "3",
+         "--out", str(paths["block_data"]))
+    _run(capsys, "measure", "--state", str(paths["operator"]), "--r", "3",
+         "--shots", "10", "--seed", "1", "--out", str(paths["counts"]))
+    return paths
+
+
+# one command per artifact reader; it reads the file named first
+_READERS = {
+    "operator": lambda p, o: ("compare", "--ref", p, "--est", p, "--out", o),
+    "block_data": lambda p, o: ("reconstruct", "--data", p, "--out", o),
+    "counts": lambda p, o: ("ingest-counts", "--counts", p, "--out", o),
+}
+
+
+def _expect_value_error(tmp_path, capsys, reader, path, message):
+    out = tmp_path / "out.json"
+    code, stdout, stderr = _run(capsys, *_READERS[reader](str(path),
+                                                          str(out)))
+    assert code == 1 and stdout == ""
+    record = json.loads(stderr)
+    assert record["error"] == "ValueError"
+    assert record["message"] == f"{path}: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reader, key", [
+    ("operator", "kind"), ("operator", "n_sites"), ("operator", "bond_dims"),
+    ("operator", "tensors"), ("block_data", "N"), ("block_data", "R"),
+    ("block_data", "blocks"), ("counts", "N"), ("counts", "R"),
+    ("counts", "blocks"),
+])
+def test_a_file_missing_a_field_is_a_named_error(tmp_path, capsys, reader,
+                                                 key):
+    path = _artifacts(tmp_path, capsys)[reader]
+    payload = json.loads(path.read_text())
+    del payload[key]
+    path.write_text(json.dumps(payload))
+    _expect_value_error(tmp_path, capsys, reader, path,
+                        f"missing field {key!r}")
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_a_file_that_is_not_an_object_is_a_named_error(tmp_path, capsys,
+                                                       reader):
+    path = _artifacts(tmp_path, capsys)[reader]
+    path.write_text(json.dumps([json.loads(path.read_text())]))
+    _expect_value_error(tmp_path, capsys, reader, path,
+                        "top level must be a JSON object, not list")

@@ -291,6 +291,15 @@ def test_block_data_from_counts_requires_full_coverage():
     blocks = simulate_counts(wm, 2, 50, seed=7)
     with pytest.raises(ValueError):
         block_data_from_counts(blocks[:-1], 4)
+    with pytest.raises(ValueError, match="every window exactly once"):
+        block_data_from_counts(blocks + blocks[:1], 4)
+
+
+@pytest.mark.parametrize("width", [0, 5])
+def test_simulate_counts_rejects_widths_outside_the_chain(width):
+    _, wm = w_state(4)
+    with pytest.raises(ValueError, match="need 1 <= width <= n_sites"):
+        simulate_counts(wm, width, 10, seed=1)
 
 
 def test_blocks_from_global_counts_pools_settings():
@@ -447,6 +456,39 @@ def test_loaders_reject_other_local_dimensions(tmp_path, save, load, d):
         load(path)
 
 
+@pytest.mark.parametrize("save, load, key", [
+    (_save_operator_file, load_operator, "kind"),
+    (_save_operator_file, load_operator, "n_sites"),
+    (_save_operator_file, load_operator, "bond_dims"),
+    (_save_operator_file, load_operator, "tensors"),
+    (lambda path: save_operator(w_state(3)[0], path), load_operator,
+     "matrix"),
+    (_save_block_file, load_block_data, "N"),
+    (_save_block_file, load_block_data, "R"),
+    (_save_block_file, load_block_data, "blocks"),
+    (_save_counts_file, load_counts, "N"),
+    (_save_counts_file, load_counts, "R"),
+    (_save_counts_file, load_counts, "blocks"),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_loaders_name_a_missing_field(tmp_path, save, load, key):
+    path = tmp_path / "f.json"
+    save(path)
+    _set_field(path, key, None)
+    with pytest.raises(ValueError, match=f"f.json: missing field '{key}'"):
+        load(path)
+
+
+@pytest.mark.parametrize("top", [[], [1, 2], "text", 3, None])
+@_LOADERS
+def test_loaders_reject_a_top_level_that_is_not_an_object(tmp_path, save,
+                                                          load, top):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(top))
+    with pytest.raises(ValueError, match="f.json: top level must be a "
+                                         "JSON object"):
+        load(path)
+
+
 def _poison_tensor(payload):
     payload["tensors"][1][2][0][1] = float("nan")
 
@@ -481,7 +523,8 @@ def test_load_operator_rejects_malformed_entries(tmp_path, kind, mutate,
 @pytest.mark.parametrize("noise, match", [
     ({"kind": "gaussian", "sigma": 1e-3}, "unknown noise kind 'gaussian'"),
     ({"kind": "scalar"}, "scalar noise requires sigma"),
-], ids=["unknown_kind", "scalar_without_sigma"])
+    ({"sigma": 1e-3}, "noise: missing field 'kind'"),
+], ids=["unknown_kind", "scalar_without_sigma", "no_kind"])
 def test_load_block_data_rejects_bad_noise(tmp_path, noise, match):
     path = tmp_path / "d.json"
     _save_block_file(path)
@@ -515,8 +558,19 @@ def _negate_first_count(payload):
     (lambda p: p["blocks"][0].update(k=0), "k = 0 outside 1..2"),
     (lambda p: p["blocks"][1].update(k=3), "k = 3 outside 1..2"),
     (_negate_first_count, "negative count"),
+    (lambda p: p["blocks"].append(p["blocks"][0]), "k = 1 is listed twice"),
+    (lambda p: p["blocks"][1]["settings"].append(
+        p["blocks"][1]["settings"][4]), "block 2: setting 'xyy' is listed"),
+    (lambda p: p["blocks"][1].pop("k"), "blocks\\[1\\]: missing field 'k'"),
+    (lambda p: p["blocks"][0].pop("settings"),
+     "blocks\\[0\\]: missing field 'settings'"),
+    (lambda p: p["blocks"][0]["settings"][2].pop("s"),
+     "block 1 settings\\[2\\]: missing field 's'"),
+    (lambda p: p["blocks"][0]["settings"][2].pop("counts"),
+     "block 1 settings\\[2\\]: missing field 'counts'"),
 ], ids=["short_setting", "bad_axis", "short_outcome", "bad_outcome",
-        "k_zero", "k_past_end", "negative_count"])
+        "k_zero", "k_past_end", "negative_count", "window_twice",
+        "setting_twice", "no_k", "no_settings", "no_s", "no_counts"])
 def test_load_counts_rejects_malformed_entries(tmp_path, mutate, match):
     path = tmp_path / "c.json"
     _save_counts_file(path)

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from mpotomo.files import write_json
 from mpotomo.metrics import (compare_states, fidelity_w_optimized,
                              hs_distance, purity)
 from mpotomo.operators import (DenseOperator, MatrixProductOperator,
@@ -135,7 +138,6 @@ def test_report_serialization(tmp_path):
     b = random_mpo(3, bond=2, seed=10)
     rep = compare_states(a, b)
     path = tmp_path / "cmp.json"
-    rep.save(path)
-    import json
+    write_json(path, rep.to_dict(), indent=1)
     payload = json.loads(path.read_text())
     assert abs(payload["hs_distance"] - rep.hs_distance) < 1e-15

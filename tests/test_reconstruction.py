@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
                                     numerical_rank, reconstruct_mpo,
                                     robust_solve, _fisher_penalties,
                                     _prepared_sites)
+from mpotomo.files import write_json
 from mpotomo.metrics import hs_distance
 from mpotomo.states import (ghz_state, random_mpo_via_ancilla, thermal_dense,
                             HamiltonianSpec, w_state)
@@ -300,8 +303,7 @@ def test_report_serialization(tmp_path):
     st = random_mpo_via_ancilla(4, seed=17)
     _, report = reconstruct_mpo(exact_block_data(st, 3), with_report=True)
     path = tmp_path / "r.json"
-    report.save(path)
-    import json
+    write_json(path, report.to_dict(), indent=1)
     payload = json.loads(path.read_text())
     assert payload["n_sites"] == 4
     assert len(payload["sites"]) == 2

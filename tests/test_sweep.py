@@ -37,7 +37,26 @@ def test_config_from_json_with_width_alias(tmp_path):
     assert cfg.family == "ghz"
     raw["r_list"] = raw.pop("width_list")
     path.write_text(json.dumps(raw))
-    with pytest.raises(TypeError, match="r_list"):
+    with pytest.raises(ValueError, match="unknown field 'r_list'"):
+        sweep_config_from_json(path)
+
+
+@pytest.mark.parametrize("key", ["family", "n_list", "width_list",
+                                 "sigma_list"])
+def test_config_from_json_names_a_missing_key(tmp_path, key):
+    raw = {"family": "ghz", "n_list": [4], "width_list": [3],
+           "sigma_list": [0.0]}
+    del raw[key]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=f"cfg.json: missing field '{key}'"):
+        sweep_config_from_json(path)
+
+
+def test_config_from_json_rejects_a_list(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([{"family": "ghz"}]))
+    with pytest.raises(ValueError, match="top level must be a JSON object"):
         sweep_config_from_json(path)
 
 
