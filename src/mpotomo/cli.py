@@ -13,9 +13,10 @@ import json
 import sys
 
 from .files import write_json
-from .measurement import (add_gaussian_noise, block_data_from_counts,
-                          exact_block_data, load_block_data, load_counts,
-                          save_block_data, save_counts, simulate_counts)
+from .measurement import (MLE_MAX_ITER, MLE_TOL, add_gaussian_noise,
+                          block_data_from_counts, exact_block_data,
+                          load_block_data, load_counts, save_block_data,
+                          save_counts, simulate_counts)
 from .metrics import compare_states
 from .operators import (DenseOperator, load_operator, mpo_from_dense,
                         save_operator)
@@ -239,11 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_sweep)
 
     n = sub.add_parser("ingest-counts", help="counts to window data via "
-                                             "local likelihood ascent")
+                                             "local likelihood fits")
     n.add_argument("--counts", required=True)
     n.add_argument("--out", required=True)
-    n.add_argument("--tol", type=float, default=1e-10)
-    n.add_argument("--max-iter", type=int, default=10_000)
+    n.add_argument("--tol", type=float, default=MLE_TOL,
+                   help="bound on each fit's KKT residual")
+    n.add_argument("--max-iter", type=int, default=MLE_MAX_ITER)
     n.set_defaults(func=_cmd_ingest_counts)
     return p
 

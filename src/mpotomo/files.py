@@ -17,8 +17,20 @@ def write_json(path, payload, indent: int | None = None) -> None:
         fh.write("\n")
 
 
+_JSON_TYPES = {dict: "object", list: "array"}
+
+
+def require_type(value, kind: type, where) -> None:
+    """Reject a value that is not a JSON object (dict) or array (list)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{where} must be a JSON {_JSON_TYPES[kind]}, not "
+                         f"{type(value).__name__}")
+
+
 def require(record: dict, fields, where) -> None:
-    """Reject a record that lacks one of `fields`; `where` names it."""
+    """Reject a record that is not an object or lacks one of `fields`;
+    `where` names it."""
+    require_type(record, dict, where)
     missing = [name for name in fields if name not in record]
     if missing:
         raise ValueError(f"{where}: missing field {missing[0]!r}")
@@ -31,9 +43,7 @@ def read_json(path, required=(), header: bool = True, allowed=None) -> dict:
     every field of `required` is present."""
     with open(path) as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: top level must be a JSON object, not "
-                         f"{type(payload).__name__}")
+    require_type(payload, dict, f"{path}: top level")
     if header and payload.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported file version "
                          f"{payload.get('version')!r}; expected "

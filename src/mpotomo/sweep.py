@@ -10,6 +10,7 @@ of the reproducible CSVs; request a separate timing file if needed.
 from __future__ import annotations
 
 import csv
+import numbers
 import time
 from dataclasses import MISSING, dataclass, fields
 from itertools import product
@@ -45,6 +46,22 @@ class SweepConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for name, kind in (("n_list", numbers.Integral),
+                           ("width_list", numbers.Integral),
+                           ("sigma_list", numbers.Real)):
+            value = getattr(self, name)
+            if not isinstance(value, list):
+                raise ValueError(f"{name} must be a list, not "
+                                 f"{type(value).__name__}")
+            for entry in value:
+                if isinstance(entry, bool) or not isinstance(entry, kind):
+                    raise ValueError(f"{name} entries must be "
+                                     f"{kind.__name__.lower()}, got "
+                                     f"{entry!r}")
+        if (isinstance(self.trials, bool)
+                or not isinstance(self.trials, numbers.Integral)):
+            raise ValueError(f"trials must be an integer, not "
+                             f"{type(self.trials).__name__}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not all(np.isfinite(s) and s >= 0.0 for s in self.sigma_list):

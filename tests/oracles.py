@@ -231,11 +231,11 @@ def dense_from_coeffs_tensordot(c):
 def local_mle_reference(block, tol=1e-10, max_iter=10_000):
     """R rho R likelihood ascent written as the plain per-iteration loop.
 
-    Returns (rho, converged, n_iter, log_likelihood). Masks, clips and
-    identity matrices are rebuilt on every iteration and the Pauli
-    transforms are the tensordot references above; the package's fit must
-    give the same iterates bit for bit. The measurement design comes from
-    the package, which the Fisher-information oracle checks independently.
+    Returns (rho, converged, n_iter, log_likelihood). A second estimator,
+    with the Pauli transforms of the tensordot references above: the
+    package's fit must reach at least its likelihood. The measurement
+    design comes from the package, which the Fisher-information oracle
+    checks independently.
     """
     from mpotomo.measurement import _counts_matrix, _design_blocks
 

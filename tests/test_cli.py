@@ -383,3 +383,32 @@ def test_a_file_that_is_not_an_object_is_a_named_error(tmp_path, capsys,
     path.write_text(json.dumps([json.loads(path.read_text())]))
     _expect_value_error(tmp_path, capsys, reader, path,
                         "top level must be a JSON object, not list")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_list", 4, "n_list must be a list, not int"),
+    ("trials", "2", "trials must be an integer, not str"),
+])
+def test_sweep_names_a_wrongly_typed_field(tmp_path, capsys, key, value,
+                                           message):
+    raw = {"family": "random_mpo", "n_list": [5], "width_list": [3],
+           "sigma_list": [0.01], "trials": 2}
+    raw[key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "t.csv"
+    code, stdout, stderr = _run(capsys, "sweep", "--config", str(cfg),
+                                "--out", str(out))
+    assert code == 1 and stdout == ""
+    record = json.loads(stderr)
+    assert record == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
+def test_ingest_counts_names_blocks_that_are_not_objects(tmp_path, capsys):
+    path = _artifacts(tmp_path, capsys)["counts"]
+    payload = json.loads(path.read_text())
+    payload["blocks"] = [1, 2]
+    path.write_text(json.dumps(payload))
+    _expect_value_error(tmp_path, capsys, "counts", path,
+                        "blocks[0] must be a JSON object, not int")

@@ -26,6 +26,22 @@ def test_config_validation():
             _cfg(sigma_list=[0.0, sigma])
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("n_list", 4, "n_list must be a list, not int"),
+    ("width_list", "3", "width_list must be a list, not str"),
+    ("sigma_list", 0.0, "sigma_list must be a list, not float"),
+    ("n_list", ["5"], "n_list entries must be integral, got '5'"),
+    ("width_list", [3.0], "width_list entries must be integral, got 3.0"),
+    ("sigma_list", ["0.01"], "sigma_list entries must be real, got '0.01'"),
+    ("trials", "2", "trials must be an integer, not str"),
+    ("trials", 2.0, "trials must be an integer, not float"),
+    ("trials", True, "trials must be an integer, not bool"),
+])
+def test_config_rejects_wrongly_typed_fields(key, value, match):
+    with pytest.raises(ValueError, match=match):
+        _cfg(**{key: value})
+
+
 def test_config_from_json_with_width_alias(tmp_path):
     # width_list is the only name for the window widths: r_list is rejected
     raw = {"family": "ghz", "n_list": [4], "width_list": [3],
