@@ -6,9 +6,10 @@ phases.  We never hand the reconstruction the exact coefficients:
   1. sample projective outcomes in all 3^R local Pauli bases for every
      window (finite shot budget),
   2. run a local maximum-likelihood fit per window to get physical
-     window estimates plus their Fisher information,
+     window estimates, kept with the shots of every setting,
   3. feed the fitted coefficients into the recursion, with the solver
-     weighting each coefficient by its inverse covariance,
+     weighting each coefficient by its inverse covariance, from the
+     Fisher information at each window's estimate,
   4. compare against the known target: global distance, W-overlap
      fidelity, and recovery of the branch phases.
 

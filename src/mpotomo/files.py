@@ -17,13 +17,17 @@ def write_json(path, payload, indent: int | None = None) -> None:
         fh.write("\n")
 
 
-_JSON_TYPES = {dict: "object", list: "array"}
+_JSON_TYPES = {dict: ("object", dict), list: ("array", list),
+               int: ("integer", int), float: ("number", (int, float))}
 
 
 def require_type(value, kind: type, where) -> None:
-    """Reject a value that is not a JSON object (dict) or array (list)."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{where} must be a JSON {_JSON_TYPES[kind]}, not "
+    """Reject a value that is not a JSON object (kind dict), array (list),
+    integer (int) or number (float, which admits an integer). A bool is
+    not an integer or a number, and 4.0 is not an integer."""
+    name, accepted = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{where} must be a JSON {name}, not "
                          f"{type(value).__name__}")
 
 

@@ -19,7 +19,8 @@ import numpy as np
 from .files import (FORMAT_VERSION, read_json, require, require_type,
                     write_json)
 from .operators import DenseOperator, MatrixProductOperator, _windows
-from .pauli import coeffs_from_dense, dense_from_coeffs, partial_trace
+from .pauli import (coeffs_from_dense, dense_from_coeffs, n_sites_of,
+                    partial_trace)
 
 # ---- Block data container ----
 
@@ -30,13 +31,13 @@ class NoiseMeta:
 
     kind "scalar": iid Gaussian noise of standard deviation `sigma` was
     added to the unnormalized basis expectations (so sigma / sqrt(2^width)
-    per normalized entry). kind "fisher": per-block Fisher information
-    matrices over the non-identity normalized coefficients.
+    per normalized entry). kind "fisher": the windows were fitted from
+    counts, window b with shots[b, j] shots of setting j of all_settings.
     """
 
     kind: str
     sigma: float | None = None
-    fisher: list[np.ndarray] | None = None
+    shots: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("scalar", "fisher"):
@@ -47,8 +48,11 @@ class NoiseMeta:
                                           and self.sigma >= 0.0):
             raise ValueError("scalar noise sigma must be finite and "
                              "nonnegative")
-        if self.kind == "fisher" and not self.fisher:
-            raise ValueError("fisher noise requires matrices")
+        if self.kind == "fisher":
+            self.shots = np.asarray(self.shots)
+            if self.shots.dtype.kind not in "iu" or np.any(self.shots < 0):
+                raise ValueError("fisher noise requires shots that are "
+                                 "nonnegative integers")
 
 
 @dataclass
@@ -58,8 +62,7 @@ class PauliBlockData:
     blocks[b] is the coefficient vector of the reduction onto sites
     b+1 .. b+width (1-based), packed big-endian, length 4^width.
     Construction (and so load_block_data) rejects non-finite blocks and
-    Fisher metadata that is not one finite (4^width - 1)-square matrix
-    per window.
+    Fisher shots whose shape is not (n_blocks, 3^width).
     """
 
     n_sites: int
@@ -75,17 +78,9 @@ class PauliBlockData:
         if not np.all(np.isfinite(self.blocks)):
             raise ValueError("blocks must be finite")
         if self.noise is not None and self.noise.kind == "fisher":
-            fisher = self.noise.fisher
-            if len(fisher) != self.n_blocks:
-                raise ValueError(f"need one Fisher matrix per window: got "
-                                 f"{len(fisher)}, expected {self.n_blocks}")
-            dim = expect[1] - 1
-            for b, F in enumerate(fisher):
-                if np.shape(F) != (dim, dim):
-                    raise ValueError(f"Fisher matrix {b} must have shape "
-                                     f"{(dim, dim)}")
-                if not np.all(np.isfinite(F)):
-                    raise ValueError(f"Fisher matrix {b} must be finite")
+            shape = (self.n_blocks, 3**self.width)
+            if self.noise.shots.shape != shape:
+                raise ValueError(f"fisher shots must have shape {shape}")
 
     @property
     def n_blocks(self) -> int:
@@ -446,38 +441,43 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
                      _log_likelihood(nz, n_nz, px), kkt)
 
 
-def fisher_information(block: CountsBlock, rho_est: np.ndarray) -> np.ndarray:
-    """Fisher information over the non-identity window coefficients.
+def _setting_shots(block: CountsBlock) -> np.ndarray:
+    """Shots of every setting, in all_settings order (0 if not measured)."""
+    settings = all_settings(block.width)
+    return _counts_matrix(block, settings).sum(axis=1).astype(np.int64)
 
-    F = sum_s n_s sum_o (grad p)(grad p)^T / p evaluated at the estimate,
-    with probabilities clipped at the floor; shape (4^w - 1, 4^w - 1).
-    """
-    width = block.width
-    settings, cols, signs = _design_blocks(width)
-    theta = coeffs_from_dense(np.asarray(rho_est, dtype=complex))
+
+def _fisher_matrix(theta: np.ndarray, shots: np.ndarray) -> np.ndarray:
+    """Fisher information over the non-identity coefficients of a window
+    with coefficients theta and shots[j] shots of setting j of all_settings:
+    F = sum_s n_s sum_o (grad p)(grad p)^T / p, p clipped at the floor."""
+    width = n_sites_of(theta.size, 4)
+    _, cols, signs = _design_blocks(width)
     full = np.zeros((4**width, 4**width))
-    for j, s in enumerate(settings):
-        n_so = block.counts.get(s)
-        if n_so is None or n_so.sum() == 0:
-            continue
-        n_s = int(n_so.sum())
+    for j in np.flatnonzero(shots):
         p = np.clip(signs @ theta[cols[j]], _P_FLOOR, None)
-        m = signs.T @ (signs / p[:, None]) * n_s
+        m = signs.T @ (signs / p[:, None]) * shots[j]
         full[np.ix_(cols[j], cols[j])] += m
     return full[1:, 1:]
+
+
+def fisher_information(block: CountsBlock, rho_est: np.ndarray) -> np.ndarray:
+    """_fisher_matrix of a window's counts at the estimate rho_est."""
+    theta = coeffs_from_dense(np.asarray(rho_est, dtype=complex))
+    return _fisher_matrix(theta, _setting_shots(block))
 
 
 def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
                            tol: float = MLE_TOL,
                            max_iter: int = MLE_MAX_ITER) -> PauliBlockData:
-    """Estimate every window from counts; attaches Fisher noise metadata."""
+    """Estimate every window from counts; Fisher noise holds their shots."""
     if not blocks:
         raise ValueError("no blocks given")
     width = blocks[0].width
     by_k = {b.k: b for b in blocks}
     if sorted(b.k for b in blocks) != list(range(1, n_sites - width + 2)):
         raise ValueError("blocks must cover every window exactly once")
-    vecs, fishers = [], []
+    vecs, shots = [], []
     for k in range(1, n_sites - width + 2):
         res = local_mle(by_k[k], tol=tol, max_iter=max_iter)
         if not res.converged:
@@ -486,9 +486,9 @@ def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
                           f"{res.kkt_residual:.1e}, not below tol = {tol:g}; "
                           "using the last iterate")
         vecs.append(coeffs_from_dense(res.rho))
-        fishers.append(fisher_information(by_k[k], res.rho))
+        shots.append(_setting_shots(by_k[k]))
     return PauliBlockData(n_sites, width, np.array(vecs),
-                          NoiseMeta("fisher", fisher=fishers))
+                          NoiseMeta("fisher", shots=np.array(shots)))
 
 
 def blocks_from_global_counts(global_counts: dict[str, np.ndarray],
@@ -536,23 +536,33 @@ def save_counts(blocks: list[CountsBlock], n_sites: int, path: str) -> None:
     write_json(path, payload)
 
 
+def _read_windows_file(path: str) -> dict:
+    """The fields of a counts or window-data file, with integer N and R."""
+    payload = read_json(path, ("N", "R", "blocks"))
+    for key in ("N", "R"):
+        require_type(payload[key], int, f"{path}: {key}")
+    return payload
+
+
 def load_counts(path: str):
     """Returns (blocks, n_sites).
 
     Rejects a bad header (a version other than 1, a d other than 2), a
-    missing field, a window start k outside 1..N-R+1 or listed twice,
-    settings that are not R letters from "xyz" or are listed twice in a
-    window, outcomes that are not R characters from "+-", negative counts,
-    and per-setting counts that do not sum to the declared shots.
+    missing field, an N, R, k, count or shots that is not an integer, a
+    window start k outside 1..N-R+1 or listed twice, settings that are not
+    R letters from "xyz" or are listed twice in a window, outcomes that
+    are not R characters from "+-", negative counts, and per-setting
+    counts that do not sum to the declared shots.
     """
-    payload = read_json(path, ("N", "R", "blocks"))
-    n_sites, width = int(payload["N"]), int(payload["R"])
+    payload = _read_windows_file(path)
+    n_sites, width = payload["N"], payload["R"]
     require_type(payload["blocks"], list, f"{path}: blocks")
     blocks = {}
     for i, rec in enumerate(payload["blocks"]):
         require(rec, ("k", "settings"), f"{path}: blocks[{i}]")
         require_type(rec["settings"], list, f"{path}: blocks[{i}] settings")
-        k = int(rec["k"])
+        require_type(rec["k"], int, f"{path}: blocks[{i}] k")
+        k = rec["k"]
         if not 1 <= k <= n_sites - width + 1:
             raise ValueError(f"block k = {k} outside 1..{n_sites - width + 1}")
         if k in blocks:
@@ -575,14 +585,17 @@ def load_counts(path: str):
                     raise ValueError(f"block {k} setting {setting}: outcome "
                                      f"{o!r} is not {width} characters "
                                      "from '+-'")
-                if int(v) < 0:
+                require_type(v, int, f"{where} count of {o!r}")
+                if v < 0:
                     raise ValueError(f"block {k} setting {setting}: outcome "
                                      f"{o} has a negative count {v}")
-                hist[outcome_index(o)] = int(v)
-            if "shots" in srec and int(srec["shots"]) != int(hist.sum()):
-                raise ValueError(
-                    f"block {k} setting {setting}: counts sum to "
-                    f"{int(hist.sum())}, declared {srec['shots']}")
+                hist[outcome_index(o)] = v
+            if "shots" in srec:
+                require_type(srec["shots"], int, f"{where} shots")
+                if srec["shots"] != hist.sum():
+                    raise ValueError(
+                        f"block {k} setting {setting}: counts sum to "
+                        f"{int(hist.sum())}, declared {srec['shots']}")
             counts[setting] = hist
         blocks[k] = CountsBlock(k, width, counts)
     return list(blocks.values()), n_sites
@@ -595,7 +608,7 @@ def save_block_data(data: PauliBlockData, path: str) -> None:
         if data.noise.kind == "scalar":
             noise["sigma"] = data.noise.sigma
         else:
-            noise["fisher"] = [f.tolist() for f in data.noise.fisher]
+            noise["shots"] = data.noise.shots.tolist()
     payload = {
         "version": FORMAT_VERSION, "N": data.n_sites, "R": data.width,
         "d": 2, "blocks": data.blocks.tolist(), "noise": noise,
@@ -604,17 +617,31 @@ def save_block_data(data: PauliBlockData, path: str) -> None:
 
 
 def load_block_data(path: str) -> PauliBlockData:
-    """Read a window data file; rejects a bad header and whatever
-    PauliBlockData and NoiseMeta reject, including an unknown noise kind."""
-    payload = read_json(path, ("N", "R", "blocks"))
+    """Read a window data file; rejects a bad header, an N or R that is
+    not an integer, a scalar `sigma` that is not a number, fisher noise
+    without `shots` (so a file that holds Fisher matrices) or with shots
+    that are not rows of integers, and whatever PauliBlockData and
+    NoiseMeta reject, including an unknown noise kind."""
+    payload = _read_windows_file(path)
     noise = None
     raw = payload.get("noise")
     if raw:
-        require(raw, ("kind",), f"{path}: noise")
-        sigma, fisher = raw.get("sigma"), raw.get("fisher")
+        where = f"{path}: noise"
+        require(raw, ("kind",), where)
+        sigma, shots = raw.get("sigma"), raw.get("shots")
+        if sigma is not None:
+            require_type(sigma, float, f"{where} sigma")
+        if raw["kind"] == "fisher":
+            require(raw, ("shots",), where)
+            require_type(shots, list, f"{where} shots")
+            for b, row in enumerate(shots):
+                require_type(row, list, f"{where} shots[{b}]")
+                for j, n in enumerate(row):
+                    require_type(n, int, f"{where} shots[{b}][{j}]")
+            if len({len(row) for row in shots}) > 1:
+                raise ValueError(f"{where} shots: rows differ in length")
         noise = NoiseMeta(raw["kind"],
                           sigma=None if sigma is None else float(sigma),
-                          fisher=None if fisher is None else
-                          [np.asarray(f, dtype=float) for f in fisher])
-    return PauliBlockData(int(payload["N"]), int(payload["R"]),
+                          shots=shots)
+    return PauliBlockData(payload["N"], payload["R"],
                           np.asarray(payload["blocks"], dtype=float), noise)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .measurement import PauliBlockData
+from .measurement import PauliBlockData, _fisher_matrix
 from .operators import (DenseOperator, MatrixProductOperator, _exact_split,
                         mpo_from_coeffs)
 from .pauli import coeffs_from_dense, partial_trace
@@ -201,47 +201,42 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
         np.asarray(e, dtype=float))
 
 
-def _fisher_penalties(data: PauliBlockData, l: int, r: int):
-    """Per-site penalties P[k] = row-sum of the covariance of B's entries.
+def _fisher_penalty(F: np.ndarray, l: int, r: int):
+    """Penalty P = row-sum of the covariance of B's entries, and flags.
 
     The covariance of the window coefficients is taken as the inverse of
-    the per-window Fisher information (identity coefficient fixed), and
+    the window's Fisher information F (identity coefficient fixed), and
     P[j, j'] = sum_i Cov[B_ij, B_ij'] restricted to the columns of B. With
     F = L L^T and Y = L^-1 E (E selects the coefficients that B holds),
     their covariance is Y^T Y, so only those columns of F^-1 are solved.
     """
     dim_l, dim_r = 4**l, 4**r
-    dim = 4**data.width
+    dim = F.shape[0] + 1
     flat = ((np.arange(dim_l)[:, None] * dim_r
              + np.arange(dim_r)[None, :]) * 4).reshape(-1)
     # flat[0] is the identity coefficient, which has no variance.
     select = np.zeros((dim - 1, flat.size))
     select[flat[1:] - 1, np.arange(1, flat.size)] = 1.0
-    penalties: dict[int, np.ndarray] = {}
-    flags: dict[int, list[str]] = {}
-    for k in range(l + 1, data.n_sites - r + 1):
-        F = data.noise.fisher[k - l - 1]
-        flags[k] = []
-        try:
-            L = scipy.linalg.cholesky((F + F.T) / 2.0, lower=True)
-            Y = scipy.linalg.solve_triangular(L, select, lower=True)
-            # Regroup Y's columns (i, j) so that Z^T Z sums over rows i.
-            Z = Y.reshape(dim - 1, dim_l, dim_r).transpose(1, 0, 2)
-            Z = Z.reshape(-1, dim_r)
-            P = 2.0 * (Z.T @ Z)
-        except np.linalg.LinAlgError:
-            # Singular information: fall back to a scalar penalty built
-            # from the pseudoinverse variances of the entries of B.
-            flags[k].append("fisher_singular_scalar")
-            w, Q = np.linalg.eigh((F + F.T) / 2.0)
-            keep = w > 1e-12 * max(w.max(), 1e-300)
-            inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
-            var = np.zeros(dim)
-            var[1:] = np.einsum("ij,j,ij->i", Q, inv_w, Q)
-            var_b = 2.0 * var[flat].reshape(dim_l, dim_r)
-            P = float(np.mean(var_b.sum(axis=0))) * np.eye(dim_r)
-        penalties[k] = (P + P.T) / 2.0
-    return penalties, flags
+    flags = []
+    try:
+        L = scipy.linalg.cholesky((F + F.T) / 2.0, lower=True)
+        Y = scipy.linalg.solve_triangular(L, select, lower=True)
+        # Regroup Y's columns (i, j) so that Z^T Z sums over rows i.
+        Z = Y.reshape(dim - 1, dim_l, dim_r).transpose(1, 0, 2)
+        Z = Z.reshape(-1, dim_r)
+        P = 2.0 * (Z.T @ Z)
+    except np.linalg.LinAlgError:
+        # Singular information: fall back to a scalar penalty built
+        # from the pseudoinverse variances of the entries of B.
+        flags.append("fisher_singular_scalar")
+        w, Q = np.linalg.eigh((F + F.T) / 2.0)
+        keep = w > 1e-12 * max(w.max(), 1e-300)
+        inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+        var = np.zeros(dim)
+        var[1:] = np.einsum("ij,j,ij->i", Q, inv_w, Q)
+        var_b = 2.0 * var[flat].reshape(dim_l, dim_r)
+        P = float(np.mean(var_b.sum(axis=0))) * np.eye(dim_r)
+    return (P + P.T) / 2.0, flags
 
 
 def _prepared_sites(data: PauliBlockData, cfg: ReconstructionConfig):
@@ -253,17 +248,20 @@ def _prepared_sites(data: PauliBlockData, cfg: ReconstructionConfig):
                              "metadata on the data")
         reg = replace(reg, sigma2=noise_tikhonov_sigma2(data.noise.sigma,
                                                         l, r))
-    penalties, pflags = {}, {}
-    if reg.mode == "fisher":
-        if data.noise is None or data.noise.kind != "fisher":
-            raise ValueError("fisher mode needs fisher noise metadata on "
-                             "the data")
-        penalties, pflags = _fisher_penalties(data, l, r)
+    if reg.mode == "fisher" and (data.noise is None
+                                 or data.noise.kind != "fisher"):
+        raise ValueError("fisher mode needs fisher noise metadata on the "
+                         "data")
     pairs, solvers = {}, {}
     for k in range(l + 1, data.n_sites - r + 1):
         pairs[k] = build_transfer_pair(data, k, l, r)
-        solvers[k] = _SiteSolver(pairs[k].B, reg, penalties.get(k))
-        solvers[k].flags.extend(pflags.get(k, []))
+        penalty, flags = None, []
+        if reg.mode == "fisher":  # F is formed for one window at a time
+            b = k - l - 1
+            penalty, flags = _fisher_penalty(
+                _fisher_matrix(data.blocks[b], data.noise.shots[b]), l, r)
+        solvers[k] = _SiteSolver(pairs[k].B, reg, penalty)
+        solvers[k].flags.extend(flags)
     return l, r, pairs, solvers
 
 

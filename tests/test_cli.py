@@ -184,6 +184,34 @@ def test_counts_pipeline(tmp_path, capsys):
     assert json.loads(stdout)["solver_mode"] == "fisher"
 
 
+def test_counts_without_some_settings_use_the_scalar_fallback(tmp_path,
+                                                              capsys):
+    # no window measures x on its first site: its Fisher information is
+    # singular, and every site gets the scalar penalty
+    out = tmp_path / "w"
+    _run(capsys, "gen-state", "--family", "w", "--n", "5", "--out", str(out))
+    counts = tmp_path / "counts.json"
+    _run(capsys, "measure", "--state", f"{out}.mpo.json", "--r", "3",
+         "--shots", "200", "--seed", "3", "--out", str(counts))
+    payload = json.loads(counts.read_text())
+    for block in payload["blocks"]:
+        block["settings"] = [e for e in block["settings"] if e["s"][0] != "x"]
+        assert len(block["settings"]) == 18
+    counts.write_text(json.dumps(payload))
+    data, est, report = (tmp_path / name for name in
+                         ("data.json", "est.json", "report.json"))
+    code, _, _ = _run(capsys, "ingest-counts", "--counts", str(counts),
+                      "--out", str(data))
+    assert code == 0
+    code, _, _ = _run(capsys, "reconstruct", "--data", str(data), "--out",
+                      str(est), "--report", str(report))
+    assert code == 0
+    sites = json.loads(report.read_text())["sites"]
+    assert [site["k"] for site in sites] == [2, 3, 4]
+    assert all("fisher_singular_scalar" in site["flags"] for site in sites)
+    assert all(np.all(np.isfinite(t)) for t in load_operator(est).tensors)
+
+
 @pytest.mark.parametrize("option", [("--max-iter", "0"), ("--tol", "nan")],
                          ids=lambda o: o[0])
 def test_ingest_counts_rejects_bad_iteration_settings(tmp_path, capsys,

@@ -6,7 +6,8 @@ import pytest
 
 import oracles
 from mpotomo.measurement import (MLE_TOL, CountsBlock, NoiseMeta,
-                                 PauliBlockData, _project_density,
+                                 PauliBlockData, _fisher_matrix,
+                                 _project_density,
                                  add_gaussian_noise,
                                  all_settings, block_data_from_counts,
                                  blocks_from_global_counts, exact_block_data,
@@ -19,6 +20,8 @@ import mpotomo.operators
 from mpotomo.operators import (DenseOperator, load_operator, random_mpo,
                                save_operator, window_coeffs)
 from mpotomo.pauli import coeffs_from_dense, dense_from_coeffs
+from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
+                                    reconstruct_mpo)
 from mpotomo.states import product_state, random_mpo_via_ancilla, w_state
 
 
@@ -306,8 +309,13 @@ def test_block_data_from_counts_has_fisher_metadata():
         warnings.simplefilter("error")  # every window converges
         data = block_data_from_counts(blocks, 4)
     assert data.noise is not None and data.noise.kind == "fisher"
-    assert len(data.noise.fisher) == data.n_blocks
-    assert data.noise.fisher[0].shape == (15, 15)
+    assert np.array_equal(data.noise.shots, np.full((3, 9), 400))
+    # the information the penalty forms from a window's estimate and shots
+    # is that of its counts at the fitted state
+    for b, block in enumerate(blocks):
+        assert np.array_equal(
+            _fisher_matrix(data.blocks[b], data.noise.shots[b]),
+            fisher_information(block, local_mle(block).rho))
     # identity entries are fixed by unit trace
     assert np.allclose(data.blocks[:, 0], 0.5, atol=1e-12)
 
@@ -386,15 +394,21 @@ def test_block_data_serialization_roundtrip(tmp_path):
 
 
 def test_block_data_serialization_keeps_fisher(tmp_path):
-    _, wm = w_state(3)
-    blocks = simulate_counts(wm, 2, 100, seed=11)
-    data = block_data_from_counts(blocks, 3)
+    # a reloaded fit reconstructs bitwise as the fit in memory, and the
+    # file holds shots, not (4^R - 1)-square matrices: 27 MB at this size
+    _, wm = w_state(8, phases=[0.4, 1.0, 2.2, 0.1, 1.7, 0.9, 2.8])
+    blocks = simulate_counts(wm, 5, 100, seed=11)
+    data = block_data_from_counts(blocks, 8)
     path = tmp_path / "f.json"
     save_block_data(data, path)
+    assert path.stat().st_size < 0.5e6
     back = load_block_data(path)
     assert back.noise.kind == "fisher"
-    for a, b in zip(back.noise.fisher, data.noise.fisher):
-        assert np.allclose(a, b, atol=1e-12)
+    assert np.array_equal(back.noise.shots, data.noise.shots)
+    cfg = ReconstructionConfig(regularizer=RegularizerSpec("fisher"))
+    for a, b in zip(reconstruct_mpo(back, cfg).tensors,
+                    reconstruct_mpo(data, cfg).tensors):
+        assert np.array_equal(a, b)
 
 
 # ---- validation where window data enters ----
@@ -411,33 +425,34 @@ def test_load_block_data_rejects_non_finite_blocks(tmp_path):
         load_block_data(path)
 
 
-def _with_fisher(data, fisher):
+def _with_shots(data, shots):
     return PauliBlockData(data.n_sites, data.width, data.blocks,
-                          NoiseMeta("fisher", fisher=fisher))
+                          NoiseMeta("fisher", shots=shots))
 
 
-def test_block_data_rejects_fisher_list_of_wrong_length():
+def test_block_data_rejects_fisher_shots_for_too_few_windows():
     data = exact_block_data(random_mpo_via_ancilla(5, seed=32), 3)
-    with pytest.raises(ValueError, match="one Fisher matrix per window"):
-        _with_fisher(data, [np.eye(63)] * (data.n_blocks - 1))
+    with pytest.raises(ValueError, match="fisher shots must have shape "
+                                         "\\(3, 27\\)"):
+        _with_shots(data, np.ones((data.n_blocks - 1, 27), dtype=int))
 
 
-def test_block_data_rejects_fisher_matrix_of_wrong_shape():
+def test_block_data_rejects_fisher_shots_of_wrong_shape():
     data = exact_block_data(random_mpo_via_ancilla(5, seed=33), 3)
-    fisher = [np.eye(63)] * data.n_blocks
-    fisher[1] = np.eye(64)
-    with pytest.raises(ValueError, match="Fisher matrix 1 must have shape"):
-        _with_fisher(data, fisher)
+    with pytest.raises(ValueError, match="fisher shots must have shape "
+                                         "\\(3, 27\\)"):
+        _with_shots(data, np.ones((data.n_blocks, 64), dtype=int))
 
 
-def test_block_data_rejects_non_finite_fisher_matrix():
+@pytest.mark.parametrize("shots", [
+    np.full((3, 27), -1), np.full((3, 27), 1.5), np.full((3, 27), True),
+    None,
+], ids=["negative", "fractional", "bool", "missing"])
+def test_block_data_rejects_fisher_shots_that_are_not_counts(shots):
     data = exact_block_data(random_mpo_via_ancilla(5, seed=34), 3)
-    bad = np.eye(63)
-    bad[3, 4] = np.inf
-    fisher = [np.eye(63)] * data.n_blocks
-    fisher[2] = bad
-    with pytest.raises(ValueError, match="Fisher matrix 2 must be finite"):
-        _with_fisher(data, fisher)
+    with pytest.raises(ValueError, match="fisher noise requires shots that "
+                                         "are nonnegative integers"):
+        _with_shots(data, shots)
 
 
 # ---- validation where files enter ----
@@ -557,17 +572,65 @@ def test_load_operator_rejects_malformed_entries(tmp_path, kind, mutate,
         load_operator(path)
 
 
+def _shots(entry=100, last=None):
+    """Fisher noise for the 3 windows of width 2 of _save_block_file, with
+    one entry (or the last row) replaced."""
+    rows = [[100] * 9 for _ in range(3)]
+    rows[1][4] = entry
+    if last is not None:
+        rows[2] = last
+    return {"kind": "fisher", "shots": rows}
+
+
 @pytest.mark.parametrize("noise, match", [
     ({"kind": "gaussian", "sigma": 1e-3}, "unknown noise kind 'gaussian'"),
     ({"kind": "scalar"}, "scalar noise requires sigma"),
     ({"sigma": 1e-3}, "noise: missing field 'kind'"),
-], ids=["unknown_kind", "scalar_without_sigma", "no_kind"])
+    ({"kind": "scalar", "sigma": "0.001"},
+     "d.json: noise sigma must be a JSON number, not str"),
+    ({"kind": "scalar", "sigma": True},
+     "d.json: noise sigma must be a JSON number, not bool"),
+    ({"kind": "fisher", "fisher": [np.eye(15).tolist()] * 3},
+     "d.json: noise: missing field 'shots'"),
+    (_shots(1.5), "d.json: noise shots\\[1\\]\\[4\\] must be a JSON "
+     "integer, not float"),
+    (_shots(True), "d.json: noise shots\\[1\\]\\[4\\] must be a JSON "
+     "integer, not bool"),
+    (_shots("100"), "d.json: noise shots\\[1\\]\\[4\\] must be a JSON "
+     "integer, not str"),
+    (_shots(-1), "fisher noise requires shots that are nonnegative"),
+    (_shots(last=[100] * 8), "d.json: noise shots: rows differ in length"),
+    (_shots(last=100), "d.json: noise shots\\[2\\] must be a JSON array"),
+    ({"kind": "fisher", "shots": [[100] * 9] * 2},
+     "fisher shots must have shape \\(3, 9\\)"),
+], ids=["unknown_kind", "scalar_without_sigma", "no_kind", "sigma_string",
+        "sigma_bool", "fisher_matrices", "shots_float", "shots_bool",
+        "shots_string", "shots_negative", "shots_ragged", "shots_row_int",
+        "shots_too_few_windows"])
 def test_load_block_data_rejects_bad_noise(tmp_path, noise, match):
     path = tmp_path / "d.json"
     _save_block_file(path)
     _set_field(path, "noise", noise)
     with pytest.raises(ValueError, match=match):
         load_block_data(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("N", 4.9), ("N", "4"), ("R", 2.5), ("R", True), ("R", 2.0),
+], ids=["N_float", "N_string", "R_float", "R_bool", "R_integral_float"])
+@pytest.mark.parametrize("save, load", [
+    (_save_block_file, load_block_data),
+    (_save_counts_file, load_counts),
+], ids=["block_data", "counts"])
+def test_loaders_reject_sizes_that_are_not_integers(tmp_path, save, load,
+                                                    key, value):
+    path = tmp_path / "f.json"
+    save(path)
+    _set_field(path, key, value)
+    with pytest.raises(ValueError, match=f"f.json: {key} must be a JSON "
+                                         f"integer, not "
+                                         f"{type(value).__name__}"):
+        load(path)
 
 
 def _rename_setting(payload, new):
@@ -585,6 +648,13 @@ def _negate_first_count(payload):
     first = next(iter(entry["counts"]))
     entry["counts"][first] *= -1
     entry["shots"] = sum(entry["counts"].values())
+
+
+def _add_to_first_count(payload, extra):
+    # a count that is not an integer but truncates to the declared shots
+    entry = payload["blocks"][0]["settings"][0]
+    first = next(iter(entry["counts"]))
+    entry["counts"][first] += extra
 
 
 @pytest.mark.parametrize("mutate, match", [
@@ -615,11 +685,23 @@ def _negate_first_count(payload):
      "block 1 settings\\[1\\] must be a JSON object, not str"),
     (lambda p: p["blocks"][0]["settings"][2].update(counts=[3, 4]),
      "block 1 settings\\[2\\] counts must be a JSON object, not list"),
+    (lambda p: p["blocks"][0].update(k=1.5),
+     "blocks\\[0\\] k must be a JSON integer, not float"),
+    (lambda p: p["blocks"][1].update(k=True),
+     "blocks\\[1\\] k must be a JSON integer, not bool"),
+    (lambda p: _add_to_first_count(p, 0.7),
+     "block 1 settings\\[0\\] count of '[+-]{3}' must be a JSON integer, "
+     "not float"),
+    (lambda p: p["blocks"][0]["settings"][0].update(shots=16.5),
+     "block 1 settings\\[0\\] shots must be a JSON integer, not float"),
+    (lambda p: p["blocks"][0]["settings"][0].update(shots="16"),
+     "block 1 settings\\[0\\] shots must be a JSON integer, not str"),
 ], ids=["short_setting", "bad_axis", "short_outcome", "bad_outcome",
         "k_zero", "k_past_end", "negative_count", "window_twice",
         "setting_twice", "no_k", "no_settings", "no_s", "no_counts",
         "block_not_object", "blocks_not_array", "settings_not_array",
-        "setting_not_object", "counts_not_object"])
+        "setting_not_object", "counts_not_object", "k_float", "k_bool",
+        "count_float", "shots_float", "shots_string"])
 def test_load_counts_rejects_malformed_entries(tmp_path, mutate, match):
     path = tmp_path / "c.json"
     _save_counts_file(path)

@@ -5,8 +5,9 @@ import pytest
 
 import oracles
 from mpotomo.measurement import (NoiseMeta, PauliBlockData,
-                                 add_gaussian_noise, exact_block_data,
-                                 simulate_counts, block_data_from_counts)
+                                 add_gaussian_noise, all_settings,
+                                 exact_block_data, simulate_counts,
+                                 block_data_from_counts, _fisher_matrix)
 from mpotomo.operators import DenseOperator, random_mpo
 from mpotomo.pauli import pack_index, unpack_index
 from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
@@ -15,7 +16,7 @@ from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
                                     check_invertibility_mpo_spans,
                                     default_split, noise_tikhonov_sigma2,
                                     numerical_rank, reconstruct_mpo,
-                                    robust_solve, _fisher_penalties,
+                                    robust_solve, _fisher_penalty,
                                     _prepared_sites)
 from mpotomo.files import write_json
 from mpotomo.metrics import hs_distance
@@ -213,10 +214,10 @@ def test_bulk_tensors_equal_per_alpha_solves(reg):
     st = random_mpo_via_ancilla(10, seed=17)
     data = add_gaussian_noise(exact_block_data(st, 5), 1e-3, seed=18)
     if reg.mode == "fisher":
-        # isotropic information, as in the closed-form penalty test
-        fishers = [np.eye(1023) / 1e-6] * data.n_blocks
+        # the same shots for every setting of every window
+        shots = np.full((data.n_blocks, 3**5), 10**6)
         data = PauliBlockData(data.n_sites, data.width, data.blocks,
-                              NoiseMeta("fisher", fisher=fishers))
+                              NoiseMeta("fisher", shots=shots))
     cfg = ReconstructionConfig(l=2, r=2, regularizer=reg)
     est = reconstruct_mpo(data, cfg)
     _, _, pairs, solvers = _prepared_sites(data, cfg)
@@ -360,42 +361,45 @@ def test_fisher_penalty_closed_form_for_isotropic_information():
     # exact), so P[j, j'] = d * sum_i Cov[(i,j,0), (i,j',0)] collapses to
     # d * s * (count of i) on the diagonal, the identity column losing one
     # count because the (0, 0, 0) coordinate is pinned
-    st = random_mpo_via_ancilla(5, seed=23)
-    base = exact_block_data(st, 3)
     s = 0.01
-    fishers = [np.eye(63) / s for _ in range(base.n_blocks)]
-    data = PauliBlockData(base.n_sites, base.width, base.blocks,
-                          NoiseMeta("fisher", fisher=fishers))
-    penalties, flags = _fisher_penalties(data, 1, 1)
+    P, flags = _fisher_penalty(np.eye(63) / s, 1, 1)
     expected = 2.0 * s * 4.0 * np.eye(4)
     expected[0, 0] = 2.0 * s * 3.0
-    for k, P in penalties.items():
-        assert np.allclose(P, expected, atol=1e-12)
-        assert flags[k] == []
+    assert np.allclose(P, expected, atol=1e-12)
+    assert flags == []
 
 
 def test_fisher_singular_information_falls_back_to_scalar():
+    # no setting measures x on a window's first site, so the information
+    # on every coefficient with x there is zero
     st = random_mpo_via_ancilla(5, seed=24)
     base = exact_block_data(st, 3)
-    sing = np.zeros((63, 63))
-    sing[:10, :10] = np.eye(10)
-    fishers = [sing for _ in range(base.n_blocks)]
+    measured = [0 if s[0] == "x" else 100 for s in all_settings(3)]
     data = PauliBlockData(base.n_sites, base.width, base.blocks,
-                          NoiseMeta("fisher", fisher=fishers))
-    penalties, flags = _fisher_penalties(data, 1, 1)
-    for k, P in penalties.items():
-        assert "fisher_singular_scalar" in flags[k]
-        assert np.allclose(P, P[0, 0] * np.eye(4))
+                          NoiseMeta("fisher",
+                                    shots=[measured] * base.n_blocks))
+    rec, report = reconstruct_mpo(data, ReconstructionConfig(
+        regularizer=RegularizerSpec("fisher")), with_report=True)
+    assert [row["k"] for row in report.sites] == [2, 3, 4]
+    for site in report.sites:
+        assert site["flags"] == ["fisher_singular_scalar"]
+        b = site["k"] - 2
+        P, flags = _fisher_penalty(
+            _fisher_matrix(data.blocks[b], data.noise.shots[b]), 1, 1)
+        assert flags == ["fisher_singular_scalar"]
+        assert np.allclose(P, P[0, 0] * np.eye(4)) and P[0, 0] > 0.0
+    assert all(np.all(np.isfinite(t)) for t in rec.tensors)
 
 
 def test_zero_fisher_information_flags_singular_penalty():
-    # all-zero information gives a zero scalar penalty, which has no
-    # Cholesky factor: the sites fall back to the truncated filter on B
+    # no shots at all give zero information and a zero scalar penalty,
+    # which has no Cholesky factor: the sites fall back to the truncated
+    # filter on B
     st = random_mpo_via_ancilla(5, seed=27)
     base = exact_block_data(st, 3)
-    fishers = [np.zeros((63, 63))] * base.n_blocks
+    shots = np.zeros((base.n_blocks, 27), dtype=int)
     data = PauliBlockData(base.n_sites, base.width, base.blocks,
-                          NoiseMeta("fisher", fisher=fishers))
+                          NoiseMeta("fisher", shots=shots))
     rec, report = reconstruct_mpo(data, ReconstructionConfig(
         regularizer=RegularizerSpec("fisher")), with_report=True)
     for row in report.sites:
@@ -407,18 +411,16 @@ def test_zero_fisher_information_flags_singular_penalty():
 def test_fisher_report_spectrum_is_that_of_the_whitened_matrix(rng):
     st = random_mpo_via_ancilla(5, seed=28)
     base = exact_block_data(st, 3)
-    fishers = []
-    for _ in range(base.n_blocks):
-        A = rng.normal(size=(63, 63))
-        fishers.append(A @ A.T + np.eye(63))
+    shots = rng.integers(1, 1000, size=(base.n_blocks, 27))
     data = PauliBlockData(base.n_sites, base.width, base.blocks,
-                          NoiseMeta("fisher", fisher=fishers))
+                          NoiseMeta("fisher", shots=shots))
     _, report = reconstruct_mpo(data, ReconstructionConfig(
         regularizer=RegularizerSpec("fisher")), with_report=True)
-    penalties, _ = _fisher_penalties(data, 1, 1)
     for row in report.sites:
         k = row["k"]
-        L = np.linalg.cholesky(penalties[k])
+        P, _ = _fisher_penalty(
+            _fisher_matrix(data.blocks[k - 2], shots[k - 2]), 1, 1)
+        L = np.linalg.cholesky(P)
         B = build_transfer_pair(data, k, 1, 1).B
         expected = np.linalg.svd(B @ np.linalg.inv(L).T, compute_uv=False)
         assert np.allclose(row["singular_values"], expected, rtol=1e-10,
