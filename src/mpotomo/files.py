@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 FORMAT_VERSION = 1
 
 
@@ -18,17 +20,34 @@ def write_json(path, payload, indent: int | None = None) -> None:
 
 
 _JSON_TYPES = {dict: ("object", dict), list: ("array", list),
-               int: ("integer", int), float: ("number", (int, float))}
+               int: ("integer", int), float: ("number", (int, float)),
+               str: ("string", str)}
 
 
 def require_type(value, kind: type, where) -> None:
     """Reject a value that is not a JSON object (kind dict), array (list),
-    integer (int) or number (float, which admits an integer). A bool is
-    not an integer or a number, and 4.0 is not an integer."""
+    integer (int), number (float, which admits an integer) or string
+    (str). A bool is not an integer or a number, and 4.0 is not an
+    integer."""
     name, accepted = _JSON_TYPES[kind]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{where} must be a JSON {name}, not "
                          f"{type(value).__name__}")
+
+
+def float_array(value, where) -> np.ndarray:
+    """A JSON array of numbers, nested to any depth, as a float array.
+    Rejects a value that is not an array, an entry that is not a number
+    (a string, a bool, a null) and rows that differ in length."""
+    require_type(value, list, where)
+    entries = np.asarray(value, dtype=object)
+    kinds = set(map(type, entries.ravel())) - {int, float}
+    if list in kinds:
+        raise ValueError(f"{where}: rows differ in length")
+    if kinds:
+        raise ValueError(f"{where}: entries must be JSON numbers, not "
+                         f"{min(kind.__name__ for kind in kinds)}")
+    return entries.astype(float)
 
 
 def require(record: dict, fields, where) -> None:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .files import (FORMAT_VERSION, read_json, require, require_type,
-                    write_json)
+from .files import (FORMAT_VERSION, float_array, read_json, require,
+                    require_type, write_json)
 from .operators import DenseOperator, MatrixProductOperator, _windows
 from .pauli import (coeffs_from_dense, dense_from_coeffs, n_sites_of,
                     partial_trace)
@@ -168,9 +168,6 @@ class CountsBlock:
     k: int
     width: int
     counts: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def shots(self, setting: str) -> int:
-        return int(self.counts[setting].sum())
 
 
 def outcome_string(idx: int, width: int) -> str:
@@ -550,9 +547,9 @@ def load_counts(path: str):
     Rejects a bad header (a version other than 1, a d other than 2), a
     missing field, an N, R, k, count or shots that is not an integer, a
     window start k outside 1..N-R+1 or listed twice, settings that are not
-    R letters from "xyz" or are listed twice in a window, outcomes that
-    are not R characters from "+-", negative counts, and per-setting
-    counts that do not sum to the declared shots.
+    strings of R letters from "xyz" or are listed twice in a window,
+    outcomes that are not R characters from "+-", negative counts, and
+    per-setting counts that do not sum to the declared shots.
     """
     payload = _read_windows_file(path)
     n_sites, width = payload["N"], payload["R"]
@@ -572,6 +569,7 @@ def load_counts(path: str):
             where = f"{path}: block {k} settings[{j}]"
             require(srec, ("s", "counts"), where)
             require_type(srec["counts"], dict, f"{where} counts")
+            require_type(srec["s"], str, f"{where} s")
             setting = srec["s"]
             if len(setting) != width or set(setting) - set("xyz"):
                 raise ValueError(f"block {k}: setting {setting!r} is not "
@@ -618,14 +616,16 @@ def save_block_data(data: PauliBlockData, path: str) -> None:
 
 def load_block_data(path: str) -> PauliBlockData:
     """Read a window data file; rejects a bad header, an N or R that is
-    not an integer, a scalar `sigma` that is not a number, fisher noise
-    without `shots` (so a file that holds Fisher matrices) or with shots
-    that are not rows of integers, and whatever PauliBlockData and
-    NoiseMeta reject, including an unknown noise kind."""
+    not an integer, `blocks` that are not a rectangular array of numbers,
+    a `noise` other than null that is not an object with a `kind`, a
+    scalar `sigma` that is not a number, fisher noise without `shots` (so
+    a file that holds Fisher matrices) or with shots that are not rows of
+    integers, and whatever PauliBlockData and NoiseMeta reject, including
+    an unknown noise kind."""
     payload = _read_windows_file(path)
     noise = None
     raw = payload.get("noise")
-    if raw:
+    if raw is not None:
         where = f"{path}: noise"
         require(raw, ("kind",), where)
         sigma, shots = raw.get("sigma"), raw.get("shots")
@@ -644,4 +644,5 @@ def load_block_data(path: str) -> PauliBlockData:
                           sigma=None if sigma is None else float(sigma),
                           shots=shots)
     return PauliBlockData(payload["N"], payload["R"],
-                          np.asarray(payload["blocks"], dtype=float), noise)
+                          float_array(payload["blocks"], f"{path}: blocks"),
+                          noise)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .files import FORMAT_VERSION, read_json, require, write_json
+from .files import (FORMAT_VERSION, float_array, read_json, require,
+                    require_type, write_json)
 from .pauli import coeffs_from_dense, dense_from_coeffs, n_sites_of
 
 DENSE_SITE_CAP = 12
@@ -264,15 +265,18 @@ def save_operator(op, path: str) -> None:
 def load_operator(path: str):
     """Read an operator JSON file; returns the matching container type.
 
-    Besides the header check, rejects an MPO without tensors, non-finite
-    entries and an `n_sites` (or, for an MPO, a `bond_dims`) field that
-    disagrees with the data.
+    Besides the header check, rejects an MPO without tensors, tensors or a
+    matrix that are not rectangular arrays of numbers, non-finite entries
+    and an `n_sites` (or, for an MPO, a `bond_dims`) field that disagrees
+    with the data.
     """
     payload = read_json(path, ("kind", "n_sites"))
     kind = payload["kind"]
     if kind == "mpo":
         require(payload, ("bond_dims", "tensors"), path)
-        tensors = [np.asarray(t, dtype=float) for t in payload["tensors"]]
+        require_type(payload["tensors"], list, f"{path}: tensors")
+        tensors = [float_array(t, f"{path}: tensors[{i}]")
+                   for i, t in enumerate(payload["tensors"])]
         if not tensors:
             raise ValueError("an MPO needs at least one tensor")
         if not all(np.isfinite(t).all() for t in tensors):
@@ -283,7 +287,7 @@ def load_operator(path: str):
                              f"disagree with the tensors, {op.bond_dims}")
     elif kind == "dense":
         require(payload, ("matrix",), path)
-        raw = np.asarray(payload["matrix"], dtype=float)
+        raw = float_array(payload["matrix"], f"{path}: matrix")
         if not np.isfinite(raw).all():
             raise ValueError("operator entries must be finite")
         op = DenseOperator(raw[..., 0] + 1.0j * raw[..., 1])

@@ -29,7 +29,6 @@ import scipy.linalg
 from .measurement import PauliBlockData, _fisher_matrix
 from .operators import (DenseOperator, MatrixProductOperator, _exact_split,
                         mpo_from_coeffs)
-from .pauli import coeffs_from_dense, partial_trace
 
 RANK_RTOL = 1e-9  # numerical rank: singular values above RANK_RTOL * s_max
 
@@ -101,31 +100,17 @@ class ReconstructionConfig:
         return l, r
 
 
-@dataclass
-class TransferPair:
-    """Window expectation matrices entering the solve at site k.
+def _site_matrices(block: np.ndarray, l: int, r: int):
+    """(B, C) of the solve at the site after a window's first l sites.
 
-    B has shape (4^l, 4^r): left strings on sites k-l..k-1 against right
-    strings on k..k+r-1. C has shape (4^l, 4^(r+1)) and extends the right
-    group by site k+r. B equals sqrt(2) times the C submatrix with the last
-    site's index fixed to the identity.
+    C has shape (4^l, 4^(r+1)): left strings on the window's first l
+    sites against right strings on its last r + 1. B has shape
+    (4^l, 4^r) and is sqrt(2) times C's slice with the window's last site
+    fixed to the identity.
     """
-
-    k: int
-    B: np.ndarray
-    C: np.ndarray
-
-
-def build_transfer_pair(data: PauliBlockData, k: int, l: int,
-                        r: int) -> TransferPair:
-    if l + r + 1 != data.width:
-        raise ValueError("l + r + 1 must equal the data width")
-    if not l + 1 <= k <= data.n_sites - r:
-        raise ValueError(f"site {k} outside the recursion range")
-    v = data.block(k - l)
-    C = v.reshape(4**l, 4 ** (r + 1))
-    B = np.sqrt(2.0) * v.reshape(4**l, 4**r, 4)[:, :, 0]
-    return TransferPair(k, np.ascontiguousarray(B), C)
+    C = block.reshape(4**l, 4 ** (r + 1))
+    B = np.sqrt(2.0) * block.reshape(4**l, 4**r, 4)[:, :, 0]
+    return B, C
 
 
 def noise_tikhonov_sigma2(sigma: float, l: int, r: int) -> float:
@@ -138,53 +123,42 @@ def noise_tikhonov_sigma2(sigma: float, l: int, r: int) -> float:
     return sigma**2 * 2.0 ** (l - r)
 
 
-class _SiteSolver:
-    """SVD of one window matrix and the filter of the chosen regularizer.
+def _filtered_solve(B: np.ndarray, rhs: np.ndarray, reg: RegularizerSpec,
+                    penalty=None):
+    """One SVD and the filter of `reg`: returns (x, spectrum, flags).
 
-    In fisher mode the matrix factored is B L^-T with P = L L^T, so
-    `spectrum` holds the singular values of B L^-T; in the other modes
-    (and after the singular_penalty fallback) those of B.
+    In fisher mode the matrix factored is B L^-T with P = L L^T, so the
+    spectrum holds the singular values of B L^-T; in the other modes (and
+    after the singular_penalty fallback) those of B.
     """
-
-    def __init__(self, B: np.ndarray, reg: RegularizerSpec, penalty=None):
-        self.flags: list[str] = []
-        self._chol = None
-        mode = reg.mode
-        if mode == "fisher":
-            if penalty is None:
-                raise ValueError("fisher mode requires a penalty matrix")
-            try:
-                self._chol = scipy.linalg.cholesky(penalty, lower=True)
-                # B L^-T = (L^-1 B^T)^T
-                B = scipy.linalg.solve_triangular(self._chol, B.T,
-                                                  lower=True).T
-            except np.linalg.LinAlgError:
-                self.flags.append("singular_penalty")
-                mode = "truncated_pinv"
-        U, s, Vt = np.linalg.svd(B, full_matrices=False)
-        self.spectrum = s
-        if s.size == 0 or s[0] <= 0.0:
-            self.flags.append("zero_operator")
-            filt = np.zeros_like(s)
-        elif mode == "truncated_pinv":
-            keep = s > reg.tau * s[0]
-            filt = np.zeros_like(s)
-            filt[keep] = 1.0 / s[keep]
-        else:
-            sigma2 = 1.0 if mode == "fisher" else reg.sigma2
-            denom = s**2 + sigma2
-            filt = np.divide(s, denom, out=np.zeros_like(s),
-                             where=denom > 0.0)
-        self._u, self._filt, self._vt = U, filt, Vt
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        z = self._u.T @ rhs
-        z = z * (self._filt[:, None] if z.ndim == 2 else self._filt)
-        x = self._vt.T @ z
-        if self._chol is not None:
-            x = scipy.linalg.solve_triangular(self._chol, x, trans="T",
-                                              lower=True)
-        return x
+    flags, chol, mode = [], None, reg.mode
+    if mode == "fisher":
+        if penalty is None:
+            raise ValueError("fisher mode requires a penalty matrix")
+        try:
+            chol = scipy.linalg.cholesky(penalty, lower=True)
+            # B L^-T = (L^-1 B^T)^T
+            B = scipy.linalg.solve_triangular(chol, B.T, lower=True).T
+        except np.linalg.LinAlgError:
+            flags.append("singular_penalty")
+            mode = "truncated_pinv"
+    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    if s.size == 0 or s[0] <= 0.0:
+        flags.append("zero_operator")
+        filt = np.zeros_like(s)
+    elif mode == "truncated_pinv":
+        keep = s > reg.tau * s[0]
+        filt = np.zeros_like(s)
+        filt[keep] = 1.0 / s[keep]
+    else:
+        sigma2 = 1.0 if mode == "fisher" else reg.sigma2
+        denom = s**2 + sigma2
+        filt = np.divide(s, denom, out=np.zeros_like(s), where=denom > 0.0)
+    z = U.T @ rhs
+    x = Vt.T @ (z * (filt[:, None] if z.ndim == 2 else filt))
+    if chol is not None:
+        x = scipy.linalg.solve_triangular(chol, x, trans="T", lower=True)
+    return x, s, flags
 
 
 def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
@@ -197,8 +171,8 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
     if reg.mode == "tikhonov" and reg.sigma2 is None:
         raise ValueError("robust_solve needs an explicit sigma2 in "
                          "tikhonov mode")
-    return _SiteSolver(np.asarray(B, dtype=float), reg, penalty).solve(
-        np.asarray(e, dtype=float))
+    return _filtered_solve(np.asarray(B, dtype=float),
+                           np.asarray(e, dtype=float), reg, penalty)[0]
 
 
 def _fisher_penalty(F: np.ndarray, l: int, r: int):
@@ -239,9 +213,10 @@ def _fisher_penalty(F: np.ndarray, l: int, r: int):
     return (P + P.T) / 2.0, flags
 
 
-def _prepared_sites(data: PauliBlockData, cfg: ReconstructionConfig):
-    l, r = cfg.resolved(data.width, data.n_sites)
-    reg = cfg.regularizer
+def _data_regularizer(data: PauliBlockData, reg: RegularizerSpec, l: int,
+                      r: int) -> RegularizerSpec:
+    """`reg` with a default tikhonov sigma2 matched to the data's scalar
+    noise; raises when the data lacks the noise metadata `reg` needs."""
     if reg.mode == "tikhonov" and reg.sigma2 is None:
         if data.noise is None or data.noise.kind != "scalar":
             raise ValueError("tikhonov without sigma2 needs scalar noise "
@@ -252,17 +227,7 @@ def _prepared_sites(data: PauliBlockData, cfg: ReconstructionConfig):
                                  or data.noise.kind != "fisher"):
         raise ValueError("fisher mode needs fisher noise metadata on the "
                          "data")
-    pairs, solvers = {}, {}
-    for k in range(l + 1, data.n_sites - r + 1):
-        pairs[k] = build_transfer_pair(data, k, l, r)
-        penalty, flags = None, []
-        if reg.mode == "fisher":  # F is formed for one window at a time
-            b = k - l - 1
-            penalty, flags = _fisher_penalty(
-                _fisher_matrix(data.blocks[b], data.noise.shots[b]), l, r)
-        solvers[k] = _SiteSolver(pairs[k].B, reg, penalty)
-        solvers[k].flags.extend(flags)
-    return l, r, pairs, solvers
+    return reg
 
 
 @dataclass
@@ -276,11 +241,8 @@ class ReconstructionReport:
     sites: list[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "n_sites": self.n_sites, "width": self.width, "l": self.l,
-            "r": self.r, "mode": self.mode, "normalized": self.normalized,
-            "sites": self.sites,
-        }
+        # not dataclasses.asdict, which deep-copies every singular value
+        return dict(vars(self))
 
 
 def reconstruct_mpo(data: PauliBlockData,
@@ -301,32 +263,37 @@ def reconstruct_mpo(data: PauliBlockData,
     """
     cfg = cfg or ReconstructionConfig()
     n = data.n_sites
+    l, r = cfg.resolved(data.width, n)
     site_rows = []
     if n == data.width:
-        l, r = cfg.resolved(data.width, n)
         mode = "direct"
         mpo = mpo_from_coeffs(data.blocks[0])
     else:
         mode = cfg.regularizer.mode
-        l, r, pairs, solvers = _prepared_sites(data, cfg)
+        reg = _data_regularizer(data, cfg.regularizer, l, r)
         dim_r = 4**r
-        tensors = _exact_split(pairs[l + 1].B.reshape(-1), l, dim_r)
-        for k in range(l + 1, n - r + 1):
+        tensors = _exact_split(_site_matrices(data.blocks[0], l, r)[0]
+                               .reshape(-1), l, dim_r)
+        # Window b (0-based) starts at site b + 1 and resolves site
+        # k = b + l + 1; its penalty comes from its own Fisher information.
+        for b, block in enumerate(data.blocks):
+            B, C = _site_matrices(block, l, r)
+            penalty, penalty_flags = None, []
+            if reg.mode == "fisher":
+                penalty, penalty_flags = _fisher_penalty(
+                    _fisher_matrix(block, data.noise.shots[b]), l, r)
             # Column a * dim_r + j of C is right string j extended by
             # alpha = a, so one solve gives all 4 matrices of the site.
-            t = solvers[k].solve(pairs[k].C).reshape(dim_r, 4, dim_r)
-            tensors.append(t.transpose(1, 0, 2))
-            site_rows.append({
-                "k": k,
-                "singular_values": [float(x) for x in solvers[k].spectrum],
-                "flags": list(solvers[k].flags),
-            })
+            x, spectrum, flags = _filtered_solve(B, C, reg, penalty)
+            tensors.append(x.reshape(dim_r, 4, dim_r).transpose(1, 0, 2))
+            site_rows.append({"k": b + l + 1,
+                              "singular_values": [float(s) for s in spectrum],
+                              "flags": flags + penalty_flags})
         for i in range(1, r + 1):
             dr = 4 ** (r - i)
-            t = np.zeros((4, 4 * dr, dr))
-            for a in range(4):
-                t[a, a * dr:(a + 1) * dr, :] = np.eye(dr)
-            tensors.append(t)
+            # t[a, a * dr + j, j] = 1: split off the next site's index
+            tensors.append(np.eye(4 * dr).reshape(4 * dr, 4, dr)
+                           .transpose(1, 0, 2))
         mpo = MatrixProductOperator(tensors)
     if cfg.normalize:
         mpo = mpo.rescaled_trace(1.0)
@@ -376,10 +343,10 @@ def check_invertibility_dense(state, l: int, r: int) -> InvertibilityReport:
     c = state.coeffs()
     rows = []
     for k in range(l, n - r):
-        cut = c.reshape(4**k, -1)
-        rank_cut = numerical_rank(cut)
-        rho_w = partial_trace(state.matrix, range(k - l + 1, k + r + 1))
-        window = coeffs_from_dense(rho_w).reshape(4**l, 4**r)
+        rank_cut = numerical_rank(c.reshape(4**k, -1))
+        # identity strings outside sites k-l+1 .. k+r: the window matrix
+        # up to a positive factor, which the relative rank ignores
+        window = c.reshape(4 ** (k - l), 4**l, 4**r, -1)[0, :, :, 0]
         rank_window = numerical_rank(window)
         rows.append({"k": k, "rank_window": rank_window,
                      "rank_cut": rank_cut, "ok": rank_window == rank_cut})

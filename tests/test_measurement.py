@@ -184,7 +184,7 @@ def test_simulate_counts_on_all_up_state():
         assert set(b.counts) == set(all_settings(2))
         # measuring z on |0> is deterministic: every shot lands on "+"
         assert b.counts["zz"][0] == 500
-        assert b.shots("xy") == 500
+        assert b.counts["xy"].sum() == 500
 
 
 def test_simulate_counts_is_seeded():
@@ -425,6 +425,31 @@ def test_load_block_data_rejects_non_finite_blocks(tmp_path):
         load_block_data(path)
 
 
+def _set_block_entry(payload, value):
+    payload["blocks"][1][5] = value
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (lambda p: _set_block_entry(p, "0.25"),
+     "d.json: blocks: entries must be JSON numbers, not str"),
+    (lambda p: _set_block_entry(p, True),
+     "d.json: blocks: entries must be JSON numbers, not bool"),
+    (lambda p: _set_block_entry(p, None),
+     "d.json: blocks: entries must be JSON numbers, not NoneType"),
+    (lambda p: p["blocks"][1].pop(), "d.json: blocks: rows differ in length"),
+], ids=["string", "bool", "null", "ragged"])
+def test_load_block_data_rejects_blocks_that_are_not_numbers(tmp_path, mutate,
+                                                             match):
+    path = tmp_path / "d.json"
+    save_block_data(exact_block_data(random_mpo_via_ancilla(4, seed=31), 3),
+                    path)
+    payload = json.loads(path.read_text())
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=match):
+        load_block_data(path)
+
+
 def _with_shots(data, shots):
     return PauliBlockData(data.n_sites, data.width, data.blocks,
                           NoiseMeta("fisher", shots=shots))
@@ -549,6 +574,10 @@ def _poison_matrix(payload):
     payload["matrix"][3][1][0] = float("inf")
 
 
+def _set_tensor_entry(payload, value):
+    payload["tensors"][1][2][0][1] = value
+
+
 @pytest.mark.parametrize("kind, mutate, match", [
     ("mpo", _poison_tensor, "operator entries must be finite"),
     ("dense", _poison_matrix, "operator entries must be finite"),
@@ -558,8 +587,21 @@ def _poison_matrix(payload):
      "bond_dims \\[1, 2, 2, 2, 1\\] disagree"),
     ("mpo", lambda p: p.update(n_sites=0, bond_dims=[1], tensors=[]),
      "at least one tensor"),
+    ("mpo", lambda p: _set_tensor_entry(p, "0.25"),
+     "op.json: tensors\\[1\\]: entries must be JSON numbers, not str"),
+    ("mpo", lambda p: _set_tensor_entry(p, True),
+     "op.json: tensors\\[1\\]: entries must be JSON numbers, not bool"),
+    ("mpo", lambda p: _set_tensor_entry(p, None),
+     "op.json: tensors\\[1\\]: entries must be JSON numbers, not NoneType"),
+    ("mpo", lambda p: p["tensors"][1][2].pop(),
+     "op.json: tensors\\[1\\]: rows differ in length"),
+    ("mpo", lambda p: p.update(tensors={"0": 1.0}),
+     "op.json: tensors must be a JSON array, not dict"),
+    ("dense", lambda p: p["matrix"][3][1].__setitem__(0, "0.25"),
+     "op.json: matrix: entries must be JSON numbers, not str"),
 ], ids=["mpo_nan", "dense_inf", "mpo_n_sites", "dense_n_sites",
-        "mpo_bond_dims", "mpo_empty"])
+        "mpo_bond_dims", "mpo_empty", "mpo_string", "mpo_bool", "mpo_null",
+        "mpo_ragged", "mpo_tensors_object", "dense_string"])
 def test_load_operator_rejects_malformed_entries(tmp_path, kind, mutate,
                                                  match):
     dense, mpo = w_state(4)
@@ -603,10 +645,16 @@ def _shots(entry=100, last=None):
     (_shots(last=100), "d.json: noise shots\\[2\\] must be a JSON array"),
     ({"kind": "fisher", "shots": [[100] * 9] * 2},
      "fisher shots must have shape \\(3, 9\\)"),
+    ({}, "d.json: noise: missing field 'kind'"),
+    (0, "d.json: noise must be a JSON object, not int"),
+    ([], "d.json: noise must be a JSON object, not list"),
+    (False, "d.json: noise must be a JSON object, not bool"),
+    ("", "d.json: noise must be a JSON object, not str"),
 ], ids=["unknown_kind", "scalar_without_sigma", "no_kind", "sigma_string",
         "sigma_bool", "fisher_matrices", "shots_float", "shots_bool",
         "shots_string", "shots_negative", "shots_ragged", "shots_row_int",
-        "shots_too_few_windows"])
+        "shots_too_few_windows", "empty_object", "zero", "empty_array",
+        "false", "empty_string"])
 def test_load_block_data_rejects_bad_noise(tmp_path, noise, match):
     path = tmp_path / "d.json"
     _save_block_file(path)
@@ -696,12 +744,19 @@ def _add_to_first_count(payload, extra):
      "block 1 settings\\[0\\] shots must be a JSON integer, not float"),
     (lambda p: p["blocks"][0]["settings"][0].update(shots="16"),
      "block 1 settings\\[0\\] shots must be a JSON integer, not str"),
+    (lambda p: _rename_setting(p, 5),
+     "block 1 settings\\[0\\] s must be a JSON string, not int"),
+    (lambda p: _rename_setting(p, None),
+     "block 1 settings\\[0\\] s must be a JSON string, not NoneType"),
+    (lambda p: _rename_setting(p, ["x", "x", "x"]),
+     "block 1 settings\\[0\\] s must be a JSON string, not list"),
 ], ids=["short_setting", "bad_axis", "short_outcome", "bad_outcome",
         "k_zero", "k_past_end", "negative_count", "window_twice",
         "setting_twice", "no_k", "no_settings", "no_s", "no_counts",
         "block_not_object", "blocks_not_array", "settings_not_array",
         "setting_not_object", "counts_not_object", "k_float", "k_bool",
-        "count_float", "shots_float", "shots_string"])
+        "count_float", "shots_float", "shots_string", "s_int", "s_null",
+        "s_list"])
 def test_load_counts_rejects_malformed_entries(tmp_path, mutate, match):
     path = tmp_path / "c.json"
     _save_counts_file(path)

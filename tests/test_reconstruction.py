@@ -11,13 +11,12 @@ from mpotomo.measurement import (NoiseMeta, PauliBlockData,
 from mpotomo.operators import DenseOperator, random_mpo
 from mpotomo.pauli import pack_index, unpack_index
 from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
-                                    build_transfer_pair,
                                     check_invertibility_dense,
                                     check_invertibility_mpo_spans,
                                     default_split, noise_tikhonov_sigma2,
                                     numerical_rank, reconstruct_mpo,
                                     robust_solve, _fisher_penalty,
-                                    _prepared_sites)
+                                    _site_matrices)
 from mpotomo.files import write_json
 from mpotomo.metrics import hs_distance
 from mpotomo.states import (ghz_state, random_mpo_via_ancilla, thermal_dense,
@@ -129,43 +128,32 @@ def test_default_split_is_balanced():
     assert default_split(5) == (2, 2)
 
 
-# ---- transfer pairs ----
+# ---- window matrices ----
 
 
 def test_transfer_pair_shapes_and_identity_column():
     st = random_mpo_via_ancilla(6, seed=3)
     data = exact_block_data(st, 5)
-    pair = build_transfer_pair(data, 3, 2, 2)
-    assert pair.B.shape == (16, 16)
-    assert pair.C.shape == (16, 64)
-    C3 = pair.C.reshape(16, 16, 4)
-    assert np.allclose(pair.B, np.sqrt(2.0) * C3[:, :, 0], atol=1e-14)
+    B, C = _site_matrices(data.block(1), 2, 2)  # site 3
+    assert B.shape == (16, 16)
+    assert C.shape == (16, 64)
+    C3 = C.reshape(16, 16, 4)
+    assert np.allclose(B, np.sqrt(2.0) * C3[:, :, 0], atol=1e-14)
 
 
 def test_transfer_pair_entries_match_window_oracle():
     st = random_mpo_via_ancilla(5, seed=4)
     dense = st.to_dense().matrix
     data = exact_block_data(st, 3)
-    pair = build_transfer_pair(data, 2, 1, 1)
+    B, C = _site_matrices(data.block(1), 1, 1)  # site 2
     # B[i, j] = sqrt(2) tr[rho P_i(site 1) P_j(site 2) P_0(site 3)]
     red = oracles.partial_trace_loops(dense, [1, 2, 3], 5)
     for i in range(4):
         for j in range(4):
             ref = oracles.coeff_by_trace(red, [i, j, 0]) * np.sqrt(2.0)
-            assert abs(pair.B[i, j] - ref.real) < 1e-12
+            assert abs(B[i, j] - ref.real) < 1e-12
             ref_c = oracles.coeff_by_trace(red, [i, 0, j])
-            assert abs(pair.C[i, 0 * 4 + j] - ref_c.real) < 1e-12
-
-
-def test_transfer_pair_range_validation():
-    st = random_mpo_via_ancilla(6, seed=5)
-    data = exact_block_data(st, 5)
-    with pytest.raises(ValueError):
-        build_transfer_pair(data, 2, 2, 2)
-    with pytest.raises(ValueError):
-        build_transfer_pair(data, 5, 2, 2)
-    with pytest.raises(ValueError):
-        build_transfer_pair(data, 3, 2, 1)
+            assert abs(C[i, 0 * 4 + j] - ref_c.real) < 1e-12
 
 
 # ---- exact reconstruction ----
@@ -218,12 +206,16 @@ def test_bulk_tensors_equal_per_alpha_solves(reg):
         shots = np.full((data.n_blocks, 3**5), 10**6)
         data = PauliBlockData(data.n_sites, data.width, data.blocks,
                               NoiseMeta("fisher", shots=shots))
-    cfg = ReconstructionConfig(l=2, r=2, regularizer=reg)
-    est = reconstruct_mpo(data, cfg)
-    _, _, pairs, solvers = _prepared_sites(data, cfg)
+    est = reconstruct_mpo(data, ReconstructionConfig(l=2, r=2,
+                                                     regularizer=reg))
     for k in range(3, 9):
-        c3 = pairs[k].C.reshape(16, 4, 16)
-        per_alpha = np.array([solvers[k].solve(c3[:, a, :])
+        B, C = _site_matrices(data.block(k - 2), 2, 2)
+        penalty = None
+        if reg.mode == "fisher":
+            penalty, _ = _fisher_penalty(_fisher_matrix(
+                data.block(k - 2), data.noise.shots[k - 3]), 2, 2)
+        c3 = C.reshape(16, 4, 16)
+        per_alpha = np.array([robust_solve(B, c3[:, a, :], reg, penalty)
                               for a in range(4)])
         assert np.array_equal(est.tensors[k - 1], per_alpha)
 
@@ -408,6 +400,25 @@ def test_zero_fisher_information_flags_singular_penalty():
     assert hs_distance(st, rec) < 1e-10
 
 
+def test_zero_shots_in_one_window_flag_only_its_site():
+    # window 3 (sites 3..5) resolves site 4; its zero information must
+    # not leak into the penalties or flags of the other sites
+    st = random_mpo_via_ancilla(7, seed=5)
+    base = exact_block_data(st, 3)
+    shots = np.full((base.n_blocks, 27), 1000)
+    shots[2] = 0
+    data = PauliBlockData(base.n_sites, base.width, base.blocks,
+                          NoiseMeta("fisher", shots=shots))
+    rec, report = reconstruct_mpo(data, ReconstructionConfig(
+        regularizer=RegularizerSpec("fisher")), with_report=True)
+    assert [row["k"] for row in report.sites] == [2, 3, 4, 5, 6]
+    for row in report.sites:
+        expected = ["singular_penalty", "fisher_singular_scalar"]
+        assert row["flags"] == (expected if row["k"] == 4 else [])
+    assert all(np.all(np.isfinite(t)) for t in rec.tensors)
+    assert hs_distance(st, rec) < 2e-3
+
+
 def test_fisher_report_spectrum_is_that_of_the_whitened_matrix(rng):
     st = random_mpo_via_ancilla(5, seed=28)
     base = exact_block_data(st, 3)
@@ -421,7 +432,7 @@ def test_fisher_report_spectrum_is_that_of_the_whitened_matrix(rng):
         P, _ = _fisher_penalty(
             _fisher_matrix(data.blocks[k - 2], shots[k - 2]), 1, 1)
         L = np.linalg.cholesky(P)
-        B = build_transfer_pair(data, k, 1, 1).B
+        B, _ = _site_matrices(data.block(k - 1), 1, 1)
         expected = np.linalg.svd(B @ np.linalg.inv(L).T, compute_uv=False)
         assert np.allclose(row["singular_values"], expected, rtol=1e-10,
                            atol=0.0)
