@@ -212,11 +212,6 @@ def _probabilities(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
-def setting_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
-    """Outcome distribution of measuring each site along the given axes."""
-    return _probabilities(rho, _setting_unitary(setting))
-
-
 def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBlock]:
     """Multinomial counts for all 3^width settings of every window.
 
@@ -447,14 +442,26 @@ def _setting_shots(block: CountsBlock) -> np.ndarray:
 def _fisher_matrix(theta: np.ndarray, shots: np.ndarray) -> np.ndarray:
     """Fisher information over the non-identity coefficients of a window
     with coefficients theta and shots[j] shots of setting j of all_settings:
-    F = sum_s n_s sum_o (grad p)(grad p)^T / p, p clipped at the floor."""
+    F = sum_s n_s sum_o (grad p)(grad p)^T / p, p clipped at the floor.
+
+    One pass over the measured settings: one matmul gives every
+    probability, one batched Gram matrix of the sqrt(n / p)-weighted signs
+    (exactly symmetric) every setting's block, and one bincount adds the
+    blocks into F. A setting couples only strings whose sites carry the
+    identity or its own axis, so F is exactly zero between coefficients
+    whose last sites carry two different non-identity Paulis.
+    """
     width = n_sites_of(theta.size, 4)
     _, cols, signs = _design_blocks(width)
-    full = np.zeros((4**width, 4**width))
-    for j in np.flatnonzero(shots):
-        p = np.clip(signs @ theta[cols[j]], _P_FLOOR, None)
-        m = signs.T @ (signs / p[:, None]) * shots[j]
-        full[np.ix_(cols[j], cols[j])] += m
+    measured = np.flatnonzero(shots)
+    cols = cols[measured]
+    p = np.clip(theta[cols] @ signs.T, _P_FLOOR, None)
+    weighted = signs * np.sqrt(shots[measured, None] / p)[:, :, None]
+    gram = weighted.transpose(0, 2, 1) @ weighted
+    dim = 4**width
+    flat = cols[:, :, None] * dim + cols[:, None, :]
+    full = np.bincount(flat.ravel(), weights=gram.ravel(),
+                       minlength=dim * dim).reshape(dim, dim)
     return full[1:, 1:]
 
 

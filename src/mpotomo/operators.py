@@ -266,7 +266,8 @@ def load_operator(path: str):
     """Read an operator JSON file; returns the matching container type.
 
     Besides the header check, rejects an MPO without tensors, tensors or a
-    matrix that are not rectangular arrays of numbers, non-finite entries
+    matrix that are not rectangular arrays of numbers, a matrix whose
+    entries are not [re, im] pairs, non-finite entries
     and an `n_sites` (or, for an MPO, a `bond_dims`) field that disagrees
     with the data.
     """
@@ -288,6 +289,9 @@ def load_operator(path: str):
     elif kind == "dense":
         require(payload, ("matrix",), path)
         raw = float_array(payload["matrix"], f"{path}: matrix")
+        if raw.ndim != 3 or raw.shape[-1] != 2:
+            raise ValueError(f"{path}: matrix: entries must be [re, im] "
+                             "pairs")
         if not np.isfinite(raw).all():
             raise ValueError("operator entries must be finite")
         op = DenseOperator(raw[..., 0] + 1.0j * raw[..., 1])

@@ -30,34 +30,12 @@ def pauli_matrix(alpha: int) -> np.ndarray:
     return SIGMA[alpha] / np.sqrt(2.0)
 
 
-def pauli_string_dense(alphas) -> np.ndarray:
-    """Dense Kronecker product P(a_1) x ... x P(a_m), site 1 leftmost."""
-    alphas = list(alphas)
-    if len(alphas) > 12:
-        raise ValueError("dense strings capped at 12 sites")
-    out = pauli_matrix(alphas[0])
-    for a in alphas[1:]:
-        out = np.kron(out, pauli_matrix(a))
-    return out
-
-
 def pack_index(alphas) -> int:
     """Flat index of a multi-site string, site 1 most significant."""
     idx = 0
     for a in alphas:
         idx = idx * 4 + int(a)
     return idx
-
-
-def unpack_index(idx: int, m: int) -> tuple[int, ...]:
-    """Inverse of pack_index for an m-site string."""
-    out = []
-    for _ in range(m):
-        out.append(idx % 4)
-        idx //= 4
-    if idx:
-        raise ValueError("index out of range for m sites")
-    return tuple(reversed(out))
 
 
 # SITE_TRANSFORM[a, 2r + c] = P(a)[c, r], so (SITE_TRANSFORM @ vec(M))[a] is

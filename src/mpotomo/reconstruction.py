@@ -16,7 +16,10 @@ Every per-site solve is one SVD and a filter on the singular values:
 truncation (truncated_pinv), s / (s^2 + sigma2) (tikhonov), or, in
 fisher mode, generalized Tikhonov with a penalty P = L L^T assembled from
 per-window Fisher information, brought to standard form on B L^-T
-(Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998).
+(Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998). P needs
+the inverse information only on the coefficients B holds, which is the
+inverse of a Schur complement: the information never couples two
+coefficients whose last sites carry different axes.
 """
 
 from __future__ import annotations
@@ -179,24 +182,37 @@ def _fisher_penalty(F: np.ndarray, l: int, r: int):
     """Penalty P = row-sum of the covariance of B's entries, and flags.
 
     The covariance of the window coefficients is taken as the inverse of
-    the window's Fisher information F (identity coefficient fixed), and
-    P[j, j'] = sum_i Cov[B_ij, B_ij'] restricted to the columns of B. With
-    F = L L^T and Y = L^-1 E (E selects the coefficients that B holds),
-    their covariance is Y^T Y, so only those columns of F^-1 are solved.
+    the window's Fisher information F (symmetric, identity coefficient
+    fixed), and P[j, j'] = sum_i Cov[B_ij, B_ij'] restricted to the
+    columns of B. B holds the coefficients S whose last site is the
+    identity. The others split by their last-site Pauli s in {x, y, z},
+    and no setting measures two axes on one site, so F couples no two
+    different s. Their covariance is therefore the inverse of the Schur
+    complement G = F_SS - sum_s F_Ss F_ss^-1 F_sS, formed from three
+    4^(l+r)-square Cholesky factors instead of one of all of F. With
+    G = L L^T and Y = L^-1 E (E places S among B's entries), the
+    covariance of B's entries is Y^T Y. A Cholesky factor that fails
+    (singular information) gives the scalar fallback.
     """
     dim_l, dim_r = 4**l, 4**r
     dim = F.shape[0] + 1
-    flat = ((np.arange(dim_l)[:, None] * dim_r
-             + np.arange(dim_r)[None, :]) * 4).reshape(-1)
-    # flat[0] is the identity coefficient, which has no variance.
-    select = np.zeros((dim - 1, flat.size))
-    select[flat[1:] - 1, np.arange(1, flat.size)] = 1.0
+    # Entry m = i * dim_r + j of B is coefficient 4 m, row 4 m - 1 of F;
+    # coefficient 4 m + s is row 4 m + s - 1. m = 0 is the identity
+    # coefficient, which has no variance.
+    n_s = dim_l * dim_r - 1
     flags = []
     try:
-        L = scipy.linalg.cholesky((F + F.T) / 2.0, lower=True)
-        Y = scipy.linalg.solve_triangular(L, select, lower=True)
+        G = F[3::4, 3::4].copy()
+        for s in (1, 2, 3):
+            K = scipy.linalg.cholesky(F[s - 1::4, s - 1::4], lower=True)
+            W = scipy.linalg.solve_triangular(K, F[s - 1::4, 3::4],
+                                              lower=True)
+            G -= W.T @ W
+        L = scipy.linalg.cholesky(G, lower=True)
+        Y = np.zeros((n_s, n_s + 1))
+        Y[:, 1:] = scipy.linalg.solve_triangular(L, np.eye(n_s), lower=True)
         # Regroup Y's columns (i, j) so that Z^T Z sums over rows i.
-        Z = Y.reshape(dim - 1, dim_l, dim_r).transpose(1, 0, 2)
+        Z = Y.reshape(n_s, dim_l, dim_r).transpose(1, 0, 2)
         Z = Z.reshape(-1, dim_r)
         P = 2.0 * (Z.T @ Z)
     except np.linalg.LinAlgError:
@@ -208,7 +224,7 @@ def _fisher_penalty(F: np.ndarray, l: int, r: int):
         inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
         var = np.zeros(dim)
         var[1:] = np.einsum("ij,j,ij->i", Q, inv_w, Q)
-        var_b = 2.0 * var[flat].reshape(dim_l, dim_r)
+        var_b = 2.0 * var[::4].reshape(dim_l, dim_r)
         P = float(np.mean(var_b.sum(axis=0))) * np.eye(dim_r)
     return (P + P.T) / 2.0, flags
 

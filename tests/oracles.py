@@ -8,6 +8,7 @@ own helpers, so agreement between the two is evidence, not tautology.
 import functools
 
 import numpy as np
+import scipy.linalg
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -33,18 +34,23 @@ def coeff_by_trace(rho, alphas):
     return complex(np.trace(rho @ string_dense(alphas)))
 
 
+def unpack_index(idx, m):
+    """Site labels (a_1, ..., a_m) of the flat big-endian string index."""
+    out = []
+    for _ in range(m):
+        out.append(idx % 4)
+        idx //= 4
+    if idx:
+        raise ValueError("index out of range for m sites")
+    return tuple(reversed(out))
+
+
 def all_coeffs_by_trace(rho, n):
     """Full coefficient vector by looping every string. Exponential; keep
     n small."""
     out = np.zeros(4**n, dtype=complex)
     for idx in range(4**n):
-        alphas = []
-        v = idx
-        for _ in range(n):
-            alphas.append(v % 4)
-            v //= 4
-        alphas = alphas[::-1]
-        out[idx] = coeff_by_trace(rho, alphas)
+        out[idx] = coeff_by_trace(rho, unpack_index(idx, n))
     return out
 
 
@@ -90,17 +96,21 @@ def outcome_probability(rho, setting, outcome_bits):
     return float(np.trace(rho @ kron_chain(projs)).real)
 
 
+def setting_probabilities(rho, setting):
+    """Outcome distribution of one setting, through the package's own
+    unitary and probability kernel, so that simulate_counts' draws can be
+    replayed bit for bit; outcome_probability checks it independently."""
+    from mpotomo.measurement import _probabilities, _setting_unitary
+
+    return _probabilities(rho, _setting_unitary(setting))
+
+
 def rho_from_theta(theta, n):
     """Sum of theta[idx] * normalized string, looped literally."""
     dim = 2**n
     rho = np.zeros((dim, dim), dtype=complex)
     for idx in range(4**n):
-        alphas = []
-        v = idx
-        for _ in range(n):
-            alphas.append(v % 4)
-            v //= 4
-        rho += theta[idx] * string_dense(alphas[::-1])
+        rho += theta[idx] * string_dense(unpack_index(idx, n))
     return rho
 
 
@@ -135,6 +145,53 @@ def fisher_by_finite_difference(counts, width, theta, h=1e-6):
         p = np.clip(p0[s], 1e-12, None)
         F += n_s * (grads[s].T @ (grads[s] / p[:, None]))
     return F
+
+
+def fisher_matrix_loop(theta, shots):
+    """Fisher information over the non-identity coefficients, one setting
+    at a time: each setting's block signs^T diag(n / p) signs is added
+    into F at its strings with np.ix_. The per-setting reference for the
+    package's batched _fisher_matrix; the design comes from the package,
+    which fisher_by_finite_difference checks independently."""
+    from mpotomo.measurement import _design_blocks
+
+    width = int(round(np.log(theta.size) / np.log(4)))
+    _, cols, signs = _design_blocks(width)
+    full = np.zeros((4**width, 4**width))
+    for j in np.flatnonzero(shots):
+        p = np.clip(signs @ theta[cols[j]], 1e-12, None)
+        m = signs.T @ (signs / p[:, None]) * shots[j]
+        full[np.ix_(cols[j], cols[j])] += m
+    return full[1:, 1:]
+
+
+def fisher_penalty_full(F, l, r):
+    """(P, flags) of the package's _fisher_penalty from one Cholesky
+    factor of all of F: with (F + F^T) / 2 = L L^T and E selecting the
+    coefficients B holds, Y = L^-1 E and P = 2 sum_i Y_i^T Y_i over the
+    rows i of B. Singular F gives the same scalar fallback."""
+    dim_l, dim_r = 4**l, 4**r
+    dim = F.shape[0] + 1
+    flat = ((np.arange(dim_l)[:, None] * dim_r
+             + np.arange(dim_r)[None, :]) * 4).reshape(-1)
+    select = np.zeros((dim - 1, flat.size))
+    select[flat[1:] - 1, np.arange(1, flat.size)] = 1.0
+    try:
+        L = scipy.linalg.cholesky((F + F.T) / 2.0, lower=True)
+    except np.linalg.LinAlgError:
+        w, Q = np.linalg.eigh((F + F.T) / 2.0)
+        keep = w > 1e-12 * max(w.max(), 1e-300)
+        inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+        var = np.zeros(dim)
+        var[1:] = np.einsum("ij,j,ij->i", Q, inv_w, Q)
+        var_b = 2.0 * var[flat].reshape(dim_l, dim_r)
+        P = float(np.mean(var_b.sum(axis=0))) * np.eye(dim_r)
+        return P, ["fisher_singular_scalar"]
+    Y = scipy.linalg.solve_triangular(L, select, lower=True)
+    Z = Y.reshape(dim - 1, dim_l, dim_r).transpose(1, 0, 2)
+    Z = Z.reshape(-1, dim_r)
+    P = 2.0 * (Z.T @ Z)
+    return (P + P.T) / 2.0, []
 
 
 def window_coeffs_tensordot(mpo, k, width):

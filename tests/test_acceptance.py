@@ -16,7 +16,6 @@ from mpotomo.measurement import (CountsBlock, add_gaussian_noise,
                                  fisher_information, simulate_counts)
 from mpotomo.metrics import fidelity_w_optimized, hs_distance
 from mpotomo.operators import DenseOperator
-from mpotomo.pauli import unpack_index
 from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
                                     check_invertibility_dense,
                                     check_invertibility_mpo_spans,
@@ -72,7 +71,7 @@ def test_criterion_2_recursion_matches_oracles(verdict):
         rec = reconstruct_mpo(data)
         dense = st.to_dense().matrix
         for idx in rng.integers(0, 4**6, size=100):
-            alphas = unpack_index(int(idx), 6)
+            alphas = oracles.unpack_index(int(idx), 6)
             got = oracles.recursion_coefficient(data.blocks, alphas, 2, 2)
             ref = oracles.coeff_by_trace(dense, alphas).real
             worst_rel = max(worst_rel,

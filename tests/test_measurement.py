@@ -15,7 +15,7 @@ from mpotomo.measurement import (MLE_TOL, CountsBlock, NoiseMeta,
                                  load_counts, local_mle, marginal_consistency,
                                  outcome_index, outcome_string,
                                  save_block_data, save_counts,
-                                 setting_probabilities, simulate_counts)
+                                 simulate_counts)
 import mpotomo.operators
 from mpotomo.operators import (DenseOperator, load_operator, random_mpo,
                                save_operator, window_coeffs)
@@ -86,7 +86,8 @@ def test_simulate_counts_match_window_coeffs_densities():
     for k, block in enumerate(got, start=1):
         rho = dense_from_coeffs(window_coeffs(mpo, k, width))
         for setting in all_settings(width):
-            want = rng.multinomial(shots, setting_probabilities(rho, setting))
+            want = rng.multinomial(shots,
+                                   oracles.setting_probabilities(rho, setting))
             assert np.array_equal(block.counts[setting], want)
 
 
@@ -162,7 +163,7 @@ def test_setting_probabilities_match_projector_oracle():
     state = _dense_state(7, 2)
     rho = state.matrix
     for setting in all_settings(2):
-        p = setting_probabilities(rho, setting)
+        p = oracles.setting_probabilities(rho, setting)
         ref = [oracles.outcome_probability(rho, setting, (o >> 1 & 1, o & 1))
                for o in range(4)]
         assert np.allclose(p, ref, atol=1e-12)
@@ -300,6 +301,33 @@ def test_fisher_information_matches_finite_differences():
     theta = coeffs_from_dense(res.rho)
     ref = oracles.fisher_by_finite_difference(block.counts, 2, theta)
     assert np.max(np.abs(F - ref)) < 1e-3 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("shots_kind", ["uniform", "random", "partly_zero"])
+@pytest.mark.parametrize("width", [3, 4, 5])
+def test_fisher_matrix_matches_per_setting_loop(fisher_window, width,
+                                                shots_kind):
+    theta, shots = fisher_window(width, shots_kind)
+    F = _fisher_matrix(theta, shots)
+    ref = oracles.fisher_matrix_loop(theta, shots)
+    # entries that cancel to rounding level have no relative precision,
+    # so the tolerance is relative to the largest entry
+    assert np.allclose(F, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+    assert np.array_equal(F, F.T)
+
+
+@pytest.mark.parametrize("width", [3, 4, 5])
+def test_fisher_matrix_has_no_coupling_between_last_site_axes(
+        fisher_window, width):
+    # no setting measures two axes on one site, so coefficients whose last
+    # sites carry different non-identity Paulis are never coupled; row
+    # 4 m + s - 1 of F is coefficient 4 m + s
+    F = _fisher_matrix(*fisher_window(width, "random"))
+    for s in (1, 2, 3):
+        assert np.all(F[s - 1::4, s - 1::4].diagonal() > 0.0)
+        for t in (1, 2, 3):
+            if t != s:
+                assert not np.any(F[s - 1::4, t - 1::4])
 
 
 def test_block_data_from_counts_has_fisher_metadata():
@@ -599,9 +627,16 @@ def _set_tensor_entry(payload, value):
      "op.json: tensors must be a JSON array, not dict"),
     ("dense", lambda p: p["matrix"][3][1].__setitem__(0, "0.25"),
      "op.json: matrix: entries must be JSON numbers, not str"),
+    ("dense", lambda p: p.__setitem__(
+        "matrix", [[z[0] for z in row] for row in p["matrix"]]),
+     "op.json: matrix: entries must be \\[re, im\\] pairs"),
+    ("dense", lambda p: p.__setitem__(
+        "matrix", [[z + [0.0] for z in row] for row in p["matrix"]]),
+     "op.json: matrix: entries must be \\[re, im\\] pairs"),
 ], ids=["mpo_nan", "dense_inf", "mpo_n_sites", "dense_n_sites",
         "mpo_bond_dims", "mpo_empty", "mpo_string", "mpo_bool", "mpo_null",
-        "mpo_ragged", "mpo_tensors_object", "dense_string"])
+        "mpo_ragged", "mpo_tensors_object", "dense_string",
+        "dense_one_number_per_entry", "dense_three_numbers_per_entry"])
 def test_load_operator_rejects_malformed_entries(tmp_path, kind, mutate,
                                                  match):
     dense, mpo = w_state(4)

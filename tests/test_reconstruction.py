@@ -9,7 +9,7 @@ from mpotomo.measurement import (NoiseMeta, PauliBlockData,
                                  exact_block_data, simulate_counts,
                                  block_data_from_counts, _fisher_matrix)
 from mpotomo.operators import DenseOperator, random_mpo
-from mpotomo.pauli import pack_index, unpack_index
+from mpotomo.pauli import pack_index
 from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
                                     check_invertibility_dense,
                                     check_invertibility_mpo_spans,
@@ -237,8 +237,8 @@ def test_recursion_matches_dense_coefficients():
     full = st.full_coeffs()
     rng = np.random.default_rng(9)
     for idx in rng.integers(0, 4**6, size=60):
-        got = oracles.recursion_coefficient(data.blocks,
-                                            unpack_index(int(idx), 6), 2, 2)
+        alphas = oracles.unpack_index(int(idx), 6)
+        got = oracles.recursion_coefficient(data.blocks, alphas, 2, 2)
         assert abs(got - full[int(idx)]) < 1e-10
 
 
@@ -256,7 +256,7 @@ def test_mpo_factorizes_the_recursion_exactly():
 
     rng = np.random.default_rng(12)
     for idx in rng.integers(0, 4**6, size=40):
-        alphas = unpack_index(int(idx), 6)
+        alphas = oracles.unpack_index(int(idx), 6)
         ref = oracles.recursion_coefficient(data.blocks, alphas, 2, 2,
                                             solve=normal_equations)
         assert abs(rec.coefficient(alphas) - ref) < 1e-10
@@ -359,6 +359,24 @@ def test_fisher_penalty_closed_form_for_isotropic_information():
     expected[0, 0] = 2.0 * s * 3.0
     assert np.allclose(P, expected, atol=1e-12)
     assert flags == []
+
+
+@pytest.mark.parametrize("shots_kind", ["uniform", "random", "partly_zero"])
+@pytest.mark.parametrize("l, r", [(1, 1), (2, 1), (2, 2), (3, 1), (1, 3)])
+def test_fisher_penalty_matches_the_full_cholesky_reference(fisher_window, l,
+                                                            r, shots_kind):
+    # partly zero shots leave every full-weight string of an unmeasured
+    # setting without information: both take the scalar fallback
+    theta, shots = fisher_window(l + r + 1, shots_kind)
+    P, flags = _fisher_penalty(_fisher_matrix(theta, shots), l, r)
+    ref, ref_flags = oracles.fisher_penalty_full(
+        oracles.fisher_matrix_loop(theta, shots), l, r)
+    assert flags == ref_flags
+    assert flags == (["fisher_singular_scalar"]
+                     if shots_kind == "partly_zero" else [])
+    # entries that cancel to rounding level have no relative precision,
+    # so the tolerance is relative to the largest entry
+    assert np.allclose(P, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
 
 def test_fisher_singular_information_falls_back_to_scalar():
