@@ -14,8 +14,10 @@ FORMAT_VERSION = 1
 
 
 def write_json(path, payload, indent: int | None = None) -> None:
+    # json.dumps runs the C encoder when indent is None; json.dump always
+    # runs the Python one. Both write the same text.
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=indent)
+        fh.write(json.dumps(payload, indent=indent))
         fh.write("\n")
 
 

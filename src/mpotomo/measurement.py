@@ -10,6 +10,7 @@ counts pushed through a local maximum-likelihood estimator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -193,32 +194,64 @@ def _window_densities(state, width: int):
             yield dense_from_coeffs(coeffs)
 
 
-def _setting_unitary(setting: str) -> np.ndarray:
-    u = _U_BASIS[setting[0]]
-    for ch in setting[1:]:
-        u = np.kron(u, _U_BASIS[ch])
+def _setting_unitaries(settings) -> np.ndarray:
+    """Stack of the Kronecker unitaries of `settings`, one per setting.
+
+    The per-site factors are multiplied left to right in np.kron's order,
+    so each unitary is bitwise the np.kron chain of its factors.
+    """
+    factors = np.array([[_U_BASIS[ch] for ch in s] for s in settings])
+    u = factors[:, 0]
+    for f in factors.transpose(1, 0, 2, 3)[1:]:
+        n, rows, cols = u.shape
+        u = (u[:, :, None, :, None] * f[:, None, :, None, :]).reshape(
+            n, 2 * rows, 2 * cols)
     return u
 
 
-# The contraction order einsum(optimize=True) picks for diag(u rho u^dagger):
-# u with rho first, then the row-wise product with conj(u). Passing it
-# skips the path search on each call and keeps the same arithmetic.
-_PROB_PATH = ["einsum_path", (0, 1), (0, 1)]
+def _probabilities(rhos, u: np.ndarray) -> np.ndarray:
+    """Outcome distributions diag(u rho u^dagger) of every window density
+    in `rhos` under every unitary of the stack u, clipped at zero and
+    normalized, shape (windows, settings, outcomes).
 
-
-def _probabilities(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    p = np.einsum("ij,jk,ik->i", u, rho, u.conj(), optimize=_PROB_PATH).real
+    The two matmuls are the contraction einsum("ij,jk,ik->i", u, rho,
+    u.conj(), optimize=True) performs: t = (rho^T u^T)^T, then each row of
+    conj(u) dotted with the matching row of t. With numpy 2.4 the result
+    is bitwise that einsum's.
+    """
+    ut = u.transpose(0, 2, 1)
+    rows = u.conj()[:, :, None, :]
+    # one buffer serves every window: at width 7 a fresh 1 MB stack per
+    # window adds page faults worth about a tenth of the run time
+    buf = np.empty_like(u)
+    t = buf.transpose(0, 2, 1)[:, :, :, None]
+    p = np.empty((len(rhos), *u.shape[:2]))
+    for b, rho in enumerate(rhos):
+        np.matmul(rho.T, ut, out=buf)
+        p[b] = np.matmul(rows, t)[:, :, 0, 0].real
     p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    return p / p.sum(axis=2, keepdims=True)
+
+
+# Settings are evaluated in batches whose unitary stack holds about this
+# many bytes: 64 settings at width 5, 4 at width 7.
+_BATCH_BYTES = 1 << 20
 
 
 def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBlock]:
     """Multinomial counts for all 3^width settings of every window.
 
-    Each setting's Kronecker unitary is built once per call and applied to
-    every window before the next one is built, so at most one unitary is
-    held. Draws are made window by window, settings in all_settings order.
+    Settings are taken in batches in all_settings order: each batch's
+    unitaries are built once as one stack of about 1 MB and applied to
+    every window before the next batch is built, which bounds the memory
+    they take. All draws come from one multinomial call over the
+    (windows, settings, outcomes) probabilities, which consumes the random
+    stream window by window, settings in all_settings order, as one call
+    per window and setting would. shots must be a positive integer.
     """
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, not "
+                         f"{type(shots).__name__}")
     if shots <= 0:
         raise ValueError("shots must be positive")
     if not 1 <= width <= state.n_sites:
@@ -226,14 +259,12 @@ def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBloc
     settings = all_settings(width)
     rhos = list(_window_densities(state, width))
     probs = np.empty((len(rhos), len(settings), 1 << width))
-    for j, setting in enumerate(settings):
-        u = _setting_unitary(setting)
-        for b, rho in enumerate(rhos):
-            probs[b, j] = _probabilities(rho, u)
-    rng = np.random.default_rng(seed)
-    return [CountsBlock(b + 1, width,
-                        {setting: rng.multinomial(shots, probs[b, j])
-                         for j, setting in enumerate(settings)})
+    step = max(1, _BATCH_BYTES // (16 * 4**width))
+    for lo in range(0, len(settings), step):
+        probs[:, lo:lo + step] = _probabilities(
+            rhos, _setting_unitaries(settings[lo:lo + step]))
+    draws = np.random.default_rng(seed).multinomial(shots, probs)
+    return [CountsBlock(b + 1, width, dict(zip(settings, draws[b])))
             for b in range(len(rhos))]
 
 
@@ -242,6 +273,7 @@ def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBloc
 _P_FLOOR = 1e-12
 
 
+@functools.lru_cache(maxsize=None)
 def _design_blocks(width: int):
     """Measurement design over all settings in the coefficient basis.
 
@@ -251,7 +283,8 @@ def _design_blocks(width: int):
     either the identity or the axis of s_i (b selects which sites are
     non-identity), and signs[o, b] = (-1)^popcount(o & b) * 2^(-width/2).
     The sign matrix is shared by every setting, so one matmul evaluates
-    all settings at once.
+    all settings at once. Built once per width and shared by every caller:
+    settings is a tuple, and cols and signs are read-only.
     """
     dim = 1 << width
     o = np.arange(dim)
@@ -262,11 +295,13 @@ def _design_blocks(width: int):
     signs = np.where(par % 2 == 0, 1.0, -1.0) * 2.0 ** (-width / 2.0)
     bitmat = (o[:, None] >> (width - 1 - np.arange(width))) & 1
     place = 4 ** (width - 1 - np.arange(width))
-    settings = list(all_settings(width))
+    settings = tuple(all_settings(width))
     cols = np.zeros((len(settings), dim), dtype=np.intp)
     for j, setting in enumerate(settings):
         axes = np.array([_AXIS[ch] for ch in setting])
         cols[j] = bitmat @ (axes * place)
+    cols.setflags(write=False)
+    signs.setflags(write=False)
     return settings, cols, signs
 
 

@@ -100,9 +100,22 @@ def setting_probabilities(rho, setting):
     """Outcome distribution of one setting, through the package's own
     unitary and probability kernel, so that simulate_counts' draws can be
     replayed bit for bit; outcome_probability checks it independently."""
-    from mpotomo.measurement import _probabilities, _setting_unitary
+    from mpotomo.measurement import _probabilities, _setting_unitaries
 
-    return _probabilities(rho, _setting_unitary(setting))
+    return _probabilities([rho], _setting_unitaries([setting]))[0, 0]
+
+
+def setting_probabilities_einsum(rho, setting):
+    """Outcome distribution of one setting as diag(u rho u^dagger) from an
+    np.kron chain of the per-site basis changes and one einsum, clipped at
+    zero and normalized: the per-setting form the package's batched kernel
+    replaces."""
+    bases = {"z": I2, "x": np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
+             "y": np.array([[1, -1j], [1, 1j]]) / np.sqrt(2.0)}
+    u = kron_chain([bases[ch] for ch in setting]).astype(complex)
+    p = np.einsum("ij,jk,ik->i", u, rho, u.conj(), optimize=True).real
+    p = np.clip(p, 0.0, None)
+    return p / p.sum()
 
 
 def rho_from_theta(theta, n):

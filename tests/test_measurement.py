@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from mpotomo.measurement import (MLE_TOL, CountsBlock, NoiseMeta,
-                                 PauliBlockData, _fisher_matrix,
-                                 _project_density,
+from mpotomo.files import write_json
+from mpotomo.measurement import (MLE_TOL, _U_BASIS, CountsBlock, NoiseMeta,
+                                 PauliBlockData, _design_blocks,
+                                 _fisher_matrix, _probabilities,
+                                 _project_density, _setting_unitaries,
                                  add_gaussian_noise,
                                  all_settings, block_data_from_counts,
                                  blocks_from_global_counts, exact_block_data,
@@ -19,7 +21,8 @@ from mpotomo.measurement import (MLE_TOL, CountsBlock, NoiseMeta,
 import mpotomo.operators
 from mpotomo.operators import (DenseOperator, load_operator, random_mpo,
                                save_operator, window_coeffs)
-from mpotomo.pauli import coeffs_from_dense, dense_from_coeffs
+from mpotomo.pauli import (coeffs_from_dense, dense_from_coeffs,
+                          partial_trace)
 from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
                                     reconstruct_mpo)
 from mpotomo.states import product_state, random_mpo_via_ancilla, w_state
@@ -79,16 +82,48 @@ def test_identity_environments_built_once_per_call(monkeypatch):
 
 
 def test_simulate_counts_match_window_coeffs_densities():
+    # the draws replay one multinomial call per window and setting, window
+    # by window, settings in all_settings order; the W states have exact
+    # zero probabilities, which consume no random number
     mpo = random_mpo_via_ancilla(7, seed=15)
-    width, shots = 3, 50
-    got = simulate_counts(mpo, width, shots, seed=16)
-    rng = np.random.default_rng(16)
-    for k, block in enumerate(got, start=1):
-        rho = dense_from_coeffs(window_coeffs(mpo, k, width))
-        for setting in all_settings(width):
-            want = rng.multinomial(shots,
-                                   oracles.setting_probabilities(rho, setting))
-            assert np.array_equal(block.counts[setting], want)
+    dense = w_state(5)[1].to_dense()
+    cases = [(mpo, 3, 50, 16), (mpo, 1, 50, 17), (mpo, 4, 30, 18),
+             (_w8_bench_state(), 5, 100, 3), (dense, 4, 100, 19)]
+    for state, width, shots, seed in cases:
+        got = simulate_counts(state, width, shots, seed=seed)
+        rng = np.random.default_rng(seed)
+        zeros = 0
+        for k, block in enumerate(got, start=1):
+            if isinstance(state, DenseOperator):
+                rho = partial_trace(state.matrix, range(k, k + width))
+            else:
+                rho = dense_from_coeffs(window_coeffs(state, k, width))
+            for setting in all_settings(width):
+                p = oracles.setting_probabilities(rho, setting)
+                zeros += np.count_nonzero(p == 0.0)
+                want = rng.multinomial(shots, p)
+                assert np.array_equal(block.counts[setting], want)
+        assert (zeros > 0) == (state is not mpo)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_setting_kernel_matches_per_setting_einsum(width):
+    # each unitary is bitwise the np.kron chain of its factors; the
+    # probabilities agree with the per-setting einsum to a tolerance, since
+    # einsum's rounding differs between numpy versions
+    settings = all_settings(width)
+    u = _setting_unitaries(settings)
+    for j, setting in enumerate(settings):
+        assert np.array_equal(
+            u[j], oracles.kron_chain([_U_BASIS[ch] for ch in setting]))
+    for state in (random_mpo_via_ancilla(6, seed=15), w_state(6)[1]):
+        rhos = [dense_from_coeffs(window_coeffs(state, k, width))
+                for k in range(1, state.n_sites - width + 2)]
+        probs = _probabilities(rhos, u)
+        for rho, p in zip(rhos, probs):
+            for j, setting in enumerate(settings):
+                want = oracles.setting_probabilities_einsum(rho, setting)
+                assert np.max(np.abs(p[j] - want)) <= 1e-15
 
 
 def test_identity_entry_encodes_trace():
@@ -191,7 +226,7 @@ def test_simulate_counts_on_all_up_state():
 def test_simulate_counts_is_seeded():
     state, _ = product_state(3)
     b1 = simulate_counts(state, 2, 100, seed=3)
-    b2 = simulate_counts(state, 2, 100, seed=3)
+    b2 = simulate_counts(state, 2, np.int64(100), seed=3)
     for x, y in zip(b1, b2):
         for s in x.counts:
             assert np.array_equal(x.counts[s], y.counts[s])
@@ -368,6 +403,22 @@ def test_block_data_from_counts_requires_full_coverage():
         block_data_from_counts(blocks + blocks[:1], 4)
 
 
+@pytest.mark.parametrize("shots", [10.5, True, "100", 0, -1])
+def test_simulate_counts_rejects_shots_that_are_not_positive_integers(shots):
+    with pytest.raises(ValueError, match="shots"):
+        simulate_counts(w_state(3)[1], 2, shots, seed=1)
+
+
+def test_design_blocks_are_built_once_and_read_only():
+    settings, cols, signs = _design_blocks(3)
+    again = _design_blocks(3)
+    assert again[0] is settings and again[1] is cols and again[2] is signs
+    assert settings == tuple(all_settings(3))
+    for arr in (cols, signs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0
+
+
 @pytest.mark.parametrize("width", [0, 5])
 def test_simulate_counts_rejects_widths_outside_the_chain(width):
     _, wm = w_state(4)
@@ -390,6 +441,18 @@ def test_blocks_from_global_counts_pools_settings():
     assert np.array_equal(first.counts["xz"], (t1 + t2).reshape(-1))
     t3 = global_counts["yzz"].reshape(2, 2, 2).sum(axis=2)
     assert np.array_equal(first.counts["yz"], t3.reshape(-1))
+
+
+@pytest.mark.parametrize("indent", [None, 1])
+def test_write_json_bytes_match_json_dump(tmp_path, indent):
+    payload = {"a": [[-0.0, 1e-300, 0.1 + 0.2], [2**60, -1.5e-7, 0]],
+               "b": {"c": [[[1.0, -0.0]], []], "d": None, "e": "x"}}
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    write_json(got, payload, indent=indent)
+    with open(want, "w") as fh:
+        json.dump(payload, fh, indent=indent)
+        fh.write("\n")
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_counts_serialization_roundtrip(tmp_path):
