@@ -14,11 +14,12 @@ import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
-from .files import (FORMAT_VERSION, float_array, read_json, require,
-                    require_type, write_json)
+from .files import (FORMAT_VERSION, float_array, float_record, read_json,
+                    require, require_type, write_json)
 from .operators import DenseOperator, MatrixProductOperator, _windows
 from .pauli import (coeffs_from_dense, dense_from_coeffs, n_sites_of,
                     partial_trace)
@@ -175,8 +176,13 @@ def outcome_string(idx: int, width: int) -> str:
     return format(idx, f"0{width}b").replace("0", "+").replace("1", "-")
 
 
-def outcome_index(s: str) -> int:
-    return int(s.replace("+", "0").replace("-", "1"), 2)
+@functools.lru_cache(maxsize=None)
+def _outcome_tables(width: int):
+    """(strings, index): the 2^width outcome strings in index order, and
+    each string's index. Built once per width and shared by every caller,
+    so strings is a tuple and index a read-only mapping."""
+    strings = tuple(outcome_string(i, width) for i in range(1 << width))
+    return strings, MappingProxyType({s: i for i, s in enumerate(strings)})
 
 
 def all_settings(width: int):
@@ -562,13 +568,18 @@ def blocks_from_global_counts(global_counts: dict[str, np.ndarray],
 
 def save_counts(blocks: list[CountsBlock], n_sites: int, path: str) -> None:
     width = blocks[0].width
+    strings, _ = _outcome_tables(width)
+
+    def nonzero(c):
+        idx = np.flatnonzero(c)
+        return dict(zip([strings[i] for i in idx.tolist()],
+                        [int(v) for v in c[idx].tolist()]))
+
     payload = {
         "version": FORMAT_VERSION, "N": n_sites, "R": width, "d": 2,
         "blocks": [
             {"k": b.k, "settings": [
-                {"s": s, "shots": int(c.sum()),
-                 "counts": {outcome_string(i, width): int(v)
-                            for i, v in enumerate(c) if v}}
+                {"s": s, "shots": int(c.sum()), "counts": nonzero(c)}
                 for s, c in sorted(b.counts.items())]}
             for b in blocks],
     }
@@ -620,8 +631,10 @@ def load_counts(path: str):
                 raise ValueError(f"block {k}: setting {setting!r} is listed "
                                  "twice")
             hist = np.zeros(1 << width, dtype=np.int64)
+            _, index = _outcome_tables(width)
             for o, v in srec["counts"].items():
-                if len(o) != width or set(o) - set("+-"):
+                i = index.get(o)
+                if i is None:
                     raise ValueError(f"block {k} setting {setting}: outcome "
                                      f"{o!r} is not {width} characters "
                                      "from '+-'")
@@ -629,7 +642,7 @@ def load_counts(path: str):
                 if v < 0:
                     raise ValueError(f"block {k} setting {setting}: outcome "
                                      f"{o} has a negative count {v}")
-                hist[outcome_index(o)] = v
+                hist[i] = v
             if "shots" in srec:
                 require_type(srec["shots"], int, f"{where} shots")
                 if srec["shots"] != hist.sum():
@@ -651,14 +664,15 @@ def save_block_data(data: PauliBlockData, path: str) -> None:
             noise["shots"] = data.noise.shots.tolist()
     payload = {
         "version": FORMAT_VERSION, "N": data.n_sites, "R": data.width,
-        "d": 2, "blocks": data.blocks.tolist(), "noise": noise,
+        "d": 2, "blocks": float_record(data.blocks), "noise": noise,
     }
     write_json(path, payload)
 
 
 def load_block_data(path: str) -> PauliBlockData:
     """Read a window data file; rejects a bad header, an N or R that is
-    not an integer, `blocks` that are not a rectangular array of numbers,
+    not an integer, `blocks` that are neither a float record nor a
+    rectangular nested array of numbers (files.float_array),
     a `noise` other than null that is not an object with a `kind`, a
     scalar `sigma` that is not a number, fisher noise without `shots` (so
     a file that holds Fisher matrices) or with shots that are not rows of

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .files import (FORMAT_VERSION, float_array, read_json, require,
-                    require_type, write_json)
+from .files import (FORMAT_VERSION, float_array, float_record, read_json,
+                    require, require_type, write_json)
 from .pauli import coeffs_from_dense, dense_from_coeffs, n_sites_of
 
 DENSE_SITE_CAP = 12
@@ -249,13 +249,15 @@ def random_mpo(n_sites: int, bond: int, seed=None) -> MatrixProductOperator:
 
 
 def save_operator(op, path: str) -> None:
-    """Write a DenseOperator or MatrixProductOperator to a JSON file."""
+    """Write a DenseOperator or MatrixProductOperator to a JSON file: one
+    float record per MPO tensor, or for a dense operator one record of
+    shape (2^N, 2^N, 2) holding each entry's [re, im] pair."""
     if isinstance(op, MatrixProductOperator):
         kind, data = "mpo", {"bond_dims": op.bond_dims,
-                             "tensors": [t.tolist() for t in op.tensors]}
+                             "tensors": [float_record(t) for t in op.tensors]}
     elif isinstance(op, DenseOperator):
-        kind, data = "dense", {"matrix": [[[float(z.real), float(z.imag)]
-                                           for z in row] for row in op.matrix]}
+        pairs = np.stack([op.matrix.real, op.matrix.imag], -1)
+        kind, data = "dense", {"matrix": float_record(pairs)}
     else:
         raise TypeError(f"cannot serialize {type(op).__name__}")
     write_json(path, {"version": FORMAT_VERSION, "kind": kind,
@@ -265,11 +267,13 @@ def save_operator(op, path: str) -> None:
 def load_operator(path: str):
     """Read an operator JSON file; returns the matching container type.
 
-    Besides the header check, rejects an MPO without tensors, tensors or a
-    matrix that are not rectangular arrays of numbers, a matrix whose
-    entries are not [re, im] pairs, non-finite entries
-    and an `n_sites` (or, for an MPO, a `bond_dims`) field that disagrees
-    with the data.
+    Each tensor and the matrix is a float record or a nested array of
+    numbers (files.float_array). Besides the header check, rejects an MPO
+    without tensors, tensors or a matrix that are neither (a malformed
+    record, or a nested array that is not rectangular or holds an entry
+    that is not a number), a matrix whose entries are not [re, im] pairs,
+    non-finite entries and an `n_sites` (or, for an MPO, a `bond_dims`)
+    field that disagrees with the data.
     """
     payload = read_json(path, ("kind", "n_sites"))
     kind = payload["kind"]
@@ -294,7 +298,8 @@ def load_operator(path: str):
                              "pairs")
         if not np.isfinite(raw).all():
             raise ValueError("operator entries must be finite")
-        op = DenseOperator(raw[..., 0] + 1.0j * raw[..., 1])
+        # the [re, im] pairs as complex entries, bit for bit
+        op = DenseOperator(raw.view(complex)[..., 0])
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
     if payload["n_sites"] != op.n_sites:

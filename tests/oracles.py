@@ -352,3 +352,52 @@ def local_mle_reference(block, tol=1e-10, max_iter=10_000):
             converged = True
             break
     return rho, converged, it, ll
+
+
+# ---- file writers of the nested-number format ----
+#
+# The writers of files before float arrays were stored as float64
+# records: every float is a JSON number and every outcome string is
+# formatted one at a time. Each returns the payload the old writer passed
+# to json.dumps, so json.dumps of it gives that writer's bytes.
+
+
+def counts_payload_loop(blocks, n_sites):
+    width = blocks[0].width
+
+    def outcome(idx):
+        return format(idx, f"0{width}b").replace("0", "+").replace("1", "-")
+
+    return {
+        "version": 1, "N": n_sites, "R": width, "d": 2,
+        "blocks": [
+            {"k": b.k, "settings": [
+                {"s": s, "shots": int(c.sum()),
+                 "counts": {outcome(i): int(v) for i, v in enumerate(c)
+                            if v}}
+                for s, c in sorted(b.counts.items())]}
+            for b in blocks],
+    }
+
+
+def operator_payload_nested(op):
+    if hasattr(op, "tensors"):
+        kind, data = "mpo", {"bond_dims": op.bond_dims,
+                             "tensors": [t.tolist() for t in op.tensors]}
+    else:
+        kind, data = "dense", {"matrix": [[[float(z.real), float(z.imag)]
+                                           for z in row] for row in op.matrix]}
+    return {"version": 1, "kind": kind, "n_sites": op.n_sites, "d": 2,
+            **data}
+
+
+def block_data_payload_nested(data):
+    noise = None
+    if data.noise is not None:
+        noise = {"kind": data.noise.kind}
+        if data.noise.kind == "scalar":
+            noise["sigma"] = data.noise.sigma
+        else:
+            noise["shots"] = data.noise.shots.tolist()
+    return {"version": 1, "N": data.n_sites, "R": data.width, "d": 2,
+            "blocks": data.blocks.tolist(), "noise": noise}

@@ -1,3 +1,4 @@
+import base64
 import json
 import warnings
 
@@ -15,7 +16,7 @@ from mpotomo.measurement import (MLE_TOL, _U_BASIS, CountsBlock, NoiseMeta,
                                  blocks_from_global_counts, exact_block_data,
                                  fisher_information, load_block_data,
                                  load_counts, local_mle, marginal_consistency,
-                                 outcome_index, outcome_string,
+                                 _outcome_tables, outcome_string,
                                  save_block_data, save_counts,
                                  simulate_counts)
 import mpotomo.operators
@@ -208,8 +209,14 @@ def test_setting_probabilities_match_projector_oracle():
 def test_outcome_string_roundtrip():
     assert outcome_string(0, 3) == "+++"
     assert outcome_string(5, 3) == "-+-"
+    strings, index = _outcome_tables(3)
+    assert strings == tuple(outcome_string(idx, 3) for idx in range(8))
     for idx in range(8):
-        assert outcome_index(outcome_string(idx, 3)) == idx
+        assert index[outcome_string(idx, 3)] == idx
+    # built once per width, and shared, so neither table can be changed
+    assert _outcome_tables(3) is _outcome_tables(3)
+    with pytest.raises(TypeError):
+        index["+++"] = 1
 
 
 def test_simulate_counts_on_all_up_state():
@@ -502,6 +509,22 @@ def test_block_data_serialization_keeps_fisher(tmp_path):
         assert np.array_equal(a, b)
 
 
+def _nested_payload(path):
+    """The JSON of a saved file with every float64 record rewritten as the
+    nested lists of numbers it encodes: the form files had before the
+    record, in which a test can edit single entries."""
+    def nested(value):
+        if isinstance(value, dict) and set(value) == {"shape", "float64"}:
+            raw = base64.b64decode(value["float64"])
+            return np.frombuffer(raw, "<f8").reshape(value["shape"]).tolist()
+        if isinstance(value, dict):
+            return {key: nested(v) for key, v in value.items()}
+        if isinstance(value, list):
+            return [nested(v) for v in value]
+        return value
+    return nested(json.loads(path.read_text()))
+
+
 # ---- validation where window data enters ----
 
 
@@ -509,7 +532,7 @@ def test_load_block_data_rejects_non_finite_blocks(tmp_path):
     data = exact_block_data(random_mpo_via_ancilla(4, seed=31), 3)
     path = tmp_path / "d.json"
     save_block_data(data, path)
-    payload = json.loads(path.read_text())
+    payload = _nested_payload(path)
     payload["blocks"][1][5] = float("nan")
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="blocks must be finite"):
@@ -534,7 +557,7 @@ def test_load_block_data_rejects_blocks_that_are_not_numbers(tmp_path, mutate,
     path = tmp_path / "d.json"
     save_block_data(exact_block_data(random_mpo_via_ancilla(4, seed=31), 3),
                     path)
-    payload = json.loads(path.read_text())
+    payload = _nested_payload(path)
     mutate(payload)
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=match):
@@ -705,11 +728,248 @@ def test_load_operator_rejects_malformed_entries(tmp_path, kind, mutate,
     dense, mpo = w_state(4)
     path = tmp_path / "op.json"
     save_operator(mpo if kind == "mpo" else dense, path)
-    payload = json.loads(path.read_text())
+    payload = _nested_payload(path)
     mutate(payload)
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=match):
         load_operator(path)
+
+
+# ---- float arrays as float64 records ----
+
+
+def _record(array):
+    """A float64 record, encoded here rather than by the package."""
+    data = np.asarray(array, dtype="<f8")
+    return {"shape": list(data.shape),
+            "float64": base64.b64encode(data.tobytes()).decode()}
+
+
+# entries at the edges of float64: the smallest subnormal, the largest
+# finite number, a sum that has no short decimal form and a negative zero
+_EDGES = [5e-324, 1.7976931348623157e308, 0.1 + 0.2, -0.0]
+
+
+def _assert_bitwise(a, b):
+    assert a.dtype == b.dtype == float and a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert a.tobytes() == b.tobytes()
+
+
+def test_mpo_round_trips_bitwise(tmp_path):
+    mpo = random_mpo(4, bond=3, seed=40)
+    mpo.tensors[1][:, 0, 0] = _EDGES
+    mpo.tensors[2][0, 1] = -0.0
+    path = tmp_path / "op.json"
+    save_operator(mpo, path)
+    payload = json.loads(path.read_text())
+    assert payload["tensors"][1] == _record(mpo.tensors[1])
+    back = load_operator(path)
+    assert back.bond_dims == mpo.bond_dims
+    for a, b in zip(back.tensors, mpo.tensors):
+        _assert_bitwise(a, b)
+
+
+def test_dense_operator_round_trips_bitwise(tmp_path):
+    m = w_state(3)[0].matrix.copy()
+    m[0, 0] = 1.7976931348623157e308
+    m[1, 1] = complex(-0.0, -0.0)
+    m[2, 3] = complex(5e-324, 0.1 + 0.2)
+    m[3, 2] = m[2, 3].conjugate()
+    m[4, 5], m[5, 4] = -0.0, -0.0
+    op = DenseOperator(m)
+    path = tmp_path / "op.json"
+    save_operator(op, path)
+    payload = json.loads(path.read_text())
+    assert payload["matrix"] == _record(np.stack([m.real, m.imag], -1))
+    back = load_operator(path)
+    assert np.array_equal(back.matrix, m)
+    _assert_bitwise(back.matrix.real, m.real)
+    _assert_bitwise(back.matrix.imag, m.imag)
+
+
+@pytest.mark.parametrize("noise", ["none", "scalar", "fisher"])
+def test_block_data_round_trips_bitwise(tmp_path, noise):
+    data = exact_block_data(random_mpo_via_ancilla(5, seed=41), 2)
+    if noise == "scalar":
+        data = add_gaussian_noise(data, 1e-3, seed=41)
+    elif noise == "fisher":
+        shots = np.arange(data.n_blocks * 9).reshape(data.n_blocks, 9)
+        data = _with_shots(data, shots)
+    data.blocks[1, :4] = _EDGES
+    data.blocks[3, -1] = -0.0
+    path = tmp_path / "d.json"
+    save_block_data(data, path)
+    payload = json.loads(path.read_text())
+    assert payload["blocks"] == _record(data.blocks)
+    back = load_block_data(path)
+    _assert_bitwise(back.blocks, data.blocks)
+    if noise == "fisher":
+        assert np.array_equal(back.noise.shots, data.noise.shots)
+
+
+def _fitted_block_data():
+    data = exact_block_data(random_mpo_via_ancilla(4, seed=44), 2)
+    return _with_shots(data, np.arange(27).reshape(3, 9))
+
+
+def _float_arrays(obj):
+    if hasattr(obj, "tensors"):
+        return obj.tensors
+    if hasattr(obj, "matrix"):
+        return [obj.matrix]
+    return [obj.blocks]
+
+
+_NESTED_CASES = {
+    "mpo": (lambda: random_mpo(4, bond=3, seed=42), save_operator,
+            load_operator, oracles.operator_payload_nested),
+    "dense": (lambda: _dense_state(43, 3), save_operator, load_operator,
+              oracles.operator_payload_nested),
+    "block_data": (lambda: add_gaussian_noise(
+        exact_block_data(random_mpo(4, bond=2, seed=36), 2), 1e-3, seed=36),
+        save_block_data, load_block_data, oracles.block_data_payload_nested),
+    "fitted_block_data": (_fitted_block_data, save_block_data,
+                          load_block_data,
+                          oracles.block_data_payload_nested),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NESTED_CASES))
+def test_nested_number_files_load_as_record_files(tmp_path, case):
+    # a file in the nested-number form, as written before the record,
+    # loads to the same arrays as the record file; that form is also what
+    # _nested_payload makes of the record file
+    make, save, load, nested_payload = _NESTED_CASES[case]
+    obj = make()
+    rec, nested = tmp_path / "rec.json", tmp_path / "nested.json"
+    save(obj, rec)
+    nested.write_text(json.dumps(nested_payload(obj)) + "\n")
+    assert _nested_payload(rec) == nested_payload(obj)
+    a, b = load(rec), load(nested)
+    for x, y, z in zip(_float_arrays(a), _float_arrays(b),
+                       _float_arrays(obj), strict=True):
+        assert x.tobytes() == y.tobytes() == z.tobytes()
+    assert rec.stat().st_size < nested.stat().st_size
+
+
+# Where each tool-written file holds a record, and how a message names it.
+_RECORD_SITES = pytest.mark.parametrize("save, load, keys, where", [
+    (_save_operator_file, load_operator, ("tensors", 1),
+     "f.json: tensors\\[1\\]"),
+    (lambda p: save_operator(w_state(3)[0], p), load_operator, ("matrix",),
+     "f.json: matrix"),
+    (_save_block_file, load_block_data, ("blocks",), "f.json: blocks"),
+], ids=["mpo", "dense", "block_data"])
+
+
+def _edit_record(path, keys, edit):
+    """Replace the record at payload[keys[0]][keys[1]]... by edit(record)."""
+    payload = json.loads(path.read_text())
+    outer = payload
+    for key in keys[:-1]:
+        outer = outer[key]
+    outer[keys[-1]] = edit(outer[keys[-1]])
+    path.write_text(json.dumps(payload))
+
+
+def _without(field):
+    return lambda r: {k: v for k, v in r.items() if k != field}
+
+
+def _shape_entry(value):
+    return lambda r: {**r, "shape": [value] + r["shape"][1:]}
+
+
+def _text(edit):
+    return lambda r: {**r, "float64": edit(r["float64"])}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: r["float64"],
+     " must be a float64 record or a JSON array, not str"),
+    (lambda r: 1.5, " must be a float64 record or a JSON array, not float"),
+    (lambda r: None,
+     " must be a float64 record or a JSON array, not NoneType"),
+    (_without("shape"), ": missing field 'shape'"),
+    (_without("float64"), ": missing field 'float64'"),
+    (lambda r: {**r, "dtype": "<f8"}, ": unknown field 'dtype'"),
+    (lambda r: {**r, "shape": 12}, " shape must be a JSON array, not int"),
+    (_shape_entry(4.0), " shape\\[0\\] must be a JSON integer, not float"),
+    (_shape_entry(True), " shape\\[0\\] must be a JSON integer, not bool"),
+    (_shape_entry("4"), " shape\\[0\\] must be a JSON integer, not str"),
+    (_shape_entry(-1), " shape\\[0\\] must be nonnegative, not -1"),
+    (lambda r: {**r, "float64": [0.0]},
+     " float64 must be a JSON string, not list"),
+    (lambda r: {**r, "float64": None},
+     " float64 must be a JSON string, not NoneType"),
+    (_text(lambda t: "@" + t[1:]), " float64 is not valid base64"),
+    (_text(lambda t: t[:-1]), " float64 is not valid base64"),
+    (_text(lambda t: t[:8] + "\n" + t[8:]), " float64 is not valid base64"),
+    (_text(lambda t: "é" + t[1:]), " float64 is not valid base64"),
+    (_text(lambda t: t[:-12]), " float64 holds \\d+ bytes; shape "
+     "\\[[0-9, ]+\\] needs \\d+"),
+    (lambda r: {**r, "shape": [r["shape"][0] + 1] + r["shape"][1:]},
+     " float64 holds \\d+ bytes; shape \\[[0-9, ]+\\] needs \\d+"),
+    (lambda r: {**r, "shape": r["shape"] + [2]},
+     " float64 holds \\d+ bytes; shape \\[[0-9, ]+\\] needs \\d+"),
+    # numpy's own message follows "shape: " and varies between versions
+    (lambda r: {"shape": [1] * 70, "float64": "AAAAAAAAAAA="}, " shape: "),
+    (lambda r: {"shape": [0, 10**30], "float64": ""}, " shape: "),
+], ids=["not_object_string", "not_object_number", "not_object_null",
+        "no_shape", "no_float64", "extra_field", "shape_not_array",
+        "shape_float", "shape_bool", "shape_string", "shape_negative",
+        "float64_array", "float64_null", "bad_character", "bad_padding",
+        "line_break", "not_ascii", "too_few_bytes", "shape_too_large",
+        "shape_extra_axis", "too_many_axes", "axis_too_long"])
+@_RECORD_SITES
+def test_loaders_reject_malformed_float_records(tmp_path, save, load, keys,
+                                                where, edit, message):
+    path = tmp_path / "f.json"
+    save(path)
+    _edit_record(path, keys, edit)
+    with pytest.raises(ValueError, match=where + message):
+        load(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@_RECORD_SITES
+def test_non_finite_entries_in_records_are_rejected(tmp_path, save, load,
+                                                    keys, where, value):
+    def poison(r):
+        a = np.frombuffer(base64.b64decode(r["float64"]), "<f8").copy()
+        a[len(a) // 2] = value
+        return _record(a.reshape(r["shape"]))
+
+    path = tmp_path / "f.json"
+    save(path)
+    _edit_record(path, keys, poison)
+    with pytest.raises(ValueError, match="blocks must be finite"
+                       if keys == ("blocks",)
+                       else "operator entries must be finite"):
+        load(path)
+
+
+@pytest.mark.parametrize("state, width, shots", [
+    (lambda: w_state(8, phases=[0.4, 1.0, 2.2, 0.1, 1.7, 0.9, 2.8])[1], 5,
+     200),
+    (lambda: random_mpo_via_ancilla(6, seed=45), 3, 1000),
+    (lambda: product_state(3)[1], 1, 7),
+], ids=["w8_r5", "random6_r3", "product3_r1"])
+def test_save_counts_bytes_match_the_outcome_loop(tmp_path, state, width,
+                                                  shots):
+    n = state().n_sites
+    blocks = simulate_counts(state(), width, shots, seed=46)
+    path = tmp_path / "c.json"
+    save_counts(blocks, n, path)
+    want = json.dumps(oracles.counts_payload_loop(blocks, n)) + "\n"
+    assert path.read_text() == want
+    back, _ = load_counts(path)
+    for x, y in zip(back, blocks):
+        assert x.counts.keys() == y.counts.keys()
+        for s in y.counts:
+            assert np.array_equal(x.counts[s], y.counts[s])
 
 
 def _shots(entry=100, last=None):
