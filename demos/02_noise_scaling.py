@@ -4,7 +4,7 @@ A thermal state of a critical-field Ising chain is reconstructed from
 5-site windows whose Pauli coefficients carry additive Gaussian noise
 of scale sigma.  Two solvers are compared at each noise level:
 
-  * plain truncated pseudoinverse (rank cut at tau * s_max),
+  * plain truncated pseudoinverse (rank cut at PINV_RTOL * s_max),
   * Tikhonov-filtered pseudoinverse with the damping matched to sigma.
 
 The damped solver trades a little bias for a Lot of variance and wins
@@ -52,7 +52,7 @@ def main():
         cfg_tik = ReconstructionConfig(
             l=L, r=R, regularizer=RegularizerSpec("tikhonov", sigma2=s2))
         cfg_raw = ReconstructionConfig(
-            l=L, r=R, regularizer=RegularizerSpec("truncated_pinv", tau=1e-10))
+            l=L, r=R, regularizer=RegularizerSpec("truncated_pinv"))
 
         d_tik, d_raw = [], []
         for trial in range(TRIALS):

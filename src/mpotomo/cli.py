@@ -20,8 +20,8 @@ from .measurement import (MLE_MAX_ITER, MLE_TOL, add_gaussian_noise,
 from .metrics import compare_states
 from .operators import (DenseOperator, load_operator, mpo_from_dense,
                         save_operator)
-from .reconstruction import (ReconstructionConfig, RegularizerSpec,
-                             check_invertibility_dense,
+from .reconstruction import (NOISE_MODES, ReconstructionConfig,
+                             RegularizerSpec, check_invertibility_dense,
                              check_invertibility_mpo_spans, reconstruct_mpo)
 from .states import HAMILTONIAN_FAMILIES, make_state
 from .sweep import run_sweep, sweep_config_from_json
@@ -44,10 +44,6 @@ _SOLVER_ALIASES = {
     "tikhonov": "tikhonov",
     "fisher": "fisher",
 }
-
-# Solver mode picked from the data's noise kind when --solver is not given.
-_NOISE_SOLVER = {None: "truncated_pinv", "scalar": "tikhonov",
-                 "fisher": "fisher"}
 
 
 def _emit(payload: dict) -> None:
@@ -103,8 +99,8 @@ def _pick_regularizer(args, data) -> RegularizerSpec:
     if args.solver:
         mode = _SOLVER_ALIASES[args.solver]
     else:
-        mode = _NOISE_SOLVER[data.noise.kind if data.noise else None]
-    return RegularizerSpec(mode, tau=args.tau, sigma2=args.sigma2)
+        mode = NOISE_MODES[data.noise.kind if data.noise else None]
+    return RegularizerSpec(mode, sigma2=args.sigma2)
 
 
 def _cmd_reconstruct(args) -> int:
@@ -209,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--l", type=int, default=None)
     r.add_argument("--r", type=int, default=None)
     r.add_argument("--solver", choices=sorted(_SOLVER_ALIASES), default=None)
-    r.add_argument("--tau", type=float, default=1e-10)
     r.add_argument("--sigma2", type=float, default=None)
     r.add_argument("--normalize", action="store_true")
     r.add_argument("--out", required=True)

@@ -630,25 +630,31 @@ def load_counts(path: str):
             if setting in counts:
                 raise ValueError(f"block {k}: setting {setting!r} is listed "
                                  "twice")
-            hist = np.zeros(1 << width, dtype=np.int64)
             _, index = _outcome_tables(width)
-            for o, v in srec["counts"].items():
-                i = index.get(o)
-                if i is None:
-                    raise ValueError(f"block {k} setting {setting}: outcome "
-                                     f"{o!r} is not {width} characters "
-                                     "from '+-'")
-                require_type(v, int, f"{where} count of {o!r}")
-                if v < 0:
-                    raise ValueError(f"block {k} setting {setting}: outcome "
-                                     f"{o} has a negative count {v}")
-                hist[i] = v
+            rows = list(map(index.get, srec["counts"]))
+            values = list(srec["counts"].values())
+            # one pass over the setting's outcomes; the loop names the
+            # first offender only when that pass fails
+            if (None in rows or set(map(type, values)) - {int}
+                    or min(values, default=0) < 0):
+                for o, v in srec["counts"].items():
+                    if o not in index:
+                        raise ValueError(f"block {k} setting {setting}: "
+                                         f"outcome {o!r} is not {width} "
+                                         "characters from '+-'")
+                    require_type(v, int, f"{where} count of {o!r}")
+                    if v < 0:
+                        raise ValueError(f"block {k} setting {setting}: "
+                                         f"outcome {o} has a negative count "
+                                         f"{v}")
             if "shots" in srec:
                 require_type(srec["shots"], int, f"{where} shots")
-                if srec["shots"] != hist.sum():
+                if srec["shots"] != sum(values):
                     raise ValueError(
                         f"block {k} setting {setting}: counts sum to "
-                        f"{int(hist.sum())}, declared {srec['shots']}")
+                        f"{sum(values)}, declared {srec['shots']}")
+            hist = np.zeros(1 << width, dtype=np.int64)
+            hist[rows] = values
             counts[setting] = hist
         blocks[k] = CountsBlock(k, width, counts)
     return list(blocks.values()), n_sites
@@ -690,10 +696,12 @@ def load_block_data(path: str) -> PauliBlockData:
         if raw["kind"] == "fisher":
             require(raw, ("shots",), where)
             require_type(shots, list, f"{where} shots")
-            for b, row in enumerate(shots):
-                require_type(row, list, f"{where} shots[{b}]")
-                for j, n in enumerate(row):
-                    require_type(n, int, f"{where} shots[{b}][{j}]")
+            if not all(type(row) is list and not set(map(type, row)) - {int}
+                       for row in shots):
+                for b, row in enumerate(shots):  # name the first offender
+                    require_type(row, list, f"{where} shots[{b}]")
+                    for j, n in enumerate(row):
+                        require_type(n, int, f"{where} shots[{b}][{j}]")
             if len({len(row) for row in shots}) > 1:
                 raise ValueError(f"{where} shots: rows differ in length")
         noise = NoiseMeta(raw["kind"],

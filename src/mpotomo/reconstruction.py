@@ -34,8 +34,14 @@ from .operators import (DenseOperator, MatrixProductOperator, _exact_split,
                         mpo_from_coeffs)
 
 RANK_RTOL = 1e-9  # numerical rank: singular values above RANK_RTOL * s_max
+PINV_RTOL = 1e-10  # truncated_pinv: 1 / s for s above PINV_RTOL * s_max
 
-_SOLVER_MODES = ("truncated_pinv", "tikhonov", "fisher")
+# The solver mode for each kind of data noise (PauliBlockData.noise.kind,
+# None for exact data); the CLI and sweeps pick from it. Exact data takes
+# the plain truncated pseudoinverse: the zero Tikhonov filter is undefined
+# on rank-deficient exact window maps.
+NOISE_MODES = {None: "truncated_pinv", "scalar": "tikhonov",
+               "fisher": "fisher"}
 
 
 @dataclass
@@ -43,7 +49,7 @@ class RegularizerSpec:
     """Choice of robust linear solver for the per-site systems.
 
     Each mode is a filter on the singular values s of the matrix it factors.
-    mode "truncated_pinv": 1 / s for s above tau * s_max, 0 below.
+    mode "truncated_pinv": 1 / s for s above PINV_RTOL * s_max, 0 below.
     mode "tikhonov": s / (s^2 + sigma2). sigma2 = None (the default)
     means matched to the data's scalar noise: reconstruct_mpo sets it to
     noise_tikhonov_sigma2(sigma, l, r) for the split it resolves, and
@@ -57,14 +63,11 @@ class RegularizerSpec:
     """
 
     mode: str = "truncated_pinv"
-    tau: float = 1e-10
     sigma2: float | None = None
 
     def __post_init__(self):
-        if self.mode not in _SOLVER_MODES:
+        if self.mode not in NOISE_MODES.values():
             raise ValueError(f"unknown solver mode {self.mode!r}")
-        if not 0.0 <= self.tau < 1.0:
-            raise ValueError("tau must lie in [0, 1)")
         if self.sigma2 is not None and not (np.isfinite(self.sigma2)
                                             and self.sigma2 >= 0.0):
             raise ValueError("sigma2 must be finite and nonnegative")
@@ -126,15 +129,22 @@ def noise_tikhonov_sigma2(sigma: float, l: int, r: int) -> float:
     return sigma**2 * 2.0 ** (l - r)
 
 
-def _filtered_solve(B: np.ndarray, rhs: np.ndarray, reg: RegularizerSpec,
-                    penalty=None):
-    """One SVD and the filter of `reg`: returns (x, spectrum, flags).
+def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
+                 penalty=None):
+    """Regularized solution of B x = e (a vector or the columns of a
+    matrix) with one SVD and the filter of `reg`: returns (x, spectrum,
+    flags); see RegularizerSpec for the modes.
 
-    In fisher mode the matrix factored is B L^-T with P = L L^T, so the
-    spectrum holds the singular values of B L^-T; in the other modes (and
-    after the singular_penalty fallback) those of B.
+    fisher mode needs the penalty matrix P, and tikhonov mode an explicit
+    sigma2. In fisher mode the matrix factored is B L^-T with P = L L^T,
+    so the spectrum holds the singular values of B L^-T; in the other
+    modes (and after the singular_penalty fallback) those of B.
     """
+    B, e = np.asarray(B, dtype=float), np.asarray(e, dtype=float)
     flags, chol, mode = [], None, reg.mode
+    if mode == "tikhonov" and reg.sigma2 is None:
+        raise ValueError("robust_solve needs an explicit sigma2 in "
+                         "tikhonov mode")
     if mode == "fisher":
         if penalty is None:
             raise ValueError("fisher mode requires a penalty matrix")
@@ -150,32 +160,18 @@ def _filtered_solve(B: np.ndarray, rhs: np.ndarray, reg: RegularizerSpec,
         flags.append("zero_operator")
         filt = np.zeros_like(s)
     elif mode == "truncated_pinv":
-        keep = s > reg.tau * s[0]
+        keep = s > PINV_RTOL * s[0]
         filt = np.zeros_like(s)
         filt[keep] = 1.0 / s[keep]
     else:
         sigma2 = 1.0 if mode == "fisher" else reg.sigma2
         denom = s**2 + sigma2
         filt = np.divide(s, denom, out=np.zeros_like(s), where=denom > 0.0)
-    z = U.T @ rhs
+    z = U.T @ e
     x = Vt.T @ (z * (filt[:, None] if z.ndim == 2 else filt))
     if chol is not None:
         x = scipy.linalg.solve_triangular(chol, x, trans="T", lower=True)
     return x, s, flags
-
-
-def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
-                 penalty=None) -> np.ndarray:
-    """Regularized solution of B x = e; see RegularizerSpec for modes.
-
-    fisher mode needs the penalty matrix P here, and tikhonov mode an
-    explicit sigma2, since there is no data to match it to.
-    """
-    if reg.mode == "tikhonov" and reg.sigma2 is None:
-        raise ValueError("robust_solve needs an explicit sigma2 in "
-                         "tikhonov mode")
-    return _filtered_solve(np.asarray(B, dtype=float),
-                           np.asarray(e, dtype=float), reg, penalty)[0]
 
 
 def _fisher_penalty(F: np.ndarray, l: int, r: int):
@@ -300,7 +296,7 @@ def reconstruct_mpo(data: PauliBlockData,
                     _fisher_matrix(block, data.noise.shots[b]), l, r)
             # Column a * dim_r + j of C is right string j extended by
             # alpha = a, so one solve gives all 4 matrices of the site.
-            x, spectrum, flags = _filtered_solve(B, C, reg, penalty)
+            x, spectrum, flags = robust_solve(B, C, reg, penalty)
             tensors.append(x.reshape(dim_r, 4, dim_r).transpose(1, 0, 2))
             site_rows.append({"k": b + l + 1,
                               "singular_values": [float(s) for s in spectrum],

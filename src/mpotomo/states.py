@@ -70,8 +70,8 @@ def hamiltonian_dense(spec: HamiltonianSpec) -> np.ndarray:
 
 def thermal_dense(spec: HamiltonianSpec, beta: float) -> DenseOperator:
     """Gibbs state exp(-beta H) / Z by exact diagonalization."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and nonnegative, not {beta!r}")
     h = hamiltonian_dense(spec)
     evals, evecs = np.linalg.eigh(h)
     w = np.exp(-beta * (evals - evals.min()))
@@ -146,6 +146,8 @@ def ancilla_channel(rng, t_hnorm: float) -> np.ndarray:
 def random_mpo_via_ancilla(n_sites: int, seed=None,
                            t_hnorm: float = 0.01) -> MatrixProductOperator:
     """Random positive operator with bond dimension 4 and unit trace."""
+    if not np.isfinite(t_hnorm):
+        raise ValueError(f"t_hnorm must be finite, not {t_hnorm!r}")
     rng = np.random.default_rng(seed)
     mps = random_mps(n_sites, 2, rng)
     channels = [ancilla_channel(rng, t_hnorm) for _ in range(n_sites)]

@@ -20,8 +20,8 @@ import numpy as np
 from .files import read_json
 from .measurement import add_gaussian_noise, exact_block_data
 from .metrics import hs_distance, purity
-from .reconstruction import (ReconstructionConfig, RegularizerSpec,
-                             default_split, reconstruct_mpo)
+from .reconstruction import (NOISE_MODES, ReconstructionConfig,
+                             RegularizerSpec, default_split, reconstruct_mpo)
 from .states import FAMILIES, make_state
 
 TRIAL_COLUMNS = ("family", "N", "R", "l", "r", "sigma", "trial", "seed",
@@ -40,8 +40,6 @@ class SweepConfig:
     beta: float = 5.0
     t_hnorm: float = 0.01
     master_seed: int = 0
-    solver: str = "tikhonov"
-    tau: float = 1e-10
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -58,17 +56,28 @@ class SweepConfig:
                     raise ValueError(f"{name} entries must be "
                                      f"{kind.__name__.lower()}, got "
                                      f"{entry!r}")
-        if (isinstance(self.trials, bool)
-                or not isinstance(self.trials, numbers.Integral)):
-            raise ValueError(f"trials must be an integer, not "
-                             f"{type(self.trials).__name__}")
+        for name, kind, label in (("trials", numbers.Integral, "an integer"),
+                                  ("master_seed", numbers.Integral,
+                                   "an integer"),
+                                  ("beta", numbers.Real, "a real number"),
+                                  ("t_hnorm", numbers.Real, "a real number")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {label}, not "
+                                 f"{type(value).__name__}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, not "
+                             f"{self.master_seed}")
+        if not (np.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError(f"beta must be finite and nonnegative, not "
+                             f"{self.beta!r}")
+        if not np.isfinite(self.t_hnorm):
+            raise ValueError(f"t_hnorm must be finite, not {self.t_hnorm!r}")
         if not all(np.isfinite(s) and s >= 0.0 for s in self.sigma_list):
             raise ValueError("sigma_list entries must be finite and "
                              "nonnegative")
-        if self.solver not in ("tikhonov", "truncated_pinv"):
-            raise ValueError("sweep solver must be tikhonov or truncated_pinv")
 
 
 def sweep_config_from_json(path: str) -> SweepConfig:
@@ -91,10 +100,8 @@ def run_trial(cfg: SweepConfig, n: int, width: int, sigma: float,
     data = exact_block_data(ref, width)
     if sigma > 0.0:
         data = add_gaussian_noise(data, sigma, seed=noise_seed)
-    # sigma = 0 always takes the plain truncated pseudoinverse: the zero
-    # Tikhonov filter is undefined on rank-deficient exact window maps.
-    reg = RegularizerSpec(cfg.solver if sigma > 0.0 else "truncated_pinv",
-                          tau=cfg.tau)
+    noise = data.noise.kind if data.noise else None
+    reg = RegularizerSpec(NOISE_MODES[noise])
     est = reconstruct_mpo(data, ReconstructionConfig(regularizer=reg))
     row = {
         "D": hs_distance(ref, est),

@@ -159,13 +159,13 @@ def test_criterion_6_regularizer_closed_forms(verdict):
     B = U[:, :6] @ np.diag(s) @ V.T
     e = rng.normal(size=8)
     s2 = 1e-6
-    x = robust_solve(B, e, RegularizerSpec("tikhonov", sigma2=s2))
+    x = robust_solve(B, e, RegularizerSpec("tikhonov", sigma2=s2))[0]
     factors = (V.T @ x) * s / (U[:, :6].T @ e)
     filt_err = float(np.max(np.abs(factors - s**2 / (s**2 + s2))))
 
     P = rng.normal(size=(6, 6))
     P = P @ P.T + 0.05 * np.eye(6)
-    xf = robust_solve(B, e, RegularizerSpec("fisher"), penalty=P)
+    xf = robust_solve(B, e, RegularizerSpec("fisher"), penalty=P)[0]
     ref = np.linalg.solve(B.T @ B + P, B.T @ e)
     fisher_err = float(np.max(np.abs(xf - ref)))
 

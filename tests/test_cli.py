@@ -7,8 +7,9 @@ from mpotomo.cli import _FAMILY_ALIASES, main
 from mpotomo.measurement import load_block_data
 from mpotomo.operators import load_operator
 from mpotomo.metrics import hs_distance
-from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
-                                    noise_tikhonov_sigma2, reconstruct_mpo)
+from mpotomo.reconstruction import (NOISE_MODES, ReconstructionConfig,
+                                    RegularizerSpec, noise_tikhonov_sigma2,
+                                    reconstruct_mpo)
 from mpotomo.states import FAMILIES
 
 
@@ -182,6 +183,60 @@ def test_counts_pipeline(tmp_path, capsys):
                            "--out", str(est))
     assert code == 0
     assert json.loads(stdout)["solver_mode"] == "fisher"
+
+
+@pytest.mark.parametrize("kind, measure", [
+    (None, ()),
+    ("scalar", ("--sigma", "0.01", "--seed", "2")),
+    ("fisher", ("--shots", "400", "--seed", "7")),
+], ids=["exact", "scalar", "fisher"])
+def test_reconstruct_picks_the_solver_from_the_noise_kind(tmp_path, capsys,
+                                                          kind, measure):
+    out = tmp_path / "w"
+    _run(capsys, "gen-state", "--family", "w", "--n", "4", "--phases",
+         "0.2,0.4,0.6", "--out", str(out))
+    data = tmp_path / "data.json"
+    _run(capsys, "measure", "--state", f"{out}.mpo.json", "--r", "3",
+         *measure, "--out", str(data))
+    if kind == "fisher":
+        counts = tmp_path / "counts.json"
+        data.rename(counts)
+        _run(capsys, "ingest-counts", "--counts", str(counts), "--out",
+             str(data))
+    noise = load_block_data(data).noise
+    assert (noise.kind if noise else None) == kind
+    code, stdout, _ = _run(capsys, "reconstruct", "--data", str(data),
+                           "--out", str(tmp_path / "est.json"))
+    assert code == 0
+    assert json.loads(stdout)["solver_mode"] == NOISE_MODES[kind]
+
+
+def test_reconstruct_has_no_tau_option(tmp_path, capsys):
+    # the truncation threshold is the constant PINV_RTOL
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--data", str(tmp_path / "d.json"), "--tau",
+              "1e-10", "--out", str(tmp_path / "e.json")])
+    assert exc.value.code != 0
+    assert "--tau" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, flag, value, name", [
+    ("random-mpo", "--t-hnorm", "nan", "t_hnorm"),
+    ("random-mpo", "--t-hnorm", "inf", "t_hnorm"),
+    ("critical-ising", "--beta", "nan", "beta"),
+    ("critical-ising", "--beta", "inf", "beta"),
+])
+def test_gen_state_rejects_non_finite_parameters(tmp_path, capsys, family,
+                                                 flag, value, name):
+    seed = ("--seed", "1") if family == "random-mpo" else ()
+    code, stdout, stderr = _run(capsys, "gen-state", "--family", family,
+                                "--n", "4", *seed, flag, value, "--out",
+                                str(tmp_path / "s"))
+    assert code == 1 and stdout == ""
+    record = json.loads(stderr)
+    assert record["error"] == "ValueError"
+    assert record["message"].startswith(f"{name} must be finite")
+    assert not list(tmp_path.iterdir())
 
 
 def test_counts_without_some_settings_use_the_scalar_fallback(tmp_path,

@@ -972,6 +972,28 @@ def test_save_counts_bytes_match_the_outcome_loop(tmp_path, state, width,
             assert np.array_equal(x.counts[s], y.counts[s])
 
 
+@pytest.mark.parametrize("counts, match", [
+    ({"+++": 1.5, "+0-": 3},
+     "settings\\[0\\] count of '\\+\\+\\+' must be a JSON integer"),
+    ({"+0-": 3, "+++": 1.5}, "outcome '\\+0-' is not 3 characters"),
+    ({"++-": -1, "+++": 1.5}, "outcome \\+\\+- has a negative count -1"),
+    ({"++-": 2, "+++": True, "+--": -4},
+     "count of '\\+\\+\\+' must be a JSON integer, not bool"),
+], ids=["float_then_outcome", "outcome_then_float", "negative_then_float",
+        "bool_then_negative"])
+def test_load_counts_names_the_first_bad_outcome(tmp_path, counts, match):
+    # with two bad entries in one setting, the first in file order is named
+    path = tmp_path / "c.json"
+    _save_counts_file(path)
+    payload = json.loads(path.read_text())
+    entry = payload["blocks"][0]["settings"][0]
+    entry["counts"] = counts
+    del entry["shots"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=match):
+        load_counts(path)
+
+
 def _shots(entry=100, last=None):
     """Fisher noise for the 3 windows of width 2 of _save_block_file, with
     one entry (or the last row) replaced."""
@@ -998,6 +1020,8 @@ def _shots(entry=100, last=None):
      "integer, not bool"),
     (_shots("100"), "d.json: noise shots\\[1\\]\\[4\\] must be a JSON "
      "integer, not str"),
+    (_shots("100", last=[100] * 8 + [True]), "d.json: noise "
+     "shots\\[1\\]\\[4\\] must be a JSON integer, not str"),
     (_shots(-1), "fisher noise requires shots that are nonnegative"),
     (_shots(last=[100] * 8), "d.json: noise shots: rows differ in length"),
     (_shots(last=100), "d.json: noise shots\\[2\\] must be a JSON array"),
@@ -1010,7 +1034,7 @@ def _shots(entry=100, last=None):
     ("", "d.json: noise must be a JSON object, not str"),
 ], ids=["unknown_kind", "scalar_without_sigma", "no_kind", "sigma_string",
         "sigma_bool", "fisher_matrices", "shots_float", "shots_bool",
-        "shots_string", "shots_negative", "shots_ragged", "shots_row_int",
+        "shots_string", "shots_first_of_two", "shots_negative", "shots_ragged", "shots_row_int",
         "shots_too_few_windows", "empty_object", "zero", "empty_array",
         "false", "empty_string"])
 def test_load_block_data_rejects_bad_noise(tmp_path, noise, match):

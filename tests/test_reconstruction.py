@@ -10,7 +10,8 @@ from mpotomo.measurement import (NoiseMeta, PauliBlockData,
                                  block_data_from_counts, _fisher_matrix)
 from mpotomo.operators import DenseOperator, random_mpo
 from mpotomo.pauli import pack_index
-from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
+from mpotomo.reconstruction import (PINV_RTOL, ReconstructionConfig,
+                                    RegularizerSpec,
                                     check_invertibility_dense,
                                     check_invertibility_mpo_spans,
                                     default_split, noise_tikhonov_sigma2,
@@ -29,14 +30,22 @@ from mpotomo.states import (ghz_state, random_mpo_via_ancilla, thermal_dense,
 def test_truncated_pinv_matches_numpy_pinv(rng):
     B = rng.normal(size=(8, 5))
     e = rng.normal(size=8)
-    x = robust_solve(B, e, RegularizerSpec("truncated_pinv", tau=1e-12))
+    x = robust_solve(B, e, RegularizerSpec("truncated_pinv"))[0]
     assert np.allclose(x, np.linalg.pinv(B) @ e, atol=1e-10)
+
+
+def test_truncated_pinv_keeps_singular_values_above_pinv_rtol():
+    s = np.array([1.0, 2.0 * PINV_RTOL, PINV_RTOL, 0.5 * PINV_RTOL])
+    x, spectrum, flags = robust_solve(np.diag(s), np.ones(4),
+                                      RegularizerSpec("truncated_pinv"))
+    assert np.array_equal(spectrum, s) and flags == []
+    assert np.array_equal(x, [1.0, 1.0 / s[1], 0.0, 0.0])
 
 
 def test_truncated_pinv_on_rank_deficient_matrix(rng):
     B = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 5))
     e = rng.normal(size=6)
-    x = robust_solve(B, e, RegularizerSpec("truncated_pinv", tau=1e-10))
+    x = robust_solve(B, e, RegularizerSpec("truncated_pinv"))[0]
     assert np.allclose(x, np.linalg.pinv(B) @ e, atol=1e-8)
 
 
@@ -44,7 +53,7 @@ def test_tikhonov_matches_normal_equations(rng):
     B = rng.normal(size=(7, 4))
     e = rng.normal(size=7)
     s2 = 0.3
-    x = robust_solve(B, e, RegularizerSpec("tikhonov", sigma2=s2))
+    x = robust_solve(B, e, RegularizerSpec("tikhonov", sigma2=s2))[0]
     ref = np.linalg.solve(B.T @ B + s2 * np.eye(4), B.T @ e)
     assert np.allclose(x, ref, atol=1e-10)
 
@@ -52,7 +61,7 @@ def test_tikhonov_matches_normal_equations(rng):
 def test_tikhonov_zero_equals_pinv_on_full_rank(rng):
     B = rng.normal(size=(5, 5))
     e = rng.normal(size=5)
-    x = robust_solve(B, e, RegularizerSpec("tikhonov", sigma2=0.0))
+    x = robust_solve(B, e, RegularizerSpec("tikhonov", sigma2=0.0))[0]
     assert np.allclose(x, np.linalg.solve(B, e), atol=1e-8)
 
 
@@ -60,9 +69,9 @@ def test_fisher_with_scaled_identity_equals_tikhonov(rng):
     B = rng.normal(size=(6, 4))
     e = rng.normal(size=6)
     s2 = 0.05
-    xt = robust_solve(B, e, RegularizerSpec("tikhonov", sigma2=s2))
+    xt = robust_solve(B, e, RegularizerSpec("tikhonov", sigma2=s2))[0]
     xf = robust_solve(B, e, RegularizerSpec("fisher"),
-                      penalty=s2 * np.eye(4))
+                      penalty=s2 * np.eye(4))[0]
     assert np.allclose(xt, xf, atol=1e-10)
 
 
@@ -71,22 +80,21 @@ def test_fisher_penalty_matches_normal_equations(rng):
     e = rng.normal(size=6)
     Q = rng.normal(size=(4, 4))
     P = Q @ Q.T + 0.1 * np.eye(4)
-    x = robust_solve(B, e, RegularizerSpec("fisher"), penalty=P)
+    x = robust_solve(B, e, RegularizerSpec("fisher"), penalty=P)[0]
     ref = np.linalg.solve(B.T @ B + P, B.T @ e)
     assert np.allclose(x, ref, atol=1e-10)
 
 
 def test_zero_matrix_is_flagged():
-    x = robust_solve(np.zeros((3, 3)), np.ones(3),
-                     RegularizerSpec("truncated_pinv"))
+    x, _, flags = robust_solve(np.zeros((3, 3)), np.ones(3),
+                               RegularizerSpec("truncated_pinv"))
     assert np.array_equal(x, np.zeros(3))
+    assert flags == ["zero_operator"]
 
 
 def test_regularizer_spec_validation():
     with pytest.raises(ValueError):
         RegularizerSpec("other")
-    with pytest.raises(ValueError):
-        RegularizerSpec("truncated_pinv", tau=1.5)
     for sigma2 in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="sigma2"):
             RegularizerSpec("tikhonov", sigma2=sigma2)
@@ -215,7 +223,7 @@ def test_bulk_tensors_equal_per_alpha_solves(reg):
             penalty, _ = _fisher_penalty(_fisher_matrix(
                 data.block(k - 2), data.noise.shots[k - 3]), 2, 2)
         c3 = C.reshape(16, 4, 16)
-        per_alpha = np.array([robust_solve(B, c3[:, a, :], reg, penalty)
+        per_alpha = np.array([robust_solve(B, c3[:, a, :], reg, penalty)[0]
                               for a in range(4)])
         assert np.array_equal(est.tensors[k - 1], per_alpha)
 
@@ -326,7 +334,7 @@ def test_tikhonov_beats_raw_pinv_on_noisy_data():
         data, ReconstructionConfig(regularizer=reg)))
     d_raw = hs_distance(st, reconstruct_mpo(
         data, ReconstructionConfig(
-            regularizer=RegularizerSpec("truncated_pinv", tau=1e-12))))
+            regularizer=RegularizerSpec("truncated_pinv"))))
     assert d_tik < d_raw
 
 

@@ -52,6 +52,20 @@ def test_thermal_state_limits():
     assert np.linalg.eigvalsh(rho.matrix)[0] > -1e-14
 
 
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), -1.0])
+def test_thermal_state_rejects_a_bad_beta(beta):
+    with pytest.raises(ValueError, match="beta must be finite and "
+                                         "nonnegative"):
+        thermal_dense(HamiltonianSpec("critical_ising", 3), beta)
+
+
+@pytest.mark.parametrize("t_hnorm", [float("nan"), float("inf"),
+                                     float("-inf")])
+def test_ancilla_mpo_rejects_a_non_finite_coupling(t_hnorm):
+    with pytest.raises(ValueError, match="t_hnorm must be finite"):
+        random_mpo_via_ancilla(4, seed=2, t_hnorm=t_hnorm)
+
+
 def test_random_mps_is_normalized_and_seeded():
     rng = np.random.default_rng(5)
     mps = random_mps(5, 2, rng)

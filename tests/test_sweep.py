@@ -1,8 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from mpotomo.reconstruction import NOISE_MODES
 from mpotomo.sweep import (SweepConfig, run_sweep, run_trial,
                            sweep_config_from_json)
 
@@ -19,8 +21,6 @@ def test_config_validation():
         _cfg(family="bogus")
     with pytest.raises(ValueError):
         _cfg(trials=0)
-    with pytest.raises(ValueError):
-        _cfg(solver="fisher")
     for sigma in (-1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="sigma_list"):
             _cfg(sigma_list=[0.0, sigma])
@@ -36,6 +36,15 @@ def test_config_validation():
     ("trials", "2", "trials must be an integer, not str"),
     ("trials", 2.0, "trials must be an integer, not float"),
     ("trials", True, "trials must be an integer, not bool"),
+    ("beta", "5", "beta must be a real number, not str"),
+    ("beta", True, "beta must be a real number, not bool"),
+    ("beta", float("nan"), "beta must be finite and nonnegative, not nan"),
+    ("beta", -1.0, "beta must be finite and nonnegative, not -1.0"),
+    ("t_hnorm", "0.1", "t_hnorm must be a real number, not str"),
+    ("t_hnorm", float("inf"), "t_hnorm must be finite, not inf"),
+    ("master_seed", 1.5, "master_seed must be an integer, not float"),
+    ("master_seed", True, "master_seed must be an integer, not bool"),
+    ("master_seed", -1, "master_seed must be nonnegative, not -1"),
 ])
 def test_config_rejects_wrongly_typed_fields(key, value, match):
     with pytest.raises(ValueError, match=match):
@@ -54,6 +63,18 @@ def test_config_from_json_with_width_alias(tmp_path):
     raw["r_list"] = raw.pop("width_list")
     path.write_text(json.dumps(raw))
     with pytest.raises(ValueError, match="unknown field 'r_list'"):
+        sweep_config_from_json(path)
+
+
+@pytest.mark.parametrize("key, value", [("solver", "tikhonov"),
+                                        ("tau", 1e-10)])
+def test_config_from_json_rejects_solver_settings(tmp_path, key, value):
+    # the solver follows the data's noise (NOISE_MODES), not the config
+    raw = {"family": "ghz", "n_list": [4], "width_list": [3],
+           "sigma_list": [0.0], key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=f"unknown field '{key}'"):
         sweep_config_from_json(path)
 
 
@@ -92,12 +113,18 @@ def test_master_seed_changes_random_trials(tmp_path):
     assert r1[0]["D"] != r2[0]["D"]
 
 
-def test_zero_sigma_uses_plain_solver():
-    rows, _ = run_sweep(_cfg(sigma_list=[0.0, 1e-2], trials=1))
+def test_zero_sigma_uses_plain_solver(tmp_path):
+    out = tmp_path / "t.csv"
+    rows, _ = run_sweep(_cfg(sigma_list=[0.0, 1e-2], trials=1), out_csv=out)
     by_sigma = {row["sigma"]: row for row in rows}
     assert by_sigma[0.0]["solver_mode"] == "truncated_pinv"
     assert by_sigma[1e-2]["solver_mode"] == "tikhonov"
     assert by_sigma[0.0]["D"] < 1e-10
+    # the solver_mode column is the data's noise kind looked up in the
+    # table the CLI uses
+    with open(out, newline="") as fh:
+        modes = [row["solver_mode"] for row in csv.DictReader(fh)]
+    assert modes == [NOISE_MODES[None], NOISE_MODES["scalar"]]
 
 
 def test_failed_cells_are_recorded_not_raised(tmp_path):
