@@ -4,8 +4,10 @@ A thermal state of a critical-field Ising chain is reconstructed from
 5-site windows whose Pauli coefficients carry additive Gaussian noise
 of scale sigma.  Two solvers are compared at each noise level:
 
-  * plain truncated pseudoinverse (rank cut at PINV_RTOL * s_max),
-  * Tikhonov-filtered pseudoinverse with the damping matched to sigma.
+  * Tikhonov-filtered pseudoinverse with the damping matched to sigma,
+    the mode reconstruct_mpo picks itself for data with Gaussian noise,
+  * plain truncated pseudoinverse (rank cut at PINV_RTOL * s_max), which
+    has to be named with RegularizerSpec("truncated_pinv").
 
 The damped solver trades a little bias for a Lot of variance and wins
 once noise is the dominant error.  The error floor at sigma -> 0 is
@@ -24,7 +26,6 @@ from mpotomo import (
     add_gaussian_noise,
     exact_block_data,
     hs_distance,
-    noise_tikhonov_sigma2,
     reconstruct_mpo,
     thermal_dense,
 )
@@ -48,9 +49,8 @@ def main():
 
     means = {}
     for sigma in SIGMAS:
-        s2 = noise_tikhonov_sigma2(sigma, L, R)
-        cfg_tik = ReconstructionConfig(
-            l=L, r=R, regularizer=RegularizerSpec("tikhonov", sigma2=s2))
+        # no regularizer: tikhonov, damping matched to the data's sigma
+        cfg_tik = ReconstructionConfig(l=L, r=R)
         cfg_raw = ReconstructionConfig(
             l=L, r=R, regularizer=RegularizerSpec("truncated_pinv"))
 

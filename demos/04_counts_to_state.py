@@ -7,9 +7,10 @@ phases.  We never hand the reconstruction the exact coefficients:
      window (finite shot budget),
   2. run a local maximum-likelihood fit per window to get physical
      window estimates, kept with the shots of every setting,
-  3. feed the fitted coefficients into the recursion, with the solver
-     weighting each coefficient by its inverse covariance, from the
-     Fisher information at each window's estimate,
+  3. feed the fitted coefficients into the recursion; fitted data carry
+     the shots of every setting, so reconstruct_mpo picks the fisher
+     solver, which weights each coefficient by its inverse covariance
+     from the Fisher information at each window's estimate,
   4. compare against the known target: global distance, W-overlap
      fidelity, and recovery of the branch phases.
 
@@ -24,8 +25,6 @@ import time
 import numpy as np
 
 from mpotomo import (
-    ReconstructionConfig,
-    RegularizerSpec,
     block_data_from_counts,
     compare_states,
     fidelity_w_optimized,
@@ -43,9 +42,7 @@ def run(width, rho, phases):
     t0 = time.time()
     counts = simulate_counts(rho, width, shots=SHOTS, seed=(SEED, width))
     fitted = block_data_from_counts(counts, N)
-    # weight every solve by the inverse covariance from the local fits
-    est = reconstruct_mpo(fitted, ReconstructionConfig(
-        regularizer=RegularizerSpec("fisher")))
+    est = reconstruct_mpo(fitted)  # fisher mode, from the fitted shots
     cmp = compare_states(rho, est)
     fid, est_phases, _ = fidelity_w_optimized(est, seed=0, full_output=True)
     dt = time.time() - t0

@@ -12,8 +12,7 @@ from .operators import (DenseOperator, load_operator, mpo_from_dense,
                         save_operator)
 from .reconstruction import (ReconstructionConfig, RegularizerSpec,
                              check_invertibility_dense,
-                             check_invertibility_mpo_spans,
-                             noise_tikhonov_sigma2, reconstruct_mpo)
+                             check_invertibility_mpo_spans, reconstruct_mpo)
 from .states import (HamiltonianSpec, ghz_state, make_state, product_state,
                      random_mpo_via_ancilla, thermal_dense, w_state)
 from .sweep import SweepConfig, run_sweep, sweep_config_from_json
@@ -27,8 +26,7 @@ __all__ = [
     "compare_states", "fidelity_w_optimized", "hs_distance",
     "DenseOperator", "load_operator", "mpo_from_dense", "save_operator",
     "ReconstructionConfig", "RegularizerSpec", "check_invertibility_dense",
-    "check_invertibility_mpo_spans", "noise_tikhonov_sigma2",
-    "reconstruct_mpo",
+    "check_invertibility_mpo_spans", "reconstruct_mpo",
     "HamiltonianSpec", "ghz_state", "make_state", "product_state",
     "random_mpo_via_ancilla", "thermal_dense", "w_state",
     "SweepConfig", "run_sweep", "sweep_config_from_json",

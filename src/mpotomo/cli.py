@@ -20,8 +20,7 @@ from .measurement import (MLE_MAX_ITER, MLE_TOL, add_gaussian_noise,
 from .metrics import compare_states
 from .operators import (DenseOperator, load_operator, mpo_from_dense,
                         save_operator)
-from .reconstruction import (NOISE_MODES, ReconstructionConfig,
-                             RegularizerSpec, check_invertibility_dense,
+from .reconstruction import (ReconstructionConfig, check_invertibility_dense,
                              check_invertibility_mpo_spans, reconstruct_mpo)
 from .states import HAMILTONIAN_FAMILIES, make_state
 from .sweep import run_sweep, sweep_config_from_json
@@ -38,13 +37,6 @@ _FAMILY_ALIASES = {
 _FAMILY_OPTIONS = {"beta": HAMILTONIAN_FAMILIES, "t_hnorm": ("random_mpo",),
                    "phases": ("w",),
                    "seed": ("random_next_neighbour", "random_mpo")}
-
-_SOLVER_ALIASES = {
-    "truncated-pinv": "truncated_pinv",
-    "tikhonov": "tikhonov",
-    "fisher": "fisher",
-}
-
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload))
@@ -95,19 +87,9 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-def _pick_regularizer(args, data) -> RegularizerSpec:
-    if args.solver:
-        mode = _SOLVER_ALIASES[args.solver]
-    else:
-        mode = NOISE_MODES[data.noise.kind if data.noise else None]
-    return RegularizerSpec(mode, sigma2=args.sigma2)
-
-
 def _cmd_reconstruct(args) -> int:
     data = load_block_data(args.data)
-    reg = _pick_regularizer(args, data)
-    cfg = ReconstructionConfig(l=args.l, r=args.r, regularizer=reg,
-                               normalize=args.normalize)
+    cfg = ReconstructionConfig(l=args.l, r=args.r, normalize=args.normalize)
     mpo, report = reconstruct_mpo(data, cfg, with_report=True)
     save_operator(mpo, args.out)
     written = [args.out]
@@ -204,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--data", required=True)
     r.add_argument("--l", type=int, default=None)
     r.add_argument("--r", type=int, default=None)
-    r.add_argument("--solver", choices=sorted(_SOLVER_ALIASES), default=None)
-    r.add_argument("--sigma2", type=float, default=None)
     r.add_argument("--normalize", action="store_true")
     r.add_argument("--out", required=True)
     r.add_argument("--report", default=None)

@@ -12,19 +12,20 @@ IS a matrix-product operator, which this module assembles explicitly:
 * the left boundary is the exact sequential factorization of the closing
   window matrix; the right boundary is a chain of index-splitting deltas.
 
-Every per-site solve is one SVD and a filter on the singular values:
-truncation (truncated_pinv), s / (s^2 + sigma2) (tikhonov), or, in
-fisher mode, generalized Tikhonov with a penalty P = L L^T assembled from
-per-window Fisher information, brought to standard form on B L^-T
-(Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998). P needs
-the inverse information only on the coefficients B holds, which is the
-inverse of a Schur complement: the information never couples two
-coefficients whose last sites carry different axes.
+Every per-site solve is one SVD and a filter on the singular values s
+above PINV_RTOL * s_max (0 below): 1 / s (truncated_pinv),
+s / (s^2 + sigma2) (tikhonov), or, in fisher mode, generalized Tikhonov
+with a penalty P = L L^T assembled from per-window Fisher information,
+brought to standard form on B L^-T (Hansen, Rank-Deficient and Discrete
+Ill-Posed Problems, 1998). P needs the inverse information only on the
+coefficients B holds, which is the inverse of a Schur complement: the
+information never couples two coefficients whose last sites carry
+different axes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -34,12 +35,11 @@ from .operators import (DenseOperator, MatrixProductOperator, _exact_split,
                         mpo_from_coeffs)
 
 RANK_RTOL = 1e-9  # numerical rank: singular values above RANK_RTOL * s_max
-PINV_RTOL = 1e-10  # truncated_pinv: 1 / s for s above PINV_RTOL * s_max
+PINV_RTOL = 1e-10  # every filter is 0 for s at or below PINV_RTOL * s_max
 
 # The solver mode for each kind of data noise (PauliBlockData.noise.kind,
-# None for exact data); the CLI and sweeps pick from it. Exact data takes
-# the plain truncated pseudoinverse: the zero Tikhonov filter is undefined
-# on rank-deficient exact window maps.
+# None for exact data); reconstruct_mpo applies it unless the config names
+# a regularizer.
 NOISE_MODES = {None: "truncated_pinv", "scalar": "tikhonov",
                "fisher": "fisher"}
 
@@ -48,13 +48,16 @@ NOISE_MODES = {None: "truncated_pinv", "scalar": "tikhonov",
 class RegularizerSpec:
     """Choice of robust linear solver for the per-site systems.
 
-    Each mode is a filter on the singular values s of the matrix it factors.
-    mode "truncated_pinv": 1 / s for s above PINV_RTOL * s_max, 0 below.
+    Each mode is a filter on the singular values s of the matrix it
+    factors, applied to s above PINV_RTOL * s_max and 0 below, so that no
+    filter divides by a singular value at rounding level: tikhonov with
+    sigma2 = 0 is the truncated solve.
+    mode "truncated_pinv": 1 / s.
     mode "tikhonov": s / (s^2 + sigma2). sigma2 = None (the default)
     means matched to the data's scalar noise: reconstruct_mpo sets it to
     noise_tikhonov_sigma2(sigma, l, r) for the split it resolves, and
     raises on data without scalar noise metadata; robust_solve, which has
-    no data, needs an explicit sigma2.
+    no data, needs an explicit sigma2. No other mode takes a sigma2.
     mode "fisher": minimizes |B x - e|^2 + x^T P x with the penalty P = L L^T
     assembled from the data's per-window Fisher metadata. This is standard
     Tikhonov with filter s / (s^2 + 1) on B L^-T, mapped back by L^-T; if
@@ -68,8 +71,12 @@ class RegularizerSpec:
     def __post_init__(self):
         if self.mode not in NOISE_MODES.values():
             raise ValueError(f"unknown solver mode {self.mode!r}")
-        if self.sigma2 is not None and not (np.isfinite(self.sigma2)
-                                            and self.sigma2 >= 0.0):
+        if self.sigma2 is None:
+            return
+        if self.mode != "tikhonov":
+            raise ValueError(f"sigma2 applies to tikhonov mode only, not "
+                             f"{self.mode!r}")
+        if not (np.isfinite(self.sigma2) and self.sigma2 >= 0.0):
             raise ValueError("sigma2 must be finite and nonnegative")
 
 
@@ -80,11 +87,12 @@ def default_split(width: int) -> tuple[int, int]:
 
 @dataclass
 class ReconstructionConfig:
-    """Window split and solver choice; l + r + 1 must equal the data width."""
+    """Window split and solver choice; l + r + 1 must equal the data width.
+    regularizer None takes NOISE_MODES' mode for the data's noise kind."""
 
     l: int | None = None
     r: int | None = None
-    regularizer: RegularizerSpec = field(default_factory=RegularizerSpec)
+    regularizer: RegularizerSpec | None = None
     normalize: bool = False
 
     def resolved(self, width: int, n_sites: int) -> tuple[int, int]:
@@ -156,17 +164,16 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
             flags.append("singular_penalty")
             mode = "truncated_pinv"
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    filt = np.zeros_like(s)
     if s.size == 0 or s[0] <= 0.0:
         flags.append("zero_operator")
-        filt = np.zeros_like(s)
-    elif mode == "truncated_pinv":
-        keep = s > PINV_RTOL * s[0]
-        filt = np.zeros_like(s)
-        filt[keep] = 1.0 / s[keep]
     else:
-        sigma2 = 1.0 if mode == "fisher" else reg.sigma2
-        denom = s**2 + sigma2
-        filt = np.divide(s, denom, out=np.zeros_like(s), where=denom > 0.0)
+        keep = s > PINV_RTOL * s[0]
+        if mode == "truncated_pinv":
+            filt[keep] = 1.0 / s[keep]
+        else:
+            sigma2 = 1.0 if mode == "fisher" else reg.sigma2
+            filt[keep] = s[keep] / (s[keep]**2 + sigma2)
     z = U.T @ e
     x = Vt.T @ (z * (filt[:, None] if z.ndim == 2 else filt))
     if chol is not None:
@@ -225,10 +232,14 @@ def _fisher_penalty(F: np.ndarray, l: int, r: int):
     return (P + P.T) / 2.0, flags
 
 
-def _data_regularizer(data: PauliBlockData, reg: RegularizerSpec, l: int,
-                      r: int) -> RegularizerSpec:
-    """`reg` with a default tikhonov sigma2 matched to the data's scalar
-    noise; raises when the data lacks the noise metadata `reg` needs."""
+def _data_regularizer(data: PauliBlockData, reg: RegularizerSpec | None,
+                      l: int, r: int) -> RegularizerSpec:
+    """`reg`, or NOISE_MODES' mode for the data's noise when it is None,
+    with a default tikhonov sigma2 matched to the data's scalar noise;
+    raises when the data lacks the noise metadata `reg` needs."""
+    if reg is None:
+        reg = RegularizerSpec(NOISE_MODES[data.noise.kind if data.noise
+                                          else None])
     if reg.mode == "tikhonov" and reg.sigma2 is None:
         if data.noise is None or data.noise.kind != "scalar":
             raise ValueError("tikhonov without sigma2 needs scalar noise "
@@ -268,6 +279,9 @@ def reconstruct_mpo(data: PauliBlockData,
     coefficient of the network equals the backward recursion's value.
     Bulk bond dimension is 4^r. When the data is a single window, the
     network is that window's exact factorization (report mode "direct").
+    Otherwise every bulk site is solved with cfg.regularizer or, when that
+    is None, with NOISE_MODES' mode for the data's noise kind (tikhonov
+    matched to sigma for scalar noise); the report's mode is the one used.
 
     The report lists, per bulk site, the singular values the filter acted
     on (of B, or of B L^-T in fisher mode) and the flags "zero_operator",
@@ -281,8 +295,8 @@ def reconstruct_mpo(data: PauliBlockData,
         mode = "direct"
         mpo = mpo_from_coeffs(data.blocks[0])
     else:
-        mode = cfg.regularizer.mode
         reg = _data_regularizer(data, cfg.regularizer, l, r)
+        mode = reg.mode
         dim_r = 4**r
         tensors = _exact_split(_site_matrices(data.blocks[0], l, r)[0]
                                .reshape(-1), l, dim_r)

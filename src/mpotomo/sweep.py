@@ -20,8 +20,7 @@ import numpy as np
 from .files import read_json
 from .measurement import add_gaussian_noise, exact_block_data
 from .metrics import hs_distance, purity
-from .reconstruction import (NOISE_MODES, ReconstructionConfig,
-                             RegularizerSpec, default_split, reconstruct_mpo)
+from .reconstruction import default_split, reconstruct_mpo
 from .states import FAMILIES, make_state
 
 TRIAL_COLUMNS = ("family", "N", "R", "l", "r", "sigma", "trial", "seed",
@@ -100,13 +99,11 @@ def run_trial(cfg: SweepConfig, n: int, width: int, sigma: float,
     data = exact_block_data(ref, width)
     if sigma > 0.0:
         data = add_gaussian_noise(data, sigma, seed=noise_seed)
-    noise = data.noise.kind if data.noise else None
-    reg = RegularizerSpec(NOISE_MODES[noise])
-    est = reconstruct_mpo(data, ReconstructionConfig(regularizer=reg))
+    est, report = reconstruct_mpo(data, with_report=True)
     row = {
         "D": hs_distance(ref, est),
         "purity_ref": purity(ref),
-        "solver_mode": reg.mode,
+        "solver_mode": report.mode,
         "status": "ok",
         "wall_ms": (time.perf_counter() - t0) * 1e3,
     }

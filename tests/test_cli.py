@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mpotomo.cli import _FAMILY_ALIASES, main
-from mpotomo.measurement import load_block_data
+from mpotomo.measurement import (add_gaussian_noise, exact_block_data,
+                                 load_block_data, save_block_data)
 from mpotomo.operators import load_operator
 from mpotomo.metrics import hs_distance
 from mpotomo.reconstruction import (NOISE_MODES, ReconstructionConfig,
@@ -83,21 +84,15 @@ def test_gen_state_rejects_options_the_family_does_not_read(tmp_path, capsys,
     ("measure", "--shots", "0"),
     ("measure", "--sigma", "-0.01"),
     ("measure", "--sigma", "nan"),
-    ("reconstruct", "--sigma2", "nan"),
 ], ids="_".join)
 def test_bad_numeric_arguments_fail(tmp_path, capsys, argv):
     out = tmp_path / "s"
     _run(capsys, "gen-state", "--family", "random-mpo", "--n", "5",
          "--seed", "2", "--out", str(out))
-    data = tmp_path / "d.json"
-    _run(capsys, "measure", "--state", f"{out}.mpo.json", "--r", "3",
-         "--sigma", "0.01", "--seed", "3", "--out", str(data))
     bad = tmp_path / "bad.json"
-    if argv[0] == "measure":
-        head = ["measure", "--state", f"{out}.mpo.json", "--r", "3"]
-    else:
-        head = ["reconstruct", "--data", str(data)]
-    code, stdout, stderr = _run(capsys, *head, *argv[1:], "--out", str(bad))
+    code, stdout, stderr = _run(capsys, "measure", "--state",
+                                f"{out}.mpo.json", "--r", "3", *argv[1:],
+                                "--out", str(bad))
     assert code == 1 and stdout == ""
     assert json.loads(stderr)["error"] == "ValueError"
     assert not bad.exists()
@@ -220,6 +215,34 @@ def test_reconstruct_has_no_tau_option(tmp_path, capsys):
     assert "--tau" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", [("--solver", "tikhonov"),
+                                    ("--sigma2", "0.5")], ids=lambda o: o[0])
+def test_reconstruct_has_no_solver_overrides(tmp_path, capsys, option):
+    # the data's noise kind picks the solver (NOISE_MODES) and its sigma
+    # the Tikhonov parameter
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--data", str(tmp_path / "d.json"), *option,
+              "--out", str(tmp_path / "e.json")])
+    assert exc.value.code == 2
+    assert option[0] in capsys.readouterr().err
+
+
+def test_zero_sigma_windows_reconstruct_exactly(tmp_path, capsys):
+    # scalar noise of sigma 0 selects tikhonov with sigma2 = 0, which the
+    # PINV_RTOL cut turns into the truncated solve, not 1 / 1e-17
+    out = tmp_path / "s"
+    _run(capsys, "gen-state", "--family", "w", "--n", "8", "--out", str(out))
+    ref = load_operator(f"{out}.mpo.json")
+    data = tmp_path / "d.json"
+    save_block_data(add_gaussian_noise(exact_block_data(ref, 5), 0.0), data)
+    est = tmp_path / "e.json"
+    code, stdout, _ = _run(capsys, "reconstruct", "--data", str(data),
+                           "--out", str(est))
+    assert code == 0
+    assert json.loads(stdout)["solver_mode"] == "tikhonov"
+    assert abs(hs_distance(ref, load_operator(est))) <= 1e-12
+
+
 @pytest.mark.parametrize("family, flag, value, name", [
     ("random-mpo", "--t-hnorm", "nan", "t_hnorm"),
     ("random-mpo", "--t-hnorm", "inf", "t_hnorm"),
@@ -293,8 +316,8 @@ def test_reconstruct_prints_the_mode_it_used(tmp_path, capsys):
          "--sigma", "0.01", "--seed", "2", "--out", str(data))
     rep = tmp_path / "rep.json"
     code, stdout, _ = _run(capsys, "reconstruct", "--data", str(data),
-                           "--solver", "tikhonov", "--out",
-                           str(tmp_path / "est.json"), "--report", str(rep))
+                           "--out", str(tmp_path / "est.json"),
+                           "--report", str(rep))
     assert code == 0
     assert json.loads(stdout)["solver_mode"] == "direct"
     assert json.loads(rep.read_text())["mode"] == "direct"
@@ -377,20 +400,6 @@ def test_errors_are_json_records(tmp_path, capsys):
     assert stdout == ""
     record = json.loads(stderr)
     assert record["error"] == "FileNotFoundError"
-
-
-def test_solver_override_requires_consistent_inputs(tmp_path, capsys):
-    out = tmp_path / "s"
-    _run(capsys, "gen-state", "--family", "random-mpo", "--n", "5",
-         "--seed", "10", "--out", str(out))
-    data = tmp_path / "d.json"
-    _run(capsys, "measure", "--state", f"{out}.mpo.json", "--r", "3",
-         "--out", str(data))
-    code, _, stderr = _run(capsys, "reconstruct", "--data", str(data),
-                           "--solver", "fisher", "--out",
-                           str(tmp_path / "x.json"))
-    assert code == 1
-    assert json.loads(stderr)["error"] == "ValueError"
 
 
 @pytest.mark.parametrize("width", ["0", "5"])

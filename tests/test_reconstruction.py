@@ -10,7 +10,8 @@ from mpotomo.measurement import (NoiseMeta, PauliBlockData,
                                  block_data_from_counts, _fisher_matrix)
 from mpotomo.operators import DenseOperator, random_mpo
 from mpotomo.pauli import pack_index
-from mpotomo.reconstruction import (PINV_RTOL, ReconstructionConfig,
+from mpotomo.reconstruction import (NOISE_MODES, PINV_RTOL,
+                                    ReconstructionConfig,
                                     RegularizerSpec,
                                     check_invertibility_dense,
                                     check_invertibility_mpo_spans,
@@ -65,6 +66,16 @@ def test_tikhonov_zero_equals_pinv_on_full_rank(rng):
     assert np.allclose(x, np.linalg.solve(B, e), atol=1e-8)
 
 
+def test_tikhonov_zero_on_rank_deficient_matrix_is_the_truncated_solve(rng):
+    # the singular values at rounding level are cut, not inverted
+    B = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 5))
+    e = rng.normal(size=6)
+    x, s, _ = robust_solve(B, e, RegularizerSpec("tikhonov", sigma2=0.0))
+    assert s[-1] < PINV_RTOL * s[0]
+    xt = robust_solve(B, e, RegularizerSpec("truncated_pinv"))[0]
+    assert np.allclose(x, xt, rtol=0.0, atol=1e-12)
+
+
 def test_fisher_with_scaled_identity_equals_tikhonov(rng):
     B = rng.normal(size=(6, 4))
     e = rng.normal(size=6)
@@ -98,6 +109,64 @@ def test_regularizer_spec_validation():
     for sigma2 in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="sigma2"):
             RegularizerSpec("tikhonov", sigma2=sigma2)
+    for mode in ("truncated_pinv", "fisher"):
+        with pytest.raises(ValueError, match=f"sigma2.*{mode}"):
+            RegularizerSpec(mode, sigma2=0.5)
+
+
+def _data_of_kind(kind):
+    """Width-3 windows of a 6-site W state: exact, with scalar noise of
+    sigma 1e-3 or 0, or fitted from counts."""
+    _, st = w_state(6, phases=[0.3, 0.1, 0.7, 0.2, 0.5])
+    if kind == "fisher":
+        return block_data_from_counts(simulate_counts(st, 3, 300, seed=43),
+                                      6)
+    data = exact_block_data(st, 3)
+    sigma = {"exact": None, "scalar": 1e-3, "scalar0": 0.0}[kind]
+    return data if sigma is None else add_gaussian_noise(data, sigma, seed=44)
+
+
+@pytest.mark.parametrize("kind", ["exact", "scalar", "scalar0", "fisher"])
+def test_default_config_takes_the_mode_of_the_noise_kind(kind):
+    data = _data_of_kind(kind)
+    mode = NOISE_MODES[data.noise.kind if data.noise else None]
+    est, report = reconstruct_mpo(data, ReconstructionConfig(),
+                                  with_report=True)
+    named = reconstruct_mpo(data, ReconstructionConfig(
+        regularizer=RegularizerSpec(mode)))
+    assert report.mode == mode
+    for a, b in zip(est.tensors, named.tensors, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_explicit_regularizer_overrides_the_noise_kind():
+    data = _data_of_kind("scalar")
+    est, report = reconstruct_mpo(data, ReconstructionConfig(
+        regularizer=RegularizerSpec("truncated_pinv")), with_report=True)
+    assert report.mode == "truncated_pinv"
+    l, r = default_split(3)
+    for b, block in enumerate(data.blocks):
+        B, C = _site_matrices(block, l, r)
+        x = robust_solve(B, C, RegularizerSpec("truncated_pinv"))[0]
+        assert np.array_equal(est.tensors[l + b], x.reshape(
+            4**r, 4, 4**r).transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("family", ["w", "ghz", "ancilla"])
+def test_zero_sigma_data_gives_the_truncated_estimate(family):
+    # sigma = 0 scalar data take tikhonov with sigma2 = 0: the PINV_RTOL
+    # cut keeps it from dividing by singular values near 1e-17
+    st = {"w": lambda: w_state(8)[1], "ghz": lambda: ghz_state(8)[1],
+          "ancilla": lambda: random_mpo_via_ancilla(8, seed=45)}[family]()
+    exact = exact_block_data(st, 5)
+    est, report = reconstruct_mpo(add_gaussian_noise(exact, 0.0),
+                                  with_report=True)
+    assert report.mode == "tikhonov"
+    d_zero = hs_distance(st, est)
+    d_exact = hs_distance(st, reconstruct_mpo(exact))
+    assert abs(d_zero - d_exact) <= 1e-12
+    if family != "ghz":  # GHZ is not (2, 2)-invertible: D = 1/2
+        assert abs(d_zero) <= 1e-12
 
 
 @pytest.mark.parametrize("l, r", [(2, 2), (3, 1)])
@@ -350,10 +419,12 @@ def test_fisher_penalties_from_counts_metadata():
 
 def test_fisher_mode_requires_metadata_or_penalty():
     st = random_mpo_via_ancilla(5, seed=22)
-    data = exact_block_data(st, 3)
-    with pytest.raises(ValueError):
-        reconstruct_mpo(data, ReconstructionConfig(
-            regularizer=RegularizerSpec("fisher")))
+    exact = exact_block_data(st, 3)
+    # an explicit fisher spec on exact or scalar-noise data
+    for data in (exact, add_gaussian_noise(exact, 1e-3, seed=23)):
+        with pytest.raises(ValueError, match="fisher noise metadata"):
+            reconstruct_mpo(data, ReconstructionConfig(
+                regularizer=RegularizerSpec("fisher")))
 
 
 def test_fisher_penalty_closed_form_for_isotropic_information():

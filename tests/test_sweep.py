@@ -121,10 +121,18 @@ def test_zero_sigma_uses_plain_solver(tmp_path):
     assert by_sigma[1e-2]["solver_mode"] == "tikhonov"
     assert by_sigma[0.0]["D"] < 1e-10
     # the solver_mode column is the data's noise kind looked up in the
-    # table the CLI uses
+    # table reconstruct_mpo applies
     with open(out, newline="") as fh:
         modes = [row["solver_mode"] for row in csv.DictReader(fh)]
     assert modes == [NOISE_MODES[None], NOISE_MODES["scalar"]]
+
+
+def test_single_window_cells_report_direct():
+    # N = width: the estimate is the window's own factorization, no solve
+    rows, _ = run_sweep(_cfg(width_list=[5], sigma_list=[0.0, 1e-2],
+                             trials=1))
+    assert [row["solver_mode"] for row in rows] == ["direct", "direct"]
+    assert [row["status"] for row in rows] == ["ok", "ok"]
 
 
 def test_failed_cells_are_recorded_not_raised(tmp_path):
