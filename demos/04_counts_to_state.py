@@ -47,7 +47,8 @@ def run(width, rho, phases):
     fid, est_phases, _ = fidelity_w_optimized(est, seed=0, full_output=True)
     dt = time.time() - t0
 
-    n_settings = sum(len(b.counts) for b in counts)
+    # a window's measured settings are the nonzero rows of its counts
+    n_settings = sum(np.count_nonzero(b.counts.any(axis=1)) for b in counts)
     print(f"\nwindow width {width}: {len(counts)} windows,"
           f" {n_settings} settings, {n_settings * SHOTS} total shots")
     print(f"  distance D      = {cmp.hs_distance:.4f}")

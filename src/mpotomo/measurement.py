@@ -5,7 +5,8 @@ the full vector of normalized basis-string expectations of the state's
 reduction onto that window. Exact vectors come from dense partial traces or
 from tensor-network contractions; synthetic noisy vectors come either from
 Gaussian perturbations of the exact values or from simulated projective
-counts pushed through a local maximum-likelihood estimator.
+counts pushed through a local maximum-likelihood estimator. A window's
+counts are one (3^width, 2^width) integer array, rows in all_settings order.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
 from .files import (FORMAT_VERSION, float_array, float_record, read_json,
                     require, require_type, write_json)
-from .operators import DenseOperator, MatrixProductOperator, _windows
+from .operators import (DENSE_SITE_CAP, DenseOperator,
+                        MatrixProductOperator, _windows)
 from .pauli import (coeffs_from_dense, dense_from_coeffs, n_sites_of,
                     partial_trace)
 
@@ -132,21 +134,6 @@ def add_gaussian_noise(data: PauliBlockData, sigma: float, seed=None,
     return PauliBlockData(data.n_sites, data.width, noisy, noise)
 
 
-def marginal_consistency(data: PauliBlockData) -> float:
-    """Largest mismatch between overlapping marginals of adjacent blocks.
-
-    Dropping the leftmost site of block k must agree with dropping the
-    rightmost site of block k+1; zero for exact data.
-    """
-    rt = np.sqrt(2.0)
-    worst = 0.0
-    for b in range(data.n_blocks - 1):
-        left = data.blocks[b].reshape(4, -1)[0] * rt
-        right = data.blocks[b + 1].reshape(-1, 4)[:, 0] * rt
-        worst = max(worst, float(np.max(np.abs(left - right))))
-    return worst
-
-
 # ---- Projective measurement simulation ----
 
 _U_BASIS = {
@@ -160,16 +147,20 @@ _AXIS = {"x": 1, "y": 2, "z": 3}
 
 @dataclass
 class CountsBlock:
-    """Projective counts for one window, one entry per basis setting.
+    """Projective counts of the window starting at 1-based site k.
 
-    counts maps a setting string over {x, y, z} to an integer histogram
-    over the 2^width outcomes, indexed big-endian with bit 0 for the +1
-    eigenvalue on a site.
+    counts is a (3^width, 2^width) integer array: row j is the histogram
+    of setting j of all_settings(width) over the 2^width outcomes, indexed
+    big-endian with bit 0 for the +1 eigenvalue on a site. A zero row is a
+    setting that was not measured. width is read off the array's shape.
     """
 
     k: int
-    width: int
-    counts: dict[str, np.ndarray] = field(default_factory=dict)
+    counts: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return n_sites_of(self.counts.shape[1])
 
 
 def outcome_string(idx: int, width: int) -> str:
@@ -187,6 +178,13 @@ def _outcome_tables(width: int):
 
 def all_settings(width: int):
     return ["".join(p) for p in itertools.product("xyz", repeat=width)]
+
+
+@functools.lru_cache(maxsize=None)
+def _setting_rows(width: int):
+    """Read-only mapping of each setting string to its row in
+    all_settings(width) order, built once per width."""
+    return MappingProxyType({s: j for j, s in enumerate(all_settings(width))})
 
 
 def _window_densities(state, width: int):
@@ -270,8 +268,7 @@ def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBloc
         probs[:, lo:lo + step] = _probabilities(
             rhos, _setting_unitaries(settings[lo:lo + step]))
     draws = np.random.default_rng(seed).multinomial(shots, probs)
-    return [CountsBlock(b + 1, width, dict(zip(settings, draws[b])))
-            for b in range(len(rhos))]
+    return [CountsBlock(b + 1, counts) for b, counts in enumerate(draws)]
 
 
 # ---- Local maximum-likelihood estimation ----
@@ -309,15 +306,6 @@ def _design_blocks(width: int):
     cols.setflags(write=False)
     signs.setflags(write=False)
     return settings, cols, signs
-
-
-def _counts_matrix(block: CountsBlock, settings) -> np.ndarray:
-    dim = 1 << block.width
-    out = np.zeros((len(settings), dim))
-    for j, s in enumerate(settings):
-        if s in block.counts:
-            out[j] = block.counts[s]
-    return out
 
 
 def _log_likelihood(nz: np.ndarray, n_nz: np.ndarray,
@@ -398,9 +386,9 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     width = block.width
-    settings, cols, signs = _design_blocks(width)
+    _, cols, signs = _design_blocks(width)
     flat_cols = cols.ravel()
-    n_mat = _counts_matrix(block, settings)
+    n_mat = block.counts
     n_tot = n_mat.sum()
     if n_tot == 0:
         raise ValueError("no counts present in block")
@@ -474,12 +462,6 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
                      _log_likelihood(nz, n_nz, px), kkt)
 
 
-def _setting_shots(block: CountsBlock) -> np.ndarray:
-    """Shots of every setting, in all_settings order (0 if not measured)."""
-    settings = all_settings(block.width)
-    return _counts_matrix(block, settings).sum(axis=1).astype(np.int64)
-
-
 def _fisher_matrix(theta: np.ndarray, shots: np.ndarray) -> np.ndarray:
     """Fisher information over the non-identity coefficients of a window
     with coefficients theta and shots[j] shots of setting j of all_settings:
@@ -509,7 +491,7 @@ def _fisher_matrix(theta: np.ndarray, shots: np.ndarray) -> np.ndarray:
 def fisher_information(block: CountsBlock, rho_est: np.ndarray) -> np.ndarray:
     """_fisher_matrix of a window's counts at the estimate rho_est."""
     theta = coeffs_from_dense(np.asarray(rho_est, dtype=complex))
-    return _fisher_matrix(theta, _setting_shots(block))
+    return _fisher_matrix(theta, block.counts.sum(axis=1))
 
 
 def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
@@ -531,43 +513,18 @@ def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
                           f"{res.kkt_residual:.1e}, not below tol = {tol:g}; "
                           "using the last iterate")
         vecs.append(coeffs_from_dense(res.rho))
-        shots.append(_setting_shots(by_k[k]))
+        shots.append(by_k[k].counts.sum(axis=1))
     return PauliBlockData(n_sites, width, np.array(vecs),
                           NoiseMeta("fisher", shots=np.array(shots)))
-
-
-def blocks_from_global_counts(global_counts: dict[str, np.ndarray],
-                              n_sites: int, width: int) -> list[CountsBlock]:
-    """Reduce whole-chain setting histograms to window counts.
-
-    Counts are marginalized over the sites outside each window and pooled
-    over all global settings that agree on the window.
-    """
-    out = []
-    for k in range(1, n_sites - width + 2):
-        pooled: dict[str, np.ndarray] = {}
-        for setting, hist in global_counts.items():
-            if len(setting) != n_sites:
-                raise ValueError("setting length must equal n_sites")
-            hist = np.asarray(hist)
-            sub = setting[k - 1:k - 1 + width]
-            t = hist.reshape((2,) * n_sites)
-            axes = tuple(i for i in range(n_sites)
-                         if not k - 1 <= i < k - 1 + width)
-            marg = t.sum(axis=axes).reshape(-1)
-            if sub in pooled:
-                pooled[sub] = pooled[sub] + marg
-            else:
-                pooled[sub] = marg.copy()
-        out.append(CountsBlock(k, width, pooled))
-    return out
 
 
 # ---- Serialization ----
 
 
 def save_counts(blocks: list[CountsBlock], n_sites: int, path: str) -> None:
+    """Write every window's measured (nonzero) rows in all_settings order."""
     width = blocks[0].width
+    settings = all_settings(width)
     strings, _ = _outcome_tables(width)
 
     def nonzero(c):
@@ -579,8 +536,8 @@ def save_counts(blocks: list[CountsBlock], n_sites: int, path: str) -> None:
         "version": FORMAT_VERSION, "N": n_sites, "R": width, "d": 2,
         "blocks": [
             {"k": b.k, "settings": [
-                {"s": s, "shots": int(c.sum()), "counts": nonzero(c)}
-                for s, c in sorted(b.counts.items())]}
+                {"s": settings[j], "shots": n, "counts": nonzero(b.counts[j])}
+                for j, n in enumerate(b.counts.sum(axis=1).tolist()) if n]}
             for b in blocks],
     }
     write_json(path, payload)
@@ -598,15 +555,25 @@ def load_counts(path: str):
     """Returns (blocks, n_sites).
 
     Rejects a bad header (a version other than 1, a d other than 2), a
-    missing field, an N, R, k, count or shots that is not an integer, a
-    window start k outside 1..N-R+1 or listed twice, settings that are not
-    strings of R letters from "xyz" or are listed twice in a window,
-    outcomes that are not R characters from "+-", negative counts, and
-    per-setting counts that do not sum to the declared shots.
+    missing field, an N, R, k, count or shots that is not an integer, an R
+    outside 1..N or above DENSE_SITE_CAP (each window is fitted as a dense
+    2^R matrix), a window start k outside 1..N-R+1 or listed twice,
+    settings that are not strings of R letters from "xyz" or are listed
+    twice in a window, outcomes that are not R characters from "+-",
+    negative counts, and per-setting counts that do not sum to the
+    declared shots. A setting the file does not list is a zero row: not
+    measured.
     """
     payload = _read_windows_file(path)
     n_sites, width = payload["N"], payload["R"]
+    if not 1 <= width <= n_sites:
+        raise ValueError(f"{path}: R = {width} is outside 1..N = {n_sites}")
+    if width > DENSE_SITE_CAP:
+        raise ValueError(f"{path}: R = {width} is above {DENSE_SITE_CAP}; "
+                         "each window is fitted as a dense 2^R matrix")
     require_type(payload["blocks"], list, f"{path}: blocks")
+    row_of = _setting_rows(width)
+    _, index = _outcome_tables(width)
     blocks = {}
     for i, rec in enumerate(payload["blocks"]):
         require(rec, ("k", "settings"), f"{path}: blocks[{i}]")
@@ -617,20 +584,22 @@ def load_counts(path: str):
             raise ValueError(f"block k = {k} outside 1..{n_sites - width + 1}")
         if k in blocks:
             raise ValueError(f"block k = {k} is listed twice")
-        counts = {}
+        counts = np.zeros((len(row_of), 1 << width), dtype=np.int64)
+        listed = set()
         for j, srec in enumerate(rec["settings"]):
             where = f"{path}: block {k} settings[{j}]"
             require(srec, ("s", "counts"), where)
             require_type(srec["counts"], dict, f"{where} counts")
             require_type(srec["s"], str, f"{where} s")
             setting = srec["s"]
-            if len(setting) != width or set(setting) - set("xyz"):
+            row = row_of.get(setting)
+            if row is None:
                 raise ValueError(f"block {k}: setting {setting!r} is not "
                                  f"{width} letters from 'xyz'")
-            if setting in counts:
+            if row in listed:
                 raise ValueError(f"block {k}: setting {setting!r} is listed "
                                  "twice")
-            _, index = _outcome_tables(width)
+            listed.add(row)
             rows = list(map(index.get, srec["counts"]))
             values = list(srec["counts"].values())
             # one pass over the setting's outcomes; the loop names the
@@ -653,10 +622,8 @@ def load_counts(path: str):
                     raise ValueError(
                         f"block {k} setting {setting}: counts sum to "
                         f"{sum(values)}, declared {srec['shots']}")
-            hist = np.zeros(1 << width, dtype=np.int64)
-            hist[rows] = values
-            counts[setting] = hist
-        blocks[k] = CountsBlock(k, width, counts)
+            counts[row, rows] = values
+        blocks[k] = CountsBlock(k, counts)
     return list(blocks.values()), n_sites
 
 

@@ -6,6 +6,7 @@ own helpers, so agreement between the two is evidence, not tautology.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import scipy.linalg
@@ -127,12 +128,18 @@ def rho_from_theta(theta, n):
     return rho
 
 
+def settings_loop(width):
+    """The 3^width setting strings, x before y before z at every site."""
+    return ["".join(s) for s in itertools.product("xyz", repeat=width)]
+
+
 def fisher_by_finite_difference(counts, width, theta, h=1e-6):
     """F_ij = sum_s n_s sum_o dp_i dp_j / p with dp from central
     differences of the projector probabilities; rows/cols over
-    non-identity coefficients."""
+    non-identity coefficients. counts[j] is the histogram of setting j of
+    settings_loop(width)."""
     n_par = 4**width - 1
-    settings = sorted(counts)
+    settings = settings_loop(width)
     outs = [tuple((o >> (width - 1 - i)) & 1 for i in range(width))
             for o in range(2**width)]
 
@@ -153,8 +160,8 @@ def fisher_by_finite_difference(counts, width, theta, h=1e-6):
             grads[s][:, j] = (pp[s] - pm[s]) / (2 * h)
     p0 = probs(theta)
     F = np.zeros((n_par, n_par))
-    for s in settings:
-        n_s = counts[s].sum()
+    for s, hist in zip(settings, counts):
+        n_s = hist.sum()
         p = np.clip(p0[s], 1e-12, None)
         F += n_s * (grads[s].T @ (grads[s] / p[:, None]))
     return F
@@ -307,7 +314,7 @@ def local_mle_reference(block, tol=1e-10, max_iter=10_000):
     design comes from the package, which the Fisher-information oracle
     checks independently.
     """
-    from mpotomo.measurement import _counts_matrix, _design_blocks
+    from mpotomo.measurement import _design_blocks
 
     floor = 1e-12
 
@@ -318,8 +325,8 @@ def local_mle_reference(block, tol=1e-10, max_iter=10_000):
 
     width = block.width
     dim = 1 << width
-    settings, cols, signs = _design_blocks(width)
-    n_mat = _counts_matrix(block, settings)
+    _, cols, signs = _design_blocks(width)
+    n_mat = block.counts
     n_tot = n_mat.sum()
     rho = np.eye(dim, dtype=complex) / dim
     p_mat = coeffs_from_dense_tensordot(rho)[cols] @ signs.T
@@ -375,7 +382,7 @@ def counts_payload_loop(blocks, n_sites):
                 {"s": s, "shots": int(c.sum()),
                  "counts": {outcome(i): int(v) for i, v in enumerate(c)
                             if v}}
-                for s, c in sorted(b.counts.items())]}
+                for s, c in zip(settings_loop(width), b.counts) if c.any()]}
             for b in blocks],
     }
 

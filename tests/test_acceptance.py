@@ -170,11 +170,7 @@ def test_criterion_6_regularizer_closed_forms(verdict):
     fisher_err = float(np.max(np.abs(xf - ref)))
 
     n = 500
-    counts = CountsBlock(1, 1, {
-        "x": np.array([n // 2, n // 2]),
-        "y": np.array([n // 2, n // 2]),
-        "z": np.array([n // 2, n // 2]),
-    })
+    counts = CountsBlock(1, np.full((3, 2), n // 2))
     F = fisher_information(counts, np.eye(2) / 2)
     theta = np.array([2.0**-0.5, 0.0, 0.0, 0.0])
     F_fd = oracles.fisher_by_finite_difference(counts.counts, 1, theta)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from mpotomo.cli import _FAMILY_ALIASES, main
-from mpotomo.measurement import (add_gaussian_noise, exact_block_data,
-                                 load_block_data, save_block_data)
+from mpotomo.measurement import (add_gaussian_noise, all_settings,
+                                 exact_block_data, load_block_data,
+                                 load_counts, save_block_data, save_counts)
 from mpotomo.operators import load_operator
 from mpotomo.metrics import hs_distance
 from mpotomo.reconstruction import (NOISE_MODES, ReconstructionConfig,
@@ -264,8 +265,9 @@ def test_gen_state_rejects_non_finite_parameters(tmp_path, capsys, family,
 
 def test_counts_without_some_settings_use_the_scalar_fallback(tmp_path,
                                                               capsys):
-    # no window measures x on its first site: its Fisher information is
-    # singular, and every site gets the scalar penalty
+    # no window measures x on its first site: those settings count as not
+    # measured, the Fisher information is singular, and every site gets
+    # the scalar penalty
     out = tmp_path / "w"
     _run(capsys, "gen-state", "--family", "w", "--n", "5", "--out", str(out))
     counts = tmp_path / "counts.json"
@@ -281,6 +283,22 @@ def test_counts_without_some_settings_use_the_scalar_fallback(tmp_path,
     code, _, _ = _run(capsys, "ingest-counts", "--counts", str(counts),
                       "--out", str(data))
     assert code == 0
+    measured = [200 * (s[0] != "x") for s in all_settings(3)]
+    assert json.loads(data.read_text())["noise"]["shots"] == [measured] * 3
+    # a setting listed with no shots loads as the same zero row, and
+    # save_counts leaves it out again
+    blocks, _ = load_counts(counts)
+    for block in payload["blocks"]:
+        block["settings"].insert(0, {"s": "xxx", "shots": 0, "counts": {}})
+    zero_listed = tmp_path / "zero_listed.json"
+    zero_listed.write_text(json.dumps(payload))
+    again, _ = load_counts(zero_listed)
+    for x, y in zip(again, blocks):
+        assert np.array_equal(x.counts, y.counts)
+    resaved = tmp_path / "resaved.json"
+    save_counts(again, 5, resaved)
+    assert resaved.read_text() == json.dumps(
+        json.loads(counts.read_text())) + "\n"
     code, _, _ = _run(capsys, "reconstruct", "--data", str(data), "--out",
                       str(est), "--report", str(report))
     assert code == 0

@@ -13,9 +13,9 @@ from mpotomo.measurement import (MLE_TOL, _U_BASIS, CountsBlock, NoiseMeta,
                                  _project_density, _setting_unitaries,
                                  add_gaussian_noise,
                                  all_settings, block_data_from_counts,
-                                 blocks_from_global_counts, exact_block_data,
+                                 exact_block_data,
                                  fisher_information, load_block_data,
-                                 load_counts, local_mle, marginal_consistency,
+                                 load_counts, local_mle,
                                  _outcome_tables, outcome_string,
                                  save_block_data, save_counts,
                                  simulate_counts)
@@ -99,11 +99,12 @@ def test_simulate_counts_match_window_coeffs_densities():
                 rho = partial_trace(state.matrix, range(k, k + width))
             else:
                 rho = dense_from_coeffs(window_coeffs(state, k, width))
-            for setting in all_settings(width):
+            assert block.counts.shape == (3**width, 2**width)
+            for j, setting in enumerate(all_settings(width)):
                 p = oracles.setting_probabilities(rho, setting)
                 zeros += np.count_nonzero(p == 0.0)
                 want = rng.multinomial(shots, p)
-                assert np.array_equal(block.counts[setting], want)
+                assert np.array_equal(block.counts[j], want)
         assert (zeros > 0) == (state is not mpo)
 
 
@@ -187,14 +188,6 @@ def test_noise_rejects_negative_or_non_finite_sigma(sigma):
         NoiseMeta("scalar", sigma=sigma)
 
 
-def test_marginal_consistency_zero_exact_positive_noisy():
-    state = _dense_state(6, 5)
-    data = exact_block_data(state, 3)
-    assert marginal_consistency(data) < 1e-12
-    noisy = add_gaussian_noise(data, 1e-2, seed=1)
-    assert marginal_consistency(noisy) > 1e-4
-
-
 def test_setting_probabilities_match_projector_oracle():
     state = _dense_state(7, 2)
     rho = state.matrix
@@ -223,11 +216,13 @@ def test_simulate_counts_on_all_up_state():
     state, _ = product_state(3)
     blocks = simulate_counts(state, 2, 500, seed=0)
     assert [b.k for b in blocks] == [1, 2]
+    settings = all_settings(2)
     for b in blocks:
-        assert set(b.counts) == set(all_settings(2))
+        assert b.width == 2 and b.counts.shape == (9, 4)
+        assert np.all(b.counts.sum(axis=1) == 500)
         # measuring z on |0> is deterministic: every shot lands on "+"
-        assert b.counts["zz"][0] == 500
-        assert b.counts["xy"].sum() == 500
+        assert b.counts[settings.index("zz"), 0] == 500
+        assert b.counts[settings.index("xy")].sum() == 500
 
 
 def test_simulate_counts_is_seeded():
@@ -235,8 +230,7 @@ def test_simulate_counts_is_seeded():
     b1 = simulate_counts(state, 2, 100, seed=3)
     b2 = simulate_counts(state, 2, np.int64(100), seed=3)
     for x, y in zip(b1, b2):
-        for s in x.counts:
-            assert np.array_equal(x.counts[s], y.counts[s])
+        assert np.array_equal(x.counts, y.counts)
 
 
 def test_mle_recovers_pure_product_state():
@@ -326,11 +320,7 @@ def test_mle_rejects_bad_iteration_settings(kwargs):
 def test_fisher_information_on_maximally_mixed_single_site():
     # p = 1/2 +- c/sqrt(2) per setting, so F = 2n per axis, diagonal
     n = 600
-    counts = CountsBlock(1, 1, {
-        "x": np.array([n // 2, n // 2]),
-        "y": np.array([n // 2, n // 2]),
-        "z": np.array([n // 2, n // 2]),
-    })
+    counts = CountsBlock(1, np.full((3, 2), n // 2))
     F = fisher_information(counts, np.eye(2) / 2)
     assert np.allclose(F, np.diag([2 * n, 2 * n, 2 * n]), atol=1e-9)
 
@@ -433,23 +423,6 @@ def test_simulate_counts_rejects_widths_outside_the_chain(width):
         simulate_counts(wm, width, 10, seed=1)
 
 
-def test_blocks_from_global_counts_pools_settings():
-    rng = np.random.default_rng(8)
-    global_counts = {}
-    for setting in ("xzx", "xzy", "yzz"):
-        global_counts[setting] = rng.integers(0, 50, size=8)
-    blocks = blocks_from_global_counts(global_counts, 3, 2)
-    assert [b.k for b in blocks] == [1, 2]
-    # two global settings share the window "xz" on sites 1..2: their
-    # marginalized histograms must pool
-    first = blocks[0]
-    t1 = global_counts["xzx"].reshape(2, 2, 2).sum(axis=2)
-    t2 = global_counts["xzy"].reshape(2, 2, 2).sum(axis=2)
-    assert np.array_equal(first.counts["xz"], (t1 + t2).reshape(-1))
-    t3 = global_counts["yzz"].reshape(2, 2, 2).sum(axis=2)
-    assert np.array_equal(first.counts["yz"], t3.reshape(-1))
-
-
 @pytest.mark.parametrize("indent", [None, 1])
 def test_write_json_bytes_match_json_dump(tmp_path, indent):
     payload = {"a": [[-0.0, 1e-300, 0.1 + 0.2], [2**60, -1.5e-7, 0]],
@@ -471,8 +444,8 @@ def test_counts_serialization_roundtrip(tmp_path):
     assert n_sites == 3
     assert [b.k for b in back] == [b.k for b in blocks]
     for x, y in zip(back, blocks):
-        for s in y.counts:
-            assert np.array_equal(x.counts[s], y.counts[s])
+        assert x.counts.dtype == np.int64
+        assert np.array_equal(x.counts, y.counts)
     # sparse storage: zero histogram entries are dropped from the file
     payload = json.loads(path.read_text())
     ss = payload["blocks"][0]["settings"]
@@ -967,9 +940,7 @@ def test_save_counts_bytes_match_the_outcome_loop(tmp_path, state, width,
     assert path.read_text() == want
     back, _ = load_counts(path)
     for x, y in zip(back, blocks):
-        assert x.counts.keys() == y.counts.keys()
-        for s in y.counts:
-            assert np.array_equal(x.counts[s], y.counts[s])
+        assert np.array_equal(x.counts, y.counts)
 
 
 @pytest.mark.parametrize("counts, match", [
@@ -1132,13 +1103,18 @@ def _add_to_first_count(payload, extra):
      "block 1 settings\\[0\\] s must be a JSON string, not NoneType"),
     (lambda p: _rename_setting(p, ["x", "x", "x"]),
      "block 1 settings\\[0\\] s must be a JSON string, not list"),
+    (lambda p: p.update(R=0), "c.json: R = 0 is outside 1..N = 4"),
+    (lambda p: p.update(R=-1), "c.json: R = -1 is outside 1..N = 4"),
+    (lambda p: p.update(R=5), "c.json: R = 5 is outside 1..N = 4"),
+    (lambda p: p.update(N=16, R=13), "c.json: R = 13 is above 12; each "
+     "window is fitted as a dense 2\\^R matrix"),
 ], ids=["short_setting", "bad_axis", "short_outcome", "bad_outcome",
         "k_zero", "k_past_end", "negative_count", "window_twice",
         "setting_twice", "no_k", "no_settings", "no_s", "no_counts",
         "block_not_object", "blocks_not_array", "settings_not_array",
         "setting_not_object", "counts_not_object", "k_float", "k_bool",
         "count_float", "shots_float", "shots_string", "s_int", "s_null",
-        "s_list"])
+        "s_list", "R_zero", "R_negative", "R_past_N", "R_above_cap"])
 def test_load_counts_rejects_malformed_entries(tmp_path, mutate, match):
     path = tmp_path / "c.json"
     _save_counts_file(path)
