@@ -110,11 +110,13 @@ def exact_block_data(state, width: int) -> PauliBlockData:
     if not 1 <= width <= n:
         raise ValueError("need 1 <= width <= n_sites")
     if isinstance(state, DenseOperator):
-        blocks = [coeffs_from_dense(rho)
-                  for rho in _window_densities(state, width)]
+        vectors = map(coeffs_from_dense, _window_densities(state, width))
     else:
-        blocks = list(_windows(state, width, 1, n - width + 1))
-    return PauliBlockData(n, width, np.array(blocks))
+        vectors = _windows(state, width, 1, n - width + 1)
+    blocks = np.empty((n - width + 1, 4**width))
+    for b, vector in enumerate(vectors):
+        blocks[b] = vector
+    return PauliBlockData(n, width, blocks)
 
 
 def add_gaussian_noise(data: PauliBlockData, sigma: float, seed=None,
@@ -551,6 +553,70 @@ def _read_windows_file(path: str) -> dict:
     return payload
 
 
+def _setting_entries(settings: list, row_of, index):
+    """(rows, outcomes, values) of every count in a window's setting
+    records, each flattened over all records in file order, or None when
+    a record fails a check of load_counts. Each check is one pass over all
+    records; _reject_settings names the offender."""
+    if not all(type(srec) is dict and "s" in srec and "counts" in srec
+               for srec in settings):
+        return None
+    names = [srec["s"] for srec in settings]
+    tables = [srec["counts"] for srec in settings]
+    if set(map(type, names)) - {str} or set(map(type, tables)) - {dict}:
+        return None
+    rows = list(map(row_of.get, names))
+    if None in rows or len(set(rows)) < len(rows):
+        return None
+    outcomes = [index.get(o) for table in tables for o in table]
+    values = [v for table in tables for v in table.values()]
+    if (None in outcomes or set(map(type, values)) - {int}
+            or min(values, default=0) < 0):
+        return None
+    if any(type(srec["shots"]) is not int
+           or srec["shots"] != sum(table.values())
+           for srec, table in zip(settings, tables) if "shots" in srec):
+        return None
+    rows = np.repeat(np.array(rows, dtype=np.intp), list(map(len, tables)))
+    return rows, np.array(outcomes, dtype=np.intp), values
+
+
+def _reject_settings(settings: list, k: int, width: int, path: str, row_of,
+                     index) -> None:
+    """Raise the error of the first setting record of window k that fails
+    a check, which _setting_entries found one to fail."""
+    listed = set()
+    for j, srec in enumerate(settings):
+        where = f"{path}: block {k} settings[{j}]"
+        require(srec, ("s", "counts"), where)
+        require_type(srec["counts"], dict, f"{where} counts")
+        require_type(srec["s"], str, f"{where} s")
+        setting = srec["s"]
+        row = row_of.get(setting)
+        if row is None:
+            raise ValueError(f"block {k}: setting {setting!r} is not "
+                             f"{width} letters from 'xyz'")
+        if row in listed:
+            raise ValueError(f"block {k}: setting {setting!r} is listed "
+                             "twice")
+        listed.add(row)
+        for o, v in srec["counts"].items():
+            if o not in index:
+                raise ValueError(f"block {k} setting {setting}: outcome "
+                                 f"{o!r} is not {width} characters from "
+                                 "'+-'")
+            require_type(v, int, f"{where} count of {o!r}")
+            if v < 0:
+                raise ValueError(f"block {k} setting {setting}: outcome "
+                                 f"{o} has a negative count {v}")
+        if "shots" in srec:
+            require_type(srec["shots"], int, f"{where} shots")
+            total = sum(srec["counts"].values())
+            if srec["shots"] != total:
+                raise ValueError(f"block {k} setting {setting}: counts sum "
+                                 f"to {total}, declared {srec['shots']}")
+
+
 def load_counts(path: str):
     """Returns (blocks, n_sites).
 
@@ -584,45 +650,12 @@ def load_counts(path: str):
             raise ValueError(f"block k = {k} outside 1..{n_sites - width + 1}")
         if k in blocks:
             raise ValueError(f"block k = {k} is listed twice")
+        entries = _setting_entries(rec["settings"], row_of, index)
+        if entries is None:
+            _reject_settings(rec["settings"], k, width, path, row_of, index)
+        rows, outcomes, values = entries
         counts = np.zeros((len(row_of), 1 << width), dtype=np.int64)
-        listed = set()
-        for j, srec in enumerate(rec["settings"]):
-            where = f"{path}: block {k} settings[{j}]"
-            require(srec, ("s", "counts"), where)
-            require_type(srec["counts"], dict, f"{where} counts")
-            require_type(srec["s"], str, f"{where} s")
-            setting = srec["s"]
-            row = row_of.get(setting)
-            if row is None:
-                raise ValueError(f"block {k}: setting {setting!r} is not "
-                                 f"{width} letters from 'xyz'")
-            if row in listed:
-                raise ValueError(f"block {k}: setting {setting!r} is listed "
-                                 "twice")
-            listed.add(row)
-            rows = list(map(index.get, srec["counts"]))
-            values = list(srec["counts"].values())
-            # one pass over the setting's outcomes; the loop names the
-            # first offender only when that pass fails
-            if (None in rows or set(map(type, values)) - {int}
-                    or min(values, default=0) < 0):
-                for o, v in srec["counts"].items():
-                    if o not in index:
-                        raise ValueError(f"block {k} setting {setting}: "
-                                         f"outcome {o!r} is not {width} "
-                                         "characters from '+-'")
-                    require_type(v, int, f"{where} count of {o!r}")
-                    if v < 0:
-                        raise ValueError(f"block {k} setting {setting}: "
-                                         f"outcome {o} has a negative count "
-                                         f"{v}")
-            if "shots" in srec:
-                require_type(srec["shots"], int, f"{where} shots")
-                if srec["shots"] != sum(values):
-                    raise ValueError(
-                        f"block {k} setting {setting}: counts sum to "
-                        f"{sum(values)}, declared {srec['shots']}")
-            counts[row, rows] = values
+        counts[rows, outcomes] = values
         blocks[k] = CountsBlock(k, counts)
     return list(blocks.values()), n_sites
 

@@ -12,23 +12,26 @@ IS a matrix-product operator, which this module assembles explicitly:
 * the left boundary is the exact sequential factorization of the closing
   window matrix; the right boundary is a chain of index-splitting deltas.
 
-Every per-site solve is one SVD and a filter on the singular values s
-above PINV_RTOL * s_max (0 below): 1 / s (truncated_pinv),
-s / (s^2 + sigma2) (tikhonov), or, in fisher mode, generalized Tikhonov
-with a penalty P = L L^T assembled from per-window Fisher information,
-brought to standard form on B L^-T (Hansen, Rank-Deficient and Discrete
-Ill-Posed Problems, 1998). P needs the inverse information only on the
-coefficients B holds, which is the inverse of a Schur complement: the
-information never couples two coefficients whose last sites carry
-different axes.
+Each bulk site is fixed by its own window alone, so the N - R + 1
+per-site solves run as one: one SVD of the stack of every site's B and a
+filter on the singular values s above PINV_RTOL * s_max (0 below): 1 / s
+(truncated_pinv), s / (s^2 + sigma2) (tikhonov), or, in fisher mode,
+generalized Tikhonov with a penalty P = L L^T assembled from per-window
+Fisher information, brought to standard form on B L^-T (Hansen,
+Rank-Deficient and Discrete Ill-Posed Problems, 1998). P needs the
+inverse information only on the coefficients B holds, which is the
+inverse of a Schur complement: the information never couples two
+coefficients whose last sites carry different axes. Only fisher mode
+uses scipy, imported at its first solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import math
+
 import numpy as np
-import scipy.linalg
 
 from .measurement import PauliBlockData, _fisher_matrix
 from .operators import (DenseOperator, MatrixProductOperator, _exact_split,
@@ -115,15 +118,17 @@ class ReconstructionConfig:
 
 
 def _site_matrices(block: np.ndarray, l: int, r: int):
-    """(B, C) of the solve at the site after a window's first l sites.
+    """(B, C) of the solve at the site after a window's first l sites, or
+    the stacks of them for a stack of windows' blocks (..., 4^(l+r+1)).
 
-    C has shape (4^l, 4^(r+1)): left strings on the window's first l
+    C has shape (..., 4^l, 4^(r+1)): left strings on the window's first l
     sites against right strings on its last r + 1. B has shape
-    (4^l, 4^r) and is sqrt(2) times C's slice with the window's last site
-    fixed to the identity.
+    (..., 4^l, 4^r) and is sqrt(2) times C's slice with the window's last
+    site fixed to the identity.
     """
-    C = block.reshape(4**l, 4 ** (r + 1))
-    B = np.sqrt(2.0) * block.reshape(4**l, 4**r, 4)[:, :, 0]
+    stack = block.shape[:-1]
+    C = block.reshape(*stack, 4**l, 4 ** (r + 1))
+    B = np.sqrt(2.0) * block.reshape(*stack, 4**l, 4**r, 4)[..., 0]
     return B, C
 
 
@@ -139,46 +144,72 @@ def noise_tikhonov_sigma2(sigma: float, l: int, r: int) -> float:
 
 def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
                  penalty=None):
-    """Regularized solution of B x = e (a vector or the columns of a
-    matrix) with one SVD and the filter of `reg`: returns (x, spectrum,
-    flags); see RegularizerSpec for the modes.
+    """Regularized solution of B x = e for one matrix B or a stack of
+    them, with one SVD of the stack and the filter of `reg`: returns (x,
+    spectrum, flags); see RegularizerSpec for the modes.
 
-    fisher mode needs the penalty matrix P, and tikhonov mode an explicit
-    sigma2. In fisher mode the matrix factored is B L^-T with P = L L^T,
-    so the spectrum holds the singular values of B L^-T; in the other
-    modes (and after the singular_penalty fallback) those of B.
+    B has shape (..., m, n), and e shape (..., m) (one vector per matrix)
+    or (..., m, k) (k columns). x has shape (..., n) or (..., n, k), the
+    spectrum (..., min(m, n)), and flags is each matrix's list of flags,
+    nested in lists of the stack's shape (one list for a 2-D B). Every
+    matrix of a stack gets bitwise the x, spectrum and flags it gets on
+    its own.
+
+    fisher mode needs the penalty matrices P, shape (..., n, n), and
+    tikhonov mode an explicit sigma2. In fisher mode the matrix factored
+    is B L^-T with P = L L^T, so the spectrum holds the singular values of
+    B L^-T; in the other modes, and for a matrix flagged
+    "singular_penalty" (its P has no Cholesky factor, so it takes the
+    truncated filter on its own B), those of B.
     """
     B, e = np.asarray(B, dtype=float), np.asarray(e, dtype=float)
-    flags, chol, mode = [], None, reg.mode
-    if mode == "tikhonov" and reg.sigma2 is None:
+    if reg.mode == "tikhonov" and reg.sigma2 is None:
         raise ValueError("robust_solve needs an explicit sigma2 in "
                          "tikhonov mode")
-    if mode == "fisher":
-        if penalty is None:
-            raise ValueError("fisher mode requires a penalty matrix")
-        try:
-            chol = scipy.linalg.cholesky(penalty, lower=True)
-            # B L^-T = (L^-1 B^T)^T
-            B = scipy.linalg.solve_triangular(chol, B.T, lower=True).T
-        except np.linalg.LinAlgError:
-            flags.append("singular_penalty")
-            mode = "truncated_pinv"
+    if reg.mode == "fisher" and penalty is None:
+        raise ValueError("fisher mode requires a penalty matrix")
+    stack, (m, n) = B.shape[:-2], B.shape[-2:]
+    count = math.prod(stack)
+    vector = e.ndim == B.ndim - 1
+    B = B.reshape(count, m, n)
+    e = e.reshape(count, m, 1 if vector else e.shape[-1])
+    flags = [[] for _ in range(count)]
+    truncated = np.full(count, reg.mode == "truncated_pinv")
+    chols = [None] * count
+    if reg.mode == "fisher":
+        import scipy.linalg  # only fisher mode needs it; it is slow to load
+        B = B.copy()
+        for i, P in enumerate(np.reshape(penalty, (count, n, n))):
+            try:
+                chols[i] = scipy.linalg.cholesky(P, lower=True)
+                # B L^-T = (L^-1 B^T)^T
+                B[i] = scipy.linalg.solve_triangular(chols[i], B[i].T,
+                                                     lower=True).T
+            except np.linalg.LinAlgError:
+                flags[i].append("singular_penalty")
+                truncated[i] = True
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    filt = np.zeros_like(s)
-    if s.size == 0 or s[0] <= 0.0:
-        flags.append("zero_operator")
-    else:
-        keep = s > PINV_RTOL * s[0]
-        if mode == "truncated_pinv":
-            filt[keep] = 1.0 / s[keep]
-        else:
-            sigma2 = 1.0 if mode == "fisher" else reg.sigma2
-            filt[keep] = s[keep] / (s[keep]**2 + sigma2)
-    z = U.T @ e
-    x = Vt.T @ (z * (filt[:, None] if z.ndim == 2 else filt))
-    if chol is not None:
-        x = scipy.linalg.solve_triangular(chol, x, trans="T", lower=True)
-    return x, s, flags
+    keep = s > PINV_RTOL * s[:, :1]
+    filt = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    if not truncated.all():
+        sigma2 = 1.0 if reg.mode == "fisher" else reg.sigma2
+        damped = np.divide(s, s**2 + sigma2, out=np.zeros_like(s),
+                           where=keep)
+        filt[~truncated] = damped[~truncated]
+    for i in np.flatnonzero((s[:, :1] <= 0.0).all(axis=1)):
+        flags[i].append("zero_operator")
+    z = U.transpose(0, 2, 1) @ e
+    z *= filt[:, :, None]
+    x = Vt.transpose(0, 2, 1) @ z
+    if reg.mode == "fisher":
+        for i in np.flatnonzero(~truncated):
+            x[i] = scipy.linalg.solve_triangular(chols[i], x[i], trans="T",
+                                                 lower=True)
+    for size in reversed(stack[1:]):
+        flags = [flags[j:j + size] for j in range(0, len(flags), size)]
+    x = x[..., 0] if vector else x
+    return (x.reshape(*stack, *x.shape[1:]), s.reshape(*stack, s.shape[-1]),
+            flags if stack else flags[0])
 
 
 def _fisher_penalty(F: np.ndarray, l: int, r: int):
@@ -197,6 +228,7 @@ def _fisher_penalty(F: np.ndarray, l: int, r: int):
     covariance of B's entries is Y^T Y. A Cholesky factor that fails
     (singular information) gives the scalar fallback.
     """
+    import scipy.linalg  # see robust_solve
     dim_l, dim_r = 4**l, 4**r
     dim = F.shape[0] + 1
     # Entry m = i * dim_r + j of B is coefficient 4 m, row 4 m - 1 of F;
@@ -298,23 +330,25 @@ def reconstruct_mpo(data: PauliBlockData,
         reg = _data_regularizer(data, cfg.regularizer, l, r)
         mode = reg.mode
         dim_r = 4**r
-        tensors = _exact_split(_site_matrices(data.blocks[0], l, r)[0]
-                               .reshape(-1), l, dim_r)
+        B, C = _site_matrices(data.blocks, l, r)
+        tensors = _exact_split(B[0].reshape(-1), l, dim_r)
         # Window b (0-based) starts at site b + 1 and resolves site
         # k = b + l + 1; its penalty comes from its own Fisher information.
-        for b, block in enumerate(data.blocks):
-            B, C = _site_matrices(block, l, r)
-            penalty, penalty_flags = None, []
-            if reg.mode == "fisher":
-                penalty, penalty_flags = _fisher_penalty(
-                    _fisher_matrix(block, data.noise.shots[b]), l, r)
-            # Column a * dim_r + j of C is right string j extended by
-            # alpha = a, so one solve gives all 4 matrices of the site.
-            x, spectrum, flags = robust_solve(B, C, reg, penalty)
-            tensors.append(x.reshape(dim_r, 4, dim_r).transpose(1, 0, 2))
-            site_rows.append({"k": b + l + 1,
-                              "singular_values": [float(s) for s in spectrum],
-                              "flags": flags + penalty_flags})
+        penalties, penalty_flags = None, [[] for _ in data.blocks]
+        if mode == "fisher":
+            pairs = [_fisher_penalty(_fisher_matrix(block, shots), l, r)
+                     for block, shots in zip(data.blocks, data.noise.shots)]
+            penalties = np.array([P for P, _ in pairs])
+            penalty_flags = [f for _, f in pairs]
+        # Column a * dim_r + j of C is right string j extended by
+        # alpha = a, so one stacked solve gives all 4 matrices of every
+        # bulk site.
+        x, spectra, flags = robust_solve(B, C, reg, penalties)
+        sites = x.reshape(-1, dim_r, 4, dim_r).transpose(0, 2, 1, 3)
+        tensors.extend(np.ascontiguousarray(sites))
+        site_rows = [{"k": b + l + 1, "singular_values": spectrum,
+                      "flags": flags[b] + penalty_flags[b]}
+                     for b, spectrum in enumerate(spectra.tolist())]
         for i in range(1, r + 1):
             dr = 4 ** (r - i)
             # t[a, a * dr + j, j] = 1: split off the next site's index

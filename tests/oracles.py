@@ -235,6 +235,13 @@ def window_coeffs_tensordot(mpo, k, width):
     return np.tensordot(G, right, axes=(G.ndim - 1, 0)).reshape(-1)
 
 
+def transfer_tensordot(env, ta, tb):
+    """One site of an overlap sweep, sum_a ta[a]^T env tb[a], with
+    np.tensordot; the package's transfer must reproduce it bit for bit."""
+    return np.tensordot(ta.transpose(0, 2, 1) @ env, tb,
+                        axes=([0, 2], [0, 1]))
+
+
 def recursion_coefficient(blocks, alphas, l, r, solve=None):
     """One basis-string coefficient by the backward recursion, qubits only.
 

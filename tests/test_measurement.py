@@ -1058,6 +1058,11 @@ def _add_to_first_count(payload, extra):
     entry["counts"][first] += extra
 
 
+def _set_first_count(payload, value):
+    counts = payload["blocks"][0]["settings"][0]["counts"]
+    counts[next(iter(counts))] = value
+
+
 @pytest.mark.parametrize("mutate, match", [
     (lambda p: _rename_setting(p, "xy"), "setting 'xy' is not 3 letters"),
     (lambda p: _rename_setting(p, "xqz"), "setting 'xqz' is not 3 letters"),
@@ -1108,18 +1113,44 @@ def _add_to_first_count(payload, extra):
     (lambda p: p.update(R=5), "c.json: R = 5 is outside 1..N = 4"),
     (lambda p: p.update(N=16, R=13), "c.json: R = 13 is above 12; each "
      "window is fitted as a dense 2\\^R matrix"),
+    (lambda p: p["blocks"][1]["settings"][3].update(shots=17),
+     "block 2 setting [xyz]{3}: counts sum to 16, declared 17"),
+    (lambda p: _set_first_count(p, True),
+     "block 1 settings\\[0\\] count of '[+-]{3}' must be a JSON integer, "
+     "not bool"),
+    (lambda p: p["blocks"][0]["settings"][0].update(shots=True),
+     "block 1 settings\\[0\\] shots must be a JSON integer, not bool"),
 ], ids=["short_setting", "bad_axis", "short_outcome", "bad_outcome",
         "k_zero", "k_past_end", "negative_count", "window_twice",
         "setting_twice", "no_k", "no_settings", "no_s", "no_counts",
         "block_not_object", "blocks_not_array", "settings_not_array",
         "setting_not_object", "counts_not_object", "k_float", "k_bool",
         "count_float", "shots_float", "shots_string", "s_int", "s_null",
-        "s_list", "R_zero", "R_negative", "R_past_N", "R_above_cap"])
+        "s_list", "R_zero", "R_negative", "R_past_N", "R_above_cap",
+        "shots_mismatch", "count_bool", "shots_bool"])
 def test_load_counts_rejects_malformed_entries(tmp_path, mutate, match):
     path = tmp_path / "c.json"
     _save_counts_file(path)
     payload = json.loads(path.read_text())
     mutate(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=match):
+        load_counts(path)
+
+
+@pytest.mark.parametrize("mutate, match", [
+    # a fault checked late in an early record, and one checked early in
+    # a later record
+    (lambda rows: (rows[2].update(shots=99), rows.__setitem__(5, "x")),
+     "block 2 setting [xyz]{3}: counts sum to 16, declared 99"),
+    (lambda rows: (rows[5].update(s="xq"), rows[2].update(counts=[1])),
+     "block 2 settings\\[2\\] counts must be a JSON object, not list"),
+], ids=["shots_then_not_object", "counts_then_setting"])
+def test_load_counts_names_the_first_faulty_setting(tmp_path, mutate, match):
+    path = tmp_path / "c.json"
+    _save_counts_file(path)
+    payload = json.loads(path.read_text())
+    mutate(payload["blocks"][1]["settings"])
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=match):
         load_counts(path)

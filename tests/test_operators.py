@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from mpotomo.operators import (DenseOperator, MatrixProductOperator,
-                               load_operator,
+                               _transfer, load_operator,
                                mpo_from_coeffs, mpo_from_dense, mpo_overlap,
                                random_mpo, save_operator, window_coeffs)
 from mpotomo.pauli import coeffs_from_dense, pack_index, partial_trace
@@ -63,6 +63,34 @@ def test_mpo_overlap_matches_dense_trace():
     assert abs(mpo_overlap(a, b) - ref) < 1e-12 * abs(ref)
     self_ref = np.sum(a.to_dense().coeffs() ** 2)
     assert abs(mpo_overlap(a, a) - self_ref) < 1e-12 * self_ref
+
+
+def _mixed_bond_mpo(bonds, seed):
+    rng = np.random.default_rng(seed)
+    return MatrixProductOperator([rng.normal(size=(4, dl, dr))
+                                  for dl, dr in zip(bonds, bonds[1:])])
+
+
+def test_mpo_overlap_matches_dense_trace_with_mixed_bonds():
+    a = _mixed_bond_mpo([1, 3, 1, 5, 2, 1], seed=6)
+    b = _mixed_bond_mpo([1, 4, 7, 2, 3, 1], seed=7)
+    ref = np.trace(a.to_dense().matrix @ b.to_dense().matrix).real
+    assert abs(mpo_overlap(a, b) - ref) < 1e-12 * abs(ref)
+    assert abs(mpo_overlap(b, a) - ref) < 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_transfer_is_bitwise_the_tensordot_contraction(rng, dtype):
+    def draw(*shape):
+        t = rng.normal(size=shape)
+        return t + 1j * rng.normal(size=shape) if dtype is complex else t
+    for dl_a, dl_b, dr_a, dr_b in [(1, 1, 3, 5), (3, 5, 2, 4), (4, 2, 1, 1)]:
+        env = draw(dl_a, dl_b)
+        ta, tb = draw(4, dl_a, dr_a), draw(4, dl_b, dr_b)
+        T = _transfer(env, ta, tb)
+        ref = oracles.transfer_tensordot(env, ta, tb)
+        assert T.shape == ref.shape == (dr_a, dr_b)
+        assert T.dtype == ref.dtype and np.array_equal(T, ref)
 
 
 def test_window_coeffs_matches_partial_trace():

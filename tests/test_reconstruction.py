@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from mpotomo.reconstruction import (NOISE_MODES, PINV_RTOL,
                                     numerical_rank, reconstruct_mpo,
                                     robust_solve, _fisher_penalty,
                                     _site_matrices)
+import mpotomo
 from mpotomo.files import write_json
 from mpotomo.metrics import hs_distance
 from mpotomo.states import (ghz_state, random_mpo_via_ancilla, thermal_dense,
@@ -101,6 +105,79 @@ def test_zero_matrix_is_flagged():
                                RegularizerSpec("truncated_pinv"))
     assert np.array_equal(x, np.zeros(3))
     assert flags == ["zero_operator"]
+
+
+# ---- the stacked solve ----
+
+
+def _site_stacks(width, seed):
+    """(B, C, regs, penalties): the stacked site matrices of noisy
+    windows of width `width`, one regularizer per mode and random
+    positive definite penalties, one per site."""
+    l, r = default_split(width)
+    data = add_gaussian_noise(exact_block_data(
+        random_mpo_via_ancilla(width + 2, seed=seed), width), 1e-3,
+        seed=seed)
+    B, C = _site_matrices(data.blocks, l, r)
+    rng = np.random.default_rng(seed)
+    Q = rng.normal(size=(len(B), 4**r, 4**r))
+    penalties = Q @ Q.transpose(0, 2, 1) + 1e-2 * np.eye(4**r)
+    regs = [RegularizerSpec("truncated_pinv"),
+            RegularizerSpec("tikhonov",
+                            sigma2=noise_tikhonov_sigma2(1e-3, l, r)),
+            RegularizerSpec("fisher")]
+    return B, C, regs, penalties
+
+
+@pytest.mark.parametrize("width", [3, 5, 7])
+def test_stacked_solve_equals_a_loop_of_2d_solves(width):
+    B, C, regs, penalties = _site_stacks(width, seed=width)
+    assert B.ndim == 3 and len(B) == 3
+    for reg in regs:
+        P = penalties if reg.mode == "fisher" else None
+        for e in (C, C[:, :, 0]):  # columns, and one vector per matrix
+            x, s, flags = robust_solve(B, e, reg, P)
+            for i in range(len(B)):
+                xi, si, fi = robust_solve(B[i], e[i], reg,
+                                          None if P is None else P[i])
+                assert x[i].shape == xi.shape and s[i].shape == si.shape
+                assert np.array_equal(x[i], xi) and np.array_equal(s[i], si)
+                assert flags[i] == fi == []
+
+
+def test_stack_of_any_shape_nests_its_flags(rng):
+    B = rng.normal(size=(2, 3, 5, 4))
+    B[1, 2] = 0.0
+    e = rng.normal(size=(2, 3, 5))
+    x, s, flags = robust_solve(B, e, RegularizerSpec("truncated_pinv"))
+    assert x.shape == (2, 3, 4) and s.shape == (2, 3, 4)
+    assert flags == [[[], [], []], [[], [], ["zero_operator"]]]
+    assert np.array_equal(x[0, 1], robust_solve(
+        B[0, 1], e[0, 1], RegularizerSpec("truncated_pinv"))[0])
+
+
+def test_fisher_stack_gives_each_site_its_own_flags_and_filter(rng):
+    # site 0 is regular, site 1 has a penalty without a Cholesky factor
+    # and site 2 a zero matrix
+    B = rng.normal(size=(3, 6, 4))
+    B[2] = 0.0
+    e = rng.normal(size=(3, 6, 5))
+    Q = rng.normal(size=(4, 4))
+    P = np.array([Q @ Q.T + 0.1 * np.eye(4), np.zeros((4, 4)),
+                  Q @ Q.T + 0.1 * np.eye(4)])
+    fisher = RegularizerSpec("fisher")
+    x, s, flags = robust_solve(B, e, fisher, P)
+    assert flags == [[], ["singular_penalty"], ["zero_operator"]]
+    x0, s0, _ = robust_solve(B[0], e[0], fisher, P[0])
+    assert np.array_equal(x[0], x0) and np.array_equal(s[0], s0)
+    ref = np.linalg.solve(B[0].T @ B[0] + P[0], B[0].T @ e[0])
+    assert np.allclose(x[0], ref, atol=1e-10)
+    # the truncated filter on its own raw B
+    x1, s1, _ = robust_solve(B[1], e[1], RegularizerSpec("truncated_pinv"))
+    assert np.array_equal(x[1], x1) and np.array_equal(s[1], s1)
+    assert np.allclose(x[1], np.linalg.pinv(B[1]) @ e[1], atol=1e-10)
+    assert np.array_equal(x[2], np.zeros((4, 5)))
+    assert np.array_equal(s[2], np.zeros(4))
 
 
 def test_regularizer_spec_validation():
@@ -297,6 +374,37 @@ def test_bulk_tensors_equal_per_alpha_solves(reg):
         assert np.array_equal(est.tensors[k - 1], per_alpha)
 
 
+@pytest.mark.parametrize("kind", ["scalar", "fisher"])
+def test_report_rows_equal_per_site_solves(kind):
+    st = random_mpo_via_ancilla(9, seed=30)
+    data = add_gaussian_noise(exact_block_data(st, 5), 1e-3, seed=31)
+    if kind == "fisher":
+        shots = np.random.default_rng(32).integers(1, 500, size=(
+            data.n_blocks, 3**5))
+        shots[2] = 0  # this window's site is flagged
+        data = PauliBlockData(data.n_sites, data.width, data.blocks,
+                              NoiseMeta("fisher", shots=shots))
+    est, report = reconstruct_mpo(data, with_report=True)
+    reg = RegularizerSpec("tikhonov", sigma2=noise_tikhonov_sigma2(
+        1e-3, 2, 2)) if kind == "scalar" else RegularizerSpec("fisher")
+    assert report.mode == reg.mode
+    for b, row in enumerate(report.sites):
+        B, C = _site_matrices(data.blocks[b], 2, 2)
+        penalty, penalty_flags = None, []
+        if kind == "fisher":
+            penalty, penalty_flags = _fisher_penalty(_fisher_matrix(
+                data.blocks[b], data.noise.shots[b]), 2, 2)
+        x, spectrum, flags = robust_solve(B, C, reg, penalty)
+        assert row == {"k": b + 3,
+                       "singular_values": [float(v) for v in spectrum],
+                       "flags": flags + penalty_flags}
+        assert np.array_equal(est.tensors[b + 2],
+                              x.reshape(16, 4, 16).transpose(1, 0, 2))
+    if kind == "fisher":
+        assert report.sites[2]["flags"] == ["singular_penalty",
+                                            "fisher_singular_scalar"]
+
+
 def test_single_block_passthrough():
     st = random_mpo_via_ancilla(4, seed=7)
     data = exact_block_data(st, 4)
@@ -415,6 +523,35 @@ def test_fisher_penalties_from_counts_metadata():
         regularizer=RegularizerSpec("fisher")))
     assert rec.n_sites == 5
     assert np.isfinite(hs_distance(wm, rec))
+
+
+def test_scipy_loads_only_for_a_fisher_solve():
+    # in a fresh interpreter: import mpotomo, a tikhonov reconstruction
+    # and its score leave scipy unloaded, and a fisher reconstruction then
+    # loads it and works
+    script = """
+import sys
+import mpotomo
+from mpotomo.measurement import exact_block_data, simulate_counts
+from mpotomo.reconstruction import reconstruct_mpo
+from mpotomo.states import random_mpo_via_ancilla, w_state
+assert "scipy" not in sys.modules, "import mpotomo loaded scipy"
+st = random_mpo_via_ancilla(6, seed=1)
+noisy = mpotomo.add_gaussian_noise(exact_block_data(st, 3), 1e-3, seed=2)
+d = mpotomo.compare_states(st, reconstruct_mpo(noisy)).hs_distance
+assert d < 1e-2 and "scipy" not in sys.modules, "tikhonov loaded scipy"
+_, w = w_state(5, phases=[0.1, 0.2, 0.3, 0.4])
+data = mpotomo.block_data_from_counts(simulate_counts(w, 3, 300, seed=3), 5)
+est, report = reconstruct_mpo(data, with_report=True)
+assert report.mode == "fisher" and "scipy" in sys.modules
+print(mpotomo.compare_states(w, est).hs_distance)
+"""
+    src = os.path.dirname(os.path.dirname(mpotomo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) < 0.2
 
 
 def test_fisher_mode_requires_metadata_or_penalty():

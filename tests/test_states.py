@@ -79,6 +79,21 @@ def test_random_mps_is_normalized_and_seeded():
     assert all(np.array_equal(a, b) for a, b in zip(mps, mps2))
 
 
+def test_random_mps_is_bitwise_the_tensordot_normalization():
+    # the same draws, normalized by a tensordot sweep of the norm
+    mps = random_mps(6, 3, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    tensors = []
+    for dl, dr in [(1, 3), (3, 3), (3, 3), (3, 3), (3, 3), (3, 1)]:
+        tensors.append(rng.standard_normal((2, dl, dr))
+                       + 1.0j * rng.standard_normal((2, dl, dr)))
+    T = np.ones((1, 1), dtype=complex)
+    for A in tensors:
+        T = oracles.transfer_tensordot(T, A.conj(), A)
+    scale = np.sqrt(T[0, 0].real) ** (-1.0 / 6)
+    assert all(np.array_equal(a, A * scale) for a, A in zip(mps, tensors))
+
+
 def test_mps_to_mpo_matches_projector(rng):
     mps = random_mps(3, 2, rng)
     mpo = mps_to_mpo(mps)
