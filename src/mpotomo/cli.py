@@ -72,6 +72,10 @@ def _cmd_gen_state(args) -> int:
 def _cmd_measure(args) -> int:
     state = load_operator(args.state)
     if args.shots is not None:
+        # counts carry no Gaussian noise
+        if args.sigma != 0.0 or args.keep_identity_exact:
+            flag = "--sigma" if args.sigma != 0.0 else "--keep-identity-exact"
+            raise ValueError(f"{flag} does not apply with --shots")
         blocks = simulate_counts(state, args.r, args.shots, seed=args.seed)
         save_counts(blocks, state.n_sites, args.out)
         _emit({"written": [args.out], "kind": "counts",

@@ -499,15 +499,20 @@ def fisher_information(block: CountsBlock, rho_est: np.ndarray) -> np.ndarray:
 def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
                            tol: float = MLE_TOL,
                            max_iter: int = MLE_MAX_ITER) -> PauliBlockData:
-    """Estimate every window from counts; Fisher noise holds their shots."""
+    """Estimate every window from counts; Fisher noise holds their shots.
+
+    blocks must hold one window per k in 1..n_sites - width + 1; their
+    number is checked first, so a huge n_sites builds no list."""
     if not blocks:
         raise ValueError("no blocks given")
     width = blocks[0].width
+    n_blocks = n_sites - width + 1
     by_k = {b.k: b for b in blocks}
-    if sorted(b.k for b in blocks) != list(range(1, n_sites - width + 2)):
+    if (len(blocks) != n_blocks
+            or sorted(by_k) != list(range(1, n_blocks + 1))):
         raise ValueError("blocks must cover every window exactly once")
     vecs, shots = [], []
-    for k in range(1, n_sites - width + 2):
+    for k in range(1, n_blocks + 1):
         res = local_mle(by_k[k], tol=tol, max_iter=max_iter)
         if not res.converged:
             warnings.warn(f"window {k}: likelihood fit stopped after "
@@ -553,45 +558,24 @@ def _read_windows_file(path: str) -> dict:
     return payload
 
 
-def _setting_entries(settings: list, row_of, index):
-    """(rows, outcomes, values) of every count in a window's setting
-    records, each flattened over all records in file order, or None when
-    a record fails a check of load_counts. Each check is one pass over all
-    records; _reject_settings names the offender."""
-    if not all(type(srec) is dict and "s" in srec and "counts" in srec
-               for srec in settings):
-        return None
-    names = [srec["s"] for srec in settings]
-    tables = [srec["counts"] for srec in settings]
-    if set(map(type, names)) - {str} or set(map(type, tables)) - {dict}:
-        return None
-    rows = list(map(row_of.get, names))
-    if None in rows or len(set(rows)) < len(rows):
-        return None
-    outcomes = [index.get(o) for table in tables for o in table]
-    values = [v for table in tables for v in table.values()]
-    if (None in outcomes or set(map(type, values)) - {int}
-            or min(values, default=0) < 0):
-        return None
-    if any(type(srec["shots"]) is not int
-           or srec["shots"] != sum(table.values())
-           for srec, table in zip(settings, tables) if "shots" in srec):
-        return None
-    rows = np.repeat(np.array(rows, dtype=np.intp), list(map(len, tables)))
-    return rows, np.array(outcomes, dtype=np.intp), values
-
-
-def _reject_settings(settings: list, k: int, width: int, path: str, row_of,
-                     index) -> None:
-    """Raise the error of the first setting record of window k that fails
-    a check, which _setting_entries found one to fail."""
-    listed = set()
+def _window_counts(settings: list, k: int, width: int,
+                   path: str) -> np.ndarray:
+    """The (3^width, 2^width) counts of window k. One pass checks the
+    setting records in file order (see load_counts) and raises at the
+    first fault; the inline type tests decide, and require or
+    require_type words the error."""
+    row_of = _setting_rows(width)
+    _, index = _outcome_tables(width)
+    listed, flat, values = set(), [], []
     for j, srec in enumerate(settings):
-        where = f"{path}: block {k} settings[{j}]"
-        require(srec, ("s", "counts"), where)
-        require_type(srec["counts"], dict, f"{where} counts")
-        require_type(srec["s"], str, f"{where} s")
-        setting = srec["s"]
+        if not (type(srec) is dict and "s" in srec and "counts" in srec
+                and type(srec["counts"]) is dict
+                and type(srec["s"]) is str):
+            where = f"{path}: block {k} settings[{j}]"
+            require(srec, ("s", "counts"), where)
+            require_type(srec["counts"], dict, f"{where} counts")
+            require_type(srec["s"], str, f"{where} s")
+        setting, table = srec["s"], srec["counts"]
         row = row_of.get(setting)
         if row is None:
             raise ValueError(f"block {k}: setting {setting!r} is not "
@@ -600,21 +584,33 @@ def _reject_settings(settings: list, k: int, width: int, path: str, row_of,
             raise ValueError(f"block {k}: setting {setting!r} is listed "
                              "twice")
         listed.add(row)
-        for o, v in srec["counts"].items():
-            if o not in index:
+        offset = row << width
+        for o, v in table.items():
+            col = index.get(o)
+            if col is None:
                 raise ValueError(f"block {k} setting {setting}: outcome "
                                  f"{o!r} is not {width} characters from "
                                  "'+-'")
-            require_type(v, int, f"{where} count of {o!r}")
+            if type(v) is not int:
+                require_type(v, int, f"{path}: block {k} settings[{j}] "
+                                     f"count of {o!r}")
             if v < 0:
                 raise ValueError(f"block {k} setting {setting}: outcome "
                                  f"{o} has a negative count {v}")
+            flat.append(offset + col)
+            values.append(v)
         if "shots" in srec:
-            require_type(srec["shots"], int, f"{where} shots")
-            total = sum(srec["counts"].values())
-            if srec["shots"] != total:
+            shots = srec["shots"]
+            if type(shots) is not int:
+                require_type(shots, int, f"{path}: block {k} settings[{j}] "
+                                         "shots")
+            total = sum(table.values())
+            if shots != total:
                 raise ValueError(f"block {k} setting {setting}: counts sum "
-                                 f"to {total}, declared {srec['shots']}")
+                                 f"to {total}, declared {shots}")
+    counts = np.zeros(len(row_of) << width, dtype=np.int64)
+    counts[flat] = values
+    return counts.reshape(len(row_of), 1 << width)
 
 
 def load_counts(path: str):
@@ -627,8 +623,9 @@ def load_counts(path: str):
     settings that are not strings of R letters from "xyz" or are listed
     twice in a window, outcomes that are not R characters from "+-",
     negative counts, and per-setting counts that do not sum to the
-    declared shots. A setting the file does not list is a zero row: not
-    measured.
+    declared shots. A window's setting records are checked one at a time
+    in file order, so where several are faulty the first is named. A
+    setting the file does not list is a zero row: not measured.
     """
     payload = _read_windows_file(path)
     n_sites, width = payload["N"], payload["R"]
@@ -638,8 +635,6 @@ def load_counts(path: str):
         raise ValueError(f"{path}: R = {width} is above {DENSE_SITE_CAP}; "
                          "each window is fitted as a dense 2^R matrix")
     require_type(payload["blocks"], list, f"{path}: blocks")
-    row_of = _setting_rows(width)
-    _, index = _outcome_tables(width)
     blocks = {}
     for i, rec in enumerate(payload["blocks"]):
         require(rec, ("k", "settings"), f"{path}: blocks[{i}]")
@@ -650,13 +645,8 @@ def load_counts(path: str):
             raise ValueError(f"block k = {k} outside 1..{n_sites - width + 1}")
         if k in blocks:
             raise ValueError(f"block k = {k} is listed twice")
-        entries = _setting_entries(rec["settings"], row_of, index)
-        if entries is None:
-            _reject_settings(rec["settings"], k, width, path, row_of, index)
-        rows, outcomes, values = entries
-        counts = np.zeros((len(row_of), 1 << width), dtype=np.int64)
-        counts[rows, outcomes] = values
-        blocks[k] = CountsBlock(k, counts)
+        blocks[k] = CountsBlock(k, _window_counts(rec["settings"], k, width,
+                                                  path))
     return list(blocks.values()), n_sites
 
 

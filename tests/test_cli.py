@@ -6,13 +6,14 @@ import pytest
 from mpotomo.cli import _FAMILY_ALIASES, main
 from mpotomo.measurement import (add_gaussian_noise, all_settings,
                                  exact_block_data, load_block_data,
-                                 load_counts, save_block_data, save_counts)
+                                 load_counts, save_block_data, save_counts,
+                                 simulate_counts)
 from mpotomo.operators import load_operator
 from mpotomo.metrics import hs_distance
 from mpotomo.reconstruction import (NOISE_MODES, ReconstructionConfig,
                                     RegularizerSpec, noise_tikhonov_sigma2,
                                     reconstruct_mpo)
-from mpotomo.states import FAMILIES
+from mpotomo.states import FAMILIES, w_state
 
 
 def _run(capsys, *argv):
@@ -434,6 +435,40 @@ def test_measure_counts_rejects_widths_outside_the_chain(tmp_path, capsys,
     assert record["error"] == "ValueError"
     assert record["message"] == "need 1 <= width <= n_sites"
     assert not counts.exists()
+
+
+@pytest.mark.parametrize("option", [
+    ("--sigma", "0.1"),
+    ("--keep-identity-exact",),
+], ids=lambda x: x[0])
+def test_measure_counts_rejects_gaussian_noise_options(tmp_path, capsys,
+                                                       option):
+    out = tmp_path / "w"
+    _run(capsys, "gen-state", "--family", "w", "--n", "4", "--out", str(out))
+    counts = tmp_path / "counts.json"
+    code, stdout, stderr = _run(capsys, "measure", "--state",
+                                f"{out}.mpo.json", "--r", "3", "--shots",
+                                "50", *option, "--out", str(counts))
+    assert code == 1 and stdout == ""
+    assert json.loads(stderr) == {
+        "error": "ValueError",
+        "message": f"{option[0]} does not apply with --shots"}
+    assert not counts.exists()
+
+
+def test_ingest_counts_rejects_a_huge_chain_by_name(tmp_path, capsys):
+    # one window of a chain of 2^62 sites: a named error, not MemoryError
+    path = tmp_path / "counts.json"
+    save_counts(simulate_counts(w_state(4)[1], 3, 10, seed=1)[:1], 2**62,
+                path)
+    out = tmp_path / "data.json"
+    code, stdout, stderr = _run(capsys, "ingest-counts", "--counts",
+                                str(path), "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert json.loads(stderr) == {
+        "error": "ValueError",
+        "message": "blocks must cover every window exactly once"}
+    assert not out.exists()
 
 
 def _artifacts(tmp_path, capsys):

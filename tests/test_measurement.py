@@ -398,6 +398,11 @@ def test_block_data_from_counts_requires_full_coverage():
         block_data_from_counts(blocks[:-1], 4)
     with pytest.raises(ValueError, match="every window exactly once"):
         block_data_from_counts(blocks + blocks[:1], 4)
+    # the number of windows is compared first, so no list of N - R + 1
+    # window starts is built
+    with pytest.raises(ValueError, match="^blocks must cover every window "
+                                         "exactly once$"):
+        block_data_from_counts(blocks[:1], 2**62)
 
 
 @pytest.mark.parametrize("shots", [10.5, True, "100", 0, -1])
@@ -1138,6 +1143,12 @@ def test_load_counts_rejects_malformed_entries(tmp_path, mutate, match):
         load_counts(path)
 
 
+def _set_outcome(entry, outcome, count=1):
+    """Set one outcome's count in a setting record and drop its shots."""
+    entry["counts"][outcome] = count
+    entry.pop("shots", None)
+
+
 @pytest.mark.parametrize("mutate, match", [
     # a fault checked late in an early record, and one checked early in
     # a later record
@@ -1145,7 +1156,15 @@ def test_load_counts_rejects_malformed_entries(tmp_path, mutate, match):
      "block 2 setting [xyz]{3}: counts sum to 16, declared 99"),
     (lambda rows: (rows[5].update(s="xq"), rows[2].update(counts=[1])),
      "block 2 settings\\[2\\] counts must be a JSON object, not list"),
-], ids=["shots_then_not_object", "counts_then_setting"])
+    (lambda rows: (_set_outcome(rows[2], "+0-"),
+                   rows[5].update(s=rows[0]["s"])),
+     "block 2 setting [xyz]{3}: outcome '\\+0-' is not 3 characters"),
+    (lambda rows: (_set_outcome(rows[1], "+++", -2),
+                   _set_outcome(rows[3], "---", True)),
+     "block 2 setting [xyz]{3}: outcome \\+\\+\\+ has a negative "
+     "count -2"),
+], ids=["shots_then_not_object", "counts_then_setting",
+        "outcome_then_setting_twice", "negative_then_bool"])
 def test_load_counts_names_the_first_faulty_setting(tmp_path, mutate, match):
     path = tmp_path / "c.json"
     _save_counts_file(path)
@@ -1153,4 +1172,18 @@ def test_load_counts_names_the_first_faulty_setting(tmp_path, mutate, match):
     mutate(payload["blocks"][1]["settings"])
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=match):
+        load_counts(path)
+
+
+def test_load_counts_names_the_fault_in_the_earlier_window(tmp_path):
+    # a shots mismatch (checked last in a record) in window 1 is named
+    # before a record that is not an object (checked first) in window 2
+    path = tmp_path / "c.json"
+    _save_counts_file(path)
+    payload = json.loads(path.read_text())
+    payload["blocks"][0]["settings"][4]["shots"] += 1
+    payload["blocks"][1]["settings"][0] = "xyz"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="block 1 setting [xyz]{3}: counts "
+                                         "sum to 16, declared 17"):
         load_counts(path)
