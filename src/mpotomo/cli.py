@@ -81,6 +81,12 @@ def _cmd_measure(args) -> int:
         _emit({"written": [args.out], "kind": "counts",
                "n_blocks": len(blocks), "shots": args.shots})
         return 0
+    if args.sigma == 0.0 and (args.seed is not None
+                              or args.keep_identity_exact):
+        # exact window data draw nothing and carry no noise
+        flag = "--seed" if args.seed is not None else "--keep-identity-exact"
+        raise ValueError(f"{flag} does not apply to exact window data "
+                         "(no --sigma or --shots)")
     data = exact_block_data(state, args.r)
     if args.sigma != 0.0:  # add_gaussian_noise rejects a bad sigma
         data = add_gaussian_noise(data, args.sigma, seed=args.seed,

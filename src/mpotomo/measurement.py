@@ -501,11 +501,17 @@ def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
                            max_iter: int = MLE_MAX_ITER) -> PauliBlockData:
     """Estimate every window from counts; Fisher noise holds their shots.
 
-    blocks must hold one window per k in 1..n_sites - width + 1; their
-    number is checked first, so a huge n_sites builds no list."""
+    blocks must share one width and hold one window per k in
+    1..n_sites - width + 1. Both are checked before the first fit, and
+    the number of windows before their starts, so a huge n_sites builds
+    no list."""
     if not blocks:
         raise ValueError("no blocks given")
-    width = blocks[0].width
+    widths = sorted({b.width for b in blocks})
+    if len(widths) > 1:
+        raise ValueError("blocks must share one width, not "
+                         + " and ".join(f"R = {w}" for w in widths))
+    width = widths[0]
     n_blocks = n_sites - width + 1
     by_k = {b.k: b for b in blocks}
     if (len(blocks) != n_blocks

@@ -242,6 +242,69 @@ def transfer_tensordot(env, ta, tb):
                         axes=([0, 2], [0, 1]))
 
 
+def random_mps_per_site(n_sites, bond, rng):
+    """Unit-norm random MPS drawn one tensor at a time (real part, then
+    imaginary part) and normalized by a tensordot sweep of the norm; the
+    package's one-draw random_mps must reproduce it bit for bit."""
+    tensors = []
+    for i in range(n_sites):
+        shape = (2, 1 if i == 0 else bond, 1 if i == n_sites - 1 else bond)
+        tensors.append(rng.standard_normal(shape)
+                       + 1.0j * rng.standard_normal(shape))
+    T = np.ones((1, 1), dtype=complex)
+    for A in tensors:
+        T = transfer_tensordot(T, A.conj(), A)
+    scale = np.sqrt(T[0, 0].real) ** (-1.0 / n_sites)
+    return [A * scale for A in tensors]
+
+
+def ancilla_channel_per_site(rng, t_hnorm):
+    """One site's ancilla-coupling superoperator from its own draws, 4 x 4
+    eigh and tensordot; the per-site reference for the package's stacked
+    ancilla_channel, which must reproduce it bit for bit."""
+    g = rng.standard_normal((4, 4)) + 1.0j * rng.standard_normal((4, 4))
+    h = (g + g.conj().T) / 2.0
+    evals, evecs = np.linalg.eigh(h)
+    opnorm = np.max(np.abs(evals))
+    t = 0.0 if opnorm == 0 else t_hnorm / opnorm
+    u = (evecs * np.exp(-1.0j * t * evals)) @ evecs.conj().T
+    kraus = u.reshape(2, 2, 2, 2)[:, :, :, 0].transpose(1, 0, 2)
+    return np.tensordot(kraus, kraus.conj(), axes=(0, 0)).transpose(
+        0, 2, 1, 3).reshape(4, 4)
+
+
+def mps_to_mpo_per_site(mps, channels=None):
+    """Real MPO tensors of an MPS after a channel per site, one site at a
+    time with the Hermitian bond basis rebuilt for every bond; the package's
+    stacked mps_to_mpo must reproduce them bit for bit. The bases and the
+    Pauli transform come from the package."""
+    from mpotomo.pauli import SITE_TRANSFORM, hermitian_basis
+
+    bonds = [A.shape[1] for A in mps] + [mps[-1].shape[2]]
+    Q = [hermitian_basis(D).reshape(D * D, D * D).T for D in bonds]
+    tensors = []
+    for i, A in enumerate(mps):
+        dl, dr = A.shape[1], A.shape[2]
+        pair = np.multiply.outer(A, A.conj()).transpose(0, 3, 1, 4, 2, 5)
+        pair = pair.reshape(4, dl * dl * dr * dr)
+        S = np.eye(4, dtype=complex) if channels is None else channels[i]
+        T = ((SITE_TRANSFORM @ S) @ pair).reshape(4, dl * dl, dr * dr)
+        T = Q[i].conj().T @ T @ Q[i + 1]
+        assert np.max(np.abs(T.imag)) <= 1e-10 * max(
+            1.0, np.max(np.abs(T.real)))
+        tensors.append(T.real)
+    return tensors
+
+
+def random_mpo_per_site(n_sites, seed=None, t_hnorm=0.01):
+    """Tensors of random_mpo_via_ancilla built one site at a time."""
+    rng = np.random.default_rng(seed)
+    mps = random_mps_per_site(n_sites, 2, rng)
+    channels = [ancilla_channel_per_site(rng, t_hnorm)
+                for _ in range(n_sites)]
+    return mps_to_mpo_per_site(mps, channels)
+
+
 def recursion_coefficient(blocks, alphas, l, r, solve=None):
     """One basis-string coefficient by the backward recursion, qubits only.
 

@@ -456,6 +456,26 @@ def test_measure_counts_rejects_gaussian_noise_options(tmp_path, capsys,
     assert not counts.exists()
 
 
+@pytest.mark.parametrize("option", [
+    ("--seed", "5"),
+    ("--keep-identity-exact",),
+], ids=lambda x: x[0])
+def test_measure_exact_rejects_noise_options(tmp_path, capsys, option):
+    # no --sigma and no --shots: exact window data, which draw nothing
+    out = tmp_path / "w"
+    _run(capsys, "gen-state", "--family", "w", "--n", "4", "--out", str(out))
+    data = tmp_path / "data.json"
+    code, stdout, stderr = _run(capsys, "measure", "--state",
+                                f"{out}.mpo.json", "--r", "3", *option,
+                                "--out", str(data))
+    assert code == 1 and stdout == ""
+    assert json.loads(stderr) == {
+        "error": "ValueError",
+        "message": f"{option[0]} does not apply to exact window data "
+                   "(no --sigma or --shots)"}
+    assert not data.exists()
+
+
 def test_ingest_counts_rejects_a_huge_chain_by_name(tmp_path, capsys):
     # one window of a chain of 2^62 sites: a named error, not MemoryError
     path = tmp_path / "counts.json"

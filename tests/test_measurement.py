@@ -19,6 +19,7 @@ from mpotomo.measurement import (MLE_TOL, _U_BASIS, CountsBlock, NoiseMeta,
                                  _outcome_tables, outcome_string,
                                  save_block_data, save_counts,
                                  simulate_counts)
+import mpotomo.measurement
 import mpotomo.operators
 from mpotomo.operators import (DenseOperator, load_operator, random_mpo,
                                save_operator, window_coeffs)
@@ -403,6 +404,19 @@ def test_block_data_from_counts_requires_full_coverage():
     with pytest.raises(ValueError, match="^blocks must cover every window "
                                          "exactly once$"):
         block_data_from_counts(blocks[:1], 2**62)
+
+
+def test_block_data_from_counts_rejects_mixed_widths(monkeypatch):
+    # windows k = 1, 2, 3 of W(4), the middle one of width 3: as many as
+    # width-2 windows need, so only the width check can reject them
+    _, wm = w_state(4)
+    two = simulate_counts(wm, 2, 50, seed=7)
+    three = simulate_counts(wm, 3, 50, seed=7)
+    monkeypatch.setattr(mpotomo.measurement, "local_mle",
+                        lambda *a, **k: pytest.fail("a window was fitted"))
+    with pytest.raises(ValueError, match="^blocks must share one width, "
+                                         "not R = 2 and R = 3$"):
+        block_data_from_counts([two[0], three[1], two[2]], 4)
 
 
 @pytest.mark.parametrize("shots", [10.5, True, "100", 0, -1])

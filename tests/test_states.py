@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import oracles
+from mpotomo import states
 from mpotomo.pauli import coeffs_from_dense, partial_trace
 from mpotomo.operators import DenseOperator
 from mpotomo.states import (FAMILIES, HamiltonianSpec, ancilla_channel,
@@ -80,18 +83,14 @@ def test_random_mps_is_normalized_and_seeded():
 
 
 def test_random_mps_is_bitwise_the_tensordot_normalization():
-    # the same draws, normalized by a tensordot sweep of the norm
-    mps = random_mps(6, 3, np.random.default_rng(8))
-    rng = np.random.default_rng(8)
-    tensors = []
-    for dl, dr in [(1, 3), (3, 3), (3, 3), (3, 3), (3, 3), (3, 1)]:
-        tensors.append(rng.standard_normal((2, dl, dr))
-                       + 1.0j * rng.standard_normal((2, dl, dr)))
-    T = np.ones((1, 1), dtype=complex)
-    for A in tensors:
-        T = oracles.transfer_tensordot(T, A.conj(), A)
-    scale = np.sqrt(T[0, 0].real) ** (-1.0 / 6)
-    assert all(np.array_equal(a, A * scale) for a, A in zip(mps, tensors))
+    # the same draws, taken one tensor at a time and normalized by a
+    # tensordot sweep of the norm
+    for n_sites, bond in [(1, 2), (2, 2), (3, 2), (6, 3), (64, 2)]:
+        mps = random_mps(n_sites, bond, np.random.default_rng(8))
+        ref = oracles.random_mps_per_site(n_sites, bond,
+                                          np.random.default_rng(8))
+        assert [a.shape for a in mps] == [A.shape for A in ref]
+        assert all(np.array_equal(a, A) for a, A in zip(mps, ref))
 
 
 def test_mps_to_mpo_matches_projector(rng):
@@ -107,12 +106,70 @@ def test_mps_to_mpo_matches_projector(rng):
 
 
 def test_ancilla_channel_is_trace_preserving(rng):
-    S = ancilla_channel(rng, t_hnorm=0.05)
+    S = ancilla_channel(rng, 8, t_hnorm=0.05)
+    assert S.shape == (8, 4, 4)
     # rows of the superoperator acting on vec(rho): trace preservation
-    # means sum_a S[(a,a), (s,t)] = delta_{s,t}
-    S4 = S.reshape(2, 2, 2, 2)
-    tr_out = S4[0, 0] + S4[1, 1]
+    # means sum_a S[(a,a), (s,t)] = delta_{s,t}, at every site
+    S4 = S.reshape(8, 2, 2, 2, 2)
+    tr_out = S4[:, 0, 0] + S4[:, 1, 1]
     assert np.allclose(tr_out, np.eye(2), atol=1e-12)
+
+
+class _ZeroRng:
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def test_ancilla_channel_of_a_zero_generator_is_the_identity():
+    # H = 0 has operator norm 0: t is 0, not t_hnorm / 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        S = ancilla_channel(_ZeroRng(), 5, t_hnorm=0.1)
+    assert np.array_equal(S, np.broadcast_to(np.eye(4), (5, 4, 4)))
+    assert all(np.array_equal(S[i], oracles.ancilla_channel_per_site(
+        _ZeroRng(), 0.1)) for i in range(5))
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 8, 64, 256])
+@pytest.mark.parametrize("t_hnorm", [0.0, 0.01, 0.1])
+def test_ancilla_mpo_is_bitwise_the_per_site_construction(n_sites, t_hnorm):
+    for seed in (0, 7, (3, 0, 1)):
+        got = random_mpo_via_ancilla(n_sites, seed=seed, t_hnorm=t_hnorm)
+        ref = oracles.random_mpo_per_site(n_sites, seed=seed,
+                                          t_hnorm=t_hnorm)
+        assert [t.shape for t in got.tensors] == [t.shape for t in ref]
+        assert all(map(np.array_equal, got.tensors, ref)), seed
+
+
+def test_named_states_are_bitwise_the_per_site_assembly(monkeypatch):
+    seen = []
+    stacked = states.mps_to_mpo
+
+    def spy(mps, channels=None):
+        seen.append(mps)
+        return stacked(mps, channels)
+
+    monkeypatch.setattr(states, "mps_to_mpo", spy)
+    for n in (2, 3, 4, 9, 40):
+        for _, mpo in (w_state(n), w_state(n, np.linspace(0.3, 2.9, n - 1)),
+                       ghz_state(n)):
+            ref = oracles.mps_to_mpo_per_site(seen.pop(0))
+            assert [t.shape for t in mpo.tensors] == [t.shape for t in ref]
+            assert all(map(np.array_equal, mpo.tensors, ref)), n
+
+
+@pytest.mark.parametrize("bad_sites, named", [
+    ((2, 4), 3), ((5, 3), 4), ((0, 5), 1), ((5,), 6),
+])
+def test_mps_to_mpo_names_the_first_complex_site(rng, bad_sites, named):
+    # i rho is not Hermitian, so a site with the channel rho -> i rho gets a
+    # complex tensor in the Hermitian bond basis
+    mps = random_mps(6, 2, rng)
+    channels = np.tile(np.eye(4, dtype=complex), (6, 1, 1))
+    channels[list(bad_sites)] *= 1.0j
+    with pytest.raises(ValueError, match=f"^bond gauge failed to produce "
+                       f"real tensors: site {named} of 6 is complex$"):
+        mps_to_mpo(mps, channels)
 
 
 def test_ancilla_mpo_is_a_state():
