@@ -10,7 +10,8 @@ phases.  We never hand the reconstruction the exact coefficients:
   3. feed the fitted coefficients into the recursion; fitted data carry
      the shots of every setting, so reconstruct_mpo picks the fisher
      solver, which weights each coefficient by its inverse covariance
-     from the Fisher information at each window's estimate,
+     from the Fisher information of each window's first R - 1 sites at
+     the window's estimate,
   4. compare against the known target: global distance, W-overlap
      fidelity, and recovery of the branch phases.
 

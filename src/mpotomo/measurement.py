@@ -473,8 +473,7 @@ def _fisher_matrix(theta: np.ndarray, shots: np.ndarray) -> np.ndarray:
     probability, one batched Gram matrix of the sqrt(n / p)-weighted signs
     (exactly symmetric) every setting's block, and one bincount adds the
     blocks into F. A setting couples only strings whose sites carry the
-    identity or its own axis, so F is exactly zero between coefficients
-    whose last sites carry two different non-identity Paulis.
+    identity or its own axis.
     """
     width = n_sites_of(theta.size, 4)
     _, cols, signs = _design_blocks(width)

@@ -19,10 +19,9 @@ filter on the singular values s above PINV_RTOL * s_max (0 below): 1 / s
 generalized Tikhonov with a penalty P = L L^T assembled from per-window
 Fisher information, brought to standard form on B L^-T (Hansen,
 Rank-Deficient and Discrete Ill-Posed Problems, 1998). P needs the
-inverse information only on the coefficients B holds, which is the
-inverse of a Schur complement: the information never couples two
-coefficients whose last sites carry different axes. Only fisher mode
-uses scipy, imported at its first solve.
+covariance of B's entries only, which are the coefficients of the
+window's first R - 1 sites: it is the inverse of that marginal's
+information. Only fisher mode uses scipy, imported at its first solve.
 """
 
 from __future__ import annotations
@@ -212,56 +211,48 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
             flags if stack else flags[0])
 
 
-def _fisher_penalty(F: np.ndarray, l: int, r: int):
+def _fisher_penalty(theta: np.ndarray, shots: np.ndarray, l: int, r: int):
     """Penalty P = row-sum of the covariance of B's entries, and flags.
 
-    The covariance of the window coefficients is taken as the inverse of
-    the window's Fisher information F (symmetric, identity coefficient
-    fixed), and P[j, j'] = sum_i Cov[B_ij, B_ij'] restricted to the
-    columns of B. B holds the coefficients S whose last site is the
-    identity. The others split by their last-site Pauli s in {x, y, z},
-    and no setting measures two axes on one site, so F couples no two
-    different s. Their covariance is therefore the inverse of the Schur
-    complement G = F_SS - sum_s F_Ss F_ss^-1 F_sS, formed from three
-    4^(l+r)-square Cholesky factors instead of one of all of F. With
-    G = L L^T and Y = L^-1 E (E places S among B's entries), the
-    covariance of B's entries is Y^T Y. A Cholesky factor that fails
-    (singular information) gives the scalar fallback.
+    B's entries are the coefficients sqrt(2) theta[::4] of the window's
+    first l + r sites. Their covariance is taken as the inverse of that
+    marginal's information F: _fisher_matrix at width l + r, each marginal
+    setting with the shots of the three window settings that extend it
+    (all_settings varies the last site fastest). With F = L L^T and
+    Y = L^-1 E (E places the non-identity entries among B's entries; the
+    identity entry has no variance), the covariance is Y^T Y, and
+    P[j, j'] = sum_i Cov[B_ij, B_ij']. The marginal information is at most
+    the information the whole window holds on B's entries, so P is
+    slightly more cautious than the profiled penalty. A Cholesky factor
+    that fails (singular information) gives the scalar fallback.
     """
     import scipy.linalg  # see robust_solve
     dim_l, dim_r = 4**l, 4**r
-    dim = F.shape[0] + 1
-    # Entry m = i * dim_r + j of B is coefficient 4 m, row 4 m - 1 of F;
-    # coefficient 4 m + s is row 4 m + s - 1. m = 0 is the identity
-    # coefficient, which has no variance.
-    n_s = dim_l * dim_r - 1
+    F = _fisher_matrix(np.sqrt(2.0) * theta[::4],
+                       shots.reshape(-1, 3).sum(axis=1))
+    n = F.shape[0]
     flags = []
     try:
-        G = F[3::4, 3::4].copy()
-        for s in (1, 2, 3):
-            K = scipy.linalg.cholesky(F[s - 1::4, s - 1::4], lower=True)
-            W = scipy.linalg.solve_triangular(K, F[s - 1::4, 3::4],
-                                              lower=True)
-            G -= W.T @ W
-        L = scipy.linalg.cholesky(G, lower=True)
-        Y = np.zeros((n_s, n_s + 1))
-        Y[:, 1:] = scipy.linalg.solve_triangular(L, np.eye(n_s), lower=True)
-        # Regroup Y's columns (i, j) so that Z^T Z sums over rows i.
-        Z = Y.reshape(n_s, dim_l, dim_r).transpose(1, 0, 2)
-        Z = Z.reshape(-1, dim_r)
-        P = 2.0 * (Z.T @ Z)
+        L = scipy.linalg.cholesky(F, lower=True)
+        L_inv, _ = scipy.linalg.lapack.dtrtri(L, lower=1, overwrite_c=1)
+        Y = np.zeros((n, n + 1))
+        Y[:, 1:] = L_inv
+        # Y's columns are B's entries (i, j): with one row per (row of Y,
+        # i), the product sums the covariance over i.
+        Y = Y.reshape(-1, dim_r)
+        P = Y.T @ Y
     except np.linalg.LinAlgError:
         # Singular information: fall back to a scalar penalty built
         # from the pseudoinverse variances of the entries of B.
         flags.append("fisher_singular_scalar")
-        w, Q = np.linalg.eigh((F + F.T) / 2.0)
+        w, Q = np.linalg.eigh(F)
         keep = w > 1e-12 * max(w.max(), 1e-300)
         inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
-        var = np.zeros(dim)
+        var = np.zeros(n + 1)
         var[1:] = np.einsum("ij,j,ij->i", Q, inv_w, Q)
-        var_b = 2.0 * var[::4].reshape(dim_l, dim_r)
-        P = float(np.mean(var_b.sum(axis=0))) * np.eye(dim_r)
-    return (P + P.T) / 2.0, flags
+        scale = np.mean(var.reshape(dim_l, dim_r).sum(axis=0))
+        P = scale * np.eye(dim_r)
+    return P, flags
 
 
 def _data_regularizer(data: PauliBlockData, reg: RegularizerSpec | None,
@@ -336,7 +327,7 @@ def reconstruct_mpo(data: PauliBlockData,
         # k = b + l + 1; its penalty comes from its own Fisher information.
         penalties, penalty_flags = None, [[] for _ in data.blocks]
         if mode == "fisher":
-            pairs = [_fisher_penalty(_fisher_matrix(block, shots), l, r)
+            pairs = [_fisher_penalty(block, shots, l, r)
                      for block, shots in zip(data.blocks, data.noise.shots)]
             penalties = np.array([P for P, _ in pairs])
             penalty_flags = [f for _, f in pairs]

@@ -296,8 +296,11 @@ def make_state(family: str, n_sites: int, seed=None, beta: float = 5.0,
     `seed`. "w" (with optional branch `phases`), "ghz" and "product" give
     what their constructors return: the MPO, and the dense form up to
     DENSE_SITE_CAP sites (None beyond). Deterministic families ignore
-    `seed`, and every family but "w" ignores `phases`.
+    `seed`, and every family but "w" ignores `phases`. A chain needs at
+    least one site.
     """
+    if n_sites < 1:
+        raise ValueError(f"need at least one site, not n_sites = {n_sites}")
     if family in HAMILTONIAN_FAMILIES:
         spec = HamiltonianSpec(family, n_sites, seed=seed)
         return thermal_dense(spec, beta), None

@@ -28,7 +28,9 @@ def fisher_window():
     """make(width, shots_kind) -> (theta, shots): the coefficients of a
     full-rank window state, mixed with the identity so that no outcome is
     improbable, and shots per setting that are "uniform" (100 each),
-    "random" (1 to 999) or "partly_zero" (random, every fifth setting 0)."""
+    "random" (1 to 999), "partly_zero" (random, every fifth setting 0) or
+    "marginal_zero" (random, 0 for the three settings that extend the
+    first setting of the window's first width - 1 sites)."""
     def make(width, shots_kind):
         rng = np.random.default_rng(width)
         dim = 2**width
@@ -40,5 +42,7 @@ def fisher_window():
             shots[:] = 100
         elif shots_kind == "partly_zero":
             shots[::5] = 0
+        elif shots_kind == "marginal_zero":
+            shots[:3] = 0
         return coeffs_from_dense(rho), shots
     return make

@@ -9,7 +9,6 @@ import functools
 import itertools
 
 import numpy as np
-import scipy.linalg
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -185,33 +184,40 @@ def fisher_matrix_loop(theta, shots):
     return full[1:, 1:]
 
 
-def fisher_penalty_full(F, l, r):
-    """(P, flags) of the package's _fisher_penalty from one Cholesky
-    factor of all of F: with (F + F^T) / 2 = L L^T and E selecting the
-    coefficients B holds, Y = L^-1 E and P = 2 sum_i Y_i^T Y_i over the
-    rows i of B. Singular F gives the same scalar fallback."""
+def fisher_penalty_marginal(theta, shots, l, r):
+    """(P, flags) of the package's _fisher_penalty from first definitions.
+
+    The marginal of the window's first l + r sites is taken by a partial
+    trace of the dense window and its coefficients by traces; each of its
+    settings gets the shots of every window setting that extends it. The
+    covariance of B's entries is one dense inverse of that marginal's
+    information (fisher_matrix_loop), and P[j, j'] = sum_i Cov[(i, j),
+    (i, j')] is summed entry by entry. Information with an eigenvalue at
+    rounding level gives the scalar fallback: the mean over columns j of
+    the summed pseudoinverse variances, times the identity."""
+    width = l + r + 1
     dim_l, dim_r = 4**l, 4**r
-    dim = F.shape[0] + 1
-    flat = ((np.arange(dim_l)[:, None] * dim_r
-             + np.arange(dim_r)[None, :]) * 4).reshape(-1)
-    select = np.zeros((dim - 1, flat.size))
-    select[flat[1:] - 1, np.arange(1, flat.size)] = 1.0
-    try:
-        L = scipy.linalg.cholesky((F + F.T) / 2.0, lower=True)
-    except np.linalg.LinAlgError:
-        w, Q = np.linalg.eigh((F + F.T) / 2.0)
-        keep = w > 1e-12 * max(w.max(), 1e-300)
-        inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
-        var = np.zeros(dim)
-        var[1:] = np.einsum("ij,j,ij->i", Q, inv_w, Q)
-        var_b = 2.0 * var[flat].reshape(dim_l, dim_r)
-        P = float(np.mean(var_b.sum(axis=0))) * np.eye(dim_r)
-        return P, ["fisher_singular_scalar"]
-    Y = scipy.linalg.solve_triangular(L, select, lower=True)
-    Z = Y.reshape(dim - 1, dim_l, dim_r).transpose(1, 0, 2)
-    Z = Z.reshape(-1, dim_r)
-    P = 2.0 * (Z.T @ Z)
-    return (P + P.T) / 2.0, []
+    rho = partial_trace_loops(rho_from_theta(theta, width),
+                              range(1, width), width)
+    theta_m = all_coeffs_by_trace(rho, width - 1).real
+    by_setting = dict.fromkeys(settings_loop(width - 1), 0)
+    for setting, n in zip(settings_loop(width), shots):
+        by_setting[setting[:-1]] += n
+    F = fisher_matrix_loop(theta_m, np.array(list(by_setting.values())))
+    w = np.linalg.eigvalsh(F)
+    if w[0] <= 1e-12 * max(w[-1], 1e-300):
+        var = np.concatenate([[0.0], np.diag(np.linalg.pinv(
+            F, rcond=1e-12, hermitian=True))])
+        scale = np.mean(var.reshape(dim_l, dim_r).sum(axis=0))
+        return scale * np.eye(dim_r), ["fisher_singular_scalar"]
+    cov = np.zeros((dim_l * dim_r, dim_l * dim_r))
+    cov[1:, 1:] = np.linalg.inv(F)
+    P = np.zeros((dim_r, dim_r))
+    for i in range(dim_l):
+        for j in range(dim_r):
+            for jj in range(dim_r):
+                P[j, jj] += cov[i * dim_r + j, i * dim_r + jj]
+    return P, []
 
 
 def window_coeffs_tensordot(mpo, k, width):

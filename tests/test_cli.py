@@ -82,6 +82,18 @@ def test_gen_state_rejects_options_the_family_does_not_read(tmp_path, capsys,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("family", ["random-mpo", "w", "ghz", "product"])
+def test_gen_state_rejects_a_chain_without_sites(tmp_path, capsys, family, n):
+    code, stdout, stderr = _run(capsys, "gen-state", "--family", family,
+                                "--n", n, "--out", str(tmp_path / "s"))
+    assert code == 1 and stdout == ""
+    assert json.loads(stderr) == {
+        "error": "ValueError",
+        "message": f"need at least one site, not n_sites = {n}"}
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ("measure", "--shots", "0"),
     ("measure", "--sigma", "-0.01"),

@@ -10,9 +10,9 @@ import oracles
 from mpotomo.measurement import (NoiseMeta, PauliBlockData,
                                  add_gaussian_noise, all_settings,
                                  exact_block_data, simulate_counts,
-                                 block_data_from_counts, _fisher_matrix)
+                                 block_data_from_counts)
 from mpotomo.operators import DenseOperator, random_mpo
-from mpotomo.pauli import pack_index
+from mpotomo.pauli import coeffs_from_dense, pack_index
 from mpotomo.reconstruction import (NOISE_MODES, PINV_RTOL,
                                     ReconstructionConfig,
                                     RegularizerSpec,
@@ -24,7 +24,7 @@ from mpotomo.reconstruction import (NOISE_MODES, PINV_RTOL,
                                     _site_matrices)
 import mpotomo
 from mpotomo.files import write_json
-from mpotomo.metrics import hs_distance
+from mpotomo.metrics import fidelity_w_optimized, hs_distance
 from mpotomo.states import (ghz_state, random_mpo_via_ancilla, thermal_dense,
                             HamiltonianSpec, w_state)
 
@@ -366,8 +366,8 @@ def test_bulk_tensors_equal_per_alpha_solves(reg):
         B, C = _site_matrices(data.block(k - 2), 2, 2)
         penalty = None
         if reg.mode == "fisher":
-            penalty, _ = _fisher_penalty(_fisher_matrix(
-                data.block(k - 2), data.noise.shots[k - 3]), 2, 2)
+            penalty, _ = _fisher_penalty(
+                data.block(k - 2), data.noise.shots[k - 3], 2, 2)
         c3 = C.reshape(16, 4, 16)
         per_alpha = np.array([robust_solve(B, c3[:, a, :], reg, penalty)[0]
                               for a in range(4)])
@@ -392,8 +392,8 @@ def test_report_rows_equal_per_site_solves(kind):
         B, C = _site_matrices(data.blocks[b], 2, 2)
         penalty, penalty_flags = None, []
         if kind == "fisher":
-            penalty, penalty_flags = _fisher_penalty(_fisher_matrix(
-                data.blocks[b], data.noise.shots[b]), 2, 2)
+            penalty, penalty_flags = _fisher_penalty(
+                data.blocks[b], data.noise.shots[b], 2, 2)
         x, spectrum, flags = robust_solve(B, C, reg, penalty)
         assert row == {"k": b + 3,
                        "singular_values": [float(v) for v in spectrum],
@@ -564,32 +564,38 @@ def test_fisher_mode_requires_metadata_or_penalty():
                 regularizer=RegularizerSpec("fisher")))
 
 
-def test_fisher_penalty_closed_form_for_isotropic_information():
-    # With F = I / s the coefficient covariance is s * I (identity entry
-    # exact), so P[j, j'] = d * sum_i Cov[(i,j,0), (i,j',0)] collapses to
-    # d * s * (count of i) on the diagonal, the identity column losing one
-    # count because the (0, 0, 0) coordinate is pinned
-    s = 0.01
-    P, flags = _fisher_penalty(np.eye(63) / s, 1, 1)
-    expected = 2.0 * s * 4.0 * np.eye(4)
-    expected[0, 0] = 2.0 * s * 3.0
-    assert np.allclose(P, expected, atol=1e-12)
+def test_fisher_penalty_closed_form_for_the_maximally_mixed_window():
+    # On the maximally mixed window every outcome of the first two sites'
+    # marginal has p = 1/4 and every coefficient gradient is +-1/2, so the
+    # information is diagonal: 4 n 3^(2 - w) for a string of weight w, with
+    # n = 3 * 100 marginal shots per setting. Summing the inverse over
+    # rows i, with the identity entry exact, gives P[0, 0] = 3 / (12 n) and
+    # P[j, j] = 1 / (12 n) + 3 / (4 n) for j != 0
+    n = 300
+    theta = coeffs_from_dense(np.eye(8) / 8.0)
+    P, flags = _fisher_penalty(theta, np.full(27, 100), 1, 1)
+    expected = (1.0 / (12 * n) + 3.0 / (4 * n)) * np.eye(4)
+    expected[0, 0] = 3.0 / (12 * n)
+    assert np.allclose(P, expected, rtol=1e-12, atol=1e-15)
     assert flags == []
 
 
-@pytest.mark.parametrize("shots_kind", ["uniform", "random", "partly_zero"])
+@pytest.mark.parametrize("shots_kind", ["uniform", "random", "partly_zero",
+                                        "marginal_zero"])
 @pytest.mark.parametrize("l, r", [(1, 1), (2, 1), (2, 2), (3, 1), (1, 3)])
 def test_fisher_penalty_matches_the_full_cholesky_reference(fisher_window, l,
                                                             r, shots_kind):
-    # partly zero shots leave every full-weight string of an unmeasured
-    # setting without information: both take the scalar fallback
+    # the reference inverts the whole information of the window's first
+    # l + r sites directly. Every marginal setting keeps shots when every
+    # fifth window setting is unmeasured; one unmeasured marginal setting
+    # leaves its full-weight strings without information, and both take
+    # the scalar fallback
     theta, shots = fisher_window(l + r + 1, shots_kind)
-    P, flags = _fisher_penalty(_fisher_matrix(theta, shots), l, r)
-    ref, ref_flags = oracles.fisher_penalty_full(
-        oracles.fisher_matrix_loop(theta, shots), l, r)
+    P, flags = _fisher_penalty(theta, shots, l, r)
+    ref, ref_flags = oracles.fisher_penalty_marginal(theta, shots, l, r)
     assert flags == ref_flags
     assert flags == (["fisher_singular_scalar"]
-                     if shots_kind == "partly_zero" else [])
+                     if shots_kind == "marginal_zero" else [])
     # entries that cancel to rounding level have no relative precision,
     # so the tolerance is relative to the largest entry
     assert np.allclose(P, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
@@ -610,8 +616,7 @@ def test_fisher_singular_information_falls_back_to_scalar():
     for site in report.sites:
         assert site["flags"] == ["fisher_singular_scalar"]
         b = site["k"] - 2
-        P, flags = _fisher_penalty(
-            _fisher_matrix(data.blocks[b], data.noise.shots[b]), 1, 1)
+        P, flags = _fisher_penalty(data.blocks[b], data.noise.shots[b], 1, 1)
         assert flags == ["fisher_singular_scalar"]
         assert np.allclose(P, P[0, 0] * np.eye(4)) and P[0, 0] > 0.0
     assert all(np.all(np.isfinite(t)) for t in rec.tensors)
@@ -663,14 +668,31 @@ def test_fisher_report_spectrum_is_that_of_the_whitened_matrix(rng):
         regularizer=RegularizerSpec("fisher")), with_report=True)
     for row in report.sites:
         k = row["k"]
-        P, _ = _fisher_penalty(
-            _fisher_matrix(data.blocks[k - 2], shots[k - 2]), 1, 1)
+        P, _ = _fisher_penalty(data.blocks[k - 2], shots[k - 2], 1, 1)
         L = np.linalg.cholesky(P)
         B, _ = _site_matrices(data.block(k - 1), 1, 1)
         expected = np.linalg.svd(B @ np.linalg.inv(L).T, compute_uv=False)
         assert np.allclose(row["singular_values"], expected, rtol=1e-10,
                            atol=0.0)
         assert row["flags"] == []
+
+
+def test_six_site_windows_beat_five_on_counts():
+    # criterion 7's trial-0 W state, 100 shots per setting and one count
+    # seed at both widths: the wider window gives the better estimate
+    rng = np.random.default_rng((20260822, 0))
+    _, wm = w_state(8, phases=list(rng.uniform(0.0, 2.0 * np.pi, size=7)))
+    scores = {}
+    for width in (5, 6):
+        data = block_data_from_counts(
+            simulate_counts(wm, width, 100, seed=0), 8)
+        rec, report = reconstruct_mpo(data, with_report=True)
+        assert report.mode == "fisher"
+        assert all(row["flags"] == [] for row in report.sites)
+        scores[width] = (hs_distance(wm, rec),
+                         fidelity_w_optimized(rec, seed=0)[0])
+    assert scores[6][0] < scores[5][0]
+    assert scores[6][1] > scores[5][1]
 
 
 # ---- invertibility diagnostics ----

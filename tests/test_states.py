@@ -262,6 +262,14 @@ def _same_operator(a, b):
             and all(map(np.array_equal, a.tensors, b.tensors)))
 
 
+@pytest.mark.parametrize("n_sites", [0, -1])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_make_state_rejects_a_chain_without_sites(family, n_sites):
+    with pytest.raises(ValueError, match=f"need at least one site, not "
+                       f"n_sites = {n_sites}"):
+        make_state(family, n_sites, seed=1)
+
+
 def test_make_state_matches_family_constructors():
     phases = [0.3, 1.1, 2.0]
     want = {
