@@ -234,25 +234,6 @@ def mpo_from_dense(op: DenseOperator) -> MatrixProductOperator:
     return mpo_from_coeffs(op.coeffs())
 
 
-def random_mpo(n_sites: int, bond: int, seed=None) -> MatrixProductOperator:
-    """Random real-tensor network with the given uniform bulk bond dimension.
-
-    Used for generic-position checks; the global operator is Hermitian by
-    construction but not positive. Resamples until the trace is nonzero.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(64):
-        tensors = []
-        for i in range(n_sites):
-            dl = 1 if i == 0 else bond
-            dr = 1 if i == n_sites - 1 else bond
-            tensors.append(rng.standard_normal((4, dl, dr)))
-        mpo = MatrixProductOperator(tensors)
-        if abs(mpo.trace) > 1e-6:
-            return mpo
-    raise RuntimeError("failed to draw a network with nonzero trace")
-
-
 # ---- Serialization ----
 
 

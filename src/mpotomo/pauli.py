@@ -30,14 +30,6 @@ def pauli_matrix(alpha: int) -> np.ndarray:
     return SIGMA[alpha] / np.sqrt(2.0)
 
 
-def pack_index(alphas) -> int:
-    """Flat index of a multi-site string, site 1 most significant."""
-    idx = 0
-    for a in alphas:
-        idx = idx * 4 + int(a)
-    return idx
-
-
 # SITE_TRANSFORM[a, 2r + c] = P(a)[c, r], so (SITE_TRANSFORM @ vec(M))[a] is
 # tr[M P(a)]. Rows are orthonormal: the inverse is the conjugate transpose.
 SITE_TRANSFORM = np.array([pauli_matrix(a).T.reshape(-1) for a in range(4)])

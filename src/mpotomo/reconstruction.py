@@ -16,19 +16,19 @@ Each bulk site is fixed by its own window alone, so the N - R + 1
 per-site solves run as one: one SVD of the stack of every site's B and a
 filter on the singular values s above PINV_RTOL * s_max (0 below): 1 / s
 (truncated_pinv), s / (s^2 + sigma2) (tikhonov), or, in fisher mode,
-generalized Tikhonov with a penalty P = L L^T assembled from per-window
-Fisher information, brought to standard form on B L^-T (Hansen,
-Rank-Deficient and Discrete Ill-Posed Problems, 1998). P needs the
-covariance of B's entries only, which are the coefficients of the
-window's first R - 1 sites: it is the inverse of that marginal's
-information. Only fisher mode uses scipy, imported at its first solve.
+generalized Tikhonov with a penalty P assembled from per-window Fisher
+information, brought to standard form on B W with W W^T = P^-1 from one
+eigh of the stack of penalties (Hansen, Rank-Deficient and Discrete
+Ill-Posed Problems, 1998). Every mode's solution is x = W V f(s) U^T e,
+with W = I outside fisher mode. P needs the covariance of B's entries
+only, which are the coefficients of the window's first R - 1 sites: it is
+the inverse of that marginal's information. Only the Fisher penalty uses
+scipy, imported at its first call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import math
 
 import numpy as np
 
@@ -60,11 +60,11 @@ class RegularizerSpec:
     noise_tikhonov_sigma2(sigma, l, r) for the split it resolves, and
     raises on data without scalar noise metadata; robust_solve, which has
     no data, needs an explicit sigma2. No other mode takes a sigma2.
-    mode "fisher": minimizes |B x - e|^2 + x^T P x with the penalty P = L L^T
+    mode "fisher": minimizes |B x - e|^2 + x^T P x with the penalty P
     assembled from the data's per-window Fisher metadata. This is standard
-    Tikhonov with filter s / (s^2 + 1) on B L^-T, mapped back by L^-T; if
-    P has no Cholesky factor the site is flagged "singular_penalty" and
-    solved with the truncated filter on B.
+    Tikhonov with filter s / (s^2 + 1) on B W, mapped back by W, where
+    W W^T = P^-1; if P is not numerically positive definite the site is
+    flagged "singular_penalty" and solved with the truncated filter on B.
     """
 
     mode: str = "truncated_pinv"
@@ -147,19 +147,22 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
     them, with one SVD of the stack and the filter of `reg`: returns (x,
     spectrum, flags); see RegularizerSpec for the modes.
 
-    B has shape (..., m, n), and e shape (..., m) (one vector per matrix)
-    or (..., m, k) (k columns). x has shape (..., n) or (..., n, k), the
-    spectrum (..., min(m, n)), and flags is each matrix's list of flags,
-    nested in lists of the stack's shape (one list for a 2-D B). Every
-    matrix of a stack gets bitwise the x, spectrum and flags it gets on
-    its own.
+    B has shape (m, n) or (count, m, n), and e shape (m,) or (count, m)
+    (one vector per matrix), or (m, k) or (count, m, k) (k columns). x has
+    shape (n,), (count, n), (n, k) or (count, n, k), the spectrum
+    (min(m, n),) or (count, min(m, n)), and flags is the matrix's list of
+    flags, or one such list per matrix of a stack. Every matrix of a stack
+    gets bitwise the x, spectrum and flags it gets on its own.
 
-    fisher mode needs the penalty matrices P, shape (..., n, n), and
-    tikhonov mode an explicit sigma2. In fisher mode the matrix factored
-    is B L^-T with P = L L^T, so the spectrum holds the singular values of
-    B L^-T; in the other modes, and for a matrix flagged
-    "singular_penalty" (its P has no Cholesky factor, so it takes the
-    truncated filter on its own B), those of B.
+    fisher mode needs the penalty matrices P, shape (n, n) or
+    (count, n, n), and tikhonov mode an explicit sigma2. In fisher mode
+    one eigh of the stack, P = Q diag(w) Q^T, gives W = Q diag(w)^-1/2
+    with W W^T = P^-1: the matrix factored is B W, whose singular values
+    are those of B L^-T for P = L L^T, and x is W times its solution. In
+    the other modes, and for a matrix flagged "singular_penalty" (its P is
+    not numerically positive definite: its smallest eigenvalue is at most
+    n * eps times its largest, so it takes the truncated filter on its own
+    B), the spectrum holds the singular values of B.
     """
     B, e = np.asarray(B, dtype=float), np.asarray(e, dtype=float)
     if reg.mode == "tikhonov" and reg.sigma2 is None:
@@ -167,26 +170,27 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
                          "tikhonov mode")
     if reg.mode == "fisher" and penalty is None:
         raise ValueError("fisher mode requires a penalty matrix")
-    stack, (m, n) = B.shape[:-2], B.shape[-2:]
-    count = math.prod(stack)
-    vector = e.ndim == B.ndim - 1
-    B = B.reshape(count, m, n)
+    if B.ndim not in (2, 3):
+        raise ValueError(f"B must have shape (m, n) or (count, m, n), not "
+                         f"{B.shape}")
+    single, vector = B.ndim == 2, e.ndim == B.ndim - 1
+    B = B.reshape(-1, *B.shape[-2:])
+    count, m, n = B.shape
     e = e.reshape(count, m, 1 if vector else e.shape[-1])
     flags = [[] for _ in range(count)]
     truncated = np.full(count, reg.mode == "truncated_pinv")
-    chols = [None] * count
     if reg.mode == "fisher":
-        import scipy.linalg  # only fisher mode needs it; it is slow to load
+        P = np.asarray(penalty, dtype=float).reshape(count, n, n)
+        if not np.isfinite(P).all():
+            raise ValueError("fisher mode needs finite penalty matrices")
+        w, Q = np.linalg.eigh(P)
+        truncated = w[:, 0] <= n * np.finfo(float).eps * w[:, -1]
+        for i in np.flatnonzero(truncated):
+            flags[i].append("singular_penalty")
+        whiten = ~truncated
+        W = Q[whiten] / np.sqrt(w[whiten, None, :])
         B = B.copy()
-        for i, P in enumerate(np.reshape(penalty, (count, n, n))):
-            try:
-                chols[i] = scipy.linalg.cholesky(P, lower=True)
-                # B L^-T = (L^-1 B^T)^T
-                B[i] = scipy.linalg.solve_triangular(chols[i], B[i].T,
-                                                     lower=True).T
-            except np.linalg.LinAlgError:
-                flags[i].append("singular_penalty")
-                truncated[i] = True
+        B[whiten] = B[whiten] @ W
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
     keep = s > PINV_RTOL * s[:, :1]
     filt = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
@@ -201,14 +205,9 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
     z *= filt[:, :, None]
     x = Vt.transpose(0, 2, 1) @ z
     if reg.mode == "fisher":
-        for i in np.flatnonzero(~truncated):
-            x[i] = scipy.linalg.solve_triangular(chols[i], x[i], trans="T",
-                                                 lower=True)
-    for size in reversed(stack[1:]):
-        flags = [flags[j:j + size] for j in range(0, len(flags), size)]
+        x[whiten] = W @ x[whiten]
     x = x[..., 0] if vector else x
-    return (x.reshape(*stack, *x.shape[1:]), s.reshape(*stack, s.shape[-1]),
-            flags if stack else flags[0])
+    return (x[0], s[0], flags[0]) if single else (x, s, flags)
 
 
 def _fisher_penalty(theta: np.ndarray, shots: np.ndarray, l: int, r: int):
@@ -226,7 +225,7 @@ def _fisher_penalty(theta: np.ndarray, shots: np.ndarray, l: int, r: int):
     slightly more cautious than the profiled penalty. A Cholesky factor
     that fails (singular information) gives the scalar fallback.
     """
-    import scipy.linalg  # see robust_solve
+    import scipy.linalg  # only this penalty needs it; it is slow to load
     dim_l, dim_r = 4**l, 4**r
     F = _fisher_matrix(np.sqrt(2.0) * theta[::4],
                        shots.reshape(-1, 3).sum(axis=1))
@@ -307,7 +306,7 @@ def reconstruct_mpo(data: PauliBlockData,
     matched to sigma for scalar noise); the report's mode is the one used.
 
     The report lists, per bulk site, the singular values the filter acted
-    on (of B, or of B L^-T in fisher mode) and the flags "zero_operator",
+    on (of B, or of B W in fisher mode) and the flags "zero_operator",
     "singular_penalty" and "fisher_singular_scalar".
     """
     cfg = cfg or ReconstructionConfig()

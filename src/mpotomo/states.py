@@ -17,7 +17,7 @@ import numpy as np
 
 from .operators import (DENSE_SITE_CAP, DenseOperator, MatrixProductOperator,
                         _transfer)
-from .pauli import SIGMA, SITE_TRANSFORM, hermitian_basis, pauli_matrix
+from .pauli import SIGMA, SITE_TRANSFORM, hermitian_basis
 
 # ---- Hamiltonians and thermal states ----
 
@@ -192,8 +192,18 @@ def random_mpo_via_ancilla(n_sites: int, seed=None,
 # ---- Named states and the family dispatch ----
 
 
-def _dense_from_vector(vec: np.ndarray) -> DenseOperator:
-    return DenseOperator(np.outer(vec, vec.conj()))
+def _pure_state(mps: list[np.ndarray]):
+    """(dense or None, MPO) of the pure state of an MPS; the dense form is
+    contracted from the MPS up to DENSE_SITE_CAP sites."""
+    dense = None
+    if len(mps) <= DENSE_SITE_CAP:
+        vec = np.ones((1, 1), dtype=complex)
+        for A in mps:
+            # vec[p, s, b] = sum_a vec[p, a] A[s, a, b]
+            vec = (vec[:, None, :, None] * A).sum(axis=2).reshape(
+                -1, A.shape[2])
+        dense = DenseOperator(np.outer(vec[:, 0], vec[:, 0].conj()))
+    return dense, mps_to_mpo(mps)
 
 
 def w_state(n_sites: int, phases=None):
@@ -210,54 +220,25 @@ def w_state(n_sites: int, phases=None):
     if phases.shape != (n - 1,):
         raise ValueError("need n_sites - 1 phases")
     phi = np.concatenate(([0.0], phases))
-    # amp[i] multiplies the branch with the excitation at 1-based site i + 1
-    amp = np.exp(1.0j * phi[::-1]) / np.sqrt(n)
-    mps = []
-    for i in range(n):
-        A = np.zeros((2, 2, 2), dtype=complex)
-        A[0] = np.eye(2)
-        A[1, 0, 1] = amp[i]
-        if i == 0:
-            A = A[:, :1, :]
-        if i == n - 1:
-            A = A[:, :, 1:]
-        mps.append(A)
-    mpo = mps_to_mpo(mps)
-    dense = None
-    if n <= DENSE_SITE_CAP:
-        vec = np.zeros(2**n, dtype=complex)
-        for i in range(n):
-            vec[1 << (n - 1 - i)] = amp[i]
-        dense = _dense_from_vector(vec)
-    return dense, mpo
+    # A[i, 1, 0, 1] multiplies the branch with the excitation at site i + 1
+    A = np.zeros((n, 2, 2, 2), dtype=complex)
+    A[:, 0] = np.eye(2)
+    A[:, 1, 0, 1] = np.exp(1.0j * phi[::-1]) / np.sqrt(n)
+    mps = list(A)
+    mps[0] = mps[0][:, :1, :]
+    mps[-1] = mps[-1][:, :, 1:]
+    return _pure_state(mps)
 
 
 def ghz_state(n_sites: int):
-    """GHZ state (|0...0> + |1...1>)/sqrt(2); returns (dense or None, MPO)."""
-    n = n_sites
-    c = 2.0 ** -0.5
-    mps = []
-    for i in range(n):
-        if i == 0:
-            A = np.zeros((2, 1, 2), dtype=complex)
-            A[0, 0, 0] = c
-            A[1, 0, 1] = c
-        elif i == n - 1:
-            A = np.zeros((2, 2, 1), dtype=complex)
-            A[0, 0, 0] = 1.0
-            A[1, 1, 0] = 1.0
-        else:
-            A = np.zeros((2, 2, 2), dtype=complex)
-            A[0, 0, 0] = 1.0
-            A[1, 1, 1] = 1.0
-        mps.append(A)
-    mpo = mps_to_mpo(mps)
-    dense = None
-    if n <= DENSE_SITE_CAP:
-        vec = np.zeros(2**n, dtype=complex)
-        vec[0] = vec[-1] = c
-        dense = _dense_from_vector(vec)
-    return dense, mpo
+    """GHZ state (|0...0> + |1...1>)/sqrt(2); returns (dense or None, MPO).
+    One site gives (|0> + |1>)/sqrt(2)."""
+    A = np.zeros((2, 2, 2), dtype=complex)
+    A[0, 0, 0] = A[1, 1, 1] = 1.0
+    mps = [A] * n_sites
+    mps[0] = np.full((1, 2), 2.0 ** -0.5) @ mps[0]
+    mps[-1] = mps[-1] @ np.ones((2, 1))
+    return _pure_state(mps)
 
 
 def product_state(n_sites: int, kets=None):
@@ -266,23 +247,9 @@ def product_state(n_sites: int, kets=None):
         kets = [np.array([1.0, 0.0])] * n_sites
     if len(kets) != n_sites:
         raise ValueError("need one ket per site")
-    tensors = []
-    for v in kets:
-        v = np.asarray(v, dtype=complex)
-        v = v / np.linalg.norm(v)
-        t = np.empty((4, 1, 1))
-        for a in range(4):
-            t[a, 0, 0] = (v.conj() @ pauli_matrix(a) @ v).real
-        tensors.append(t)
-    mpo = MatrixProductOperator(tensors)
-    dense = None
-    if n_sites <= DENSE_SITE_CAP:
-        vec = np.array([1.0], dtype=complex)
-        for v in kets:
-            v = np.asarray(v, dtype=complex)
-            vec = np.kron(vec, v / np.linalg.norm(v))
-        dense = _dense_from_vector(vec)
-    return dense, mpo
+    kets = [np.asarray(v, dtype=complex) for v in kets]
+    return _pure_state([(v / np.linalg.norm(v)).reshape(2, 1, 1)
+                        for v in kets])
 
 
 def make_state(family: str, n_sites: int, seed=None, beta: float = 5.0,

@@ -34,6 +34,14 @@ def coeff_by_trace(rho, alphas):
     return complex(np.trace(rho @ string_dense(alphas)))
 
 
+def pack_index(alphas):
+    """Flat index of a multi-site string, site 1 most significant."""
+    idx = 0
+    for a in alphas:
+        idx = idx * 4 + int(a)
+    return idx
+
+
 def unpack_index(idx, m):
     """Site labels (a_1, ..., a_m) of the flat big-endian string index."""
     out = []
@@ -309,6 +317,27 @@ def random_mpo_per_site(n_sites, seed=None, t_hnorm=0.01):
     channels = [ancilla_channel_per_site(rng, t_hnorm)
                 for _ in range(n_sites)]
     return mps_to_mpo_per_site(mps, channels)
+
+
+def random_mpo(n_sites, bond, seed=None):
+    """Random real-tensor network with the given uniform bulk bond dimension.
+
+    Used for generic-position checks; the global operator is Hermitian by
+    construction but not positive. Resamples until the trace is nonzero.
+    """
+    from mpotomo.operators import MatrixProductOperator
+
+    rng = np.random.default_rng(seed)
+    for _ in range(64):
+        tensors = []
+        for i in range(n_sites):
+            dl = 1 if i == 0 else bond
+            dr = 1 if i == n_sites - 1 else bond
+            tensors.append(rng.standard_normal((4, dl, dr)))
+        mpo = MatrixProductOperator(tensors)
+        if abs(mpo.trace) > 1e-6:
+            return mpo
+    raise RuntimeError("failed to draw a network with nonzero trace")
 
 
 def recursion_coefficient(blocks, alphas, l, r, solve=None):

@@ -94,6 +94,17 @@ def test_gen_state_rejects_a_chain_without_sites(tmp_path, capsys, family, n):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("family", ["w", "ghz", "product"])
+def test_gen_state_writes_a_single_site_named_state(tmp_path, capsys, family):
+    out = tmp_path / "s"
+    code, stdout, _ = _run(capsys, "gen-state", "--family", family, "--n",
+                           "1", "--out", str(out))
+    assert code == 0
+    assert json.loads(stdout)["written"] == [f"{out}.mpo.json",
+                                             f"{out}.dense.json"]
+    assert load_operator(f"{out}.mpo.json").n_sites == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("measure", "--shots", "0"),
     ("measure", "--sigma", "-0.01"),

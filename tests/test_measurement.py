@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import random_mpo
 from mpotomo.files import write_json
 from mpotomo.measurement import (MLE_TOL, _U_BASIS, CountsBlock, NoiseMeta,
                                  PauliBlockData, _design_blocks,
@@ -21,8 +22,8 @@ from mpotomo.measurement import (MLE_TOL, _U_BASIS, CountsBlock, NoiseMeta,
                                  simulate_counts)
 import mpotomo.measurement
 import mpotomo.operators
-from mpotomo.operators import (DenseOperator, load_operator, random_mpo,
-                               save_operator, window_coeffs)
+from mpotomo.operators import (DenseOperator, load_operator, save_operator,
+                               window_coeffs)
 from mpotomo.pauli import (coeffs_from_dense, dense_from_coeffs,
                           partial_trace)
 from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,

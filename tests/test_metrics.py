@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from oracles import random_mpo
 from mpotomo.files import write_json
 from mpotomo.metrics import (compare_states, fidelity_w_optimized,
                              hs_distance, purity)
 from mpotomo.operators import (DenseOperator, MatrixProductOperator,
-                               mpo_from_dense, random_mpo)
+                               mpo_from_dense)
 from mpotomo.states import ghz_state, w_state
 
 

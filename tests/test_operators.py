@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import pack_index, random_mpo
 from mpotomo.operators import (DenseOperator, MatrixProductOperator,
                                _transfer, load_operator,
                                mpo_from_coeffs, mpo_from_dense, mpo_overlap,
-                               random_mpo, save_operator, window_coeffs)
-from mpotomo.pauli import coeffs_from_dense, pack_index, partial_trace
+                               save_operator, window_coeffs)
+from mpotomo.pauli import coeffs_from_dense, partial_trace
 
 
 def test_dense_operator_validates_hermiticity():

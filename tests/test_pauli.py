@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import pack_index
 from mpotomo.pauli import (coeffs_from_dense, dense_from_coeffs,
-                           hermitian_basis, n_sites_of, pack_index,
-                           partial_trace, pauli_matrix)
+                           hermitian_basis, n_sites_of, partial_trace,
+                           pauli_matrix)
 
 
 def test_single_site_matrices_are_normalized():

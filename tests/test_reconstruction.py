@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import pack_index, random_mpo
 from mpotomo.measurement import (NoiseMeta, PauliBlockData,
                                  add_gaussian_noise, all_settings,
                                  exact_block_data, simulate_counts,
                                  block_data_from_counts)
-from mpotomo.operators import DenseOperator, random_mpo
-from mpotomo.pauli import coeffs_from_dense, pack_index
+from mpotomo.operators import DenseOperator
+from mpotomo.pauli import coeffs_from_dense
 from mpotomo.reconstruction import (NOISE_MODES, PINV_RTOL,
                                     ReconstructionConfig,
                                     RegularizerSpec,
@@ -145,39 +146,56 @@ def test_stacked_solve_equals_a_loop_of_2d_solves(width):
                 assert flags[i] == fi == []
 
 
-def test_stack_of_any_shape_nests_its_flags(rng):
-    B = rng.normal(size=(2, 3, 5, 4))
-    B[1, 2] = 0.0
-    e = rng.normal(size=(2, 3, 5))
-    x, s, flags = robust_solve(B, e, RegularizerSpec("truncated_pinv"))
-    assert x.shape == (2, 3, 4) and s.shape == (2, 3, 4)
-    assert flags == [[[], [], []], [[], [], ["zero_operator"]]]
-    assert np.array_equal(x[0, 1], robust_solve(
-        B[0, 1], e[0, 1], RegularizerSpec("truncated_pinv"))[0])
-
-
 def test_fisher_stack_gives_each_site_its_own_flags_and_filter(rng):
-    # site 0 is regular, site 1 has a penalty without a Cholesky factor
-    # and site 2 a zero matrix
-    B = rng.normal(size=(3, 6, 4))
+    # site 0 is regular, site 2 a zero matrix, and sites 1, 3, 4 and 5
+    # have a penalty that is not numerically positive definite: zero,
+    # indefinite, positive semidefinite of rank 2, and positive definite
+    # with its smallest eigenvalue below n * eps times its largest
+    B = rng.normal(size=(6, 6, 4))
     B[2] = 0.0
-    e = rng.normal(size=(3, 6, 5))
+    e = rng.normal(size=(6, 6, 5))
     Q = rng.normal(size=(4, 4))
+    O = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    R = rng.normal(size=(4, 2))
     P = np.array([Q @ Q.T + 0.1 * np.eye(4), np.zeros((4, 4)),
-                  Q @ Q.T + 0.1 * np.eye(4)])
+                  Q @ Q.T + 0.1 * np.eye(4),
+                  O @ np.diag([2.0, 1.0, -0.1, 0.5]) @ O.T, R @ R.T,
+                  np.diag([2.0, 1.0, 1e-16, 0.5])])
     fisher = RegularizerSpec("fisher")
     x, s, flags = robust_solve(B, e, fisher, P)
-    assert flags == [[], ["singular_penalty"], ["zero_operator"]]
+    assert flags == [[], ["singular_penalty"], ["zero_operator"],
+                     ["singular_penalty"], ["singular_penalty"],
+                     ["singular_penalty"]]
     x0, s0, _ = robust_solve(B[0], e[0], fisher, P[0])
     assert np.array_equal(x[0], x0) and np.array_equal(s[0], s0)
     ref = np.linalg.solve(B[0].T @ B[0] + P[0], B[0].T @ e[0])
     assert np.allclose(x[0], ref, atol=1e-10)
-    # the truncated filter on its own raw B
-    x1, s1, _ = robust_solve(B[1], e[1], RegularizerSpec("truncated_pinv"))
-    assert np.array_equal(x[1], x1) and np.array_equal(s[1], s1)
-    assert np.allclose(x[1], np.linalg.pinv(B[1]) @ e[1], atol=1e-10)
+    # the spectrum is that of B L^-T for P = L L^T
+    L = np.linalg.cholesky(P[0])
+    assert np.allclose(s[0], np.linalg.svd(np.linalg.solve(L, B[0].T).T,
+                                           compute_uv=False), rtol=1e-13)
+    for i in (1, 3, 4, 5):
+        # the truncated filter on its own raw B
+        xi, si, _ = robust_solve(B[i], e[i], RegularizerSpec("truncated_pinv"))
+        assert np.array_equal(x[i], xi) and np.array_equal(s[i], si)
+        assert np.allclose(x[i], np.linalg.pinv(B[i]) @ e[i], atol=1e-10)
     assert np.array_equal(x[2], np.zeros((4, 5)))
     assert np.array_equal(s[2], np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fisher_rejects_a_non_finite_penalty(rng, bad):
+    P = np.tile(np.eye(4), (2, 1, 1))
+    P[1, 2, 3] = bad
+    with pytest.raises(ValueError, match="finite penalty"):
+        robust_solve(rng.normal(size=(2, 6, 4)), rng.normal(size=(2, 6)),
+                     RegularizerSpec("fisher"), P)
+
+
+def test_robust_solve_takes_one_stack_axis(rng):
+    with pytest.raises(ValueError, match=r"\(m, n\) or \(count, m, n\)"):
+        robust_solve(rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(2, 3, 5)),
+                     RegularizerSpec("truncated_pinv"))
 
 
 def test_regularizer_spec_validation():
@@ -527,19 +545,26 @@ def test_fisher_penalties_from_counts_metadata():
 
 def test_scipy_loads_only_for_a_fisher_solve():
     # in a fresh interpreter: import mpotomo, a tikhonov reconstruction
-    # and its score leave scipy unloaded, and a fisher reconstruction then
-    # loads it and works
+    # and its score, and a fisher robust_solve on explicit penalties leave
+    # scipy unloaded; a fisher reconstruction, which forms the Fisher
+    # penalties, then loads it and works
     script = """
 import sys
+import numpy as np
 import mpotomo
 from mpotomo.measurement import exact_block_data, simulate_counts
-from mpotomo.reconstruction import reconstruct_mpo
+from mpotomo.reconstruction import (RegularizerSpec, reconstruct_mpo,
+                                    robust_solve)
 from mpotomo.states import random_mpo_via_ancilla, w_state
 assert "scipy" not in sys.modules, "import mpotomo loaded scipy"
 st = random_mpo_via_ancilla(6, seed=1)
 noisy = mpotomo.add_gaussian_noise(exact_block_data(st, 3), 1e-3, seed=2)
 d = mpotomo.compare_states(st, reconstruct_mpo(noisy)).hs_distance
 assert d < 1e-2 and "scipy" not in sys.modules, "tikhonov loaded scipy"
+x, _, flags = robust_solve(np.eye(6, 4), np.ones(6), RegularizerSpec("fisher"),
+                           np.eye(4))
+assert np.allclose(x, 0.5) and flags == []
+assert "scipy" not in sys.modules, "a fisher robust_solve loaded scipy"
 _, w = w_state(5, phases=[0.1, 0.2, 0.3, 0.4])
 data = mpotomo.block_data_from_counts(simulate_counts(w, 3, 300, seed=3), 5)
 est, report = reconstruct_mpo(data, with_report=True)
@@ -624,7 +649,7 @@ def test_fisher_singular_information_falls_back_to_scalar():
 
 def test_zero_fisher_information_flags_singular_penalty():
     # no shots at all give zero information and a zero scalar penalty,
-    # which has no Cholesky factor: the sites fall back to the truncated
+    # which is not positive definite: the sites fall back to the truncated
     # filter on B
     st = random_mpo_via_ancilla(5, seed=27)
     base = exact_block_data(st, 3)

@@ -229,6 +229,36 @@ def test_ghz_state_dense_and_mpo_agree():
     assert np.max(np.abs(mpo.to_dense().matrix - dense.matrix)) < 1e-12
 
 
+def test_ghz_single_site_is_the_plus_state():
+    plus = np.full(2, 2.0 ** -0.5, dtype=complex)
+    for dense, mpo in (ghz_state(1), make_state("ghz", 1)):
+        assert np.array_equal(dense.matrix, np.outer(plus, plus))
+        assert mpo.bond_dims == [1, 1]
+        assert np.max(np.abs(mpo.to_dense().matrix - dense.matrix)) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_named_dense_forms_are_the_hand_built_vectors(rng, n):
+    def pure(vec):
+        return np.outer(vec, vec.conj())
+
+    phases = rng.uniform(0.0, 2.0 * np.pi, n - 1)
+    # amp[i] multiplies the branch with the excitation at site i + 1
+    amp = np.exp(1.0j * np.concatenate(([0.0], phases))[::-1]) / np.sqrt(n)
+    w = np.zeros(2**n, dtype=complex)
+    for i in range(n):
+        w[1 << (n - 1 - i)] = amp[i]
+    ghz = np.zeros(2**n, dtype=complex)
+    ghz[0] = ghz[-1] = 2.0 ** -0.5
+    kets = list(rng.normal(size=(n, 2)) + 1.0j * rng.normal(size=(n, 2)))
+    prod = np.ones(1, dtype=complex)
+    for v in kets:
+        prod = np.kron(prod, v / np.linalg.norm(v))
+    assert np.array_equal(w_state(n, phases)[0].matrix, pure(w))
+    assert np.array_equal(ghz_state(n)[0].matrix, pure(ghz))
+    assert np.array_equal(product_state(n, kets)[0].matrix, pure(prod))
+
+
 def test_ghz_single_z_coefficient_vanishes():
     _, mpo = ghz_state(6)
     assert abs(mpo.coefficient([3, 0, 0, 0, 0, 0])) < 1e-14
