@@ -2,11 +2,12 @@
 
 The central container holds, for every window of `width` consecutive sites,
 the full vector of normalized basis-string expectations of the state's
-reduction onto that window. Exact vectors come from dense partial traces or
-from tensor-network contractions; synthetic noisy vectors come either from
-Gaussian perturbations of the exact values or from simulated projective
-counts pushed through a local maximum-likelihood estimator. A window's
-counts are one (3^width, 2^width) integer array, rows in all_settings order.
+reduction onto that window. Exact vectors come from operators._windows, the
+one window kernel for dense and matrix-product states; synthetic noisy
+vectors come either from Gaussian perturbations of the exact values or from
+simulated projective counts pushed through a local maximum-likelihood
+estimator. A window's counts are one (3^width, 2^width) integer array, rows
+in all_settings order.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from .files import (FORMAT_VERSION, float_array, float_record, read_json,
                     require, require_type, write_json)
 from .operators import (DENSE_SITE_CAP, DenseOperator,
                         MatrixProductOperator, _windows)
-from .pauli import (coeffs_from_dense, dense_from_coeffs, n_sites_of,
-                    partial_trace)
+from .pauli import coeffs_from_dense, dense_from_coeffs, n_sites_of
 
 # ---- Block data container ----
 
@@ -100,21 +100,17 @@ class PauliBlockData:
 def exact_block_data(state, width: int) -> PauliBlockData:
     """Exact window expectations of a dense or matrix-product state.
 
-    For a matrix-product state the identity environments are built once,
-    so extraction is linear in the chain length and costs O(4^width D^2)
-    per window.
+    One sweep of operators._windows: for a matrix-product state the
+    identity environments are built once, so extraction is linear in the
+    chain length and costs O(4^width D^2) per window.
     """
     if not isinstance(state, (DenseOperator, MatrixProductOperator)):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     n = state.n_sites
     if not 1 <= width <= n:
         raise ValueError("need 1 <= width <= n_sites")
-    if isinstance(state, DenseOperator):
-        vectors = map(coeffs_from_dense, _window_densities(state, width))
-    else:
-        vectors = _windows(state, width, 1, n - width + 1)
     blocks = np.empty((n - width + 1, 4**width))
-    for b, vector in enumerate(vectors):
+    for b, vector in enumerate(_windows(state, width, 1, n - width + 1)):
         blocks[b] = vector
     return PauliBlockData(n, width, blocks)
 
@@ -189,17 +185,6 @@ def _setting_rows(width: int):
     return MappingProxyType({s: j for j, s in enumerate(all_settings(width))})
 
 
-def _window_densities(state, width: int):
-    """Yield the dense reduced density matrix of every window in order."""
-    n = state.n_sites
-    if isinstance(state, DenseOperator):
-        for k in range(1, n - width + 2):
-            yield partial_trace(state.matrix, range(k, k + width))
-    else:
-        for coeffs in _windows(state, width, 1, n - width + 1):
-            yield dense_from_coeffs(coeffs)
-
-
 def _setting_unitaries(settings) -> np.ndarray:
     """Stack of the Kronecker unitaries of `settings`, one per setting.
 
@@ -247,13 +232,15 @@ _BATCH_BYTES = 1 << 20
 def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBlock]:
     """Multinomial counts for all 3^width settings of every window.
 
-    Settings are taken in batches in all_settings order: each batch's
-    unitaries are built once as one stack of about 1 MB and applied to
-    every window before the next batch is built, which bounds the memory
-    they take. All draws come from one multinomial call over the
-    (windows, settings, outcomes) probabilities, which consumes the random
-    stream window by window, settings in all_settings order, as one call
-    per window and setting would. shots must be a positive integer.
+    A window's density is dense_from_coeffs of its operators._windows
+    vector, for either operator type. Settings are taken in batches in
+    all_settings order: each batch's unitaries are built once as one stack
+    of about 1 MB and applied to every window before the next batch is
+    built, which bounds the memory they take. All draws come from one
+    multinomial call over the (windows, settings, outcomes) probabilities,
+    which consumes the random stream window by window, settings in
+    all_settings order, as one call per window and setting would. shots
+    must be a positive integer.
     """
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
         raise ValueError(f"shots must be an integer, not "
@@ -263,7 +250,8 @@ def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBloc
     if not 1 <= width <= state.n_sites:
         raise ValueError("need 1 <= width <= n_sites")
     settings = all_settings(width)
-    rhos = list(_window_densities(state, width))
+    rhos = [dense_from_coeffs(c)
+            for c in _windows(state, width, 1, state.n_sites - width + 1)]
     probs = np.empty((len(rhos), len(settings), 1 << width))
     step = max(1, _BATCH_BYTES // (16 * 4**width))
     for lo in range(0, len(settings), step):

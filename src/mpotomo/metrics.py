@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (DENSE_SITE_CAP, DenseOperator, MatrixProductOperator,
-                        mpo_overlap)
+from .operators import DENSE_SITE_CAP, MatrixProductOperator, mpo_overlap
 
 # Random phase draws fidelity_w_optimized restarts from.
 _N_STARTS = 8
@@ -24,8 +23,7 @@ def _gram_terms(a, b):
     """(tr[a a], tr[a b], tr[b b]) for any mix of representations."""
     if isinstance(a, MatrixProductOperator) and isinstance(b, MatrixProductOperator):
         return mpo_overlap(a, a), mpo_overlap(a, b), mpo_overlap(b, b)
-    ca = a.coeffs() if isinstance(a, DenseOperator) else a.full_coeffs()
-    cb = b.coeffs() if isinstance(b, DenseOperator) else b.full_coeffs()
+    ca, cb = a.coeffs(), b.coeffs()
     if ca.shape != cb.shape:
         raise ValueError("operands must share site count")
     return float(ca @ ca), float(ca @ cb), float(cb @ cb)
@@ -53,13 +51,11 @@ def purity(state) -> float:
 
 
 def _single_excitation_block(state) -> np.ndarray:
-    if isinstance(state, MatrixProductOperator):
-        if state.n_sites > DENSE_SITE_CAP:
-            raise ValueError("phase-optimized fidelity needs the dense form")
-        state = state.to_dense()
     n = state.n_sites
+    if n > DENSE_SITE_CAP:
+        raise ValueError("phase-optimized fidelity needs the dense form")
     idx = [1 << j for j in range(n)]
-    return state.matrix[np.ix_(idx, idx)]
+    return state.to_dense().matrix[np.ix_(idx, idx)]
 
 
 def fidelity_w_optimized(state, seed: int = 0, full_output: bool = False):
@@ -129,11 +125,7 @@ def compare_states(ref, est, w_fidelity: bool = False,
     aa, ab, bb = _gram_terms(ref, est)
     report = ComparisonReport(hs_distance=_distance(aa, ab, bb),
                               purity_ref=aa, purity_est=bb)
-    dense_est = None
-    if isinstance(est, DenseOperator):
-        dense_est = est
-    elif est.n_sites <= DENSE_SITE_CAP:
-        dense_est = est.to_dense()
+    dense_est = est.to_dense() if est.n_sites <= DENSE_SITE_CAP else None
     if dense_est is not None:
         report.min_eig_est = float(np.linalg.eigvalsh(dense_est.matrix).min())
     if w_fidelity:

@@ -36,6 +36,8 @@ class DenseOperator:
         n = self.n_sites
         if n > DENSE_SITE_CAP:
             raise ValueError(f"dense operators capped at {DENSE_SITE_CAP} sites")
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("operator entries must be finite")
         dev = np.max(np.abs(self.matrix - self.matrix.conj().T))
         if dev > 1e-10 * max(1.0, np.max(np.abs(self.matrix))):
             raise ValueError(f"matrix is not Hermitian (deviation {dev:.2e})")
@@ -50,6 +52,9 @@ class DenseOperator:
 
     def coeffs(self) -> np.ndarray:
         return coeffs_from_dense(self.matrix)
+
+    def to_dense(self) -> "DenseOperator":
+        return self
 
 
 @dataclass
@@ -87,15 +92,12 @@ class MatrixProductOperator:
             v = v @ t[a]
         return float(v[0, 0])
 
-    def full_coeffs(self) -> np.ndarray:
-        """All 4^N coefficients, packed big-endian. Dense-cap sized."""
+    def coeffs(self) -> np.ndarray:
+        """All 4^N coefficients, packed big-endian: the chain's one
+        full-width window. Dense-cap sized."""
         if self.n_sites > DENSE_SITE_CAP:
             raise ValueError("full coefficient vector capped at 12 sites")
-        G = self.tensors[0][:, 0, :]
-        for t in self.tensors[1:]:
-            G = np.tensordot(G, t, axes=(1, 1))
-            G = G.reshape(-1, t.shape[2])
-        return np.ascontiguousarray(G[:, 0])
+        return next(_windows(self, self.n_sites, 1, 1))
 
     @property
     def trace(self) -> float:
@@ -103,7 +105,7 @@ class MatrixProductOperator:
         return float(2.0 ** (self.n_sites / 2.0) * c0)
 
     def to_dense(self) -> DenseOperator:
-        return DenseOperator(dense_from_coeffs(self.full_coeffs()))
+        return DenseOperator(dense_from_coeffs(self.coeffs()))
 
     def rescaled_trace(self, target: float = 1.0) -> "MatrixProductOperator":
         """Copy with the trace rescaled to `target` (trace must be nonzero)."""
@@ -135,19 +137,30 @@ def identity_environments(mpo: MatrixProductOperator):
     return left, right
 
 
-def _windows(mpo: MatrixProductOperator, width: int, first: int, last: int):
-    """Yield window_coeffs(mpo, k, width) for k = first .. last in turn.
+def _windows(state, width: int, first: int, last: int):
+    """Yield window_coeffs(state, k, width) for k = first .. last in turn.
 
-    The identity environments are built once per call and each site tensor
-    is reshaped once to a (D_l, 4 D_r) matrix, so a window costs one
-    product per site and a sweep over all windows is linear in the chain
-    length. The products are the np.dot calls that np.tensordot makes, on
-    the same operands, so every vector is bitwise the tensordot contraction.
+    The one place a window is formed, for either operator type. A dense
+    window is the trace over the sites outside it: one einsum on the
+    matrix with rows and columns each split into (left, window, right)
+    indices, then coeffs_from_dense. For an MPO the identity environments
+    are built once per call and each site tensor is reshaped once to a
+    (D_l, 4 D_r) matrix, so a window costs one product per site and a
+    sweep over all windows is linear in the chain length. The products are
+    the np.dot calls that np.tensordot makes, on the same operands, so
+    every vector is bitwise the tensordot contraction.
     """
-    left, right = identity_environments(mpo)
+    if isinstance(state, DenseOperator):
+        n, w = state.n_sites, 1 << width
+        for k in range(first, last + 1):
+            a, b = 1 << (k - 1), 1 << (n - k - width + 1)
+            m = state.matrix.reshape(a, w, b, a, w, b)
+            yield coeffs_from_dense(np.einsum("aibajb->ij", m))
+        return
+    left, right = identity_environments(state)
     mats = {}
     for i in range(first, last + width):
-        t = mpo.tensors[i - 1]
+        t = state.tensors[i - 1]
         mats[i] = t.transpose(1, 0, 2).reshape(t.shape[1], -1)
     for k in range(first, last + 1):
         G = left[k]
@@ -158,19 +171,19 @@ def _windows(mpo: MatrixProductOperator, width: int, first: int, last: int):
         yield G.reshape(-1)
 
 
-def window_coeffs(mpo: MatrixProductOperator, k: int, width: int) -> np.ndarray:
+def window_coeffs(state, k: int, width: int) -> np.ndarray:
     """Basis coefficients of the reduction onto sites k..k+width-1.
 
-    Entry pack(a_vec) equals tr[rho_window P-string(a_vec)] where rho_window
-    is the partial trace of the represented operator onto the window. One
-    call builds the identity environments, O(N); the window itself costs
-    O(4^width D^2). For many windows use exact_block_data, which builds the
-    environments once.
+    `state` is a DenseOperator or a MatrixProductOperator. Entry
+    pack(a_vec) equals tr[rho_window P-string(a_vec)] where rho_window is
+    the partial trace of the represented operator onto the window. For an
+    MPO one call builds the identity environments, O(N), and the window
+    itself costs O(4^width D^2). For many windows use exact_block_data,
+    which builds the environments once.
     """
-    n = mpo.n_sites
-    if not (1 <= k and k + width - 1 <= n):
+    if not 1 <= k <= state.n_sites - width + 1:
         raise ValueError("window out of range")
-    return next(_windows(mpo, width, k, k))
+    return next(_windows(state, width, k, k))
 
 
 def _transfer(env: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
@@ -285,8 +298,6 @@ def load_operator(path: str):
         if raw.ndim != 3 or raw.shape[-1] != 2:
             raise ValueError(f"{path}: matrix: entries must be [re, im] "
                              "pairs")
-        if not np.isfinite(raw).all():
-            raise ValueError("operator entries must be finite")
         # the [re, im] pairs as complex entries, bit for bit
         op = DenseOperator(raw.view(complex)[..., 0])
     else:

@@ -100,21 +100,3 @@ def hermitian_basis(D: int) -> np.ndarray:
             n += 1
     return basis
 
-
-def partial_trace(M: np.ndarray, keep) -> np.ndarray:
-    """Partial trace of a dense m-site operator onto the sites in `keep`.
-
-    `keep` holds 1-based site labels; their relative order is preserved.
-    """
-    m = n_sites_of(M.shape[0])
-    keep = list(keep)
-    if any(not 1 <= k <= m for k in keep):
-        raise ValueError("keep sites out of range")
-    T = M.reshape((2,) * (2 * m))
-    row_idx = list(range(m))
-    col_idx = [m + i if (i + 1) in keep else i for i in range(m)]
-    out_idx = [i for i in range(m) if (i + 1) in keep]
-    out_idx += [m + i for i in range(m) if (i + 1) in keep]
-    nk = len(keep)
-    out = np.einsum(T, row_idx + col_idx, out_idx)
-    return out.reshape(2**nk, 2**nk)

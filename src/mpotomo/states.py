@@ -85,12 +85,18 @@ def thermal_dense(spec: HamiltonianSpec, beta: float) -> DenseOperator:
 # ---- Matrix-product machinery for pure states and local channels ----
 
 
+def _require_sites(n_sites: int) -> None:
+    if n_sites < 1:
+        raise ValueError(f"need at least one site, not n_sites = {n_sites}")
+
+
 def random_mps(n_sites: int, bond: int, rng) -> list[np.ndarray]:
     """Unit-norm pure state with iid complex Gaussian tensors (2, Dl, Dr).
 
     One draw fills every tensor: per site the real part, then the
     imaginary part, in site order.
     """
+    _require_sites(n_sites)
     dims = [1] + [bond] * (n_sites - 1) + [1]
     shapes = [(2, dl, dr) for dl, dr in zip(dims, dims[1:])]
     draws = rng.standard_normal(sum(2 * math.prod(s) for s in shapes))
@@ -213,6 +219,7 @@ def w_state(n_sites: int, phases=None):
     phases[j - 1] multiplies the branch with the excitation j sites in
     from the right, so len(phases) == n_sites - 1.
     """
+    _require_sites(n_sites)
     n = n_sites
     if phases is None:
         phases = np.zeros(n - 1)
@@ -233,6 +240,7 @@ def w_state(n_sites: int, phases=None):
 def ghz_state(n_sites: int):
     """GHZ state (|0...0> + |1...1>)/sqrt(2); returns (dense or None, MPO).
     One site gives (|0> + |1>)/sqrt(2)."""
+    _require_sites(n_sites)
     A = np.zeros((2, 2, 2), dtype=complex)
     A[0, 0, 0] = A[1, 1, 1] = 1.0
     mps = [A] * n_sites
@@ -243,13 +251,18 @@ def ghz_state(n_sites: int):
 
 def product_state(n_sites: int, kets=None):
     """Product of single-site pure states; defaults to all |0>."""
+    _require_sites(n_sites)
     if kets is None:
         kets = [np.array([1.0, 0.0])] * n_sites
     if len(kets) != n_sites:
         raise ValueError("need one ket per site")
     kets = [np.asarray(v, dtype=complex) for v in kets]
-    return _pure_state([(v / np.linalg.norm(v)).reshape(2, 1, 1)
-                        for v in kets])
+    norms = [np.linalg.norm(v) for v in kets]
+    for site, norm in enumerate(norms, start=1):
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"ket {site}: norm {norm} is zero or not finite")
+    return _pure_state([(v / r).reshape(2, 1, 1)
+                        for v, r in zip(kets, norms)])
 
 
 def make_state(family: str, n_sites: int, seed=None, beta: float = 5.0,
@@ -266,8 +279,7 @@ def make_state(family: str, n_sites: int, seed=None, beta: float = 5.0,
     `seed`, and every family but "w" ignores `phases`. A chain needs at
     least one site.
     """
-    if n_sites < 1:
-        raise ValueError(f"need at least one site, not n_sites = {n_sites}")
+    _require_sites(n_sites)
     if family in HAMILTONIAN_FAMILIES:
         spec = HamiltonianSpec(family, n_sites, seed=seed)
         return thermal_dense(spec, beta), None

@@ -205,6 +205,30 @@ def test_counts_pipeline(tmp_path, capsys):
     assert json.loads(stdout)["solver_mode"] == "fisher"
 
 
+def test_measure_reads_the_dense_and_the_mpo_file_alike(tmp_path, capsys):
+    out = tmp_path / "s"
+    _run(capsys, "gen-state", "--family", "random-mpo", "--n", "5",
+         "--seed", "8", "--out", str(out))
+    windows = {}
+    for form in ("dense", "mpo"):
+        data = tmp_path / f"{form}.windows.json"
+        code, _, _ = _run(capsys, "measure", "--state", f"{out}.{form}.json",
+                          "--r", "3", "--out", str(data))
+        assert code == 0
+        windows[form] = load_block_data(data).blocks
+    assert np.max(np.abs(windows["dense"] - windows["mpo"])) < 1e-12
+    counts, fitted = tmp_path / "counts.json", tmp_path / "fitted.json"
+    code, _, _ = _run(capsys, "measure", "--state", f"{out}.dense.json",
+                      "--r", "3", "--shots", "200", "--seed", "9",
+                      "--out", str(counts))
+    assert code == 0
+    code, _, _ = _run(capsys, "ingest-counts", "--counts", str(counts),
+                      "--out", str(fitted))
+    assert code == 0
+    data = load_block_data(fitted)
+    assert data.noise.kind == "fisher" and data.n_blocks == 3
+
+
 @pytest.mark.parametrize("kind, measure", [
     (None, ()),
     ("scalar", ("--sigma", "0.01", "--seed", "2")),

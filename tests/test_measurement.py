@@ -24,8 +24,7 @@ import mpotomo.measurement
 import mpotomo.operators
 from mpotomo.operators import (DenseOperator, load_operator, save_operator,
                                window_coeffs)
-from mpotomo.pauli import (coeffs_from_dense, dense_from_coeffs,
-                          partial_trace)
+from mpotomo.pauli import coeffs_from_dense, dense_from_coeffs
 from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
                                     reconstruct_mpo)
 from mpotomo.states import product_state, random_mpo_via_ancilla, w_state
@@ -97,10 +96,7 @@ def test_simulate_counts_match_window_coeffs_densities():
         rng = np.random.default_rng(seed)
         zeros = 0
         for k, block in enumerate(got, start=1):
-            if isinstance(state, DenseOperator):
-                rho = partial_trace(state.matrix, range(k, k + width))
-            else:
-                rho = dense_from_coeffs(window_coeffs(state, k, width))
+            rho = dense_from_coeffs(window_coeffs(state, k, width))
             assert block.counts.shape == (3**width, 2**width)
             for j, setting in enumerate(all_settings(width)):
                 p = oracles.setting_probabilities(rho, setting)

@@ -7,12 +7,18 @@ from mpotomo.operators import (DenseOperator, MatrixProductOperator,
                                _transfer, load_operator,
                                mpo_from_coeffs, mpo_from_dense, mpo_overlap,
                                save_operator, window_coeffs)
-from mpotomo.pauli import coeffs_from_dense, partial_trace
+from mpotomo.pauli import coeffs_from_dense
 
 
 def test_dense_operator_validates_hermiticity():
     with pytest.raises(ValueError):
         DenseOperator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_dense_operator_rejects_non_finite_entries(value):
+    with pytest.raises(ValueError, match="operator entries must be finite"):
+        DenseOperator(np.full((2, 2), value, dtype=complex))
 
 
 def test_dense_operator_shape_checks():
@@ -47,7 +53,7 @@ def test_mpo_from_dense_roundtrip(herm16):
 def test_mpo_from_coeffs_roundtrip(herm16):
     c = coeffs_from_dense(herm16)
     mpo = mpo_from_coeffs(c)
-    assert np.allclose(mpo.full_coeffs(), c, atol=1e-12)
+    assert np.allclose(mpo.coeffs(), c, atol=1e-12)
 
 
 def test_split_ranks_are_minimal():
@@ -96,17 +102,26 @@ def test_transfer_is_bitwise_the_tensordot_contraction(rng, dtype):
 
 def test_window_coeffs_matches_partial_trace():
     mpo = random_mpo(5, bond=3, seed=4)
-    dense = mpo.to_dense().matrix
+    dense = mpo.to_dense()
     for k, width in ((1, 2), (2, 3), (4, 2), (3, 3)):
         got = window_coeffs(mpo, k, width)
-        red = partial_trace(dense, range(k, k + width))
+        red = oracles.partial_trace_loops(dense.matrix,
+                                          range(k, k + width), 5)
         ref = coeffs_from_dense(red)
         assert np.max(np.abs(got - ref)) < 1e-12
+    for width in range(1, 6):
+        for k in range(1, 7 - width):
+            assert np.max(np.abs(window_coeffs(dense, k, width)
+                                 - window_coeffs(mpo, k, width))) < 1e-12
+    for state in (mpo, dense):
+        for k, width in ((0, 2), (5, 2), (1, 6)):
+            with pytest.raises(ValueError, match="window out of range"):
+                window_coeffs(state, k, width)
 
 
 def test_window_coeffs_full_chain_is_full_vector():
     mpo = random_mpo(3, bond=2, seed=6)
-    assert np.allclose(window_coeffs(mpo, 1, 3), mpo.full_coeffs())
+    assert np.allclose(window_coeffs(mpo, 1, 3), mpo.coeffs())
 
 
 def test_bond_dimension_validation():

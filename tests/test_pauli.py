@@ -4,8 +4,7 @@ import pytest
 import oracles
 from oracles import pack_index
 from mpotomo.pauli import (coeffs_from_dense, dense_from_coeffs,
-                           hermitian_basis, n_sites_of, partial_trace,
-                           pauli_matrix)
+                           hermitian_basis, n_sites_of, pauli_matrix)
 
 
 def test_single_site_matrices_are_normalized():
@@ -90,27 +89,6 @@ def test_coeffs_reject_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
         coeffs_from_dense(m)
-
-
-def test_partial_trace_matches_loop_oracle(rng):
-    n = 4
-    m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    for keep in ([1], [2, 3], [1, 4], [2, 3, 4]):
-        got = partial_trace(m, keep)
-        ref = oracles.partial_trace_loops(m, keep, n)
-        assert np.allclose(got, ref, atol=1e-12)
-
-
-def test_partial_trace_preserves_trace(herm16):
-    red = partial_trace(herm16, [2])
-    assert abs(np.trace(red) - np.trace(herm16)) < 1e-13
-
-
-def test_partial_trace_rejects_bad_sites(herm16):
-    with pytest.raises(ValueError):
-        partial_trace(herm16, [0])
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4), [3])
 
 
 def test_hermitian_basis_is_orthonormal():

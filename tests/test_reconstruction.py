@@ -437,7 +437,7 @@ def test_single_block_passthrough():
 def test_recursion_matches_dense_coefficients():
     st = random_mpo_via_ancilla(6, seed=8)
     data = exact_block_data(st, 5)
-    full = st.full_coeffs()
+    full = st.coeffs()
     rng = np.random.default_rng(9)
     for idx in rng.integers(0, 4**6, size=60):
         alphas = oracles.unpack_index(int(idx), 6)

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from mpotomo import states
-from mpotomo.pauli import coeffs_from_dense, partial_trace
+from mpotomo.pauli import coeffs_from_dense
 from mpotomo.operators import DenseOperator
 from mpotomo.states import (FAMILIES, HamiltonianSpec, ancilla_channel,
                             ghz_state, hamiltonian_dense, make_state,
@@ -205,7 +205,7 @@ def test_w_state_dense_and_mpo_agree():
 
 def test_w_state_single_site_reduction():
     dense, _ = w_state(4)
-    red = partial_trace(dense.matrix, [1])
+    red = oracles.partial_trace_loops(dense.matrix, [1], 4)
     assert np.allclose(np.diag(red).real, [0.75, 0.25], atol=1e-14)
     assert abs(coeffs_from_dense(red)[3] - 1.0 / (2.0 * np.sqrt(2.0))) < 1e-14
 
@@ -298,6 +298,27 @@ def test_make_state_rejects_a_chain_without_sites(family, n_sites):
     with pytest.raises(ValueError, match=f"need at least one site, not "
                        f"n_sites = {n_sites}"):
         make_state(family, n_sites, seed=1)
+
+
+@pytest.mark.parametrize("n_sites", [0, -1])
+@pytest.mark.parametrize("build", [
+    lambda n: random_mps(n, 2, np.random.default_rng(0)),
+    lambda n: random_mpo_via_ancilla(n, seed=1),
+    w_state, ghz_state, product_state,
+], ids=["random_mps", "random_mpo_via_ancilla", "w_state", "ghz_state",
+        "product_state"])
+def test_constructors_reject_a_chain_without_sites(build, n_sites):
+    with pytest.raises(ValueError, match=f"need at least one site, not "
+                       f"n_sites = {n_sites}"):
+        build(n_sites)
+
+
+@pytest.mark.parametrize("ket", [np.zeros(2), [np.nan, 1.0], [np.inf, 0.0]],
+                         ids=["zero", "nan", "inf"])
+def test_product_state_names_a_ket_it_cannot_normalize(ket):
+    with pytest.raises(ValueError, match="ket 2: norm .* is zero or not "
+                       "finite"):
+        product_state(2, [[1.0, 0.0], ket])
 
 
 def test_make_state_matches_family_constructors():
