@@ -151,10 +151,29 @@ class CountsBlock:
     of setting j of all_settings(width) over the 2^width outcomes, indexed
     big-endian with bit 0 for the +1 eigenvalue on a site. A zero row is a
     setting that was not measured. width is read off the array's shape.
+    Construction rejects a k below 1, counts of any other shape (R >= 1),
+    counts that are not integers and negative counts.
     """
 
     k: int
     counts: np.ndarray
+
+    def __post_init__(self):
+        if (isinstance(self.k, bool)
+                or not isinstance(self.k, (int, np.integer)) or self.k < 1):
+            raise ValueError(f"window start k must be an integer >= 1, "
+                             f"not {self.k!r}")
+        self.counts = np.asarray(self.counts)
+        shape = self.counts.shape
+        width = shape[1].bit_length() - 1 if len(shape) == 2 else 0
+        if width < 1 or shape != (3**width, 2**width):
+            raise ValueError(f"counts must have shape (3^R, 2^R) with "
+                             f"R >= 1, not {shape}")
+        if self.counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, not "
+                             f"{self.counts.dtype}")
+        if np.any(self.counts < 0):
+            raise ValueError("counts must be nonnegative")
 
     @property
     def width(self) -> int:
@@ -298,6 +317,34 @@ def _design_blocks(width: int):
     return settings, cols, signs
 
 
+@functools.lru_cache(maxsize=None)
+def _xz_tables(width: int):
+    """The window's Pauli strings in the design's X/Z layout.
+
+    A string with bit strings x (sites carrying X or Y) and z (Z or Y) is
+    i^popcount(x & z) X^x Z^z, which maps column c to row c ^ x with sign
+    (-1)^popcount(c & z). Returns (strings, shift, phase), each indexed
+    (x, z) or (x, c) with site 1 the most significant bit: strings[x, z]
+    is the packed string, phase[x, z] = i^popcount(x & z), and shift[x, c]
+    = (x ^ c) * 2^width + c the flat entry of shifted diagonal x. The map
+    (x, c) -> (x ^ c, c) is its own inverse, so shift gathers a matrix's
+    shifted diagonals and gathers them back. Built once per width and
+    shared by every caller: all three are read-only.
+    """
+    dim = 1 << width
+    o = np.arange(dim)
+    bits = (o[:, None] >> (width - 1 - np.arange(width))) & 1
+    xb, zb = bits[:, None, :], bits[None, :, :]
+    # site label of (x, z): (0, 0) identity, (1, 0) x, (1, 1) y, (0, 1) z
+    label = np.array([[0, _AXIS["z"]], [_AXIS["x"], _AXIS["y"]]])
+    strings = label[xb, zb] @ (4 ** (width - 1 - np.arange(width)))
+    phase = 1j ** np.sum(xb & zb, axis=2)
+    shift = (o[:, None] ^ o[None, :]) * dim + o[None, :]
+    for arr in (strings, shift, phase):
+        arr.setflags(write=False)
+    return strings, shift, phase
+
+
 def _log_likelihood(nz: np.ndarray, n_nz: np.ndarray,
                     p_mat: np.ndarray) -> float:
     # nz: flat indices of the nonzero counts, n_nz: those counts. np.sum
@@ -340,10 +387,26 @@ def _project_density(theta: np.ndarray) -> np.ndarray:
     """Nearest unit-trace PSD matrix in Frobenius norm, as coefficients.
 
     One eigh, then the eigenvalues are projected onto the simplex (Smolin,
-    Gambetta & Smith, PRL 108, 070502, 2012).
+    Gambetta & Smith, PRL 108, 070502, 2012). The matrix is built and read
+    in the design's X/Z layout (_xz_tables), with no Pauli transform: its
+    shifted diagonals are the phased coefficients times the design's
+    signs, and tr[rho P] for the string (x, z) is its phase times the
+    signs applied to the shifted diagonal x of rho^T. Each way is a
+    gather, one dim x dim matmul and a gather.
     """
-    w, v = np.linalg.eigh(dense_from_coeffs(theta))
-    return coeffs_from_dense((v * _simplex_projection(w)) @ v.conj().T)
+    width = theta.size.bit_length() // 2  # theta.size = 4^width
+    strings, shift, phase = _xz_tables(width)
+    signs = _design_blocks(width)[2]
+    w, v = np.linalg.eigh(((theta[strings] * phase) @ signs).ravel()[shift])
+    rho_t = (v.conj() * _simplex_projection(w)) @ v.T
+    c = (rho_t.ravel()[shift] @ signs) * phase
+    # coeffs_from_dense's Hermiticity check: a density matrix has
+    # coefficients of at most 2^(-width/2), so its bound is 1e-10
+    if abs(c.imag).max() > 1e-10:
+        raise ValueError("operator is not Hermitian: complex coefficients")
+    out = np.empty(theta.size)
+    out[strings] = c.real
+    return out
 
 
 def local_mle(block: CountsBlock, tol: float = MLE_TOL,
@@ -362,14 +425,16 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
     and the result carries the last iterate with converged False. tol must
     be finite and nonnegative and max_iter at least 1.
 
-    Cost at width R (dim = 2^R): each backtracking trial takes one dim x
-    dim eigh, two Pauli transforms and one real (3^R x 2^R) @ (2^R x 2^R)
-    design matmul; each accepted iterate adds one eigh for the KKT
-    residual, one design matmul plus a scatter-add over the 6^R design
-    entries for its gradient, and two more design matmuls and a
-    scatter-add at the momentum point. A Pauli transform is R passes of
-    one 4 x 4 matmul, O(R 4^R). Typical fits need about 1.4 trials per
-    iterate, and at R = 5 the fixed cost of the numpy calls dominates.
+    Cost at width R (dim = 2^R): each backtracking trial takes one
+    projection and one real (3^R x 2^R) @ (2^R x 2^R) design matmul; each
+    accepted iterate adds one projection for the KKT residual, one design
+    matmul plus a scatter-add over the 6^R design entries for its
+    gradient, and two more design matmuls and a scatter-add at the
+    momentum point. A projection is one dim x dim eigh and, on each side
+    of it, one gather and one complex (dim x dim) @ (dim x dim) matmul
+    with the design's signs (_xz_tables), O(8^R) and no Pauli transform.
+    Typical fits need about 1.4 trials per iterate; the eigh dominates
+    from R = 5 up.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -397,12 +462,17 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
         # f(theta + d) - f(theta) for p_mat = probabilities(theta), summed
         # term by term from the exact change in p, so that it keeps its
         # relative precision when it is far below the rounding error of f.
+        # Where no probability at either point is below the floor, the
+        # clamp leaves p and dp as they are and is skipped.
         p = p_mat.ravel()[nz]
         dp = probabilities(d).ravel()[nz]
-        lo = np.maximum(p, _P_FLOOR)
-        hi = np.maximum(p + dp, _P_FLOOR)
-        dp = np.where((p >= _P_FLOOR) & (p + dp >= _P_FLOOR), dp, hi - lo)
-        return -float(np.sum(n_nz * np.log1p(dp / lo))) / n_tot
+        q = p + dp
+        if min(p.min(), q.min()) < _P_FLOOR:
+            lo = np.maximum(p, _P_FLOOR)
+            hi = np.maximum(q, _P_FLOOR)
+            dp = np.where((p >= _P_FLOOR) & (q >= _P_FLOOR), dp, hi - lo)
+            p = lo
+        return -float(np.sum(n_nz * np.log1p(dp / p))) / n_tot
 
     def backtrack(y, py, gy, step):
         for _ in range(_MAX_HALVINGS):

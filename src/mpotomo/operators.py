@@ -117,22 +117,25 @@ class MatrixProductOperator:
         return MatrixProductOperator(tensors)
 
 
-def identity_environments(mpo: MatrixProductOperator):
+def identity_environments(mpo: MatrixProductOperator, upto: int,
+                          downto: int):
     """Boundary vectors of the network with all sites outside a window traced.
 
     Returns (left, right): left[k] contracts sites 1..k-1 against the
     identity string (each site contributing sqrt(2) times its alpha = 0
-    slice), right[k] does the same for sites k+1..N; 1-based k.
+    slice), right[k] does the same for sites k+1..N; 1-based k. Only
+    left[1..upto] and right[downto..N] are built, the entries the windows
+    of a sweep read; the others are None.
     """
     n = mpo.n_sites
     rt = np.sqrt(2.0)
     left = [None] * (n + 2)
     left[1] = np.ones(1)
-    for k in range(1, n + 1):
+    for k in range(1, upto):
         left[k + 1] = rt * (left[k] @ mpo.tensors[k - 1][0])
     right = [None] * (n + 2)
     right[n] = np.ones(1)
-    for k in range(n, 0, -1):
+    for k in range(n, downto, -1):
         right[k - 1] = rt * (mpo.tensors[k - 1][0] @ right[k])
     return left, right
 
@@ -144,11 +147,13 @@ def _windows(state, width: int, first: int, last: int):
     window is the trace over the sites outside it: one einsum on the
     matrix with rows and columns each split into (left, window, right)
     indices, then coeffs_from_dense. For an MPO the identity environments
-    are built once per call and each site tensor is reshaped once to a
-    (D_l, 4 D_r) matrix, so a window costs one product per site and a
-    sweep over all windows is linear in the chain length. The products are
-    the np.dot calls that np.tensordot makes, on the same operands, so
-    every vector is bitwise the tensordot contraction.
+    the windows read are built once per call and each site tensor is
+    reshaped once to a (D_l, 4 D_r) matrix, so a window costs one product
+    per site and a sweep over all windows is linear in the chain length. A
+    window ending at site N skips the product with its unit right
+    boundary, which would only copy the vector. The products are the
+    np.dot calls that np.tensordot makes, on the same operands, so every
+    vector is bitwise the tensordot contraction.
     """
     if isinstance(state, DenseOperator):
         n, w = state.n_sites, 1 << width
@@ -157,7 +162,8 @@ def _windows(state, width: int, first: int, last: int):
             m = state.matrix.reshape(a, w, b, a, w, b)
             yield coeffs_from_dense(np.einsum("aibajb->ij", m))
         return
-    left, right = identity_environments(state)
+    n = state.n_sites
+    left, right = identity_environments(state, last, first + width - 1)
     mats = {}
     for i in range(first, last + width):
         t = state.tensors[i - 1]
@@ -166,8 +172,9 @@ def _windows(state, width: int, first: int, last: int):
         G = left[k]
         for i in range(k, k + width):
             G = np.dot(G.reshape(-1, mats[i].shape[0]), mats[i])
-        env = right[k + width - 1]
-        G = np.dot(G.reshape(-1, env.shape[0]), env.reshape(-1, 1))
+        if k + width - 1 < n:
+            env = right[k + width - 1]
+            G = np.dot(G.reshape(-1, env.shape[0]), env.reshape(-1, 1))
         yield G.reshape(-1)
 
 

@@ -410,6 +410,22 @@ def dense_from_coeffs_tensordot(c):
     return T.transpose(perm).reshape(2**m, 2**m)
 
 
+def project_density_transforms(theta):
+    """Nearest unit-trace PSD matrix to the operator with coefficients
+    theta, as coefficients: the public Pauli transforms around one eigh.
+
+    The package's X/Z-layout projection must agree with it to rounding,
+    and likelihood fits with either must take the same iterations. The
+    eigenvalues go through the package's simplex projection, so that the
+    two differ only in how the matrix is formed and read.
+    """
+    from mpotomo.measurement import _simplex_projection
+    from mpotomo.pauli import coeffs_from_dense, dense_from_coeffs
+
+    w, v = np.linalg.eigh(dense_from_coeffs(theta))
+    return coeffs_from_dense((v * _simplex_projection(w)) @ v.conj().T)
+
+
 def local_mle_reference(block, tol=1e-10, max_iter=10_000):
     """R rho R likelihood ascent written as the plain per-iteration loop.
 

@@ -12,6 +12,7 @@ from mpotomo.measurement import (MLE_TOL, _U_BASIS, CountsBlock, NoiseMeta,
                                  PauliBlockData, _design_blocks,
                                  _fisher_matrix, _probabilities,
                                  _project_density, _setting_unitaries,
+                                 _xz_tables,
                                  add_gaussian_noise,
                                  all_settings, block_data_from_counts,
                                  exact_block_data,
@@ -71,9 +72,9 @@ def test_identity_environments_built_once_per_call(monkeypatch):
     calls = []
     build = mpotomo.operators.identity_environments
 
-    def counted(mpo):
+    def counted(mpo, *bounds):
         calls.append(mpo)
-        return build(mpo)
+        return build(mpo, *bounds)
 
     monkeypatch.setattr(mpotomo.operators, "identity_environments", counted)
     mpo = random_mpo(8, bond=2, seed=14)
@@ -303,6 +304,62 @@ def test_density_projection_is_the_nearest_density_matrix():
         assert (target - proj) @ (q - proj) <= 1e-12
 
 
+@pytest.mark.parametrize("width", range(1, 8))
+def test_xz_projection_matches_transform_projection(width):
+    # random Hermitian targets, some far outside the density matrices
+    rng = np.random.default_rng(30 + width)
+    dim = 1 << width
+    for scale in (0.05, 1.0, 20.0):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        target = coeffs_from_dense(scale * (m + m.conj().T) / dim)
+        proj = _project_density(target)
+        want = oracles.project_density_transforms(target)
+        assert np.max(np.abs(proj - want)) <= 1e-13
+        assert np.max(np.abs(_project_density(proj) - proj)) <= 1e-13
+
+
+def test_xz_projection_keeps_the_likelihood_fit_trajectory(monkeypatch):
+    # criterion 7's W(8) counts at R = 5: the fit with the X/Z projection
+    # takes the iterations of the fit with the transform projection
+    blocks = [b for seed in range(4)
+              for b in simulate_counts(_w8_bench_state(), 5, 100, seed=seed)]
+    fits = [local_mle(b) for b in blocks]
+    monkeypatch.setattr(mpotomo.measurement, "_project_density",
+                        oracles.project_density_transforms)
+    for block, fit in zip(blocks, fits):
+        ref = local_mle(block)
+        assert (fit.n_iter, fit.converged) == (ref.n_iter, ref.converged)
+        assert np.max(np.abs(fit.rho - ref.rho)) <= 1e-12
+
+
+@pytest.mark.parametrize("k, counts, match", [
+    (0, np.ones((9, 4), int), "k must be an integer >= 1"),
+    (-1, np.ones((9, 4), int), "k must be an integer >= 1"),
+    (1.0, np.ones((9, 4), int), "k must be an integer >= 1"),
+    (True, np.ones((9, 4), int), "k must be an integer >= 1"),
+    (1, np.ones((8, 4), int), r"shape \(3\^R, 2\^R\) with R >= 1, "
+                              r"not \(8, 4\)"),
+    (1, np.ones((9, 6), int), r"not \(9, 6\)"),
+    (1, np.ones((1, 1), int), r"not \(1, 1\)"),
+    (1, np.ones(4, int), r"not \(4,\)"),
+    (1, np.ones((9, 4, 1), int), r"not \(9, 4, 1\)"),
+    (1, np.ones((9, 4)), "counts must be integers, not float64"),
+    (1, np.ones((9, 4), bool), "counts must be integers, not bool"),
+    (1, -np.ones((9, 4), int), "counts must be nonnegative"),
+], ids=["k_0", "k_negative", "k_float", "k_bool", "rows_not_3R",
+        "outcomes_not_2R", "width_0", "one_axis", "three_axes",
+        "float_counts", "bool_counts", "negative_counts"])
+def test_counts_block_rejects_bad_windows(k, counts, match):
+    with pytest.raises(ValueError, match=match):
+        CountsBlock(k, counts)
+
+
+def test_counts_block_accepts_integer_arrays():
+    block = CountsBlock(np.int64(2), np.zeros((27, 8), np.uint16).tolist())
+    assert block.k == 2 and block.width == 3
+    assert block.counts.dtype.kind == "i"
+
+
 @pytest.mark.parametrize("kwargs", [
     {"max_iter": 0}, {"max_iter": -3}, {"tol": -1e-10},
     {"tol": float("nan")}, {"tol": float("inf")},
@@ -427,9 +484,28 @@ def test_design_blocks_are_built_once_and_read_only():
     again = _design_blocks(3)
     assert again[0] is settings and again[1] is cols and again[2] is signs
     assert settings == tuple(all_settings(3))
-    for arr in (cols, signs):
+    tables = _xz_tables(3)
+    assert all(a is b for a, b in zip(_xz_tables(3), tables))
+    for arr in (cols, signs, *tables):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 0
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_xz_tables_match_pauli_strings(width):
+    # string (x, z) is phase[x, z] X^x Z^z: entry (x ^ c, c) is
+    # (-1)^popcount(c & z) and shift gathers it from the flat matrix
+    strings, shift, phase = _xz_tables(width)
+    dim = 1 << width
+    assert sorted(strings.ravel().tolist()) == list(range(4**width))
+    for x in range(dim):
+        for z in range(dim):
+            p = oracles.string_dense(oracles.unpack_index(strings[x, z],
+                                                          width), False)
+            diag = p.ravel()[shift[x]]
+            signs = [(-1) ** bin(c & z).count("1") for c in range(dim)]
+            assert np.array_equal(diag, phase[x, z] * np.array(signs))
+            assert np.count_nonzero(p) == dim
 
 
 @pytest.mark.parametrize("width", [0, 5])
