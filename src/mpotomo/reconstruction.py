@@ -230,28 +230,28 @@ def _fisher_penalty(theta: np.ndarray, shots: np.ndarray, l: int, r: int):
     F = _fisher_matrix(np.sqrt(2.0) * theta[::4],
                        shots.reshape(-1, 3).sum(axis=1))
     n = F.shape[0]
-    flags = []
     try:
         L = scipy.linalg.cholesky(F, lower=True)
-        L_inv, _ = scipy.linalg.lapack.dtrtri(L, lower=1, overwrite_c=1)
-        Y = np.zeros((n, n + 1))
-        Y[:, 1:] = L_inv
-        # Y's columns are B's entries (i, j): with one row per (row of Y,
-        # i), the product sums the covariance over i.
-        Y = Y.reshape(-1, dim_r)
-        P = Y.T @ Y
     except np.linalg.LinAlgError:
         # Singular information: fall back to a scalar penalty built
         # from the pseudoinverse variances of the entries of B.
-        flags.append("fisher_singular_scalar")
         w, Q = np.linalg.eigh(F)
         keep = w > 1e-12 * max(w.max(), 1e-300)
         inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
         var = np.zeros(n + 1)
         var[1:] = np.einsum("ij,j,ij->i", Q, inv_w, Q)
         scale = np.mean(var.reshape(dim_l, dim_r).sum(axis=0))
-        P = scale * np.eye(dim_r)
-    return P, flags
+        return scale * np.eye(dim_r), ["fisher_singular_scalar"]
+    # F is a view into _fisher_matrix's padded result: freeing it before
+    # Y is allocated keeps one fewer n-square array alive at R = 7
+    del F
+    L_inv, _ = scipy.linalg.lapack.dtrtri(L, lower=1, overwrite_c=1)
+    Y = np.zeros((n, n + 1))
+    Y[:, 1:] = L_inv
+    # Y's columns are B's entries (i, j): with one row per (row of Y, i),
+    # the product sums the covariance over i.
+    Y = Y.reshape(-1, dim_r)
+    return Y.T @ Y, []
 
 
 def _data_regularizer(data: PauliBlockData, reg: RegularizerSpec | None,

@@ -332,6 +332,54 @@ def test_xz_projection_keeps_the_likelihood_fit_trajectory(monkeypatch):
         assert np.max(np.abs(fit.rho - ref.rho)) <= 1e-12
 
 
+def test_mle_tests_the_residual_from_the_switch_with_the_same_fits(
+        monkeypatch):
+    # local_mle evaluates the exact KKT residual only from the first step
+    # whose gradient mapping is within _KKT_SWITCH * tol; an infinite
+    # multiple evaluates it at every iterate. Criterion 7's W(8) windows,
+    # and ancilla windows at R = 3 and at R = 5 (count seed 1, windows 2
+    # and 4, which stop unconverged because no step lowers f) give the
+    # same fits
+    w8 = [b for seed in range(4)
+          for b in simulate_counts(_w8_bench_state(), 5, 100, seed=seed)]
+    ancilla = random_mpo_via_ancilla(8, seed=0)
+    mixed = (simulate_counts(ancilla, 3, 100, seed=0)
+             + simulate_counts(ancilla, 5, 100, seed=1)[1::2])
+    cases = [(b, {}) for b in w8 + mixed] + [
+        (b, kwargs) for b in w8[:4] + mixed[-3:]
+        for kwargs in ({"tol": 0.0, "max_iter": 40}, {"max_iter": 1},
+                       {"max_iter": 7})]
+    fits = [local_mle(b, **kwargs) for b, kwargs in cases]
+    assert [fit.converged for fit in fits[len(w8 + mixed) - 2:]] == [
+        False] * (2 + 3 * 7)
+    monkeypatch.setattr(mpotomo.measurement, "_KKT_SWITCH", np.inf)
+    for (block, kwargs), fit in zip(cases, fits):
+        ref = local_mle(block, **kwargs)
+        assert ((fit.n_iter, fit.converged, fit.log_likelihood,
+                 fit.kkt_residual)
+                == (ref.n_iter, ref.converged, ref.log_likelihood,
+                    ref.kkt_residual))
+        assert np.array_equal(fit.rho, ref.rho)
+
+
+def test_mle_skips_the_exact_residual_far_from_convergence(monkeypatch):
+    # a W(8) window at R = 5 takes 30 iterations. Testing every iterate
+    # cost 71 projections: one per backtracking trial and one per
+    # iterate's residual; from the switch the fit takes 49
+    block = simulate_counts(_w8_bench_state(), 5, 100, seed=0)[0]
+    project = mpotomo.measurement._project_density
+    calls = []
+
+    def counted(theta):
+        calls.append(theta)
+        return project(theta)
+
+    monkeypatch.setattr(mpotomo.measurement, "_project_density", counted)
+    res = local_mle(block)
+    assert (res.n_iter, res.converged) == (30, True)
+    assert len(calls) <= 49
+
+
 @pytest.mark.parametrize("k, counts, match", [
     (0, np.ones((9, 4), int), "k must be an integer >= 1"),
     (-1, np.ones((9, 4), int), "k must be an integer >= 1"),
