@@ -8,6 +8,10 @@ vectors come either from Gaussian perturbations of the exact values or from
 simulated projective counts pushed through a local maximum-likelihood
 estimator. A window's counts are one (3^width, 2^width) integer array, rows
 in all_settings order.
+Two read-only tables, built once per width, spell that layout out: the
+label table (_labels) of setting and outcome strings, which simulation and
+the counts files read, and the design table (_design) of the likelihood
+fit and the Fisher information, which the counts files never build.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -134,14 +139,6 @@ def add_gaussian_noise(data: PauliBlockData, sigma: float, seed=None,
 
 # ---- Projective measurement simulation ----
 
-_U_BASIS = {
-    "z": np.eye(2, dtype=complex),
-    "x": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0),
-    "y": np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / np.sqrt(2.0),
-}
-
-_AXIS = {"x": 1, "y": 2, "z": 3}
-
 
 @dataclass
 class CountsBlock:
@@ -180,37 +177,43 @@ class CountsBlock:
         return n_sites_of(self.counts.shape[1])
 
 
-def outcome_string(idx: int, width: int) -> str:
-    return format(idx, f"0{width}b").replace("0", "+").replace("1", "-")
+_Labels = namedtuple("_Labels", "settings row axes outcomes index")
 
 
 @functools.lru_cache(maxsize=None)
-def _outcome_tables(width: int):
-    """(strings, index): the 2^width outcome strings in index order, and
-    each string's index. Built once per width and shared by every caller,
-    so strings is a tuple and index a read-only mapping."""
-    strings = tuple(outcome_string(i, width) for i in range(1 << width))
-    return strings, MappingProxyType({s: i for i, s in enumerate(strings)})
+def _labels(width: int) -> _Labels:
+    """The label table of width-site windows, shared by every caller, so
+    read-only: the 3^width setting strings (last site fastest), each one's
+    row, axes[j, i] the axis of site i in setting j (0, 1, 2 for x, y, z,
+    its Pauli label minus one), the 2^width outcome strings in index order
+    ("+" for bit 0) and each one's index."""
+    place = 3 ** np.arange(width - 1, -1, -1)
+    # int8 keeps axes at 6 MB at width 12, the widest counts file
+    axes = (np.arange(3**width)[:, None] // place % 3).astype(np.int8)
+    axes.setflags(write=False)
+    settings = tuple(map("".join, itertools.product("xyz", repeat=width)))
+    outcomes = tuple(map("".join, itertools.product("+-", repeat=width)))
+    row, index = (MappingProxyType(dict(zip(t, itertools.count())))
+                  for t in (settings, outcomes))
+    return _Labels(settings, row, axes, outcomes, index)
 
 
-def all_settings(width: int):
-    return ["".join(p) for p in itertools.product("xyz", repeat=width)]
+def all_settings(width: int) -> list[str]:
+    return list(_labels(width).settings)
 
 
-@functools.lru_cache(maxsize=None)
-def _setting_rows(width: int):
-    """Read-only mapping of each setting string to its row in
-    all_settings(width) order, built once per width."""
-    return MappingProxyType({s: j for j, s in enumerate(all_settings(width))})
+# The basis change to each measured axis, stacked in x, y, z order.
+_BASES = np.stack([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0),
+                   np.array([[1.0, -1.0j], [1.0, 1.0j]]) / np.sqrt(2.0),
+                   np.eye(2)])
 
 
-def _setting_unitaries(settings) -> np.ndarray:
-    """Stack of the Kronecker unitaries of `settings`, one per setting.
-
-    The per-site factors are multiplied left to right in np.kron's order,
-    so each unitary is bitwise the np.kron chain of its factors.
-    """
-    factors = np.array([[_U_BASIS[ch] for ch in s] for s in settings])
+def _setting_unitaries(axes: np.ndarray) -> np.ndarray:
+    """Stack of the Kronecker unitaries of the settings whose site axes
+    are the rows of axes (as in _labels). The per-site factors are
+    multiplied left to right in np.kron's order, so each unitary is
+    bitwise the np.kron chain of its factors."""
+    factors = _BASES[axes]
     u = factors[:, 0]
     for f in factors.transpose(1, 0, 2, 3)[1:]:
         n, rows, cols = u.shape
@@ -259,7 +262,8 @@ def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBloc
     multinomial call over the (windows, settings, outcomes) probabilities,
     which consumes the random stream window by window, settings in
     all_settings order, as one call per window and setting would. shots
-    must be a positive integer.
+    must be a positive integer, and width at most DENSE_SITE_CAP, as
+    load_counts requires; both are checked before any window is formed.
     """
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
         raise ValueError(f"shots must be an integer, not "
@@ -268,14 +272,15 @@ def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBloc
         raise ValueError("shots must be positive")
     if not 1 <= width <= state.n_sites:
         raise ValueError("need 1 <= width <= n_sites")
-    settings = all_settings(width)
+    _check_dense_width(width, "")
+    axes = _labels(width).axes
     rhos = [dense_from_coeffs(c)
             for c in _windows(state, width, 1, state.n_sites - width + 1)]
-    probs = np.empty((len(rhos), len(settings), 1 << width))
+    probs = np.empty((len(rhos), len(axes), 1 << width))
     step = max(1, _BATCH_BYTES // (16 * 4**width))
-    for lo in range(0, len(settings), step):
+    for lo in range(0, len(axes), step):
         probs[:, lo:lo + step] = _probabilities(
-            rhos, _setting_unitaries(settings[lo:lo + step]))
+            rhos, _setting_unitaries(axes[lo:lo + step]))
     draws = np.random.default_rng(seed).multinomial(shots, probs)
     return [CountsBlock(b + 1, counts) for b, counts in enumerate(draws)]
 
@@ -284,65 +289,47 @@ def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBloc
 
 _P_FLOOR = 1e-12
 
-
-@functools.lru_cache(maxsize=None)
-def _design_blocks(width: int):
-    """Measurement design over all settings in the coefficient basis.
-
-    Returns (settings, cols, signs): for setting row s the probability
-    vector is theta[cols[s]] @ signs.T, where theta is the window
-    coefficient vector, cols[s, b] packs the string with site i carrying
-    either the identity or the axis of s_i (b selects which sites are
-    non-identity), and signs[o, b] = (-1)^popcount(o & b) * 2^(-width/2).
-    The sign matrix is shared by every setting, so one matmul evaluates
-    all settings at once. Built once per width and shared by every caller:
-    settings is a tuple, and cols and signs are read-only.
-    """
-    dim = 1 << width
-    o = np.arange(dim)
-    v = o[:, None] & o[None, :]
-    par = np.zeros((dim, dim), dtype=int)
-    for t in range(width):
-        par += (v >> t) & 1
-    signs = np.where(par % 2 == 0, 1.0, -1.0) * 2.0 ** (-width / 2.0)
-    bitmat = (o[:, None] >> (width - 1 - np.arange(width))) & 1
-    place = 4 ** (width - 1 - np.arange(width))
-    settings = tuple(all_settings(width))
-    cols = np.zeros((len(settings), dim), dtype=np.intp)
-    for j, setting in enumerate(settings):
-        axes = np.array([_AXIS[ch] for ch in setting])
-        cols[j] = bitmat @ (axes * place)
-    cols.setflags(write=False)
-    signs.setflags(write=False)
-    return settings, cols, signs
+_Design = namedtuple("_Design", "cols signs strings shift phase")
 
 
 @functools.lru_cache(maxsize=None)
-def _xz_tables(width: int):
-    """The window's Pauli strings in the design's X/Z layout.
+def _design(width: int) -> _Design:
+    """The design table of width-site windows, shared by every caller, so
+    read-only; built from one bit matrix and the label table's axes.
 
-    A string with bit strings x (sites carrying X or Y) and z (Z or Y) is
-    i^popcount(x & z) X^x Z^z, which maps column c to row c ^ x with sign
-    (-1)^popcount(c & z). Returns (strings, shift, phase), each indexed
-    (x, z) or (x, c) with site 1 the most significant bit: strings[x, z]
-    is the packed string, phase[x, z] = i^popcount(x & z), and shift[x, c]
-    = (x ^ c) * 2^width + c the flat entry of shifted diagonal x. The map
+    Over all settings in the coefficient basis: for setting row s the
+    probability vector is theta[cols[s]] @ signs.T, where theta is the
+    window coefficient vector, cols[s, b] packs the string with site i
+    carrying either the identity or the axis of s_i (b selects which
+    sites are non-identity), and signs[o, b] = (-1)^popcount(o & b) *
+    2^(-width/2). The sign matrix is shared by every setting, so one
+    matmul evaluates all settings at once.
+
+    The window's Pauli strings in the X/Z layout: a string with bit
+    strings x (sites carrying X or Y) and z (Z or Y) is i^popcount(x & z)
+    X^x Z^z, which maps column c to row c ^ x with sign
+    (-1)^popcount(c & z). strings, shift and phase are indexed (x, z) or
+    (x, c) with site 1 the most significant bit: strings[x, z] is the
+    packed string, phase[x, z] = i^popcount(x & z), and shift[x, c] =
+    (x ^ c) * 2^width + c the flat entry of shifted diagonal x. The map
     (x, c) -> (x ^ c, c) is its own inverse, so shift gathers a matrix's
-    shifted diagonals and gathers them back. Built once per width and
-    shared by every caller: all three are read-only.
+    shifted diagonals and gathers them back.
     """
     dim = 1 << width
     o = np.arange(dim)
-    bits = (o[:, None] >> (width - 1 - np.arange(width))) & 1
-    xb, zb = bits[:, None, :], bits[None, :, :]
-    # site label of (x, z): (0, 0) identity, (1, 0) x, (1, 1) y, (0, 1) z
-    label = np.array([[0, _AXIS["z"]], [_AXIS["x"], _AXIS["y"]]])
-    strings = label[xb, zb] @ (4 ** (width - 1 - np.arange(width)))
-    phase = 1j ** np.sum(xb & zb, axis=2)
-    shift = (o[:, None] ^ o[None, :]) * dim + o[None, :]
-    for arr in (strings, shift, phase):
+    bits = o[:, None] >> np.arange(width - 1, -1, -1) & 1
+    place = 4 ** np.arange(width - 1, -1, -1)
+    par = bits @ bits.T  # popcount(a & b)
+    label = np.array([[0, 3], [1, 2]])  # [x bit, z bit]: id, z; x, y
+    design = _Design(
+        cols=(_labels(width).axes + 1) * place @ bits.T,
+        signs=np.where(par % 2 == 0, 1.0, -1.0) * 2.0 ** (-width / 2.0),
+        strings=label[bits[:, None], bits[None, :]] @ place,
+        shift=(o[:, None] ^ o) * dim + o,
+        phase=1j ** par)
+    for arr in design:
         arr.setflags(write=False)
-    return strings, shift, phase
+    return design
 
 
 def _log_likelihood(nz: np.ndarray, n_nz: np.ndarray,
@@ -392,15 +379,14 @@ def _project_density(theta: np.ndarray) -> np.ndarray:
 
     One eigh, then the eigenvalues are projected onto the simplex (Smolin,
     Gambetta & Smith, PRL 108, 070502, 2012). The matrix is built and read
-    in the design's X/Z layout (_xz_tables), with no Pauli transform: its
+    in the design's X/Z layout (_design), with no Pauli transform: its
     shifted diagonals are the phased coefficients times the design's
     signs, and tr[rho P] for the string (x, z) is its phase times the
     signs applied to the shifted diagonal x of rho^T. Each way is a
     gather, one dim x dim matmul and a gather.
     """
     width = theta.size.bit_length() // 2  # theta.size = 4^width
-    strings, shift, phase = _xz_tables(width)
-    signs = _design_blocks(width)[2]
+    _, signs, strings, shift, phase = _design(width)
     w, v = np.linalg.eigh(((theta[strings] * phase) @ signs).ravel()[shift])
     rho_t = (v.conj() * _simplex_projection(w)) @ v.T
     c = (rho_t.ravel()[shift] @ signs) * phase
@@ -445,7 +431,7 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
     iterate, and for a result that stops on an untested iterate. A
     projection is one dim x dim eigh and, on each side of it, one gather
     and one complex (dim x dim) @ (dim x dim) matmul with the design's
-    signs (_xz_tables), O(8^R) and no Pauli transform. Typical fits need
+    signs (_design), O(8^R) and no Pauli transform. Typical fits need
     about 1.4 trials per iterate; the eigh dominates from R = 5 up.
     """
     if max_iter < 1:
@@ -453,7 +439,7 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     width = block.width
-    _, cols, signs = _design_blocks(width)
+    cols, signs = _design(width)[:2]
     flat_cols = cols.ravel()
     n_mat = block.counts
     n_tot = n_mat.sum()
@@ -561,7 +547,7 @@ def _fisher_matrix(theta: np.ndarray, shots: np.ndarray) -> np.ndarray:
     identity or its own axis.
     """
     width = n_sites_of(theta.size, 4)
-    _, cols, signs = _design_blocks(width)
+    cols, signs = _design(width)[:2]
     measured = np.flatnonzero(shots)
     cols = cols[measured]
     p = np.clip(theta[cols] @ signs.T, _P_FLOOR, None)
@@ -580,6 +566,17 @@ def fisher_information(block: CountsBlock, rho_est: np.ndarray) -> np.ndarray:
     return _fisher_matrix(theta, block.counts.sum(axis=1))
 
 
+def _shared_width(blocks: list[CountsBlock]) -> int:
+    """The width of a nonempty list of windows' counts that share one."""
+    if not blocks:
+        raise ValueError("no blocks given")
+    widths = sorted({b.width for b in blocks})
+    if len(widths) > 1:
+        raise ValueError("blocks must share one width, not "
+                         + " and ".join(f"R = {w}" for w in widths))
+    return widths[0]
+
+
 def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
                            tol: float = MLE_TOL,
                            max_iter: int = MLE_MAX_ITER) -> PauliBlockData:
@@ -589,13 +586,7 @@ def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
     1..n_sites - width + 1. Both are checked before the first fit, and
     the number of windows before their starts, so a huge n_sites builds
     no list."""
-    if not blocks:
-        raise ValueError("no blocks given")
-    widths = sorted({b.width for b in blocks})
-    if len(widths) > 1:
-        raise ValueError("blocks must share one width, not "
-                         + " and ".join(f"R = {w}" for w in widths))
-    width = widths[0]
+    width = _shared_width(blocks)
     n_blocks = n_sites - width + 1
     by_k = {b.k: b for b in blocks}
     if (len(blocks) != n_blocks
@@ -619,25 +610,33 @@ def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
 
 
 def save_counts(blocks: list[CountsBlock], n_sites: int, path: str) -> None:
-    """Write every window's measured (nonzero) rows in all_settings order."""
-    width = blocks[0].width
-    settings = all_settings(width)
-    strings, _ = _outcome_tables(width)
+    """Write every window's measured (nonzero) rows in all_settings order;
+    blocks must be nonempty and share one width."""
+    width = _shared_width(blocks)
+    labels = _labels(width)
 
     def nonzero(c):
         idx = np.flatnonzero(c)
-        return dict(zip([strings[i] for i in idx.tolist()],
+        return dict(zip([labels.outcomes[i] for i in idx.tolist()],
                         [int(v) for v in c[idx].tolist()]))
 
     payload = {
         "version": FORMAT_VERSION, "N": n_sites, "R": width, "d": 2,
         "blocks": [
             {"k": b.k, "settings": [
-                {"s": settings[j], "shots": n, "counts": nonzero(b.counts[j])}
+                {"s": labels.settings[j], "shots": n,
+                 "counts": nonzero(b.counts[j])}
                 for j, n in enumerate(b.counts.sum(axis=1).tolist()) if n]}
             for b in blocks],
     }
     write_json(path, payload)
+
+
+def _check_dense_width(width: int, where: str) -> None:
+    """Reject a width too wide to fit; where prefixes the message."""
+    if width > DENSE_SITE_CAP:
+        raise ValueError(f"{where}R = {width} is above {DENSE_SITE_CAP}; "
+                         "each window is fitted as a dense 2^R matrix")
 
 
 def _read_windows_file(path: str) -> dict:
@@ -654,8 +653,7 @@ def _window_counts(settings: list, k: int, width: int,
     setting records in file order (see load_counts) and raises at the
     first fault; the inline type tests decide, and require or
     require_type words the error."""
-    row_of = _setting_rows(width)
-    _, index = _outcome_tables(width)
+    labels = _labels(width)
     listed, flat, values = set(), [], []
     for j, srec in enumerate(settings):
         if not (type(srec) is dict and "s" in srec and "counts" in srec
@@ -666,7 +664,7 @@ def _window_counts(settings: list, k: int, width: int,
             require_type(srec["counts"], dict, f"{where} counts")
             require_type(srec["s"], str, f"{where} s")
         setting, table = srec["s"], srec["counts"]
-        row = row_of.get(setting)
+        row = labels.row.get(setting)
         if row is None:
             raise ValueError(f"block {k}: setting {setting!r} is not "
                              f"{width} letters from 'xyz'")
@@ -676,7 +674,7 @@ def _window_counts(settings: list, k: int, width: int,
         listed.add(row)
         offset = row << width
         for o, v in table.items():
-            col = index.get(o)
+            col = labels.index.get(o)
             if col is None:
                 raise ValueError(f"block {k} setting {setting}: outcome "
                                  f"{o!r} is not {width} characters from "
@@ -698,9 +696,9 @@ def _window_counts(settings: list, k: int, width: int,
             if shots != total:
                 raise ValueError(f"block {k} setting {setting}: counts sum "
                                  f"to {total}, declared {shots}")
-    counts = np.zeros(len(row_of) << width, dtype=np.int64)
+    counts = np.zeros(3**width << width, dtype=np.int64)
     counts[flat] = values
-    return counts.reshape(len(row_of), 1 << width)
+    return counts.reshape(3**width, 1 << width)
 
 
 def load_counts(path: str):
@@ -721,9 +719,7 @@ def load_counts(path: str):
     n_sites, width = payload["N"], payload["R"]
     if not 1 <= width <= n_sites:
         raise ValueError(f"{path}: R = {width} is outside 1..N = {n_sites}")
-    if width > DENSE_SITE_CAP:
-        raise ValueError(f"{path}: R = {width} is above {DENSE_SITE_CAP}; "
-                         "each window is fitted as a dense 2^R matrix")
+    _check_dense_width(width, f"{path}: ")
     require_type(payload["blocks"], list, f"{path}: blocks")
     blocks = {}
     for i, rec in enumerate(payload["blocks"]):

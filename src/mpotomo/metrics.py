@@ -120,7 +120,9 @@ def compare_states(ref, est, w_fidelity: bool = False,
     """Bundle of distance, purities, spectral floor, optional fidelity.
 
     The purities are the Gram terms tr[ref^2] and tr[est^2] that the
-    distance already needs, so each is computed once.
+    distance already needs, so each is computed once. min_eig_est is the
+    smallest eigenvalue of est's dense form, None above DENSE_SITE_CAP = 12
+    sites; w_fidelity needs that form too and raises above 12 sites.
     """
     aa, ab, bb = _gram_terms(ref, est)
     report = ComparisonReport(hs_distance=_distance(aa, ab, bb),

@@ -95,6 +95,12 @@ AXIS_KETS = {
 }
 
 
+# The basis change to each measured axis, as np.kron factors of the
+# setting unitaries.
+AXIS_BASES = {"z": I2, "x": np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
+              "y": np.array([[1, -1j], [1, 1j]]) / np.sqrt(2.0)}
+
+
 def outcome_probability(rho, setting, outcome_bits):
     """tr[rho (proj_1 x ... x proj_w)] with explicit rank-1 projectors."""
     projs = []
@@ -110,7 +116,8 @@ def setting_probabilities(rho, setting):
     replayed bit for bit; outcome_probability checks it independently."""
     from mpotomo.measurement import _probabilities, _setting_unitaries
 
-    return _probabilities([rho], _setting_unitaries([setting]))[0, 0]
+    axes = np.array([["xyz".index(ch) for ch in setting]])
+    return _probabilities([rho], _setting_unitaries(axes))[0, 0]
 
 
 def setting_probabilities_einsum(rho, setting):
@@ -118,9 +125,7 @@ def setting_probabilities_einsum(rho, setting):
     np.kron chain of the per-site basis changes and one einsum, clipped at
     zero and normalized: the per-setting form the package's batched kernel
     replaces."""
-    bases = {"z": I2, "x": np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
-             "y": np.array([[1, -1j], [1, 1j]]) / np.sqrt(2.0)}
-    u = kron_chain([bases[ch] for ch in setting]).astype(complex)
+    u = kron_chain([AXIS_BASES[ch] for ch in setting]).astype(complex)
     p = np.einsum("ij,jk,ik->i", u, rho, u.conj(), optimize=True).real
     p = np.clip(p, 0.0, None)
     return p / p.sum()
@@ -180,10 +185,10 @@ def fisher_matrix_loop(theta, shots):
     into F at its strings with np.ix_. The per-setting reference for the
     package's batched _fisher_matrix; the design comes from the package,
     which fisher_by_finite_difference checks independently."""
-    from mpotomo.measurement import _design_blocks
+    from mpotomo.measurement import _design
 
     width = int(round(np.log(theta.size) / np.log(4)))
-    _, cols, signs = _design_blocks(width)
+    cols, signs = _design(width)[:2]
     full = np.zeros((4**width, 4**width))
     for j in np.flatnonzero(shots):
         p = np.clip(signs @ theta[cols[j]], 1e-12, None)
@@ -435,7 +440,7 @@ def local_mle_reference(block, tol=1e-10, max_iter=10_000):
     design comes from the package, which the Fisher-information oracle
     checks independently.
     """
-    from mpotomo.measurement import _design_blocks
+    from mpotomo.measurement import _design
 
     floor = 1e-12
 
@@ -446,7 +451,7 @@ def local_mle_reference(block, tol=1e-10, max_iter=10_000):
 
     width = block.width
     dim = 1 << width
-    _, cols, signs = _design_blocks(width)
+    cols, signs = _design(width)[:2]
     n_mat = block.counts
     n_tot = n_mat.sum()
     rho = np.eye(dim, dtype=complex) / dim

@@ -8,17 +8,14 @@ import pytest
 import oracles
 from oracles import random_mpo
 from mpotomo.files import write_json
-from mpotomo.measurement import (MLE_TOL, _U_BASIS, CountsBlock, NoiseMeta,
-                                 PauliBlockData, _design_blocks,
-                                 _fisher_matrix, _probabilities,
-                                 _project_density, _setting_unitaries,
-                                 _xz_tables,
-                                 add_gaussian_noise,
+from mpotomo.measurement import (MLE_TOL, CountsBlock, NoiseMeta,
+                                 PauliBlockData, _design, _fisher_matrix,
+                                 _labels, _probabilities, _project_density,
+                                 _setting_unitaries, add_gaussian_noise,
                                  all_settings, block_data_from_counts,
                                  exact_block_data,
                                  fisher_information, load_block_data,
                                  load_counts, local_mle,
-                                 _outcome_tables, outcome_string,
                                  save_block_data, save_counts,
                                  simulate_counts)
 import mpotomo.measurement
@@ -113,10 +110,11 @@ def test_setting_kernel_matches_per_setting_einsum(width):
     # probabilities agree with the per-setting einsum to a tolerance, since
     # einsum's rounding differs between numpy versions
     settings = all_settings(width)
-    u = _setting_unitaries(settings)
+    u = _setting_unitaries(_labels(width).axes)
     for j, setting in enumerate(settings):
         assert np.array_equal(
-            u[j], oracles.kron_chain([_U_BASIS[ch] for ch in setting]))
+            u[j], oracles.kron_chain([oracles.AXIS_BASES[ch]
+                                      for ch in setting]))
     for state in (random_mpo_via_ancilla(6, seed=15), w_state(6)[1]):
         rhos = [dense_from_coeffs(window_coeffs(state, k, width))
                 for k in range(1, state.n_sites - width + 2)]
@@ -199,14 +197,16 @@ def test_setting_probabilities_match_projector_oracle():
 
 
 def test_outcome_string_roundtrip():
-    assert outcome_string(0, 3) == "+++"
-    assert outcome_string(5, 3) == "-+-"
-    strings, index = _outcome_tables(3)
-    assert strings == tuple(outcome_string(idx, 3) for idx in range(8))
+    strings, index = _labels(3).outcomes, _labels(3).index
+    assert strings[0] == "+++"
+    assert strings[5] == "-+-"
+    # bit 0 of a site is "+", site 1 the most significant bit
+    assert strings == tuple("".join("+-"[(idx >> (2 - i)) & 1]
+                                    for i in range(3)) for idx in range(8))
     for idx in range(8):
-        assert index[outcome_string(idx, 3)] == idx
+        assert index[strings[idx]] == idx
     # built once per width, and shared, so neither table can be changed
-    assert _outcome_tables(3) is _outcome_tables(3)
+    assert _labels(3) is _labels(3)
     with pytest.raises(TypeError):
         index["+++"] = 1
 
@@ -521,6 +521,34 @@ def test_block_data_from_counts_rejects_mixed_widths(monkeypatch):
         block_data_from_counts([two[0], three[1], two[2]], 4)
 
 
+@pytest.mark.parametrize("widths, match", [
+    ([], "^no blocks given$"),
+    ([2, 3, 2], "^blocks must share one width, not R = 2 and R = 3$"),
+], ids=["empty", "mixed_widths"])
+def test_save_counts_names_missing_and_mixed_widths(tmp_path, widths, match):
+    # windows k = 1, 2, 3 of W(4) with the given widths, as
+    # block_data_from_counts rejects them
+    _, wm = w_state(4)
+    blocks = [simulate_counts(wm, w, 50, seed=7)[k]
+              for k, w in enumerate(widths)]
+    path = tmp_path / "c.json"
+    with pytest.raises(ValueError, match=match):
+        save_counts(blocks, 4, path)
+    assert not path.exists()
+
+
+def test_simulate_counts_rejects_widths_above_the_dense_cap(monkeypatch):
+    # load_counts refuses R = 13, so the writer refuses it too, before any
+    # window is formed
+    _, mpo = product_state(13)
+    monkeypatch.setattr(mpotomo.measurement, "_windows",
+                        lambda *a: pytest.fail("a window was formed"))
+    with pytest.raises(ValueError, match="^R = 13 is above 12; each window "
+                                         "is fitted as a dense 2\\^R "
+                                         "matrix$"):
+        simulate_counts(mpo, 13, 10, seed=1)
+
+
 @pytest.mark.parametrize("shots", [10.5, True, "100", 0, -1])
 def test_simulate_counts_rejects_shots_that_are_not_positive_integers(shots):
     with pytest.raises(ValueError, match="shots"):
@@ -528,22 +556,37 @@ def test_simulate_counts_rejects_shots_that_are_not_positive_integers(shots):
 
 
 def test_design_blocks_are_built_once_and_read_only():
-    settings, cols, signs = _design_blocks(3)
-    again = _design_blocks(3)
-    assert again[0] is settings and again[1] is cols and again[2] is signs
-    assert settings == tuple(all_settings(3))
-    tables = _xz_tables(3)
-    assert all(a is b for a, b in zip(_xz_tables(3), tables))
-    for arr in (cols, signs, *tables):
+    labels, design = _labels(3), _design(3)
+    again = _labels(3), _design(3)
+    assert again[0] is labels and again[1] is design
+    assert all(a is b for a, b in zip(_design(3), design))
+    assert labels.settings == tuple(all_settings(3))
+    assert [labels.row[s] for s in all_settings(3)] == list(range(27))
+    assert ["".join("xyz"[a] for a in row) for row in labels.axes] \
+        == all_settings(3)
+    with pytest.raises(TypeError):
+        labels.row["xxx"] = 1
+    for arr in (labels.axes, *design):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 0
+
+
+def test_counts_files_leave_the_design_table_unbuilt(tmp_path):
+    # reading or writing counts builds only the label table: the design
+    # table's cols alone would hold 6^R entries
+    blocks = simulate_counts(w_state(4)[1], 2, 20, seed=3)
+    path = tmp_path / "c.json"
+    _design.cache_clear()
+    save_counts(blocks, 4, path)
+    load_counts(path)
+    assert _design.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_xz_tables_match_pauli_strings(width):
     # string (x, z) is phase[x, z] X^x Z^z: entry (x ^ c, c) is
     # (-1)^popcount(c & z) and shift gathers it from the flat matrix
-    strings, shift, phase = _xz_tables(width)
+    _, _, strings, shift, phase = _design(width)
     dim = 1 << width
     assert sorted(strings.ravel().tolist()) == list(range(4**width))
     for x in range(dim):
