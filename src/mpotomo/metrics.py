@@ -13,26 +13,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DENSE_SITE_CAP, MatrixProductOperator, mpo_overlap
+from .operators import DENSE_SITE_CAP, MatrixProductOperator, _overlap, _value
 
 # Random phase draws fidelity_w_optimized restarts from.
 _N_STARTS = 8
 
 
 def _gram_terms(a, b):
-    """(tr[a a], tr[a b], tr[b b]) for any mix of representations."""
+    """(tr[a a], tr[a b], tr[b b]) as pairs (m, e), each m * 2^e."""
     if isinstance(a, MatrixProductOperator) and isinstance(b, MatrixProductOperator):
-        return mpo_overlap(a, a), mpo_overlap(a, b), mpo_overlap(b, b)
+        return _overlap(a, a), _overlap(a, b), _overlap(b, b)
     ca, cb = a.coeffs(), b.coeffs()
     if ca.shape != cb.shape:
         raise ValueError("operands must share site count")
-    return float(ca @ ca), float(ca @ cb), float(cb @ cb)
+    return (float(ca @ ca), 0), (float(ca @ cb), 0), (float(cb @ cb), 0)
 
 
-def _distance(aa: float, ab: float, bb: float) -> float:
-    if aa <= 0.0:
+def _distance(terms) -> float:
+    if terms[0][0] <= 0.0:
         raise ValueError("reference has zero norm")
-    return (bb - 2.0 * ab + aa) / aa
+    e = max(x for _, x in terms)
+    aa, ab, bb = (_value(m, x - e) for m, x in terms)
+    return (bb - 2.0 * ab + aa) / aa if aa else np.inf
 
 
 def hs_distance(ref, est) -> float:
@@ -40,13 +42,13 @@ def hs_distance(ref, est) -> float:
 
     D = tr[(est - ref)^2] / tr[ref^2]; representation-independent.
     """
-    return _distance(*_gram_terms(ref, est))
+    return _distance(_gram_terms(ref, est))
 
 
 def purity(state) -> float:
     """tr[state^2] from either representation."""
     if isinstance(state, MatrixProductOperator):
-        return mpo_overlap(state, state)
+        return _value(*_overlap(state, state))
     return float(np.sum(np.abs(state.matrix) ** 2))
 
 
@@ -119,14 +121,14 @@ def compare_states(ref, est, w_fidelity: bool = False,
                    seed: int = 0) -> ComparisonReport:
     """Bundle of distance, purities, spectral floor, optional fidelity.
 
-    The purities are the Gram terms tr[ref^2] and tr[est^2] that the
-    distance already needs, so each is computed once. min_eig_est is the
-    smallest eigenvalue of est's dense form, None above DENSE_SITE_CAP = 12
-    sites; w_fidelity needs that form too and raises above 12 sites.
+    The purities are the Gram terms the distance needs: 0.0 below the float
+    range, where D stays right, and inf above it, as is D beyond the range.
+    min_eig_est is the smallest eigenvalue of est's dense form, None above
+    DENSE_SITE_CAP = 12 sites; w_fidelity needs it and raises above 12.
     """
-    aa, ab, bb = _gram_terms(ref, est)
-    report = ComparisonReport(hs_distance=_distance(aa, ab, bb),
-                              purity_ref=aa, purity_est=bb)
+    terms = _gram_terms(ref, est)
+    report = ComparisonReport(_distance(terms), _value(*terms[0]),
+                              _value(*terms[2]))
     dense_est = est.to_dense() if est.n_sites <= DENSE_SITE_CAP else None
     if dense_est is not None:
         report.min_eig_est = float(np.linalg.eigvalsh(dense_est.matrix).min())

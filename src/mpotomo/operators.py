@@ -12,6 +12,8 @@ plain complex matrices with site 1 most significant in the index ordering.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,7 @@ from .pauli import coeffs_from_dense, dense_from_coeffs, n_sites_of
 DENSE_SITE_CAP = 12
 # Relative cutoff on singular values in the exact conversions.
 _SVD_RTOL = 1e-12
+_BAND, _STRIDE, _RT2 = 2.0 ** 512, 4, math.sqrt(2.0)  # see _sweep
 
 
 @dataclass
@@ -87,10 +90,8 @@ class MatrixProductOperator:
         alphas = list(alphas)
         if len(alphas) != self.n_sites:
             raise ValueError("one basis index per site required")
-        v = self.tensors[0][alphas[0]]
-        for t, a in zip(self.tensors[1:], alphas[1:]):
-            v = v @ t[a]
-        return float(v[0, 0])
+        return _value(*_contract(lambda v, t, a: v @ t[a], np.ones((1, 1)),
+                                 zip(self.tensors, alphas)))
 
     def coeffs(self) -> np.ndarray:
         """All 4^N coefficients, packed big-endian: the chain's one
@@ -101,42 +102,68 @@ class MatrixProductOperator:
 
     @property
     def trace(self) -> float:
-        c0 = self.coefficient([0] * self.n_sites)
-        return float(2.0 ** (self.n_sites / 2.0) * c0)
+        """2^(N/2) c(identity string), site by site; 0.0 or +-inf off range."""
+        return _value(*_contract(_trace_left, np.ones(1), zip(self.tensors)))
 
     def to_dense(self) -> DenseOperator:
         return DenseOperator(dense_from_coeffs(self.coeffs()))
 
     def rescaled_trace(self, target: float = 1.0) -> "MatrixProductOperator":
         """Copy with the trace rescaled to `target` (trace must be nonzero)."""
-        tr = self.trace
+        tr, e = _contract(_trace_left, np.ones(1), zip(self.tensors))
         if abs(tr) < 1e-300:
             raise ValueError("cannot rescale an operator with zero trace")
-        tensors = [t.copy() for t in self.tensors]
-        tensors[0] = tensors[0] * (target / tr)
-        return MatrixProductOperator(tensors)
+        q, r = divmod(-e, self.n_sites)  # 2^-e, spread over the sites
+        ts = [np.ldexp(t, q + (i < r)) for i, t in enumerate(self.tensors)]
+        ts[0] = ts[0] * (target / tr)
+        return MatrixProductOperator(ts)
+
+
+def _sweep(step, v, items):
+    """Yield (v, e), v * 2^e the value so far, at the boundary and after each
+    v = step(v, *item). Every _STRIDE sites v sheds a power of two if its
+    squared norm left [1/_BAND, _BAND]: overflow in between needs 2^64/site."""
+    e = 0
+    yield v, e
+    for i, item in enumerate(items, 1):
+        v = step(v, *item)
+        if not i % _STRIDE and not 1 / _BAND <= (s := np.vdot(v, v)) <= _BAND:
+            x = math.frexp(s)[1] // 2
+            v, e = np.ldexp(v, -x), e + x
+        yield v, e
+
+
+def _contract(step, v, items):  # (m, e), m * 2^e the result's one entry
+    v, e = deque(_sweep(step, v, items), maxlen=1).pop()
+    return v.item(0), e
+
+
+def _value(m: float, e: int) -> float:
+    """m * 2^e: 0.0 below the float range, +-inf above it."""
+    big = m and math.frexp(m)[1] + e > 1024
+    return math.copysign(math.inf, m) if big else math.ldexp(m, e)
+
+
+def _trace_left(v, t):
+    return _RT2 * (v @ t[0])
 
 
 def identity_environments(mpo: MatrixProductOperator, upto: int,
                           downto: int):
     """Boundary vectors of the network with all sites outside a window traced.
 
-    Returns (left, right): left[k] contracts sites 1..k-1 against the
-    identity string (each site contributing sqrt(2) times its alpha = 0
-    slice), right[k] does the same for sites k+1..N; 1-based k. Only
-    left[1..upto] and right[downto..N] are built, the entries the windows
-    of a sweep read; the others are None.
+    Returns (left, right) of pairs (v, e) for v * 2^e, v in range on any
+    chain: left[k] traces sites 1..k-1 (each as sqrt(2) times its alpha = 0
+    slice) and right[k] sites k+1..N; 1-based k. Only left[1..upto] and
+    right[downto..N], the entries a sweep of windows reads, are built.
     """
     n = mpo.n_sites
-    rt = np.sqrt(2.0)
-    left = [None] * (n + 2)
-    left[1] = np.ones(1)
-    for k in range(1, upto):
-        left[k + 1] = rt * (left[k] @ mpo.tensors[k - 1][0])
-    right = [None] * (n + 2)
-    right[n] = np.ones(1)
-    for k in range(n, downto, -1):
-        right[k - 1] = rt * (mpo.tensors[k - 1][0] @ right[k])
+    left, right = [None] * (n + 2), [None] * (n + 2)
+    left[1:upto + 1] = _sweep(_trace_left, np.ones(1),
+                              zip(mpo.tensors[:upto - 1]))
+    right[downto:n + 1] = reversed(list(_sweep(
+        lambda v, t: _RT2 * (t[0] @ v), np.ones(1),
+        zip(mpo.tensors[downto:][::-1]))))
     return left, right
 
 
@@ -153,7 +180,8 @@ def _windows(state, width: int, first: int, last: int):
     window ending at site N skips the product with its unit right
     boundary, which would only copy the vector. The products are the
     np.dot calls that np.tensordot makes, on the same operands, so every
-    vector is bitwise the tensordot contraction.
+    vector is bitwise the tensordot contraction. Environment exponents are
+    added back once, if not 0; a window beyond the float range overflows.
     """
     if isinstance(state, DenseOperator):
         n, w = state.n_sites, 1 << width
@@ -169,13 +197,12 @@ def _windows(state, width: int, first: int, last: int):
         t = state.tensors[i - 1]
         mats[i] = t.transpose(1, 0, 2).reshape(t.shape[1], -1)
     for k in range(first, last + 1):
-        G = left[k]
+        (G, e), (env, f) = left[k], right[k + width - 1]
         for i in range(k, k + width):
             G = np.dot(G.reshape(-1, mats[i].shape[0]), mats[i])
         if k + width - 1 < n:
-            env = right[k + width - 1]
             G = np.dot(G.reshape(-1, env.shape[0]), env.reshape(-1, 1))
-        yield G.reshape(-1)
+        yield np.ldexp(G.reshape(-1), e + f) if e + f else G.reshape(-1)
 
 
 def window_coeffs(state, k: int, width: int) -> np.ndarray:
@@ -206,14 +233,15 @@ def _transfer(env: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
                   tb.reshape(-1, tb.shape[2]))
 
 
-def mpo_overlap(a: MatrixProductOperator, b: MatrixProductOperator) -> float:
-    """Hilbert-Schmidt inner product tr[a b] of two Hermitian networks."""
+def _overlap(a: MatrixProductOperator, b: MatrixProductOperator):
     if a.n_sites != b.n_sites:
         raise ValueError("operands must share site count")
-    T = np.ones((1, 1))
-    for ta, tb in zip(a.tensors, b.tensors):
-        T = _transfer(T, ta, tb)
-    return float(T[0, 0])
+    return _contract(_transfer, np.ones((1, 1)), zip(a.tensors, b.tensors))
+
+
+def mpo_overlap(a: MatrixProductOperator, b: MatrixProductOperator) -> float:
+    """tr[a b] of two Hermitian networks; 0.0 or +-inf off the float range."""
+    return _value(*_overlap(a, b))
 
 
 def _exact_split(arr: np.ndarray, n_axes: int, tail: int):

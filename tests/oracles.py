@@ -233,25 +233,36 @@ def fisher_penalty_marginal(theta, shots, l, r):
     return P, []
 
 
+def identity_environments_unscaled(mpo, upto, downto):
+    """The identity environments as plain loops with no scale: left[k]
+    traces sites 1..k-1, each as sqrt(2) times its alpha = 0 slice, and
+    right[k] sites k+1..N (1-based k; left[1..upto], right[downto..N]).
+    Wherever no partial product leaves the float range, the package's
+    scaled sweep must reproduce these bit for bit, with exponent 0."""
+    t, n = mpo.tensors, mpo.n_sites
+    rt = np.sqrt(2.0)
+    left, right = [None] * (n + 2), [None] * (n + 2)
+    left[1], right[n] = np.ones(1), np.ones(1)
+    for k in range(1, upto):
+        left[k + 1] = rt * (left[k] @ t[k - 1][0])
+    for k in range(n, downto, -1):
+        right[k - 1] = rt * (t[k - 1][0] @ right[k])
+    return left, right
+
+
 def window_coeffs_tensordot(mpo, k, width):
     """One window contracted site by site with np.tensordot.
 
-    The environments are rebuilt from the alpha = 0 slices on every call.
-    This is the per-window reference contraction; the package's batched
-    window kernel must reproduce it bit for bit.
+    The environments are rebuilt without a scale on every call. This is
+    the per-window reference contraction; the package's batched window
+    kernel must reproduce it bit for bit.
     """
-    t = mpo.tensors
-    rt = np.sqrt(2.0)
-    left = np.ones(1)
-    for i in range(k - 1):
-        left = rt * (left @ t[i][0])
-    right = np.ones(1)
-    for i in range(len(t) - 1, k + width - 2, -1):
-        right = rt * (t[i][0] @ right)
-    G = left
+    left, right = identity_environments_unscaled(mpo, k, k + width - 1)
+    G = left[k]
     for i in range(k - 1, k - 1 + width):
-        G = np.tensordot(G, t[i], axes=(G.ndim - 1, 1))
-    return np.tensordot(G, right, axes=(G.ndim - 1, 0)).reshape(-1)
+        G = np.tensordot(G, mpo.tensors[i], axes=(G.ndim - 1, 1))
+    return np.tensordot(G, right[k + width - 1],
+                        axes=(G.ndim - 1, 0)).reshape(-1)
 
 
 def transfer_tensordot(env, ta, tb):
@@ -259,6 +270,16 @@ def transfer_tensordot(env, ta, tb):
     np.tensordot; the package's transfer must reproduce it bit for bit."""
     return np.tensordot(ta.transpose(0, 2, 1) @ env, tb,
                         axes=([0, 2], [0, 1]))
+
+
+def mpo_overlap_unscaled(a, b):
+    """tr[a b] as a plain transfer loop with no scale; the package's
+    scaled sweep must reproduce it bit for bit wherever no partial product
+    leaves the float range."""
+    T = np.ones((1, 1))
+    for ta, tb in zip(a.tensors, b.tensors):
+        T = transfer_tensordot(T, ta, tb)
+    return float(T[0, 0])
 
 
 def random_mps_per_site(n_sites, bond, rng):
@@ -343,6 +364,16 @@ def random_mpo(n_sites, bond, seed=None):
         if abs(mpo.trace) > 1e-6:
             return mpo
     raise RuntimeError("failed to draw a network with nonzero trace")
+
+
+def mixed_product_chain(n_sites, scale=1.0):
+    """n_sites copies of scale * (I + 0.6 Z) / 2 as a bond-1 network: trace
+    scale^N and purity (0.68 scale^2)^N."""
+    from mpotomo.operators import MatrixProductOperator
+
+    t = np.zeros((4, 1, 1))
+    t[0], t[3] = scale / np.sqrt(2.0), 0.6 * scale / np.sqrt(2.0)
+    return MatrixProductOperator([t] * n_sites)
 
 
 def recursion_coefficient(blocks, alphas, l, r, solve=None):

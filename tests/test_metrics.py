@@ -5,11 +5,14 @@ import pytest
 
 from oracles import random_mpo
 from mpotomo.files import write_json
+from mpotomo.measurement import add_gaussian_noise, exact_block_data
 from mpotomo.metrics import (compare_states, fidelity_w_optimized,
                              hs_distance, purity)
 from mpotomo.operators import (DenseOperator, MatrixProductOperator,
                                mpo_from_dense)
-from mpotomo.states import ghz_state, w_state
+from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
+                                    reconstruct_mpo)
+from mpotomo.states import ghz_state, random_mpo_via_ancilla, w_state
 
 
 def _wrap(x):
@@ -125,6 +128,21 @@ def test_compare_states_rejects_zero_norm_reference():
     for ref in (zero, zero.to_dense()):
         with pytest.raises(ValueError, match="zero norm"):
             compare_states(ref, b)
+
+
+def test_distance_beyond_the_float_range_is_inf():
+    # a truncated solve of noisy windows gives an estimate whose trace is
+    # near 8e191: its purity and its distance to the state are beyond the
+    # float range, and read inf with no overflow warning and no nan
+    st = random_mpo_via_ancilla(256, seed=0)
+    noisy = add_gaussian_noise(exact_block_data(st, 5), 1e-3, seed=0)
+    est = reconstruct_mpo(noisy, ReconstructionConfig(
+        regularizer=RegularizerSpec("truncated_pinv")))
+    assert 1e191 < est.trace < 1e193
+    rep = compare_states(st, est)
+    assert rep.hs_distance == hs_distance(st, est) == np.inf
+    assert rep.purity_est == np.inf
+    assert rep.purity_ref == purity(st) and 0.0 < rep.purity_ref <= 1.0
 
 
 def test_compare_states_without_w_block():

@@ -3,11 +3,14 @@ import pytest
 
 import oracles
 from oracles import pack_index, random_mpo
+from mpotomo.measurement import add_gaussian_noise, exact_block_data
 from mpotomo.operators import (DenseOperator, MatrixProductOperator,
-                               _transfer, load_operator,
-                               mpo_from_coeffs, mpo_from_dense, mpo_overlap,
-                               save_operator, window_coeffs)
+                               _transfer, identity_environments,
+                               load_operator, mpo_from_coeffs, mpo_from_dense,
+                               mpo_overlap, save_operator, window_coeffs)
 from mpotomo.pauli import coeffs_from_dense
+from mpotomo.reconstruction import reconstruct_mpo
+from mpotomo.states import random_mpo_via_ancilla
 
 
 def test_dense_operator_validates_hermiticity():
@@ -179,3 +182,45 @@ def test_identity_string_gives_rescaled_trace():
     mpo = random_mpo(4, bond=2, seed=13)
     c0 = mpo.coefficient([0, 0, 0, 0])
     assert abs(mpo.trace - 2.0 ** (4 / 2.0) * c0) < 1e-12
+
+
+def test_chain_sweeps_are_bitwise_the_unscaled_loops():
+    # no partial product of these 64-site chains leaves the sweeps' band, so
+    # the scaled environments, overlaps and trace keep every bit of the plain
+    # loops; this is what keeps the benchmark's distances unchanged. The
+    # windows of exact_block_data are held to the same loops through
+    # window_coeffs_tensordot in test_measurement
+    mpo = random_mpo_via_ancilla(64, seed=13)
+    est = reconstruct_mpo(add_gaussian_noise(exact_block_data(mpo, 5), 1e-3,
+                                             seed=1))
+    got = identity_environments(mpo, 65, 0)
+    want = oracles.identity_environments_unscaled(mpo, 65, 0)
+    for side, ref in zip(got, want):
+        assert len(side) == len(ref) == 66
+        for pair, w in zip(side, ref):
+            assert pair is w is None or (
+                pair[1] == 0 and np.array_equal(pair[0], w))
+    for a, b in ((mpo, mpo), (mpo, est), (est, est)):
+        assert mpo_overlap(a, b) == oracles.mpo_overlap_unscaled(a, b)
+    assert mpo.trace == want[0][65][0]
+
+
+def test_chain_contractions_beyond_the_float_range():
+    # 1000 sites of 4 (I + 0.6 Z) / 2 have trace 2^2000 and an identity
+    # coefficient of 2^1500; 4096 sites of (I + 0.6 Z) / 2 have an identity
+    # coefficient of 2^-2048 and purity 0.68^4096. Each reads inf or 0.0,
+    # with no warning, and the traces that are in range come out right
+    big = oracles.mixed_product_chain(1000, scale=4.0)
+    assert big.trace == np.inf and big.coefficient([0] * 1000) == np.inf
+    long = oracles.mixed_product_chain(4096)
+    assert long.coefficient([0] * 4096) == 0.0
+    assert mpo_overlap(long, long) == 0.0
+    assert abs(long.trace - 1.0) <= 1e-12
+    # rescaling divides 2^2000 out as powers of two spread over the sites
+    one = big.rescaled_trace(1.0)
+    assert abs(one.trace - 1.0) <= 1e-12
+    assert all(np.isfinite(t).all() for t in one.tensors)
+    unit = oracles.mixed_product_chain(1000)
+    for k in (1, 500, 998):
+        assert np.allclose(window_coeffs(one, k, 3), window_coeffs(unit, k, 3),
+                           rtol=1e-12, atol=0.0)
