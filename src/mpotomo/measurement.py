@@ -131,7 +131,10 @@ def add_gaussian_noise(data: PauliBlockData, sigma: float, seed=None,
     noise = NoiseMeta("scalar", sigma=sigma)
     rng = np.random.default_rng(seed)
     scale = sigma / np.sqrt(2.0 ** data.width)
-    noisy = data.blocks + scale * rng.standard_normal(data.blocks.shape)
+    # in place, with no temporaries: bitwise data.blocks + scale * z
+    noisy = rng.standard_normal(data.blocks.shape)
+    noisy *= scale
+    noisy += data.blocks
     if not perturb_identity:
         noisy[:, 0] = data.blocks[:, 0]
     return PauliBlockData(data.n_sites, data.width, noisy, noise)

@@ -288,15 +288,19 @@ def mpo_from_dense(op: DenseOperator) -> MatrixProductOperator:
 def save_operator(op, path: str) -> None:
     """Write a DenseOperator or MatrixProductOperator to a JSON file: one
     float record per MPO tensor, or for a dense operator one record of
-    shape (2^N, 2^N, 2) holding each entry's [re, im] pair."""
+    shape (2^N, 2^N, 2) holding each entry's [re, im] pair. Refuses, and
+    writes nothing, when an entry is not finite, as load_operator would."""
     if isinstance(op, MatrixProductOperator):
+        arrays = op.tensors
         kind, data = "mpo", {"bond_dims": op.bond_dims,
-                             "tensors": [float_record(t) for t in op.tensors]}
+                             "tensors": [float_record(t) for t in arrays]}
     elif isinstance(op, DenseOperator):
-        pairs = np.stack([op.matrix.real, op.matrix.imag], -1)
-        kind, data = "dense", {"matrix": float_record(pairs)}
+        arrays = [np.stack([op.matrix.real, op.matrix.imag], -1)]
+        kind, data = "dense", {"matrix": float_record(arrays[0])}
     else:
         raise TypeError(f"cannot serialize {type(op).__name__}")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("operator entries must be finite")
     write_json(path, {"version": FORMAT_VERSION, "kind": kind,
                       "n_sites": op.n_sites, "d": 2, **data})
 

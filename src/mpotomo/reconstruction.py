@@ -22,8 +22,9 @@ eigh of the stack of penalties (Hansen, Rank-Deficient and Discrete
 Ill-Posed Problems, 1998). Every mode's solution is x = W V f(s) U^T e,
 with W = I outside fisher mode. P needs the covariance of B's entries
 only, which are the coefficients of the window's first R - 1 sites: it is
-the inverse of that marginal's information. Only the Fisher penalty uses
-scipy, imported at its first call.
+the inverse of that marginal's information, whose inverse Cholesky factor
+is formed in place by a blocked recursion on halves (numpy alone: every
+step above the base blocks is a matrix product).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .operators import (DenseOperator, MatrixProductOperator, _exact_split,
 
 RANK_RTOL = 1e-9  # numerical rank: singular values above RANK_RTOL * s_max
 PINV_RTOL = 1e-10  # every filter is 0 for s at or below PINV_RTOL * s_max
+_FACTOR_BASE = 32  # _inverse_factor factors blocks up to this side directly
 
 # The solver mode for each kind of data noise (PauliBlockData.noise.kind,
 # None for exact data); reconstruct_mpo applies it unless the config names
@@ -210,6 +212,33 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
     return (x[0], s[0], flags[0]) if single else (x, s, flags)
 
 
+def _inverse_factor(A: np.ndarray) -> None:
+    """Overwrite the symmetric positive definite A with W = L^-1, where
+    A = L L^T: W is lower triangular, with its upper triangle exactly 0.
+
+    On halves, with W11 from the recursion on A11: L21 = A21 W11^T, the
+    Schur complement A22 - L21 L21^T gives W22 by the recursion, and
+    W21 = -W22 L21 W11. L21^T is kept in the upper block, which ends
+    zeroed, so the only scratch array is one product of a quarter of A's
+    size. Blocks up to _FACTOR_BASE take numpy's Cholesky factor and
+    inverse. Raises LinAlgError when a pivot is not positive, as a
+    Cholesky factor of A would.
+    """
+    n = A.shape[0]
+    if n <= _FACTOR_BASE:
+        A[...] = np.tril(np.linalg.inv(np.linalg.cholesky(A)))
+        return
+    h = n // 2
+    W11, U, A21, A22 = A[:h, :h], A[:h, h:], A[h:, :h], A[h:, h:]
+    _inverse_factor(W11)
+    np.matmul(W11, A21.T, out=U)  # L21^T
+    A22 -= U.T @ U
+    _inverse_factor(A22)
+    np.matmul(A22 @ U.T, W11, out=A21)
+    np.negative(A21, out=A21)
+    U[...] = 0.0
+
+
 def _fisher_penalty(theta: np.ndarray, shots: np.ndarray, l: int, r: int):
     """Penalty P = row-sum of the covariance of B's entries, and flags.
 
@@ -217,41 +246,41 @@ def _fisher_penalty(theta: np.ndarray, shots: np.ndarray, l: int, r: int):
     first l + r sites. Their covariance is taken as the inverse of that
     marginal's information F: _fisher_matrix at width l + r, each marginal
     setting with the shots of the three window settings that extend it
-    (all_settings varies the last site fastest). With F = L L^T and
-    Y = L^-1 E (E places the non-identity entries among B's entries; the
-    identity entry has no variance), the covariance is Y^T Y, and
-    P[j, j'] = sum_i Cov[B_ij, B_ij']. The marginal information is at most
-    the information the whole window holds on B's entries, so P is
-    slightly more cautious than the profiled penalty. A Cholesky factor
-    that fails (singular information) gives the scalar fallback.
+    (all_settings varies the last site fastest). F is overwritten by
+    W = L^-1, F = L L^T (_inverse_factor), and the covariance is W^T W
+    over B's entries other than the identity entry, which has no variance:
+    W's column c is B's entry c + 1. With B's entries (i, j) at
+    i * 4^r + j, P[j, j'] = sum_i Cov[B_ij, B_ij'] sums W_i^T W_i over
+    blocks W_i of 4^r columns (4^r - 1 for i = 0, whose identity entry is
+    left out), taken from the first row that can be nonzero. The marginal
+    information is at most the information the whole window holds on B's
+    entries, so P is slightly more cautious than the profiled penalty. A
+    factor that fails (singular information) gives the scalar fallback,
+    from F evaluated again.
     """
-    import scipy.linalg  # only this penalty needs it; it is slow to load
     dim_l, dim_r = 4**l, 4**r
-    F = _fisher_matrix(np.sqrt(2.0) * theta[::4],
-                       shots.reshape(-1, 3).sum(axis=1))
-    n = F.shape[0]
+    marginal = (np.sqrt(2.0) * theta[::4], shots.reshape(-1, 3).sum(axis=1))
+    # a view into _fisher_matrix's fresh result, which nothing else holds
+    W = _fisher_matrix(*marginal)
     try:
-        L = scipy.linalg.cholesky(F, lower=True)
+        _inverse_factor(W)
     except np.linalg.LinAlgError:
         # Singular information: fall back to a scalar penalty built
         # from the pseudoinverse variances of the entries of B.
-        w, Q = np.linalg.eigh(F)
+        w, Q = np.linalg.eigh(_fisher_matrix(*marginal))
         keep = w > 1e-12 * max(w.max(), 1e-300)
         inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
-        var = np.zeros(n + 1)
+        var = np.zeros(dim_l * dim_r)
         var[1:] = np.einsum("ij,j,ij->i", Q, inv_w, Q)
         scale = np.mean(var.reshape(dim_l, dim_r).sum(axis=0))
         return scale * np.eye(dim_r), ["fisher_singular_scalar"]
-    # F is a view into _fisher_matrix's padded result: freeing it before
-    # Y is allocated keeps one fewer n-square array alive at R = 7
-    del F
-    L_inv, _ = scipy.linalg.lapack.dtrtri(L, lower=1, overwrite_c=1)
-    Y = np.zeros((n, n + 1))
-    Y[:, 1:] = L_inv
-    # Y's columns are B's entries (i, j): with one row per (row of Y, i),
-    # the product sums the covariance over i.
-    Y = Y.reshape(-1, dim_r)
-    return Y.T @ Y, []
+    P = np.zeros((dim_r, dim_r))
+    for i in range(dim_l):
+        first = max(i * dim_r - 1, 0)
+        W_i = W[first:, first:(i + 1) * dim_r - 1]
+        k = W_i.shape[1]
+        P[dim_r - k:, dim_r - k:] += W_i.T @ W_i
+    return P, []
 
 
 def _data_regularizer(data: PauliBlockData, reg: RegularizerSpec | None,

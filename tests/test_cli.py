@@ -42,6 +42,21 @@ def test_gen_state_skips_dense_beyond_cap(tmp_path, capsys):
     assert json.loads(stdout)["written"] == [f"{out}.mpo.json"]
 
 
+def test_gen_state_refuses_to_write_a_non_finite_state(tmp_path, capsys):
+    # random_mps contracts its norm without a scale, so a 512-site random
+    # MPO overflows (with RuntimeWarnings) to non-finite tensors; gen-state
+    # then fails and leaves no file
+    with pytest.warns(RuntimeWarning):
+        code, stdout, stderr = _run(capsys, "gen-state", "--family",
+                                    "random-mpo", "--n", "512", "--seed",
+                                    "0", "--out", str(tmp_path / "big"))
+    assert code == 1 and stdout == ""
+    assert json.loads(stderr) == {"error": "ValueError",
+                                  "message": "operator entries must be "
+                                             "finite"}
+    assert not list(tmp_path.iterdir())
+
+
 def test_family_names_are_the_library_families():
     assert set(_FAMILY_ALIASES.values()) == set(FAMILIES)
 

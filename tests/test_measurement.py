@@ -156,6 +156,21 @@ def test_noise_scale_follows_width():
     assert abs(sd - expected) < 0.05 * expected
 
 
+@pytest.mark.parametrize("perturb_identity", [True, False])
+@pytest.mark.parametrize("sigma", [0.0, 1e-3, 0.3])
+def test_noise_is_bitwise_the_sum_with_temporaries(sigma, perturb_identity):
+    # the in-place draw gives the bits of blocks + scale * z
+    data = exact_block_data(_dense_state(6, 5), 3)
+    for seed in range(5):
+        z = np.random.default_rng(seed).standard_normal(data.blocks.shape)
+        want = data.blocks + sigma / np.sqrt(2.0**3) * z
+        if not perturb_identity:
+            want[:, 0] = data.blocks[:, 0]
+        noisy = add_gaussian_noise(data, sigma, seed=seed,
+                                   perturb_identity=perturb_identity)
+        assert np.array_equal(noisy.blocks, want)
+
+
 def test_noise_is_seeded_and_marks_metadata():
     state = _dense_state(4, 4)
     data = exact_block_data(state, 2)

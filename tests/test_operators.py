@@ -165,6 +165,19 @@ def test_serialization_roundtrip_dense(tmp_path, herm16):
     assert np.array_equal(back.matrix, herm16)
 
 
+def test_save_refuses_non_finite_entries(tmp_path):
+    mpo = random_mpo(4, bond=3, seed=11)
+    mpo.tensors[2][1, 0, 0] = np.nan
+    dense = DenseOperator(np.eye(4) / 4.0)
+    dense.matrix[1, 1] = np.nan
+    for op in (mpo, dense):
+        path = tmp_path / "op.json"
+        with pytest.raises(ValueError,
+                           match="operator entries must be finite"):
+            save_operator(op, path)
+        assert not path.exists()
+
+
 def test_load_rejects_unknown_payload(tmp_path):
     path = tmp_path / "x.json"
     path.write_text('{"version": 1, "kind": "what"}')

@@ -22,7 +22,7 @@ from mpotomo.reconstruction import (NOISE_MODES, PINV_RTOL,
                                     default_split, noise_tikhonov_sigma2,
                                     numerical_rank, reconstruct_mpo,
                                     robust_solve, _fisher_penalty,
-                                    _site_matrices)
+                                    _inverse_factor, _site_matrices)
 import mpotomo
 from mpotomo.files import write_json
 from mpotomo.metrics import fidelity_w_optimized, hs_distance
@@ -557,11 +557,11 @@ def test_fisher_penalties_from_counts_metadata():
     assert np.isfinite(hs_distance(wm, rec))
 
 
-def test_scipy_loads_only_for_a_fisher_solve():
+def test_no_path_loads_scipy():
     # in a fresh interpreter: import mpotomo, a tikhonov reconstruction
-    # and its score, and a fisher robust_solve on explicit penalties leave
-    # scipy unloaded; a fisher reconstruction, which forms the Fisher
-    # penalties, then loads it and works
+    # and its score, a fisher robust_solve on explicit penalties and a
+    # whole counts -> likelihood fit -> fisher reconstruction leave scipy
+    # unloaded; the package needs numpy alone
     script = """
 import sys
 import numpy as np
@@ -582,7 +582,10 @@ assert "scipy" not in sys.modules, "a fisher robust_solve loaded scipy"
 _, w = w_state(5, phases=[0.1, 0.2, 0.3, 0.4])
 data = mpotomo.block_data_from_counts(simulate_counts(w, 3, 300, seed=3), 5)
 est, report = reconstruct_mpo(data, with_report=True)
-assert report.mode == "fisher" and "scipy" in sys.modules
+assert report.mode == "fisher"
+assert all(row["flags"] == [] for row in report.sites)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"a fisher reconstruction loaded {loaded}"
 print(mpotomo.compare_states(w, est).hs_distance)
 """
     src = os.path.dirname(os.path.dirname(mpotomo.__file__))
@@ -601,6 +604,84 @@ def test_fisher_mode_requires_metadata_or_penalty():
         with pytest.raises(ValueError, match="fisher noise metadata"):
             reconstruct_mpo(data, ReconstructionConfig(
                 regularizer=RegularizerSpec("fisher")))
+
+
+def _spd(n, cond, rng):
+    # eigenvalues spread log-evenly from 1 down to 1 / cond
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    A = (Q * np.logspace(0, -np.log10(cond), n)) @ Q.T
+    return (A + A.T) / 2
+
+
+@pytest.mark.parametrize("cond", [10.0, 1e10])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 255, 1023])
+def test_inverse_factor_is_the_inverse_cholesky_factor(rng, n, cond):
+    # 33, 255 and 1023 split into unequal halves, 1023 down four levels
+    A = _spd(n, cond, rng)
+    ref = np.linalg.inv(np.linalg.cholesky(A))
+    W = A.copy()
+    _inverse_factor(W)
+    assert np.all(np.triu(W, 1) == 0.0)
+    # both factors carry errors of about cond * eps; the residual of W
+    # stays within a small multiple of that of numpy's factor
+    assert np.linalg.norm(W - ref) <= 1e-15 * cond * np.linalg.norm(ref)
+    residual = [np.linalg.norm(M @ A @ M.T - np.eye(n)) for M in (W, ref)]
+    assert residual[0] <= 20 * residual[1] + n * np.finfo(float).eps
+
+
+def test_inverse_factor_works_on_a_strided_view(rng):
+    # _fisher_penalty factors the view full[1:, 1:] of a padded array
+    full = np.zeros((101, 101))
+    full[1:, 1:] = _spd(100, 1e4, rng)
+    ref = np.linalg.inv(np.linalg.cholesky(full[1:, 1:]))
+    view = full[1:, 1:]
+    _inverse_factor(view)
+    assert np.allclose(view, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+    assert np.all(full[0] == 0.0) and np.all(full[:, 0] == 0.0)
+
+
+def _first_half_not_positive(n, rng):
+    A = _spd(n, 1e3, rng)
+    A[3, 3] = -1.0
+    return A
+
+
+def _second_half_not_positive(n, rng):
+    A = _spd(n, 1e3, rng)
+    A[n - 3, n - 3] = -1.0
+    return A
+
+
+def _only_the_schur_complement_not_positive(n, rng):
+    # both diagonal blocks are the identity; A22 - A21 A21^T is not
+    h = n // 2
+    A = np.eye(n)
+    A[:h, h:] = 1.5 * np.eye(h, n - h)
+    A[h:, :h] = A[:h, h:].T
+    return A
+
+
+@pytest.mark.parametrize("n", [65, 200])
+@pytest.mark.parametrize("make, first_ok, second_ok", [
+    (_first_half_not_positive, False, True),
+    (_second_half_not_positive, True, False),
+    (_only_the_schur_complement_not_positive, True, True),
+], ids=["first_half", "second_half", "schur_complement"])
+def test_inverse_factor_raises_where_a_cholesky_factor_fails(
+        rng, n, make, first_ok, second_ok):
+    # which diagonal blocks of A are positive definite on their own
+    A = make(n, rng)
+    h = n // 2
+    for block, ok in ((A[:h, :h], first_ok), (A[h:, h:], second_ok)):
+        if ok:
+            np.linalg.cholesky(block)
+        else:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(block)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(A)
+    with pytest.raises(np.linalg.LinAlgError):
+        _inverse_factor(A.copy())
 
 
 def test_fisher_penalty_closed_form_for_the_maximally_mixed_window():
