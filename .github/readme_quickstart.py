@@ -5,9 +5,11 @@ Usage: python3 .github/readme_quickstart.py OUTDIR
 Writes the README's sweep.json example and every sh block that calls
 mpotomo, with /tmp/ paths made relative, into OUTDIR as quickstart.sh,
 runs that script there with `sh -ex` and saves its stdout as stdout.txt.
-A UserWarning (a likelihood fit that did not converge) or a
-RuntimeWarning (a numerical overflow, division by zero or invalid value)
-is an error, and the first nonzero exit fails this script.
+A UserWarning (a likelihood fit that did not converge), a RuntimeWarning
+(a numerical overflow, division by zero or invalid value), a
+DeprecationWarning or a PendingDeprecationWarning is an error, as in
+pyproject.toml's warning policy, and the first nonzero exit fails this
+script.
 
 The package comes from PYTHONPATH, so running this script twice, under
 two checkouts' src/ and into two directories, and comparing the files
@@ -34,8 +36,9 @@ def main(outdir: str) -> None:
     (out / "quickstart.sh").write_text(
         'mpotomo() { python3 -m mpotomo.cli "$@"; }\n'
         + "".join(blocks).replace("/tmp/", ""))
-    env = dict(os.environ,
-               PYTHONWARNINGS="error::UserWarning,error::RuntimeWarning")
+    env = dict(os.environ, PYTHONWARNINGS=(
+        "error::UserWarning,error::RuntimeWarning,"
+        "error::DeprecationWarning,error::PendingDeprecationWarning"))
     with open(out / "stdout.txt", "w") as stdout:
         subprocess.run(["sh", "-ex", "quickstart.sh"], cwd=out, env=env,
                        stdout=stdout, check=True)

@@ -124,14 +124,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_check_invertibility(args) -> int:
     state = load_operator(args.state)
-    if isinstance(state, DenseOperator):
-        report = check_invertibility_dense(state, args.l, args.r)
-        payload = report.to_dict()
-        payload["check"] = "dense_ranks"
-    else:
-        report = check_invertibility_mpo_spans(state, args.l, args.r)
-        payload = report.to_dict()
-        payload["check"] = "tensor_spans"
+    dense = isinstance(state, DenseOperator)
+    check = (check_invertibility_dense if dense
+             else check_invertibility_mpo_spans)
+    payload = {**check(state, args.l, args.r).to_dict(),
+               "check": "dense_ranks" if dense else "tensor_spans"}
     if args.out:
         write_json(args.out, payload, indent=1)
     _emit(payload)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class DenseOperator:
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
         n = self.n_sites
+        if n < 1:
+            raise ValueError("a dense operator needs at least one site")
         if n > DENSE_SITE_CAP:
             raise ValueError(f"dense operators capped at {DENSE_SITE_CAP} sites")
         if not np.isfinite(self.matrix).all():
@@ -49,10 +51,6 @@ class DenseOperator:
     def n_sites(self) -> int:
         return n_sites_of(self.matrix.shape[0])
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
     def coeffs(self) -> np.ndarray:
         return coeffs_from_dense(self.matrix)
 
@@ -64,18 +62,19 @@ class DenseOperator:
 class MatrixProductOperator:
     """Operator in matrix-product form with real basis-coefficient tensors."""
 
-    tensors: list[np.ndarray] = field(default_factory=list)
+    tensors: list[np.ndarray]
 
     def __post_init__(self):
         self.tensors = [np.ascontiguousarray(t, dtype=float) for t in self.tensors]
+        if not self.tensors:
+            raise ValueError("an MPO needs at least one tensor")
         for i, t in enumerate(self.tensors):
             if t.ndim != 3 or t.shape[0] != 4:
                 raise ValueError(f"tensor {i} must have shape (4, Dl, Dr)")
             if i and t.shape[1] != self.tensors[i - 1].shape[2]:
                 raise ValueError(f"bond mismatch between sites {i} and {i + 1}")
-        if self.tensors:
-            if self.tensors[0].shape[1] != 1 or self.tensors[-1].shape[2] != 1:
-                raise ValueError("boundary bonds must have dimension 1")
+        if self.tensors[0].shape[1] != 1 or self.tensors[-1].shape[2] != 1:
+            raise ValueError("boundary bonds must have dimension 1")
 
     @property
     def n_sites(self) -> int:
@@ -253,21 +252,14 @@ def _exact_split(arr: np.ndarray, n_axes: int, tail: int):
     """
     tensors = []
     carry = arr.reshape(1, -1)
-    for i in range(n_axes):
-        rows = carry.shape[0] * 4
-        rest = carry.size // rows
-        mat = carry.reshape(rows, rest)
-        if i == n_axes - 1 and tail == rest:
-            t = mat.reshape(carry.shape[0], 4, rest)
-            tensors.append(np.ascontiguousarray(t.transpose(1, 0, 2)))
-            return tensors
-        U, s, Vt = np.linalg.svd(mat, full_matrices=False)
-        keep = int(np.sum(s > _SVD_RTOL * s[0])) if s.size and s[0] > 0 else 1
-        keep = max(keep, 1)
-        t = U[:, :keep].reshape(carry.shape[0], 4, keep)
-        tensors.append(np.ascontiguousarray(t.transpose(1, 0, 2)))
+    for _ in range(n_axes - 1):
+        U, s, Vt = np.linalg.svd(carry.reshape(4 * len(carry), -1),
+                                 full_matrices=False)
+        keep = max(int(np.sum(s > _SVD_RTOL * s[0])), 1)
+        tensors.append(U[:, :keep].reshape(len(carry), 4, keep))
         carry = s[:keep, None] * Vt[:keep]
-    return tensors
+    tensors.append(carry.reshape(len(carry), 4, tail))
+    return [np.ascontiguousarray(t.transpose(1, 0, 2)) for t in tensors]
 
 
 def mpo_from_coeffs(c: np.ndarray) -> MatrixProductOperator:
@@ -323,8 +315,6 @@ def load_operator(path: str):
         require_type(payload["tensors"], list, f"{path}: tensors")
         tensors = [float_array(t, f"{path}: tensors[{i}]")
                    for i, t in enumerate(payload["tensors"])]
-        if not tensors:
-            raise ValueError("an MPO needs at least one tensor")
         if not all(np.isfinite(t).all() for t in tensors):
             raise ValueError("operator entries must be finite")
         op = MatrixProductOperator(tensors)

@@ -13,18 +13,17 @@ IS a matrix-product operator, which this module assembles explicitly:
   window matrix; the right boundary is a chain of index-splitting deltas.
 
 Each bulk site is fixed by its own window alone, so the N - R + 1
-per-site solves run as one: one SVD of the stack of every site's B and a
-filter on the singular values s above PINV_RTOL * s_max (0 below): 1 / s
-(truncated_pinv), s / (s^2 + sigma2) (tikhonov), or, in fisher mode,
-generalized Tikhonov with a penalty P assembled from per-window Fisher
-information, brought to standard form on B W with W W^T = P^-1 from one
-eigh of the stack of penalties (Hansen, Rank-Deficient and Discrete
-Ill-Posed Problems, 1998). Every mode's solution is x = W V f(s) U^T e,
-with W = I outside fisher mode. P needs the covariance of B's entries
-only, which are the coefficients of the window's first R - 1 sites: it is
-the inverse of that marginal's information, whose inverse Cholesky factor
-is formed in place by a blocked recursion on halves (numpy alone: every
-step above the base blocks is a matrix product).
+per-site solves run as one: x = W V f(s) U^T e, from one SVD
+B W = U diag(s) V^T of the stack of every site's B and one filter
+f(s) = s / (s^2 + lam) above PINV_RTOL * s_max (standard-form Tikhonov:
+Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998). A mode
+sets only each site's damping lam and whitening W (RegularizerSpec); in
+fisher mode W W^T = P^-1 for a penalty P assembled from per-window Fisher
+information. P needs the covariance of B's entries only, which are the
+coefficients of the window's first R - 1 sites: it is the inverse of that
+marginal's information, whose inverse Cholesky factor is formed in place
+by a blocked recursion on halves (numpy alone: every step above the base
+blocks is a matrix product).
 """
 
 from __future__ import annotations
@@ -52,21 +51,22 @@ NOISE_MODES = {None: "truncated_pinv", "scalar": "tikhonov",
 class RegularizerSpec:
     """Choice of robust linear solver for the per-site systems.
 
-    Each mode is a filter on the singular values s of the matrix it
-    factors, applied to s above PINV_RTOL * s_max and 0 below, so that no
-    filter divides by a singular value at rounding level: tikhonov with
-    sigma2 = 0 is the truncated solve.
-    mode "truncated_pinv": 1 / s.
-    mode "tikhonov": s / (s^2 + sigma2). sigma2 = None (the default)
-    means matched to the data's scalar noise: reconstruct_mpo sets it to
-    noise_tikhonov_sigma2(sigma, l, r) for the split it resolves, and
-    raises on data without scalar noise metadata; robust_solve, which has
-    no data, needs an explicit sigma2. No other mode takes a sigma2.
-    mode "fisher": minimizes |B x - e|^2 + x^T P x with the penalty P
-    assembled from the data's per-window Fisher metadata. This is standard
-    Tikhonov with filter s / (s^2 + 1) on B W, mapped back by W, where
-    W W^T = P^-1; if P is not numerically positive definite the site is
-    flagged "singular_penalty" and solved with the truncated filter on B.
+    Every mode applies one filter, s / (s^2 + lam), to the singular values
+    s of B W above PINV_RTOL * s_max, and 0 below, so that no solve
+    divides by a singular value at rounding level; a mode sets only the
+    damping lam and the whitening W (I unless named):
+    mode "truncated_pinv": lam = 0, the truncated pseudoinverse.
+    mode "tikhonov": lam = sigma2 (0 gives the truncated solve); None (the
+    default) means matched to the data's scalar noise:
+    reconstruct_mpo sets it to noise_tikhonov_sigma2(sigma, l, r) for the
+    split it resolves, and raises on data without scalar noise metadata;
+    robust_solve, which has no data, needs an explicit sigma2. No other
+    mode takes a sigma2.
+    mode "fisher": lam = 1 and W W^T = P^-1, which minimizes
+    |B x - e|^2 + x^T P x with the penalty P assembled from the data's
+    per-window Fisher metadata; if P is not numerically positive definite
+    the site is flagged "singular_penalty" and takes lam = 0 and W = I,
+    the truncated solve of its own B.
     """
 
     mode: str = "truncated_pinv"
@@ -146,8 +146,10 @@ def noise_tikhonov_sigma2(sigma: float, l: int, r: int) -> float:
 def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
                  penalty=None):
     """Regularized solution of B x = e for one matrix B or a stack of
-    them, with one SVD of the stack and the filter of `reg`: returns (x,
-    spectrum, flags); see RegularizerSpec for the modes.
+    them: x = W V f(s) U^T e, with B W = U diag(s) V^T from one SVD of
+    the stack and f(s) = s / (s^2 + lam) for s above PINV_RTOL * s_max (0
+    below). Returns (x, spectrum, flags); see RegularizerSpec for each
+    mode's damping lam and whitening W.
 
     B has shape (m, n) or (count, m, n), and e shape (m,) or (count, m)
     (one vector per matrix), or (m, k) or (count, m, k) (k columns). x has
@@ -158,13 +160,12 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
 
     fisher mode needs the penalty matrices P, shape (n, n) or
     (count, n, n), and tikhonov mode an explicit sigma2. In fisher mode
-    one eigh of the stack, P = Q diag(w) Q^T, gives W = Q diag(w)^-1/2
-    with W W^T = P^-1: the matrix factored is B W, whose singular values
-    are those of B L^-T for P = L L^T, and x is W times its solution. In
-    the other modes, and for a matrix flagged "singular_penalty" (its P is
-    not numerically positive definite: its smallest eigenvalue is at most
-    n * eps times its largest, so it takes the truncated filter on its own
-    B), the spectrum holds the singular values of B.
+    one eigh of the stack, P = Q diag(w) Q^T, gives W = Q diag(w)^-1/2,
+    and B W has the singular values of B L^-T for P = L L^T; P is not
+    numerically positive definite when its smallest eigenvalue is at most
+    n * eps times its largest. The filter squares s, so the spectrum must
+    lie within about 1e-154 to 1e154; a normalized state's windows are
+    far inside that range.
     """
     B, e = np.asarray(B, dtype=float), np.asarray(e, dtype=float)
     if reg.mode == "tikhonov" and reg.sigma2 is None:
@@ -180,34 +181,32 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
     count, m, n = B.shape
     e = e.reshape(count, m, 1 if vector else e.shape[-1])
     flags = [[] for _ in range(count)]
-    truncated = np.full(count, reg.mode == "truncated_pinv")
+    # the damping of each matrix: one column, broadcast over its spectrum
+    lam = np.full((count, 1), {"truncated_pinv": 0.0, "tikhonov": reg.sigma2,
+                               "fisher": 1.0}[reg.mode])
     if reg.mode == "fisher":
         P = np.asarray(penalty, dtype=float).reshape(count, n, n)
         if not np.isfinite(P).all():
             raise ValueError("fisher mode needs finite penalty matrices")
         w, Q = np.linalg.eigh(P)
-        truncated = w[:, 0] <= n * np.finfo(float).eps * w[:, -1]
-        for i in np.flatnonzero(truncated):
+        # lam = 0 and W = I where P is not numerically positive definite:
+        # the undamped filter on the matrix's own B
+        lam *= w[:, :1] > n * np.finfo(float).eps * w[:, -1:]
+        for i in np.flatnonzero(lam == 0.0):
             flags[i].append("singular_penalty")
-        whiten = ~truncated
-        W = Q[whiten] / np.sqrt(w[whiten, None, :])
-        B = B.copy()
-        B[whiten] = B[whiten] @ W
+        W = (np.where(lam[..., None], Q, np.eye(n))
+             / np.sqrt(np.where(lam, w, 1.0))[:, None, :])
+        B = B @ W
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    keep = s > PINV_RTOL * s[:, :1]
-    filt = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    if not truncated.all():
-        sigma2 = 1.0 if reg.mode == "fisher" else reg.sigma2
-        damped = np.divide(s, s**2 + sigma2, out=np.zeros_like(s),
-                           where=keep)
-        filt[~truncated] = damped[~truncated]
+    filt = np.divide(s, s**2 + lam, out=np.zeros_like(s),
+                     where=s > PINV_RTOL * s[:, :1])
     for i in np.flatnonzero((s[:, :1] <= 0.0).all(axis=1)):
         flags[i].append("zero_operator")
     z = U.transpose(0, 2, 1) @ e
     z *= filt[:, :, None]
     x = Vt.transpose(0, 2, 1) @ z
     if reg.mode == "fisher":
-        x[whiten] = W @ x[whiten]
+        x = W @ x
     x = x[..., 0] if vector else x
     return (x[0], s[0], flags[0]) if single else (x, s, flags)
 

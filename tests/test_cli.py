@@ -34,6 +34,25 @@ def test_gen_state_writes_both_forms(tmp_path, capsys):
     assert hs_distance(dense, mpo) < 1e-12
 
 
+@pytest.mark.parametrize("argv", [("critical-ising",),
+                                  ("random-nn", "--seed", "2")],
+                         ids=lambda argv: argv[0])
+def test_gen_state_of_a_thermal_family_writes_both_forms(tmp_path, capsys,
+                                                         argv):
+    # the thermal families build a dense state; its MPO is mpo_from_dense's
+    out = tmp_path / "th"
+    code, stdout, _ = _run(capsys, "gen-state", "--family", *argv, "--n",
+                           "4", "--out", str(out))
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["written"] == [f"{out}.mpo.json", f"{out}.dense.json"]
+    assert payload["family"] == _FAMILY_ALIASES[argv[0]]
+    mpo = load_operator(f"{out}.mpo.json")
+    dense = load_operator(f"{out}.dense.json")
+    assert mpo.n_sites == dense.n_sites == 4
+    assert abs(hs_distance(dense, mpo)) < 1e-12
+
+
 def test_gen_state_skips_dense_beyond_cap(tmp_path, capsys):
     out = tmp_path / "big"
     code, stdout, _ = _run(capsys, "gen-state", "--family", "ghz", "--n",
@@ -445,17 +464,37 @@ def test_check_invertibility_dense_and_spans(tmp_path, capsys):
                            f"{out}.dense.json", "--l", "1", "--r", "1")
     assert code == 0
     payload = json.loads(stdout)
+    assert list(payload) == ["l", "r", "is_invertible", "rows", "check"]
     assert payload["check"] == "dense_ranks"
     assert payload["is_invertible"] is False
     anc = tmp_path / "a"
     _run(capsys, "gen-state", "--family", "random-mpo", "--n", "6",
          "--seed", "8", "--out", str(anc))
+    report = tmp_path / "inv.json"
     code, stdout, _ = _run(capsys, "check-invertibility", "--state",
-                           f"{anc}.mpo.json", "--l", "2", "--r", "2")
+                           f"{anc}.mpo.json", "--l", "2", "--r", "2",
+                           "--out", str(report))
     assert code == 0
     payload = json.loads(stdout)
+    assert list(payload) == ["l", "r", "sufficient", "rows", "check"]
+    assert json.loads(report.read_text()) == payload
     assert payload["check"] == "tensor_spans"
     assert payload["sufficient"] is True
+
+
+def test_compare_names_a_dense_file_without_sites(tmp_path, capsys):
+    out = tmp_path / "w"
+    _run(capsys, "gen-state", "--family", "w", "--n", "4", "--out", str(out))
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"version": 1, "kind": "dense",
+                                 "n_sites": 0, "d": 2,
+                                 "matrix": [[[1.0, 0.0]]]}))
+    code, stdout, stderr = _run(capsys, "compare", "--ref",
+                                f"{out}.dense.json", "--est", str(empty))
+    assert code == 1 and stdout == ""
+    assert json.loads(stderr) == {
+        "error": "ValueError",
+        "message": "a dense operator needs at least one site"}
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -872,6 +872,8 @@ def _set_tensor_entry(payload, value):
      "bond_dims \\[1, 2, 2, 2, 1\\] disagree"),
     ("mpo", lambda p: p.update(n_sites=0, bond_dims=[1], tensors=[]),
      "at least one tensor"),
+    ("dense", lambda p: p.update(n_sites=0, matrix=[[[1.0, 0.0]]]),
+     "a dense operator needs at least one site"),
     ("mpo", lambda p: _set_tensor_entry(p, "0.25"),
      "op.json: tensors\\[1\\]: entries must be JSON numbers, not str"),
     ("mpo", lambda p: _set_tensor_entry(p, True),
@@ -891,9 +893,10 @@ def _set_tensor_entry(payload, value):
         "matrix", [[z + [0.0] for z in row] for row in p["matrix"]]),
      "op.json: matrix: entries must be \\[re, im\\] pairs"),
 ], ids=["mpo_nan", "dense_inf", "mpo_n_sites", "dense_n_sites",
-        "mpo_bond_dims", "mpo_empty", "mpo_string", "mpo_bool", "mpo_null",
-        "mpo_ragged", "mpo_tensors_object", "dense_string",
-        "dense_one_number_per_entry", "dense_three_numbers_per_entry"])
+        "mpo_bond_dims", "mpo_empty", "dense_empty", "mpo_string",
+        "mpo_bool", "mpo_null", "mpo_ragged", "mpo_tensors_object",
+        "dense_string", "dense_one_number_per_entry",
+        "dense_three_numbers_per_entry"])
 def test_load_operator_rejects_malformed_entries(tmp_path, kind, mutate,
                                                  match):
     dense, mpo = w_state(4)

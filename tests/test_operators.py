@@ -29,6 +29,16 @@ def test_dense_operator_shape_checks():
         DenseOperator(np.eye(3, dtype=complex))
 
 
+def test_constructors_reject_operators_without_sites():
+    with pytest.raises(ValueError, match="an MPO needs at least one tensor"):
+        MatrixProductOperator([])
+    with pytest.raises(TypeError):
+        MatrixProductOperator()
+    with pytest.raises(ValueError,
+                       match="a dense operator needs at least one site"):
+        DenseOperator(np.ones((1, 1)))
+
+
 def test_mpo_coefficient_matches_dense(rng):
     mpo = random_mpo(4, bond=3, seed=5)
     dense = mpo.to_dense().matrix

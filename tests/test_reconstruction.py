@@ -78,7 +78,7 @@ def test_tikhonov_zero_on_rank_deficient_matrix_is_the_truncated_solve(rng):
     x, s, _ = robust_solve(B, e, RegularizerSpec("tikhonov", sigma2=0.0))
     assert s[-1] < PINV_RTOL * s[0]
     xt = robust_solve(B, e, RegularizerSpec("truncated_pinv"))[0]
-    assert np.allclose(x, xt, rtol=0.0, atol=1e-12)
+    assert np.array_equal(x, xt)
 
 
 def test_fisher_with_scaled_identity_equals_tikhonov(rng):
@@ -519,6 +519,19 @@ def test_report_serialization(tmp_path):
     assert len(payload["sites"]) == 2
 
 
+def test_config_with_only_r_takes_the_rest_of_the_window_for_l():
+    assert ReconstructionConfig(r=1).resolved(5, 8) == (3, 1)
+    assert ReconstructionConfig(l=1).resolved(5, 8) == (1, 3)
+    data = add_gaussian_noise(exact_block_data(
+        random_mpo_via_ancilla(8, seed=3), 5), 1e-3, seed=4)
+    est, report = reconstruct_mpo(data, ReconstructionConfig(r=1),
+                                  with_report=True)
+    ref = reconstruct_mpo(data, ReconstructionConfig(l=3, r=1))
+    assert (report.l, report.r) == (3, 1)
+    assert all(np.array_equal(a, b) for a, b in zip(est.tensors,
+                                                    ref.tensors))
+
+
 def test_config_validation():
     st = random_mpo_via_ancilla(5, seed=18)
     data = exact_block_data(st, 3)
@@ -776,6 +789,13 @@ def test_zero_shots_in_one_window_flag_only_its_site():
         assert row["flags"] == (expected if row["k"] == 4 else [])
     assert all(np.all(np.isfinite(t)) for t in rec.tensors)
     assert hs_distance(st, rec) < 2e-3
+    # in the fisher stack, site 4 takes lam = 0 and W = I: bitwise the
+    # truncated_pinv solve of its own B
+    B, C = _site_matrices(data.blocks[2], 1, 1)
+    x, s, _ = robust_solve(B, C, RegularizerSpec("truncated_pinv"))
+    assert report.sites[2]["singular_values"] == s.tolist()
+    assert np.array_equal(rec.tensors[3],
+                          x.reshape(4, 4, 4).transpose(1, 0, 2))
 
 
 def test_fisher_report_spectrum_is_that_of_the_whitened_matrix(rng):
