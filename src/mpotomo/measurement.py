@@ -346,11 +346,18 @@ def _log_likelihood(nz: np.ndarray, n_nz: np.ndarray,
 
 @dataclass
 class MleResult:
-    rho: np.ndarray
+    """A likelihood fit: theta is the fitted window's coefficient vector,
+    as the fit left it, and rho its density matrix."""
+
+    theta: np.ndarray
     converged: bool
     n_iter: int
     log_likelihood: float
     kkt_residual: float
+
+    @property
+    def rho(self) -> np.ndarray:
+        return dense_from_coeffs(self.theta)
 
 
 # Defaults of every likelihood fit (local_mle, block_data_from_counts and
@@ -534,14 +541,15 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
         step *= _STEP_GROWTH
     if kkt is None:  # the fit stopped on an iterate it never tested
         kkt = kkt_residual(x, gradient(px) if gx is None else gx)
-    return MleResult(dense_from_coeffs(x), converged, it,
+    return MleResult(x, converged, it,
                      _log_likelihood(nz, n_nz, px), kkt)
 
 
 def _fisher_matrix(theta: np.ndarray, shots: np.ndarray) -> np.ndarray:
-    """Fisher information over the non-identity coefficients of a window
-    with coefficients theta and shots[j] shots of setting j of all_settings:
+    """Fisher information over every coefficient of a window with
+    coefficients theta and shots[j] shots of setting j of all_settings:
     F = sum_s n_s sum_o (grad p)(grad p)^T / p, p clipped at the floor.
+    Row and column c are coefficient c, the identity entry 0 included.
 
     One pass over the measured settings: one matmul gives every
     probability, one batched Gram matrix of the sqrt(n / p)-weighted signs
@@ -558,15 +566,15 @@ def _fisher_matrix(theta: np.ndarray, shots: np.ndarray) -> np.ndarray:
     gram = weighted.transpose(0, 2, 1) @ weighted
     dim = 4**width
     flat = cols[:, :, None] * dim + cols[:, None, :]
-    full = np.bincount(flat.ravel(), weights=gram.ravel(),
+    return np.bincount(flat.ravel(), weights=gram.ravel(),
                        minlength=dim * dim).reshape(dim, dim)
-    return full[1:, 1:]
 
 
 def fisher_information(block: CountsBlock, rho_est: np.ndarray) -> np.ndarray:
-    """_fisher_matrix of a window's counts at the estimate rho_est."""
+    """_fisher_matrix of a window's counts at the estimate rho_est, over the
+    non-identity coefficients (unit trace fixes the identity's)."""
     theta = coeffs_from_dense(np.asarray(rho_est, dtype=complex))
-    return _fisher_matrix(theta, block.counts.sum(axis=1))
+    return _fisher_matrix(theta, block.counts.sum(axis=1))[1:, 1:]
 
 
 def _shared_width(blocks: list[CountsBlock]) -> int:
@@ -603,7 +611,7 @@ def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
                           f"{res.n_iter} iterations with KKT residual "
                           f"{res.kkt_residual:.1e}, not below tol = {tol:g}; "
                           "using the last iterate")
-        vecs.append(coeffs_from_dense(res.rho))
+        vecs.append(res.theta)
         shots.append(by_k[k].counts.sum(axis=1))
     return PauliBlockData(n_sites, width, np.array(vecs),
                           NoiseMeta("fisher", shots=np.array(shots)))

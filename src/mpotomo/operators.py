@@ -36,6 +36,10 @@ class DenseOperator:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
+        shape = self.matrix.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"matrix must be square and 2-D, not shape "
+                             f"{shape}")
         n = self.n_sites
         if n < 1:
             raise ValueError("a dense operator needs at least one site")

@@ -163,9 +163,9 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
     one eigh of the stack, P = Q diag(w) Q^T, gives W = Q diag(w)^-1/2,
     and B W has the singular values of B L^-T for P = L L^T; P is not
     numerically positive definite when its smallest eigenvalue is at most
-    n * eps times its largest. The filter squares s, so the spectrum must
-    lie within about 1e-154 to 1e154; a normalized state's windows are
-    far inside that range.
+    n * eps times its largest. Each matrix's filter is taken on s and lam
+    scaled by a power of two, which is exact, so that squaring s neither
+    overflows nor underflows on any finite spectrum.
     """
     B, e = np.asarray(B, dtype=float), np.asarray(e, dtype=float)
     if reg.mode == "tikhonov" and reg.sigma2 is None:
@@ -198,8 +198,14 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
              / np.sqrt(np.where(lam, w, 1.0))[:, None, :])
         B = B @ W
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    filt = np.divide(s, s**2 + lam, out=np.zeros_like(s),
+    # the filter of s 2^-q and lam 2^-2q, times 2^-q: exact, with 2^q the
+    # power of two that brings max(s_max, sqrt(lam)) into [1/2, 1), so
+    # s^2 + lam neither overflows nor underflows
+    q = np.frexp(np.maximum(s[:, :1], np.sqrt(lam)))[1]
+    t = np.ldexp(s, -q)
+    filt = np.divide(t, t**2 + np.ldexp(lam, -2 * q), out=np.zeros_like(s),
                      where=s > PINV_RTOL * s[:, :1])
+    filt = np.ldexp(filt, -q)
     for i in np.flatnonzero((s[:, :1] <= 0.0).all(axis=1)):
         flags[i].append("zero_operator")
     z = U.transpose(0, 2, 1) @ e
@@ -238,47 +244,43 @@ def _inverse_factor(A: np.ndarray) -> None:
     U[...] = 0.0
 
 
-def _fisher_penalty(theta: np.ndarray, shots: np.ndarray, l: int, r: int):
+def _fisher_penalty(theta: np.ndarray, shots: np.ndarray, r: int):
     """Penalty P = row-sum of the covariance of B's entries, and flags.
 
     B's entries are the coefficients sqrt(2) theta[::4] of the window's
-    first l + r sites. Their covariance is taken as the inverse of that
-    marginal's information F: _fisher_matrix at width l + r, each marginal
-    setting with the shots of the three window settings that extend it
-    (all_settings varies the last site fastest). F is overwritten by
-    W = L^-1, F = L L^T (_inverse_factor), and the covariance is W^T W
-    over B's entries other than the identity entry, which has no variance:
-    W's column c is B's entry c + 1. With B's entries (i, j) at
-    i * 4^r + j, P[j, j'] = sum_i Cov[B_ij, B_ij'] sums W_i^T W_i over
-    blocks W_i of 4^r columns (4^r - 1 for i = 0, whose identity entry is
-    left out), taken from the first row that can be nonzero. The marginal
-    information is at most the information the whole window holds on B's
-    entries, so P is slightly more cautious than the profiled penalty. A
-    factor that fails (singular information) gives the scalar fallback,
-    from F evaluated again.
+    first R - 1 sites, entry (i, j) at i * 4^r + j. Their covariance is
+    taken as the inverse of that marginal's information F: _fisher_matrix
+    at width R - 1, each marginal setting with the shots of the three
+    window settings that extend it (all_settings varies the last site
+    fastest). The identity entry has no variance: with its row and column
+    pinned to e_0, F is overwritten by W = L^-1, F = L L^T
+    (_inverse_factor), and W[0, 0] zeroed leaves W^T W the covariance,
+    column c coefficient c. So P[j, j'] = sum_i Cov[B_ij, B_ij'] sums
+    W_i^T W_i over the blocks W_i of 4^r columns, from their first row
+    that can be nonzero. The marginal information is at most the
+    information the whole window holds on B's entries, so P is slightly
+    more cautious than the profiled penalty. A factor that fails
+    (singular information) gives the scalar fallback tr(F^+) / 4^r, the
+    mean column sum of the pseudoinverse variances, from the eigenvalues
+    of F evaluated again.
     """
-    dim_l, dim_r = 4**l, 4**r
+    dim_r = 4**r
     marginal = (np.sqrt(2.0) * theta[::4], shots.reshape(-1, 3).sum(axis=1))
-    # a view into _fisher_matrix's fresh result, which nothing else holds
     W = _fisher_matrix(*marginal)
+    W[0] = W[:, 0] = 0.0
+    W[0, 0] = 1.0
     try:
         _inverse_factor(W)
     except np.linalg.LinAlgError:
-        # Singular information: fall back to a scalar penalty built
-        # from the pseudoinverse variances of the entries of B.
-        w, Q = np.linalg.eigh(_fisher_matrix(*marginal))
+        w = np.linalg.eigvalsh(_fisher_matrix(*marginal)[1:, 1:])
         keep = w > 1e-12 * max(w.max(), 1e-300)
-        inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
-        var = np.zeros(dim_l * dim_r)
-        var[1:] = np.einsum("ij,j,ij->i", Q, inv_w, Q)
-        scale = np.mean(var.reshape(dim_l, dim_r).sum(axis=0))
+        scale = np.sum(1.0 / w[keep]) / dim_r
         return scale * np.eye(dim_r), ["fisher_singular_scalar"]
+    W[0, 0] = 0.0
     P = np.zeros((dim_r, dim_r))
-    for i in range(dim_l):
-        first = max(i * dim_r - 1, 0)
-        W_i = W[first:, first:(i + 1) * dim_r - 1]
-        k = W_i.shape[1]
-        P[dim_r - k:, dim_r - k:] += W_i.T @ W_i
+    for i in range(0, len(W), dim_r):
+        W_i = W[i:, i:i + dim_r]
+        P += W_i.T @ W_i
     return P, []
 
 
@@ -354,7 +356,7 @@ def reconstruct_mpo(data: PauliBlockData,
         # k = b + l + 1; its penalty comes from its own Fisher information.
         penalties, penalty_flags = None, [[] for _ in data.blocks]
         if mode == "fisher":
-            pairs = [_fisher_penalty(block, shots, l, r)
+            pairs = [_fisher_penalty(block, shots, r)
                      for block, shots in zip(data.blocks, data.noise.shots)]
             penalties = np.array([P for P, _ in pairs])
             penalty_flags = [f for _, f in pairs]

@@ -180,11 +180,11 @@ def fisher_by_finite_difference(counts, width, theta, h=1e-6):
 
 
 def fisher_matrix_loop(theta, shots):
-    """Fisher information over the non-identity coefficients, one setting
-    at a time: each setting's block signs^T diag(n / p) signs is added
-    into F at its strings with np.ix_. The per-setting reference for the
-    package's batched _fisher_matrix; the design comes from the package,
-    which fisher_by_finite_difference checks independently."""
+    """Fisher information over every coefficient, one setting at a time:
+    each setting's block signs^T diag(n / p) signs is added into F at its
+    strings with np.ix_. The per-setting reference for the package's
+    batched _fisher_matrix; the design comes from the package, which
+    fisher_by_finite_difference checks independently."""
     from mpotomo.measurement import _design
 
     width = int(round(np.log(theta.size) / np.log(4)))
@@ -194,7 +194,7 @@ def fisher_matrix_loop(theta, shots):
         p = np.clip(signs @ theta[cols[j]], 1e-12, None)
         m = signs.T @ (signs / p[:, None]) * shots[j]
         full[np.ix_(cols[j], cols[j])] += m
-    return full[1:, 1:]
+    return full
 
 
 def fisher_penalty_marginal(theta, shots, l, r):
@@ -216,7 +216,8 @@ def fisher_penalty_marginal(theta, shots, l, r):
     by_setting = dict.fromkeys(settings_loop(width - 1), 0)
     for setting, n in zip(settings_loop(width), shots):
         by_setting[setting[:-1]] += n
-    F = fisher_matrix_loop(theta_m, np.array(list(by_setting.values())))
+    F = fisher_matrix_loop(theta_m,
+                           np.array(list(by_setting.values())))[1:, 1:]
     w = np.linalg.eigvalsh(F)
     if w[0] <= 1e-12 * max(w[-1], 1e-300):
         var = np.concatenate([[0.0], np.diag(np.linalg.pinv(

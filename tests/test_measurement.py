@@ -133,6 +133,21 @@ def test_identity_entry_encodes_trace():
                            atol=1e-12)
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: PauliBlockData(5, 3, np.zeros((3, 63))),
+     ValueError, r"blocks must have shape \(3, 64\)"),
+    (lambda: PauliBlockData(3, 4, np.zeros((0, 256))),
+     ValueError, "need 1 <= width <= n_sites"),
+    (lambda: exact_block_data(np.eye(4) / 4, 1),
+     TypeError, "unsupported state type ndarray"),
+    (lambda: local_mle(CountsBlock(1, np.zeros((3, 2), int))),
+     ValueError, "no counts present in block"),
+], ids=["blocks_shape", "width_above_n", "not_a_state", "no_counts"])
+def test_window_inputs_are_named(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_exact_block_data_validates_width():
     state = _dense_state(2, 3)
     with pytest.raises(ValueError):
@@ -471,13 +486,13 @@ def test_fisher_matrix_has_no_coupling_between_last_site_axes(
         fisher_window, width):
     # no setting measures two axes on one site, so coefficients whose last
     # sites carry different non-identity Paulis are never coupled; row
-    # 4 m + s - 1 of F is coefficient 4 m + s
+    # 4 m + s of F is coefficient 4 m + s
     F = _fisher_matrix(*fisher_window(width, "random"))
     for s in (1, 2, 3):
-        assert np.all(F[s - 1::4, s - 1::4].diagonal() > 0.0)
+        assert np.all(F[s::4, s::4].diagonal() > 0.0)
         for t in (1, 2, 3):
             if t != s:
-                assert not np.any(F[s - 1::4, t - 1::4])
+                assert not np.any(F[s::4, t::4])
 
 
 def test_block_data_from_counts_has_fisher_metadata():
@@ -488,12 +503,16 @@ def test_block_data_from_counts_has_fisher_metadata():
         data = block_data_from_counts(blocks, 4)
     assert data.noise is not None and data.noise.kind == "fisher"
     assert np.array_equal(data.noise.shots, np.full((3, 9), 400))
-    # the information the penalty forms from a window's estimate and shots
-    # is that of its counts at the fitted state
+    # each window is stored as it was fitted, and the information the
+    # penalty forms from it and its shots is that of its counts at the
+    # fitted state, whose dense form rounds the coefficients
     for b, block in enumerate(blocks):
-        assert np.array_equal(
-            _fisher_matrix(data.blocks[b], data.noise.shots[b]),
-            fisher_information(block, local_mle(block).rho))
+        fit = local_mle(block)
+        assert np.array_equal(data.blocks[b], fit.theta)
+        F = fisher_information(block, fit.rho)
+        assert np.allclose(
+            _fisher_matrix(data.blocks[b], data.noise.shots[b])[1:, 1:], F,
+            rtol=0.0, atol=1e-12 * np.abs(F).max())
     # identity entries are fixed by unit trace
     assert np.allclose(data.blocks[:, 0], 0.5, atol=1e-12)
 
@@ -892,11 +911,14 @@ def _set_tensor_entry(payload, value):
     ("dense", lambda p: p.__setitem__(
         "matrix", [[z + [0.0] for z in row] for row in p["matrix"]]),
      "op.json: matrix: entries must be \\[re, im\\] pairs"),
+    ("dense", lambda p: p.update(matrix=[[[1.0, 0.0]] * 4] * 2),
+     "matrix must be square and 2-D, not shape \\(2, 4\\)"),
+    ("mpo", lambda p: p.update(kind="what"), "unknown operator kind 'what'"),
 ], ids=["mpo_nan", "dense_inf", "mpo_n_sites", "dense_n_sites",
         "mpo_bond_dims", "mpo_empty", "dense_empty", "mpo_string",
         "mpo_bool", "mpo_null", "mpo_ragged", "mpo_tensors_object",
         "dense_string", "dense_one_number_per_entry",
-        "dense_three_numbers_per_entry"])
+        "dense_three_numbers_per_entry", "dense_not_square", "unknown_kind"])
 def test_load_operator_rejects_malformed_entries(tmp_path, kind, mutate,
                                                  match):
     dense, mpo = w_state(4)

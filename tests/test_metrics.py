@@ -130,6 +130,19 @@ def test_compare_states_rejects_zero_norm_reference():
             compare_states(ref, b)
 
 
+def test_hs_distance_names_a_site_mismatch():
+    with pytest.raises(ValueError, match="operands must share site count"):
+        hs_distance(DenseOperator(np.eye(4) / 4),
+                    DenseOperator(np.eye(8) / 8))
+
+
+def test_w_fidelity_names_states_above_the_dense_cap():
+    _, w13 = w_state(13)
+    with pytest.raises(ValueError, match="phase-optimized fidelity needs "
+                                         "the dense form"):
+        fidelity_w_optimized(w13)
+
+
 def test_distance_beyond_the_float_range_is_inf():
     # a truncated solve of noisy windows gives an estimate whose trace is
     # near 8e191: its purity and its distance to the state are beyond the

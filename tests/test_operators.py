@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,15 @@ def test_dense_operator_shape_checks():
         DenseOperator(np.eye(3, dtype=complex))
 
 
+@pytest.mark.parametrize("matrix", [np.ones(4), np.ones((2, 2, 2)),
+                                    np.ones((2, 4))],
+                         ids=["one_axis", "three_axes", "not_square"])
+def test_dense_operator_names_a_matrix_that_is_not_square_and_2d(matrix):
+    with pytest.raises(ValueError, match="matrix must be square and 2-D, "
+                       "not shape " + re.escape(str(matrix.shape))):
+        DenseOperator(matrix)
+
+
 def test_constructors_reject_operators_without_sites():
     with pytest.raises(ValueError, match="an MPO needs at least one tensor"):
         MatrixProductOperator([])
@@ -37,6 +48,36 @@ def test_constructors_reject_operators_without_sites():
     with pytest.raises(ValueError,
                        match="a dense operator needs at least one site"):
         DenseOperator(np.ones((1, 1)))
+
+
+def _traceless_mpo():
+    tensors = [np.zeros((4, 1, 2)), np.zeros((4, 2, 1))]
+    tensors[0][1, 0, 0] = tensors[1][1, 0, 0] = 1.0
+    return MatrixProductOperator(tensors)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    # a broadcast view of one zero allocates nothing
+    (lambda p: DenseOperator(np.broadcast_to(np.complex128(0),
+                                             (8192, 8192))),
+     ValueError, "dense operators capped at 12 sites"),
+    (lambda p: MatrixProductOperator([np.zeros((3, 1, 1))]),
+     ValueError, r"tensor 0 must have shape \(4, Dl, Dr\)"),
+    (lambda p: random_mpo(3, bond=2, seed=0).coefficient([0, 0]),
+     ValueError, "one basis index per site required"),
+    (lambda p: _traceless_mpo().rescaled_trace(1.0),
+     ValueError, "cannot rescale an operator with zero trace"),
+    (lambda p: mpo_overlap(random_mpo(3, bond=2, seed=0),
+                           random_mpo(4, bond=2, seed=0)),
+     ValueError, "operands must share site count"),
+    (lambda p: save_operator(np.eye(2), p / "op.json"),
+     TypeError, "cannot serialize ndarray"),
+], ids=["dense_cap", "tensor_shape", "coefficient_length", "zero_trace",
+        "overlap_sites", "save_type"])
+def test_operators_name_bad_input(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
+    assert not (tmp_path / "op.json").exists()
 
 
 def test_mpo_coefficient_matches_dense(rng):

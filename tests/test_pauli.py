@@ -46,6 +46,13 @@ def test_n_sites_of_rejects_non_powers():
         n_sites_of(12)
 
 
+@pytest.mark.parametrize("alpha", [-1, 4])
+def test_pauli_matrix_names_an_index_out_of_range(alpha):
+    with pytest.raises(ValueError, match=f"alpha = {alpha} out of range "
+                                         "0..3"):
+        pauli_matrix(alpha)
+
+
 def test_coeffs_of_projector_on_zero_zero():
     # |00><00| = (1/4)(I+Z)(x)(I+Z); in the normalized basis every one of
     # the four surviving strings II, IZ, ZI, ZZ carries weight 1/2

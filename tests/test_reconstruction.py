@@ -55,6 +55,27 @@ def test_truncated_pinv_on_rank_deficient_matrix(rng):
     assert np.allclose(x, np.linalg.pinv(B) @ e, atol=1e-8)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e-160, 1e160, 1e180,
+                                   1e200])
+def test_filter_holds_where_the_squared_spectrum_leaves_the_float_range(
+        rng, scale):
+    # each matrix's filter is taken on its spectrum and damping rescaled by
+    # a power of two, so neither s^2 nor s^2 + lam over- or underflows and
+    # no warning is raised
+    B, e = rng.normal(size=(2, 8, 5)), rng.normal(size=(2, 8))
+    x = robust_solve(scale * B, e, RegularizerSpec("truncated_pinv"))[0]
+    ref = np.array([np.linalg.pinv(b) @ v for b, v in zip(B, e)])
+    assert np.linalg.norm(scale * x - ref) <= 1e-13 * np.linalg.norm(ref)
+    # a damping of 1 is far above s^2 on the small spectra, where
+    # x = B^T e to rounding, and far below it on the large ones
+    x = robust_solve(scale * B, e, RegularizerSpec("tikhonov", sigma2=1.0))[0]
+    if scale < 1.0:
+        ref = np.einsum("kmn,km->kn", B, e)
+        assert np.linalg.norm(x / scale - ref) <= 1e-13 * np.linalg.norm(ref)
+    else:
+        assert np.linalg.norm(scale * x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def test_tikhonov_matches_normal_equations(rng):
     B = rng.normal(size=(7, 4))
     e = rng.normal(size=7)
@@ -190,6 +211,13 @@ def test_fisher_rejects_a_non_finite_penalty(rng, bad):
     with pytest.raises(ValueError, match="finite penalty"):
         robust_solve(rng.normal(size=(2, 6, 4)), rng.normal(size=(2, 6)),
                      RegularizerSpec("fisher"), P)
+
+
+def test_fisher_robust_solve_names_a_missing_penalty(rng):
+    with pytest.raises(ValueError, match="fisher mode requires a penalty "
+                                         "matrix"):
+        robust_solve(rng.normal(size=(6, 4)), rng.normal(size=6),
+                     RegularizerSpec("fisher"))
 
 
 def test_robust_solve_takes_one_stack_axis(rng):
@@ -385,7 +413,7 @@ def test_bulk_tensors_equal_per_alpha_solves(reg):
         penalty = None
         if reg.mode == "fisher":
             penalty, _ = _fisher_penalty(
-                data.block(k - 2), data.noise.shots[k - 3], 2, 2)
+                data.block(k - 2), data.noise.shots[k - 3], 2)
         c3 = C.reshape(16, 4, 16)
         per_alpha = np.array([robust_solve(B, c3[:, a, :], reg, penalty)[0]
                               for a in range(4)])
@@ -411,7 +439,7 @@ def test_report_rows_equal_per_site_solves(kind):
         penalty, penalty_flags = None, []
         if kind == "fisher":
             penalty, penalty_flags = _fisher_penalty(
-                data.blocks[b], data.noise.shots[b], 2, 2)
+                data.blocks[b], data.noise.shots[b], 2)
         x, spectrum, flags = robust_solve(B, C, reg, penalty)
         assert row == {"k": b + 3,
                        "singular_values": [float(v) for v in spectrum],
@@ -541,6 +569,8 @@ def test_config_validation():
         reconstruct_mpo(data, ReconstructionConfig(l=0, r=2))
     with pytest.raises(ValueError):
         ReconstructionConfig(l=2, r=2).resolved(4, 4)  # ok at n == width
+    with pytest.raises(ValueError, match=r"need l \+ r <= n_sites - 2"):
+        ReconstructionConfig().resolved(7, 5)
     # n == width passthrough accepts the degenerate split
     ReconstructionConfig(l=2, r=1).resolved(4, 4)
 
@@ -643,7 +673,8 @@ def test_inverse_factor_is_the_inverse_cholesky_factor(rng, n, cond):
 
 
 def test_inverse_factor_works_on_a_strided_view(rng):
-    # _fisher_penalty factors the view full[1:, 1:] of a padded array
+    # the recursion factors strided views of its argument's halves; a view
+    # of a padded array must factor in place, leaving the padding as it is
     full = np.zeros((101, 101))
     full[1:, 1:] = _spd(100, 1e4, rng)
     ref = np.linalg.inv(np.linalg.cholesky(full[1:, 1:]))
@@ -706,7 +737,7 @@ def test_fisher_penalty_closed_form_for_the_maximally_mixed_window():
     # P[j, j] = 1 / (12 n) + 3 / (4 n) for j != 0
     n = 300
     theta = coeffs_from_dense(np.eye(8) / 8.0)
-    P, flags = _fisher_penalty(theta, np.full(27, 100), 1, 1)
+    P, flags = _fisher_penalty(theta, np.full(27, 100), 1)
     expected = (1.0 / (12 * n) + 3.0 / (4 * n)) * np.eye(4)
     expected[0, 0] = 3.0 / (12 * n)
     assert np.allclose(P, expected, rtol=1e-12, atol=1e-15)
@@ -724,7 +755,7 @@ def test_fisher_penalty_matches_the_full_cholesky_reference(fisher_window, l,
     # leaves its full-weight strings without information, and both take
     # the scalar fallback
     theta, shots = fisher_window(l + r + 1, shots_kind)
-    P, flags = _fisher_penalty(theta, shots, l, r)
+    P, flags = _fisher_penalty(theta, shots, r)
     ref, ref_flags = oracles.fisher_penalty_marginal(theta, shots, l, r)
     assert flags == ref_flags
     assert flags == (["fisher_singular_scalar"]
@@ -749,7 +780,7 @@ def test_fisher_singular_information_falls_back_to_scalar():
     for site in report.sites:
         assert site["flags"] == ["fisher_singular_scalar"]
         b = site["k"] - 2
-        P, flags = _fisher_penalty(data.blocks[b], data.noise.shots[b], 1, 1)
+        P, flags = _fisher_penalty(data.blocks[b], data.noise.shots[b], 1)
         assert flags == ["fisher_singular_scalar"]
         assert np.allclose(P, P[0, 0] * np.eye(4)) and P[0, 0] > 0.0
     assert all(np.all(np.isfinite(t)) for t in rec.tensors)
@@ -808,7 +839,7 @@ def test_fisher_report_spectrum_is_that_of_the_whitened_matrix(rng):
         regularizer=RegularizerSpec("fisher")), with_report=True)
     for row in report.sites:
         k = row["k"]
-        P, _ = _fisher_penalty(data.blocks[k - 2], shots[k - 2], 1, 1)
+        P, _ = _fisher_penalty(data.blocks[k - 2], shots[k - 2], 1)
         L = np.linalg.cholesky(P)
         B, _ = _site_matrices(data.block(k - 1), 1, 1)
         expected = np.linalg.svd(B @ np.linalg.inv(L).T, compute_uv=False)
@@ -875,6 +906,22 @@ def test_span_condition_on_ancilla_state():
     # a single site cannot span the 16-dimensional bond-pair space
     assert not rep.sufficient
     assert all(row["rank_left"] <= 4 for row in rep.rows)
+
+
+@pytest.mark.parametrize("check, state, l, r, error, match", [
+    (check_invertibility_dense, random_mpo_via_ancilla(4, seed=1), 1, 1,
+     TypeError, "dense invertibility check needs a DenseOperator"),
+    (check_invertibility_dense, DenseOperator(np.eye(8) / 8), 0, 1,
+     ValueError, r"need 1 <= l, r with l \+ r < n_sites"),
+    (check_invertibility_dense, DenseOperator(np.eye(8) / 8), 2, 1,
+     ValueError, r"need 1 <= l, r with l \+ r < n_sites"),
+    (check_invertibility_mpo_spans, random_mpo_via_ancilla(3, seed=1), 1, 2,
+     ValueError, r"need 1 <= l, r with l \+ r < n_sites"),
+], ids=["dense_type", "dense_l_0", "dense_too_wide", "spans_too_wide"])
+def test_invertibility_checks_name_bad_arguments(check, state, l, r, error,
+                                                 match):
+    with pytest.raises(error, match=match):
+        check(state, l, r)
 
 
 def test_span_condition_needs_nonzero_trace():

@@ -18,6 +18,9 @@ def test_hamiltonian_spec_validation():
         HamiltonianSpec("nope", 4)
     with pytest.raises(ValueError):
         HamiltonianSpec("critical_ising", 1)
+    with pytest.raises(ValueError, match="exact diagonalization capped at "
+                                         "12 sites"):
+        HamiltonianSpec("critical_ising", 13)
 
 
 def test_ising_two_site_ground_energy():
@@ -319,6 +322,13 @@ def test_product_state_names_a_ket_it_cannot_normalize(ket):
     with pytest.raises(ValueError, match="ket 2: norm .* is zero or not "
                        "finite"):
         product_state(2, [[1.0, 0.0], ket])
+
+
+def test_named_states_name_a_wrong_count_of_site_inputs():
+    with pytest.raises(ValueError, match="need n_sites - 1 phases"):
+        w_state(3, phases=[0.1])
+    with pytest.raises(ValueError, match="need one ket per site"):
+        product_state(2, [[1.0, 0.0]])
 
 
 def test_make_state_matches_family_constructors():
