@@ -113,13 +113,22 @@ class MatrixProductOperator:
 
     def rescaled_trace(self, target: float = 1.0) -> "MatrixProductOperator":
         """Copy with the trace rescaled to `target` (trace must be nonzero)."""
-        tr, e = _contract(_trace_left, np.ones(1), zip(self.tensors))
-        if abs(tr) < 1e-300:
-            raise ValueError("cannot rescale an operator with zero trace")
-        q, r = divmod(-e, self.n_sites)  # 2^-e, spread over the sites
-        ts = [np.ldexp(t, q + (i < r)) for i, t in enumerate(self.tensors)]
-        ts[0] = ts[0] * (target / tr)
+        ts = [t.copy() for t in self.tensors]
+        _rescale_trace(ts, target)
         return MatrixProductOperator(ts)
+
+
+def _rescale_trace(tensors: list[np.ndarray], target: float) -> None:
+    """Rescale a chain's site tensors in place so its trace is `target`:
+    the trace's 2^-e spread over the sites, each by an exact power of two,
+    and the remaining factor on the first site. Raises on a zero trace."""
+    tr, e = _contract(_trace_left, np.ones(1), zip(tensors))
+    if abs(tr) < 1e-300:
+        raise ValueError("cannot rescale an operator with zero trace")
+    q, r = divmod(-e, len(tensors))
+    for i, t in enumerate(tensors):
+        np.ldexp(t, q + (i < r), out=t)
+    tensors[0] *= target / tr
 
 
 def _sweep(step, v, items):
@@ -263,7 +272,8 @@ def _exact_split(arr: np.ndarray, n_axes: int, tail: int):
         tensors.append(U[:, :keep].reshape(len(carry), 4, keep))
         carry = s[:keep, None] * Vt[:keep]
     tensors.append(carry.reshape(len(carry), 4, tail))
-    return [np.ascontiguousarray(t.transpose(1, 0, 2)) for t in tensors]
+    # copies: a one-site split would otherwise be a view of arr
+    return [t.transpose(1, 0, 2).copy() for t in tensors]
 
 
 def mpo_from_coeffs(c: np.ndarray) -> MatrixProductOperator:

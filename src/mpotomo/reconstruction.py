@@ -13,17 +13,19 @@ IS a matrix-product operator, which this module assembles explicitly:
   window matrix; the right boundary is a chain of index-splitting deltas.
 
 Each bulk site is fixed by its own window alone, so the N - R + 1
-per-site solves run as one: x = W V f(s) U^T e, from one SVD
-B W = U diag(s) V^T of the stack of every site's B and one filter
-f(s) = s / (s^2 + lam) above PINV_RTOL * s_max (standard-form Tikhonov:
-Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998). A mode
-sets only each site's damping lam and whitening W (RegularizerSpec); in
-fisher mode W W^T = P^-1 for a penalty P assembled from per-window Fisher
-information. P needs the covariance of B's entries only, which are the
-coefficients of the window's first R - 1 sites: it is the inverse of that
-marginal's information, whose inverse Cholesky factor is formed in place
-by a blocked recursion on halves (numpy alone: every step above the base
-blocks is a matrix product).
+per-site solves run as one: one SVD B W = U diag(s) V^T of the stack of
+every site's B and one filter f(s) = s / (s^2 + lam) above
+PINV_RTOL * s_max (standard-form Tikhonov: Hansen, Rank-Deficient and
+Discrete Ill-Posed Problems, 1998) give each site's solve operator
+S = W V f(s) U^T. A solution is x = S e, and the site tensors are S
+applied straight to the four alpha blocks of C in one batched product.
+A mode sets only each site's damping lam and whitening W
+(RegularizerSpec); in fisher mode W W^T = P^-1 for a penalty P assembled
+from per-window Fisher information. P needs the covariance of B's entries
+only, which are the coefficients of the window's first R - 1 sites: it is
+the inverse of that marginal's information, whose inverse Cholesky factor
+is formed in place by a blocked recursion on halves (numpy alone: every
+step above the base blocks is a matrix product).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .measurement import PauliBlockData, _fisher_matrix
 from .operators import (DenseOperator, MatrixProductOperator, _exact_split,
-                        mpo_from_coeffs)
+                        _rescale_trace, mpo_from_coeffs)
 
 RANK_RTOL = 1e-9  # numerical rank: singular values above RANK_RTOL * s_max
 PINV_RTOL = 1e-10  # every filter is 0 for s at or below PINV_RTOL * s_max
@@ -146,10 +148,11 @@ def noise_tikhonov_sigma2(sigma: float, l: int, r: int) -> float:
 def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
                  penalty=None):
     """Regularized solution of B x = e for one matrix B or a stack of
-    them: x = W V f(s) U^T e, with B W = U diag(s) V^T from one SVD of
-    the stack and f(s) = s / (s^2 + lam) for s above PINV_RTOL * s_max (0
-    below). Returns (x, spectrum, flags); see RegularizerSpec for each
-    mode's damping lam and whitening W.
+    them: x = S e with the solve operator S = W V f(s) U^T, from one SVD
+    B W = U diag(s) V^T of the stack and f(s) = s / (s^2 + lam) for s
+    above PINV_RTOL * s_max (0 below); reconstruct_mpo applies the same S
+    straight into the site tensors. Returns (x, spectrum, flags); see
+    RegularizerSpec for each mode's damping lam and whitening W.
 
     B has shape (m, n) or (count, m, n), and e shape (m,) or (count, m)
     (one vector per matrix), or (m, k) or (count, m, k) (k columns). x has
@@ -178,8 +181,20 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
                          f"{B.shape}")
     single, vector = B.ndim == 2, e.ndim == B.ndim - 1
     B = B.reshape(-1, *B.shape[-2:])
+    count, m, _ = B.shape
+    S, s, flags = _solve_operators(B, reg, penalty)
+    x = S @ e.reshape(count, m, 1 if vector else e.shape[-1])
+    x = x[..., 0] if vector else x
+    return (x[0], s[0], flags[0]) if single else (x, s, flags)
+
+
+def _solve_operators(B: np.ndarray, reg: RegularizerSpec, penalty):
+    """(S, spectra, flags) for the stack B (count, m, n): each matrix's
+    solve operator S = W V diag(f(s)) U^T, shape (n, m), so that its
+    regularized solution is x = S e (robust_solve). f(s) scales V^T in
+    place, so besides B the stack's SVD and S are the only arrays of B's
+    size, and S alone is returned."""
     count, m, n = B.shape
-    e = e.reshape(count, m, 1 if vector else e.shape[-1])
     flags = [[] for _ in range(count)]
     # the damping of each matrix: one column, broadcast over its spectrum
     lam = np.full((count, 1), {"truncated_pinv": 0.0, "tikhonov": reg.sigma2,
@@ -208,13 +223,9 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
     filt = np.ldexp(filt, -q)
     for i in np.flatnonzero((s[:, :1] <= 0.0).all(axis=1)):
         flags[i].append("zero_operator")
-    z = U.transpose(0, 2, 1) @ e
-    z *= filt[:, :, None]
-    x = Vt.transpose(0, 2, 1) @ z
-    if reg.mode == "fisher":
-        x = W @ x
-    x = x[..., 0] if vector else x
-    return (x[0], s[0], flags[0]) if single else (x, s, flags)
+    Vt *= filt[:, :, None]  # diag(f(s)) V^T, in V^T's storage
+    S = Vt.transpose(0, 2, 1) @ U.transpose(0, 2, 1)
+    return (W @ S if reg.mode == "fisher" else S), s, flags
 
 
 def _inverse_factor(A: np.ndarray) -> None:
@@ -360,12 +371,14 @@ def reconstruct_mpo(data: PauliBlockData,
                      for block, shots in zip(data.blocks, data.noise.shots)]
             penalties = np.array([P for P, _ in pairs])
             penalty_flags = [f for _, f in pairs]
+        S, spectra, flags = _solve_operators(B, reg, penalties)
+        del B  # B and then S are freed as soon as they are used
         # Column a * dim_r + j of C is right string j extended by
-        # alpha = a, so one stacked solve gives all 4 matrices of every
-        # bulk site.
-        x, spectra, flags = robust_solve(B, C, reg, penalties)
-        sites = x.reshape(-1, dim_r, 4, dim_r).transpose(0, 2, 1, 3)
-        tensors.extend(np.ascontiguousarray(sites))
+        # alpha = a: one batched product of each site's S with its four
+        # alpha blocks is the (N - R + 1, 4, dim_r, dim_r) site tensors.
+        tensors.extend(S[:, None] @ C.reshape(len(S), 4**l, 4, dim_r)
+                       .transpose(0, 2, 1, 3))
+        del S
         site_rows = [{"k": b + l + 1, "singular_values": spectrum,
                       "flags": flags[b] + penalty_flags[b]}
                      for b, spectrum in enumerate(spectra.tolist())]
@@ -376,7 +389,7 @@ def reconstruct_mpo(data: PauliBlockData,
                            .transpose(1, 0, 2))
         mpo = MatrixProductOperator(tensors)
     if cfg.normalize:
-        mpo = mpo.rescaled_trace(1.0)
+        _rescale_trace(mpo.tensors, 1.0)  # the tensors just built, in place
     if with_report:
         return mpo, ReconstructionReport(n, data.width, l, r, mode,
                                          cfg.normalize, site_rows)

@@ -334,6 +334,18 @@ def test_density_projection_is_the_nearest_density_matrix():
         assert (target - proj) @ (q - proj) <= 1e-12
 
 
+def test_density_projection_rejects_complex_coefficients(monkeypatch):
+    # a simplex projection with complex weights makes the projected matrix
+    # non-Hermitian; the guard names it instead of dropping the imaginary
+    # parts
+    orig = mpotomo.measurement._simplex_projection
+    monkeypatch.setattr(mpotomo.measurement, "_simplex_projection",
+                        lambda w: orig(w) * (1 + 1j))
+    target = coeffs_from_dense(np.diag([0.7, 0.2, 0.1, 0.0]))
+    with pytest.raises(ValueError, match="not Hermitian: complex"):
+        _project_density(target)
+
+
 @pytest.mark.parametrize("width", range(1, 8))
 def test_xz_projection_matches_transform_projection(width):
     # random Hermitian targets, some far outside the density matrices

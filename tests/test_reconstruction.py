@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -510,6 +511,60 @@ def test_normalize_rescales_trace():
                                                       normalize=True))
     assert abs(raw.trace - 1.0) > 1e-6
     assert abs(unit.trace - 1.0) < 1e-12
+
+
+def test_normalize_rescales_the_built_tensors_bitwise():
+    # normalize=True rescales the new tensors in place: bitwise the copy
+    # rescaled_trace makes, which leaves its source untouched
+    st = random_mpo_via_ancilla(9, seed=40)
+    data = add_gaussian_noise(exact_block_data(st, 5), 1e-3, seed=41)
+    raw = reconstruct_mpo(data)
+    kept = [t.copy() for t in raw.tensors]
+    want = raw.rescaled_trace(1.0)
+    unit = reconstruct_mpo(data, ReconstructionConfig(normalize=True))
+    for t, u, w, k in zip(raw.tensors, unit.tensors, want.tensors, kept):
+        assert np.array_equal(u, w) and np.array_equal(t, k)
+    # a one-site window's factorization is its own tensor: normalizing it
+    # in place leaves the data's block as it was
+    data = exact_block_data(DenseOperator(np.diag([0.3, 0.5])), 1)
+    block = data.blocks.copy()
+    unit = reconstruct_mpo(data, ReconstructionConfig(normalize=True))
+    assert unit.trace == pytest.approx(1.0)
+    assert np.array_equal(data.blocks, block)
+
+
+@pytest.fixture(scope="module")
+def w1024_windows():
+    exact = exact_block_data(w_state(1024)[1], 5)
+    return {"exact": exact,
+            "noisy": add_gaussian_noise(exact, 1e-3, seed=42)}
+
+
+@pytest.mark.parametrize("windows, mode, normalize", [
+    ("exact", None, False), ("noisy", None, False),
+    ("noisy", "truncated_pinv", False), ("exact", None, True),
+    ("noisy", None, True)])
+def test_reconstruction_peak_memory_is_near_its_tensors(
+        w1024_windows, windows, mode, normalize):
+    # each bulk site's solve operator goes straight into the site tensors,
+    # and normalize rescales them in place: the traced peak stays within
+    # 1.5 times the tensors returned
+    data = w1024_windows[windows]
+    cfg = ReconstructionConfig(
+        regularizer=mode and RegularizerSpec(mode), normalize=normalize)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        est = reconstruct_mpo(data, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    tensors = sum(t.nbytes for t in est.tensors)
+    assert peak <= 1.5 * tensors, peak / tensors
 
 
 def test_exact_reconstruction_of_a_4096_site_mixed_chain():
