@@ -5,7 +5,8 @@ extraction, noise injection, reconstruction, scoring) over a grid and
 writes three CSV files:
 
   * trials:  one row per (cell, trial) with the distance and seed,
-  * summary: per-cell mean/std/min/max over trials,
+  * summary: per-cell trial and success counts and the mean and std
+             of the distance over trials,
   * timing:  wall-clock per trial, kept separate so the two result
              files are byte-identical when the sweep is rerun.
 

@@ -35,71 +35,68 @@ from .pauli import coeffs_from_dense, dense_from_coeffs, n_sites_of
 
 
 @dataclass
-class NoiseMeta:
-    """Covariance descriptor for the entries of noisy block vectors.
-
-    kind "scalar": iid Gaussian noise of standard deviation `sigma` was
-    added to the unnormalized basis expectations (so sigma / sqrt(2^width)
-    per normalized entry). kind "fisher": the windows were fitted from
-    counts, window b with shots[b, j] shots of setting j of all_settings.
-    """
-
-    kind: str
-    sigma: float | None = None
-    shots: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("scalar", "fisher"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "scalar" and self.sigma is None:
-            raise ValueError("scalar noise requires sigma")
-        if self.kind == "scalar" and not (np.isfinite(self.sigma)
-                                          and self.sigma >= 0.0):
-            raise ValueError("scalar noise sigma must be finite and "
-                             "nonnegative")
-        if self.kind == "fisher":
-            self.shots = np.asarray(self.shots)
-            if self.shots.dtype.kind not in "iu" or np.any(self.shots < 0):
-                raise ValueError("fisher noise requires shots that are "
-                                 "nonnegative integers")
-
-
-@dataclass
 class PauliBlockData:
     """Normalized basis expectations for every width-site window.
 
     blocks[b] is the coefficient vector of the reduction onto sites
-    b+1 .. b+width (1-based), packed big-endian, length 4^width.
-    Construction (and so load_block_data) rejects non-finite blocks and
-    Fisher shots whose shape is not (n_blocks, 3^width).
+    b+1 .. b+width (1-based), packed big-endian, length 4^width; width,
+    n_blocks and n_sites are read off its shape. With sigma, iid Gaussian
+    noise of standard deviation sigma was added to the unnormalized
+    expectations (sigma / sqrt(2^width) per normalized entry); with shots,
+    window b was fitted from shots[b, j] shots of setting j of
+    all_settings. Construction rejects a shape other than (n_blocks,
+    4^width) with both at least 1, non-finite blocks, a sigma that is not
+    finite and nonnegative, shots that are not nonnegative integers of
+    shape (n_blocks, 3^width), and both sigma and shots.
     """
 
-    n_sites: int
-    width: int
     blocks: np.ndarray
-    noise: NoiseMeta | None = None
+    sigma: float | None = None
+    shots: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.sigma is not None and self.shots is not None:
+            raise ValueError("window data carries sigma or shots, not both")
+        # before the blocks, which add_gaussian_noise draws with sigma
+        if self.sigma is not None and not (np.isfinite(self.sigma)
+                                           and self.sigma >= 0.0):
+            raise ValueError("scalar noise sigma must be finite and "
+                             "nonnegative")
         self.blocks = np.asarray(self.blocks, dtype=float)
-        expect = (self.n_blocks, 4**self.width)
-        if self.blocks.shape != expect:
-            raise ValueError(f"blocks must have shape {expect}")
+        shape = self.blocks.shape
+        rows, cols = shape if len(shape) == 2 else (0, 0)
+        width = (cols.bit_length() - 1) // 2
+        if rows < 1 or width < 1 or cols != 4**width:
+            raise ValueError(f"blocks must have shape (n_blocks, 4^R) with "
+                             f"n_blocks, R >= 1, not {shape}")
         if not np.all(np.isfinite(self.blocks)):
             raise ValueError("blocks must be finite")
-        if self.noise is not None and self.noise.kind == "fisher":
-            shape = (self.n_blocks, 3**self.width)
-            if self.noise.shots.shape != shape:
-                raise ValueError(f"fisher shots must have shape {shape}")
+        if self.shots is not None:
+            self.shots = np.asarray(self.shots)
+            if self.shots.dtype.kind not in "iu" or np.any(self.shots < 0):
+                raise ValueError("fisher noise requires shots that are "
+                                 "nonnegative integers")
+            if self.shots.shape != (rows, 3**width):
+                raise ValueError(f"fisher shots must have shape "
+                                 f"{(rows, 3**width)}")
+
+    @property
+    def width(self) -> int:
+        return n_sites_of(self.blocks.shape[1], 4)
 
     @property
     def n_blocks(self) -> int:
-        if not 1 <= self.width <= self.n_sites:
-            raise ValueError("need 1 <= width <= n_sites")
-        return self.n_sites - self.width + 1
+        return self.blocks.shape[0]
 
-    def block(self, k: int) -> np.ndarray:
-        """Vector for the window starting at 1-based site k."""
-        return self.blocks[k - 1]
+    @property
+    def n_sites(self) -> int:
+        return self.n_blocks + self.width - 1
+
+    @property
+    def noise_kind(self) -> str | None:
+        """None for exact data, "scalar" with sigma, "fisher" with shots."""
+        return ("scalar" if self.sigma is not None
+                else None if self.shots is None else "fisher")
 
 
 def exact_block_data(state, width: int) -> PauliBlockData:
@@ -117,7 +114,7 @@ def exact_block_data(state, width: int) -> PauliBlockData:
     blocks = np.empty((n - width + 1, 4**width))
     for b, vector in enumerate(_windows(state, width, 1, n - width + 1)):
         blocks[b] = vector
-    return PauliBlockData(n, width, blocks)
+    return PauliBlockData(blocks)
 
 
 def add_gaussian_noise(data: PauliBlockData, sigma: float, seed=None,
@@ -126,9 +123,9 @@ def add_gaussian_noise(data: PauliBlockData, sigma: float, seed=None,
 
     Normalized entries receive standard deviation sigma / sqrt(2^width).
     With perturb_identity=False the identity-string entries are left exact,
-    preserving the declared trace. sigma must be finite and nonnegative.
+    preserving the declared trace. sigma must be finite and nonnegative
+    (PauliBlockData rejects it otherwise).
     """
-    noise = NoiseMeta("scalar", sigma=sigma)
     rng = np.random.default_rng(seed)
     scale = sigma / np.sqrt(2.0 ** data.width)
     # in place, with no temporaries: bitwise data.blocks + scale * z
@@ -137,7 +134,7 @@ def add_gaussian_noise(data: PauliBlockData, sigma: float, seed=None,
     noisy += data.blocks
     if not perturb_identity:
         noisy[:, 0] = data.blocks[:, 0]
-    return PauliBlockData(data.n_sites, data.width, noisy, noise)
+    return PauliBlockData(noisy, sigma=sigma)
 
 
 # ---- Projective measurement simulation ----
@@ -591,7 +588,7 @@ def _shared_width(blocks: list[CountsBlock]) -> int:
 def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
                            tol: float = MLE_TOL,
                            max_iter: int = MLE_MAX_ITER) -> PauliBlockData:
-    """Estimate every window from counts; Fisher noise holds their shots.
+    """Estimate every window from counts; the data holds their shots.
 
     blocks must share one width and hold one window per k in
     1..n_sites - width + 1. Both are checked before the first fit, and
@@ -613,8 +610,7 @@ def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
                           "using the last iterate")
         vecs.append(res.theta)
         shots.append(by_k[k].counts.sum(axis=1))
-    return PauliBlockData(n_sites, width, np.array(vecs),
-                          NoiseMeta("fisher", shots=np.array(shots)))
+    return PauliBlockData(np.array(vecs), shots=np.array(shots))
 
 
 # ---- Serialization ----
@@ -748,13 +744,11 @@ def load_counts(path: str):
 
 
 def save_block_data(data: PauliBlockData, path: str) -> None:
-    noise = None
-    if data.noise is not None:
-        noise = {"kind": data.noise.kind}
-        if data.noise.kind == "scalar":
-            noise["sigma"] = data.noise.sigma
-        else:
-            noise["shots"] = data.noise.shots.tolist()
+    kind, noise = data.noise_kind, None
+    if kind == "scalar":
+        noise = {"kind": kind, "sigma": data.sigma}
+    elif kind == "fisher":
+        noise = {"kind": kind, "shots": data.shots.tolist()}
     payload = {
         "version": FORMAT_VERSION, "N": data.n_sites, "R": data.width,
         "d": 2, "blocks": float_record(data.blocks), "noise": noise,
@@ -765,14 +759,15 @@ def save_block_data(data: PauliBlockData, path: str) -> None:
 def load_block_data(path: str) -> PauliBlockData:
     """Read a window data file; rejects a bad header, an N or R that is
     not an integer, `blocks` that are neither a float record nor a
-    rectangular nested array of numbers (files.float_array),
-    a `noise` other than null that is not an object with a `kind`, a
-    scalar `sigma` that is not a number, fisher noise without `shots` (so
-    a file that holds Fisher matrices) or with shots that are not rows of
-    integers, and whatever PauliBlockData and NoiseMeta reject, including
-    an unknown noise kind."""
+    rectangular nested array of numbers (files.float_array), an R outside
+    1..N, blocks whose shape is not (N - R + 1, 4^R), a `noise` other
+    than null that is not an object with a `kind`, an unknown noise kind,
+    scalar noise without a `sigma` or with one that is not a number,
+    fisher noise without `shots` (so a file that holds Fisher matrices)
+    or with shots that are not rows of integers, and whatever
+    PauliBlockData rejects."""
     payload = _read_windows_file(path)
-    noise = None
+    sigma = shots = None
     raw = payload.get("noise")
     if raw is not None:
         where = f"{path}: noise"
@@ -791,9 +786,18 @@ def load_block_data(path: str) -> PauliBlockData:
                         require_type(n, int, f"{where} shots[{b}][{j}]")
             if len({len(row) for row in shots}) > 1:
                 raise ValueError(f"{where} shots: rows differ in length")
-        noise = NoiseMeta(raw["kind"],
-                          sigma=None if sigma is None else float(sigma),
-                          shots=shots)
-    return PauliBlockData(payload["N"], payload["R"],
-                          float_array(payload["blocks"], f"{path}: blocks"),
-                          noise)
+            sigma = None
+        elif raw["kind"] == "scalar":
+            if sigma is None:
+                raise ValueError("scalar noise requires sigma")
+            sigma, shots = float(sigma), None
+        else:
+            raise ValueError(f"unknown noise kind {raw['kind']!r}")
+    blocks = float_array(payload["blocks"], f"{path}: blocks")
+    n_sites, width = payload["N"], payload["R"]
+    if not 1 <= width <= n_sites:
+        raise ValueError("need 1 <= width <= n_sites")
+    expect = (n_sites - width + 1, 4**width)
+    if blocks.shape != expect:
+        raise ValueError(f"blocks must have shape {expect}")
+    return PauliBlockData(blocks, sigma, shots)

@@ -6,9 +6,10 @@ a small linear system whose matrices are read directly off the window
 expectation vectors. With the per-site solves precomputed, the recursion
 IS a matrix-product operator, which this module assembles explicitly:
 
-* site k in the bulk carries the 4 matrices pinv(B_k) C_k[alpha],
-  where B_k and C_k tabulate window expectations with one left group of
-  l sites against right groups of r and r + 1 sites;
+* site k in the bulk carries the 4 matrices S_k C_k[alpha], with S_k
+  the mode's solve operator of B_k (below), where B_k and C_k tabulate
+  window expectations with one left group of l sites against right
+  groups of r and r + 1 sites;
 * the left boundary is the exact sequential factorization of the closing
   window matrix; the right boundary is a chain of index-splitting deltas.
 
@@ -42,9 +43,8 @@ RANK_RTOL = 1e-9  # numerical rank: singular values above RANK_RTOL * s_max
 PINV_RTOL = 1e-10  # every filter is 0 for s at or below PINV_RTOL * s_max
 _FACTOR_BASE = 32  # _inverse_factor factors blocks up to this side directly
 
-# The solver mode for each kind of data noise (PauliBlockData.noise.kind,
-# None for exact data); reconstruct_mpo applies it unless the config names
-# a regularizer.
+# The solver mode for each PauliBlockData.noise_kind (None for exact
+# data); reconstruct_mpo applies it unless the config names a regularizer.
 NOISE_MODES = {None: "truncated_pinv", "scalar": "tikhonov",
                "fisher": "fisher"}
 
@@ -191,9 +191,10 @@ def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
 def _solve_operators(B: np.ndarray, reg: RegularizerSpec, penalty):
     """(S, spectra, flags) for the stack B (count, m, n): each matrix's
     solve operator S = W V diag(f(s)) U^T, shape (n, m), so that its
-    regularized solution is x = S e (robust_solve). f(s) scales V^T in
-    place, so besides B the stack's SVD and S are the only arrays of B's
-    size, and S alone is returned."""
+    regularized solution is x = S e (robust_solve). W is formed in the
+    eigh's Q and f(s) scales V^T in place; B W goes after the SVD, and U
+    and V^T before W S, so besides B and the penalties at most four arrays
+    of B's size are alive at once, and S alone is returned."""
     count, m, n = B.shape
     flags = [[] for _ in range(count)]
     # the damping of each matrix: one column, broadcast over its spectrum
@@ -203,16 +204,17 @@ def _solve_operators(B: np.ndarray, reg: RegularizerSpec, penalty):
         P = np.asarray(penalty, dtype=float).reshape(count, n, n)
         if not np.isfinite(P).all():
             raise ValueError("fisher mode needs finite penalty matrices")
-        w, Q = np.linalg.eigh(P)
+        w, W = np.linalg.eigh(P)
         # lam = 0 and W = I where P is not numerically positive definite:
         # the undamped filter on the matrix's own B
         lam *= w[:, :1] > n * np.finfo(float).eps * w[:, -1:]
         for i in np.flatnonzero(lam == 0.0):
             flags[i].append("singular_penalty")
-        W = (np.where(lam[..., None], Q, np.eye(n))
-             / np.sqrt(np.where(lam, w, 1.0))[:, None, :])
+        W[lam[:, 0] == 0.0] = np.eye(n)
+        W /= np.sqrt(np.where(lam, w, 1.0))[:, None, :]
         B = B @ W
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    del B
     # the filter of s 2^-q and lam 2^-2q, times 2^-q: exact, with 2^q the
     # power of two that brings max(s_max, sqrt(lam)) into [1/2, 1), so
     # s^2 + lam neither overflows nor underflows
@@ -225,6 +227,7 @@ def _solve_operators(B: np.ndarray, reg: RegularizerSpec, penalty):
         flags[i].append("zero_operator")
     Vt *= filt[:, :, None]  # diag(f(s)) V^T, in V^T's storage
     S = Vt.transpose(0, 2, 1) @ U.transpose(0, 2, 1)
+    del U, Vt
     return (W @ S if reg.mode == "fisher" else S), s, flags
 
 
@@ -301,16 +304,13 @@ def _data_regularizer(data: PauliBlockData, reg: RegularizerSpec | None,
     with a default tikhonov sigma2 matched to the data's scalar noise;
     raises when the data lacks the noise metadata `reg` needs."""
     if reg is None:
-        reg = RegularizerSpec(NOISE_MODES[data.noise.kind if data.noise
-                                          else None])
+        reg = RegularizerSpec(NOISE_MODES[data.noise_kind])
     if reg.mode == "tikhonov" and reg.sigma2 is None:
-        if data.noise is None or data.noise.kind != "scalar":
+        if data.sigma is None:
             raise ValueError("tikhonov without sigma2 needs scalar noise "
                              "metadata on the data")
-        reg = replace(reg, sigma2=noise_tikhonov_sigma2(data.noise.sigma,
-                                                        l, r))
-    if reg.mode == "fisher" and (data.noise is None
-                                 or data.noise.kind != "fisher"):
+        reg = replace(reg, sigma2=noise_tikhonov_sigma2(data.sigma, l, r))
+    if reg.mode == "fisher" and data.shots is None:
         raise ValueError("fisher mode needs fisher noise metadata on the "
                          "data")
     return reg
@@ -367,12 +367,13 @@ def reconstruct_mpo(data: PauliBlockData,
         # k = b + l + 1; its penalty comes from its own Fisher information.
         penalties, penalty_flags = None, [[] for _ in data.blocks]
         if mode == "fisher":
-            pairs = [_fisher_penalty(block, shots, r)
-                     for block, shots in zip(data.blocks, data.noise.shots)]
-            penalties = np.array([P for P, _ in pairs])
-            penalty_flags = [f for _, f in pairs]
+            penalties = np.empty((len(B), dim_r, dim_r))
+            for b, shots in enumerate(data.shots):
+                penalties[b], penalty_flags[b] = _fisher_penalty(
+                    data.blocks[b], shots, r)
         S, spectra, flags = _solve_operators(B, reg, penalties)
-        del B  # B and then S are freed as soon as they are used
+        # B and the penalties, then S, are freed as soon as they are used
+        del B, penalties
         # Column a * dim_r + j of C is right string j extended by
         # alpha = a: one batched product of each site's S with its four
         # alpha blocks is the (N - R + 1, 4, dim_r, dim_r) site tensors.

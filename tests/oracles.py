@@ -558,11 +558,11 @@ def operator_payload_nested(op):
 
 def block_data_payload_nested(data):
     noise = None
-    if data.noise is not None:
-        noise = {"kind": data.noise.kind}
-        if data.noise.kind == "scalar":
-            noise["sigma"] = data.noise.sigma
+    if data.noise_kind is not None:
+        noise = {"kind": data.noise_kind}
+        if data.noise_kind == "scalar":
+            noise["sigma"] = data.sigma
         else:
-            noise["shots"] = data.noise.shots.tolist()
+            noise["shots"] = data.shots.tolist()
     return {"version": 1, "N": data.n_sites, "R": data.width, "d": 2,
             "blocks": data.blocks.tolist(), "noise": noise}

@@ -231,7 +231,7 @@ def test_counts_pipeline(tmp_path, capsys):
     code, _, _ = _run(capsys, "ingest-counts", "--counts", str(counts),
                       "--out", str(data))
     assert code == 0
-    assert load_block_data(data).noise.kind == "fisher"
+    assert load_block_data(data).noise_kind == "fisher"
     est = tmp_path / "est.json"
     code, stdout, _ = _run(capsys, "reconstruct", "--data", str(data),
                            "--out", str(est))
@@ -260,7 +260,7 @@ def test_measure_reads_the_dense_and_the_mpo_file_alike(tmp_path, capsys):
                       "--out", str(fitted))
     assert code == 0
     data = load_block_data(fitted)
-    assert data.noise.kind == "fisher" and data.n_blocks == 3
+    assert data.noise_kind == "fisher" and data.n_blocks == 3
 
 
 @pytest.mark.parametrize("kind, measure", [
@@ -281,8 +281,7 @@ def test_reconstruct_picks_the_solver_from_the_noise_kind(tmp_path, capsys,
         data.rename(counts)
         _run(capsys, "ingest-counts", "--counts", str(counts), "--out",
              str(data))
-    noise = load_block_data(data).noise
-    assert (noise.kind if noise else None) == kind
+    assert load_block_data(data).noise_kind == kind
     code, stdout, _ = _run(capsys, "reconstruct", "--data", str(data),
                            "--out", str(tmp_path / "est.json"))
     assert code == 0

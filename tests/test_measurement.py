@@ -8,9 +8,9 @@ import pytest
 import oracles
 from oracles import random_mpo
 from mpotomo.files import write_json
-from mpotomo.measurement import (MLE_TOL, CountsBlock, NoiseMeta,
-                                 PauliBlockData, _design, _fisher_matrix,
-                                 _labels, _probabilities, _project_density,
+from mpotomo.measurement import (MLE_TOL, CountsBlock, PauliBlockData,
+                                 _design, _fisher_matrix, _labels,
+                                 _probabilities, _project_density,
                                  _setting_unitaries, add_gaussian_noise,
                                  all_settings, block_data_from_counts,
                                  exact_block_data,
@@ -134,15 +134,24 @@ def test_identity_entry_encodes_trace():
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda: PauliBlockData(5, 3, np.zeros((3, 63))),
-     ValueError, r"blocks must have shape \(3, 64\)"),
-    (lambda: PauliBlockData(3, 4, np.zeros((0, 256))),
-     ValueError, "need 1 <= width <= n_sites"),
+    (lambda: PauliBlockData(np.zeros((3, 63))),
+     ValueError, r"blocks must have shape \(n_blocks, 4\^R\) with "
+     r"n_blocks, R >= 1, not \(3, 63\)"),
+    (lambda: PauliBlockData(np.zeros((0, 256))),
+     ValueError, r"blocks must have shape .*, not \(0, 256\)"),
+    (lambda: PauliBlockData(np.zeros((3, 1))),
+     ValueError, r"blocks must have shape .*, not \(3, 1\)"),
+    (lambda: PauliBlockData(np.zeros(64)),
+     ValueError, r"blocks must have shape .*, not \(64,\)"),
+    (lambda: PauliBlockData(np.zeros((3, 64)), sigma=1e-3,
+                            shots=np.ones((3, 27), dtype=int)),
+     ValueError, "window data carries sigma or shots, not both"),
     (lambda: exact_block_data(np.eye(4) / 4, 1),
      TypeError, "unsupported state type ndarray"),
     (lambda: local_mle(CountsBlock(1, np.zeros((3, 2), int))),
      ValueError, "no counts present in block"),
-], ids=["blocks_shape", "width_above_n", "not_a_state", "no_counts"])
+], ids=["blocks_shape", "width_above_n", "no_sites", "one_vector",
+        "sigma_and_shots", "not_a_state", "no_counts"])
 def test_window_inputs_are_named(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -194,7 +203,7 @@ def test_noise_is_seeded_and_marks_metadata():
     n3 = add_gaussian_noise(data, 1e-3, seed=6)
     assert np.array_equal(n1.blocks, n2.blocks)
     assert not np.array_equal(n1.blocks, n3.blocks)
-    assert n1.noise.kind == "scalar" and n1.noise.sigma == 1e-3
+    assert n1.noise_kind == "scalar" and n1.sigma == 1e-3
 
 
 def test_noise_can_keep_identity_exact():
@@ -212,7 +221,7 @@ def test_noise_rejects_negative_or_non_finite_sigma(sigma):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         add_gaussian_noise(data, sigma, seed=0)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        NoiseMeta("scalar", sigma=sigma)
+        PauliBlockData(data.blocks, sigma=sigma)
 
 
 def test_setting_probabilities_match_projector_oracle():
@@ -513,8 +522,8 @@ def test_block_data_from_counts_has_fisher_metadata():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # every window converges
         data = block_data_from_counts(blocks, 4)
-    assert data.noise is not None and data.noise.kind == "fisher"
-    assert np.array_equal(data.noise.shots, np.full((3, 9), 400))
+    assert data.noise_kind == "fisher"
+    assert np.array_equal(data.shots, np.full((3, 9), 400))
     # each window is stored as it was fitted, and the information the
     # penalty forms from it and its shots is that of its counts at the
     # fitted state, whose dense form rounds the coefficients
@@ -523,7 +532,7 @@ def test_block_data_from_counts_has_fisher_metadata():
         assert np.array_equal(data.blocks[b], fit.theta)
         F = fisher_information(block, fit.rho)
         assert np.allclose(
-            _fisher_matrix(data.blocks[b], data.noise.shots[b])[1:, 1:], F,
+            _fisher_matrix(data.blocks[b], data.shots[b])[1:, 1:], F,
             rtol=0.0, atol=1e-12 * np.abs(F).max())
     # identity entries are fixed by unit trace
     assert np.allclose(data.blocks[:, 0], 0.5, atol=1e-12)
@@ -690,7 +699,7 @@ def test_block_data_serialization_roundtrip(tmp_path):
     back = load_block_data(path)
     assert back.n_sites == data.n_sites and back.width == data.width
     assert np.array_equal(back.blocks, data.blocks)
-    assert back.noise.kind == "scalar" and back.noise.sigma == 1e-3
+    assert back.noise_kind == "scalar" and back.sigma == 1e-3
 
 
 def test_block_data_serialization_keeps_fisher(tmp_path):
@@ -703,8 +712,8 @@ def test_block_data_serialization_keeps_fisher(tmp_path):
     save_block_data(data, path)
     assert path.stat().st_size < 0.5e6
     back = load_block_data(path)
-    assert back.noise.kind == "fisher"
-    assert np.array_equal(back.noise.shots, data.noise.shots)
+    assert back.noise_kind == "fisher"
+    assert np.array_equal(back.shots, data.shots)
     cfg = ReconstructionConfig(regularizer=RegularizerSpec("fisher"))
     for a, b in zip(reconstruct_mpo(back, cfg).tensors,
                     reconstruct_mpo(data, cfg).tensors):
@@ -766,9 +775,26 @@ def test_load_block_data_rejects_blocks_that_are_not_numbers(tmp_path, mutate,
         load_block_data(path)
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("N", 5, r"blocks must have shape \(4, 16\)"),
+    ("N", 3, r"blocks must have shape \(2, 16\)"),
+    ("R", 1, r"blocks must have shape \(4, 4\)"),
+    ("R", 3, r"blocks must have shape \(2, 64\)"),
+    ("R", 5, "need 1 <= width <= n_sites"),
+    ("R", 0, "need 1 <= width <= n_sites"),
+], ids=["N_above", "N_below", "R_below", "R_above", "R_above_N", "R_zero"])
+def test_load_block_data_rejects_sizes_that_disagree_with_blocks(
+        tmp_path, key, value, match):
+    # the 3 windows of width 2 on 4 sites, read with another N or R
+    path = tmp_path / "d.json"
+    _save_block_file(path)
+    _set_field(path, key, value)
+    with pytest.raises(ValueError, match=match):
+        load_block_data(path)
+
+
 def _with_shots(data, shots):
-    return PauliBlockData(data.n_sites, data.width, data.blocks,
-                          NoiseMeta("fisher", shots=shots))
+    return PauliBlockData(data.blocks, shots=shots)
 
 
 def test_block_data_rejects_fisher_shots_for_too_few_windows():
@@ -787,8 +813,7 @@ def test_block_data_rejects_fisher_shots_of_wrong_shape():
 
 @pytest.mark.parametrize("shots", [
     np.full((3, 27), -1), np.full((3, 27), 1.5), np.full((3, 27), True),
-    None,
-], ids=["negative", "fractional", "bool", "missing"])
+], ids=["negative", "fractional", "bool"])
 def test_block_data_rejects_fisher_shots_that_are_not_counts(shots):
     data = exact_block_data(random_mpo_via_ancilla(5, seed=34), 3)
     with pytest.raises(ValueError, match="fisher noise requires shots that "
@@ -1014,7 +1039,7 @@ def test_block_data_round_trips_bitwise(tmp_path, noise):
     back = load_block_data(path)
     _assert_bitwise(back.blocks, data.blocks)
     if noise == "fisher":
-        assert np.array_equal(back.noise.shots, data.noise.shots)
+        assert np.array_equal(back.shots, data.shots)
 
 
 def _fitted_block_data():
