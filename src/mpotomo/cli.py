@@ -1,8 +1,9 @@
 """Command-line pipeline: generate, measure, reconstruct, compare, sweep.
 
-Every subcommand exchanges data through JSON (operators, window data,
-counts) or CSV (sweeps), takes explicit seeds for anything random, and
-prints a small machine-readable JSON result to stdout. Errors exit nonzero
+Every subcommand exchanges data through JSON (counts; operators and
+window data, whose float arrays go to a `.f64` companion) or CSV
+(sweeps), takes explicit seeds for anything random, and prints a small
+machine-readable JSON result to stdout. Errors exit nonzero
 with a one-line JSON error record on stderr.
 """
 
@@ -12,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .files import write_json
+from .files import companion, write_json
 from .measurement import (MLE_MAX_ITER, MLE_TOL, add_gaussian_noise,
                           block_data_from_counts, exact_block_data,
                           load_block_data, load_counts, save_block_data,
@@ -60,11 +61,12 @@ def _cmd_gen_state(args) -> int:
         dense = None
     elif dense is None:
         dense = mpo.to_dense()
-    written = [f"{args.out}.mpo.json"]
-    save_operator(mpo, written[0])
-    if dense is not None:
-        written.append(f"{args.out}.dense.json")
-        save_operator(dense, written[1])
+    written = []
+    for op, path in ((mpo, f"{args.out}.mpo.json"),
+                     (dense, f"{args.out}.dense.json")):
+        if op is not None:
+            save_operator(op, path)
+            written += [path, companion(path)]
     _emit({"written": written, "family": family, "n_sites": args.n})
     return 0
 
@@ -92,7 +94,7 @@ def _cmd_measure(args) -> int:
         data = add_gaussian_noise(data, args.sigma, seed=args.seed,
                                   perturb_identity=not args.keep_identity_exact)
     save_block_data(data, args.out)
-    _emit({"written": [args.out], "kind": "block_data",
+    _emit({"written": [args.out, companion(args.out)], "kind": "block_data",
            "n_blocks": data.n_blocks, "sigma": args.sigma})
     return 0
 
@@ -102,7 +104,7 @@ def _cmd_reconstruct(args) -> int:
     cfg = ReconstructionConfig(l=args.l, r=args.r, normalize=args.normalize)
     mpo, report = reconstruct_mpo(data, cfg, with_report=True)
     save_operator(mpo, args.out)
-    written = [args.out]
+    written = [args.out, companion(args.out)]
     if args.report:
         write_json(args.report, report.to_dict(), indent=1)
         written.append(args.report)
@@ -151,8 +153,8 @@ def _cmd_ingest_counts(args) -> int:
     data = block_data_from_counts(blocks, n_sites, tol=args.tol,
                                   max_iter=args.max_iter)
     save_block_data(data, args.out)
-    _emit({"written": [args.out], "n_blocks": data.n_blocks,
-           "width": data.width})
+    _emit({"written": [args.out, companion(args.out)],
+           "n_blocks": data.n_blocks, "width": data.width})
     return 0
 
 

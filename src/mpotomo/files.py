@@ -1,14 +1,19 @@
-"""The one module that opens a JSON file.
+"""The one module that opens a JSON file, and the float64 companion of
+an operator or window-data file.
 
 Operator, window-data and counts files carry a header, `version` and `d`;
-reports and sweep configs do not. A malformed file is a named ValueError.
+reports and sweep configs do not. A malformed file is a named ValueError
+whose message starts with the file's path.
 
-A float array is written as a record `{"shape": [...], "float64": text}`,
-the text being the base64 of the entries as little-endian IEEE-754 doubles
-in C order: exact, and about a tenth of the time that decimal JSON numbers
-take to write and to parse. `float_array` reads that record and also a
-nested array of JSON numbers, the form of files written before the record
-and of operators written by hand.
+The float arrays of an operator or window-data file `path` live in one
+companion file, `path.f64`: raw little-endian IEEE-754 doubles in C
+order, one array after another in the order the JSON lists them. The
+JSON holds one record `{"shape": [...], "offset": k}` per array, k
+counted in entries, so writing and reading the data is one buffer copy
+each way, exact to the bit. `read_floats` also reads the forms of files
+written before the companion: the record `{"shape": [...], "float64":
+text}`, the text being the base64 of the same bytes, and a nested array
+of JSON numbers, the form of operators written by hand.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 
 import numpy as np
 
@@ -46,24 +52,62 @@ def require_type(value, kind: type, where) -> None:
                          f"{type(value).__name__}")
 
 
-def float_record(array) -> dict:
-    """The file form of a float array: its shape, and its entries as the
-    base64 text of little-endian float64 bytes in C order."""
-    data = np.ascontiguousarray(array, dtype="<f8")
-    return {"shape": list(data.shape),
-            "float64": base64.b64encode(data).decode("ascii")}
+def companion(path) -> str:
+    """The path of the float64 companion of the file at `path`."""
+    return f"{os.fspath(path)}.f64"
 
 
-def _decode_record(record: dict, where) -> np.ndarray:
-    """The array of a float_record, checked field by field."""
-    require(record, ("shape", "float64"), where, allowed=())
-    shape, text = record["shape"], record["float64"]
+def write_floats(path, payload: dict) -> None:
+    """Write an operator or window-data file: `payload` as JSON to `path`,
+    with each value that is a numpy array, or a list of them, written to
+    the companion and replaced in the JSON by its records. Refuses, and
+    writes neither file, when an entry is not finite; writes the companion
+    first and the JSON last."""
+    arrays, out, offset = [], {}, 0
+    for key, value in payload.items():
+        group = (type(value) is list and bool(value)
+                 and isinstance(value[0], np.ndarray))
+        if not (group or isinstance(value, np.ndarray)):
+            out[key] = value
+            continue
+        records = []
+        for i, array in enumerate(value if group else [value]):
+            array = np.ascontiguousarray(array, dtype="<f8")
+            if not np.isfinite(array).all():
+                name = f"{key}[{i}]" if group else key
+                raise ValueError(f"{path}: {name}: entries must be finite")
+            records.append({"shape": list(array.shape), "offset": offset})
+            arrays.append(array)
+            offset += array.size
+        out[key] = records if group else records[0]
+    with open(companion(path), "wb") as fh:
+        for array in arrays:
+            fh.write(array)
+    write_json(path, out)
+
+
+def _shape(shape, where) -> list:
+    """A record's shape, checked to be a list of nonnegative integers."""
     require_type(shape, list, f"{where} shape")
     for i, n in enumerate(shape):
         require_type(n, int, f"{where} shape[{i}]")
         if n < 0:
             raise ValueError(f"{where} shape[{i}] must be nonnegative, "
                              f"not {n}")
+    return shape
+
+
+def _reshape(flat: np.ndarray, shape: list, where) -> np.ndarray:
+    try:
+        return flat.reshape(shape)
+    except ValueError as exc:  # more axes, or longer ones, than numpy takes
+        raise ValueError(f"{where} shape: {exc}") from None
+
+
+def _decode_record(record: dict, where) -> np.ndarray:
+    """The array of a base64 float64 record, checked field by field."""
+    require(record, ("shape", "float64"), where, allowed=())
+    shape, text = _shape(record["shape"], where), record["float64"]
     require_type(text, str, f"{where} float64")
     try:
         raw = base64.b64decode(text, validate=True)
@@ -74,14 +118,12 @@ def _decode_record(record: dict, where) -> np.ndarray:
     if len(raw) != size:
         raise ValueError(f"{where} float64 holds {len(raw)} bytes; shape "
                          f"{shape} needs {size}")
-    try:
-        return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
-    except ValueError as exc:  # more axes, or longer ones, than numpy takes
-        raise ValueError(f"{where} shape: {exc}") from None
+    return _reshape(np.frombuffer(raw, dtype="<f8").astype(float), shape,
+                    where)
 
 
-def float_array(value, where) -> np.ndarray:
-    """A float array from its float_record, or from a JSON array of
+def _float_array(value, where) -> np.ndarray:
+    """A float array from its base64 record, or from a JSON array of
     numbers nested to any depth. Rejects a value that is neither, a record
     with a missing or extra field, a shape that is not a list of
     nonnegative integers, text that is not base64 of 8 bytes per entry of
@@ -100,6 +142,76 @@ def float_array(value, where) -> np.ndarray:
         raise ValueError(f"{where}: entries must be JSON numbers, not "
                          f"{min(kind.__name__ for kind in kinds)}")
     return entries.astype(float)
+
+
+def _read_companion(path, spans: dict) -> dict:
+    """The arrays that `spans` (name: (offset, shape), in file order) cut
+    from the companion of `path`, all views of one array it is read into
+    once, after its size and the spans are checked against each other."""
+    name = companion(path)
+    total = sum(math.prod(shape) for _, shape in spans.values())
+    try:
+        fh = open(name, "rb")
+    except FileNotFoundError:
+        raise ValueError(f"{path}: companion {name} is missing") from None
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != 8 * total:
+            raise ValueError(f"{path}: companion holds {size} bytes; its "
+                             f"records list {total} entries, {8 * total} "
+                             "bytes")
+        end = 0
+        for key, (offset, shape) in spans.items():
+            count = math.prod(shape)
+            if offset + count > total:
+                raise ValueError(f"{path}: {key} offset {offset} and shape "
+                                 f"{shape} run past the companion's "
+                                 f"{total} entries")
+            if offset != end:
+                raise ValueError(f"{path}: {key} offset {offset}: the "
+                                 "records do not tile the companion in "
+                                 f"order, which puts it at {end}")
+            end += count
+        flat = np.empty(total, dtype="<f8")
+        got = fh.readinto(flat)
+        if got != size:
+            raise ValueError(f"{path}: companion ended after {got} of "
+                             f"{size} bytes")
+    flat = flat.astype(float, copy=False)
+    return {key: _reshape(flat[offset:offset + math.prod(shape)], shape,
+                          f"{path}: {key}")
+            for key, (offset, shape) in spans.items()}
+
+
+def read_floats(path, values: dict) -> list[np.ndarray]:
+    """The float arrays of an operator or window-data file, `values`
+    mapping each array's name to its JSON value in file order.
+
+    A record `{"shape", "offset"}` takes its entries from the companion;
+    a base64 record or a nested array is read by `_float_array`. Besides
+    those checks, rejects a record with both `float64` and `offset`, an
+    offset that is not a nonnegative integer, a missing companion, one
+    whose byte count is not 8 times the entries its records list, and a
+    record whose offset and shape run past the companion or that does not
+    start where the record before it ends."""
+    arrays, spans = {}, {}
+    for key, value in values.items():
+        where = f"{path}: {key}"
+        if isinstance(value, dict) and "offset" in value:
+            if "float64" in value:
+                raise ValueError(f"{where} holds both float64 and offset")
+            require(value, ("shape", "offset"), where, allowed=())
+            shape, offset = _shape(value["shape"], where), value["offset"]
+            require_type(offset, int, f"{where} offset")
+            if offset < 0:
+                raise ValueError(f"{where} offset must be nonnegative, "
+                                 f"not {offset}")
+            spans[key] = (offset, shape)
+        else:
+            arrays[key] = _float_array(value, where)
+    if spans:
+        arrays.update(_read_companion(path, spans))
+    return [arrays[key] for key in values]
 
 
 def require(record: dict, fields, where, allowed=None) -> None:

@@ -25,8 +25,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .files import (FORMAT_VERSION, float_array, float_record, read_json,
-                    require, require_type, write_json)
+from .files import (FORMAT_VERSION, read_floats, read_json, require,
+                    require_type, write_floats, write_json)
 from .operators import (DENSE_SITE_CAP, DenseOperator,
                         MatrixProductOperator, _windows)
 from .pauli import coeffs_from_dense, dense_from_coeffs, n_sites_of
@@ -744,6 +744,10 @@ def load_counts(path: str):
 
 
 def save_block_data(data: PauliBlockData, path: str) -> None:
+    """Write window data to a JSON file and its float64 companion
+    `path.f64` (files.write_floats): the blocks as one record, the noise
+    as text. Refuses, and writes neither file, when a block entry is not
+    finite."""
     kind, noise = data.noise_kind, None
     if kind == "scalar":
         noise = {"kind": kind, "sigma": data.sigma}
@@ -751,15 +755,16 @@ def save_block_data(data: PauliBlockData, path: str) -> None:
         noise = {"kind": kind, "shots": data.shots.tolist()}
     payload = {
         "version": FORMAT_VERSION, "N": data.n_sites, "R": data.width,
-        "d": 2, "blocks": float_record(data.blocks), "noise": noise,
+        "d": 2, "blocks": data.blocks, "noise": noise,
     }
-    write_json(path, payload)
+    write_floats(path, payload)
 
 
 def load_block_data(path: str) -> PauliBlockData:
-    """Read a window data file; rejects a bad header, an N or R that is
-    not an integer, `blocks` that are neither a float record nor a
-    rectangular nested array of numbers (files.float_array), an R outside
+    """Read a window data file and its companion; rejects a bad header,
+    an N or R that is not an integer, `blocks` that are not a companion
+    record or, in a file written before the companion, a base64 record or
+    a rectangular nested array of numbers (files.read_floats), an R outside
     1..N, blocks whose shape is not (N - R + 1, 4^R), a `noise` other
     than null that is not an object with a `kind`, an unknown noise kind,
     scalar noise without a `sigma` or with one that is not a number,
@@ -793,7 +798,7 @@ def load_block_data(path: str) -> PauliBlockData:
             sigma, shots = float(sigma), None
         else:
             raise ValueError(f"unknown noise kind {raw['kind']!r}")
-    blocks = float_array(payload["blocks"], f"{path}: blocks")
+    blocks, = read_floats(path, {"blocks": payload["blocks"]})
     n_sites, width = payload["N"], payload["R"]
     if not 1 <= width <= n_sites:
         raise ValueError("need 1 <= width <= n_sites")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .files import (FORMAT_VERSION, float_array, float_record, read_json,
-                    require, require_type, write_json)
+from .files import (FORMAT_VERSION, read_floats, read_json, require,
+                    require_type, write_floats)
 from .pauli import coeffs_from_dense, dense_from_coeffs, n_sites_of
 
 DENSE_SITE_CAP = 12
@@ -292,43 +292,42 @@ def mpo_from_dense(op: DenseOperator) -> MatrixProductOperator:
 
 
 def save_operator(op, path: str) -> None:
-    """Write a DenseOperator or MatrixProductOperator to a JSON file: one
-    float record per MPO tensor, or for a dense operator one record of
-    shape (2^N, 2^N, 2) holding each entry's [re, im] pair. Refuses, and
-    writes nothing, when an entry is not finite, as load_operator would."""
+    """Write a DenseOperator or MatrixProductOperator to a JSON file and
+    its float64 companion `path.f64` (files.write_floats): one record per
+    MPO tensor, or for a dense operator one record of shape (2^N, 2^N, 2)
+    holding each entry's [re, im] pair. Refuses, and writes neither file,
+    when an entry is not finite, as load_operator would."""
     if isinstance(op, MatrixProductOperator):
-        arrays = op.tensors
-        kind, data = "mpo", {"bond_dims": op.bond_dims,
-                             "tensors": [float_record(t) for t in arrays]}
+        kind, data = "mpo", {"bond_dims": op.bond_dims, "tensors": op.tensors}
     elif isinstance(op, DenseOperator):
-        arrays = [np.stack([op.matrix.real, op.matrix.imag], -1)]
-        kind, data = "dense", {"matrix": float_record(arrays[0])}
+        kind, data = "dense", {"matrix": np.stack([op.matrix.real,
+                                                   op.matrix.imag], -1)}
     else:
         raise TypeError(f"cannot serialize {type(op).__name__}")
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("operator entries must be finite")
-    write_json(path, {"version": FORMAT_VERSION, "kind": kind,
-                      "n_sites": op.n_sites, "d": 2, **data})
+    write_floats(path, {"version": FORMAT_VERSION, "kind": kind,
+                        "n_sites": op.n_sites, "d": 2, **data})
 
 
 def load_operator(path: str):
-    """Read an operator JSON file; returns the matching container type.
+    """Read an operator JSON file and its companion; returns the matching
+    container type.
 
-    Each tensor and the matrix is a float record or a nested array of
-    numbers (files.float_array). Besides the header check, rejects an MPO
-    without tensors, tensors or a matrix that are neither (a malformed
-    record, or a nested array that is not rectangular or holds an entry
-    that is not a number), a matrix whose entries are not [re, im] pairs,
-    non-finite entries and an `n_sites` (or, for an MPO, a `bond_dims`)
-    field that disagrees with the data.
+    Each tensor and the matrix is a companion record, or in a file written
+    before the companion a base64 record or a nested array of numbers
+    (files.read_floats). Besides the header check, rejects an MPO without
+    tensors, tensors or a matrix that are none of these (a malformed
+    record or companion, or a nested array that is not rectangular or
+    holds an entry that is not a number), a matrix whose entries are not
+    [re, im] pairs, non-finite entries and an `n_sites` (or, for an MPO, a
+    `bond_dims`) field that disagrees with the data.
     """
     payload = read_json(path, ("kind", "n_sites"))
     kind = payload["kind"]
     if kind == "mpo":
         require(payload, ("bond_dims", "tensors"), path)
         require_type(payload["tensors"], list, f"{path}: tensors")
-        tensors = [float_array(t, f"{path}: tensors[{i}]")
-                   for i, t in enumerate(payload["tensors"])]
+        tensors = read_floats(path, {f"tensors[{i}]": t for i, t
+                                     in enumerate(payload["tensors"])})
         if not all(np.isfinite(t).all() for t in tensors):
             raise ValueError("operator entries must be finite")
         op = MatrixProductOperator(tensors)
@@ -337,7 +336,7 @@ def load_operator(path: str):
                              f"disagree with the tensors, {op.bond_dims}")
     elif kind == "dense":
         require(payload, ("matrix",), path)
-        raw = float_array(payload["matrix"], f"{path}: matrix")
+        raw, = read_floats(path, {"matrix": payload["matrix"]})
         if raw.ndim != 3 or raw.shape[-1] != 2:
             raise ValueError(f"{path}: matrix: entries must be [re, im] "
                              "pairs")

@@ -22,13 +22,20 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _with_companions(*paths):
+    """Operator and window-data files, each followed by its float64
+    companion, as the `written` lists name them."""
+    return [name for path in paths for name in (path, f"{path}.f64")]
+
+
 def test_gen_state_writes_both_forms(tmp_path, capsys):
     out = tmp_path / "anc"
     code, stdout, _ = _run(capsys, "gen-state", "--family", "random-mpo",
                            "--n", "5", "--seed", "3", "--out", str(out))
     assert code == 0
     payload = json.loads(stdout)
-    assert payload["written"] == [f"{out}.mpo.json", f"{out}.dense.json"]
+    assert payload["written"] == _with_companions(f"{out}.mpo.json",
+                                                  f"{out}.dense.json")
     mpo = load_operator(f"{out}.mpo.json")
     dense = load_operator(f"{out}.dense.json")
     assert hs_distance(dense, mpo) < 1e-12
@@ -45,7 +52,8 @@ def test_gen_state_of_a_thermal_family_writes_both_forms(tmp_path, capsys,
                            "4", "--out", str(out))
     assert code == 0
     payload = json.loads(stdout)
-    assert payload["written"] == [f"{out}.mpo.json", f"{out}.dense.json"]
+    assert payload["written"] == _with_companions(f"{out}.mpo.json",
+                                                  f"{out}.dense.json")
     assert payload["family"] == _FAMILY_ALIASES[argv[0]]
     mpo = load_operator(f"{out}.mpo.json")
     dense = load_operator(f"{out}.dense.json")
@@ -58,21 +66,23 @@ def test_gen_state_skips_dense_beyond_cap(tmp_path, capsys):
     code, stdout, _ = _run(capsys, "gen-state", "--family", "ghz", "--n",
                            "10", "--out", str(out))
     assert code == 0
-    assert json.loads(stdout)["written"] == [f"{out}.mpo.json"]
+    assert json.loads(stdout)["written"] == _with_companions(
+        f"{out}.mpo.json")
 
 
 def test_gen_state_refuses_to_write_a_non_finite_state(tmp_path, capsys):
     # random_mps contracts its norm without a scale, so a 512-site random
     # MPO overflows (with RuntimeWarnings) to non-finite tensors; gen-state
-    # then fails and leaves no file
+    # then fails and leaves no file, neither JSON nor companion
+    out = tmp_path / "big"
     with pytest.warns(RuntimeWarning):
         code, stdout, stderr = _run(capsys, "gen-state", "--family",
                                     "random-mpo", "--n", "512", "--seed",
-                                    "0", "--out", str(tmp_path / "big"))
+                                    "0", "--out", str(out))
     assert code == 1 and stdout == ""
     assert json.loads(stderr) == {"error": "ValueError",
-                                  "message": "operator entries must be "
-                                             "finite"}
+                                  "message": f"{out}.mpo.json: tensors[0]: "
+                                             "entries must be finite"}
     assert not list(tmp_path.iterdir())
 
 
@@ -134,8 +144,8 @@ def test_gen_state_writes_a_single_site_named_state(tmp_path, capsys, family):
     code, stdout, _ = _run(capsys, "gen-state", "--family", family, "--n",
                            "1", "--out", str(out))
     assert code == 0
-    assert json.loads(stdout)["written"] == [f"{out}.mpo.json",
-                                             f"{out}.dense.json"]
+    assert json.loads(stdout)["written"] == _with_companions(
+        f"{out}.mpo.json", f"{out}.dense.json")
     assert load_operator(f"{out}.mpo.json").n_sites == 1
 
 
@@ -237,6 +247,34 @@ def test_counts_pipeline(tmp_path, capsys):
                            "--out", str(est))
     assert code == 0
     assert json.loads(stdout)["solver_mode"] == "fisher"
+
+
+def test_written_lists_name_every_file_written(tmp_path, capsys):
+    # each command's `written` list names exactly the files it added,
+    # float64 companions included
+    def run(*argv):
+        before = set(tmp_path.iterdir())
+        code, stdout, _ = _run(capsys, *argv)
+        assert code == 0
+        added = sorted(map(str, set(tmp_path.iterdir()) - before))
+        assert sorted(json.loads(stdout)["written"]) == added
+        return added
+
+    out, data, est = tmp_path / "w", tmp_path / "d.json", tmp_path / "e.json"
+    counts, fitted = tmp_path / "c.json", tmp_path / "f.json"
+    assert len(run("gen-state", "--family", "w", "--n", "4", "--out",
+                   str(out))) == 4
+    assert run("measure", "--state", f"{out}.mpo.json", "--r", "3",
+               "--sigma", "0.01", "--seed", "1", "--out", str(data)) == \
+        _with_companions(str(data))
+    assert run("reconstruct", "--data", str(data), "--out", str(est),
+               "--report", str(tmp_path / "r.json")) == sorted(
+        _with_companions(str(est)) + [str(tmp_path / "r.json")])
+    assert run("measure", "--state", f"{out}.dense.json", "--r", "3",
+               "--shots", "50", "--seed", "2", "--out", str(counts)) == \
+        [str(counts)]
+    assert run("ingest-counts", "--counts", str(counts), "--out",
+               str(fitted)) == _with_companions(str(fitted))
 
 
 def test_measure_reads_the_dense_and_the_mpo_file_alike(tmp_path, capsys):

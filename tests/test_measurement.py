@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import warnings
 
 import numpy as np
@@ -710,7 +711,7 @@ def test_block_data_serialization_keeps_fisher(tmp_path):
     data = block_data_from_counts(blocks, 8)
     path = tmp_path / "f.json"
     save_block_data(data, path)
-    assert path.stat().st_size < 0.5e6
+    assert path.stat().st_size + _companion(path).stat().st_size < 0.5e6
     back = load_block_data(path)
     assert back.noise_kind == "fisher"
     assert np.array_equal(back.shots, data.shots)
@@ -720,20 +721,29 @@ def test_block_data_serialization_keeps_fisher(tmp_path):
         assert np.array_equal(a, b)
 
 
-def _nested_payload(path):
-    """The JSON of a saved file with every float64 record rewritten as the
-    nested lists of numbers it encodes: the form files had before the
-    record, in which a test can edit single entries."""
-    def nested(value):
-        if isinstance(value, dict) and set(value) == {"shape", "float64"}:
-            raw = base64.b64decode(value["float64"])
-            return np.frombuffer(raw, "<f8").reshape(value["shape"]).tolist()
+def _rewrite_records(path, form):
+    """The JSON of a saved file with every companion record replaced by
+    form(array), the array decoded here from the companion's bytes rather
+    than by the package."""
+    flat = np.fromfile(f"{path}.f64", dtype="<f8")
+
+    def rewrite(value):
+        if isinstance(value, dict) and set(value) == {"shape", "offset"}:
+            start, shape = value["offset"], value["shape"]
+            return form(flat[start:start + math.prod(shape)].reshape(shape))
         if isinstance(value, dict):
-            return {key: nested(v) for key, v in value.items()}
+            return {key: rewrite(v) for key, v in value.items()}
         if isinstance(value, list):
-            return [nested(v) for v in value]
+            return [rewrite(v) for v in value]
         return value
-    return nested(json.loads(path.read_text()))
+    return rewrite(json.loads(path.read_text()))
+
+
+def _nested_payload(path):
+    """The JSON of a saved file with every float array written as nested
+    lists of numbers: the form files had before the float64 record, in
+    which a test can edit single entries."""
+    return _rewrite_records(path, lambda a: a.tolist())
 
 
 # ---- validation where window data enters ----
@@ -968,14 +978,29 @@ def test_load_operator_rejects_malformed_entries(tmp_path, kind, mutate,
         load_operator(path)
 
 
-# ---- float arrays as float64 records ----
+# ---- float arrays in the float64 companion ----
 
 
 def _record(array):
-    """A float64 record, encoded here rather than by the package."""
+    """A base64 float64 record, the form files had before the companion,
+    encoded here rather than by the package."""
     data = np.asarray(array, dtype="<f8")
     return {"shape": list(data.shape),
             "float64": base64.b64encode(data.tobytes()).decode()}
+
+
+def _companion(path):
+    return path.with_name(path.name + ".f64")
+
+
+def _assert_companion(records, arrays, path):
+    # one record per array, each starting where the one before it ends,
+    # and the companion their little-endian bytes in C order, in that order
+    starts = np.cumsum([0] + [a.size for a in arrays]).tolist()
+    assert records == [{"shape": list(a.shape), "offset": k}
+                       for a, k in zip(arrays, starts)]
+    assert _companion(path).read_bytes() == b"".join(
+        np.asarray(a, "<f8").tobytes() for a in arrays)
 
 
 # entries at the edges of float64: the smallest subnormal, the largest
@@ -996,8 +1021,8 @@ def test_mpo_round_trips_bitwise(tmp_path):
     mpo.tensors[2][0, 1] = -0.0
     path = tmp_path / "op.json"
     save_operator(mpo, path)
-    payload = json.loads(path.read_text())
-    assert payload["tensors"][1] == _record(mpo.tensors[1])
+    _assert_companion(json.loads(path.read_text())["tensors"], mpo.tensors,
+                      path)
     back = load_operator(path)
     assert back.bond_dims == mpo.bond_dims
     for a, b in zip(back.tensors, mpo.tensors):
@@ -1014,8 +1039,8 @@ def test_dense_operator_round_trips_bitwise(tmp_path):
     op = DenseOperator(m)
     path = tmp_path / "op.json"
     save_operator(op, path)
-    payload = json.loads(path.read_text())
-    assert payload["matrix"] == _record(np.stack([m.real, m.imag], -1))
+    _assert_companion([json.loads(path.read_text())["matrix"]],
+                      [np.stack([m.real, m.imag], -1)], path)
     back = load_operator(path)
     assert np.array_equal(back.matrix, m)
     _assert_bitwise(back.matrix.real, m.real)
@@ -1034,8 +1059,8 @@ def test_block_data_round_trips_bitwise(tmp_path, noise):
     data.blocks[3, -1] = -0.0
     path = tmp_path / "d.json"
     save_block_data(data, path)
-    payload = json.loads(path.read_text())
-    assert payload["blocks"] == _record(data.blocks)
+    _assert_companion([json.loads(path.read_text())["blocks"]],
+                      [data.blocks], path)
     back = load_block_data(path)
     _assert_bitwise(back.blocks, data.blocks)
     if noise == "fisher":
@@ -1084,7 +1109,67 @@ def test_nested_number_files_load_as_record_files(tmp_path, case):
     for x, y, z in zip(_float_arrays(a), _float_arrays(b),
                        _float_arrays(obj), strict=True):
         assert x.tobytes() == y.tobytes() == z.tobytes()
-    assert rec.stat().st_size < nested.stat().st_size
+    assert (rec.stat().st_size + _companion(rec).stat().st_size
+            < nested.stat().st_size)
+
+
+@pytest.mark.parametrize("case", sorted(_NESTED_CASES))
+def test_base64_record_files_load_as_companion_files(tmp_path, case):
+    # a file in the base64 form, as written before the companion and with
+    # no companion beside it, loads to the same bits as the companion file
+    make, save, load, _ = _NESTED_CASES[case]
+    obj = make()
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    save(obj, new)
+    old.write_text(json.dumps(_rewrite_records(new, _record)) + "\n")
+    assert not _companion(old).exists()
+    for x, y, z in zip(_float_arrays(load(new)), _float_arrays(load(old)),
+                       _float_arrays(obj), strict=True):
+        assert x.tobytes() == y.tobytes() == z.tobytes()
+
+
+# W(2) and its width-1 windows with noise as written by the package before
+# the companion: float arrays as base64 records inside the JSON
+_BASE64_FILES = {
+    "mpo": '{"version": 1, "kind": "mpo", "n_sites": 2, "d": 2, '
+    '"bond_dims": [1, 4, 1], "tensors": [{"shape": [4, 1, 4], "float64": '
+    '"zDt/Zp6g5j/LO39mnqDWPwAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAyzt/'
+    'Zp6g5j8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAMs7f2aeoOY/zDt/Zp6g5j'
+    '/LO39mnqDWvwAAAAAAAAAAAAAAAAAAAAA="}, {"shape": [4, 4, 1], "float64": '
+    '"yzt/Zp6g1j/MO39mnqDmPwAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAyzt/'
+    'Zp6g5j8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAMs7f2aeoOY/yzt/Zp6g1r'
+    '/MO39mnqDmPwAAAAAAAAAAAAAAAAAAAAA="}]}\n',
+    "dense": '{"version": 1, "kind": "dense", "n_sites": 2, "d": 2, '
+    '"matrix": {"shape": [4, 4, 2], "float64": "'
+    'AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA'
+    'AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAD+///////fPwAAAAAAAAAA/v//////'
+    '3z8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA/v//////3z8A'
+    'AAAAAAAAAP7//////98/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA'
+    'AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA'
+    'AA=='
+    '"}}\n',
+    "block_data": '{"version": 1, "N": 2, "R": 1, "d": 2, "blocks": '
+    '{"shape": [2, 4], "float64": "fsU6Nfmb5j/1h0d3n69Ov05Pr73EBCe/ppXxZdx7'
+    'Mz93nzsOM6fmP/fq8I7pVRQ/bNFTMDacOb9iS3AqCS9Cvw=="}, "noise": '
+    '{"kind": "scalar", "sigma": 0.001}}\n',
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BASE64_FILES))
+def test_files_written_before_the_companion_load_bitwise(tmp_path, case):
+    dense, mpo = w_state(2)
+    obj = {"mpo": mpo, "dense": dense,
+           "block_data": add_gaussian_noise(exact_block_data(mpo, 1), 1e-3,
+                                            seed=5)}[case]
+    save, load = ((save_block_data, load_block_data) if case == "block_data"
+                  else (save_operator, load_operator))
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(_BASE64_FILES[case])
+    save(obj, new)
+    assert json.loads(old.read_text()) == _rewrite_records(new, _record)
+    for x, y in zip(_float_arrays(load(old)), _float_arrays(load(new)),
+                    strict=True):
+        assert x.tobytes() == y.tobytes()
 
 
 # Where each tool-written file holds a record, and how a message names it.
@@ -1097,9 +1182,15 @@ _RECORD_SITES = pytest.mark.parametrize("save, load, keys, where", [
 ], ids=["mpo", "dense", "block_data"])
 
 
-def _edit_record(path, keys, edit):
-    """Replace the record at payload[keys[0]][keys[1]]... by edit(record)."""
-    payload = json.loads(path.read_text())
+def _edit_record(path, keys, edit, base64_form=True):
+    """Replace the record at payload[keys[0]][keys[1]]... of a saved file
+    by edit(record). With base64_form, first rewrite the file in the
+    base64 form written before the companion, and delete the companion."""
+    if base64_form:
+        payload = _rewrite_records(path, _record)
+        _companion(path).unlink()
+    else:
+        payload = json.loads(path.read_text())
     outer = payload
     for key in keys[:-1]:
         outer = outer[key]
@@ -1182,6 +1273,124 @@ def test_non_finite_entries_in_records_are_rejected(tmp_path, save, load,
                        if keys == ("blocks",)
                        else "operator entries must be finite"):
         load(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@_RECORD_SITES
+def test_non_finite_entries_in_the_companion_are_rejected(tmp_path, save,
+                                                          load, keys, where,
+                                                          value):
+    path = tmp_path / "f.json"
+    save(path)
+    record = json.loads(path.read_text())
+    for key in keys:
+        record = record[key]
+    flat = np.fromfile(_companion(path), "<f8")
+    flat[record["offset"] + math.prod(record["shape"]) // 2] = value
+    flat.tofile(_companion(path))
+    with pytest.raises(ValueError, match="blocks must be finite"
+                       if keys == ("blocks",)
+                       else "operator entries must be finite"):
+        load(path)
+
+
+def _resize_companion(change):
+    def resize(path):
+        raw = _companion(path).read_bytes()
+        _companion(path).write_bytes(raw[:change] if change < 0
+                                     else raw + bytes(change))
+    return resize
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda path: _companion(path).unlink(),
+     "f.json: companion .*f\\.json\\.f64 is missing"),
+    (_resize_companion(-8), "f.json: companion holds \\d+ bytes; its "
+     "records list \\d+ entries, \\d+ bytes"),
+    (_resize_companion(3), "f.json: companion holds \\d+ bytes; its "
+     "records list \\d+ entries, \\d+ bytes"),
+    (_resize_companion(8), "f.json: companion holds \\d+ bytes; its "
+     "records list \\d+ entries, \\d+ bytes"),
+], ids=["missing", "short", "odd_length", "long"])
+@_RECORD_SITES
+def test_loaders_reject_a_companion_that_does_not_match(tmp_path, save, load,
+                                                        keys, where, damage,
+                                                        message):
+    path = tmp_path / "f.json"
+    save(path)
+    damage(path)
+    with pytest.raises(ValueError, match=message):
+        load(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: {**r, "offset": 10**6}, " offset 1000000 and shape "
+     "\\[[0-9, ]+\\] run past the companion's \\d+ entries"),
+    (lambda r: {**r, "float64": ""}, " holds both float64 and offset"),
+    (lambda r: {**r, "offset": 0.0},
+     " offset must be a JSON integer, not float"),
+    (lambda r: {**r, "offset": True},
+     " offset must be a JSON integer, not bool"),
+    (lambda r: {**r, "offset": -1}, " offset must be nonnegative, not -1"),
+    (_without("shape"), ": missing field 'shape'"),
+    (lambda r: {**r, "dtype": "<f8"}, ": unknown field 'dtype'"),
+    (_shape_entry(-1), " shape\\[0\\] must be nonnegative, not -1"),
+    (lambda r: {**r, "shape": r["shape"] + [2]}, "f.json: companion holds "
+     "\\d+ bytes; its records list \\d+ entries"),
+], ids=["past_the_end", "both_forms", "offset_float", "offset_bool",
+        "offset_negative", "no_shape", "extra_field", "shape_negative",
+        "shape_too_large"])
+@_RECORD_SITES
+def test_loaders_reject_malformed_companion_records(tmp_path, save, load,
+                                                    keys, where, edit,
+                                                    message):
+    path = tmp_path / "f.json"
+    save(path)
+    _edit_record(path, keys, edit, base64_form=False)
+    # a record that lists more entries is named by the companion's size
+    with pytest.raises(ValueError, match=(
+            message if message.startswith("f.json") else where + message)):
+        load(path)
+
+
+@pytest.mark.parametrize("index, shift", [(1, -1), (0, 1), (2, -2)])
+def test_loaders_reject_records_that_do_not_tile_the_companion(tmp_path,
+                                                               index, shift):
+    # an MPO's tensors follow one another in the companion; a record that
+    # overlaps the one before it, or leaves a gap, is named
+    path = tmp_path / "f.json"
+    _save_operator_file(path)
+    _edit_record(path, ("tensors", index),
+                 lambda r: {**r, "offset": r["offset"] + shift},
+                 base64_form=False)
+    with pytest.raises(ValueError, match=f"f.json: tensors\\[{index}\\] "
+                       "offset \\d+: the records do not tile the companion "
+                       "in order, which puts it at \\d+"):
+        load_operator(path)
+
+
+def _poisoned(case, value):
+    if case == "mpo":
+        op = random_mpo(3, bond=2, seed=35)
+        op.tensors[1][2, 0, 1] = value
+        return op, save_operator, "tensors\\[1\\]"
+    if case == "dense":
+        op = w_state(3)[0]
+        op.matrix[1, 1] = value
+        return op, save_operator, "matrix"
+    data = exact_block_data(random_mpo(4, bond=2, seed=36), 2)
+    data.blocks[1, 5] = value
+    return data, save_block_data, "blocks"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("case", ["mpo", "dense", "block_data"])
+def test_a_refused_save_writes_neither_file(tmp_path, case, value):
+    obj, save, where = _poisoned(case, value)
+    with pytest.raises(ValueError, match=f"f.json: {where}: entries must be "
+                                         "finite"):
+        save(obj, tmp_path / "f.json")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("state, width, shots", [

@@ -221,12 +221,12 @@ def test_save_refuses_non_finite_entries(tmp_path):
     mpo.tensors[2][1, 0, 0] = np.nan
     dense = DenseOperator(np.eye(4) / 4.0)
     dense.matrix[1, 1] = np.nan
-    for op in (mpo, dense):
+    for op, where in ((mpo, "tensors\\[2\\]"), (dense, "matrix")):
         path = tmp_path / "op.json"
         with pytest.raises(ValueError,
-                           match="operator entries must be finite"):
+                           match=f"op.json: {where}: entries must be finite"):
             save_operator(op, path)
-        assert not path.exists()
+        assert not list(tmp_path.iterdir())
 
 
 def test_load_rejects_unknown_payload(tmp_path):
