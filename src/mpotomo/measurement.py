@@ -247,8 +247,9 @@ def _probabilities(rhos, u: np.ndarray) -> np.ndarray:
 
 
 # Settings are evaluated in batches whose unitary stack holds about this
-# many bytes: 64 settings at width 5, 4 at width 7.
-_BATCH_BYTES = 1 << 20
+# many bytes: 16 settings at width 5, 1 at width 7. Each setting's
+# probabilities come from the same matmul calls at any batch size.
+_BATCH_BYTES = 1 << 18
 
 
 def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBlock]:
@@ -257,7 +258,7 @@ def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBloc
     A window's density is dense_from_coeffs of its operators._windows
     vector, for either operator type. Settings are taken in batches in
     all_settings order: each batch's unitaries are built once as one stack
-    of about 1 MB and applied to every window before the next batch is
+    of about 256 KiB and applied to every window before the next batch is
     built, which bounds the memory they take. All draws come from one
     multinomial call over the (windows, settings, outcomes) probabilities,
     which consumes the random stream window by window, settings in
@@ -542,29 +543,41 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
                      _log_likelihood(nz, n_nz, px), kkt)
 
 
+# _fisher_matrix's per-setting stacks hold at most this many bytes each:
+# every setting at width 5, 64 at width 6.
+_FISHER_BYTES = 1 << 21
+
+
 def _fisher_matrix(theta: np.ndarray, shots: np.ndarray) -> np.ndarray:
     """Fisher information over every coefficient of a window with
     coefficients theta and shots[j] shots of setting j of all_settings:
     F = sum_s n_s sum_o (grad p)(grad p)^T / p, p clipped at the floor.
     Row and column c are coefficient c, the identity entry 0 included.
 
-    One pass over the measured settings: one matmul gives every
-    probability, one batched Gram matrix of the sqrt(n / p)-weighted signs
-    (exactly symmetric) every setting's block, and one bincount adds the
-    blocks into F. A setting couples only strings whose sites carry the
-    identity or its own axis.
+    One matmul gives every probability. Then, over chunks of the measured
+    settings whose per-setting stacks hold at most _FISHER_BYTES each, a
+    batched Gram matrix of the sqrt(n / p)-weighted signs (exactly
+    symmetric) gives every setting's block, and np.add.at adds the blocks
+    into F in setting order: the sums bincount over all settings at once
+    would make, bit for bit, without its full-size stacks. A setting
+    couples only strings whose sites carry the identity or its own axis.
     """
     width = n_sites_of(theta.size, 4)
     cols, signs = _design(width)[:2]
     measured = np.flatnonzero(shots)
     cols = cols[measured]
     p = np.clip(theta[cols] @ signs.T, _P_FLOOR, None)
-    weighted = signs * np.sqrt(shots[measured, None] / p)[:, :, None]
-    gram = weighted.transpose(0, 2, 1) @ weighted
+    root = np.sqrt(shots[measured, None] / p)
     dim = 4**width
-    flat = cols[:, :, None] * dim + cols[:, None, :]
-    return np.bincount(flat.ravel(), weights=gram.ravel(),
-                       minlength=dim * dim).reshape(dim, dim)
+    F = np.zeros(dim * dim)
+    step = max(1, _FISHER_BYTES // signs.nbytes)
+    for lo in range(0, len(cols), step):
+        c = cols[lo:lo + step]
+        weighted = signs * root[lo:lo + step, :, None]
+        gram = weighted.transpose(0, 2, 1) @ weighted
+        np.add.at(F, (c[:, :, None] * dim + c[:, None, :]).ravel(),
+                  gram.ravel())
+    return F.reshape(dim, dim)
 
 
 def fisher_information(block: CountsBlock, rho_est: np.ndarray) -> np.ndarray:

@@ -20,9 +20,14 @@ import numpy as np
 
 from .files import (FORMAT_VERSION, read_floats, read_json, require,
                     require_type, write_floats)
-from .pauli import coeffs_from_dense, dense_from_coeffs, n_sites_of
+from .pauli import SITE_TRANSFORM, coeffs_from_dense, n_sites_of
 
 DENSE_SITE_CAP = 12
+# Rows of a dense matrix are checked in blocks of at most this many entries
+# (256 KiB of complex), so no check holds a full-size temporary.
+_BLOCK_ENTRIES = 1 << 14
+# _PHYSICAL[2r + c, a] = P(a)[r, c], the site map of to_dense
+_PHYSICAL = SITE_TRANSFORM.conj().T
 # Relative cutoff on singular values in the exact conversions.
 _SVD_RTOL = 1e-12
 _BAND, _STRIDE, _RT2 = 2.0 ** 512, 4, math.sqrt(2.0)  # see _sweep
@@ -45,10 +50,18 @@ class DenseOperator:
             raise ValueError("a dense operator needs at least one site")
         if n > DENSE_SITE_CAP:
             raise ValueError(f"dense operators capped at {DENSE_SITE_CAP} sites")
-        if not np.isfinite(self.matrix).all():
+        m, rows = self.matrix, max(1, _BLOCK_ENTRIES // shape[0])
+        blocks = range(0, shape[0], rows)
+        if not all(np.isfinite(m[i:i + rows]).all() for i in blocks):
             raise ValueError("operator entries must be finite")
-        dev = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if dev > 1e-10 * max(1.0, np.max(np.abs(self.matrix))):
+        # max |M - M^H| and max |M| over row blocks: the same entries, so
+        # the same numbers as over the whole matrix
+        dev = scale = 0.0
+        for i in blocks:
+            block = m[i:i + rows]
+            dev = max(dev, np.max(np.abs(block - m[:, i:i + rows].conj().T)))
+            scale = max(scale, np.max(np.abs(block)))
+        if dev > 1e-10 * max(1.0, scale):
             raise ValueError(f"matrix is not Hermitian (deviation {dev:.2e})")
 
     @property
@@ -109,7 +122,44 @@ class MatrixProductOperator:
         return _value(*_contract(_trace_left, np.ones(1), zip(self.tensors)))
 
     def to_dense(self) -> DenseOperator:
-        return DenseOperator(dense_from_coeffs(self.coeffs()))
+        """The 2^N-square matrix, without the 4^N coefficient vector.
+
+        Each site is the operator sum_a P(a) x T[a]. The first h =
+        ceil(N/2) sites contract into L[r, c, D] and the rest into
+        R[D, r, c]; each row of L times R fills its rows of the result in
+        place, so no array besides the result exceeds 2^h 4^(N - h)
+        entries. Dense-cap sized.
+        """
+        n = self.n_sites
+        if n > DENSE_SITE_CAP:
+            raise ValueError(f"dense operators capped at {DENSE_SITE_CAP} "
+                             "sites")
+        h = (n + 1) // 2
+        # site[i][Dl, r, c, Dr] = sum_a P(a)[r, c] T_i[a, Dl, Dr]
+        site = [(_PHYSICAL @ t.reshape(4, -1)).reshape(
+            2, 2, *t.shape[1:]).transpose(2, 0, 1, 3) for t in self.tensors]
+        L = np.ones((1, 1, 1), dtype=complex)
+        for w in site[:h]:
+            (r, c, dl), dr = L.shape, w.shape[3]
+            L = np.dot(L.reshape(-1, dl), w.reshape(dl, -1)).reshape(
+                r, c, 2, 2, dr).transpose(0, 2, 1, 3, 4).reshape(
+                2 * r, 2 * c, dr)
+        R = np.ones((1, 1, 1), dtype=complex)
+        for w in reversed(site[h:]):
+            dr, r, c = R.shape
+            dl = w.shape[0]
+            R = np.dot(w.reshape(-1, dr), R.reshape(dr, -1)).reshape(
+                dl, 2, 2, r, c).transpose(0, 1, 3, 2, 4).reshape(
+                dl, 2 * r, 2 * c)
+        # Rt[rR, D, cR]; the result's row block of L row rL is
+        # out[rR, cL, cR] = sum_D L[rL, cL, D] Rt[rR, D, cR]
+        Rt = np.ascontiguousarray(R.transpose(1, 0, 2))
+        a, b = 1 << h, 1 << (n - h)
+        out = np.empty((1 << n, 1 << n), dtype=complex)
+        rows = out.reshape(a, b, a, b)
+        for i in range(a):
+            np.matmul(L[i], Rt, out=rows[i])
+        return DenseOperator(out)
 
     def rescaled_trace(self, target: float = 1.0) -> "MatrixProductOperator":
         """Copy with the trace rescaled to `target` (trace must be nonzero)."""

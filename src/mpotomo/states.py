@@ -84,6 +84,10 @@ def thermal_dense(spec: HamiltonianSpec, beta: float) -> DenseOperator:
 
 # ---- Matrix-product machinery for pure states and local channels ----
 
+# mps_to_mpo contracts sites in stacks of at most this many bytes of pair
+# products: 256 sites of bond 2.
+_CHUNK_BYTES = 1 << 18
+
 
 def _require_sites(n_sites: int) -> None:
     if n_sites < 1:
@@ -122,7 +126,9 @@ def mps_to_mpo(mps: list[np.ndarray], channels=None) -> MatrixProductOperator:
     S[i][(s', t'), (s, t)] the matrix element Lambda_i(|s><t|)[s', t'].
     Bond pair indices are rotated into a Hermitian operator basis, which
     makes every tensor real at bond dimension D^2. Sites whose tensors
-    share a shape are contracted as one stack.
+    share a shape are contracted as stacks whose pair products hold at
+    most _CHUNK_BYTES each, so a long chain's transients stay bounded;
+    each site's tensor comes from the same matmul calls at any stack size.
     """
     n = len(mps)
     maps = SITE_TRANSFORM @ (np.eye(4, dtype=complex) if channels is None
@@ -134,20 +140,27 @@ def mps_to_mpo(mps: list[np.ndarray], channels=None) -> MatrixProductOperator:
         groups.setdefault(A.shape, []).append(i)
     tensors = [None] * n
     bad = []
-    for (_, dl, dr), sites in groups.items():
-        A = np.stack([mps[i] for i in sites])
-        # pair[i, (s, t), (a, c), (b, e)] = A[i, s, a, b] conj(A[i, t, c, e])
-        pair = (A[:, :, None, :, None, :, None]
-                * A.conj()[:, None, :, None, :, None, :])
-        pair = pair.reshape(len(sites), 4, dl * dl * dr * dr)
-        S = maps if channels is None else maps[sites]
-        T = (S @ pair).reshape(len(sites), 4, dl * dl, dr * dr)
-        T = Q[dl].conj().T @ T @ Q[dr]
-        imag = np.abs(T.imag).max(axis=(1, 2, 3))
-        real = np.abs(T.real).max(axis=(1, 2, 3))
-        bad.extend(np.asarray(sites)[imag > 1e-10 * np.maximum(1.0, real)])
-        for i, t in zip(sites, T.real):
-            tensors[i] = t
+    for (_, dl, dr), group in groups.items():
+        # a site's pair products: 4 (s, t) by dl^2 dr^2 complex entries
+        step = max(1, _CHUNK_BYTES // (64 * dl * dl * dr * dr))
+        for lo in range(0, len(group), step):
+            sites = group[lo:lo + step]
+            A = np.stack([mps[i] for i in sites])
+            # pair[i, (s, t), (a, c), (b, e)]
+            #     = A[i, s, a, b] conj(A[i, t, c, e])
+            pair = (A[:, :, None, :, None, :, None]
+                    * A.conj()[:, None, :, None, :, None, :])
+            pair = pair.reshape(len(sites), 4, dl * dl * dr * dr)
+            S = maps if channels is None else maps[sites]
+            T = (S @ pair).reshape(len(sites), 4, dl * dl, dr * dr)
+            T = Q[dl].conj().T @ T @ Q[dr]
+            imag = np.abs(T.imag).max(axis=(1, 2, 3))
+            real = np.abs(T.real).max(axis=(1, 2, 3))
+            bad.extend(np.asarray(sites)[imag > 1e-10 * np.maximum(1.0,
+                                                                   real)])
+            # contiguous, so the MPO keeps the chunk's real parts as they are
+            for i, t in zip(sites, np.ascontiguousarray(T.real)):
+                tensors[i] = t
     if bad:
         raise ValueError(f"bond gauge failed to produce real tensors: site "
                          f"{min(bad) + 1} of {n} is complex")

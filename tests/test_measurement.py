@@ -264,6 +264,22 @@ def test_simulate_counts_on_all_up_state():
         assert b.counts[settings.index("xy")].sum() == 500
 
 
+@pytest.mark.parametrize("width", [3, 4])
+def test_simulate_counts_does_not_depend_on_the_batch_size(monkeypatch,
+                                                          width):
+    # each setting's probabilities come from the same matmul calls in any
+    # batch, so the counts are bitwise those of one batch of all settings
+    state = random_mpo_via_ancilla(6, seed=21, t_hnorm=0.1)
+    counts = []
+    for settings in (1, 5, 3**width):
+        monkeypatch.setattr(mpotomo.measurement, "_BATCH_BYTES",
+                            settings * 16 * 4**width)
+        counts.append([b.counts
+                       for b in simulate_counts(state, width, 300, seed=2)])
+    assert all(map(np.array_equal, counts[0], counts[1]))
+    assert all(map(np.array_equal, counts[0], counts[2]))
+
+
 def test_simulate_counts_is_seeded():
     state, _ = product_state(3)
     b1 = simulate_counts(state, 2, 100, seed=3)
@@ -501,6 +517,23 @@ def test_fisher_matrix_matches_per_setting_loop(fisher_window, width,
     # so the tolerance is relative to the largest entry
     assert np.allclose(F, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
     assert np.array_equal(F, F.T)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7, 40])
+@pytest.mark.parametrize("shots_kind", ["random", "partly_zero"])
+@pytest.mark.parametrize("width", [3, 4])
+def test_fisher_matrix_over_chunks_of_settings(monkeypatch, fisher_window,
+                                               width, shots_kind, per_chunk):
+    # the blocks of several chunks of settings add into F in setting order,
+    # so F is bitwise that of one chunk, and matches the per-setting loop
+    theta, shots = fisher_window(width, shots_kind)
+    whole = _fisher_matrix(theta, shots)
+    monkeypatch.setattr(mpotomo.measurement, "_FISHER_BYTES",
+                        per_chunk * 8 * 4**width)
+    F = _fisher_matrix(theta, shots)
+    assert np.array_equal(F, whole)
+    ref = oracles.fisher_matrix_loop(theta, shots)
+    assert np.allclose(F, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("width", [3, 4, 5])

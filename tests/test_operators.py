@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ import pytest
 import oracles
 from oracles import pack_index, random_mpo
 from mpotomo.measurement import add_gaussian_noise, exact_block_data
-from mpotomo.operators import (DenseOperator, MatrixProductOperator,
-                               _transfer, identity_environments,
+from mpotomo.operators import (_BLOCK_ENTRIES, DenseOperator,
+                               MatrixProductOperator, _transfer,
+                               identity_environments,
                                load_operator, mpo_from_coeffs, mpo_from_dense,
                                mpo_overlap, save_operator, window_coeffs)
-from mpotomo.pauli import coeffs_from_dense
+from mpotomo.pauli import coeffs_from_dense, dense_from_coeffs
 from mpotomo.reconstruction import reconstruct_mpo
-from mpotomo.states import random_mpo_via_ancilla
+from mpotomo.states import random_mpo_via_ancilla, w_state
 
 
 def test_dense_operator_validates_hermiticity():
@@ -24,6 +26,43 @@ def test_dense_operator_validates_hermiticity():
 def test_dense_operator_rejects_non_finite_entries(value):
     with pytest.raises(ValueError, match="operator entries must be finite"):
         DenseOperator(np.full((2, 2), value, dtype=complex))
+
+
+def _hermitian_rows(n_sites):
+    """A Hermitian 2^n_sites-square matrix and the rows of one block of
+    DenseOperator's checks, which must split it into several blocks."""
+    rng = np.random.default_rng(n_sites)
+    dim = 2**n_sites
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rows = _BLOCK_ENTRIES // dim
+    assert 1 <= rows < dim // 2
+    return m + m.conj().T, rows
+
+
+@pytest.mark.parametrize("where", ["last_block", "across_boundary"])
+def test_dense_operator_checks_every_row_block(where):
+    # the checks run over row blocks; an asymmetry that one block alone
+    # holds, or whose two entries lie in neighbouring blocks, is named
+    # with the deviation over the whole matrix
+    m, rows = _hermitian_rows(9)
+    i, j = {"last_block": (len(m) - 1, len(m) - rows),
+            "across_boundary": (rows - 1, rows)}[where]
+    m[i, j] += 0.25
+    dev = np.max(np.abs(m - m.conj().T))
+    with pytest.raises(ValueError, match=re.escape(
+            f"matrix is not Hermitian (deviation {dev:.2e})")):
+        DenseOperator(m)
+    m[j, i] += 0.25  # Hermitian again
+    DenseOperator(m)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_dense_operator_finds_a_non_finite_entry_in_the_last_block(value):
+    m, _ = _hermitian_rows(9)
+    m[-1, 3] = value
+    m[0, 1] += 1.0  # an asymmetry too: the finiteness check comes first
+    with pytest.raises(ValueError, match="operator entries must be finite"):
+        DenseOperator(m)
 
 
 def test_dense_operator_shape_checks():
@@ -94,6 +133,47 @@ def test_mpo_coefficient_matches_dense(rng):
 def test_mpo_trace_matches_dense():
     mpo = random_mpo(5, bond=2, seed=1)
     assert abs(mpo.trace - np.trace(mpo.to_dense().matrix).real) < 1e-12
+
+
+@pytest.mark.parametrize("n_sites", range(1, 10))
+def test_to_dense_matches_the_coefficient_transform(n_sites):
+    # to_dense contracts the chain in two halves; dense_from_coeffs goes
+    # through the 4^N coefficient vector. Odd and even N, bonds 1 to 16
+    mpos = [random_mpo(n_sites, bond=b, seed=10 * n_sites + b)
+            for b in (1, 2, 5, 16)]
+    if n_sites == 7:  # and a reconstructed estimate
+        ref = random_mpo_via_ancilla(7, seed=4, t_hnorm=0.1)
+        mpos.append(reconstruct_mpo(add_gaussian_noise(
+            exact_block_data(ref, 3), 1e-3, seed=1)))
+    for mpo in mpos:
+        got = mpo.to_dense().matrix
+        want = dense_from_coeffs(mpo.coeffs())
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_to_dense_names_the_dense_cap():
+    mpo = MatrixProductOperator([np.ones((4, 1, 1))] * 13)
+    with pytest.raises(ValueError, match="dense operators capped at 12 "
+                       "sites"):
+        mpo.to_dense()
+
+
+def test_to_dense_peak_memory_is_near_its_result():
+    # no full-size temporary: L, R and the checks' row blocks are small
+    # beside the 16 MiB matrix of 10 sites
+    mpo = w_state(10)[1]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dense = mpo.to_dense()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 1.3 * dense.matrix.nbytes, peak / dense.matrix.nbytes
 
 
 def test_mpo_from_dense_roundtrip(herm16):

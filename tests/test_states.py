@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -159,6 +160,38 @@ def test_named_states_are_bitwise_the_per_site_assembly(monkeypatch):
             ref = oracles.mps_to_mpo_per_site(seen.pop(0))
             assert [t.shape for t in mpo.tensors] == [t.shape for t in ref]
             assert all(map(np.array_equal, mpo.tensors, ref)), n
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, 1000])
+def test_mps_to_mpo_is_bitwise_over_any_chunk_size(monkeypatch, per_chunk):
+    # stacks of sites of one shape, of any size, give the same tensors
+    def build():
+        return [w_state(11)[1], ghz_state(9)[1],
+                random_mpo_via_ancilla(10, seed=5, t_hnorm=0.1)]
+
+    want = build()
+    # per_chunk sites of bond 2 (1 KiB of pair products each)
+    monkeypatch.setattr(states, "_CHUNK_BYTES", per_chunk * 1024)
+    for a, b in zip(build(), want):
+        assert all(map(np.array_equal, a.tensors, b.tensors))
+
+
+def test_w_state_peak_memory_is_near_its_tensors():
+    # mps_to_mpo contracts bounded stacks of sites, so a long chain's
+    # transients stay small beside its tensors
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, mpo = w_state(4096)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    tensors = sum(t.nbytes for t in mpo.tensors)
+    assert peak <= 3 * tensors, peak / tensors
 
 
 @pytest.mark.parametrize("bad_sites, named", [
