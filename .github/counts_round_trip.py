@@ -5,11 +5,14 @@ Usage: python3 .github/counts_round_trip.py R LIMIT_MB
 Runs gen-state, measure --shots 100 --seed 0, ingest-counts and
 reconstruct through mpotomo.cli.main in this one process, in the current
 directory, and fails if a command fails or the process's peak resident
-set size is above LIMIT_MB.
+set size is above LIMIT_MB. Prints the wall time of ingest-counts (the
+likelihood fits) and the peak resident set size. Run it with
+-W error::UserWarning to fail on a fit that stops unconverged as well.
 """
 
 import resource
 import sys
+import time
 
 from mpotomo.cli import main
 
@@ -22,10 +25,14 @@ def round_trip(width: str, limit_mb: float) -> bool:
                   "fitted.json"],
                  ["reconstruct", "--data", "fitted.json", "--out",
                   "est.mpo.json"]):
+        start = time.perf_counter()
         if main(argv):
             return False
+        if argv[0] == "ingest-counts":
+            ingest_s = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"peak RSS {peak:.0f} MB (limit {limit_mb:g} MB)")
+    print(f"ingest-counts {ingest_s:.2f} s, "
+          f"peak RSS {peak:.0f} MB (limit {limit_mb:g} MB)")
     return peak <= limit_mb
 
 

@@ -407,17 +407,41 @@ def _project_density(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _linear_inversion(block: CountsBlock) -> np.ndarray:
+    """The window's linear-inversion estimate, as coefficients.
+
+    signs is its own inverse, so row s of counts @ signs is the shots of
+    setting s times its estimates of the strings cols[s]. Each string
+    pools them over the settings that measure it, weighted by their shots:
+    a setting with no shots drops out, and a string that no measured
+    setting reaches is 0.
+    """
+    cols, signs = _design(block.width)[:2]
+    flat_cols = cols.ravel()
+    n_mat = block.counts
+    pooled = np.bincount(flat_cols, weights=(n_mat @ signs).ravel(),
+                         minlength=4**block.width)
+    weight = np.bincount(flat_cols, weights=np.repeat(n_mat.sum(axis=1),
+                                                      cols.shape[1]),
+                         minlength=4**block.width)
+    return np.divide(pooled, weight, out=np.zeros_like(pooled),
+                     where=weight > 0)
+
+
 def local_mle(block: CountsBlock, tol: float = MLE_TOL,
               max_iter: int = MLE_MAX_ITER) -> MleResult:
     """Maximum-likelihood density matrix for one window's counts.
 
     Accelerated projected gradient (Shang, Zhang & Ng, PRA 95, 062336,
     2017) on f = mean negative log-likelihood per shot, over unit-trace PSD
-    matrices, from the maximally mixed state. Each step projects a
-    gradient step from the momentum point; its length backtracks until f
-    meets the quadratic upper bound, and the momentum restarts whenever
-    the objective would rise, so the likelihood of accepted iterates never
-    falls. The fit converges when the KKT residual
+    matrices. The fit starts from the window's linear-inversion estimate
+    (_linear_inversion) projected onto the density matrices, the
+    Gaussian-noise maximum-likelihood state of Smolin, Gambetta & Smith
+    (PRL 108, 070502, 2012), at the cost of one projection. Each step
+    projects a gradient step from the momentum point; its length
+    backtracks until f meets the quadratic upper bound, and the momentum
+    restarts whenever the objective would rise, so the likelihood of
+    accepted iterates never falls. The fit converges when the KKT residual
     ||rho - Proj(rho - grad f(rho))||_F drops below tol. Otherwise it stops
     at max_iter, or when a step can no longer lower f in floating point,
     and the result carries the last iterate with converged False. tol must
@@ -431,8 +455,8 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
     gradient at the iterate, so it is evaluated only from the first
     accepted step whose gradient mapping ||x_next - y|| / min(t, 1), an
     upper bound on the unit-step residual at the momentum point y, is
-    within _KKT_SWITCH * tol, and at every iterate after that (the last 5
-    to 11 of 29 to 36 iterates on criterion 7's W(8) windows at R = 5).
+    within _KKT_SWITCH * tol, and at every iterate after that (the last 7
+    to 10 of 24 to 35 iterates on criterion 7's W(8) windows at R = 5).
     The iterates are those of a test at every iterate; a fit could only
     run past an untested iterate already below tol. Otherwise the gradient
     at the iterate is formed for a momentum restart, after which y is the
@@ -492,7 +516,7 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
     def kkt_residual(x, gx):
         return float(np.linalg.norm(x - _project_density(x - gx)))
 
-    x = coeffs_from_dense(np.eye(1 << width, dtype=complex) / (1 << width))
+    x = _project_density(_linear_inversion(block))
     px = probabilities(x)
     gx = gradient(px)
     y, py, gy = x, px, gx
