@@ -10,15 +10,13 @@ companion file, `path.f64`: raw little-endian IEEE-754 doubles in C
 order, one array after another in the order the JSON lists them. The
 JSON holds one record `{"shape": [...], "offset": k}` per array, k
 counted in entries, so writing and reading the data is one buffer copy
-each way, exact to the bit. `read_floats` also reads the forms of files
-written before the companion: the record `{"shape": [...], "float64":
-text}`, the text being the base64 of the same bytes, and a nested array
-of JSON numbers, the form of operators written by hand.
+each way, exact to the bit. `read_floats` also reads a nested array of
+JSON numbers in place of a record, the form of operators written by
+hand.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
@@ -104,35 +102,12 @@ def _reshape(flat: np.ndarray, shape: list, where) -> np.ndarray:
         raise ValueError(f"{where} shape: {exc}") from None
 
 
-def _decode_record(record: dict, where) -> np.ndarray:
-    """The array of a base64 float64 record, checked field by field."""
-    require(record, ("shape", "float64"), where, allowed=())
-    shape, text = _shape(record["shape"], where), record["float64"]
-    require_type(text, str, f"{where} float64")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error, or text that is not ASCII
-        raise ValueError(f"{where} float64 is not valid base64: "
-                         f"{exc}") from None
-    size = 8 * math.prod(shape)
-    if len(raw) != size:
-        raise ValueError(f"{where} float64 holds {len(raw)} bytes; shape "
-                         f"{shape} needs {size}")
-    return _reshape(np.frombuffer(raw, dtype="<f8").astype(float), shape,
-                    where)
-
-
 def _float_array(value, where) -> np.ndarray:
-    """A float array from its base64 record, or from a JSON array of
-    numbers nested to any depth. Rejects a value that is neither, a record
-    with a missing or extra field, a shape that is not a list of
-    nonnegative integers, text that is not base64 of 8 bytes per entry of
-    the shape, and in the nested form an entry that is not a number (a
-    string, a bool, a null) and rows that differ in length."""
-    if isinstance(value, dict):
-        return _decode_record(value, where)
+    """A float array from a JSON array of numbers nested to any depth.
+    Rejects a value that is not an array, an entry that is not a number
+    (a string, a bool, a null) and rows that differ in length."""
     if not isinstance(value, list):
-        raise ValueError(f"{where} must be a float64 record or a JSON "
+        raise ValueError(f"{where} must be a float record or a JSON "
                          f"array, not {type(value).__name__}")
     entries = np.asarray(value, dtype=object)
     kinds = set(map(type, entries.ravel())) - {int, float}
@@ -162,16 +137,11 @@ def _read_companion(path, spans: dict) -> dict:
                              "bytes")
         end = 0
         for key, (offset, shape) in spans.items():
-            count = math.prod(shape)
-            if offset + count > total:
-                raise ValueError(f"{path}: {key} offset {offset} and shape "
-                                 f"{shape} run past the companion's "
-                                 f"{total} entries")
             if offset != end:
                 raise ValueError(f"{path}: {key} offset {offset}: the "
                                  "records do not tile the companion in "
                                  f"order, which puts it at {end}")
-            end += count
+            end += math.prod(shape)
         flat = np.empty(total, dtype="<f8")
         got = fh.readinto(flat)
         if got != size:
@@ -187,19 +157,18 @@ def read_floats(path, values: dict) -> list[np.ndarray]:
     """The float arrays of an operator or window-data file, `values`
     mapping each array's name to its JSON value in file order.
 
-    A record `{"shape", "offset"}` takes its entries from the companion;
-    a base64 record or a nested array is read by `_float_array`. Besides
-    those checks, rejects a record with both `float64` and `offset`, an
-    offset that is not a nonnegative integer, a missing companion, one
-    whose byte count is not 8 times the entries its records list, and a
-    record whose offset and shape run past the companion or that does not
-    start where the record before it ends."""
+    A JSON object is a record `{"shape", "offset"}` that takes its
+    entries from the companion; a JSON array is the nested form, read by
+    `_float_array`. Rejects a record with a missing or extra field (the
+    `float64` of the records written before the companion among them), a
+    shape that is not a list of nonnegative integers, an offset that is
+    not a nonnegative integer, a missing companion, one whose byte count
+    is not 8 times the entries its records list, and a record that does
+    not start where the record before it ends."""
     arrays, spans = {}, {}
     for key, value in values.items():
         where = f"{path}: {key}"
-        if isinstance(value, dict) and "offset" in value:
-            if "float64" in value:
-                raise ValueError(f"{where} holds both float64 and offset")
+        if isinstance(value, dict):
             require(value, ("shape", "offset"), where, allowed=())
             shape, offset = _shape(value["shape"], where), value["offset"]
             require_type(offset, int, f"{where} offset")

@@ -800,14 +800,13 @@ def save_block_data(data: PauliBlockData, path: str) -> None:
 def load_block_data(path: str) -> PauliBlockData:
     """Read a window data file and its companion; rejects a bad header,
     an N or R that is not an integer, `blocks` that are not a companion
-    record or, in a file written before the companion, a base64 record or
-    a rectangular nested array of numbers (files.read_floats), an R outside
-    1..N, blocks whose shape is not (N - R + 1, 4^R), a `noise` other
-    than null that is not an object with a `kind`, an unknown noise kind,
-    scalar noise without a `sigma` or with one that is not a number,
-    fisher noise without `shots` (so a file that holds Fisher matrices)
-    or with shots that are not rows of integers, and whatever
-    PauliBlockData rejects."""
+    record or a rectangular nested array of numbers (files.read_floats),
+    an R outside 1..N, blocks whose shape is not (N - R + 1, 4^R), a
+    `noise` other than null that is not an object with a `kind`, an
+    unknown noise kind, scalar noise without a `sigma` or with one that is
+    not a number, fisher noise without `shots` (so a file that holds
+    Fisher matrices) or with shots that are not rows of integers, and
+    whatever PauliBlockData rejects."""
     payload = _read_windows_file(path)
     sigma = shots = None
     raw = payload.get("noise")

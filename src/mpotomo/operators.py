@@ -362,14 +362,14 @@ def load_operator(path: str):
     """Read an operator JSON file and its companion; returns the matching
     container type.
 
-    Each tensor and the matrix is a companion record, or in a file written
-    before the companion a base64 record or a nested array of numbers
-    (files.read_floats). Besides the header check, rejects an MPO without
-    tensors, tensors or a matrix that are none of these (a malformed
-    record or companion, or a nested array that is not rectangular or
-    holds an entry that is not a number), a matrix whose entries are not
-    [re, im] pairs, non-finite entries and an `n_sites` (or, for an MPO, a
-    `bond_dims`) field that disagrees with the data.
+    Each tensor and the matrix is a companion record, or a nested array of
+    numbers as written by hand (files.read_floats). Besides the header
+    check, rejects an MPO without tensors, tensors or a matrix that are
+    neither (a malformed record or companion, or a nested array that is
+    not rectangular or holds an entry that is not a number), a matrix
+    whose entries are not [re, im] pairs, non-finite entries and an
+    `n_sites` (or, for an MPO, a `bond_dims`) field that disagrees with
+    the data.
     """
     payload = read_json(path, ("kind", "n_sites"))
     kind = payload["kind"]

@@ -380,9 +380,10 @@ def reconstruct_mpo(data: PauliBlockData,
         tensors.extend(S[:, None] @ C.reshape(len(S), 4**l, 4, dim_r)
                        .transpose(0, 2, 1, 3))
         del S
-        site_rows = [{"k": b + l + 1, "singular_values": spectrum,
-                      "flags": flags[b] + penalty_flags[b]}
-                     for b, spectrum in enumerate(spectra.tolist())]
+        if with_report:
+            site_rows = [{"k": b + l + 1, "singular_values": spectrum,
+                          "flags": flags[b] + penalty_flags[b]}
+                         for b, spectrum in enumerate(spectra.tolist())]
         for i in range(1, r + 1):
             dr = 4 ** (r - i)
             # t[a, a * dr + j, j] = 1: split off the next site's index

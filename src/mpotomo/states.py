@@ -225,13 +225,7 @@ def _pure_state(mps: list[np.ndarray]):
     return dense, mps_to_mpo(mps)
 
 
-def w_state(n_sites: int, phases=None):
-    """W state with relative branch phases; returns (dense or None, MPO).
-
-    The branch with the excitation on the last site carries phase zero and
-    phases[j - 1] multiplies the branch with the excitation j sites in
-    from the right, so len(phases) == n_sites - 1.
-    """
+def _w_mps(n_sites: int, phases=None) -> list[np.ndarray]:
     _require_sites(n_sites)
     n = n_sites
     if phases is None:
@@ -247,23 +241,20 @@ def w_state(n_sites: int, phases=None):
     mps = list(A)
     mps[0] = mps[0][:, :1, :]
     mps[-1] = mps[-1][:, :, 1:]
-    return _pure_state(mps)
+    return mps
 
 
-def ghz_state(n_sites: int):
-    """GHZ state (|0...0> + |1...1>)/sqrt(2); returns (dense or None, MPO).
-    One site gives (|0> + |1>)/sqrt(2)."""
+def _ghz_mps(n_sites: int) -> list[np.ndarray]:
     _require_sites(n_sites)
     A = np.zeros((2, 2, 2), dtype=complex)
     A[0, 0, 0] = A[1, 1, 1] = 1.0
     mps = [A] * n_sites
     mps[0] = np.full((1, 2), 2.0 ** -0.5) @ mps[0]
     mps[-1] = mps[-1] @ np.ones((2, 1))
-    return _pure_state(mps)
+    return mps
 
 
-def product_state(n_sites: int, kets=None):
-    """Product of single-site pure states; defaults to all |0>."""
+def _product_mps(n_sites: int, kets=None) -> list[np.ndarray]:
     _require_sites(n_sites)
     if kets is None:
         kets = [np.array([1.0, 0.0])] * n_sites
@@ -274,8 +265,28 @@ def product_state(n_sites: int, kets=None):
     for site, norm in enumerate(norms, start=1):
         if not 0.0 < norm < np.inf:
             raise ValueError(f"ket {site}: norm {norm} is zero or not finite")
-    return _pure_state([(v / r).reshape(2, 1, 1)
-                        for v, r in zip(kets, norms)])
+    return [(v / r).reshape(2, 1, 1) for v, r in zip(kets, norms)]
+
+
+def w_state(n_sites: int, phases=None):
+    """W state with relative branch phases; returns (dense or None, MPO).
+
+    The branch with the excitation on the last site carries phase zero and
+    phases[j - 1] multiplies the branch with the excitation j sites in
+    from the right, so len(phases) == n_sites - 1.
+    """
+    return _pure_state(_w_mps(n_sites, phases))
+
+
+def ghz_state(n_sites: int):
+    """GHZ state (|0...0> + |1...1>)/sqrt(2); returns (dense or None, MPO).
+    One site gives (|0> + |1>)/sqrt(2)."""
+    return _pure_state(_ghz_mps(n_sites))
+
+
+def product_state(n_sites: int, kets=None):
+    """Product of single-site pure states; defaults to all |0>."""
+    return _pure_state(_product_mps(n_sites, kets))
 
 
 def make_state(family: str, n_sites: int, seed=None, beta: float = 5.0,
@@ -287,10 +298,10 @@ def make_state(family: str, n_sites: int, seed=None, beta: float = 5.0,
     draws the random couplings. "random_mpo" gives (None, mpo) from the
     ancilla construction with coupling strength `t_hnorm`, drawn from
     `seed`. "w" (with optional branch `phases`), "ghz" and "product" give
-    what their constructors return: the MPO, and the dense form up to
-    DENSE_SITE_CAP sites (None beyond). Deterministic families ignore
-    `seed`, and every family but "w" ignores `phases`. A chain needs at
-    least one site.
+    (None, mpo), the MPO their constructors return, without the dense
+    form; a caller that needs it takes the MPO's to_dense(). Deterministic
+    families ignore `seed`, and every family but "w" ignores `phases`. A
+    chain needs at least one site.
     """
     _require_sites(n_sites)
     if family in HAMILTONIAN_FAMILIES:
@@ -300,9 +311,11 @@ def make_state(family: str, n_sites: int, seed=None, beta: float = 5.0,
         return None, random_mpo_via_ancilla(n_sites, seed=seed,
                                             t_hnorm=t_hnorm)
     if family == "w":
-        return w_state(n_sites, phases)
-    if family == "ghz":
-        return ghz_state(n_sites)
-    if family == "product":
-        return product_state(n_sites)
-    raise ValueError(f"unknown family {family!r}")
+        mps = _w_mps(n_sites, phases)
+    elif family == "ghz":
+        mps = _ghz_mps(n_sites)
+    elif family == "product":
+        mps = _product_mps(n_sites)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return None, mps_to_mpo(mps)

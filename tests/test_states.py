@@ -267,10 +267,11 @@ def test_ghz_state_dense_and_mpo_agree():
 
 def test_ghz_single_site_is_the_plus_state():
     plus = np.full(2, 2.0 ** -0.5, dtype=complex)
-    for dense, mpo in (ghz_state(1), make_state("ghz", 1)):
-        assert np.array_equal(dense.matrix, np.outer(plus, plus))
-        assert mpo.bond_dims == [1, 1]
-        assert np.max(np.abs(mpo.to_dense().matrix - dense.matrix)) < 1e-15
+    dense, mpo = ghz_state(1)
+    assert np.array_equal(dense.matrix, np.outer(plus, plus))
+    for op in (mpo, make_state("ghz", 1)[1]):
+        assert op.bond_dims == [1, 1]
+        assert np.max(np.abs(op.to_dense().matrix - dense.matrix)) < 1e-15
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -372,9 +373,10 @@ def test_make_state_matches_family_constructors():
         "random_next_neighbour": (thermal_dense(
             HamiltonianSpec("random_next_neighbour", 4, seed=5), 2.0), None),
         "random_mpo": (None, random_mpo_via_ancilla(4, seed=5, t_hnorm=0.1)),
-        "w": w_state(4, phases),
-        "ghz": ghz_state(4),
-        "product": product_state(4),
+        # the named families' MPO, without the dense form
+        "w": (None, w_state(4, phases)[1]),
+        "ghz": (None, ghz_state(4)[1]),
+        "product": (None, product_state(4)[1]),
     }
     assert set(want) == set(FAMILIES)
     for family, (dense, mpo) in want.items():
@@ -382,3 +384,20 @@ def test_make_state_matches_family_constructors():
                                         t_hnorm=0.1, phases=phases)
         assert _same_operator(got_dense, dense), family
         assert _same_operator(got_mpo, mpo), family
+
+
+def test_make_state_builds_no_dense_form_of_a_named_state():
+    # W(12)'s dense form alone is 256 MiB; its MPO is about 6 KiB
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dense, mpo = make_state("w", 12)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert dense is None and mpo.n_sites == 12
+    assert peak < 2**20, peak
