@@ -45,7 +45,7 @@ def run(width, rho, phases):
     fitted = block_data_from_counts(counts, N)
     est = reconstruct_mpo(fitted)  # fisher mode, from the fitted shots
     cmp = compare_states(rho, est)
-    fid, est_phases, _ = fidelity_w_optimized(est, seed=0, full_output=True)
+    fid, est_phases = fidelity_w_optimized(est)
     dt = time.time() - t0
 
     # a window's measured settings are the nonzero rows of its counts

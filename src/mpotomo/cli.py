@@ -116,8 +116,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_compare(args) -> int:
     ref = load_operator(args.ref)
     est = load_operator(args.est)
-    report = compare_states(ref, est, w_fidelity=args.w_fidelity,
-                            seed=args.seed)
+    report = compare_states(ref, est, w_fidelity=args.w_fidelity)
     if args.out:
         write_json(args.out, report.to_dict(), indent=1)
     _emit(report.to_dict())
@@ -204,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--ref", required=True)
     c.add_argument("--est", required=True)
     c.add_argument("--w-fidelity", action="store_true")
-    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_compare)
 

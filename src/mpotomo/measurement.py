@@ -653,10 +653,28 @@ def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
 # ---- Serialization ----
 
 
+def _check_windows(n_sites: int, width: int, starts: list[int],
+                   where: str = "") -> None:
+    """Reject an R outside 1..N, and a window start k outside 1..N-R+1 or
+    listed twice; where prefixes the R message. Not every k is needed."""
+    if not 1 <= width <= n_sites:
+        raise ValueError(f"{where}R = {width} is outside 1..N = {n_sites}")
+    seen = set()
+    for k in starts:
+        if not 1 <= k <= n_sites - width + 1:
+            raise ValueError(f"block k = {k} outside 1..{n_sites - width + 1}")
+        if k in seen:
+            raise ValueError(f"block k = {k} is listed twice")
+        seen.add(k)
+
+
 def save_counts(blocks: list[CountsBlock], n_sites: int, path: str) -> None:
-    """Write every window's measured (nonzero) rows in all_settings order;
-    blocks must be nonempty and share one width."""
+    """Write every window's measured (nonzero) rows in all_settings order.
+
+    blocks must be nonempty and share one width, and pass load_counts'
+    range checks (_check_windows); otherwise nothing is written."""
     width = _shared_width(blocks)
+    _check_windows(n_sites, width, [b.k for b in blocks])
     labels = _labels(width)
 
     def nonzero(c):
@@ -755,29 +773,23 @@ def load_counts(path: str):
     settings that are not strings of R letters from "xyz" or are listed
     twice in a window, outcomes that are not R characters from "+-",
     negative counts, and per-setting counts that do not sum to the
-    declared shots. A window's setting records are checked one at a time
-    in file order, so where several are faulty the first is named. A
+    declared shots. The block records and their k are checked before any
+    window's settings, and a window's setting records one at a time in
+    file order, so where several are faulty the first is named. A
     setting the file does not list is a zero row: not measured.
     """
     payload = _read_windows_file(path)
-    n_sites, width = payload["N"], payload["R"]
-    if not 1 <= width <= n_sites:
-        raise ValueError(f"{path}: R = {width} is outside 1..N = {n_sites}")
-    _check_dense_width(width, f"{path}: ")
-    require_type(payload["blocks"], list, f"{path}: blocks")
-    blocks = {}
-    for i, rec in enumerate(payload["blocks"]):
+    n_sites, width, records = payload["N"], payload["R"], payload["blocks"]
+    require_type(records, list, f"{path}: blocks")
+    for i, rec in enumerate(records):
         require(rec, ("k", "settings"), f"{path}: blocks[{i}]")
         require_type(rec["settings"], list, f"{path}: blocks[{i}] settings")
         require_type(rec["k"], int, f"{path}: blocks[{i}] k")
-        k = rec["k"]
-        if not 1 <= k <= n_sites - width + 1:
-            raise ValueError(f"block k = {k} outside 1..{n_sites - width + 1}")
-        if k in blocks:
-            raise ValueError(f"block k = {k} is listed twice")
-        blocks[k] = CountsBlock(k, _window_counts(rec["settings"], k, width,
-                                                  path))
-    return list(blocks.values()), n_sites
+    _check_windows(n_sites, width, [rec["k"] for rec in records], f"{path}: ")
+    _check_dense_width(width, f"{path}: ")
+    return [CountsBlock(rec["k"], _window_counts(rec["settings"], rec["k"],
+                                                 width, path))
+            for rec in records], n_sites
 
 
 def save_block_data(data: PauliBlockData, path: str) -> None:

@@ -15,9 +15,6 @@ import numpy as np
 
 from .operators import DENSE_SITE_CAP, MatrixProductOperator, _overlap, _value
 
-# Random phase draws fidelity_w_optimized restarts from.
-_N_STARTS = 8
-
 
 def _gram_terms(a, b):
     """(tr[a a], tr[a b], tr[b b]) as pairs (m, e), each m * 2^e."""
@@ -60,71 +57,55 @@ def _single_excitation_block(state) -> np.ndarray:
     return state.to_dense().matrix[np.ix_(idx, idx)]
 
 
-def fidelity_w_optimized(state, seed: int = 0, full_output: bool = False):
+def fidelity_w_optimized(state):
     """Best overlap with a single-excitation state over branch phases.
 
     Maximizes <W(phi)| state |W(phi)> by coordinate ascent on the unit
-    phasors, each coordinate update being the closed-form argmax; restarts
-    from flat phases, the leading eigenvector, and _N_STARTS random draws.
-    Returns (fidelity, phases) with len(phases) = n_sites - 1, phases
-    relative to the branch with the excitation on the last site.
+    phasors, each coordinate update being the closed-form argmax, from the
+    phases of the single-excitation block's leading eigenvector (the
+    spectral start of phase synchronization); deterministic. Returns
+    (fidelity, phases) with len(phases) = n_sites - 1, phases relative to
+    the branch with the excitation on the last site.
     """
     R = _single_excitation_block(state)
     n = R.shape[0]
-    rng = np.random.default_rng(seed)
-    evals, evecs = np.linalg.eigh(R)
-    starts = [np.ones(n, dtype=complex)]
-    lead = evecs[:, -1]
-    lead = np.where(np.abs(lead) > 1e-12, lead / np.abs(lead).clip(1e-12), 1.0)
-    starts.append(lead.astype(complex))
-    for _ in range(_N_STARTS):
-        starts.append(np.exp(2.0j * np.pi * rng.random(n)))
-
-    def ascend(z):
-        f = (z.conj() @ R @ z).real / n
-        for _ in range(500):
-            for j in range(n):
-                w = R[j] @ z - R[j, j] * z[j]
-                if abs(w) > 1e-300:
-                    z[j] = w / abs(w)
-            f_new = (z.conj() @ R @ z).real / n
-            if f_new - f < 1e-12:
-                f = f_new
-                break
-            f = f_new
-        return f, z
-
-    results = [ascend(z.copy()) for z in starts]
-    f_best, z_best = max(results, key=lambda t: t[0])
-    z_best = z_best * (z_best[0].conj() / abs(z_best[0]))
-    phases = np.mod(np.angle(z_best[1:]), 2.0 * np.pi)
-    if full_output:
-        return f_best, phases, {"start_fidelities": [t[0] for t in results]}
-    return f_best, phases
+    z = np.linalg.eigh(R)[1][:, -1].astype(complex)
+    z = np.where(np.abs(z) > 1e-12, z / np.abs(z).clip(1e-12), 1.0)
+    f = (z.conj() @ R @ z).real / n
+    for _ in range(500):
+        for j in range(n):
+            w = R[j] @ z - R[j, j] * z[j]
+            if abs(w) > 1e-300:
+                z[j] = w / abs(w)
+        f, f_old = (z.conj() @ R @ z).real / n, f
+        if f - f_old < 1e-12:
+            break
+    z = z * (z[0].conj() / abs(z[0]))
+    return f, np.mod(np.angle(z[1:]), 2.0 * np.pi)
 
 
 @dataclass
 class ComparisonReport:
+    """compare_states' figures; w_* are fidelity_w_optimized's or None."""
     hs_distance: float
     purity_ref: float
     purity_est: float
     min_eig_est: float | None = None
     w_fidelity: float | None = None
     w_phases: list[float] | None = None
-    w_start_spread: float | None = None
 
     def to_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items()}
 
 
-def compare_states(ref, est, w_fidelity: bool = False,
-                   seed: int = 0) -> ComparisonReport:
+def compare_states(ref, est, w_fidelity: bool = False) -> ComparisonReport:
     """Bundle of distance, purities, spectral floor, optional fidelity.
 
     The purities are the Gram terms the distance needs: 0.0 below the float
     range, where D stays right, and inf above it, as is D beyond the range.
     min_eig_est is the smallest eigenvalue of est's dense form, None above
     DENSE_SITE_CAP = 12 sites; w_fidelity needs it and raises above 12.
+    The W fidelity is fidelity_w_optimized's one deterministic ascent.
     """
     terms = _gram_terms(ref, est)
     report = ComparisonReport(_distance(terms), _value(*terms[0]),
@@ -133,10 +114,7 @@ def compare_states(ref, est, w_fidelity: bool = False,
     if dense_est is not None:
         report.min_eig_est = float(np.linalg.eigvalsh(dense_est.matrix).min())
     if w_fidelity:
-        f, phases, extra = fidelity_w_optimized(dense_est or est, seed=seed,
-                                                full_output=True)
+        f, phases = fidelity_w_optimized(dense_est or est)
         report.w_fidelity = float(f)
         report.w_phases = [float(p) for p in phases]
-        fs = extra["start_fidelities"]
-        report.w_start_spread = float(max(fs) - min(fs))
     return report

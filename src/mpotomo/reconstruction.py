@@ -93,8 +93,9 @@ def default_split(width: int) -> tuple[int, int]:
 
 @dataclass
 class ReconstructionConfig:
-    """Window split and solver choice; l + r + 1 must equal the data width.
-    regularizer None takes NOISE_MODES' mode for the data's noise kind."""
+    """Window split and solver choice; l + r + 1 must equal the data width,
+    with l, r >= 1, or l, r >= 0 for a single window (N = R). regularizer
+    None takes NOISE_MODES' mode for the data's noise kind."""
 
     l: int | None = None
     r: int | None = None
@@ -111,11 +112,10 @@ class ReconstructionConfig:
             r = width - 1 - l
         if l + r + 1 != width:
             raise ValueError(f"l + r + 1 = {l + r + 1} != width {width}")
-        if n_sites == width:
-            return l, r
-        if l < 1 or r < 1:
-            raise ValueError("need l >= 1 and r >= 1")
-        if l + r > n_sites - 2:
+        lo = 0 if n_sites == width else 1
+        if l < lo or r < lo:
+            raise ValueError(f"need l >= {lo} and r >= {lo}")
+        if n_sites != width and l + r > n_sites - 2:
             raise ValueError("need l + r <= n_sites - 2 (or n_sites == width)")
         return l, r
 

@@ -566,3 +566,56 @@ def block_data_payload_nested(data):
             noise["shots"] = data.shots.tolist()
     return {"version": 1, "N": data.n_sites, "R": data.width, "d": 2,
             "blocks": data.blocks.tolist(), "noise": noise}
+
+
+def w_kets(n_sites, phases):
+    """Unit W(phi) kets, one row per row of phases (..., n_sites - 1).
+
+    The branch with the excitation j sites in from the right is basis
+    state 2^j; the last site's (j = 0) carries phase zero and branch j
+    carries phases[..., j - 1], as states.w_state documents.
+    """
+    phases = np.atleast_2d(phases)
+    psi = np.zeros((len(phases), 2**n_sites), dtype=complex)
+    psi[:, 1] = 1.0
+    for j in range(1, n_sites):
+        psi[:, 1 << j] = np.exp(1j * phases[:, j - 1])
+    return psi / np.sqrt(n_sites)
+
+
+def w_fidelity_at(rho, phases):
+    """<W(phi)| rho |W(phi)> for each row of phases, from the kets."""
+    n = int(np.log2(rho.shape[0]))
+    psi = w_kets(n, phases)
+    return np.einsum("si,ij,sj->s", psi.conj(), rho, psi).real
+
+
+def w_fidelity_grid(rho, n_grid):
+    """Best W fidelity over the grid of n_grid^(N-1) phase tuples
+    2 pi m / n_grid: a lower bound on the maximum."""
+    n = int(np.log2(rho.shape[0]))
+    axis = 2.0 * np.pi * np.arange(n_grid) / n_grid
+    grid = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1)
+    return float(w_fidelity_at(rho, grid.reshape(-1, n - 1)).max())
+
+
+def w_fidelity_power_method(rho, n_starts, seed, max_iter=20_000):
+    """Best W fidelity over generalized power iterations z <- phase(A z)
+    from n_starts random phasor starts, A the single-excitation block
+    shifted to be positive semidefinite (the shift adds the same constant
+    to every unit-modulus z, and makes each step nondecreasing)."""
+    n = int(np.log2(rho.shape[0]))
+    idx = [1 << j for j in range(n)]
+    block = rho[np.ix_(idx, idx)]
+    shift = max(0.0, -np.linalg.eigvalsh(block)[0])
+    A = block + shift * np.eye(n)
+    Z = np.exp(2j * np.pi * np.random.default_rng(seed).random((n_starts, n)))
+    for _ in range(max_iter):
+        Y = Z @ A.T
+        Z_new = np.where(np.abs(Y) > 1e-300, Y / np.abs(Y).clip(1e-300), Z)
+        done = np.abs(Z_new - Z).max() < 1e-14
+        Z = Z_new
+        if done:
+            break
+    return float((np.einsum("si,ij,sj->s", Z.conj(), block, Z).real / n)
+                 .max())

@@ -193,7 +193,7 @@ def _counts_trial(wm, width, seed):
     data = block_data_from_counts(blocks, 8)
     rec = reconstruct_mpo(data, ReconstructionConfig(
         regularizer=RegularizerSpec("fisher")))
-    f, _ = fidelity_w_optimized(rec, seed=0)
+    f, _ = fidelity_w_optimized(rec)
     return f, hs_distance(wm, rec)
 
 

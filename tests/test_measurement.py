@@ -691,6 +691,29 @@ def test_save_counts_names_missing_and_mixed_widths(tmp_path, widths, match):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("n_sites, ks, match", [
+    (3, (1, 2), "block k = 2 outside 1..1"),
+    (2, (1, 2), "R = 3 is outside 1..N = 2"),
+    (4, (2, 2), "block k = 2 is listed twice"),
+], ids=["k_past_end", "R_past_N", "window_twice"])
+def test_save_counts_refuses_what_load_counts_refuses(tmp_path, n_sites, ks,
+                                                      match):
+    # windows k = 1, 2 of W(4) at R = 3: the writer names the fault in the
+    # reader's words, and writes nothing
+    blocks = simulate_counts(w_state(4)[1], 3, 10, seed=1)
+    chosen = [blocks[k - 1] for k in ks]
+    path = tmp_path / "c.json"
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+        save_counts(chosen, n_sites, path)
+    assert not path.exists()
+    path.write_text(json.dumps(oracles.counts_payload_loop(chosen, n_sites)))
+    with pytest.raises(ValueError, match=f"{re.escape(match)}$"):
+        load_counts(path)
+    # any subset of the windows stays legal on both sides
+    save_counts(blocks[1:], 4, path)
+    assert [b.k for b in load_counts(path)[0]] == [2]
+
+
 def test_simulate_counts_rejects_widths_above_the_dense_cap(monkeypatch):
     # load_counts refuses R = 13, so the writer refuses it too, before any
     # window is formed
@@ -1301,7 +1324,8 @@ _OLD_FIELD = ": unknown field 'float64'"
     (False, lambda r: None,
      " must be a float record or a JSON array, not NoneType"),
     (False, _without("shape"), ": missing field 'shape'"),
-    (True, _without("float64"), ": missing field 'offset'"),
+    # a record with a shape alone, neither a float64 text nor an offset
+    (False, _without("offset"), ": missing field 'offset'"),
     (False, lambda r: {**r, "dtype": "<f8"}, ": unknown field 'dtype'"),
     (False, lambda r: {**r, "shape": 12},
      " shape must be a JSON array, not int"),

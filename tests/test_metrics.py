@@ -1,11 +1,14 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from oracles import random_mpo
+from oracles import (random_mpo, w_fidelity_at, w_fidelity_grid,
+                     w_fidelity_power_method)
 from mpotomo.files import write_json
-from mpotomo.measurement import add_gaussian_noise, exact_block_data
+from mpotomo.measurement import (add_gaussian_noise, block_data_from_counts,
+                                 exact_block_data, simulate_counts)
 from mpotomo.metrics import (compare_states, fidelity_w_optimized,
                              hs_distance, purity)
 from mpotomo.operators import (DenseOperator, MatrixProductOperator,
@@ -62,10 +65,10 @@ def test_purity_closed_forms():
 def test_w_fidelity_of_w_state_is_one_with_phase_recovery():
     target = [0.3, -0.2, 0.9, 2.5]
     dense, mpo = w_state(5, phases=target)
-    f, phases = fidelity_w_optimized(dense, seed=1)
+    f, phases = fidelity_w_optimized(dense)
     assert abs(f - 1.0) < 1e-10
     assert np.allclose(_wrap(phases), _wrap(target), atol=1e-5)
-    f2, _ = fidelity_w_optimized(mpo, seed=1)
+    f2, _ = fidelity_w_optimized(mpo)
     assert abs(f2 - 1.0) < 1e-10
 
 
@@ -84,19 +87,67 @@ def test_w_fidelity_of_mixture_closed_form():
     assert abs(f - (0.9 + 0.1 / 2**n)) < 1e-10
 
 
-def test_w_fidelity_multistart_info():
-    dense, _ = w_state(4, phases=[0.4, 1.3, -0.7])
-    f, phases, info = fidelity_w_optimized(dense, full_output=True)
-    spread = np.ptp(info["start_fidelities"])
-    assert spread < 1e-8
-    assert len(info["start_fidelities"]) == 10
+def _w_mixture(n, seed):
+    # 0.7 W(a) + 0.2 W(b) + 0.1 of the maximally mixed state
+    rng = np.random.default_rng(seed)
+    a, b = (w_state(n, phases=rng.uniform(0.0, 2.0 * np.pi, n - 1))[0]
+            for _ in range(2))
+    return 0.7 * a.matrix + 0.2 * b.matrix + 0.1 * np.eye(2**n) / 2**n
+
+
+def _wishart(n, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _criterion_7_estimate(width):
+    # criterion 7's trial-0 W(8) state fitted from counts at this width
+    rng = np.random.default_rng((20260822, 0))
+    _, wm = w_state(8, phases=list(rng.uniform(0.0, 2.0 * np.pi, size=7)))
+    data = block_data_from_counts(
+        simulate_counts(wm, width, 100, seed=(7, 0, width)), 8)
+    return reconstruct_mpo(data).to_dense().matrix
+
+
+# name: (N, builder of the dense matrix)
+_W_STATES = {f"{kind}{n}_seed{seed}": (n, functools.partial(f, n, seed))
+             for kind, f in (("w_mixture", _w_mixture), ("wishart", _wishart))
+             for n in range(3, 9) for seed in (1, 2)}
+_W_STATES.update({f"criterion7_R{w}": (8, functools.partial(
+    _criterion_7_estimate, w)) for w in (3, 5)})
+
+
+def _check_w_fidelity_against(rho, best, tol):
+    # the ascent reaches the reference's best, and its phases give its
+    # fidelity on the W kets formed from first definitions
+    f, phases = fidelity_w_optimized(DenseOperator(rho))
+    assert f >= best - tol
+    assert abs(w_fidelity_at(rho, phases)[0] - f) < 1e-12
+
+
+@pytest.mark.parametrize("name", [k for k, (n, _) in _W_STATES.items()
+                                  if n <= 4])
+def test_w_fidelity_reaches_the_phase_grid(name):
+    rho = _W_STATES[name][1]()
+    n_grid = 200 if rho.shape[0] == 8 else 48
+    _check_w_fidelity_against(rho, w_fidelity_grid(rho, n_grid), 1e-9)
+
+
+@pytest.mark.parametrize("name", [k for k, (n, _) in _W_STATES.items()
+                                  if n >= 5])
+def test_w_fidelity_reaches_the_best_of_many_power_iterations(name):
+    rho = _W_STATES[name][1]()
+    _check_w_fidelity_against(rho, w_fidelity_power_method(rho, 64, seed=0),
+                              1e-12)
 
 
 def test_compare_states_report_fields():
     from mpotomo.states import random_mpo_via_ancilla
     a = random_mpo_via_ancilla(4, seed=6)
     dense, _ = w_state(4)
-    rep = compare_states(dense, a, w_fidelity=True, seed=2)
+    rep = compare_states(dense, a, w_fidelity=True)
     assert rep.hs_distance > 0.0
     assert abs(rep.purity_ref - 1.0) < 1e-10
     assert rep.min_eig_est is not None

@@ -253,6 +253,16 @@ def test_window_coeffs_matches_partial_trace():
                 window_coeffs(state, k, width)
 
 
+@pytest.mark.parametrize("width", [0, -1])
+def test_window_coeffs_names_a_width_below_one(width):
+    # refused by name on both forms, before any window is formed
+    mpo = random_mpo(4, bond=2, seed=5)
+    for state in (mpo, mpo.to_dense()):
+        with pytest.raises(ValueError,
+                           match="^need 1 <= width <= n_sites$"):
+            window_coeffs(state, 1, width)
+
+
 def test_window_coeffs_full_chain_is_full_vector():
     mpo = random_mpo(3, bond=2, seed=6)
     assert np.allclose(window_coeffs(mpo, 1, 3), mpo.coeffs())

@@ -635,6 +635,17 @@ def test_config_validation():
     ReconstructionConfig(l=2, r=1).resolved(4, 4)
 
 
+@pytest.mark.parametrize("l", [-1, 7])
+def test_single_window_rejects_a_negative_split(l):
+    # at N = R, l = -1 resolves to r = 4 and l = 7 to r = -4: refused by
+    # name; a split of 0 on one side still runs, as does the default
+    data = exact_block_data(w_state(4)[1], 4)
+    with pytest.raises(ValueError, match="^need l >= 0 and r >= 0$"):
+        reconstruct_mpo(data, ReconstructionConfig(l=l))
+    assert ReconstructionConfig(l=0).resolved(4, 4) == (0, 3)
+    assert ReconstructionConfig().resolved(4, 4) == (2, 1)
+
+
 # ---- noise and the fisher penalty ----
 
 
@@ -916,7 +927,7 @@ def test_six_site_windows_beat_five_on_counts():
         assert report.mode == "fisher"
         assert all(row["flags"] == [] for row in report.sites)
         scores[width] = (hs_distance(wm, rec),
-                         fidelity_w_optimized(rec, seed=0)[0])
+                         fidelity_w_optimized(rec)[0])
     assert scores[6][0] < scores[5][0]
     assert scores[6][1] > scores[5][1]
 
