@@ -817,7 +817,8 @@ def load_block_data(path: str) -> PauliBlockData:
     `noise` other than null that is not an object with a `kind`, an
     unknown noise kind, scalar noise without a `sigma` or with one that is
     not a number, fisher noise without `shots` (so a file that holds
-    Fisher matrices) or with shots that are not rows of integers, and
+    Fisher matrices) or with shots that are not rows of integers, a noise
+    field that its kind does not read (after the missing-field check), and
     whatever PauliBlockData rejects."""
     payload = _read_windows_file(path)
     sigma = shots = None
@@ -825,11 +826,10 @@ def load_block_data(path: str) -> PauliBlockData:
     if raw is not None:
         where = f"{path}: noise"
         require(raw, ("kind",), where)
-        sigma, shots = raw.get("sigma"), raw.get("shots")
-        if sigma is not None:
-            require_type(sigma, float, f"{where} sigma")
         if raw["kind"] == "fisher":
             require(raw, ("shots",), where)
+            require(raw, (), where, allowed=("kind", "shots"))
+            shots = raw["shots"]
             require_type(shots, list, f"{where} shots")
             if not all(type(row) is list and not set(map(type, row)) - {int}
                        for row in shots):
@@ -839,11 +839,13 @@ def load_block_data(path: str) -> PauliBlockData:
                         require_type(n, int, f"{where} shots[{b}][{j}]")
             if len({len(row) for row in shots}) > 1:
                 raise ValueError(f"{where} shots: rows differ in length")
-            sigma = None
         elif raw["kind"] == "scalar":
+            sigma = raw.get("sigma")
             if sigma is None:
                 raise ValueError("scalar noise requires sigma")
-            sigma, shots = float(sigma), None
+            require(raw, (), where, allowed=("kind", "sigma"))
+            require_type(sigma, float, f"{where} sigma")
+            sigma = float(sigma)
         else:
             raise ValueError(f"unknown noise kind {raw['kind']!r}")
     blocks, = read_floats(path, {"blocks": payload["blocks"]})

@@ -86,11 +86,11 @@ def fidelity_w_optimized(state):
 
 @dataclass
 class ComparisonReport:
-    """compare_states' figures; w_* are fidelity_w_optimized's or None."""
+    """compare_states' figures: D and both purities, from the Gram terms;
+    w_* are fidelity_w_optimized's, or None without w_fidelity."""
     hs_distance: float
     purity_ref: float
     purity_est: float
-    min_eig_est: float | None = None
     w_fidelity: float | None = None
     w_phases: list[float] | None = None
 
@@ -99,22 +99,19 @@ class ComparisonReport:
 
 
 def compare_states(ref, est, w_fidelity: bool = False) -> ComparisonReport:
-    """Bundle of distance, purities, spectral floor, optional fidelity.
+    """Distance, purities and, with `w_fidelity`, the W fidelity.
 
-    The purities are the Gram terms the distance needs: 0.0 below the float
-    range, where D stays right, and inf above it, as is D beyond the range.
-    min_eig_est is the smallest eigenvalue of est's dense form, None above
-    DENSE_SITE_CAP = 12 sites; w_fidelity needs it and raises above 12.
-    The W fidelity is fidelity_w_optimized's one deterministic ascent.
+    The distance and purities come from the three Gram terms alone, with no
+    dense form: the purities are 0.0 below the float range, where D stays
+    right, and inf above it, as is D beyond the range. The W fidelity is
+    fidelity_w_optimized's one deterministic ascent; it reads est's dense
+    form and raises above DENSE_SITE_CAP = 12 sites.
     """
     terms = _gram_terms(ref, est)
     report = ComparisonReport(_distance(terms), _value(*terms[0]),
                               _value(*terms[2]))
-    dense_est = est.to_dense() if est.n_sites <= DENSE_SITE_CAP else None
-    if dense_est is not None:
-        report.min_eig_est = float(np.linalg.eigvalsh(dense_est.matrix).min())
     if w_fidelity:
-        f, phases = fidelity_w_optimized(dense_est or est)
+        f, phases = fidelity_w_optimized(est)
         report.w_fidelity = float(f)
         report.w_phases = [float(p) for p in phases]
     return report

@@ -277,7 +277,7 @@ def window_coeffs(state, k: int, width: int) -> np.ndarray:
     itself costs O(4^width D^2). For many windows use exact_block_data,
     which builds the environments once.
     """
-    if width < 1:  # a width past N fails the window range below
+    if not 1 <= width <= state.n_sites:
         raise ValueError("need 1 <= width <= n_sites")
     if not 1 <= k <= state.n_sites - width + 1:
         raise ValueError("window out of range")

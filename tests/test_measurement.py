@@ -1371,23 +1371,6 @@ def test_loaders_reject_malformed_float_records(tmp_path, save, load, keys,
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @_RECORD_SITES
-def test_non_finite_entries_in_records_are_rejected(tmp_path, save, load,
-                                                    keys, where, value):
-    def poison(r):
-        a = np.frombuffer(base64.b64decode(r["float64"]), "<f8").copy()
-        a[len(a) // 2] = value
-        return _record(a.reshape(r["shape"]))
-
-    # a base64 record is refused before its entries are read
-    path = tmp_path / "f.json"
-    save(path)
-    _edit_record(path, keys, poison)
-    with pytest.raises(ValueError, match=where + _OLD_FIELD):
-        load(path)
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@_RECORD_SITES
 def test_non_finite_entries_in_the_companion_are_rejected(tmp_path, save,
                                                           load, keys, where,
                                                           value):
@@ -1583,11 +1566,19 @@ def _shots(entry=100, last=None):
     ([], "d.json: noise must be a JSON object, not list"),
     (False, "d.json: noise must be a JSON object, not bool"),
     ("", "d.json: noise must be a JSON object, not str"),
+    # a field the kind does not read is named, not dropped
+    ({"kind": "scalar", "sigma": 1e-3, "shots": [[100] * 9] * 3},
+     "d.json: noise: unknown field 'shots'"),
+    ({"kind": "fisher", "shots": [[100] * 9] * 3, "sigma": 0.5},
+     "d.json: noise: unknown field 'sigma'"),
+    ({"kind": "scalar", "sigma": 1e-3, "junk": 5},
+     "d.json: noise: unknown field 'junk'"),
 ], ids=["unknown_kind", "scalar_without_sigma", "no_kind", "sigma_string",
         "sigma_bool", "fisher_matrices", "shots_float", "shots_bool",
         "shots_string", "shots_first_of_two", "shots_negative", "shots_ragged", "shots_row_int",
         "shots_too_few_windows", "empty_object", "zero", "empty_array",
-        "false", "empty_string"])
+        "false", "empty_string", "scalar_with_shots", "fisher_with_sigma",
+        "unknown_field"])
 def test_load_block_data_rejects_bad_noise(tmp_path, noise, match):
     path = tmp_path / "d.json"
     _save_block_file(path)

@@ -150,12 +150,28 @@ def test_compare_states_report_fields():
     rep = compare_states(dense, a, w_fidelity=True)
     assert rep.hs_distance > 0.0
     assert abs(rep.purity_ref - 1.0) < 1e-10
-    assert rep.min_eig_est is not None
     assert 0.0 <= rep.w_fidelity <= 1.0 + 1e-12
     assert len(rep.w_phases) == 3
     d = rep.to_dict()
     assert set(d) >= {"hs_distance", "purity_ref", "purity_est",
-                      "min_eig_est", "w_fidelity"}
+                      "w_fidelity"}
+    assert "min_eig_est" not in d
+
+
+def test_compare_states_forms_no_dense_matrix(monkeypatch):
+    # without the W fidelity the comparison is the three Gram terms: no
+    # dense form of either operand and no spectrum
+    a = random_mpo_via_ancilla(8, seed=6)
+    b = random_mpo(8, bond=3, seed=7)
+    want = hs_distance(a, b), purity(a), purity(b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare_states formed a dense spectrum")
+
+    monkeypatch.setattr(MatrixProductOperator, "to_dense", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    rep = compare_states(a, b)
+    assert (rep.hs_distance, rep.purity_ref, rep.purity_est) == want
 
 
 @pytest.mark.parametrize("pair", ["mpo-mpo", "dense-mpo", "dense-dense"])
