@@ -19,7 +19,7 @@ import numpy as np
 
 from .files import read_json
 from .measurement import add_gaussian_noise, exact_block_data
-from .metrics import hs_distance, purity
+from .metrics import compare_states
 from .reconstruction import default_split, reconstruct_mpo
 from .states import FAMILIES, make_state
 
@@ -100,9 +100,10 @@ def run_trial(cfg: SweepConfig, n: int, width: int, sigma: float,
     if sigma > 0.0:
         data = add_gaussian_noise(data, sigma, seed=noise_seed)
     est, report = reconstruct_mpo(data, with_report=True)
+    scores = compare_states(ref, est)
     row = {
-        "D": hs_distance(ref, est),
-        "purity_ref": purity(ref),
+        "D": scores.hs_distance,
+        "purity_ref": scores.purity_ref,
         "solver_mode": report.mode,
         "status": "ok",
         "wall_ms": (time.perf_counter() - t0) * 1e3,

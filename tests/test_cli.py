@@ -1,8 +1,11 @@
+import argparse
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from mpotomo import cli
 from mpotomo.cli import _FAMILY_ALIASES, main
 from mpotomo.measurement import (add_gaussian_noise, all_settings,
                                  exact_block_data, load_block_data,
@@ -715,3 +718,66 @@ def test_ingest_counts_names_blocks_that_are_not_objects(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     _expect_value_error(tmp_path, capsys, "counts", path,
                         "blocks[0] must be a JSON object, not int")
+
+
+def _fresh_parser_cache(monkeypatch):
+    # main's parser cache, empty for this test and restored after it
+    monkeypatch.setattr(cli, "_parser",
+                        functools.cache(cli._parser.__wrapped__))
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys,
+                                                 monkeypatch):
+    _fresh_parser_cache(monkeypatch)
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    out = tmp_path / "w"
+    _run(capsys, "gen-state", "--family", "w", "--n", "4", "--out", str(out))
+    for _ in range(3):
+        code, _, _ = _run(capsys, "compare", "--ref", f"{out}.mpo.json",
+                          "--est", f"{out}.mpo.json")
+        assert code == 0
+    with pytest.raises(SystemExit):
+        main(["compare"])
+    assert len(built) == 1
+
+
+def test_usage_errors_and_help_leave_the_next_call_alike(tmp_path, capsys,
+                                                         monkeypatch):
+    # parsing keeps no state in the shared parser: a usage error (exit 2),
+    # --help (exit 0) and a flag given once leave every later call, and a
+    # repeat of each, with the same exit and the same output
+    _fresh_parser_cache(monkeypatch)
+    out = tmp_path / "w"
+    _run(capsys, "gen-state", "--family", "w", "--n", "4", "--out", str(out))
+    argv = ["compare", "--ref", f"{out}.mpo.json", "--est", f"{out}.mpo.json"]
+    first = _run(capsys, *argv)
+    assert first[0] == 0 and json.loads(first[1])["w_fidelity"] is None
+    exits = []
+    for bad in (["compare"], ["--help"], ["compare", "--help"],
+                ["compare"], ["--help"], ["compare", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        exits.append((exc.value.code, *capsys.readouterr()))
+        assert _run(capsys, *argv) == first
+    assert exits[:3] == exits[3:]
+    assert [code for code, _, _ in exits[:3]] == [2, 0, 0]
+    assert "the following arguments are required: --ref" in exits[0][2]
+    assert _run(capsys, *argv, "--w-fidelity")[0] == 0
+    assert _run(capsys, *argv) == first
+
+
+def test_the_cached_parser_gives_a_fresh_parsers_help():
+    def helps(parser):
+        sub, = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        return [parser.format_help()] + [cmd.format_help()
+                                         for cmd in sub.choices.values()]
+
+    assert helps(cli._parser()) == helps(cli.build_parser())

@@ -9,8 +9,8 @@ from oracles import (random_mpo, w_fidelity_at, w_fidelity_grid,
 from mpotomo.files import write_json
 from mpotomo.measurement import (add_gaussian_noise, block_data_from_counts,
                                  exact_block_data, simulate_counts)
-from mpotomo.metrics import (compare_states, fidelity_w_optimized,
-                             hs_distance, purity)
+from mpotomo.metrics import (_single_excitation_block, compare_states,
+                             fidelity_w_optimized, hs_distance, purity)
 from mpotomo.operators import (DenseOperator, MatrixProductOperator,
                                mpo_from_dense)
 from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
@@ -203,11 +203,34 @@ def test_hs_distance_names_a_site_mismatch():
                     DenseOperator(np.eye(8) / 8))
 
 
-def test_w_fidelity_names_states_above_the_dense_cap():
-    _, w13 = w_state(13)
-    with pytest.raises(ValueError, match="phase-optimized fidelity needs "
-                                         "the dense form"):
-        fidelity_w_optimized(w13)
+def test_w_fidelity_of_w_chains_past_the_dense_cap(monkeypatch):
+    """W(13) and W(16), past the 12-site dense cap, with phases: an MPO's
+    single-excitation block forms no dense matrix, and the ascent gives
+    fidelity 1 and the branch phases back."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the W fidelity formed a dense matrix")
+
+    monkeypatch.setattr(MatrixProductOperator, "to_dense", refuse)
+    rng = np.random.default_rng(38)
+    for n in (13, 16):
+        target = rng.uniform(0.0, 2.0 * np.pi, n - 1)
+        _, mpo = w_state(n, phases=target)
+        f, phases = fidelity_w_optimized(mpo)
+        assert abs(f - 1.0) <= 1e-12
+        assert np.abs(np.angle(np.exp(1j * (phases - target)))).max() < 1e-12
+
+
+def test_single_excitation_block_of_an_mpo_matches_its_dense_form():
+    # random networks with mixed bonds, N = 3-10: the block contracted
+    # from the site operators is the dense matrix's, entry for entry
+    rng = np.random.default_rng(380)
+    for n in range(3, 11):
+        bonds = [1, *rng.integers(1, 5, n - 1), 1]
+        mpo = MatrixProductOperator([rng.standard_normal((4, dl, dr))
+                                     for dl, dr in zip(bonds, bonds[1:])])
+        want = _single_excitation_block(mpo.to_dense())
+        got = _single_excitation_block(mpo)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_distance_beyond_the_float_range_is_inf():
