@@ -1296,6 +1296,17 @@ def _shape_entry(value):
     return lambda r: {**r, "shape": [value] + r["shape"][1:]}
 
 
+def _old_form(value):
+    """A record as files written before the companion held it: a shape and
+    a float64 field, no offset."""
+    return lambda r: {"shape": r["shape"], "float64": value}
+
+
+# the field a record of a file written before the companion is refused by,
+# whatever its float64 field holds
+_OLD_FIELD = ": unknown field 'float64'"
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda r: "0.25",
      " must be a float record or a JSON array, not str"),
@@ -1316,14 +1327,17 @@ def _shape_entry(value):
     (_shape_entry("4"),
      " shape\\[0\\] must be a JSON integer, not str"),
     (_shape_entry(-1), " shape\\[0\\] must be nonnegative, not -1"),
+    (_old_form([0.0]), _OLD_FIELD),
+    (_old_form(None), _OLD_FIELD),
     # as many entries on 70 axes; numpy's own message follows "shape: "
     # and varies between versions
     (lambda r: {**r, "shape": [math.prod(r["shape"])] + [1] * 69},
      " shape: "),
+    (lambda r: {"shape": [0, 10**30], "float64": ""}, _OLD_FIELD),
 ], ids=["not_object_string", "not_object_number", "not_object_null",
         "no_shape", "no_float64", "extra_field", "shape_not_array",
         "shape_float", "shape_bool", "shape_string", "shape_negative",
-        "too_many_axes"])
+        "float64_array", "float64_null", "too_many_axes", "shape_too_large"])
 @_RECORD_SITES
 def test_loaders_reject_malformed_float_records(tmp_path, save, load, keys,
                                                 where, edit, message):
@@ -1385,7 +1399,7 @@ def test_loaders_reject_a_companion_that_does_not_match(tmp_path, save, load,
 @pytest.mark.parametrize("edit, message", [
     (lambda r: {**r, "offset": 10**6}, " offset 1000000: the records do "
      "not tile the companion in order, which puts it at \\d+"),
-    (lambda r: {**r, "float64": ""}, ": unknown field 'float64'"),
+    (lambda r: {**r, "float64": ""}, _OLD_FIELD),
     (lambda r: {**r, "offset": 0.0},
      " offset must be a JSON integer, not float"),
     (lambda r: {**r, "offset": True},
