@@ -208,37 +208,63 @@ _BASES = np.stack([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0),
                    np.eye(2)])
 
 
-def _setting_unitaries(axes: np.ndarray) -> np.ndarray:
+_Workspace = namedtuple("_Workspace", "levels rows buf")
+
+
+def _workspace(n: int, width: int) -> _Workspace:
+    """Buffers for batches of up to n settings of width-site windows:
+    levels[l - 1] takes Kronecker level l (the product of the first l + 1
+    site factors) as (n, 2^l, 2, 2^l, 2), rows the conjugate unitaries and
+    buf the matmul output. A smaller batch uses their leading rows."""
+    dim = 1 << width
+    return _Workspace(
+        [np.empty((n, 1 << lvl, 2, 1 << lvl, 2), dtype=complex)
+         for lvl in range(1, width)],
+        np.empty((n, dim, 1, dim), dtype=complex),
+        np.empty((n, dim, dim), dtype=complex))
+
+
+def _setting_unitaries(axes: np.ndarray,
+                       work: _Workspace | None = None) -> np.ndarray:
     """Stack of the Kronecker unitaries of the settings whose site axes
-    are the rows of axes (as in _labels). The per-site factors are
-    multiplied left to right in np.kron's order, so each unitary is
-    bitwise the np.kron chain of its factors."""
+    are the rows of axes (as in _labels), written into work's levels (a
+    fresh _workspace without it). Each level is four strided multiplies,
+    one per entry of the new site factor, whose inner loops run over whole
+    rows of the level before. The per-site factors are multiplied left to
+    right in np.kron's order, so each unitary is bitwise the np.kron chain
+    of its factors."""
+    n, width = axes.shape
+    levels = (work or _workspace(n, width)).levels
     factors = _BASES[axes]
     u = factors[:, 0]
-    for f in factors.transpose(1, 0, 2, 3)[1:]:
-        n, rows, cols = u.shape
-        u = (u[:, :, None, :, None] * f[:, None, :, None, :]).reshape(
-            n, 2 * rows, 2 * cols)
+    for out, f in zip(levels, factors.transpose(1, 0, 2, 3)[1:]):
+        out = out[:n]
+        for p, q in itertools.product(range(2), repeat=2):
+            np.multiply(u, f[:, p, q, None, None], out=out[:, :, p, :, q])
+        u = out.reshape(n, 2 * u.shape[1], 2 * u.shape[2])
     return u
 
 
-def _probabilities(rhos, u: np.ndarray) -> np.ndarray:
+def _probabilities(rhos, u: np.ndarray,
+                   work: _Workspace | None = None) -> np.ndarray:
     """Outcome distributions diag(u rho u^dagger) of every window density
     in `rhos` under every unitary of the stack u, clipped at zero and
-    normalized, shape (windows, settings, outcomes).
+    normalized, shape (windows, settings, outcomes). The conjugate rows
+    and the matmul output go to work's buffers (fresh ones without it):
+    one serves every window, and simulate_counts' every batch.
 
     The two matmuls are the contraction einsum("ij,jk,ik->i", u, rho,
     u.conj(), optimize=True) performs: t = (rho^T u^T)^T, then each row of
     conj(u) dotted with the matching row of t. With numpy 2.4 the result
     is bitwise that einsum's.
     """
+    n, dim = u.shape[:2]
+    work = work or _workspace(n, dim.bit_length() - 1)
     ut = u.transpose(0, 2, 1)
-    rows = u.conj()[:, :, None, :]
-    # one buffer serves every window: at width 7 a fresh 1 MB stack per
-    # window adds page faults worth about a tenth of the run time
-    buf = np.empty_like(u)
+    rows = np.conjugate(u[:, :, None, :], out=work.rows[:n])
+    buf = work.buf[:n]
     t = buf.transpose(0, 2, 1)[:, :, :, None]
-    p = np.empty((len(rhos), *u.shape[:2]))
+    p = np.empty((len(rhos), n, dim))
     for b, rho in enumerate(rhos):
         np.matmul(rho.T, ut, out=buf)
         p[b] = np.matmul(rows, t)[:, :, 0, 0].real
@@ -259,12 +285,15 @@ def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBloc
     vector, for either operator type. Settings are taken in batches in
     all_settings order: each batch's unitaries are built once as one stack
     of about 256 KiB and applied to every window before the next batch is
-    built, which bounds the memory they take. All draws come from one
-    multinomial call over the (windows, settings, outcomes) probabilities,
-    which consumes the random stream window by window, settings in
-    all_settings order, as one call per window and setting would. shots
-    must be a positive integer, and width at most DENSE_SITE_CAP, as
-    load_counts requires; both are checked before any window is formed.
+    built, which bounds the memory they take. Every batch writes its
+    Kronecker levels, conjugate rows and matmul output into one set of
+    buffers (_workspace), built once per call, so no batch allocates
+    stacks of its own. All draws come from one multinomial call over the
+    (windows, settings, outcomes) probabilities, which consumes the random
+    stream window by window, settings in all_settings order, as one call
+    per window and setting would. shots must be a positive integer, and
+    width at most DENSE_SITE_CAP, as load_counts requires; both are
+    checked before any window is formed.
     """
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
         raise ValueError(f"shots must be an integer, not "
@@ -279,9 +308,10 @@ def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBloc
             for c in _windows(state, width, 1, state.n_sites - width + 1)]
     probs = np.empty((len(rhos), len(axes), 1 << width))
     step = max(1, _BATCH_BYTES // (16 * 4**width))
+    work = _workspace(min(step, len(axes)), width)
     for lo in range(0, len(axes), step):
-        probs[:, lo:lo + step] = _probabilities(
-            rhos, _setting_unitaries(axes[lo:lo + step]))
+        u = _setting_unitaries(axes[lo:lo + step], work)
+        probs[:, lo:lo + step] = _probabilities(rhos, u, work)
     draws = np.random.default_rng(seed).multinomial(shots, probs)
     return [CountsBlock(b + 1, counts) for b, counts in enumerate(draws)]
 
@@ -333,13 +363,11 @@ def _design(width: int) -> _Design:
     return design
 
 
-def _log_likelihood(nz: np.ndarray, n_nz: np.ndarray,
-                    p_mat: np.ndarray) -> float:
-    # nz: flat indices of the nonzero counts, n_nz: those counts. np.sum
-    # over the same products in the same order as a boolean-mask sum keeps
-    # the value bitwise; a dot product would sum in another order.
-    p = np.maximum(p_mat.ravel()[nz], _P_FLOOR)
-    return float(np.sum(n_nz * np.log(p)))
+def _log_likelihood(n_nz: np.ndarray, p_nz: np.ndarray) -> float:
+    # n_nz: the nonzero counts, p_nz: their probabilities. np.sum over the
+    # same products in the same order as a boolean-mask sum keeps the value
+    # bitwise; a dot product would sum in another order.
+    return float(np.sum(n_nz * np.log(np.maximum(p_nz, _P_FLOOR))))
 
 
 @dataclass
@@ -370,8 +398,9 @@ _MAX_HALVINGS = 60
 _STEP_GROWTH = 1.2
 # local_mle evaluates the exact KKT residual from the first accepted step
 # whose gradient mapping is within this multiple of tol, and at every
-# iterate after that; before it the residual is far above tol.
-_KKT_SWITCH = 100.0
+# iterate after that; before it the residual is far above tol. The largest
+# multiple a surveyed fit needed is 5.6 (see local_mle).
+_KKT_SWITCH = 10.0
 
 
 def _simplex_projection(w: np.ndarray) -> np.ndarray:
@@ -447,24 +476,32 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
     and the result carries the last iterate with converged False. tol must
     be finite and nonnegative and max_iter at least 1.
 
-    Cost at width R (dim = 2^R): each backtracking trial takes one
-    projection and one real (3^R x 2^R) @ (2^R x 2^R) design matmul; each
-    accepted iterate adds one design matmul at the iterate, and two more
-    and a scatter-add over the 6^R design entries for the gradient at the
-    momentum point. The KKT residual costs one more projection and the
-    gradient at the iterate, so it is evaluated only from the first
-    accepted step whose gradient mapping ||x_next - y|| / min(t, 1), an
-    upper bound on the unit-step residual at the momentum point y, is
-    within _KKT_SWITCH * tol, and at every iterate after that (the last 7
-    to 10 of 24 to 35 iterates on criterion 7's W(8) windows at R = 5).
-    The iterates are those of a test at every iterate; a fit could only
-    run past an untested iterate already below tol. Otherwise the gradient
-    at the iterate is formed for a momentum restart, after which y is the
-    iterate, and for a result that stops on an untested iterate. A
-    projection is one dim x dim eigh and, on each side of it, one gather
-    and one complex (dim x dim) @ (dim x dim) matmul with the design's
-    signs (_design), O(8^R) and no Pauli transform. Typical fits need
-    about 1.4 trials per iterate; the eigh dominates from R = 5 up.
+    Cost at width R (dim = 2^R): each point the fit visits (start,
+    iterate or momentum point) takes one real (3^R x 2^R) @ (2^R x 2^R)
+    design matmul, whose entries at the nonzero counts, and their minimum,
+    are gathered once for every rise measured from that point. Each
+    backtracking trial takes one projection and one design matmul for the
+    rise; the accepted trial's rise is also the monotonicity check when the
+    momentum point y is the iterate, and otherwise the check costs one more
+    design matmul. The gradient at a point costs one more and a
+    scatter-add over the 6^R design entries. The KKT residual costs one
+    more projection and the gradient at the iterate, so it is evaluated
+    only from the first accepted step whose gradient mapping ||x_next - y||
+    / min(t, 1), an upper bound on the unit-step residual at y, is within
+    _KKT_SWITCH * tol, and at every iterate after that: the last 2 to 6 of
+    24 to 35 iterates on the benchmark's W(8) windows at R = 5, against 7
+    to 10 with a multiple of 100. The iterates are those of a test at
+    every iterate; a fit could only run past an untested iterate already
+    below tol. The multiple is 10 because the largest that a fit surveyed
+    needed at its converging step was 5.6 (product_state(8), R = 5);
+    criterion 7's W(8) windows needed at most 4.4 at R = 3 and 3.2 at
+    R = 5. Otherwise the gradient at the iterate is formed for a momentum
+    restart, after which y is the iterate, and for a result that stops on
+    an untested iterate. A projection is one dim x dim eigh and, on each
+    side of it, one gather and one complex (dim x dim) @ (dim x dim)
+    matmul with the design's signs (_design), O(8^R) and no Pauli
+    transform. Typical fits need about 1.4 trials per iterate and 42
+    projections; the eigh dominates from R = 5 up.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -479,25 +516,33 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
         raise ValueError("no counts present in block")
     nz = np.flatnonzero(n_mat > 0)
     n_nz = n_mat.ravel()[nz]
+    n_float = n_mat.astype(float)
 
     def probabilities(theta):
         return theta[cols] @ signs.T
 
-    def gradient(p_mat):
-        ratio = n_mat / np.maximum(p_mat, _P_FLOOR)
+    def point(theta):
+        # theta's probabilities, those at the nonzero counts and their
+        # minimum, gathered once for every rise measured from theta
+        p_mat = probabilities(theta)
+        p = p_mat.ravel()[nz]
+        return p_mat, p, p.min()
+
+    def gradient(at):
+        ratio = n_float / np.maximum(at[0], _P_FLOOR)
         return -np.bincount(flat_cols, weights=(ratio @ signs).ravel(),
                             minlength=4**width) / n_tot
 
-    def rise(p_mat, d):
-        # f(theta + d) - f(theta) for p_mat = probabilities(theta), summed
-        # term by term from the exact change in p, so that it keeps its
-        # relative precision when it is far below the rounding error of f.
-        # Where no probability at either point is below the floor, the
-        # clamp leaves p and dp as they are and is skipped.
-        p = p_mat.ravel()[nz]
+    def rise(at, d):
+        # f(theta + d) - f(theta) for at = point(theta), summed term by
+        # term from the exact change in p, so that it keeps its relative
+        # precision when it is far below the rounding error of f. Where no
+        # probability at either point is below the floor, the clamp leaves
+        # p and dp as they are and is skipped.
+        _, p, p_min = at
         dp = probabilities(d).ravel()[nz]
         q = p + dp
-        if min(p.min(), q.min()) < _P_FLOOR:
+        if min(p_min, q.min()) < _P_FLOOR:
             lo = np.maximum(p, _P_FLOOR)
             hi = np.maximum(q, _P_FLOOR)
             dp = np.where((p >= _P_FLOOR) & (q >= _P_FLOOR), dp, hi - lo)
@@ -505,19 +550,21 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
         return -float(np.sum(n_nz * np.log1p(dp / p))) / n_tot
 
     def backtrack(y, py, gy, step):
+        # the accepted trial, its step and its rise from y
         for _ in range(_MAX_HALVINGS):
             cand = _project_density(y - step * gy)
             d = cand - y
-            if rise(py, d) <= gy @ d + (d @ d) / (2.0 * step):
-                return cand, step
+            r = rise(py, d)
+            if r <= gy @ d + (d @ d) / (2.0 * step):
+                return cand, step, r
             step /= 2.0
-        return None, step
+        return None, step, None
 
     def kkt_residual(x, gx):
         return float(np.linalg.norm(x - _project_density(x - gx)))
 
     x = _project_density(_linear_inversion(block))
-    px = probabilities(x)
+    px = point(x)
     gx = gradient(px)
     y, py, gy = x, px, gx
     step, mom = 1.0, 1.0
@@ -525,14 +572,15 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
     converged = switched = False
     it = 0
     for it in range(1, max_iter + 1):
-        cand, step = backtrack(y, py, gy, step)
-        rises = cand is None or rise(px, cand - x) > 0.0
+        cand, step, r = backtrack(y, py, gy, step)
+        # backtrack measured the rise from x when y is x
+        rises = cand is None or (r if y is x else rise(px, cand - x)) > 0.0
         if rises and y is not x:  # restart the momentum
             if gx is None:
                 gx = gradient(px)
             y, py, gy, mom = x, px, gx, 1.0
-            cand, step = backtrack(y, py, gy, step)
-            rises = cand is None or rise(px, cand - x) > 0.0
+            cand, step, r = backtrack(y, py, gy, step)
+            rises = cand is None or r > 0.0
         if rises:  # no step lowers f in floating point
             break
         if not switched:
@@ -541,7 +589,7 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
             switched = mapping / _KKT_SWITCH <= tol
         x_prev = x
         x = cand
-        px = probabilities(x)
+        px = point(x)
         gx = kkt = None
         if switched:
             gx = gradient(px)
@@ -554,7 +602,7 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
         mom = mom_next
         if beta:
             y = x + beta * (x - x_prev)
-            py = probabilities(y)
+            py = point(y)
             gy = gradient(py)
         else:
             if gx is None:
@@ -563,8 +611,7 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
         step *= _STEP_GROWTH
     if kkt is None:  # the fit stopped on an iterate it never tested
         kkt = kkt_residual(x, gradient(px) if gx is None else gx)
-    return MleResult(x, converged, it,
-                     _log_likelihood(nz, n_nz, px), kkt)
+    return MleResult(x, converged, it, _log_likelihood(n_nz, px[1]), kkt)
 
 
 # _fisher_matrix's per-setting stacks hold at most this many bytes each:

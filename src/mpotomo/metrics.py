@@ -43,13 +43,6 @@ def hs_distance(ref, est) -> float:
     return _distance(_gram_terms(ref, est))
 
 
-def purity(state) -> float:
-    """tr[state^2] from either representation."""
-    if isinstance(state, MatrixProductOperator):
-        return _value(*_overlap(state, state))
-    return float(np.sum(np.abs(state.matrix) ** 2))
-
-
 def _single_excitation_block(state) -> np.ndarray:
     """<e_i| state |e_j> for the N basis states e_i with one excitation,
     e_0 on the last site: the dense matrix's entries at rows and columns

@@ -12,8 +12,8 @@ from mpotomo.files import write_json
 from mpotomo.measurement import (MLE_TOL, CountsBlock, PauliBlockData,
                                  _design, _fisher_matrix, _labels,
                                  _linear_inversion, _probabilities,
-                                 _project_density,
-                                 _setting_unitaries, add_gaussian_noise,
+                                 _project_density, _setting_unitaries,
+                                 _workspace, add_gaussian_noise,
                                  all_settings, block_data_from_counts,
                                  exact_block_data,
                                  fisher_information, load_block_data,
@@ -27,7 +27,8 @@ from mpotomo.operators import (DenseOperator, load_operator, save_operator,
 from mpotomo.pauli import coeffs_from_dense, dense_from_coeffs, n_sites_of
 from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
                                     reconstruct_mpo)
-from mpotomo.states import product_state, random_mpo_via_ancilla, w_state
+from mpotomo.states import (ghz_state, product_state, random_mpo_via_ancilla,
+                            w_state)
 
 
 def _dense_state(seed, n):
@@ -106,17 +107,30 @@ def test_simulate_counts_match_window_coeffs_densities():
         assert (zeros > 0) == (state is not mpo)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7])
 def test_setting_kernel_matches_per_setting_einsum(width):
-    # each unitary is bitwise the np.kron chain of its factors; the
+    # each unitary is bitwise the np.kron chain of its factors, built in
+    # simulate_counts' batches (4 settings at width 6, 1 at width 7) on one
+    # workspace: every setting up to width 5, a fixed sample of 9 at width
+    # 6 (so the last batch is short) and of 3 at width 7. The
     # probabilities agree with the per-setting einsum to a tolerance, since
     # einsum's rounding differs between numpy versions
     settings = all_settings(width)
-    u = _setting_unitaries(_labels(width).axes)
-    for j, setting in enumerate(settings):
-        assert np.array_equal(
-            u[j], oracles.kron_chain([oracles.AXIS_BASES[ch]
-                                      for ch in setting]))
+    axes = _labels(width).axes
+    sample = (np.arange(len(axes)) if width <= 5 else
+              np.random.default_rng(width).choice(
+                  len(axes), {6: 9, 7: 3}[width], replace=False))
+    step = max(1, mpotomo.measurement._BATCH_BYTES // (16 * 4**width))
+    work = _workspace(min(step, len(sample)), width)
+    for lo in range(0, len(sample), step):
+        rows = sample[lo:lo + step]
+        for j, u in zip(rows, _setting_unitaries(axes[rows], work)):
+            assert np.array_equal(
+                u, oracles.kron_chain([oracles.AXIS_BASES[ch]
+                                       for ch in settings[j]]))
+    if width > 5:
+        return
+    u = _setting_unitaries(axes)
     for state in (random_mpo_via_ancilla(6, seed=15), w_state(6)[1]):
         rhos = [dense_from_coeffs(window_coeffs(state, k, width))
                 for k in range(1, state.n_sites - width + 2)]
@@ -265,11 +279,13 @@ def test_simulate_counts_on_all_up_state():
         assert b.counts[settings.index("xy")].sum() == 500
 
 
-@pytest.mark.parametrize("width", [3, 4])
+@pytest.mark.parametrize("width", [3, 4, 5])
 def test_simulate_counts_does_not_depend_on_the_batch_size(monkeypatch,
                                                           width):
     # each setting's probabilities come from the same matmul calls in any
-    # batch, so the counts are bitwise those of one batch of all settings
+    # batch, and every batch reuses one workspace (the short last batch its
+    # leading rows), so the counts are bitwise those of one batch of all
+    # settings
     state = random_mpo_via_ancilla(6, seed=21, t_hnorm=0.1)
     counts = []
     for settings in (1, 5, 3**width):
@@ -419,14 +435,20 @@ def test_mle_tests_the_residual_from_the_switch_with_the_same_fits(
         monkeypatch):
     # local_mle evaluates the exact KKT residual only from the first step
     # whose gradient mapping is within _KKT_SWITCH * tol; an infinite
-    # multiple evaluates it at every iterate. Criterion 7's W(8) windows,
-    # and ancilla windows at R = 3 and at R = 5 (count seed 2, window 2,
-    # which stops unconverged after 203 iterations because no step lowers
-    # f) give the same fits
+    # multiple evaluates it at every iterate. Criterion 7's W(8) windows
+    # at R = 5, and at R = 4 and 6 (count seed 0), ancilla windows at R = 3
+    # and at R = 5 (count seed 2, window 2, which stops unconverged after
+    # 203 iterations because no step lowers f), and product and GHZ
+    # windows at R = 5 give the same fits. The product windows need the
+    # largest multiple: their last step's mapping is 5.6 tol.
     w8 = [b for seed in range(4)
           for b in simulate_counts(_w8_bench_state(), 5, 100, seed=seed)]
     ancilla = random_mpo_via_ancilla(8, seed=0)
-    mixed = (simulate_counts(ancilla, 3, 100, seed=0)
+    mixed = (simulate_counts(_w8_bench_state(), 4, 100, seed=0)
+             + simulate_counts(_w8_bench_state(), 6, 100, seed=0)
+             + simulate_counts(product_state(8)[0], 5, 100, seed=0)
+             + simulate_counts(ghz_state(8)[0], 5, 100, seed=0)
+             + simulate_counts(ancilla, 3, 100, seed=0)
              + simulate_counts(ancilla, 5, 100, seed=2)[1:2])
     cases = [(b, {}) for b in w8 + mixed] + [
         (b, kwargs) for b in w8[:4] + mixed[-3:]
@@ -448,7 +470,8 @@ def test_mle_tests_the_residual_from_the_switch_with_the_same_fits(
 def test_mle_skips_the_exact_residual_far_from_convergence(monkeypatch):
     # a W(8) window at R = 5 takes 25 iterations. Testing every iterate
     # costs 61 projections: one for the start, one per backtracking trial
-    # and one per iterate's residual; from the switch the fit takes 45
+    # and one per iterate's residual; from the switch the fit takes 41
+    # (45 with a switch at 100 tol)
     block = simulate_counts(_w8_bench_state(), 5, 100, seed=0)[0]
     project = mpotomo.measurement._project_density
     calls = []
@@ -460,7 +483,7 @@ def test_mle_skips_the_exact_residual_far_from_convergence(monkeypatch):
     monkeypatch.setattr(mpotomo.measurement, "_project_density", counted)
     res = local_mle(block)
     assert (res.n_iter, res.converged) == (25, True)
-    assert len(calls) <= 45
+    assert len(calls) <= 41
 
 
 def _exact_counts(rho, shots):

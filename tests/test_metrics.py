@@ -10,7 +10,7 @@ from mpotomo.files import write_json
 from mpotomo.measurement import (add_gaussian_noise, block_data_from_counts,
                                  exact_block_data, simulate_counts)
 from mpotomo.metrics import (_single_excitation_block, compare_states,
-                             fidelity_w_optimized, hs_distance, purity)
+                             fidelity_w_optimized, hs_distance)
 from mpotomo.operators import (DenseOperator, MatrixProductOperator,
                                mpo_from_dense)
 from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
@@ -20,6 +20,13 @@ from mpotomo.states import ghz_state, random_mpo_via_ancilla, w_state
 
 def _wrap(x):
     return np.mod(np.asarray(x), 2.0 * np.pi)
+
+
+def _dense_purity(state):
+    # tr[state^2] from the dense matrix, not from compare_states' Gram terms
+    if isinstance(state, MatrixProductOperator):
+        state = state.to_dense()
+    return float(np.sum(np.abs(state.matrix) ** 2))
 
 
 def test_hs_distance_of_identical_states_is_zero():
@@ -47,19 +54,21 @@ def test_hs_distance_paths_agree(rng):
 def test_hs_distance_reference_normalization():
     a = random_mpo(4, bond=2, seed=4)
     b = random_mpo(4, bond=2, seed=5)
-    na = hs_distance(a, b) * purity(a)
-    nb = hs_distance(b, a) * purity(b)
+    na = hs_distance(a, b) * compare_states(a, b).purity_ref
+    nb = hs_distance(b, a) * compare_states(b, a).purity_ref
     assert abs(na - nb) < 1e-10 * max(abs(na), 1.0)
 
 
 def test_purity_closed_forms():
     n = 5
     mm = DenseOperator(np.eye(2**n, dtype=complex) / 2**n)
-    assert abs(purity(mm) - 2.0**-n) < 1e-14
+    assert abs(compare_states(mm, mm).purity_ref - 2.0**-n) < 1e-14
     dense, mpo = ghz_state(4)
-    assert abs(purity(dense) - 1.0) < 1e-12
-    assert abs(purity(mpo) - 1.0) < 1e-12
-    assert abs(purity(mpo) - purity(mpo_from_dense(dense))) < 1e-12
+    rep = compare_states(dense, mpo)
+    assert abs(rep.purity_ref - 1.0) < 1e-12
+    assert abs(rep.purity_est - 1.0) < 1e-12
+    rep = compare_states(mpo, mpo_from_dense(dense))
+    assert abs(rep.purity_ref - rep.purity_est) < 1e-12
 
 
 def test_w_fidelity_of_w_state_is_one_with_phase_recovery():
@@ -163,7 +172,8 @@ def test_compare_states_forms_no_dense_matrix(monkeypatch):
     # dense form of either operand and no spectrum
     a = random_mpo_via_ancilla(8, seed=6)
     b = random_mpo(8, bond=3, seed=7)
-    want = hs_distance(a, b), purity(a), purity(b)
+    want = (hs_distance(a, b), compare_states(a, a).purity_ref,
+            compare_states(b, b).purity_ref)
 
     def refuse(*args, **kwargs):
         raise AssertionError("compare_states formed a dense spectrum")
@@ -184,8 +194,8 @@ def test_compare_states_matches_standalone_metrics(pair):
         b = b.to_dense()
     rep = compare_states(a, b)
     for got, want in ((rep.hs_distance, hs_distance(a, b)),
-                      (rep.purity_ref, purity(a)),
-                      (rep.purity_est, purity(b))):
+                      (rep.purity_ref, _dense_purity(a)),
+                      (rep.purity_est, _dense_purity(b))):
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -245,7 +255,8 @@ def test_distance_beyond_the_float_range_is_inf():
     rep = compare_states(st, est)
     assert rep.hs_distance == hs_distance(st, est) == np.inf
     assert rep.purity_est == np.inf
-    assert rep.purity_ref == purity(st) and 0.0 < rep.purity_ref <= 1.0
+    assert rep.purity_ref == compare_states(st, st).purity_ref
+    assert 0.0 < rep.purity_ref <= 1.0
 
 
 def test_compare_states_without_w_block():
