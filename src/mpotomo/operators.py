@@ -161,12 +161,6 @@ class MatrixProductOperator:
             np.matmul(L[i], Rt, out=rows[i])
         return DenseOperator(out)
 
-    def rescaled_trace(self, target: float = 1.0) -> "MatrixProductOperator":
-        """Copy with the trace rescaled to `target` (trace must be nonzero)."""
-        ts = [t.copy() for t in self.tensors]
-        _rescale_trace(ts, target)
-        return MatrixProductOperator(ts)
-
 
 def _rescale_trace(tensors: list[np.ndarray], target: float) -> None:
     """Rescale a chain's site tensors in place so its trace is `target`:

@@ -61,9 +61,8 @@ class RegularizerSpec:
     mode "tikhonov": lam = sigma2 (0 gives the truncated solve); None (the
     default) means matched to the data's scalar noise:
     reconstruct_mpo sets it to noise_tikhonov_sigma2(sigma, l, r) for the
-    split it resolves, and raises on data without scalar noise metadata;
-    robust_solve, which has no data, needs an explicit sigma2. No other
-    mode takes a sigma2.
+    split it resolves, and raises on data without scalar noise metadata.
+    No other mode takes a sigma2.
     mode "fisher": lam = 1 and W W^T = P^-1, which minimizes
     |B x - e|^2 + x^T P x with the penalty P assembled from the data's
     per-window Fisher metadata; if P is not numerically positive definite
@@ -145,56 +144,18 @@ def noise_tikhonov_sigma2(sigma: float, l: int, r: int) -> float:
     return sigma**2 * 2.0 ** (l - r)
 
 
-def robust_solve(B: np.ndarray, e: np.ndarray, reg: RegularizerSpec,
-                 penalty=None):
-    """Regularized solution of B x = e for one matrix B or a stack of
-    them: x = S e with the solve operator S = W V f(s) U^T, from one SVD
-    B W = U diag(s) V^T of the stack and f(s) = s / (s^2 + lam) for s
-    above PINV_RTOL * s_max (0 below); reconstruct_mpo applies the same S
-    straight into the site tensors. Returns (x, spectrum, flags); see
-    RegularizerSpec for each mode's damping lam and whitening W.
-
-    B has shape (m, n) or (count, m, n), and e shape (m,) or (count, m)
-    (one vector per matrix), or (m, k) or (count, m, k) (k columns). x has
-    shape (n,), (count, n), (n, k) or (count, n, k), the spectrum
-    (min(m, n),) or (count, min(m, n)), and flags is the matrix's list of
-    flags, or one such list per matrix of a stack. Every matrix of a stack
-    gets bitwise the x, spectrum and flags it gets on its own.
-
-    fisher mode needs the penalty matrices P, shape (n, n) or
-    (count, n, n), and tikhonov mode an explicit sigma2. In fisher mode
-    one eigh of the stack, P = Q diag(w) Q^T, gives W = Q diag(w)^-1/2,
-    and B W has the singular values of B L^-T for P = L L^T; P is not
-    numerically positive definite when its smallest eigenvalue is at most
-    n * eps times its largest. Each matrix's filter is taken on s and lam
-    scaled by a power of two, which is exact, so that squaring s neither
-    overflows nor underflows on any finite spectrum.
-    """
-    B, e = np.asarray(B, dtype=float), np.asarray(e, dtype=float)
-    if reg.mode == "tikhonov" and reg.sigma2 is None:
-        raise ValueError("robust_solve needs an explicit sigma2 in "
-                         "tikhonov mode")
-    if reg.mode == "fisher" and penalty is None:
-        raise ValueError("fisher mode requires a penalty matrix")
-    if B.ndim not in (2, 3):
-        raise ValueError(f"B must have shape (m, n) or (count, m, n), not "
-                         f"{B.shape}")
-    single, vector = B.ndim == 2, e.ndim == B.ndim - 1
-    B = B.reshape(-1, *B.shape[-2:])
-    count, m, _ = B.shape
-    S, s, flags = _solve_operators(B, reg, penalty)
-    x = S @ e.reshape(count, m, 1 if vector else e.shape[-1])
-    x = x[..., 0] if vector else x
-    return (x[0], s[0], flags[0]) if single else (x, s, flags)
-
-
 def _solve_operators(B: np.ndarray, reg: RegularizerSpec, penalty):
     """(S, spectra, flags) for the stack B (count, m, n): each matrix's
-    solve operator S = W V diag(f(s)) U^T, shape (n, m), so that its
-    regularized solution is x = S e (robust_solve). W is formed in the
-    eigh's Q and f(s) scales V^T in place; B W goes after the SVD, and U
-    and V^T before W S, so besides B and the penalties at most four arrays
-    of B's size are alive at once, and S alone is returned."""
+    solve operator S = W V diag(f(s)) U^T, shape (n, m), so that x = S e
+    is the regularized solution of B x = e (RegularizerSpec), its singular
+    values (count, min(m, n)) and its list of flags. Every matrix gets
+    bitwise what it gets in a stack of its own. fisher mode takes the
+    penalties P (count, n, n): one eigh P = Q diag(w) Q^T gives
+    W = Q diag(w)^-1/2, and P is not numerically positive definite when
+    min(w) <= n * eps * max(w). W is formed in the eigh's Q and f(s) scales
+    V^T in place; B W goes after the SVD, and U and V^T before W S, so
+    besides B and the penalties at most four arrays of B's size are alive
+    at once."""
     count, m, n = B.shape
     flags = [[] for _ in range(count)]
     # the damping of each matrix: one column, broadcast over its spectrum

@@ -43,10 +43,11 @@ class HamiltonianSpec:
                 f"exact diagonalization capped at {DENSE_SITE_CAP} sites")
 
 
-def _embed_two_site(term: np.ndarray, i: int, n: int) -> np.ndarray:
-    """term acting on sites (i, i+1), identity elsewhere; 1-based i."""
+def _embed(term: np.ndarray, i: int, n: int) -> np.ndarray:
+    """term acting on the sites from i on that its size spans, identity
+    elsewhere; 1-based i."""
     left = np.eye(2 ** (i - 1))
-    right = np.eye(2 ** (n - i - 1))
+    right = np.eye(2**n // (len(left) * len(term)))
     return np.kron(np.kron(left, term), right)
 
 
@@ -56,17 +57,15 @@ def hamiltonian_dense(spec: HamiltonianSpec) -> np.ndarray:
         h = np.zeros((2**n, 2**n), dtype=complex)
         xx = np.kron(SIGMA[1], SIGMA[1])
         for i in range(1, n):
-            h -= _embed_two_site(xx, i, n)
+            h -= _embed(xx, i, n)
         for i in range(1, n + 1):
-            z = np.kron(np.kron(np.eye(2 ** (i - 1)), SIGMA[3]),
-                        np.eye(2 ** (n - i)))
-            h -= z
+            h -= _embed(SIGMA[3], i, n)
         return h
     rng = np.random.default_rng(spec.seed)
     h = np.zeros((2**n, 2**n), dtype=complex)
     for i in range(1, n):
         g = rng.standard_normal((4, 4)) + 1.0j * rng.standard_normal((4, 4))
-        h += _embed_two_site((g + g.conj().T) / 2.0, i, n)
+        h += _embed((g + g.conj().T) / 2.0, i, n)
     return h
 
 

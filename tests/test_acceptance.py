@@ -20,7 +20,7 @@ from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
                                     check_invertibility_dense,
                                     check_invertibility_mpo_spans,
                                     default_split, noise_tikhonov_sigma2,
-                                    reconstruct_mpo, robust_solve)
+                                    reconstruct_mpo, _solve_operators)
 from mpotomo.states import (HamiltonianSpec, product_state,
                             ghz_state, random_mpo_via_ancilla, thermal_dense,
                             w_state)
@@ -159,13 +159,16 @@ def test_criterion_6_regularizer_closed_forms(verdict):
     B = U[:, :6] @ np.diag(s) @ V.T
     e = rng.normal(size=8)
     s2 = 1e-6
-    x = robust_solve(B, e, RegularizerSpec("tikhonov", sigma2=s2))[0]
+    (S,), _, _ = _solve_operators(
+        B[None], RegularizerSpec("tikhonov", sigma2=s2), None)
+    x = S @ e
     factors = (V.T @ x) * s / (U[:, :6].T @ e)
     filt_err = float(np.max(np.abs(factors - s**2 / (s**2 + s2))))
 
     P = rng.normal(size=(6, 6))
     P = P @ P.T + 0.05 * np.eye(6)
-    xf = robust_solve(B, e, RegularizerSpec("fisher"), penalty=P)[0]
+    (S,), _, _ = _solve_operators(B[None], RegularizerSpec("fisher"), P[None])
+    xf = S @ e
     ref = np.linalg.solve(B.T @ B + P, B.T @ e)
     fisher_err = float(np.max(np.abs(xf - ref)))
 

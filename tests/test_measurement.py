@@ -22,8 +22,8 @@ from mpotomo.measurement import (MLE_TOL, CountsBlock, PauliBlockData,
                                  simulate_counts)
 import mpotomo.measurement
 import mpotomo.operators
-from mpotomo.operators import (DenseOperator, load_operator, save_operator,
-                               window_coeffs)
+from mpotomo.operators import (DenseOperator, _rescale_trace, load_operator,
+                               save_operator, window_coeffs)
 from mpotomo.pauli import coeffs_from_dense, dense_from_coeffs, n_sites_of
 from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
                                     reconstruct_mpo)
@@ -80,7 +80,8 @@ def test_identity_environments_built_once_per_call(monkeypatch):
     mpo = random_mpo(8, bond=2, seed=14)
     exact_block_data(mpo, 3)
     assert len(calls) == 1
-    simulate_counts(mpo.rescaled_trace(1.0), 2, 10, seed=0)
+    _rescale_trace(mpo.tensors, 1.0)
+    simulate_counts(mpo, 2, 10, seed=0)
     assert len(calls) == 2
 
 

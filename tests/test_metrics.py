@@ -37,7 +37,7 @@ def test_hs_distance_of_identical_states_is_zero():
 def test_hs_distance_halved_state():
     # D(rho, rho/2) = ||rho/2||^2 / ||rho||^2 = 1/4
     a = random_mpo(4, bond=2, seed=1)
-    half = a.rescaled_trace(a.trace / 2.0)
+    half = MatrixProductOperator([a.tensors[0] / 2.0, *a.tensors[1:]])
     assert abs(hs_distance(a, half) - 0.25) < 1e-12
 
 

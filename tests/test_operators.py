@@ -8,8 +8,8 @@ import oracles
 from oracles import pack_index, random_mpo
 from mpotomo.measurement import add_gaussian_noise, exact_block_data
 from mpotomo.operators import (_BLOCK_ENTRIES, DenseOperator,
-                               MatrixProductOperator, _transfer,
-                               identity_environments,
+                               MatrixProductOperator, _rescale_trace,
+                               _transfer, identity_environments,
                                load_operator, mpo_from_coeffs, mpo_from_dense,
                                mpo_overlap, save_operator, window_coeffs)
 from mpotomo.pauli import coeffs_from_dense, dense_from_coeffs
@@ -104,7 +104,7 @@ def _traceless_mpo():
      ValueError, r"tensor 0 must have shape \(4, Dl, Dr\)"),
     (lambda p: random_mpo(3, bond=2, seed=0).coefficient([0, 0]),
      ValueError, "one basis index per site required"),
-    (lambda p: _traceless_mpo().rescaled_trace(1.0),
+    (lambda p: _rescale_trace(_traceless_mpo().tensors, 1.0),
      ValueError, "cannot rescale an operator with zero trace"),
     (lambda p: mpo_overlap(random_mpo(3, bond=2, seed=0),
                            random_mpo(4, bond=2, seed=0)),
@@ -279,9 +279,10 @@ def test_bond_dimension_validation():
         MatrixProductOperator([np.zeros((4, 2, 2))])
 
 
-def test_rescaled_trace():
+def test_rescale_trace():
     mpo = random_mpo(4, bond=2, seed=8)
-    one = mpo.rescaled_trace(1.0)
+    one = MatrixProductOperator([t.copy() for t in mpo.tensors])
+    _rescale_trace(one.tensors, 1.0)
     assert abs(one.trace - 1.0) < 1e-12
     assert np.max(np.abs(one.to_dense().matrix * mpo.trace
                          - mpo.to_dense().matrix)) < 1e-12
@@ -333,7 +334,7 @@ def test_random_mpo_has_nonzero_trace_and_real_tensors():
     assert all(np.isrealobj(t) for t in mpo.tensors)
 
 
-def test_identity_string_gives_rescaled_trace():
+def test_identity_string_gives_the_scaled_trace():
     mpo = random_mpo(4, bond=2, seed=13)
     c0 = mpo.coefficient([0, 0, 0, 0])
     assert abs(mpo.trace - 2.0 ** (4 / 2.0) * c0) < 1e-12
@@ -372,7 +373,8 @@ def test_chain_contractions_beyond_the_float_range():
     assert mpo_overlap(long, long) == 0.0
     assert abs(long.trace - 1.0) <= 1e-12
     # rescaling divides 2^2000 out as powers of two spread over the sites
-    one = big.rescaled_trace(1.0)
+    one = MatrixProductOperator([t.copy() for t in big.tensors])
+    _rescale_trace(one.tensors, 1.0)
     assert abs(one.trace - 1.0) <= 1e-12
     assert all(np.isfinite(t).all() for t in one.tensors)
     unit = oracles.mixed_product_chain(1000)
