@@ -389,8 +389,9 @@ class MleResult:
 # Defaults of every likelihood fit (local_mle, block_data_from_counts and
 # ingest-counts). Rounding keeps the KKT residual above a floor, measured
 # at 2e-9 to 7e-8 on 100-shot width-5 windows, so a fit asked for a
-# smaller tolerance stops unconverged.
-MLE_TOL = 1e-7
+# smaller tolerance stops unconverged. The default sits two decades above
+# the largest floor measured (see local_mle).
+MLE_TOL = 1e-5
 MLE_MAX_ITER = 10_000
 # Backtracking shrinks the step by half per trial and gives up, at the
 # floating-point floor, after this many; each accepted step grows it.
@@ -399,7 +400,8 @@ _STEP_GROWTH = 1.2
 # local_mle evaluates the exact KKT residual from the first accepted step
 # whose gradient mapping is within this multiple of tol, and at every
 # iterate after that; before it the residual is far above tol. The largest
-# multiple a surveyed fit needed is 5.6 (see local_mle).
+# multiple a surveyed fit needed is 2.9 at the default tol and 5.6 at
+# tol = 1e-7 (see local_mle).
 _KKT_SWITCH = 10.0
 
 
@@ -476,6 +478,17 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
     and the result carries the last iterate with converged False. tol must
     be finite and nonnegative and max_iter at least 1.
 
+    The default tol, MLE_TOL = 1e-5, sits two decades above the rounding
+    floor of the residual (2e-9 to 7e-8 measured on 100-shot width-5
+    windows). At 1e-7 some fits landed just above the floor and stopped
+    unconverged (KKT 1.05e-7 on an ancilla(8) window at R = 5). Going on
+    from 1e-5 to 1e-7 takes 28 to 67% more iterations and moves D by at
+    most 6.6e-4 and the W fidelity by at most 1.1e-5 relative (W(8) and
+    ancilla(8), R = 3 to 6, 100 to 10^4 shots). The benchmark's 16 W(8)
+    fits at R = 5 take 314 iterations at 1e-5 against 435 at 1e-7, and the
+    16 ancilla(8) fits 999 against 1431, with none unconverged against
+    one; pass tol=1e-7 for tighter fits.
+
     Cost at width R (dim = 2^R): each point the fit visits (start,
     iterate or momentum point) takes one real (3^R x 2^R) @ (2^R x 2^R)
     design matmul, whose entries at the nonzero counts, and their minimum,
@@ -488,20 +501,22 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
     more projection and the gradient at the iterate, so it is evaluated
     only from the first accepted step whose gradient mapping ||x_next - y||
     / min(t, 1), an upper bound on the unit-step residual at y, is within
-    _KKT_SWITCH * tol, and at every iterate after that: the last 2 to 6 of
-    24 to 35 iterates on the benchmark's W(8) windows at R = 5, against 7
-    to 10 with a multiple of 100. The iterates are those of a test at
-    every iterate; a fit could only run past an untested iterate already
-    below tol. The multiple is 10 because the largest that a fit surveyed
-    needed at its converging step was 5.6 (product_state(8), R = 5);
-    criterion 7's W(8) windows needed at most 4.4 at R = 3 and 3.2 at
-    R = 5. Otherwise the gradient at the iterate is formed for a momentum
+    _KKT_SWITCH * tol, and at every iterate after that: at the default tol
+    the last 2 to 9 of 15 to 27 iterates on the benchmark's W(8) windows at
+    R = 5, against 6 to 17 with a multiple of 100. The iterates are those
+    of a test at every iterate; a fit could only run past an untested
+    iterate already below tol. The multiple is 10 because the largest that
+    a fit surveyed needed at its converging step was 2.9 at the default
+    tol (criterion 7's W(8) windows at R = 3; 2.8 at R = 5 and for
+    product_state(8)) and 5.6 at tol = 1e-7 (product_state(8), R = 5).
+    Otherwise the gradient at the iterate is formed for a momentum
     restart, after which y is the iterate, and for a result that stops on
     an untested iterate. A projection is one dim x dim eigh and, on each
     side of it, one gather and one complex (dim x dim) @ (dim x dim)
     matmul with the design's signs (_design), O(8^R) and no Pauli
-    transform. Typical fits need about 1.4 trials per iterate and 42
-    projections; the eigh dominates from R = 5 up.
+    transform. The benchmark's W(8) fits need about 1.3 trials per iterate
+    and 31 projections at the default tol (42 at 1e-7); the eigh dominates
+    from R = 5 up.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
