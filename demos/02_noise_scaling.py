@@ -20,14 +20,13 @@ Run:  python3 demos/02_noise_scaling.py
 import numpy as np
 
 from mpotomo import (
-    HamiltonianSpec,
     ReconstructionConfig,
     RegularizerSpec,
     add_gaussian_noise,
     exact_block_data,
     hs_distance,
+    make_state,
     reconstruct_mpo,
-    thermal_dense,
 )
 
 N = 8
@@ -39,8 +38,7 @@ TRIALS = 10
 
 
 def main():
-    spec = HamiltonianSpec("critical_ising", N)
-    rho = thermal_dense(spec, BETA)
+    rho = make_state("critical_ising", N, beta=BETA)  # a DenseOperator
     data0 = exact_block_data(rho, WIDTH)
 
     print(f"thermal Ising chain, N={N}, beta={BETA}, window width {WIDTH}")

@@ -18,7 +18,8 @@ phases.  We never hand the reconstruction the exact coefficients:
 Wider windows see more of the correlation structure and win at a
 fixed per-setting shot count.
 
-Run:  python3 demos/04_counts_to_state.py    (about a minute)
+Run:  python3 demos/04_counts_to_state.py    (under a second on a
+      2-core x86-64 machine)
 """
 
 import time

@@ -13,8 +13,8 @@ from .operators import (DenseOperator, load_operator, mpo_from_dense,
 from .reconstruction import (ReconstructionConfig, RegularizerSpec,
                              check_invertibility_dense,
                              check_invertibility_mpo_spans, reconstruct_mpo)
-from .states import (HamiltonianSpec, ghz_state, make_state, product_state,
-                     random_mpo_via_ancilla, thermal_dense, w_state)
+from .states import (ghz_state, make_state, product_state,
+                     random_mpo_via_ancilla, w_state)
 from .sweep import SweepConfig, run_sweep, sweep_config_from_json
 
 __version__ = "0.1.0"
@@ -27,8 +27,8 @@ __all__ = [
     "DenseOperator", "load_operator", "mpo_from_dense", "save_operator",
     "ReconstructionConfig", "RegularizerSpec", "check_invertibility_dense",
     "check_invertibility_mpo_spans", "reconstruct_mpo",
-    "HamiltonianSpec", "ghz_state", "make_state", "product_state",
-    "random_mpo_via_ancilla", "thermal_dense", "w_state",
+    "ghz_state", "make_state", "product_state", "random_mpo_via_ancilla",
+    "w_state",
     "SweepConfig", "run_sweep", "sweep_config_from_json",
     "__version__",
 ]

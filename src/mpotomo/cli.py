@@ -24,7 +24,7 @@ from .operators import (DenseOperator, load_operator, mpo_from_dense,
                         save_operator)
 from .reconstruction import (ReconstructionConfig, check_invertibility_dense,
                              check_invertibility_mpo_spans, reconstruct_mpo)
-from .states import HAMILTONIAN_FAMILIES, make_state
+from .states import FAMILIES, make_state
 from .sweep import run_sweep, sweep_config_from_json
 
 _FAMILY_ALIASES = {
@@ -34,11 +34,6 @@ _FAMILY_ALIASES = {
     "w": "w", "ghz": "ghz", "product": "product",
 }
 
-# gen-state options that only some families read: giving one to another
-# family is an error, not silently ignored.
-_FAMILY_OPTIONS = {"beta": HAMILTONIAN_FAMILIES, "t_hnorm": ("random_mpo",),
-                   "phases": ("w",),
-                   "seed": ("random_next_neighbour", "random_mpo")}
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload))
@@ -46,22 +41,20 @@ def _emit(payload: dict) -> None:
 
 def _cmd_gen_state(args) -> int:
     family = _FAMILY_ALIASES[args.family]
-    options = {name: getattr(args, name) for name in _FAMILY_OPTIONS
+    # an option the family does not read is an error, not silently ignored
+    options = {name: getattr(args, name)
+               for name in ("beta", "t_hnorm", "phases", "seed")
                if getattr(args, name) is not None}
     for name in options:
-        if family not in _FAMILY_OPTIONS[name]:
+        if name not in FAMILIES[family]:
             raise ValueError(f"--{name.replace('_', '-')} does not apply to "
                              f"family {family!r}")
     if "phases" in options:
         options["phases"] = ([float(x) for x in args.phases.split(",")]
                              if args.phases else None)
-    dense, mpo = make_state(family, args.n, **options)
-    if mpo is None:
-        mpo = mpo_from_dense(dense)
-    if args.n > args.dense_max_sites:
-        dense = None
-    elif dense is None:
-        dense = mpo.to_dense()
+    state = make_state(family, args.n, **options)
+    mpo = mpo_from_dense(state) if isinstance(state, DenseOperator) else state
+    dense = state.to_dense() if args.n <= args.dense_max_sites else None
     written = []
     for op, path in ((mpo, f"{args.out}.mpo.json"),
                      (dense, f"{args.out}.dense.json")):

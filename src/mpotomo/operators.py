@@ -106,6 +106,9 @@ class MatrixProductOperator:
         alphas = list(alphas)
         if len(alphas) != self.n_sites:
             raise ValueError("one basis index per site required")
+        for site, a in enumerate(alphas, start=1):
+            if not 0 <= a <= 3:  # numpy would wrap -1 to 3
+                raise ValueError(f"site {site}: alpha = {a} out of range 0..3")
         return _value(*_contract(lambda v, t, a: v @ t[a], np.ones((1, 1)),
                                  zip(self.tensors, alphas)))
 
@@ -346,8 +349,8 @@ def save_operator(op, path: str) -> None:
     if isinstance(op, MatrixProductOperator):
         kind, data = "mpo", {"bond_dims": op.bond_dims, "tensors": op.tensors}
     elif isinstance(op, DenseOperator):
-        kind, data = "dense", {"matrix": np.stack([op.matrix.real,
-                                                   op.matrix.imag], -1)}
+        m = np.ascontiguousarray(op.matrix)  # entries: [re, im] in memory
+        kind, data = "dense", {"matrix": m.view(float).reshape(*m.shape, 2)}
     else:
         raise TypeError(f"cannot serialize {type(op).__name__}")
     write_floats(path, {"version": FORMAT_VERSION, "kind": kind,

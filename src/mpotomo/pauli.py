@@ -40,7 +40,7 @@ def n_sites_of(dim: int, base: int = 2) -> int:
 
     base is 2 for the rows of a matrix and 4 for a coefficient vector.
     """
-    m = int(round(np.log(dim) / np.log(base)))
+    m = int(round(np.log(dim) / np.log(base))) if dim >= 1 else 0
     if base**m != dim:
         raise ValueError(f"dimension {dim} is not a power of {base}")
     return m

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,26 +20,12 @@ from .pauli import SIGMA, SITE_TRANSFORM, hermitian_basis
 
 # ---- Hamiltonians and thermal states ----
 
-HAMILTONIAN_FAMILIES = ("critical_ising", "random_next_neighbour")
-FAMILIES = HAMILTONIAN_FAMILIES + ("random_mpo", "w", "ghz", "product")
-
-
-@dataclass
-class HamiltonianSpec:
-    """Nearest-neighbour chain Hamiltonian selector."""
-
-    family: str
-    n_sites: int
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.family not in HAMILTONIAN_FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n_sites < 2:
-            raise ValueError("need at least two sites")
-        if self.n_sites > DENSE_SITE_CAP:
-            raise ValueError(
-                f"exact diagonalization capped at {DENSE_SITE_CAP} sites")
+# The options each family reads, the one table make_state, gen-state and
+# sweeps share. The families that read beta are the thermal ones.
+FAMILIES = {"critical_ising": ("beta",),
+            "random_next_neighbour": ("beta", "seed"),
+            "random_mpo": ("seed", "t_hnorm"),
+            "w": ("phases",), "ghz": (), "product": ()}
 
 
 def _embed(term: np.ndarray, i: int, n: int) -> np.ndarray:
@@ -51,29 +36,39 @@ def _embed(term: np.ndarray, i: int, n: int) -> np.ndarray:
     return np.kron(np.kron(left, term), right)
 
 
-def hamiltonian_dense(spec: HamiltonianSpec) -> np.ndarray:
-    n = spec.n_sites
-    if spec.family == "critical_ising":
-        h = np.zeros((2**n, 2**n), dtype=complex)
+def hamiltonian_dense(family: str, n_sites: int, seed=None) -> np.ndarray:
+    """Nearest-neighbour chain Hamiltonian of a thermal family; `seed`
+    draws the random couplings of random_next_neighbour."""
+    if "beta" not in FAMILIES.get(family, ()):
+        raise ValueError(f"unknown family {family!r}")
+    if n_sites < 2:
+        raise ValueError("need at least two sites")
+    if n_sites > DENSE_SITE_CAP:
+        raise ValueError(
+            f"exact diagonalization capped at {DENSE_SITE_CAP} sites")
+    if family == "critical_ising":
+        h = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
         xx = np.kron(SIGMA[1], SIGMA[1])
-        for i in range(1, n):
-            h -= _embed(xx, i, n)
-        for i in range(1, n + 1):
-            h -= _embed(SIGMA[3], i, n)
+        for i in range(1, n_sites):
+            h -= _embed(xx, i, n_sites)
+        for i in range(1, n_sites + 1):
+            h -= _embed(SIGMA[3], i, n_sites)
         return h
-    rng = np.random.default_rng(spec.seed)
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(1, n):
+    rng = np.random.default_rng(seed)
+    h = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+    for i in range(1, n_sites):
         g = rng.standard_normal((4, 4)) + 1.0j * rng.standard_normal((4, 4))
-        h += _embed((g + g.conj().T) / 2.0, i, n)
+        h += _embed((g + g.conj().T) / 2.0, i, n_sites)
     return h
 
 
-def thermal_dense(spec: HamiltonianSpec, beta: float) -> DenseOperator:
-    """Gibbs state exp(-beta H) / Z by exact diagonalization."""
+def thermal_dense(family: str, n_sites: int, beta: float,
+                  seed=None) -> DenseOperator:
+    """Gibbs state exp(-beta H) / Z of hamiltonian_dense(family, n_sites,
+    seed) by exact diagonalization."""
     if not (np.isfinite(beta) and beta >= 0):
         raise ValueError(f"beta must be finite and nonnegative, not {beta!r}")
-    h = hamiltonian_dense(spec)
+    h = hamiltonian_dense(family, n_sites, seed)
     evals, evecs = np.linalg.eigh(h)
     w = np.exp(-beta * (evals - evals.min()))
     w /= w.sum()
@@ -227,11 +222,11 @@ def _pure_state(mps: list[np.ndarray]):
 def _w_mps(n_sites: int, phases=None) -> list[np.ndarray]:
     _require_sites(n_sites)
     n = n_sites
-    if phases is None:
-        phases = np.zeros(n - 1)
-    phases = np.asarray(phases, dtype=float)
+    phases = np.zeros(n - 1) if phases is None else np.asarray(phases, float)
     if phases.shape != (n - 1,):
         raise ValueError("need n_sites - 1 phases")
+    if not np.isfinite(phases).all():
+        raise ValueError(f"phases must be finite, not {phases.tolist()!r}")
     phi = np.concatenate(([0.0], phases))
     # A[i, 1, 0, 1] multiplies the branch with the excitation at site i + 1
     A = np.zeros((n, 2, 2, 2), dtype=complex)
@@ -290,31 +285,25 @@ def product_state(n_sites: int, kets=None):
 
 def make_state(family: str, n_sites: int, seed=None, beta: float = 5.0,
                t_hnorm: float = 0.01, phases=None):
-    """Reference state of one family in FAMILIES; returns (dense, mpo).
+    """Reference state of one family in FAMILIES, which lists the options
+    each family reads; a family ignores the others, so a caller may pass
+    them all. A chain needs at least one site.
 
-    Thermal families ("critical_ising", "random_next_neighbour") give
-    (dense, None): the Gibbs state at inverse temperature `beta`; `seed`
-    draws the random couplings. "random_mpo" gives (None, mpo) from the
-    ancilla construction with coupling strength `t_hnorm`, drawn from
-    `seed`. "w" (with optional branch `phases`), "ghz" and "product" give
-    (None, mpo), the MPO their constructors return, without the dense
-    form; a caller that needs it takes the MPO's to_dense(). Deterministic
-    families ignore `seed`, and every family but "w" ignores `phases`. A
-    chain needs at least one site.
+    The thermal families give the DenseOperator of their Gibbs state;
+    every other family gives its MPO, the named states' without their
+    dense form (a caller that needs it takes to_dense()).
     """
     _require_sites(n_sites)
-    if family in HAMILTONIAN_FAMILIES:
-        spec = HamiltonianSpec(family, n_sites, seed=seed)
-        return thermal_dense(spec, beta), None
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if "beta" in FAMILIES[family]:
+        return thermal_dense(family, n_sites, beta, seed=seed)
     if family == "random_mpo":
-        return None, random_mpo_via_ancilla(n_sites, seed=seed,
-                                            t_hnorm=t_hnorm)
+        return random_mpo_via_ancilla(n_sites, seed=seed, t_hnorm=t_hnorm)
     if family == "w":
         mps = _w_mps(n_sites, phases)
     elif family == "ghz":
         mps = _ghz_mps(n_sites)
-    elif family == "product":
-        mps = _product_mps(n_sites)
     else:
-        raise ValueError(f"unknown family {family!r}")
-    return None, mps_to_mpo(mps)
+        mps = _product_mps(n_sites)
+    return mps_to_mpo(mps)

@@ -41,7 +41,8 @@ class SweepConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        # a config's family may be any JSON value, and a list is unhashable
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         for name, kind in (("n_list", numbers.Integral),
                            ("width_list", numbers.Integral),
@@ -93,9 +94,8 @@ def run_trial(cfg: SweepConfig, n: int, width: int, sigma: float,
     t0 = time.perf_counter()
     # Deterministic families ignore the seed; random families redraw the
     # state every trial from it.
-    dense, mpo = make_state(cfg.family, n, seed=state_seed, beta=cfg.beta,
-                            t_hnorm=cfg.t_hnorm)
-    ref = dense if mpo is None else mpo
+    ref = make_state(cfg.family, n, seed=state_seed, beta=cfg.beta,
+                     t_hnorm=cfg.t_hnorm)
     data = exact_block_data(ref, width)
     if sigma > 0.0:
         data = add_gaussian_noise(data, sigma, seed=noise_seed)

@@ -21,9 +21,8 @@ from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
                                     check_invertibility_mpo_spans,
                                     default_split, noise_tikhonov_sigma2,
                                     reconstruct_mpo, _solve_operators)
-from mpotomo.states import (HamiltonianSpec, product_state,
-                            ghz_state, random_mpo_via_ancilla, thermal_dense,
-                            w_state)
+from mpotomo.states import (product_state, ghz_state,
+                            random_mpo_via_ancilla, thermal_dense, w_state)
 from mpotomo.sweep import SweepConfig, run_sweep
 
 
@@ -87,7 +86,7 @@ def test_criterion_2_recursion_matches_oracles(verdict):
 
 def test_criterion_3_noise_scaling_on_thermal_chain(verdict):
     t0 = time.time()
-    rho = thermal_dense(HamiltonianSpec("critical_ising", 8), 5.0)
+    rho = thermal_dense("critical_ising", 8, 5.0)
     data0 = exact_block_data(rho, 5)
     means = {}
     for sigma in (1e-3, 1e-2):

@@ -537,6 +537,36 @@ def test_compare_names_a_dense_file_without_sites(tmp_path, capsys):
         "message": "a dense operator needs at least one site"}
 
 
+def test_compare_names_a_dense_matrix_without_rows(tmp_path, capsys):
+    # a (0, 0, 2) matrix record once exited with an OverflowError
+    out = tmp_path / "w"
+    _run(capsys, "gen-state", "--family", "w", "--n", "2", "--out", str(out))
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"version": 1, "kind": "dense",
+                                 "n_sites": 0, "d": 2,
+                                 "matrix": {"shape": [0, 0, 2],
+                                            "offset": 0}}))
+    (tmp_path / "empty.json.f64").write_bytes(b"")
+    code, stdout, stderr = _run(capsys, "compare", "--ref",
+                                f"{out}.dense.json", "--est", str(empty))
+    assert code == 1 and stdout == ""
+    assert json.loads(stderr) == {
+        "error": "ValueError", "message": "dimension 0 is not a power of 2"}
+
+
+def test_gen_state_names_non_finite_phases(tmp_path, capsys):
+    # once refused only by the dense form's check, "operator entries must
+    # be finite", after RuntimeWarnings
+    code, stdout, stderr = _run(capsys, "gen-state", "--family", "w", "--n",
+                                "4", "--phases", "nan,0,0", "--out",
+                                str(tmp_path / "s"))
+    assert code == 1 and stdout == ""
+    assert json.loads(stderr) == {
+        "error": "ValueError",
+        "message": "phases must be finite, not [nan, 0.0, 0.0]"}
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_command(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1217,6 +1218,50 @@ def test_dense_operator_round_trips_bitwise(tmp_path):
     assert np.array_equal(back.matrix, m)
     _assert_bitwise(back.matrix.real, m.real)
     _assert_bitwise(back.matrix.imag, m.imag)
+
+
+def test_dense_operator_is_saved_from_its_own_storage(tmp_path):
+    # each complex entry is already its [re, im] pair: the record is a
+    # view of the matrix, so saving the 16 MiB W(10) matrix holds no copy
+    op = w_state(10)[0]
+    path = tmp_path / "op.json"
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        save_operator(op, path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < op.matrix.nbytes // 4, peak
+    assert _companion(path).read_bytes() == op.matrix.tobytes()
+    # a matrix that is not C-contiguous is written in C order all the same
+    m = w_state(3)[0].matrix * (1 + 0.5j)
+    m = m + m.conj().T
+    op = DenseOperator(np.asfortranarray(m))
+    save_operator(op, path)
+    _assert_companion([json.loads(path.read_text())["matrix"]],
+                      [np.stack([m.real, m.imag], -1)], path)
+    assert np.array_equal(load_operator(path).matrix, m)
+
+
+def test_load_operator_names_a_dense_matrix_without_rows(tmp_path):
+    # a (0, 0, 2) record once took the logarithm of 0: a RuntimeWarning,
+    # then an OverflowError
+    path = tmp_path / "op.json"
+    save_operator(w_state(2)[0], path)
+    payload = json.loads(path.read_text())
+    payload["matrix"] = {"shape": [0, 0, 2], "offset": 0}
+    path.write_text(json.dumps(payload))
+    _companion(path).write_bytes(b"")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dimension 0 is not a power "
+                                             "of 2"):
+            load_operator(path)
 
 
 @pytest.mark.parametrize("noise", ["none", "scalar", "fisher"])

@@ -111,8 +111,14 @@ def _traceless_mpo():
      ValueError, "operands must share site count"),
     (lambda p: save_operator(np.eye(2), p / "op.json"),
      TypeError, "cannot serialize ndarray"),
+    # numpy would wrap -1 to the z index and raise a bare IndexError at 4
+    (lambda p: w_state(4)[1].coefficient([-1, 0, 0, 0]),
+     ValueError, r"site 1: alpha = -1 out of range 0\.\.3"),
+    (lambda p: w_state(4)[1].coefficient([0, 0, 4, 0]),
+     ValueError, r"site 3: alpha = 4 out of range 0\.\.3"),
 ], ids=["dense_cap", "tensor_shape", "coefficient_length", "zero_trace",
-        "overlap_sites", "save_type"])
+        "overlap_sites", "save_type", "coefficient_negative_index",
+        "coefficient_index_past_z"])
 def test_operators_name_bad_input(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)

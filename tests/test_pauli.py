@@ -46,6 +46,15 @@ def test_n_sites_of_rejects_non_powers():
         n_sites_of(12)
 
 
+@pytest.mark.parametrize("dim", [0, -4])
+@pytest.mark.parametrize("base", [2, 4])
+def test_n_sites_of_names_a_dimension_below_one(dim, base):
+    # no logarithm of zero: once a RuntimeWarning and an OverflowError
+    with pytest.raises(ValueError, match=f"dimension {dim} is not a power "
+                                         f"of {base}"):
+        n_sites_of(dim, base)
+
+
 @pytest.mark.parametrize("alpha", [-1, 4])
 def test_pauli_matrix_names_an_index_out_of_range(alpha):
     with pytest.raises(ValueError, match=f"alpha = {alpha} out of range "

@@ -27,7 +27,7 @@ import mpotomo
 from mpotomo.files import write_json
 from mpotomo.metrics import fidelity_w_optimized, hs_distance
 from mpotomo.states import (ghz_state, random_mpo_via_ancilla, thermal_dense,
-                            HamiltonianSpec, w_state)
+                            w_state)
 
 
 # ---- solver closed forms ----
@@ -372,7 +372,7 @@ def test_exact_reconstruction_of_w_state_narrow_windows():
 
 
 def test_exact_reconstruction_of_thermal_state():
-    rho = thermal_dense(HamiltonianSpec("critical_ising", 7), 1.0)
+    rho = thermal_dense("critical_ising", 7, 1.0)
     rec = reconstruct_mpo(exact_block_data(rho, 5))
     assert hs_distance(rho, rec) < 1e-8
 
@@ -380,7 +380,7 @@ def test_exact_reconstruction_of_thermal_state():
 def test_exact_reconstruction_degrades_gracefully_near_purity():
     # at large beta the state approaches a rank-one projector and the
     # window systems lose conditioning; float64 data still gets close
-    rho = thermal_dense(HamiltonianSpec("critical_ising", 7), 5.0)
+    rho = thermal_dense("critical_ising", 7, 5.0)
     rec = reconstruct_mpo(exact_block_data(rho, 5))
     assert hs_distance(rho, rec) < 1e-4
 

@@ -7,28 +7,31 @@ import pytest
 import oracles
 from mpotomo import states
 from mpotomo.pauli import coeffs_from_dense
-from mpotomo.operators import DenseOperator
-from mpotomo.states import (FAMILIES, HamiltonianSpec, ancilla_channel,
-                            ghz_state, hamiltonian_dense, make_state,
-                            mps_to_mpo, product_state, random_mps,
+from mpotomo.operators import DenseOperator, MatrixProductOperator
+from mpotomo.states import (FAMILIES, ancilla_channel, ghz_state,
+                            hamiltonian_dense, make_state, mps_to_mpo,
+                            product_state, random_mps,
                             random_mpo_via_ancilla, thermal_dense, w_state)
 
 
-def test_hamiltonian_spec_validation():
-    with pytest.raises(ValueError):
-        HamiltonianSpec("nope", 4)
-    with pytest.raises(ValueError):
-        HamiltonianSpec("critical_ising", 1)
+def test_hamiltonian_validation():
+    for family in ("nope", "w"):
+        with pytest.raises(ValueError, match=f"unknown family '{family}'"):
+            hamiltonian_dense(family, 4)
+    with pytest.raises(ValueError, match="need at least two sites"):
+        hamiltonian_dense("critical_ising", 1)
     with pytest.raises(ValueError, match="exact diagonalization capped at "
                                          "12 sites"):
-        HamiltonianSpec("critical_ising", 13)
+        hamiltonian_dense("critical_ising", 13)
+    with pytest.raises(ValueError, match="exact diagonalization capped at "
+                                         "12 sites"):
+        thermal_dense("random_next_neighbour", 13, 1.0, seed=0)
 
 
 def test_ising_two_site_ground_energy():
     # H = -XX - Z1 - 1Z has extremal eigenvalues -sqrt(5), +sqrt(5):
     # squaring on the invariant 2x2 block gives E^2 = 5
-    spec = HamiltonianSpec("critical_ising", 2)
-    H = hamiltonian_dense(spec)
+    H = hamiltonian_dense("critical_ising", 2)
     X, Z, I = oracles.SX, oracles.SZ, oracles.I2
     ref = -np.kron(X, X) - np.kron(Z, I) - np.kron(I, Z)
     assert np.allclose(H, ref)
@@ -36,22 +39,20 @@ def test_ising_two_site_ground_energy():
 
 
 def test_random_hamiltonian_is_hermitian_and_seeded():
-    spec = HamiltonianSpec("random_next_neighbour", 4, seed=3)
-    H1 = hamiltonian_dense(spec)
-    H2 = hamiltonian_dense(HamiltonianSpec("random_next_neighbour", 4, seed=3))
+    H1 = hamiltonian_dense("random_next_neighbour", 4, seed=3)
+    H2 = hamiltonian_dense("random_next_neighbour", 4, seed=3)
     assert np.allclose(H1, H1.conj().T)
     assert np.array_equal(H1, H2)
-    H3 = hamiltonian_dense(HamiltonianSpec("random_next_neighbour", 4, seed=4))
+    H3 = hamiltonian_dense("random_next_neighbour", 4, seed=4)
     assert not np.allclose(H1, H3)
 
 
 def test_thermal_state_limits():
-    spec = HamiltonianSpec("critical_ising", 3)
-    rho0 = thermal_dense(spec, 0.0)
+    rho0 = thermal_dense("critical_ising", 3, 0.0)
     assert np.allclose(rho0.matrix, np.eye(8) / 8, atol=1e-14)
     # large beta concentrates on the ground space
-    rho = thermal_dense(spec, 50.0)
-    H = hamiltonian_dense(spec)
+    rho = thermal_dense("critical_ising", 3, 50.0)
+    H = hamiltonian_dense("critical_ising", 3)
     e0 = np.linalg.eigvalsh(H)[0]
     energy = np.trace(rho.matrix @ H).real
     assert abs(energy - e0) < 1e-6
@@ -63,7 +64,7 @@ def test_thermal_state_limits():
 def test_thermal_state_rejects_a_bad_beta(beta):
     with pytest.raises(ValueError, match="beta must be finite and "
                                          "nonnegative"):
-        thermal_dense(HamiltonianSpec("critical_ising", 3), beta)
+        thermal_dense("critical_ising", 3, beta)
 
 
 @pytest.mark.parametrize("t_hnorm", [float("nan"), float("inf"),
@@ -269,7 +270,7 @@ def test_ghz_single_site_is_the_plus_state():
     plus = np.full(2, 2.0 ** -0.5, dtype=complex)
     dense, mpo = ghz_state(1)
     assert np.array_equal(dense.matrix, np.outer(plus, plus))
-    for op in (mpo, make_state("ghz", 1)[1]):
+    for op in (mpo, make_state("ghz", 1)):
         assert op.bond_dims == [1, 1]
         assert np.max(np.abs(op.to_dense().matrix - dense.matrix)) < 1e-15
 
@@ -314,15 +315,15 @@ def test_product_state_expectations():
 
 
 def test_named_state_dispatch():
-    dense, mpo = make_state("ghz", 3)
-    assert mpo.n_sites == 3
+    mpo = make_state("ghz", 3)
+    assert isinstance(mpo, MatrixProductOperator) and mpo.n_sites == 3
     with pytest.raises(ValueError):
         make_state("unknown", 3)
 
 
 def _same_operator(a, b):
-    if a is None or b is None:
-        return a is None and b is None
+    if type(a) is not type(b):
+        return False
     if isinstance(a, DenseOperator):
         return np.array_equal(a.matrix, b.matrix)
     return (len(a.tensors) == len(b.tensors)
@@ -358,6 +359,19 @@ def test_product_state_names_a_ket_it_cannot_normalize(ket):
         product_state(2, [[1.0, 0.0], ket])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_w_state_refuses_non_finite_phases(bad):
+    # a NaN phase once gave an MPO with a NaN tensor and a NaN trace
+    phases = [bad, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (lambda: make_state("w", 4, phases=phases),
+                      lambda: w_state(4, phases)):
+            with pytest.raises(ValueError, match=r"phases must be finite, "
+                               rf"not \[{bad!r}, 0.0, 0.0\]"):
+                build()
+
+
 def test_named_states_name_a_wrong_count_of_site_inputs():
     with pytest.raises(ValueError, match="need n_sites - 1 phases"):
         w_state(3, phases=[0.1])
@@ -368,22 +382,20 @@ def test_named_states_name_a_wrong_count_of_site_inputs():
 def test_make_state_matches_family_constructors():
     phases = [0.3, 1.1, 2.0]
     want = {
-        "critical_ising": (
-            thermal_dense(HamiltonianSpec("critical_ising", 4), 2.0), None),
-        "random_next_neighbour": (thermal_dense(
-            HamiltonianSpec("random_next_neighbour", 4, seed=5), 2.0), None),
-        "random_mpo": (None, random_mpo_via_ancilla(4, seed=5, t_hnorm=0.1)),
+        "critical_ising": thermal_dense("critical_ising", 4, 2.0),
+        "random_next_neighbour": thermal_dense("random_next_neighbour", 4,
+                                               2.0, seed=5),
+        "random_mpo": random_mpo_via_ancilla(4, seed=5, t_hnorm=0.1),
         # the named families' MPO, without the dense form
-        "w": (None, w_state(4, phases)[1]),
-        "ghz": (None, ghz_state(4)[1]),
-        "product": (None, product_state(4)[1]),
+        "w": w_state(4, phases)[1],
+        "ghz": ghz_state(4)[1],
+        "product": product_state(4)[1],
     }
     assert set(want) == set(FAMILIES)
-    for family, (dense, mpo) in want.items():
-        got_dense, got_mpo = make_state(family, 4, seed=5, beta=2.0,
-                                        t_hnorm=0.1, phases=phases)
-        assert _same_operator(got_dense, dense), family
-        assert _same_operator(got_mpo, mpo), family
+    for family, state in want.items():
+        got = make_state(family, 4, seed=5, beta=2.0, t_hnorm=0.1,
+                         phases=phases)
+        assert _same_operator(got, state), family
 
 
 def test_make_state_builds_no_dense_form_of_a_named_state():
@@ -394,10 +406,10 @@ def test_make_state_builds_no_dense_form_of_a_named_state():
     tracemalloc.reset_peak()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        dense, mpo = make_state("w", 12)
+        mpo = make_state("w", 12)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert dense is None and mpo.n_sites == 12
+    assert isinstance(mpo, MatrixProductOperator) and mpo.n_sites == 12
     assert peak < 2**20, peak

@@ -45,6 +45,7 @@ def test_config_validation():
     ("master_seed", 1.5, "master_seed must be an integer, not float"),
     ("master_seed", True, "master_seed must be an integer, not bool"),
     ("master_seed", -1, "master_seed must be nonnegative, not -1"),
+    ("family", ["w"], r"unknown family \['w'\]"),
 ])
 def test_config_rejects_wrongly_typed_fields(key, value, match):
     with pytest.raises(ValueError, match=match):
