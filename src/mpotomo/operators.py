@@ -107,6 +107,10 @@ class MatrixProductOperator:
         if len(alphas) != self.n_sites:
             raise ValueError("one basis index per site required")
         for site, a in enumerate(alphas, start=1):
+            # numpy would take True as 1 and refuse 2.0 with a bare error
+            if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+                raise ValueError(f"site {site}: alpha must be an integer, "
+                                 f"not {type(a).__name__}")
             if not 0 <= a <= 3:  # numpy would wrap -1 to 3
                 raise ValueError(f"site {site}: alpha = {a} out of range 0..3")
         return _value(*_contract(lambda v, t, a: v @ t[a], np.ones((1, 1)),

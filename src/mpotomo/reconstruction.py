@@ -14,12 +14,17 @@ IS a matrix-product operator, which this module assembles explicitly:
   window matrix; the right boundary is a chain of index-splitting deltas.
 
 Each bulk site is fixed by its own window alone, so the N - R + 1
-per-site solves run as one: one SVD B W = U diag(s) V^T of the stack of
-every site's B and one filter f(s) = s / (s^2 + lam) above
-PINV_RTOL * s_max (standard-form Tikhonov: Hansen, Rank-Deficient and
-Discrete Ill-Posed Problems, 1998) give each site's solve operator
-S = W V f(s) U^T. A solution is x = S e, and the site tensors are S
-applied straight to the four alpha blocks of C in one batched product.
+per-site solves are independent. They are cut into one contiguous chunk
+of sites per usable CPU, each solved on its own thread (numpy's LAPACK
+and matrix products release the GIL), and each chunk solves its sites in
+pieces of at most 128 KiB of B. In a piece, one SVD
+B W = U diag(s) V^T of the stack of its sites' B and one filter
+f(s) = s / (s^2 + lam) above PINV_RTOL * s_max (standard-form Tikhonov:
+Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998) give each
+site's solve operator S = W V f(s) U^T. A solution is x = S e, and the
+site tensors are S applied straight to the four alpha blocks of C in one
+batched product. Every matrix gets bitwise what it gets alone, so the
+estimate and its report do not depend on the number of CPUs.
 A mode sets only each site's damping lam and whitening W
 (RegularizerSpec); in fisher mode W W^T = P^-1 for a penalty P assembled
 from per-window Fisher information. P needs the covariance of B's entries
@@ -31,6 +36,11 @@ step above the base blocks is a matrix product).
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +52,8 @@ from .operators import (DenseOperator, MatrixProductOperator, _exact_split,
 RANK_RTOL = 1e-9  # numerical rank: singular values above RANK_RTOL * s_max
 PINV_RTOL = 1e-10  # every filter is 0 for s at or below PINV_RTOL * s_max
 _FACTOR_BASE = 32  # _inverse_factor factors blocks up to this side directly
+_MIN_CHUNK = 16  # no chunk of fewer sites is solved on a thread apart
+_PIECE_BYTES = 1 << 17  # a chunk solves its sites in pieces of this much B
 
 # The solver mode for each PauliBlockData.noise_kind (None for exact
 # data); reconstruct_mpo applies it unless the config names a regularizer.
@@ -149,7 +161,8 @@ def _solve_operators(B: np.ndarray, reg: RegularizerSpec, penalty):
     solve operator S = W V diag(f(s)) U^T, shape (n, m), so that x = S e
     is the regularized solution of B x = e (RegularizerSpec), its singular
     values (count, min(m, n)) and its list of flags. Every matrix gets
-    bitwise what it gets in a stack of its own. fisher mode takes the
+    bitwise what it gets in a stack of its own, which lets reconstruct_mpo
+    cut the sites into chunks and pieces of any size. fisher mode takes the
     penalties P (count, n, n): one eigh P = Q diag(w) Q^T gives
     W = Q diag(w)^-1/2, and P is not numerically positive definite when
     min(w) <= n * eps * max(w). W is formed in the eigh's Q and f(s) scales
@@ -277,6 +290,110 @@ def _data_regularizer(data: PauliBlockData, reg: RegularizerSpec | None,
     return reg
 
 
+def _solve_sites(data: PauliBlockData, reg: RegularizerSpec, l: int,
+                 r: int, lo: int, hi: int) -> list[tuple]:
+    """[(tensors, spectra, flags)] of the bulk sites of windows lo .. hi - 1,
+    one triple per piece of at most _PIECE_BYTES of B, in site order: the
+    piece's site tensors (count, 4, 4^r, 4^r), _solve_operators' singular
+    values and each site's flags, penalty flags last. The penalties are
+    formed first, before any tensor, and B and S live one piece at a time,
+    so that the scratch beside the tensors is one piece's."""
+    dim_r = 4**r
+    blocks = data.blocks[lo:hi]
+    # each window's penalty comes from its own Fisher information
+    penalties, penalty_flags = None, [[] for _ in blocks]
+    if reg.mode == "fisher":
+        penalties = np.empty((len(blocks), dim_r, dim_r))
+        for i, shots in enumerate(data.shots[lo:hi]):
+            penalties[i], penalty_flags[i] = _fisher_penalty(blocks[i],
+                                                             shots, r)
+    step = max(1, _PIECE_BYTES // (8 * 4 ** (l + r)))
+    pieces = []
+    for start in range(0, len(blocks), step):
+        piece = slice(start, start + step)
+        B, C = _site_matrices(blocks[piece], l, r)
+        S, spectra, flags = _solve_operators(
+            B, reg, None if penalties is None else penalties[piece])
+        del B
+        # Column a * dim_r + j of C is right string j extended by alpha = a:
+        # one batched product of each site's S with its four alpha blocks.
+        tensors = S[:, None] @ C.reshape(len(S), 4**l, 4, dim_r).transpose(
+            0, 2, 1, 3)
+        pieces.append((tensors, spectra, [
+            f + p for f, p in zip(flags, penalty_flags[piece])]))
+    return pieces
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# _map_chunks' workers, made at first use under the lock
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads, and the lock may
+    # have been held by one of them: it makes its own pool and lock
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _chunk_count(count: int, l: int, r: int, mode: str) -> int:
+    """How many chunks the solve of `count` bulk sites is cut into: one per
+    usable CPU, each of at least _MIN_CHUNK sites and, in fisher mode, at
+    least 16^l. The chunks form their penalties at the same time, each one
+    at a time with scratch of 2-4 times a marginal's information
+    (16^(l + r) floats); at 16^l sites a chunk's tensors (4 * 16^r floats
+    a site) outweigh that scratch, whatever the number of chunks. Sites
+    whose B is 64 or more on both sides (R >= 7 at the default split) take
+    one chunk: their SVDs' own BLAS calls go multithreaded, and two
+    callers contend for the BLAS threads (at R = 7 and N = 256, two chunks
+    took 1.5 times one chunk's time with default BLAS threads, and 0.56
+    times with one)."""
+    if min(l, r) >= 3:
+        return 1
+    min_chunk = max(_MIN_CHUNK, 16**l if mode == "fisher" else 0)
+    return max(1, min(_cpu_count(), count // min_chunk))
+
+
+def _map_chunks(solve, count: int, n_chunks: int) -> list:
+    """[solve(lo, hi)] over n_chunks contiguous chunks of range(count), in
+    order.
+
+    The caller's thread solves the first chunk and a private thread pool
+    the rest, each in a copy of the caller's contextvars context (numpy's
+    error state). numpy's LAPACK and matrix products release the GIL, so
+    the chunks run on separate cores. Every chunk is finished before this
+    returns or raises; an error is the first chunk's that raised,
+    unchanged.
+    """
+    global _pool
+    bounds = [count * i // n_chunks for i in range(n_chunks + 1)]
+    if n_chunks == 1:
+        return [solve(0, count)]
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _cpu_count() - 1),
+                                       thread_name_prefix="mpotomo-solve")
+        pool = _pool
+    futures = [pool.submit(contextvars.copy_context().run, solve, lo, hi)
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        first = solve(bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
+
+
 @dataclass
 class ReconstructionReport:
     n_sites: int
@@ -307,6 +424,17 @@ def reconstruct_mpo(data: PauliBlockData,
     is None, with NOISE_MODES' mode for the data's noise kind (tikhonov
     matched to sigma for scalar noise); the report's mode is the one used.
 
+    The bulk sites are solved in one contiguous chunk per usable CPU
+    (os.sched_getaffinity, else os.cpu_count): the caller's thread takes
+    the first and a private thread pool, made at first use and again in a
+    forked child, the rest, each in the caller's contextvars context. A
+    chunk holds at least _MIN_CHUNK sites, and in fisher mode at least
+    16^l, so short chains stay on the caller's thread, as do sites whose
+    B is 64 or more on both sides (_chunk_count). The result is
+    bitwise the same at any CPU count; `taskset -c 0` holds a run to one
+    CPU, and so to the caller's thread. An error raised in any chunk
+    reaches the caller unchanged, after every chunk has finished.
+
     The report lists, per bulk site, the singular values the filter acted
     on (of B, or of B W in fisher mode) and the flags "zero_operator",
     "singular_penalty" and "fisher_singular_scalar".
@@ -322,29 +450,22 @@ def reconstruct_mpo(data: PauliBlockData,
         reg = _data_regularizer(data, cfg.regularizer, l, r)
         mode = reg.mode
         dim_r = 4**r
-        B, C = _site_matrices(data.blocks, l, r)
-        tensors = _exact_split(B[0].reshape(-1), l, dim_r)
+        tensors = _exact_split(
+            _site_matrices(data.blocks[0], l, r)[0].reshape(-1), l, dim_r)
         # Window b (0-based) starts at site b + 1 and resolves site
-        # k = b + l + 1; its penalty comes from its own Fisher information.
-        penalties, penalty_flags = None, [[] for _ in data.blocks]
-        if mode == "fisher":
-            penalties = np.empty((len(B), dim_r, dim_r))
-            for b, shots in enumerate(data.shots):
-                penalties[b], penalty_flags[b] = _fisher_penalty(
-                    data.blocks[b], shots, r)
-        S, spectra, flags = _solve_operators(B, reg, penalties)
-        # B and the penalties, then S, are freed as soon as they are used
-        del B, penalties
-        # Column a * dim_r + j of C is right string j extended by
-        # alpha = a: one batched product of each site's S with its four
-        # alpha blocks is the (N - R + 1, 4, dim_r, dim_r) site tensors.
-        tensors.extend(S[:, None] @ C.reshape(len(S), 4**l, 4, dim_r)
-                       .transpose(0, 2, 1, 3))
-        del S
+        # k = b + l + 1; the pieces come back in site order.
+        count = len(data.blocks)
+        pieces = [piece for chunk in _map_chunks(
+            functools.partial(_solve_sites, data, reg, l, r), count,
+            _chunk_count(count, l, r, mode)) for piece in chunk]
+        for site_tensors, _, _ in pieces:
+            tensors.extend(site_tensors)
         if with_report:
+            rows = [row for _, spectra, flags in pieces
+                    for row in zip(spectra.tolist(), flags)]
             site_rows = [{"k": b + l + 1, "singular_values": spectrum,
-                          "flags": flags[b] + penalty_flags[b]}
-                         for b, spectrum in enumerate(spectra.tolist())]
+                          "flags": flags}
+                         for b, (spectrum, flags) in enumerate(rows)]
         for i in range(1, r + 1):
             dr = 4 ** (r - i)
             # t[a, a * dr + j, j] = 1: split off the next site's index

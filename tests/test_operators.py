@@ -116,9 +116,17 @@ def _traceless_mpo():
      ValueError, r"site 1: alpha = -1 out of range 0\.\.3"),
     (lambda p: w_state(4)[1].coefficient([0, 0, 4, 0]),
      ValueError, r"site 3: alpha = 4 out of range 0\.\.3"),
+    # numpy raises a bare IndexError on floats and takes True as x
+    (lambda p: w_state(4)[1].coefficient([1.5, 0, 0, 0]),
+     ValueError, "site 1: alpha must be an integer, not float"),
+    (lambda p: w_state(4)[1].coefficient([2.0, 0, 0, 0]),
+     ValueError, "site 1: alpha must be an integer, not float"),
+    (lambda p: w_state(4)[1].coefficient([True, 0, 0, 0]),
+     ValueError, "site 1: alpha must be an integer, not bool"),
 ], ids=["dense_cap", "tensor_shape", "coefficient_length", "zero_trace",
         "overlap_sites", "save_type", "coefficient_negative_index",
-        "coefficient_index_past_z"])
+        "coefficient_index_past_z", "coefficient_fractional_index",
+        "coefficient_float_index", "coefficient_bool_index"])
 def test_operators_name_bad_input(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)

@@ -1,8 +1,12 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from mpotomo.reconstruction import (NOISE_MODES, PINV_RTOL,
                                     _fisher_penalty, _inverse_factor,
                                     _site_matrices, _solve_operators)
 import mpotomo
+from mpotomo import reconstruction
 from mpotomo.files import write_json
 from mpotomo.metrics import fidelity_w_optimized, hs_distance
 from mpotomo.states import (ghz_state, random_mpo_via_ancilla, thermal_dense,
@@ -588,6 +593,206 @@ def test_exact_reconstruction_of_a_4096_site_mixed_chain():
         assert abs(rep.hs_distance) <= 1e-12
         assert abs(est.trace - 1.0) <= 1e-12
         assert rep.purity_ref == 0.0
+
+
+# ---- chunks of sites solved on separate threads ----
+
+
+def _split_and_serial(monkeypatch, data, cpus):
+    """reconstruct_mpo's (estimate, report) with `cpus` usable CPUs, and
+    with one CPU and the whole stack solved as one piece; and the (lo, hi)
+    and thread of every chunk the first run solved, in site order."""
+    chunks, solve = [], reconstruction._solve_sites
+
+    def recorded(*args):
+        chunks.append((args[-2:], threading.current_thread()))
+        return solve(*args)
+
+    monkeypatch.setattr(reconstruction, "_solve_sites", recorded)
+    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: cpus)
+    split = reconstruct_mpo(data, with_report=True)
+    split_chunks = sorted(chunks, key=lambda chunk: chunk[0])
+    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(reconstruction, "_PIECE_BYTES", 1 << 62)
+    return (split, reconstruct_mpo(data, with_report=True)), split_chunks
+
+
+@pytest.mark.parametrize("make", [
+    lambda: exact_block_data(w_state(256)[1], 5),
+    lambda: add_gaussian_noise(exact_block_data(
+        random_mpo_via_ancilla(256, seed=(3, 0, 0)), 5), 1e-3, seed=7),
+    # fisher chunks hold at least 16^l sites: 16 at R = 3
+    lambda: PauliBlockData(add_gaussian_noise(exact_block_data(
+        w_state(64)[1], 3), 1e-3, seed=7).blocks, shots=np.full((62, 27),
+                                                                1000)),
+], ids=["exact_w256", "tikhonov_ancilla256", "fisher_w64"])
+def test_split_reconstruction_is_bitwise_the_serial_one(monkeypatch, make):
+    # each chunk solves its own sites piece by piece, and _solve_operators
+    # gives every matrix what it gets alone: tensors and report do not
+    # depend on the number of CPUs, nor on the size of the pieces
+    data = make()
+    ((split, split_report), (serial, serial_report)), chunks = (
+        _split_and_serial(monkeypatch, data, 3))
+    count = data.n_blocks
+    assert [bounds for bounds, _ in chunks] == [
+        (0, count // 3), (count // 3, 2 * count // 3), (2 * count // 3, count)]
+    main = threading.main_thread()
+    assert chunks[0][1] is main
+    assert all(thread is not main for _, thread in chunks[1:])
+    assert len(split.tensors) == len(serial.tensors)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b)
+               for a, b in zip(split.tensors, serial.tensors))
+    assert split_report.to_dict() == serial_report.to_dict()
+    assert split_report.mode == NOISE_MODES[data.noise_kind]
+
+
+def test_small_stacks_are_solved_in_one_chunk(monkeypatch, w_windows):
+    # below two chunks of _MIN_CHUNK sites, or of 16^l sites in fisher mode
+    # (W(256) at R = 5: 252 windows against 256), no thread is used
+    for data in (exact_block_data(w_state(35)[1], 5), w_windows["fitted"]):
+        _, chunks = _split_and_serial(monkeypatch, data, 8)
+        assert [bounds for bounds, _ in chunks] == [(0, data.n_blocks)]
+    _, chunks = _split_and_serial(monkeypatch,
+                                  exact_block_data(w_state(36)[1], 5), 8)
+    assert [bounds for bounds, _ in chunks] == [(0, 16), (16, 32)]
+    # one chunk per CPU at most; and one where B is 64-square or larger,
+    # whose SVDs use the BLAS threads themselves
+    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 8)
+    count = reconstruction._chunk_count
+    assert [count(n, 2, 2, "tikhonov") for n in (1000, 47, 48)] == [8, 2, 3]
+    assert [count(n, 2, 2, "fisher") for n in (511, 512)] == [1, 2]
+    assert [count(n, l, r, "truncated_pinv") for n, l, r in (
+        (10**5, 3, 2), (10**5, 2, 3), (10**5, 3, 3), (10**5, 4, 3))] == [
+        8, 8, 1, 1]
+
+
+def test_a_zero_window_in_a_later_chunk_is_reported_at_its_own_site(
+        monkeypatch):
+    data = exact_block_data(w_state(64)[1], 5)
+    blocks = data.blocks.copy()
+    blocks[50] = 0.0  # window 50 of 60 starts at site 51, resolves 53
+    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 2)
+    _, report = reconstruct_mpo(PauliBlockData(blocks), with_report=True)
+    assert [(row["k"], row["flags"]) for row in report.sites
+            if row["flags"]] == [(53, ["zero_operator"])]
+    assert [row["k"] for row in report.sites] == list(range(3, 63))
+
+
+def test_an_error_in_a_worker_chunk_reaches_the_caller_unchanged(
+        monkeypatch):
+    error = np.linalg.LinAlgError("no solve")
+    threads, solve = [], reconstruction._solve_sites
+
+    def failing(*args):
+        if args[-2] > 0:  # every chunk but the first, the caller's own
+            threads.append(threading.current_thread())
+            raise error
+        return solve(*args)
+
+    monkeypatch.setattr(reconstruction, "_solve_sites", failing)
+    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 2)
+    with pytest.raises(np.linalg.LinAlgError) as caught:
+        reconstruct_mpo(exact_block_data(w_state(64)[1], 5))
+    assert caught.value is error
+    assert len(threads) == 1 and threads[0] is not threading.main_thread()
+
+
+def test_no_chunk_outlives_a_call_whose_own_chunk_failed():
+    finished = []
+
+    def solve(lo, hi):
+        if lo == 0:
+            raise ValueError("the caller's chunk")
+        time.sleep(0.2)
+        finished.append((lo, hi))
+
+    with pytest.raises(ValueError, match="the caller's chunk"):
+        reconstruction._map_chunks(solve, 32, 2)
+    assert finished == [(16, 32)]
+
+
+def test_chunks_run_in_the_callers_numpy_error_state():
+    with np.errstate(divide="ignore", over="raise", invalid="print"):
+        caller = np.geterr()
+        chunks = reconstruction._map_chunks(
+            lambda lo, hi: (lo, hi, threading.current_thread(), np.geterr()),
+            64, 4)
+    assert [chunk[:2] for chunk in chunks] == [(0, 16), (16, 32), (32, 48),
+                                               (48, 64)]
+    assert any(chunk[2] is not threading.main_thread() for chunk in chunks)
+    assert all(chunk[3] == caller for chunk in chunks)
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch):
+    # six callers on a fresh pool, switching threads every microsecond:
+    # one pool is made, and every caller gets the one-CPU estimate
+    made = []
+
+    class Pool(reconstruction.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            time.sleep(0.05)  # widens the window between check and set
+            super().__init__(*args, **kwargs)
+
+    data = exact_block_data(w_state(64)[1], 5)
+    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 1)
+    expected = reconstruct_mpo(data)
+    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(reconstruction, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(reconstruction, "_pool", None)
+    results = [None] * 6
+
+    def call(i):
+        results[i] = reconstruct_mpo(data)
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in made:
+            pool.shutdown()
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(made) == 1
+    assert all(est is not None and all(
+        np.array_equal(a, b) for a, b in zip(est.tensors, expected.tensors))
+        for est in results)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_a_split_reconstruction(monkeypatch):
+    # the child has none of its parent's pool threads; it must make its own
+    # pool rather than wait on the parent's
+    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 2)
+    data = exact_block_data(w_state(64)[1], 5)
+    expected = reconstruct_mpo(data)  # the parent's pool is running now
+    with warnings.catch_warnings():
+        # Python 3.12 warns that forking a process with threads may
+        # deadlock the child, which is what this test checks does not
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            est = reconstruct_mpo(data)
+            code = 0 if all(np.array_equal(a, b) for a, b in
+                            zip(est.tensors, expected.tensors)) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's reconstruction did not finish "
+                        "in 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_reconstruction_report_records_sites():
