@@ -2,8 +2,9 @@
 an operator or window-data file.
 
 Operator, window-data and counts files carry a header, `version` and `d`;
-reports and sweep configs do not. A malformed file is a named ValueError
-whose message starts with the file's path.
+reports and sweep configs do not. A malformed file, text that is not
+JSON among them, is a named ValueError whose message starts with the
+file's path.
 
 The float arrays of an operator or window-data file `path` live in one
 companion file, `path.f64`: raw little-endian IEEE-754 doubles in C
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 
 import numpy as np
@@ -27,16 +29,39 @@ FORMAT_VERSION = 1
 
 
 def write_json(path, payload, indent: int | None = None) -> None:
+    # encoded before the file is opened: a refused payload leaves it as is.
     # json.dumps runs the C encoder when indent is None; json.dump always
-    # runs the Python one. Both write the same text.
+    # runs the Python one. Both give the same text.
+    text = json.dumps(payload, indent=indent) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=indent))
-        fh.write("\n")
+        fh.write(text)
 
 
 _JSON_TYPES = {dict: ("object", dict), list: ("array", list),
                int: ("integer", int), float: ("number", (int, float)),
                str: ("string", str)}
+
+
+def require_integer(value, where) -> None:
+    """Reject an argument that is not an integer (numpy's are; a bool or
+    4.0 is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{where} must be an integer, not "
+                         f"{type(value).__name__}")
+
+
+def require_real(value, where, nonnegative: bool = False) -> float:
+    """`value` as a float; rejects an argument that is not a real number
+    (numpy's are; a bool is not), one that is not finite and, with
+    `nonnegative`, one below 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{where} must be a real number, not "
+                         f"{type(value).__name__}")
+    value = float(value)
+    if not (math.isfinite(value) and (value >= 0.0 or not nonnegative)):
+        raise ValueError(f"{where} must be finite"
+                         f"{' and nonnegative' * nonnegative}, not {value!r}")
+    return value
 
 
 def require_type(value, kind: type, where) -> None:
@@ -59,8 +84,8 @@ def write_floats(path, payload: dict) -> None:
     """Write an operator or window-data file: `payload` as JSON to `path`,
     with each value that is a numpy array, or a list of them, written to
     the companion and replaced in the JSON by its records. Refuses, and
-    writes neither file, when an entry is not finite; writes the companion
-    first and the JSON last."""
+    writes neither file, when an entry is not finite or the JSON cannot
+    be encoded; writes the companion first and the JSON last."""
     arrays, out, offset = [], {}, 0
     for key, value in payload.items():
         group = (type(value) is list and bool(value)
@@ -78,10 +103,12 @@ def write_floats(path, payload: dict) -> None:
             arrays.append(array)
             offset += array.size
         out[key] = records if group else records[0]
+    text = json.dumps(out) + "\n"
     with open(companion(path), "wb") as fh:
         for array in arrays:
             fh.write(array)
-    write_json(path, out)
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _shape(shape, where) -> list:
@@ -201,9 +228,13 @@ def read_json(path, required=(), header: bool = True, allowed=None) -> dict:
     """The JSON object in `path`, checked in this order: the top level is
     an object; with `header`, the version is FORMAT_VERSION and d is 2;
     if `allowed` is given, no field is outside `required` and `allowed`;
-    every field of `required` is present."""
+    every field of `required` is present. Text that is not JSON is a
+    ValueError that names the path."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
     require_type(payload, dict, f"{path}: top level")
     if header and payload.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported file version "

@@ -26,9 +26,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .files import (FORMAT_VERSION, read_floats, read_json, require,
-                    require_type, write_floats, write_json)
+                    require_integer, require_real, require_type,
+                    write_floats, write_json)
 from .operators import (DENSE_SITE_CAP, DenseOperator,
-                        MatrixProductOperator, _windows)
+                        MatrixProductOperator, _require_width, _windows)
 from .pauli import coeffs_from_dense, dense_from_coeffs, n_sites_of
 
 # ---- Block data container ----
@@ -44,9 +45,10 @@ class PauliBlockData:
     noise of standard deviation sigma was added to the unnormalized
     expectations (sigma / sqrt(2^width) per normalized entry); with shots,
     window b was fitted from shots[b, j] shots of setting j of
-    all_settings. Construction rejects a shape other than (n_blocks,
-    4^width) with both at least 1, non-finite blocks, a sigma that is not
-    finite and nonnegative, shots that are not nonnegative integers of
+    all_settings; sigma is stored as a float. Construction rejects a shape
+    other than (n_blocks, 4^width) with both at least 1, non-finite
+    blocks, a sigma that is not a finite, nonnegative real number (a bool
+    among them), shots that are not nonnegative integers of
     shape (n_blocks, 3^width), and both sigma and shots.
     """
 
@@ -58,10 +60,9 @@ class PauliBlockData:
         if self.sigma is not None and self.shots is not None:
             raise ValueError("window data carries sigma or shots, not both")
         # before the blocks, which add_gaussian_noise draws with sigma
-        if self.sigma is not None and not (np.isfinite(self.sigma)
-                                           and self.sigma >= 0.0):
-            raise ValueError("scalar noise sigma must be finite and "
-                             "nonnegative")
+        if self.sigma is not None:
+            self.sigma = require_real(self.sigma, "scalar noise sigma",
+                                      nonnegative=True)
         self.blocks = np.asarray(self.blocks, dtype=float)
         shape = self.blocks.shape
         rows, cols = shape if len(shape) == 2 else (0, 0)
@@ -109,8 +110,7 @@ def exact_block_data(state, width: int) -> PauliBlockData:
     if not isinstance(state, (DenseOperator, MatrixProductOperator)):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     n = state.n_sites
-    if not 1 <= width <= n:
-        raise ValueError("need 1 <= width <= n_sites")
+    _require_width(width, n)
     blocks = np.empty((n - width + 1, 4**width))
     for b, vector in enumerate(_windows(state, width, 1, n - width + 1)):
         blocks[b] = vector
@@ -292,16 +292,13 @@ def simulate_counts(state, width: int, shots: int, seed=None) -> list[CountsBloc
     (windows, settings, outcomes) probabilities, which consumes the random
     stream window by window, settings in all_settings order, as one call
     per window and setting would. shots must be a positive integer, and
-    width at most DENSE_SITE_CAP, as load_counts requires; both are
-    checked before any window is formed.
+    width an integer at most DENSE_SITE_CAP, as load_counts requires; both
+    are checked before any window is formed.
     """
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shots must be an integer, not "
-                         f"{type(shots).__name__}")
+    require_integer(shots, "shots")
     if shots <= 0:
         raise ValueError("shots must be positive")
-    if not 1 <= width <= state.n_sites:
-        raise ValueError("need 1 <= width <= n_sites")
+    _require_width(width, state.n_sites)
     _check_dense_width(width, "")
     axes = _labels(width).axes
     rhos = [dense_from_coeffs(c)
@@ -520,8 +517,7 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    require_real(tol, "tol", nonnegative=True)
     width = block.width
     cols, signs = _design(width)[:2]
     flat_cols = cols.ravel()
@@ -907,13 +903,11 @@ def load_block_data(path: str) -> PauliBlockData:
                 raise ValueError("scalar noise requires sigma")
             require(raw, (), where, allowed=("kind", "sigma"))
             require_type(sigma, float, f"{where} sigma")
-            sigma = float(sigma)
         else:
             raise ValueError(f"unknown noise kind {raw['kind']!r}")
     blocks, = read_floats(path, {"blocks": payload["blocks"]})
     n_sites, width = payload["N"], payload["R"]
-    if not 1 <= width <= n_sites:
-        raise ValueError("need 1 <= width <= n_sites")
+    _require_width(width, n_sites)
     expect = (n_sites - width + 1, 4**width)
     if blocks.shape != expect:
         raise ValueError(f"blocks must have shape {expect}")

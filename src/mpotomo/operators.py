@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .files import (FORMAT_VERSION, read_floats, read_json, require,
-                    require_type, write_floats)
+                    require_integer, require_type, write_floats)
 from .pauli import SITE_TRANSFORM, coeffs_from_dense, n_sites_of
 
 DENSE_SITE_CAP = 12
@@ -108,9 +108,7 @@ class MatrixProductOperator:
             raise ValueError("one basis index per site required")
         for site, a in enumerate(alphas, start=1):
             # numpy would take True as 1 and refuse 2.0 with a bare error
-            if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
-                raise ValueError(f"site {site}: alpha must be an integer, "
-                                 f"not {type(a).__name__}")
+            require_integer(a, f"site {site}: alpha")
             if not 0 <= a <= 3:  # numpy would wrap -1 to 3
                 raise ValueError(f"site {site}: alpha = {a} out of range 0..3")
         return _value(*_contract(lambda v, t, a: v @ t[a], np.ones((1, 1)),
@@ -230,6 +228,12 @@ def identity_environments(mpo: MatrixProductOperator, upto: int,
     return left, right
 
 
+def _require_width(width, n_sites: int) -> None:
+    require_integer(width, "width")
+    if not 1 <= width <= n_sites:
+        raise ValueError("need 1 <= width <= n_sites")
+
+
 def _windows(state, width: int, first: int, last: int):
     """Yield window_coeffs(state, k, width) for k = first .. last in turn.
 
@@ -276,10 +280,10 @@ def window_coeffs(state, k: int, width: int) -> np.ndarray:
     the partial trace of the represented operator onto the window. For an
     MPO one call builds the identity environments, O(N), and the window
     itself costs O(4^width D^2). For many windows use exact_block_data,
-    which builds the environments once.
+    which builds the environments once. k and width must be integers.
     """
-    if not 1 <= width <= state.n_sites:
-        raise ValueError("need 1 <= width <= n_sites")
+    require_integer(k, "window start k")
+    _require_width(width, state.n_sites)
     if not 1 <= k <= state.n_sites - width + 1:
         raise ValueError("window out of range")
     return next(_windows(state, width, k, k))

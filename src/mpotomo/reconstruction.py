@@ -15,16 +15,16 @@ IS a matrix-product operator, which this module assembles explicitly:
 
 Each bulk site is fixed by its own window alone, so the N - R + 1
 per-site solves are independent. They are cut into one contiguous chunk
-of sites per usable CPU, each solved on its own thread (numpy's LAPACK
-and matrix products release the GIL), and each chunk solves its sites in
-pieces of at most 128 KiB of B. In a piece, one SVD
-B W = U diag(s) V^T of the stack of its sites' B and one filter
-f(s) = s / (s^2 + lam) above PINV_RTOL * s_max (standard-form Tikhonov:
-Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998) give each
-site's solve operator S = W V f(s) U^T. A solution is x = S e, and the
-site tensors are S applied straight to the four alpha blocks of C in one
-batched product. Every matrix gets bitwise what it gets alone, so the
-estimate and its report do not depend on the number of CPUs.
+of sites per usable CPU, each solved on its own thread, which lives only
+for the call (numpy's LAPACK and matrix products release the GIL), and
+each chunk solves its sites in pieces of at most 128 KiB of B. In a
+piece, one SVD B W = U diag(s) V^T of the stack of its sites' B and one
+filter f(s) = s / (s^2 + lam) above PINV_RTOL * s_max (standard-form
+Tikhonov: Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998)
+give each site's solve operator S = W V f(s) U^T. A solution is x = S e,
+and the site tensors are S applied straight to the four alpha blocks of
+C in one batched product. Every matrix gets bitwise what it gets alone,
+so the estimate and its report do not depend on the number of CPUs.
 A mode sets only each site's damping lam and whitening W
 (RegularizerSpec); in fisher mode W W^T = P^-1 for a penalty P assembled
 from per-window Fisher information. P needs the covariance of B's entries
@@ -39,12 +39,12 @@ from __future__ import annotations
 import contextvars
 import functools
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .files import require_integer, require_real
 from .measurement import PauliBlockData, _fisher_matrix
 from .operators import (DenseOperator, MatrixProductOperator, _exact_split,
                         _rescale_trace, mpo_from_coeffs)
@@ -74,7 +74,7 @@ class RegularizerSpec:
     default) means matched to the data's scalar noise:
     reconstruct_mpo sets it to noise_tikhonov_sigma2(sigma, l, r) for the
     split it resolves, and raises on data without scalar noise metadata.
-    No other mode takes a sigma2.
+    No other mode takes a sigma2, which is stored as a float.
     mode "fisher": lam = 1 and W W^T = P^-1, which minimizes
     |B x - e|^2 + x^T P x with the penalty P assembled from the data's
     per-window Fisher metadata; if P is not numerically positive definite
@@ -93,8 +93,7 @@ class RegularizerSpec:
         if self.mode != "tikhonov":
             raise ValueError(f"sigma2 applies to tikhonov mode only, not "
                              f"{self.mode!r}")
-        if not (np.isfinite(self.sigma2) and self.sigma2 >= 0.0):
-            raise ValueError("sigma2 must be finite and nonnegative")
+        self.sigma2 = require_real(self.sigma2, "sigma2", nonnegative=True)
 
 
 def default_split(width: int) -> tuple[int, int]:
@@ -104,9 +103,10 @@ def default_split(width: int) -> tuple[int, int]:
 
 @dataclass
 class ReconstructionConfig:
-    """Window split and solver choice; l + r + 1 must equal the data width,
-    with l, r >= 1, or l, r >= 0 for a single window (N = R). regularizer
-    None takes NOISE_MODES' mode for the data's noise kind."""
+    """Window split and solver choice; l and r, where given, are integers,
+    and l + r + 1 must equal the data width, with l, r >= 1, or l, r >= 0
+    for a single window (N = R). regularizer None takes NOISE_MODES' mode
+    for the data's noise kind."""
 
     l: int | None = None
     r: int | None = None
@@ -115,6 +115,9 @@ class ReconstructionConfig:
 
     def resolved(self, width: int, n_sites: int) -> tuple[int, int]:
         l, r = self.l, self.r
+        for name, value in (("l", l), ("r", r)):
+            if value is not None:
+                require_integer(value, name)
         if l is None and r is None:
             l, r = default_split(width)
         elif l is None:
@@ -332,21 +335,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-# _map_chunks' workers, made at first use under the lock
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    # a forked child has none of its parent's threads, and the lock may
-    # have been held by one of them: it makes its own pool and lock
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _chunk_count(count: int, l: int, r: int, mode: str) -> int:
     """How many chunks the solve of `count` bulk sites is cut into: one per
     usable CPU, each of at least _MIN_CHUNK sites and, in fisher mode, at
@@ -369,28 +357,21 @@ def _map_chunks(solve, count: int, n_chunks: int) -> list:
     """[solve(lo, hi)] over n_chunks contiguous chunks of range(count), in
     order.
 
-    The caller's thread solves the first chunk and a private thread pool
-    the rest, each in a copy of the caller's contextvars context (numpy's
-    error state). numpy's LAPACK and matrix products release the GIL, so
-    the chunks run on separate cores. Every chunk is finished before this
-    returns or raises; an error is the first chunk's that raised,
-    unchanged.
+    The caller's thread solves the first chunk, and threads that live only
+    for this call the rest, each in a copy of the caller's contextvars
+    context (numpy's error state). numpy's LAPACK and matrix products
+    release the GIL, so the chunks run on separate cores. Every chunk is
+    finished, and every thread ended, before this returns or raises; an
+    error is the first chunk's that raised, unchanged.
     """
-    global _pool
-    bounds = [count * i // n_chunks for i in range(n_chunks + 1)]
     if n_chunks == 1:
         return [solve(0, count)]
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, _cpu_count() - 1),
-                                       thread_name_prefix="mpotomo-solve")
-        pool = _pool
-    futures = [pool.submit(contextvars.copy_context().run, solve, lo, hi)
-               for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
+    bounds = [count * i // n_chunks for i in range(n_chunks + 1)]
+    with ThreadPoolExecutor(n_chunks - 1,
+                            thread_name_prefix="mpotomo-solve") as pool:
+        futures = [pool.submit(contextvars.copy_context().run, solve, lo, hi)
+                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
         first = solve(bounds[0], bounds[1])
-    finally:
-        wait(futures)
     return [first] + [future.result() for future in futures]
 
 
@@ -426,14 +407,14 @@ def reconstruct_mpo(data: PauliBlockData,
 
     The bulk sites are solved in one contiguous chunk per usable CPU
     (os.sched_getaffinity, else os.cpu_count): the caller's thread takes
-    the first and a private thread pool, made at first use and again in a
-    forked child, the rest, each in the caller's contextvars context. A
-    chunk holds at least _MIN_CHUNK sites, and in fisher mode at least
-    16^l, so short chains stay on the caller's thread, as do sites whose
-    B is 64 or more on both sides (_chunk_count). The result is
-    bitwise the same at any CPU count; `taskset -c 0` holds a run to one
-    CPU, and so to the caller's thread. An error raised in any chunk
-    reaches the caller unchanged, after every chunk has finished.
+    the first and threads that end with the call the rest, each in the
+    caller's contextvars context. A chunk holds at least _MIN_CHUNK sites,
+    and in fisher mode at least 16^l, so short chains stay on the caller's
+    thread, as do sites whose B is 64 or more on both sides
+    (_chunk_count). The result is bitwise the same at any CPU count;
+    `taskset -c 0` holds a run to one CPU, and so to the caller's thread.
+    An error raised in any chunk reaches the caller unchanged, after every
+    chunk has finished and every thread the call started has ended.
 
     The report lists, per bulk site, the singular values the filter acted
     on (of B, or of B W in fisher mode) and the flags "zero_operator",

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .files import require_integer, require_real
 from .operators import (DENSE_SITE_CAP, DenseOperator, MatrixProductOperator,
                         _transfer)
 from .pauli import SIGMA, SITE_TRANSFORM, hermitian_basis
@@ -66,8 +67,7 @@ def thermal_dense(family: str, n_sites: int, beta: float,
                   seed=None) -> DenseOperator:
     """Gibbs state exp(-beta H) / Z of hamiltonian_dense(family, n_sites,
     seed) by exact diagonalization."""
-    if not (np.isfinite(beta) and beta >= 0):
-        raise ValueError(f"beta must be finite and nonnegative, not {beta!r}")
+    require_real(beta, "beta", nonnegative=True)
     h = hamiltonian_dense(family, n_sites, seed)
     evals, evecs = np.linalg.eigh(h)
     w = np.exp(-beta * (evals - evals.min()))
@@ -84,6 +84,7 @@ _CHUNK_BYTES = 1 << 18
 
 
 def _require_sites(n_sites: int) -> None:
+    require_integer(n_sites, "n_sites")
     if n_sites < 1:
         raise ValueError(f"need at least one site, not n_sites = {n_sites}")
 
@@ -195,8 +196,7 @@ def random_mpo_via_ancilla(n_sites: int, seed=None,
     the pure state is swept site by site. The cost is linear in N: about
     10 ms at N = 256 with one BLAS thread (2-core x86-64 machine).
     """
-    if not np.isfinite(t_hnorm):
-        raise ValueError(f"t_hnorm must be finite, not {t_hnorm!r}")
+    require_real(t_hnorm, "t_hnorm")
     rng = np.random.default_rng(seed)
     mps = random_mps(n_sites, 2, rng)
     return mps_to_mpo(mps, ancilla_channel(rng, n_sites, t_hnorm))

@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .files import read_json
+from .files import read_json, require_integer, require_real
 from .measurement import add_gaussian_noise, exact_block_data
 from .metrics import compare_states
 from .reconstruction import default_split, reconstruct_mpo
@@ -56,28 +56,17 @@ class SweepConfig:
                     raise ValueError(f"{name} entries must be "
                                      f"{kind.__name__.lower()}, got "
                                      f"{entry!r}")
-        for name, kind, label in (("trials", numbers.Integral, "an integer"),
-                                  ("master_seed", numbers.Integral,
-                                   "an integer"),
-                                  ("beta", numbers.Real, "a real number"),
-                                  ("t_hnorm", numbers.Real, "a real number")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {label}, not "
-                                 f"{type(value).__name__}")
+        for name in ("trials", "master_seed"):
+            require_integer(getattr(self, name), name)
+        require_real(self.beta, "beta", nonnegative=True)
+        require_real(self.t_hnorm, "t_hnorm")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, not "
                              f"{self.master_seed}")
-        if not (np.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError(f"beta must be finite and nonnegative, not "
-                             f"{self.beta!r}")
-        if not np.isfinite(self.t_hnorm):
-            raise ValueError(f"t_hnorm must be finite, not {self.t_hnorm!r}")
-        if not all(np.isfinite(s) and s >= 0.0 for s in self.sigma_list):
-            raise ValueError("sigma_list entries must be finite and "
-                             "nonnegative")
+        for sigma in self.sigma_list:
+            require_real(sigma, "sigma_list entries", nonnegative=True)
 
 
 def sweep_config_from_json(path: str) -> SweepConfig:

@@ -592,6 +592,19 @@ def test_errors_are_json_records(tmp_path, capsys):
     assert record["error"] == "FileNotFoundError"
 
 
+def test_a_data_file_that_is_not_json_is_named_in_the_error_record(
+        tmp_path, capsys):
+    data = tmp_path / "empty.json"
+    data.write_text("")
+    code, stdout, stderr = _run(capsys, "reconstruct", "--data", str(data),
+                                "--out", str(tmp_path / "x.json"))
+    assert code == 1 and stdout == ""
+    assert json.loads(stderr) == {
+        "error": "ValueError",
+        "message": f"{data}: not valid JSON: Expecting value: line 1 "
+                   "column 1 (char 0)"}
+
+
 @pytest.mark.parametrize("width", ["0", "5"])
 def test_measure_counts_rejects_widths_outside_the_chain(tmp_path, capsys,
                                                          width):

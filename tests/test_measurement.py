@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from oracles import random_mpo
-from mpotomo.files import write_json
+from mpotomo.files import write_floats, write_json
 from mpotomo.measurement import (MLE_TOL, CountsBlock, PauliBlockData,
                                  _design, _fisher_matrix, _labels,
                                  _linear_inversion, _probabilities,
@@ -31,6 +31,7 @@ from mpotomo.reconstruction import (ReconstructionConfig, RegularizerSpec,
                                     reconstruct_mpo)
 from mpotomo.states import (ghz_state, product_state, random_mpo_via_ancilla,
                             w_state)
+from mpotomo.sweep import sweep_config_from_json
 
 
 def _dense_state(seed, n):
@@ -836,6 +837,19 @@ def test_xz_tables_match_pauli_strings(width):
             assert np.count_nonzero(p) == dim
 
 
+@pytest.mark.parametrize("width, kind", [(True, "bool"), (2.0, "float"),
+                                         ("2", "str")])
+@pytest.mark.parametrize("extract", [
+    exact_block_data, lambda st, width: simulate_counts(st, width, 10, seed=1),
+], ids=["exact_block_data", "simulate_counts"])
+def test_window_widths_that_are_not_integers_are_refused_by_name(
+        extract, width, kind):
+    # a range check alone takes True as width 1
+    with pytest.raises(ValueError, match=f"^width must be an integer, not "
+                                         f"{kind}$"):
+        extract(w_state(4)[1], width)
+
+
 @pytest.mark.parametrize("width", [0, 5])
 def test_simulate_counts_rejects_widths_outside_the_chain(width):
     _, wm = w_state(4)
@@ -1568,6 +1582,70 @@ def test_a_refused_save_writes_neither_file(tmp_path, case, value):
                                          "finite"):
         save(obj, tmp_path / "f.json")
     assert not list(tmp_path.iterdir())
+
+
+def test_an_unencodable_payload_leaves_the_files_it_would_overwrite(
+        tmp_path):
+    # the JSON is encoded before either file is opened: an existing pair
+    # keeps every byte, and a new path gets neither file
+    path = tmp_path / "f.json"
+    _save_block_file(path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for new in (path, tmp_path / "g.json"):
+        with pytest.raises(TypeError, match="float32 is not JSON "
+                                            "serializable"):
+            write_floats(new, {"blocks": np.ones(3),
+                               "sigma": np.float32(1e-3)})
+        with pytest.raises(TypeError, match="float32 is not JSON "
+                                            "serializable"):
+            write_json(new, {"sigma": np.float32(1e-3)})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("sigma", [np.float32(1e-3), np.int64(0)],
+                         ids=["float32", "int64"])
+def test_a_numpy_sigma_is_kept_as_a_float(tmp_path, sigma):
+    data = add_gaussian_noise(exact_block_data(w_state(4)[1], 2), sigma,
+                              seed=1)
+    assert type(data.sigma) is float and data.sigma == float(sigma)
+    save_block_data(data, tmp_path / "d.json")
+    back = load_block_data(tmp_path / "d.json")
+    assert type(back.sigma) is float and back.sigma == data.sigma
+    assert np.array_equal(back.blocks, data.blocks)
+
+
+def test_a_bool_sigma_is_refused_by_name():
+    # True would be saved as "sigma": true, which load_block_data refuses
+    data = exact_block_data(w_state(4)[1], 2)
+    for make in (lambda: add_gaussian_noise(data, True, seed=1),
+                 lambda: PauliBlockData(data.blocks, sigma=False)):
+        with pytest.raises(ValueError, match="^scalar noise sigma must be "
+                                             "a real number, not bool$"):
+            make()
+
+
+def _save_sweep_config(path):
+    path.write_text(json.dumps({"family": "w", "n_list": [4],
+                                "width_list": [2], "sigma_list": [0.0]}))
+
+
+@pytest.mark.parametrize("cut", [0, 0.5], ids=["empty", "truncated"])
+@pytest.mark.parametrize("save, load", [
+    (_save_operator_file, load_operator),
+    (_save_block_file, load_block_data),
+    (_save_counts_file, load_counts),
+    (_save_sweep_config, sweep_config_from_json),
+], ids=["operator", "block_data", "counts", "sweep_config"])
+def test_text_that_is_not_json_is_named_with_its_path(tmp_path, save, load,
+                                                      cut):
+    path = tmp_path / "f.json"
+    save(path)
+    text = path.read_text()
+    path.write_text(text[:int(cut * len(text))])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not "
+                                         "valid JSON: ") as caught:
+        load(path)
+    assert type(caught.value) is ValueError
 
 
 @pytest.mark.parametrize("state, width, shots", [

@@ -123,10 +123,21 @@ def _traceless_mpo():
      ValueError, "site 1: alpha must be an integer, not float"),
     (lambda p: w_state(4)[1].coefficient([True, 0, 0, 0]),
      ValueError, "site 1: alpha must be an integer, not bool"),
+    # range checks alone would take True as 1
+    (lambda p: window_coeffs(w_state(4)[1], True, 2),
+     ValueError, "window start k must be an integer, not bool"),
+    (lambda p: window_coeffs(w_state(4)[1], 1.0, 2),
+     ValueError, "window start k must be an integer, not float"),
+    (lambda p: window_coeffs(w_state(4)[1], 1, True),
+     ValueError, "width must be an integer, not bool"),
+    (lambda p: window_coeffs(w_state(4)[1], 1, 2.0),
+     ValueError, "width must be an integer, not float"),
 ], ids=["dense_cap", "tensor_shape", "coefficient_length", "zero_trace",
         "overlap_sites", "save_type", "coefficient_negative_index",
         "coefficient_index_past_z", "coefficient_fractional_index",
-        "coefficient_float_index", "coefficient_bool_index"])
+        "coefficient_float_index", "coefficient_bool_index",
+        "window_bool_start", "window_float_start", "window_bool_width",
+        "window_float_width"])
 def test_operators_name_bad_input(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)
@@ -246,6 +257,12 @@ def test_transfer_is_bitwise_the_tensordot_contraction(rng, dtype):
         ref = oracles.transfer_tensordot(env, ta, tb)
         assert T.shape == ref.shape == (dr_a, dr_b)
         assert T.dtype == ref.dtype and np.array_equal(T, ref)
+
+
+def test_window_coeffs_takes_numpy_integers():
+    mpo = w_state(4)[1]
+    assert np.array_equal(window_coeffs(mpo, np.int64(2), np.int32(2)),
+                          window_coeffs(mpo, 2, 2))
 
 
 def test_window_coeffs_matches_partial_trace():

@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +241,12 @@ def test_regularizer_spec_validation():
     for mode in ("truncated_pinv", "fisher"):
         with pytest.raises(ValueError, match=f"sigma2.*{mode}"):
             RegularizerSpec(mode, sigma2=0.5)
+    with pytest.raises(ValueError, match="^sigma2 must be a real number, "
+                                         "not bool$"):
+        RegularizerSpec("tikhonov", sigma2=True)
+    for sigma2 in (np.float32(0.5), np.int64(0)):
+        spec = RegularizerSpec("tikhonov", sigma2=sigma2)
+        assert type(spec.sigma2) is float and spec.sigma2 == sigma2
 
 
 def _data_of_kind(kind):
@@ -723,23 +728,34 @@ def test_chunks_run_in_the_callers_numpy_error_state():
     assert all(chunk[3] == caller for chunk in chunks)
 
 
-def test_concurrent_callers_share_one_pool(monkeypatch):
-    # six callers on a fresh pool, switching threads every microsecond:
-    # one pool is made, and every caller gets the one-CPU estimate
-    made = []
+def test_no_solve_thread_outlives_a_call(monkeypatch):
+    # a 3-chunk call starts its own threads and ends them, whether it
+    # returns or raises
+    def solve_threads():
+        return [thread for thread in threading.enumerate()
+                if thread.name.startswith("mpotomo-solve")]
 
-    class Pool(reconstruction.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            time.sleep(0.05)  # widens the window between check and set
-            super().__init__(*args, **kwargs)
+    def failing(lo, hi):
+        if hi == 48:
+            raise ValueError("the last chunk")
 
+    data = exact_block_data(w_state(64)[1], 5)
+    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 3)
+    assert not solve_threads()
+    reconstruct_mpo(data)
+    assert not solve_threads()
+    with pytest.raises(ValueError, match="the last chunk"):
+        reconstruction._map_chunks(failing, 48, 3)
+    assert not solve_threads()
+
+
+def test_concurrent_callers_get_the_one_cpu_estimate(monkeypatch):
+    # six callers switching threads every microsecond, each with its own
+    # chunk threads: every caller gets the one-CPU estimate
     data = exact_block_data(w_state(64)[1], 5)
     monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 1)
     expected = reconstruct_mpo(data)
     monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(reconstruction, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(reconstruction, "_pool", None)
     results = [None] * 6
 
     def call(i):
@@ -755,10 +771,7 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
             caller.join(timeout=60.0)
     finally:
         sys.setswitchinterval(interval)
-        for pool in made:
-            pool.shutdown()
     assert not any(caller.is_alive() for caller in callers)
-    assert len(made) == 1
     assert all(est is not None and all(
         np.array_equal(a, b) for a, b in zip(est.tensors, expected.tensors))
         for est in results)
@@ -766,16 +779,12 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_runs_a_split_reconstruction(monkeypatch):
-    # the child has none of its parent's pool threads; it must make its own
-    # pool rather than wait on the parent's
+    # the parent's split call has ended its threads, so the fork copies
+    # none, and the child starts threads of its own for its call
     monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 2)
     data = exact_block_data(w_state(64)[1], 5)
-    expected = reconstruct_mpo(data)  # the parent's pool is running now
-    with warnings.catch_warnings():
-        # Python 3.12 warns that forking a process with threads may
-        # deadlock the child, which is what this test checks does not
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
+    expected = reconstruct_mpo(data)
+    pid = os.fork()
     if pid == 0:
         code = 1
         try:
@@ -842,6 +851,13 @@ def test_config_validation():
         ReconstructionConfig().resolved(7, 5)
     # n == width passthrough accepts the degenerate split
     ReconstructionConfig(l=2, r=1).resolved(4, 4)
+    # a split is integers: True would pass as 1; numpy integers are taken
+    for l, r, kind in ((True, 3, "l"), (1, 3.0, "r"), (1.0, None, "l")):
+        with pytest.raises(ValueError, match=f"^{kind} must be an integer, "
+                                             "not (bool|float)$"):
+            ReconstructionConfig(l=l, r=r).resolved(5, 8)
+    assert ReconstructionConfig(l=np.int64(2), r=np.int8(2)).resolved(
+        5, 8) == (2, 2)
 
 
 @pytest.mark.parametrize("l", [-1, 7])

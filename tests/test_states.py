@@ -351,6 +351,22 @@ def test_constructors_reject_a_chain_without_sites(build, n_sites):
         build(n_sites)
 
 
+@pytest.mark.parametrize("n_sites, kind", [(True, "bool"), (4.0, "float")])
+@pytest.mark.parametrize("build", [
+    lambda n: random_mps(n, 2, np.random.default_rng(0)),
+    lambda n: random_mpo_via_ancilla(n, seed=1),
+    w_state, ghz_state, product_state,
+    lambda n: make_state("ghz", n),
+], ids=["random_mps", "random_mpo_via_ancilla", "w_state", "ghz_state",
+        "product_state", "make_state"])
+def test_constructors_refuse_a_site_count_that_is_not_an_integer(
+        build, n_sites, kind):
+    with pytest.raises(ValueError, match=f"^n_sites must be an integer, "
+                                         f"not {kind}$"):
+        build(n_sites)
+    assert build(np.int64(2)) is not None
+
+
 @pytest.mark.parametrize("ket", [np.zeros(2), [np.nan, 1.0], [np.inf, 0.0]],
                          ids=["zero", "nan", "inf"])
 def test_product_state_names_a_ket_it_cannot_normalize(ket):
