@@ -156,10 +156,10 @@ class CountsBlock:
     counts: np.ndarray
 
     def __post_init__(self):
-        if (isinstance(self.k, bool)
-                or not isinstance(self.k, (int, np.integer)) or self.k < 1):
-            raise ValueError(f"window start k must be an integer >= 1, "
-                             f"not {self.k!r}")
+        require_integer(self.k, "window start k")
+        if self.k < 1:
+            raise ValueError(f"window start k must be at least 1, not "
+                             f"{self.k}")
         self.counts = np.asarray(self.counts)
         shape = self.counts.shape
         width = shape[1].bit_length() - 1 if len(shape) == 2 else 0
@@ -515,6 +515,7 @@ def local_mle(block: CountsBlock, tol: float = MLE_TOL,
     and 31 projections at the default tol (42 at 1e-7); the eigh dominates
     from R = 5 up.
     """
+    require_integer(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     require_real(tol, "tol", nonnegative=True)
@@ -689,6 +690,7 @@ def block_data_from_counts(blocks: list[CountsBlock], n_sites: int,
     1..n_sites - width + 1. Both are checked before the first fit, and
     the number of windows before their starts, so a huge n_sites builds
     no list."""
+    require_integer(n_sites, "n_sites")
     width = _shared_width(blocks)
     n_blocks = n_sites - width + 1
     by_k = {b.k: b for b in blocks}

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .files import require_integer
+
 _SIGMA_0 = np.eye(2, dtype=complex)
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -25,6 +27,7 @@ SIGMA = (_SIGMA_0, _SIGMA_X, _SIGMA_Y, _SIGMA_Z)
 
 def pauli_matrix(alpha: int) -> np.ndarray:
     """Normalized single-site basis element P(alpha), 2 x 2."""
+    require_integer(alpha, "alpha")
     if not 0 <= alpha < 4:
         raise ValueError(f"alpha = {alpha} out of range 0..3")
     return SIGMA[alpha] / np.sqrt(2.0)

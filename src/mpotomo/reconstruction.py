@@ -14,17 +14,15 @@ IS a matrix-product operator, which this module assembles explicitly:
   window matrix; the right boundary is a chain of index-splitting deltas.
 
 Each bulk site is fixed by its own window alone, so the N - R + 1
-per-site solves are independent. They are cut into one contiguous chunk
-of sites per usable CPU, each solved on its own thread, which lives only
-for the call (numpy's LAPACK and matrix products release the GIL), and
-each chunk solves its sites in pieces of at most 128 KiB of B. In a
-piece, one SVD B W = U diag(s) V^T of the stack of its sites' B and one
-filter f(s) = s / (s^2 + lam) above PINV_RTOL * s_max (standard-form
-Tikhonov: Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998)
-give each site's solve operator S = W V f(s) U^T. A solution is x = S e,
-and the site tensors are S applied straight to the four alpha blocks of
-C in one batched product. Every matrix gets bitwise what it gets alone,
-so the estimate and its report do not depend on the number of CPUs.
+per-site solves are independent. They are solved on the caller's thread
+in pieces of at most 128 KiB of B. In a piece, one SVD
+B W = U diag(s) V^T of the stack of its sites' B and one filter
+f(s) = s / (s^2 + lam) above PINV_RTOL * s_max (standard-form Tikhonov:
+Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998) give each
+site's solve operator S = W V f(s) U^T. A solution is x = S e, and the
+site tensors are S applied straight to the four alpha blocks of C in one
+batched product. Every matrix gets bitwise what it gets alone, so the
+estimate and its report do not depend on the size of the pieces.
 A mode sets only each site's damping lam and whitening W
 (RegularizerSpec); in fisher mode W W^T = P^-1 for a penalty P assembled
 from per-window Fisher information. P needs the covariance of B's entries
@@ -36,10 +34,6 @@ step above the base blocks is a matrix product).
 
 from __future__ import annotations
 
-import contextvars
-import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,8 +46,7 @@ from .operators import (DenseOperator, MatrixProductOperator, _exact_split,
 RANK_RTOL = 1e-9  # numerical rank: singular values above RANK_RTOL * s_max
 PINV_RTOL = 1e-10  # every filter is 0 for s at or below PINV_RTOL * s_max
 _FACTOR_BASE = 32  # _inverse_factor factors blocks up to this side directly
-_MIN_CHUNK = 16  # no chunk of fewer sites is solved on a thread apart
-_PIECE_BYTES = 1 << 17  # a chunk solves its sites in pieces of this much B
+_PIECE_BYTES = 1 << 17  # the sites are solved in pieces of this much B
 
 # The solver mode for each PauliBlockData.noise_kind (None for exact
 # data); reconstruct_mpo applies it unless the config names a regularizer.
@@ -165,7 +158,7 @@ def _solve_operators(B: np.ndarray, reg: RegularizerSpec, penalty):
     is the regularized solution of B x = e (RegularizerSpec), its singular
     values (count, min(m, n)) and its list of flags. Every matrix gets
     bitwise what it gets in a stack of its own, which lets reconstruct_mpo
-    cut the sites into chunks and pieces of any size. fisher mode takes the
+    cut the sites into pieces of any size. fisher mode takes the
     penalties P (count, n, n): one eigh P = Q diag(w) Q^T gives
     W = Q diag(w)^-1/2, and P is not numerically positive definite when
     min(w) <= n * eps * max(w). W is formed in the eigh's Q and f(s) scales
@@ -294,20 +287,20 @@ def _data_regularizer(data: PauliBlockData, reg: RegularizerSpec | None,
 
 
 def _solve_sites(data: PauliBlockData, reg: RegularizerSpec, l: int,
-                 r: int, lo: int, hi: int) -> list[tuple]:
-    """[(tensors, spectra, flags)] of the bulk sites of windows lo .. hi - 1,
-    one triple per piece of at most _PIECE_BYTES of B, in site order: the
+                 r: int) -> list[tuple]:
+    """[(tensors, spectra, flags)] of the bulk sites of every window, one
+    triple per piece of at most _PIECE_BYTES of B, in site order: the
     piece's site tensors (count, 4, 4^r, 4^r), _solve_operators' singular
     values and each site's flags, penalty flags last. The penalties are
     formed first, before any tensor, and B and S live one piece at a time,
     so that the scratch beside the tensors is one piece's."""
     dim_r = 4**r
-    blocks = data.blocks[lo:hi]
+    blocks = data.blocks
     # each window's penalty comes from its own Fisher information
     penalties, penalty_flags = None, [[] for _ in blocks]
     if reg.mode == "fisher":
         penalties = np.empty((len(blocks), dim_r, dim_r))
-        for i, shots in enumerate(data.shots[lo:hi]):
+        for i, shots in enumerate(data.shots):
             penalties[i], penalty_flags[i] = _fisher_penalty(blocks[i],
                                                              shots, r)
     step = max(1, _PIECE_BYTES // (8 * 4 ** (l + r)))
@@ -325,54 +318,6 @@ def _solve_sites(data: PauliBlockData, reg: RegularizerSpec, l: int,
         pieces.append((tensors, spectra, [
             f + p for f, p in zip(flags, penalty_flags[piece])]))
     return pieces
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _chunk_count(count: int, l: int, r: int, mode: str) -> int:
-    """How many chunks the solve of `count` bulk sites is cut into: one per
-    usable CPU, each of at least _MIN_CHUNK sites and, in fisher mode, at
-    least 16^l. The chunks form their penalties at the same time, each one
-    at a time with scratch of 2-4 times a marginal's information
-    (16^(l + r) floats); at 16^l sites a chunk's tensors (4 * 16^r floats
-    a site) outweigh that scratch, whatever the number of chunks. Sites
-    whose B is 64 or more on both sides (R >= 7 at the default split) take
-    one chunk: their SVDs' own BLAS calls go multithreaded, and two
-    callers contend for the BLAS threads (at R = 7 and N = 256, two chunks
-    took 1.5 times one chunk's time with default BLAS threads, and 0.56
-    times with one)."""
-    if min(l, r) >= 3:
-        return 1
-    min_chunk = max(_MIN_CHUNK, 16**l if mode == "fisher" else 0)
-    return max(1, min(_cpu_count(), count // min_chunk))
-
-
-def _map_chunks(solve, count: int, n_chunks: int) -> list:
-    """[solve(lo, hi)] over n_chunks contiguous chunks of range(count), in
-    order.
-
-    The caller's thread solves the first chunk, and threads that live only
-    for this call the rest, each in a copy of the caller's contextvars
-    context (numpy's error state). numpy's LAPACK and matrix products
-    release the GIL, so the chunks run on separate cores. Every chunk is
-    finished, and every thread ended, before this returns or raises; an
-    error is the first chunk's that raised, unchanged.
-    """
-    if n_chunks == 1:
-        return [solve(0, count)]
-    bounds = [count * i // n_chunks for i in range(n_chunks + 1)]
-    with ThreadPoolExecutor(n_chunks - 1,
-                            thread_name_prefix="mpotomo-solve") as pool:
-        futures = [pool.submit(contextvars.copy_context().run, solve, lo, hi)
-                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        first = solve(bounds[0], bounds[1])
-    return [first] + [future.result() for future in futures]
 
 
 @dataclass
@@ -405,16 +350,9 @@ def reconstruct_mpo(data: PauliBlockData,
     is None, with NOISE_MODES' mode for the data's noise kind (tikhonov
     matched to sigma for scalar noise); the report's mode is the one used.
 
-    The bulk sites are solved in one contiguous chunk per usable CPU
-    (os.sched_getaffinity, else os.cpu_count): the caller's thread takes
-    the first and threads that end with the call the rest, each in the
-    caller's contextvars context. A chunk holds at least _MIN_CHUNK sites,
-    and in fisher mode at least 16^l, so short chains stay on the caller's
-    thread, as do sites whose B is 64 or more on both sides
-    (_chunk_count). The result is bitwise the same at any CPU count;
-    `taskset -c 0` holds a run to one CPU, and so to the caller's thread.
-    An error raised in any chunk reaches the caller unchanged, after every
-    chunk has finished and every thread the call started has ended.
+    The bulk sites are solved on the caller's thread, in pieces of at most
+    _PIECE_BYTES of B (_solve_sites); the result does not depend on the
+    piece size.
 
     The report lists, per bulk site, the singular values the filter acted
     on (of B, or of B W in fisher mode) and the flags "zero_operator",
@@ -435,10 +373,7 @@ def reconstruct_mpo(data: PauliBlockData,
             _site_matrices(data.blocks[0], l, r)[0].reshape(-1), l, dim_r)
         # Window b (0-based) starts at site b + 1 and resolves site
         # k = b + l + 1; the pieces come back in site order.
-        count = len(data.blocks)
-        pieces = [piece for chunk in _map_chunks(
-            functools.partial(_solve_sites, data, reg, l, r), count,
-            _chunk_count(count, l, r, mode)) for piece in chunk]
+        pieces = _solve_sites(data, reg, l, r)
         for site_tensors, _, _ in pieces:
             tensors.extend(site_tensors)
         if with_report:
@@ -486,6 +421,15 @@ class InvertibilityReport:
                 "is_invertible": self.is_invertible, "rows": self.rows}
 
 
+def _check_split(l, r, n_sites: int) -> None:
+    """Reject an l or r that is not an integer, and a split that is not
+    1 <= l, r with l + r < n_sites."""
+    require_integer(l, "l")
+    require_integer(r, "r")
+    if l < 1 or r < 1 or l + r > n_sites - 1:
+        raise ValueError("need 1 <= l, r with l + r < n_sites")
+
+
 def check_invertibility_dense(state, l: int, r: int) -> InvertibilityReport:
     """Exact window-rank versus cut-rank comparison on a dense state.
 
@@ -496,8 +440,7 @@ def check_invertibility_dense(state, l: int, r: int) -> InvertibilityReport:
     if not isinstance(state, DenseOperator):
         raise TypeError("dense invertibility check needs a DenseOperator")
     n = state.n_sites
-    if l < 1 or r < 1 or l + r > n - 1:
-        raise ValueError("need 1 <= l, r with l + r < n_sites")
+    _check_split(l, r, n)
     c = state.coeffs()
     rows = []
     for k in range(l, n - r):
@@ -551,8 +494,7 @@ def check_invertibility_mpo_spans(mpo: MatrixProductOperator, l: int,
     n = mpo.n_sites
     if abs(mpo.trace) <= 1e-12:
         raise ValueError("spanning check requires a nonzero trace")
-    if l < 1 or r < 1 or l + r > n - 1:
-        raise ValueError("need 1 <= l, r with l + r < n_sites")
+    _check_split(l, r, n)
     bonds = mpo.bond_dims
     rows = []
     for k in range(l, n - r):

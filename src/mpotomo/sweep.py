@@ -10,7 +10,6 @@ of the reproducible CSVs; request a separate timing file if needed.
 from __future__ import annotations
 
 import csv
-import numbers
 import time
 from dataclasses import MISSING, dataclass, fields
 from itertools import product
@@ -44,18 +43,16 @@ class SweepConfig:
         # a config's family may be any JSON value, and a list is unhashable
         if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        for name, kind in (("n_list", numbers.Integral),
-                           ("width_list", numbers.Integral),
-                           ("sigma_list", numbers.Real)):
+        for name in ("n_list", "width_list", "sigma_list"):
             value = getattr(self, name)
             if not isinstance(value, list):
                 raise ValueError(f"{name} must be a list, not "
                                  f"{type(value).__name__}")
-            for entry in value:
-                if isinstance(entry, bool) or not isinstance(entry, kind):
-                    raise ValueError(f"{name} entries must be "
-                                     f"{kind.__name__.lower()}, got "
-                                     f"{entry!r}")
+        for name in ("n_list", "width_list"):
+            for entry in getattr(self, name):
+                require_integer(entry, f"{name} entries")
+        for sigma in self.sigma_list:
+            require_real(sigma, "sigma_list entries", nonnegative=True)
         for name in ("trials", "master_seed"):
             require_integer(getattr(self, name), name)
         require_real(self.beta, "beta", nonnegative=True)
@@ -65,8 +62,6 @@ class SweepConfig:
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, not "
                              f"{self.master_seed}")
-        for sigma in self.sigma_list:
-            require_real(sigma, "sigma_list entries", nonnegative=True)
 
 
 def sweep_config_from_json(path: str) -> SweepConfig:

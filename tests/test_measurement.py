@@ -575,10 +575,12 @@ def test_mle_iterations_on_mixed_windows():
 
 
 @pytest.mark.parametrize("k, counts, match", [
-    (0, np.ones((9, 4), int), "k must be an integer >= 1"),
-    (-1, np.ones((9, 4), int), "k must be an integer >= 1"),
-    (1.0, np.ones((9, 4), int), "k must be an integer >= 1"),
-    (True, np.ones((9, 4), int), "k must be an integer >= 1"),
+    (0, np.ones((9, 4), int), "window start k must be at least 1, not 0"),
+    (-1, np.ones((9, 4), int), "window start k must be at least 1, not -1"),
+    (1.0, np.ones((9, 4), int), "window start k must be an integer, not "
+                                "float"),
+    (True, np.ones((9, 4), int), "window start k must be an integer, not "
+                                 "bool"),
     (1, np.ones((8, 4), int), r"shape \(3\^R, 2\^R\) with R >= 1, "
                               r"not \(8, 4\)"),
     (1, np.ones((9, 6), int), r"not \(9, 6\)"),

@@ -1,10 +1,8 @@
 import json
 import os
-import signal
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -14,9 +12,10 @@ import oracles
 from oracles import pack_index, random_mpo
 from mpotomo.measurement import (PauliBlockData, add_gaussian_noise,
                                  all_settings, exact_block_data,
-                                 simulate_counts, block_data_from_counts)
+                                 local_mle, simulate_counts,
+                                 block_data_from_counts)
 from mpotomo.operators import DenseOperator, _rescale_trace
-from mpotomo.pauli import coeffs_from_dense
+from mpotomo.pauli import coeffs_from_dense, pauli_matrix
 from mpotomo.reconstruction import (NOISE_MODES, PINV_RTOL,
                                     ReconstructionConfig,
                                     RegularizerSpec,
@@ -600,162 +599,78 @@ def test_exact_reconstruction_of_a_4096_site_mixed_chain():
         assert rep.purity_ref == 0.0
 
 
-# ---- chunks of sites solved on separate threads ----
+# ---- sites solved in pieces ----
 
 
-def _split_and_serial(monkeypatch, data, cpus):
-    """reconstruct_mpo's (estimate, report) with `cpus` usable CPUs, and
-    with one CPU and the whole stack solved as one piece; and the (lo, hi)
-    and thread of every chunk the first run solved, in site order."""
-    chunks, solve = [], reconstruction._solve_sites
+def _solved_in_pieces(monkeypatch, data, piece_bytes):
+    """reconstruct_mpo's (estimate, report) with the sites solved in pieces
+    of at most piece_bytes of B, and the number of sites in each piece, in
+    order."""
+    sizes, solve = [], reconstruction._solve_operators
 
-    def recorded(*args):
-        chunks.append((args[-2:], threading.current_thread()))
-        return solve(*args)
+    def recorded(B, *args):
+        sizes.append(len(B))
+        return solve(B, *args)
 
-    monkeypatch.setattr(reconstruction, "_solve_sites", recorded)
-    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: cpus)
-    split = reconstruct_mpo(data, with_report=True)
-    split_chunks = sorted(chunks, key=lambda chunk: chunk[0])
-    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 1)
-    monkeypatch.setattr(reconstruction, "_PIECE_BYTES", 1 << 62)
-    return (split, reconstruct_mpo(data, with_report=True)), split_chunks
+    monkeypatch.setattr(reconstruction, "_solve_operators", recorded)
+    monkeypatch.setattr(reconstruction, "_PIECE_BYTES", piece_bytes)
+    return reconstruct_mpo(data, with_report=True), sizes
 
 
-@pytest.mark.parametrize("make", [
-    lambda: exact_block_data(w_state(256)[1], 5),
-    lambda: add_gaussian_noise(exact_block_data(
+# (sites a piece at the default 128 KiB of B, at 1000 bytes): a B is
+# 2 KiB at R = 5 and 128 bytes at R = 3
+@pytest.mark.parametrize("make, per_piece", [
+    (lambda: exact_block_data(w_state(256)[1], 5), (64, 1)),
+    (lambda: add_gaussian_noise(exact_block_data(
         random_mpo_via_ancilla(256, seed=(3, 0, 0)), 5), 1e-3, seed=7),
-    # fisher chunks hold at least 16^l sites: 16 at R = 3
-    lambda: PauliBlockData(add_gaussian_noise(exact_block_data(
+     (64, 1)),
+    (lambda: PauliBlockData(add_gaussian_noise(exact_block_data(
         w_state(64)[1], 3), 1e-3, seed=7).blocks, shots=np.full((62, 27),
                                                                 1000)),
+     (1024, 7)),
 ], ids=["exact_w256", "tikhonov_ancilla256", "fisher_w64"])
-def test_split_reconstruction_is_bitwise_the_serial_one(monkeypatch, make):
-    # each chunk solves its own sites piece by piece, and _solve_operators
-    # gives every matrix what it gets alone: tensors and report do not
-    # depend on the number of CPUs, nor on the size of the pieces
+def test_split_reconstruction_is_bitwise_the_serial_one(monkeypatch, make,
+                                                        per_piece):
+    # _solve_operators gives every matrix what it gets alone: tensors and
+    # report do not depend on the size of the pieces, from one site a
+    # piece to the whole stack as one
     data = make()
-    ((split, split_report), (serial, serial_report)), chunks = (
-        _split_and_serial(monkeypatch, data, 3))
     count = data.n_blocks
-    assert [bounds for bounds, _ in chunks] == [
-        (0, count // 3), (count // 3, 2 * count // 3), (2 * count // 3, count)]
-    main = threading.main_thread()
-    assert chunks[0][1] is main
-    assert all(thread is not main for _, thread in chunks[1:])
-    assert len(split.tensors) == len(serial.tensors)
-    assert all(a.dtype == b.dtype and np.array_equal(a, b)
-               for a, b in zip(split.tensors, serial.tensors))
-    assert split_report.to_dict() == serial_report.to_dict()
-    assert split_report.mode == NOISE_MODES[data.noise_kind]
-
-
-def test_small_stacks_are_solved_in_one_chunk(monkeypatch, w_windows):
-    # below two chunks of _MIN_CHUNK sites, or of 16^l sites in fisher mode
-    # (W(256) at R = 5: 252 windows against 256), no thread is used
-    for data in (exact_block_data(w_state(35)[1], 5), w_windows["fitted"]):
-        _, chunks = _split_and_serial(monkeypatch, data, 8)
-        assert [bounds for bounds, _ in chunks] == [(0, data.n_blocks)]
-    _, chunks = _split_and_serial(monkeypatch,
-                                  exact_block_data(w_state(36)[1], 5), 8)
-    assert [bounds for bounds, _ in chunks] == [(0, 16), (16, 32)]
-    # one chunk per CPU at most; and one where B is 64-square or larger,
-    # whose SVDs use the BLAS threads themselves
-    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 8)
-    count = reconstruction._chunk_count
-    assert [count(n, 2, 2, "tikhonov") for n in (1000, 47, 48)] == [8, 2, 3]
-    assert [count(n, 2, 2, "fisher") for n in (511, 512)] == [1, 2]
-    assert [count(n, l, r, "truncated_pinv") for n, l, r in (
-        (10**5, 3, 2), (10**5, 2, 3), (10**5, 3, 3), (10**5, 4, 3))] == [
-        8, 8, 1, 1]
+    assert reconstruction._PIECE_BYTES == 1 << 17
+    (whole, whole_report), sizes = _solved_in_pieces(monkeypatch, data,
+                                                     1 << 62)
+    assert sizes == [count]
+    for piece_bytes, piece in zip((1 << 17, 1000), per_piece):
+        (est, report), sizes = _solved_in_pieces(monkeypatch, data,
+                                                 piece_bytes)
+        assert sizes == [min(piece, count - start)
+                         for start in range(0, count, piece)]
+        assert len(est.tensors) == len(whole.tensors)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(est.tensors, whole.tensors))
+        assert report.to_dict() == whole_report.to_dict()
+        assert report.mode == NOISE_MODES[data.noise_kind]
 
 
 def test_a_zero_window_in_a_later_chunk_is_reported_at_its_own_site(
         monkeypatch):
+    # pieces of 16 R = 5 sites (32 KiB of B): window 50 is in the fourth
     data = exact_block_data(w_state(64)[1], 5)
     blocks = data.blocks.copy()
     blocks[50] = 0.0  # window 50 of 60 starts at site 51, resolves 53
-    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 2)
-    _, report = reconstruct_mpo(PauliBlockData(blocks), with_report=True)
+    (_, report), sizes = _solved_in_pieces(monkeypatch, PauliBlockData(blocks),
+                                           1 << 15)
+    assert sizes == [16, 16, 16, 12]
     assert [(row["k"], row["flags"]) for row in report.sites
             if row["flags"]] == [(53, ["zero_operator"])]
     assert [row["k"] for row in report.sites] == list(range(3, 63))
 
 
-def test_an_error_in_a_worker_chunk_reaches_the_caller_unchanged(
-        monkeypatch):
-    error = np.linalg.LinAlgError("no solve")
-    threads, solve = [], reconstruction._solve_sites
-
-    def failing(*args):
-        if args[-2] > 0:  # every chunk but the first, the caller's own
-            threads.append(threading.current_thread())
-            raise error
-        return solve(*args)
-
-    monkeypatch.setattr(reconstruction, "_solve_sites", failing)
-    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 2)
-    with pytest.raises(np.linalg.LinAlgError) as caught:
-        reconstruct_mpo(exact_block_data(w_state(64)[1], 5))
-    assert caught.value is error
-    assert len(threads) == 1 and threads[0] is not threading.main_thread()
-
-
-def test_no_chunk_outlives_a_call_whose_own_chunk_failed():
-    finished = []
-
-    def solve(lo, hi):
-        if lo == 0:
-            raise ValueError("the caller's chunk")
-        time.sleep(0.2)
-        finished.append((lo, hi))
-
-    with pytest.raises(ValueError, match="the caller's chunk"):
-        reconstruction._map_chunks(solve, 32, 2)
-    assert finished == [(16, 32)]
-
-
-def test_chunks_run_in_the_callers_numpy_error_state():
-    with np.errstate(divide="ignore", over="raise", invalid="print"):
-        caller = np.geterr()
-        chunks = reconstruction._map_chunks(
-            lambda lo, hi: (lo, hi, threading.current_thread(), np.geterr()),
-            64, 4)
-    assert [chunk[:2] for chunk in chunks] == [(0, 16), (16, 32), (32, 48),
-                                               (48, 64)]
-    assert any(chunk[2] is not threading.main_thread() for chunk in chunks)
-    assert all(chunk[3] == caller for chunk in chunks)
-
-
-def test_no_solve_thread_outlives_a_call(monkeypatch):
-    # a 3-chunk call starts its own threads and ends them, whether it
-    # returns or raises
-    def solve_threads():
-        return [thread for thread in threading.enumerate()
-                if thread.name.startswith("mpotomo-solve")]
-
-    def failing(lo, hi):
-        if hi == 48:
-            raise ValueError("the last chunk")
-
+def test_concurrent_callers_get_the_one_cpu_estimate():
+    # six callers switching threads every microsecond: every caller gets
+    # the estimate of a call on its own
     data = exact_block_data(w_state(64)[1], 5)
-    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 3)
-    assert not solve_threads()
-    reconstruct_mpo(data)
-    assert not solve_threads()
-    with pytest.raises(ValueError, match="the last chunk"):
-        reconstruction._map_chunks(failing, 48, 3)
-    assert not solve_threads()
-
-
-def test_concurrent_callers_get_the_one_cpu_estimate(monkeypatch):
-    # six callers switching threads every microsecond, each with its own
-    # chunk threads: every caller gets the one-CPU estimate
-    data = exact_block_data(w_state(64)[1], 5)
-    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 1)
     expected = reconstruct_mpo(data)
-    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 3)
     results = [None] * 6
 
     def call(i):
@@ -775,33 +690,6 @@ def test_concurrent_callers_get_the_one_cpu_estimate(monkeypatch):
     assert all(est is not None and all(
         np.array_equal(a, b) for a, b in zip(est.tensors, expected.tensors))
         for est in results)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_runs_a_split_reconstruction(monkeypatch):
-    # the parent's split call has ended its threads, so the fork copies
-    # none, and the child starts threads of its own for its call
-    monkeypatch.setattr(reconstruction, "_cpu_count", lambda: 2)
-    data = exact_block_data(w_state(64)[1], 5)
-    expected = reconstruct_mpo(data)
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            est = reconstruct_mpo(data)
-            code = 0 if all(np.array_equal(a, b) for a, b in
-                            zip(est.tensors, expected.tensors)) else 2
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 60.0
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child's reconstruction did not finish "
-                        "in 60 s")
-        time.sleep(0.01)
-    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_reconstruction_report_records_sites():
@@ -1207,6 +1095,35 @@ def test_invertibility_checks_name_bad_arguments(check, state, l, r, error,
                                                  match):
     with pytest.raises(error, match=match):
         check(state, l, r)
+
+
+_W4_COUNTS = simulate_counts(w_state(4)[1], 2, 100, seed=0)
+
+
+@pytest.mark.parametrize("call, match", [
+    # each was once taken as 1 (a bool) or died in a bare TypeError
+    (lambda: check_invertibility_dense(DenseOperator(np.eye(16) / 16), True,
+                                       1), "l must be an integer, not bool"),
+    (lambda: check_invertibility_dense(DenseOperator(np.eye(16) / 16), 1.5,
+                                       1), "l must be an integer, not float"),
+    (lambda: check_invertibility_mpo_spans(random_mpo_via_ancilla(
+        4, seed=1), 1, True), "r must be an integer, not bool"),
+    (lambda: check_invertibility_mpo_spans(random_mpo_via_ancilla(
+        4, seed=1), 1.5, 1), "l must be an integer, not float"),
+    (lambda: local_mle(_W4_COUNTS[0], max_iter=True),
+     "max_iter must be an integer, not bool"),
+    (lambda: local_mle(_W4_COUNTS[0], max_iter=2.5),
+     "max_iter must be an integer, not float"),
+    (lambda: block_data_from_counts(_W4_COUNTS, 4.0),
+     "n_sites must be an integer, not float"),
+    (lambda: pauli_matrix(True), "alpha must be an integer, not bool"),
+    (lambda: pauli_matrix(1.5), "alpha must be an integer, not float"),
+], ids=["dense_l_bool", "dense_l_float", "spans_r_bool", "spans_l_float",
+        "mle_max_iter_bool", "mle_max_iter_float", "counts_n_sites_float",
+        "pauli_bool", "pauli_float"])
+def test_integer_arguments_are_refused_by_name(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_span_condition_needs_nonzero_trace():

@@ -30,9 +30,10 @@ def test_config_validation():
     ("n_list", 4, "n_list must be a list, not int"),
     ("width_list", "3", "width_list must be a list, not str"),
     ("sigma_list", 0.0, "sigma_list must be a list, not float"),
-    ("n_list", ["5"], "n_list entries must be integral, got '5'"),
-    ("width_list", [3.0], "width_list entries must be integral, got 3.0"),
-    ("sigma_list", ["0.01"], "sigma_list entries must be real, got '0.01'"),
+    ("n_list", ["5"], "n_list entries must be an integer, not str"),
+    ("width_list", [3.0], "width_list entries must be an integer, not float"),
+    ("sigma_list", ["0.01"],
+     "sigma_list entries must be a real number, not str"),
     ("trials", "2", "trials must be an integer, not str"),
     ("trials", 2.0, "trials must be an integer, not float"),
     ("trials", True, "trials must be an integer, not bool"),
@@ -46,6 +47,9 @@ def test_config_validation():
     ("master_seed", True, "master_seed must be an integer, not bool"),
     ("master_seed", -1, "master_seed must be nonnegative, not -1"),
     ("family", ["w"], r"unknown family \['w'\]"),
+    ("n_list", [5, True], "n_list entries must be an integer, not bool"),
+    ("sigma_list", [False],
+     "sigma_list entries must be a real number, not bool"),
 ])
 def test_config_rejects_wrongly_typed_fields(key, value, match):
     with pytest.raises(ValueError, match=match):
